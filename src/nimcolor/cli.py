@@ -54,12 +54,22 @@ def _append_ledger(path: str, command: str, parameters: dict, payload: dict) -> 
 
 
 def read_ledger(path: str) -> list[dict]:
-    records = []
+    """Every record of a ledger.
+
+    A final line that does not parse is a record torn by an interrupted
+    append: it is skipped with a warning on stderr.  A bad line anywhere
+    else raises.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        lines = [line for line in map(str.strip, fh) if line]
+    records = []
+    for i, line in enumerate(lines):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            if i < len(lines) - 1:
+                raise
+            print(f"warning: {path}: skipped a torn last record ({exc})", file=sys.stderr)
     return records
 
 

@@ -135,21 +135,6 @@ class SimpleGraph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
 
-    def validate(self) -> None:
-        """Full symmetry check; constructors already guarantee this."""
-        for u in range(self.n):
-            for v in _bits(self.adj[u]):
-                if not (self.adj[v] >> u) & 1:
-                    raise ValueError(f"asymmetric adjacency at ({u}, {v})")
-
-    def with_edge(self, u: int, v: int) -> "SimpleGraph":
-        if u == v:
-            raise ValueError("loop")
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return SimpleGraph(self.n, tuple(adj))
-
     def permuted(self, perm: list[int]) -> "SimpleGraph":
         """Relabel: vertex v becomes perm[v]."""
         adj = [0] * self.n
@@ -204,17 +189,6 @@ def components(g: SimpleGraph) -> list[list[int]]:
         seen |= comp
         out.append(_bits(comp))
     return out
-
-
-def induced_subgraph(g: SimpleGraph, vertices: list[int]) -> SimpleGraph:
-    pos = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    vset = set(vertices)
-    for u in vertices:
-        for w in _bits(g.adj[u]):
-            if w > u and w in vset:
-                edges.append((pos[u], pos[w]))
-    return SimpleGraph.from_edges(len(vertices), edges)
 
 
 def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -305,11 +279,6 @@ class EdgeColoring:
 
     def color_of(self, u: int, v: int) -> int:
         return self.colors[edge_index(u, v, self.n)]
-
-    def class_edge_indices(self, i: int) -> list[int]:
-        if not (0 <= i < self.k):
-            raise ValueError(f"color {i} not in 0..{self.k - 1}")
-        return [e for e, c in enumerate(self.colors) if c == i]
 
     def color_class(self, i: int) -> SimpleGraph:
         """The graph on 0..n-1 whose edges carry color i."""

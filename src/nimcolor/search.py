@@ -12,19 +12,25 @@ counter.
 `hill_climb_f` is the heuristic companion for sizes enumeration cannot
 reach: steepest-ascent single-edge recoloring with fully deterministic
 tie-breaking, restarted from seeded random colorings or from a
-construction.
+construction.  Candidates are scored by delta evaluation, not by a fresh
+NIM count: recoloring e from c to c' changes only classes c and c', so
+the climber requeries just the edges whose cover witness used e (in c)
+and the NIM edges of c' a copy through e could reach.  For a connected
+pattern those lie within its diameter of e; for a disconnected one every
+NIM edge of c' is requeried.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import EdgeColoring, all_pairs, complete_edge_count
-from .nim import _find_through, nim_edges
+from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, components
+from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _find_through, _guard, nim_edges
 from .patterns import PatternGraph
 from .turan import TuranResult, turan_value
 
@@ -43,6 +49,7 @@ class SearchResult:
     exhaustive: bool
     colorings_examined: int
     elapsed: float
+    prefix: tuple[int, ...] = ()  # the colors a shard pinned; () for a whole search
 
     def to_dict(self) -> dict:
         return {
@@ -130,14 +137,38 @@ def exhaustive_f(
     witness_coloring = EdgeColoring(n, k, best_colors)
     elapsed = time.perf_counter() - started
     return SearchResult(
-        n, k, h.spec, best, witness_coloring, "exhaustive", not prefix, leaves, elapsed
+        n, k, h.spec, best, witness_coloring, "exhaustive", not prefix, leaves, elapsed, prefix
     )
 
 
 def merge_shards(shards: list[SearchResult]) -> SearchResult:
-    """Monotone max-merge of shard results; ties keep the earliest shard."""
+    """Monotone max-merge of shard results; ties keep the earliest shard.
+
+    All shards must solve the same (n, k, pattern) problem.  The merge is
+    exhaustive only when one shard is a whole exhaustive search, or when
+    the shard prefixes tile the coloring tree under (0,): no prefix extends
+    another, all start with color 0, and the subtrees they pin add up to
+    the whole tree (sum of k^-(len(p) - 1) equals 1).
+    """
     if not shards:
         raise ValueError("nothing to merge")
+    first = shards[0]
+    for r in shards[1:]:
+        if (r.n, r.k, r.pattern) != (first.n, first.k, first.pattern):
+            raise ValueError(
+                f"shards solve different problems: n={first.n}, k={first.k}, {first.pattern}"
+                f" vs n={r.n}, k={r.k}, {r.pattern}"
+            )
+    prefixes = sorted(r.prefix for r in shards)
+    depth = max(len(p) for p in prefixes)
+    tiled = (
+        all(p and p[0] == 0 for p in prefixes)
+        # in sorted order a prefix sits right before the prefixes extending it
+        and all(b[: len(a)] != a for a, b in zip(prefixes, prefixes[1:]))
+        # the sum above, scaled by k^(depth - 1) to stay in integers
+        and sum(first.k ** (depth - len(p)) for p in prefixes) == first.k ** (depth - 1)
+    )
+    exhaustive = tiled or any(r.exhaustive and not r.prefix for r in shards)
     winner = max(shards, key=lambda r: r.best_count)  # max keeps the first on ties
     return SearchResult(
         winner.n,
@@ -146,7 +177,7 @@ def merge_shards(shards: list[SearchResult]) -> SearchResult:
         winner.best_count,
         winner.witness,
         "exhaustive",
-        True,
+        exhaustive,
         sum(r.colorings_examined for r in shards),
         sum(r.elapsed for r in shards),
     )
@@ -168,7 +199,9 @@ def hill_climb_f(
     starts draw random colorings from random.Random(seed).  Each step picks
     the recoloring with the largest NIM gain, ties broken by lowest edge
     index then lowest color, and stops at a local optimum or after
-    `iterations` steps.  Fully deterministic for fixed arguments.
+    `iterations` steps.  Candidates are scored by delta evaluation against
+    a `_NimState` of the current coloring, rebuilt once per accepted move.
+    Fully deterministic for fixed arguments.
     """
     if n > HILL_MAX_N:
         raise ResourceLimitError(f"hill climb limited to n <= {HILL_MAX_N}")
@@ -176,9 +209,14 @@ def hill_climb_f(
         raise ValueError("need at least one start")
     if seed_coloring is not None and (seed_coloring.n != n or seed_coloring.k != k):
         raise ValueError("seed coloring does not match n, k")
+    pattern = h.graph
+    if pattern.n < 2:
+        raise ValueError("pattern needs at least 2 vertices")
+    _guard(n, pattern, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
     started = time.perf_counter()
     rng = random.Random(seed)
     m = complete_edge_count(n)
+    radius = _diameter(pattern)
     best = -1
     best_witness: Optional[EdgeColoring] = None
     examined = 0
@@ -188,23 +226,28 @@ def hill_climb_f(
             current = seed_coloring
         else:
             current = EdgeColoring.random(n, k, rng)
-        score = nim_edges(current, h).count
+        state = _NimState(current, pattern, radius)
+        score = state.score
         examined += 1
         for _ in range(iterations):
-            move = None  # (gain, edge, color, coloring, score)
-            for e in range(m):
+            move = None  # (score, edge, color)
+            for e in range(m) if k > 1 else ():  # one color leaves no move
                 old = current.colors[e]
+                base = score + state.loss(e)
                 for c in range(k):
                     if c == old:
                         continue
-                    cand = current.recolored(e, c)
-                    cand_score = nim_edges(cand, h).count
+                    bar = score if move is None else move[0]  # what a move must beat
+                    cand_score = base + state.gain(e, c, bar - base)
                     examined += 1
-                    if cand_score > score and (move is None or cand_score > move[0]):
-                        move = (cand_score, e, c, cand)
+                    if cand_score > bar:
+                        move = (cand_score, e, c)
             if move is None:
                 break
-            score, current = move[0], move[3]
+            score = move[0]
+            current = current.recolored(move[1], move[2])
+            state = _NimState(current, pattern, radius)
+            assert state.score == score, "delta score disagrees with the rebuilt NIM state"
         if score > best:
             best = score
             best_witness = current
@@ -214,6 +257,151 @@ def hill_climb_f(
     return SearchResult(
         n, k, h.spec, best, best_witness, "hill_climb", False, examined, elapsed
     )
+
+
+class _NimState:
+    """The NIM edges of one coloring, kept for scoring single-edge recolorings.
+
+    Built by the same cover pass as `nim_edges` (canonical edge order,
+    cover mask), which also records, for each edge f, `dependents[f]`: the
+    bitmask of edges whose cover witness contains f.  The cover witness of
+    an edge is the copy that first covered it.  Recoloring edge e from class c to
+    class c' changes only those two classes, so its new NIM count is
+    `score + loss(e) + gain(e, c')`.  `radius` is the pattern's diameter,
+    or None for a disconnected pattern.
+    """
+
+    def __init__(self, coloring: EdgeColoring, pattern: SimpleGraph, radius: Optional[int]):
+        n = coloring.n
+        self.n, self.pattern, self.radius = n, pattern, radius
+        self.colors = coloring.colors
+        self.pairs = pairs = all_pairs(n)
+        self.adj = adj = [[0] * n for _ in range(coloring.k)]
+        for (u, v), c in zip(pairs, self.colors):
+            adj[c][u] |= 1 << v
+            adj[c][v] |= 1 << u
+        self.dependents = dependents = [0] * len(pairs)
+        self.class_nim: list[list[int]] = [[] for _ in range(coloring.k)]
+        nim = covered = 0
+        # Witnesses stay inside one class, so a single pass in canonical order
+        # with one cover mask is the per-class cover pass of every class at once.
+        for e, c in enumerate(self.colors):
+            if (covered >> e) & 1:
+                continue
+            u, v = pairs[e]
+            witness = _find_through(adj[c], n, pattern, u, v)
+            if witness is None:
+                nim |= 1 << e
+                self.class_nim[c].append(e)
+                continue
+            mask = _mask(witness)
+            fresh = mask & ~covered
+            covered |= mask
+            for f in witness:
+                dependents[f] |= fresh
+        self.nim = nim
+        self.score = nim.bit_count()
+
+    def loss(self, e: int) -> int:
+        """Change in the NIM count when edge e leaves its class."""
+        if (self.nim >> e) & 1:
+            return -1  # no copy uses e, so every other edge keeps its witness
+        rest = self.dependents[e] & ~(1 << e)
+        if not rest:
+            return 0
+        n, pattern, pairs = self.n, self.pattern, self.pairs
+        adj = self.adj[self.colors[e]]
+        u, v = pairs[e]
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        freed = covered = 0
+        for f in _bits(rest):
+            if (covered >> f) & 1:
+                continue
+            x, y = pairs[f]
+            witness = _find_through(adj, n, pattern, x, y)
+            if witness is None:
+                freed += 1
+            else:
+                covered |= _mask(witness)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        return freed
+
+    def gain(self, e: int, c: int, floor: float = -math.inf) -> int:
+        """Change in the NIM count when class c (not e's own) gains edge e.
+
+        The answer is exact when it exceeds `floor`; otherwise some value at
+        most `floor` comes back, so requeries stop once the change is known
+        not to beat it.
+        """
+        if floor >= 1:
+            return 1  # a gain never adds more than e itself
+        n, pattern, pairs = self.n, self.pattern, self.pairs
+        adj = self.adj[c]
+        u, v = pairs[e]
+        bu, bv = 1 << u, 1 << v
+        adj[u] |= bv
+        adj[v] |= bu
+        witness = _find_through(adj, n, pattern, u, v)
+        if witness is None:
+            delta = 1  # every new copy would go through e, so nothing else changes
+        else:
+            nim = self.nim & ~(1 << e)  # e is NIM, if at all, in its own class only
+            covered = _mask(witness)
+            delta = -(covered & nim).bit_count()
+            # A NIM edge of c can only join a copy through e, which lies
+            # within the pattern's diameter of u and v.
+            ball = (1 << n) - 1 if self.radius is None else _ball(adj, bu | bv, self.radius)
+            for f in self.class_nim[c]:
+                if delta <= floor:
+                    break
+                if (covered >> f) & 1:
+                    continue
+                x, y = pairs[f]
+                if (ball >> x) & 1 and (ball >> y) & 1:
+                    found = _find_through(adj, n, pattern, x, y)
+                    if found is not None:
+                        covered |= _mask(found)
+                        delta = -(covered & nim).bit_count()
+        adj[u] ^= bv
+        adj[v] ^= bu
+        return delta
+
+
+def _mask(edges: list[int]) -> int:
+    mask = 0
+    for f in edges:
+        mask |= 1 << f
+    return mask
+
+
+def _diameter(g: SimpleGraph) -> Optional[int]:
+    """Largest distance between two vertices of g, or None if g is disconnected."""
+    if len(components(g)) > 1:
+        return None
+    full = (1 << g.n) - 1
+    longest = 0
+    for v in range(g.n):
+        ball, depth = 1 << v, 0
+        while ball != full:
+            ball, depth = _ball(g.adj, ball, 1), depth + 1
+        longest = max(longest, depth)
+    return longest
+
+
+def _ball(adj: Sequence[int], seeds: int, radius: int) -> int:
+    """Vertices within `radius` steps of the vertex set `seeds`."""
+    ball = frontier = seeds
+    for _ in range(radius):
+        reach = 0
+        for w in _bits(frontier):
+            reach |= adj[w]
+        frontier = reach & ~ball
+        if not frontier:
+            break
+        ball |= frontier
+    return ball
 
 
 def compare_to_turan(result: SearchResult, h: PatternGraph) -> dict:

@@ -4,11 +4,21 @@ Everything here enumerates rather than searches: injections via
 itertools.permutations, matchings via edge-subset recursion, maxima via
 all 2^m edge subsets.  None of it touches the package's embedding engine,
 so agreement is a meaningful cross-check.  Sizes are tiny by design.
+
+The one exception is `hill_climb_recount`, the climber's full-recount
+loop: it scores every candidate with a fresh `nim_edges` count and is the
+reference for the delta-evaluated `hill_climb_f`.
 """
 
+import random
+import time
 from itertools import combinations, permutations
+from typing import Optional
 
-from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs, edge_index
+from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs, complete_edge_count, edge_index
+from nimcolor.nim import nim_edges
+from nimcolor.patterns import PatternGraph
+from nimcolor.search import SearchResult
 
 
 def contains_brute(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -91,3 +101,54 @@ def tails_brute(g: SimpleGraph) -> set[tuple[int, int, int]]:
                 if g.degree(v2) == 1 and g.degree(v1) == 2:
                     out.add((v0, v1, v2))
     return out
+
+
+def hill_climb_recount(
+    n: int,
+    k: int,
+    h: PatternGraph,
+    *,
+    seed: int = 0,
+    iterations: int = 50,
+    restarts: int = 1,
+    seed_coloring: Optional[EdgeColoring] = None,
+) -> SearchResult:
+    """`hill_climb_f` as it was before delta evaluation: one recount per candidate."""
+    started = time.perf_counter()
+    rng = random.Random(seed)
+    m = complete_edge_count(n)
+    best = -1
+    best_witness: Optional[EdgeColoring] = None
+    examined = 0
+
+    for r in range(restarts):
+        if r == 0 and seed_coloring is not None:
+            current = seed_coloring
+        else:
+            current = EdgeColoring.random(n, k, rng)
+        score = nim_edges(current, h).count
+        examined += 1
+        for _ in range(iterations):
+            move = None  # (gain, edge, color, coloring, score)
+            for e in range(m):
+                old = current.colors[e]
+                for c in range(k):
+                    if c == old:
+                        continue
+                    cand = current.recolored(e, c)
+                    cand_score = nim_edges(cand, h).count
+                    examined += 1
+                    if cand_score > score and (move is None or cand_score > move[0]):
+                        move = (cand_score, e, c, cand)
+            if move is None:
+                break
+            score, current = move[0], move[3]
+        if score > best:
+            best = score
+            best_witness = current
+
+    elapsed = time.perf_counter() - started
+    assert best_witness is not None
+    return SearchResult(
+        n, k, h.spec, best, best_witness, "hill_climb", False, examined, elapsed
+    )

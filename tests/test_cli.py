@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nimcolor.cli import main, read_ledger
 
 
@@ -134,6 +136,38 @@ class TestSearchAndReport:
         lines = out.strip().splitlines()
         assert lines[0].startswith("timestamp,")
         assert lines[-1].startswith("totals,")
+
+    def test_report_survives_a_torn_last_record(self, capsys, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        for n in (4, 5, 6):
+            run(
+                capsys,
+                "search", "--pattern", "path:3", "--n", str(n), "--k", "2",
+                "--mode", "exhaustive", "--ledger", str(ledger),
+            )
+        *complete, last = ledger.read_text().splitlines()
+        cut = last.index('"pattern": "') + len('"pattern": "pa')  # mid-string
+        ledger.write_text("\n".join(complete + [last[:cut]]))
+
+        code, out, err = run(capsys, "report", "--format", "json", "--ledger", str(ledger))
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)["rows"]] == [4, 5]
+        assert "torn last record" in err
+
+    def test_bad_line_before_the_last_still_raises(self, capsys, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        for n in (4, 5):
+            run(
+                capsys,
+                "search", "--pattern", "path:3", "--n", str(n), "--k", "2",
+                "--mode", "exhaustive", "--ledger", str(ledger),
+            )
+        first, second = ledger.read_text().splitlines()
+        ledger.write_text(first[:40] + "\n" + second + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            read_ledger(str(ledger))
+        code, _, _ = run(capsys, "report", "--ledger", str(ledger))
+        assert code == 1
 
     def test_env_var_ledger(self, capsys, tmp_path, monkeypatch):
         ledger = tmp_path / "env-ledger.jsonl"

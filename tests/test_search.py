@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_coloring_for
 from nimcolor.errors import ResourceLimitError
-from nimcolor.graphs import EdgeColoring
+from nimcolor.graphs import EdgeColoring, SimpleGraph
 from nimcolor.nim import nim_edges
-from nimcolor.patterns import make_path, make_star, parse_pattern
-from nimcolor.search import compare_to_turan, exhaustive_f, hill_climb_f, merge_shards
-from nimcolor.turan import extremal_path_graph
+from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
+from nimcolor.search import _diameter, _NimState, compare_to_turan, exhaustive_f, hill_climb_f, merge_shards
+from nimcolor.turan import ex_path, extremal_path_graph
+from oracles import hill_climb_recount
 
 P3 = make_path(3)
 P4 = make_path(4)
@@ -65,6 +68,37 @@ class TestExhaustive:
         assert not shards[0].exhaustive
         assert nim_edges(merged.witness, P4).count == merged.best_count
 
+    @pytest.mark.parametrize(
+        "prefixes",
+        [[(0, 1)], [(0, 0), (0, 0, 1), (0, 1)], [(0, 0), (0, 0), (0, 1)], [(1, 0), (1, 1)]],
+        ids=["one-of-two", "nested", "repeated", "not-under-0"],
+    )
+    def test_prefixes_that_do_not_tile_are_not_exhaustive(self, prefixes):
+        merged = merge_shards([exhaustive_f(5, 2, P3, prefix=p) for p in prefixes])
+        assert not merged.exhaustive
+
+    def test_merge_rejects_shards_of_different_problems(self):
+        shards = [exhaustive_f(5, 2, P3, prefix=(0, 0)), exhaustive_f(6, 2, P4, prefix=(0, 1))]
+        with pytest.raises(ValueError, match="different problems"):
+            merge_shards(shards)
+
+    @pytest.mark.parametrize(
+        "n, k, prefixes",
+        [
+            (4, 3, [(0, c) for c in range(3)]),
+            (5, 2, [(0, 0), (0, 1, 0), (0, 1, 1)]),
+            (5, 2, [(), (0, 1)]),
+        ],
+        ids=["k3-length-2", "mixed-lengths", "whole-search"],
+    )
+    def test_tiling_merge_is_exhaustive(self, n, k, prefixes):
+        whole = exhaustive_f(n, k, P3)
+        shards = [exhaustive_f(n, k, P3, prefix=p) for p in prefixes]
+        assert [r.prefix for r in shards] == prefixes
+        merged = merge_shards(shards)
+        assert merged.exhaustive
+        assert merged.best_count == whole.best_count
+
     def test_prefix_validation(self):
         with pytest.raises(ValueError):
             exhaustive_f(4, 2, P3, prefix=(0, 3))
@@ -121,6 +155,75 @@ class TestHillClimb:
     def test_seed_shape_checked(self):
         with pytest.raises(ValueError):
             hill_climb_f(6, 2, P4, seed_coloring=EdgeColoring.monochromatic(6, k=3))
+
+
+# Trees, forests and an odd cycle: a copy through an edge of C_5 can reach
+# a vertex at distance diam = 2 from both ends, which no tree pattern does.
+C5 = custom_pattern(SimpleGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]), "cycle:5")
+PROPERTY_PATTERNS = [
+    *map(parse_pattern, ["path:3", "path:4", "star:3", "spider:2,2,1", "path:3+path:3", "star:3+path:3"]),
+    C5,
+]
+
+
+@st.composite
+def colorings(draw):
+    n = draw(st.integers(min_value=3, max_value=8))
+    k = draw(st.sampled_from([2, 3]))
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return EdgeColoring(n, k, tuple(colors))
+
+
+class TestDeltaEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(colorings(), st.sampled_from(PROPERTY_PATTERNS), st.integers(-2, 1))
+    @example(EdgeColoring(7, 2, (1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 1)), C5, -2)
+    def test_every_delta_matches_a_fresh_count(self, coloring, h, floor):
+        state = _NimState(coloring, h.graph, _diameter(h.graph))
+        assert state.score == nim_edges(coloring, h).count
+        for e, old in enumerate(coloring.colors):
+            loss = state.loss(e)
+            for c in range(coloring.k):
+                if c == old:
+                    continue
+                exact = nim_edges(coloring.recolored(e, c), h).count - state.score - loss
+                assert state.gain(e, c) == exact
+                bounded = state.gain(e, c, floor)
+                assert bounded == exact if exact > floor else bounded <= floor
+
+    def test_diameter(self):
+        assert _diameter(make_path(5).graph) == 4
+        assert _diameter(make_star(3).graph) == 2
+        assert _diameter(parse_pattern("path:3+path:3").graph) is None
+
+
+def _overlay(n, length, k):
+    red = extremal_path_graph(n, length, ex_path(n, length).recipe["a"])
+    return extremal_overlay(n, make_path(length), red).with_colors(k)
+
+
+REFERENCE_GRID = {
+    "overlay-p4-k3": ("path:4", 12, 3, dict(iterations=3, seed_coloring=_overlay(12, 4, 3))),
+    "overlay-p5-k2": ("path:5", 12, 2, dict(iterations=3, seed_coloring=_overlay(12, 5, 2))),
+    "p2k-p4-k4": ("path:4", 13, 4, dict(iterations=2, seed_coloring=p2k_multicoloring(13, 2)[0])),
+    "random-p4-k2": ("path:4", 7, 2, dict(seed=2, iterations=20, restarts=3)),
+    "random-star-k3": ("star:3", 7, 3, dict(seed=5, iterations=20, restarts=2)),
+    "random-spider-k3": ("spider:2,2,1", 8, 3, dict(seed=2, iterations=10, restarts=2)),
+    "random-p4-k4": ("path:4", 7, 4, dict(seed=9, iterations=20, restarts=2)),
+    "random-forest-k2": ("path:3+path:3", 7, 2, dict(seed=1, iterations=20, restarts=3)),
+}
+
+
+class TestReferenceClimber:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_GRID))
+    def test_same_climb_as_full_recounts(self, case):
+        spec, n, k, kwargs = REFERENCE_GRID[case]
+        h = parse_pattern(spec)
+        fast = hill_climb_f(n, k, h, **kwargs)
+        slow = hill_climb_recount(n, k, h, **kwargs)
+        assert fast.best_count == slow.best_count
+        assert fast.witness == slow.witness
+        assert fast.colorings_examined == slow.colorings_examined
 
 
 class TestCompare:
