@@ -21,7 +21,7 @@ from .graphs import (
     join,
     to_dot,
 )
-from .nim import NimReport, contains, contains_through_edge, nim_edges, nim_edges_anchored
+from .nim import NimReport, contains, contains_through_edge, nim_edges
 from .patterns import (
     PatternGraph,
     bipartition,

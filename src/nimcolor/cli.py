@@ -47,9 +47,15 @@ def _append_ledger(path: str, command: str, parameters: dict, payload: dict) -> 
         "result": payload,
         "version": __version__,
     }
-    line = json.dumps(record, sort_keys=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+    data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    # One write on an O_APPEND descriptor, so concurrent appends never interleave.
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, data)
+    finally:
+        os.close(fd)
+    if written != len(data):
+        raise OSError(f"short write to ledger {path}: {written} of {len(data)} bytes")
     return record
 
 

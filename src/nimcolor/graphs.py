@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -51,9 +52,10 @@ def complete_edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def all_pairs(n: int) -> list[tuple[int, int]]:
-    """All edges of K_n in canonical order."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+@lru_cache(maxsize=None)
+def all_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """All edges of K_n in canonical order (cached and shared, hence a tuple)."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 def _bits(mask: int) -> list[int]:

@@ -6,19 +6,17 @@ color i is monochromatic iff it lies inside color class i, the whole
 computation reduces to anchored subgraph-embedding queries within single
 color classes.
 
-Two implementations are provided and must agree:
+`nim_edges` walks each color class in canonical edge order and keeps a
+cover mask: every embedding found marks *all* edges it uses, an edge
+already marked is skipped, and a class whose edges are all marked is done.
+Edges whose anchored search exhausts without a witness are NIM.  The test
+suite checks it against a reference counter with its own, separately coded
+search (`nim_edges_anchored` in tests/oracles.py).
 
-* `nim_edges` (primary) walks each color class in canonical edge order and
-  keeps a cover mask: every embedding found marks *all* edges it uses, an
-  edge already marked is skipped, and a class whose edges are all marked is
-  done.  Edges whose anchored search exhausts without a witness are NIM.
-* `nim_edges_anchored` (reference oracle) answers one independent anchored
-  query per edge with a separately coded, unoptimized search.
-
-The primary engine maps pattern vertices in a DFS order (components rooted
-at a max-degree vertex) so partial embeddings stay connected, prunes by
-host degree, and collapses twin candidates (vertices with identical
-adjacency outside the pair), which is sound for existence queries.
+The engine maps pattern vertices in a DFS order (components rooted at a
+max-degree vertex) so partial embeddings stay connected, prunes by host
+degree, and collapses twin candidates (vertices with identical adjacency
+outside the pair), which is sound for existence queries.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import EdgeColoring, SimpleGraph, components, edge_index
+from .graphs import EdgeColoring, SimpleGraph, all_pairs, components, edge_index
 from .patterns import PatternGraph, _as_graph
 
 DEFAULT_MAX_N = 64
@@ -248,7 +246,7 @@ def nim_edges(
     _guard(coloring.n, pattern, max_n, max_pattern)
     n, k = coloring.n, coloring.k
     spec = h.spec if isinstance(h, PatternGraph) else f"custom:{pattern.n}v{pattern.edge_count}e"
-    pairs = _pairs_table(n)
+    pairs = all_pairs(n)
 
     nim: list[int] = []
     per_color = []
@@ -277,93 +275,3 @@ def nim_edges(
         per_color.append(hits)
     nim.sort()
     return NimReport(n, k, spec, tuple(nim), len(nim), tuple(per_color))
-
-
-@lru_cache(maxsize=None)
-def _pairs_table(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
-
-
-# -- reference implementation (test oracle) ------------------------------
-#
-# Deliberately separate machinery: set-based adjacency, BFS vertex order
-# seeded at the anchored edge, no degree pruning, no twin collapsing, no
-# cover reuse between edges.
-
-
-def nim_edges_anchored(coloring: EdgeColoring, h, *, max_n: int = 12) -> NimReport:
-    pattern = _as_graph(h)
-    if pattern.n < 2:
-        raise ValueError("pattern needs at least 2 vertices")
-    if coloring.n > max_n:
-        raise ResourceLimitError(f"reference NIM oracle limited to n <= {max_n}")
-    n, k = coloring.n, coloring.k
-    spec = h.spec if isinstance(h, PatternGraph) else f"custom:{pattern.n}v{pattern.edge_count}e"
-    pairs = _pairs_table(n)
-    adj_sets: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(k)]
-    for e, c in enumerate(coloring.colors):
-        u, v = pairs[e]
-        adj_sets[c][u].add(v)
-        adj_sets[c][v].add(u)
-
-    nim = []
-    per_color = [0] * k
-    for e, c in enumerate(coloring.colors):
-        u, v = pairs[e]
-        if not _mono_copy_through(adj_sets[c], n, pattern, u, v):
-            nim.append(e)
-            per_color[c] += 1
-    return NimReport(n, k, spec, tuple(nim), len(nim), tuple(per_color))
-
-
-def _mono_copy_through(adj: list[set[int]], n: int, pattern: SimpleGraph, u: int, v: int) -> bool:
-    pat_nbrs = [pattern.neighbors(x) for x in range(pattern.n)]
-    for x in range(pattern.n):
-        for y in pat_nbrs[x]:
-            order = _bfs_order(pattern, x, y)
-            if _place(adj, n, pat_nbrs, order, {x: u, y: v}, {u, v}, 2):
-                return True
-    return False
-
-
-def _bfs_order(pattern: SimpleGraph, x: int, y: int) -> list[int]:
-    order = [x, y]
-    seen = {x, y}
-    head = 0
-    while head < len(order):
-        for w in pattern.neighbors(order[head]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        head += 1
-    for root in range(pattern.n):
-        if root in seen:
-            continue
-        seen.add(root)
-        order.append(root)
-        head = len(order) - 1
-        while head < len(order):
-            for w in pattern.neighbors(order[head]):
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-            head += 1
-    return order
-
-
-def _place(adj, n, pat_nbrs, order, image, used, i) -> bool:
-    if i == len(order):
-        return True
-    p = order[i]
-    mapped = [image[q] for q in pat_nbrs[p] if q in image]
-    for w in range(n):
-        if w in used:
-            continue
-        if all(w in adj[q] for q in mapped):
-            image[p] = w
-            used.add(w)
-            if _place(adj, n, pat_nbrs, order, image, used, i + 1):
-                return True
-            used.discard(w)
-            del image[p]
-    return False

@@ -1,13 +1,15 @@
 """Exact and heuristic maximization of the NIM count over all k-colorings.
 
-`exhaustive_f` enumerates every k-coloring of E(K_n) with the color of the
-first edge pinned to 0 (color permutations preserve the NIM count, so this
-loses nothing for the maximum) and reports the true maximum.  A sound
-branch-and-bound cut tracks edges already provably covered by a
-monochromatic copy among the colored prefix: classes only grow along a
-branch, so covered edges stay covered, and a branch whose uncovered budget
-cannot beat the best is dropped.  Leaves are scored by the real NIM
-counter.
+`exhaustive_f` reports the true maximum.  It enumerates the k-colorings
+of E(K_n) that are canonical under vertex and color relabeling (both
+preserve the NIM count, so this loses nothing for the maximum): the first
+edge (0, 1) has color 0, vertex 0 has the largest class-0 degree, vertex 1
+is a class-0 neighbour of vertex 0, and vertices 2..n-1 come in
+non-increasing class-0 degree.  A sound branch-and-bound cut tracks edges
+already provably covered by a monochromatic copy among the colored
+prefix: classes only grow along a branch, so covered edges stay covered,
+and a branch whose uncovered budget cannot beat the best is dropped.
+Leaves are scored by the real NIM counter.
 
 `hill_climb_f` is the heuristic companion for sizes enumeration cannot
 reach: steepest-ascent single-edge recoloring with fully deterministic
@@ -75,10 +77,23 @@ def exhaustive_f(
 ) -> SearchResult:
     """Exact maximum NIM count over all k-colorings of E(K_n).
 
+    Only canonical colorings are enumerated.  Every coloring has a relabeling
+    of its colors and vertices in which edge (0, 1) has color 0, vertex 0
+    has the largest class-0 degree, vertex 1 has the largest class-0 degree
+    among the class-0 neighbours of vertex 0, and vertices 2..n-1 are sorted
+    by class-0 degree, non-increasing, class-0 neighbours of vertex 0 first
+    among equal degrees.  The search enforces these rules in the canonical
+    edge order: when row u starts, the degrees of 0..u-1 are final and cap
+    the degree of every later vertex, so color 0 is skipped on an edge that
+    would push an end past its cap.
+
     A non-empty `prefix` pins the colors of the first len(prefix) edges,
     turning the call into one shard of the full search; `merge_shards`
     combines shard results.  Shards over every prefix extension of (0,)
-    jointly cover the same space the unsharded call does.
+    jointly cover the same space the unsharded call does.  A prefix can
+    break the rules above before any leaf is reached: such a shard holds
+    no canonical coloring and returns best_count -1 with no leaves
+    examined, which a merge never picks over a shard with leaves.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -99,11 +114,32 @@ def exhaustive_f(
     best_colors: tuple[int, ...] = tuple(colors)
     leaves = 0
 
+    red = class_adj[0]
+    caps = [(n, n)] * n  # caps[u] = row_caps(u), set when row u starts
+
+    def row_caps(u: int) -> tuple[int, int]:
+        """Caps on the final class-0 degree of any vertex w >= u, rows 0..u-1 done.
+
+        Entry 1 holds when w is a class-0 neighbour of vertex 0, entry 0
+        otherwise, so `(red[0] >> w) & 1` picks w's cap.
+        """
+        cap = hub_cap = red[0].bit_count()
+        if u >= 2:
+            hub_cap = min(cap, red[1].bit_count())
+        if u >= 3:
+            last = red[u - 1].bit_count()
+            cap = min(cap, last)
+            hub_cap = min(hub_cap, last - (not (red[0] >> (u - 1)) & 1))
+        return cap, hub_cap
+
     def rec(idx: int, covered: int) -> None:
         nonlocal best, best_colors, leaves
         if m - covered.bit_count() <= best:
             return
         if idx == m:
+            # row n-1 has no edges, so the last vertex is checked here
+            if n >= 2 and red[n - 1].bit_count() > row_caps(n - 1)[(red[0] >> (n - 1)) & 1]:
+                return
             leaves += 1
             report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
             if report.count > best:
@@ -111,6 +147,11 @@ def exhaustive_f(
                 best_colors = tuple(colors)
             return
         u, v = pairs[idx]
+        if v == u + 1 and u >= 1:
+            # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
+            caps[u] = row_caps(u)
+            if red[u].bit_count() > caps[u][(red[0] >> u) & 1]:
+                return
         bu, bv = 1 << u, 1 << v
         if idx < len(prefix):
             choices: range | tuple[int, ...] = (prefix[idx],)
@@ -118,7 +159,14 @@ def exhaustive_f(
             choices = (0,)  # color permutations preserve the count
         else:
             choices = range(k)
+        # from row 1 on, color 0 on (u, v) must leave both degrees within their caps
+        red_ok = u == 0 or (
+            red[u].bit_count() < caps[u][(red[0] >> u) & 1]
+            and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
+        )
         for c in choices:
+            if c == 0 and not red_ok:
+                continue
             colors[idx] = c
             adj = class_adj[c]
             adj[u] |= bv

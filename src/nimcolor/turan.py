@@ -25,7 +25,7 @@ from .graphs import (
     join,
 )
 from .nim import _find_through, contains
-from .patterns import PatternGraph, _as_graph, is_balanced, is_forest
+from .patterns import PatternGraph, _as_graph, is_balanced, is_forest, make_path
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
@@ -105,7 +105,7 @@ def extremal_path_graph(n: int, length: int, t: int) -> SimpleGraph:
     expected = ex_path(n, length).value
     if g.edge_count != expected:
         raise AssertionError(f"extremal graph has {g.edge_count} edges, expected {expected}")
-    if n <= 64 and contains(g, make_path_graph(length)):
+    if n <= 64 and contains(g, make_path(length).graph):
         raise AssertionError("extremal graph contains the forbidden path")
     return g
 
@@ -124,10 +124,6 @@ def near_extremal_path_graph(n: int, k: int, t: int) -> SimpleGraph:
     for _ in range(t):
         g = disjoint_union(g, SimpleGraph.complete(2 * k - 1))
     return disjoint_union(g, join(SimpleGraph.complete(k - 1), SimpleGraph.empty(rest)))
-
-
-def make_path_graph(length: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(length, [(i, i + 1) for i in range(length - 1)])
 
 
 # -- balanced forests ------------------------------------------------------
@@ -177,10 +173,13 @@ def turan_oracle(
     """Exact maximum edges over all pattern-free n-vertex graphs, by search.
 
     Depth-first over the canonical edge order; each edge is included (when
-    that creates no copy of the pattern through it) or excluded.  Prunes
-    when the remaining undecided edges cannot beat the best found, and
-    restricts to graphs with non-increasing degree order (every graph has
-    such a relabeling, so the maximum is unaffected).  Attaches a witness.
+    that creates no copy of the pattern through it) or excluded.  Only
+    graphs whose degrees are non-increasing in vertex order are kept (every
+    graph has such a relabeling, so the maximum is unaffected).  Two bounds
+    prune a branch that cannot beat the best found: the undecided edges
+    could all be included, and, once row u starts, deg(u-1) is final and
+    caps every later degree, so the graph has at most
+    (deg(0) + ... + deg(u-1) + (n-u) deg(u-1)) / 2 edges.  Attaches a witness.
     """
     pattern = _as_graph(h)
     if n > max_n:
@@ -196,7 +195,8 @@ def turan_oracle(
     best = -1
     best_adj: tuple[int, ...] = tuple(adj)
 
-    def rec(idx: int, count: int) -> None:
+    def rec(idx: int, count: int, done: int) -> None:
+        # done: the degree sum of the vertices whose rows are finished
         nonlocal best, best_adj
         if count + (m - idx) <= best:
             return
@@ -209,9 +209,15 @@ def turan_oracle(
             best_adj = tuple(adj)
             return
         u, v = pairs[idx]
-        if v == u + 1 and u >= 2:
-            # row u is starting, so deg(u-1) is final: enforce sortedness
-            if adj[u - 1].bit_count() > adj[u - 2].bit_count():
+        if u >= 1:
+            last = adj[u - 1].bit_count()
+            if v == u + 1:
+                # row u is starting, so deg(u-1) is final: enforce sortedness
+                if u >= 2 and last > adj[u - 2].bit_count():
+                    return
+                done += last
+            # no later degree exceeds deg(u-1); best can rise within a row
+            if (done + (n - u) * last) // 2 <= best:
                 return
         # include first so good solutions tighten the bound early
         bu, bv = 1 << u, 1 << v
@@ -219,12 +225,12 @@ def turan_oracle(
             adj[u] |= bv
             adj[v] |= bu
             if _find_through(adj, n, pattern, u, v) is None:
-                rec(idx + 1, count + 1)
+                rec(idx + 1, count + 1, done)
             adj[u] &= ~bv
             adj[v] &= ~bu
-        rec(idx + 1, count)
+        rec(idx + 1, count, done)
 
-    rec(0, 0)
+    rec(0, 0, 0)
     witness = SimpleGraph(n, best_adj)
     if contains(witness, pattern):
         raise AssertionError("oracle witness contains the pattern")

@@ -5,9 +5,13 @@ itertools.permutations, matchings via edge-subset recursion, maxima via
 all 2^m edge subsets.  None of it touches the package's embedding engine,
 so agreement is a meaningful cross-check.  Sizes are tiny by design.
 
-The one exception is `hill_climb_recount`, the climber's full-recount
-loop: it scores every candidate with a fresh `nim_edges` count and is the
-reference for the delta-evaluated `hill_climb_f`.
+The exceptions are earlier versions of the package's own searches, kept
+as references for the faster ones: `hill_climb_recount`, the climber's
+full-recount loop, scores every candidate with a fresh `nim_edges` count;
+`turan_oracle_edge_bound` and `exhaustive_f_first_edge_pin` are the two
+branch-and-bound recursions before the degree-sum bound and the class-0
+degree-order symmetry were added.  `nim_edges_anchored` is the reference
+NIM counter, with its own separately coded embedding search.
 """
 
 import random
@@ -15,9 +19,10 @@ import time
 from itertools import combinations, permutations
 from typing import Optional
 
+from nimcolor.errors import ResourceLimitError
 from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs, complete_edge_count, edge_index
-from nimcolor.nim import nim_edges
-from nimcolor.patterns import PatternGraph
+from nimcolor.nim import NimReport, _find_through, nim_edges
+from nimcolor.patterns import PatternGraph, _as_graph
 from nimcolor.search import SearchResult
 
 
@@ -152,3 +157,177 @@ def hill_climb_recount(
     return SearchResult(
         n, k, h.spec, best, best_witness, "hill_climb", False, examined, elapsed
     )
+
+
+def turan_oracle_edge_bound(n: int, pattern: SimpleGraph) -> tuple[int, SimpleGraph]:
+    """`turan_oracle`'s search before the degree-sum bound: (maximum, witness)."""
+    m = complete_edge_count(n)
+    pairs = all_pairs(n)
+    adj = [0] * n
+    best = -1
+    best_adj: tuple[int, ...] = tuple(adj)
+
+    def rec(idx: int, count: int) -> None:
+        nonlocal best, best_adj
+        if count + (m - idx) <= best:
+            return
+        if idx == m:
+            if n >= 2 and adj[n - 1].bit_count() > adj[n - 2].bit_count():
+                return
+            if n >= 3 and adj[n - 2].bit_count() > adj[n - 3].bit_count():
+                return
+            best = count
+            best_adj = tuple(adj)
+            return
+        u, v = pairs[idx]
+        if v == u + 1 and u >= 2:
+            # row u is starting, so deg(u-1) is final: enforce sortedness
+            if adj[u - 1].bit_count() > adj[u - 2].bit_count():
+                return
+        # include first so good solutions tighten the bound early
+        bu, bv = 1 << u, 1 << v
+        if u == 0 or adj[u].bit_count() < adj[u - 1].bit_count():
+            adj[u] |= bv
+            adj[v] |= bu
+            if _find_through(adj, n, pattern, u, v) is None:
+                rec(idx + 1, count + 1)
+            adj[u] &= ~bv
+            adj[v] &= ~bu
+        rec(idx + 1, count)
+
+    rec(0, 0)
+    return best, SimpleGraph(n, best_adj)
+
+
+def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, EdgeColoring]:
+    """`exhaustive_f`'s search before class-0 symmetry breaking: (maximum, witness)."""
+    m = complete_edge_count(n)
+    pairs = all_pairs(n)
+    pattern = h.graph
+    prefix: tuple[int, ...] = ()
+    colors = [0] * m
+    class_adj = [[0] * n for _ in range(k)]
+    best = -1
+    best_colors: tuple[int, ...] = tuple(colors)
+    leaves = 0
+
+    def rec(idx: int, covered: int) -> None:
+        nonlocal best, best_colors, leaves
+        if m - covered.bit_count() <= best:
+            return
+        if idx == m:
+            leaves += 1
+            report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
+            if report.count > best:
+                best = report.count
+                best_colors = tuple(colors)
+            return
+        u, v = pairs[idx]
+        bu, bv = 1 << u, 1 << v
+        if idx < len(prefix):
+            choices: range | tuple[int, ...] = (prefix[idx],)
+        elif idx == 0 and k > 1:
+            choices = (0,)  # color permutations preserve the count
+        else:
+            choices = range(k)
+        for c in choices:
+            colors[idx] = c
+            adj = class_adj[c]
+            adj[u] |= bv
+            adj[v] |= bu
+            witness = _find_through(adj, n, pattern, u, v)
+            new_covered = covered
+            if witness is not None:
+                for f in witness:
+                    new_covered |= 1 << f
+            rec(idx + 1, new_covered)
+            adj[u] &= ~bv
+            adj[v] &= ~bu
+        colors[idx] = 0
+
+    rec(0, 0)
+    return best, EdgeColoring(n, k, best_colors)
+
+
+def nim_edges_anchored(coloring: EdgeColoring, h, *, max_n: int = 12) -> NimReport:
+    """NIM edges by one independent anchored query per edge.
+
+    Deliberately separate machinery from `nim_edges`: set-based adjacency,
+    BFS vertex order seeded at the anchored edge, no degree pruning, no twin
+    collapsing, no cover reuse between edges.
+    """
+    pattern = _as_graph(h)
+    if pattern.n < 2:
+        raise ValueError("pattern needs at least 2 vertices")
+    if coloring.n > max_n:
+        raise ResourceLimitError(f"reference NIM oracle limited to n <= {max_n}")
+    n, k = coloring.n, coloring.k
+    spec = h.spec if isinstance(h, PatternGraph) else f"custom:{pattern.n}v{pattern.edge_count}e"
+    pairs = all_pairs(n)
+    adj_sets: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(k)]
+    for e, c in enumerate(coloring.colors):
+        u, v = pairs[e]
+        adj_sets[c][u].add(v)
+        adj_sets[c][v].add(u)
+
+    nim = []
+    per_color = [0] * k
+    for e, c in enumerate(coloring.colors):
+        u, v = pairs[e]
+        if not _mono_copy_through(adj_sets[c], n, pattern, u, v):
+            nim.append(e)
+            per_color[c] += 1
+    return NimReport(n, k, spec, tuple(nim), len(nim), tuple(per_color))
+
+
+def _mono_copy_through(adj: list[set[int]], n: int, pattern: SimpleGraph, u: int, v: int) -> bool:
+    pat_nbrs = [pattern.neighbors(x) for x in range(pattern.n)]
+    for x in range(pattern.n):
+        for y in pat_nbrs[x]:
+            order = _bfs_order(pattern, x, y)
+            if _place(adj, n, pat_nbrs, order, {x: u, y: v}, {u, v}, 2):
+                return True
+    return False
+
+
+def _bfs_order(pattern: SimpleGraph, x: int, y: int) -> list[int]:
+    order = [x, y]
+    seen = {x, y}
+    head = 0
+    while head < len(order):
+        for w in pattern.neighbors(order[head]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+        head += 1
+    for root in range(pattern.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        order.append(root)
+        head = len(order) - 1
+        while head < len(order):
+            for w in pattern.neighbors(order[head]):
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+            head += 1
+    return order
+
+
+def _place(adj, n, pat_nbrs, order, image, used, i) -> bool:
+    if i == len(order):
+        return True
+    p = order[i]
+    mapped = [image[q] for q in pat_nbrs[p] if q in image]
+    for w in range(n):
+        if w in used:
+            continue
+        if all(w in adj[q] for q in mapped):
+            image[p] = w
+            used.add(w)
+            if _place(adj, n, pat_nbrs, order, image, used, i + 1):
+                return True
+            used.discard(w)
+            del image[p]
+    return False

@@ -25,7 +25,7 @@ from nimcolor.graphs import (
     is_isomorphic,
     join,
 )
-from nimcolor.nim import nim_edges, nim_edges_anchored
+from nimcolor.nim import nim_edges
 from nimcolor.patterns import make_path, make_spider, make_star, parse_pattern
 from nimcolor.search import exhaustive_f
 from nimcolor.turan import (
@@ -36,6 +36,7 @@ from nimcolor.turan import (
     turan_oracle,
     turan_value,
 )
+from oracles import nim_edges_anchored
 
 
 def criterion(number, name):

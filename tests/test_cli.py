@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from nimcolor.cli import main, read_ledger
+from nimcolor.cli import _append_ledger, main, read_ledger
 
 
 def run(capsys, *argv):
@@ -168,6 +169,23 @@ class TestSearchAndReport:
             read_ledger(str(ledger))
         code, _, _ = run(capsys, "report", "--ledger", str(ledger))
         assert code == 1
+
+    def test_two_appends_read_back_intact(self, tmp_path, monkeypatch):
+        ledger = str(tmp_path / "ledger.jsonl")
+        writes = []
+        real_write = os.write
+
+        def counting_write(fd, data):
+            writes.append(data)
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", counting_write)
+        payloads = [{"best_count": 2, "note": "first"}, {"best_count": 3, "note": "ünïcode"}]
+        written = [_append_ledger(ledger, "search", {"n": n}, p) for n, p in zip((4, 5), payloads)]
+        # each record goes out whole in a single write, newline included
+        assert [json.loads(w) for w in writes] == written
+        assert all(w.endswith(b"\n") for w in writes)
+        assert read_ledger(ledger) == written
 
     def test_env_var_ledger(self, capsys, tmp_path, monkeypatch):
         ledger = tmp_path / "env-ledger.jsonl"

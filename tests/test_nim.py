@@ -1,13 +1,8 @@
 import pytest
 
-from oracles import nim_brute
+from oracles import nim_brute, nim_edges_anchored
 from nimcolor.graphs import EdgeColoring, SimpleGraph, edge_index, edge_unindex, join
-from nimcolor.nim import (
-    contains,
-    contains_through_edge,
-    nim_edges,
-    nim_edges_anchored,
-)
+from nimcolor.nim import contains, contains_through_edge, nim_edges
 from nimcolor.errors import ResourceLimitError
 from nimcolor.patterns import (
     custom_pattern,

@@ -4,12 +4,12 @@ from hypothesis import strategies as st
 
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_coloring_for
 from nimcolor.errors import ResourceLimitError
-from nimcolor.graphs import EdgeColoring, SimpleGraph
+from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs
 from nimcolor.nim import nim_edges
 from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
 from nimcolor.search import _diameter, _NimState, compare_to_turan, exhaustive_f, hill_climb_f, merge_shards
 from nimcolor.turan import ex_path, extremal_path_graph
-from oracles import hill_climb_recount
+from oracles import exhaustive_f_first_edge_pin, hill_climb_recount, nim_brute
 
 P3 = make_path(3)
 P4 = make_path(4)
@@ -99,6 +99,20 @@ class TestExhaustive:
         assert merged.exhaustive
         assert merged.best_count == whole.best_count
 
+    def test_tiling_with_a_shard_symmetry_cuts_completely(self):
+        # (0,1) and (1,2), (1,3), (1,4) in class 0 but (0,2), (0,3), (0,4) not:
+        # vertex 1 would outrank vertex 0 in class-0 degree, so no leaf is canonical
+        cut = (0, 1, 1, 1, 0, 0, 0)
+        prefixes = [(0, 0), (0, 1, 0), (0, 1, 1, 0), cut, (0, 1, 1, 1, 0, 0, 1), (0, 1, 1, 1, 0, 1), (0, 1, 1, 1, 1)]
+        for h in (P3, P4):
+            shards = [exhaustive_f(5, 2, h, prefix=p) for p in prefixes]
+            empty = shards[prefixes.index(cut)]
+            assert (empty.best_count, empty.colorings_examined) == (-1, 0)
+            merged = merge_shards(shards)
+            assert merged.exhaustive
+            assert merged.best_count == exhaustive_f(5, 2, h).best_count
+            assert nim_edges(merged.witness, h).count == merged.best_count
+
     def test_prefix_validation(self):
         with pytest.raises(ValueError):
             exhaustive_f(4, 2, P3, prefix=(0, 3))
@@ -115,6 +129,30 @@ class TestExhaustive:
                 for colors in product(range(2), repeat=6)
             )
             assert exhaustive_f(4, 2, h).best_count == best
+
+
+# Every (n, k, pattern) cell with n <= 7 and k <= 3 the suite and the
+# benchmark use, plus an odd cycle and a disconnected forest.
+C5 = custom_pattern(SimpleGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]), "cycle:5")
+EXHAUSTIVE_CELLS = [
+    *[(n, k, "path:3") for n, k in ((3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2))],
+    *[(n, k, "path:4") for n, k in ((4, 2), (5, 2), (5, 3), (6, 2), (7, 2))],
+    *[(n, k, "star:3") for n, k in ((4, 2), (5, 2), (5, 3), (6, 2), (7, 2))],
+    (4, 2, "spider:1,1"),
+    *[(n, k, "cycle:5") for n, k in ((5, 2), (5, 3), (6, 2))],
+    *[(n, k, "path:2+path:3") for n, k in ((5, 3), (6, 2))],
+]
+
+
+@pytest.mark.parametrize("n, k, spec", EXHAUSTIVE_CELLS, ids=[f"n{n}-k{k}-{s}" for n, k, s in EXHAUSTIVE_CELLS])
+def test_exhaustive_matches_the_first_edge_pin_search(n, k, spec):
+    h = C5 if spec == "cycle:5" else parse_pattern(spec)
+    r = exhaustive_f(n, k, h)
+    old_best, old_witness = exhaustive_f_first_edge_pin(n, k, h)
+    assert r.best_count == old_best
+    assert r.exhaustive
+    assert len(nim_brute(r.witness, h.graph)) == nim_edges(r.witness, h).count == r.best_count
+    assert nim_edges(old_witness, h).count == old_best
 
 
 class TestHillClimb:
@@ -159,7 +197,6 @@ class TestHillClimb:
 
 # Trees, forests and an odd cycle: a copy through an edge of C_5 can reach
 # a vertex at distance diam = 2 from both ends, which no tree pattern does.
-C5 = custom_pattern(SimpleGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]), "cycle:5")
 PROPERTY_PATTERNS = [
     *map(parse_pattern, ["path:3", "path:4", "star:3", "spider:2,2,1", "path:3+path:3", "star:3+path:3"]),
     C5,
@@ -172,6 +209,41 @@ def colorings(draw):
     k = draw(st.sampled_from([2, 3]))
     colors = draw(st.lists(st.integers(0, k - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
     return EdgeColoring(n, k, tuple(colors))
+
+
+def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
+    """The relabeling the `exhaustive_f` docstring promises, built from its rules."""
+    n, k = coloring.n, coloring.k
+    first = coloring.colors[0]
+    swap = list(range(k))
+    swap[0], swap[first] = first, 0
+    swapped = coloring.relabel_colors(swap)
+    red = swapped.color_class(0)
+    deg = [red.degree(w) for w in range(n)]
+    v0 = max(range(n), key=lambda w: deg[w])
+    v1 = max(red.neighbors(v0), key=lambda w: deg[w])
+    rest = sorted(set(range(n)) - {v0, v1}, key=lambda w: (-deg[w], not red.has_edge(v0, w)))
+    perm = [0] * n  # old vertex -> new label
+    for new, old in enumerate([v0, v1, *rest]):
+        perm[old] = new
+    return swapped.permuted(perm)
+
+
+# Class 0 is two disjoint cherries: vertex 0 is one center, vertex 1 one of
+# its leaves, and the other center outranks vertex 1 in class-0 degree.
+TWO_CHERRIES = EdgeColoring(6, 2, tuple(0 if e in {(0, 1), (0, 2), (3, 4), (3, 5)} else 1 for e in all_pairs(6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(colorings(), st.sampled_from(PROPERTY_PATTERNS))
+@example(TWO_CHERRIES, P3)
+def test_every_coloring_has_a_relabeling_the_search_keeps(coloring, h):
+    # a shard whose prefix is a whole coloring scores it, or returns -1 when
+    # symmetry breaking cuts it
+    canonical = canonical_relabeling(coloring)
+    shard = exhaustive_f(coloring.n, coloring.k, h, prefix=canonical.colors)
+    assert shard.colorings_examined == 1
+    assert shard.best_count == nim_edges(coloring, h).count
 
 
 class TestDeltaEvaluation:

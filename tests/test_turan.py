@@ -2,11 +2,19 @@ from math import comb
 
 import pytest
 
-from oracles import max_pattern_free_edges_brute
+from oracles import contains_brute, max_pattern_free_edges_brute, turan_oracle_edge_bound
 from nimcolor.errors import ResourceLimitError, TuranUnavailableError
 from nimcolor.graphs import SimpleGraph, components, is_isomorphic, join
 from nimcolor.nim import contains
-from nimcolor.patterns import forest_union, make_double_star, make_path, make_spider, make_star, parse_pattern
+from nimcolor.patterns import (
+    custom_pattern,
+    forest_union,
+    make_double_star,
+    make_path,
+    make_spider,
+    make_star,
+    parse_pattern,
+)
 from nimcolor.turan import (
     ex_balanced_forest,
     ex_path,
@@ -176,11 +184,46 @@ class TestOracle:
         assert turan_oracle(6, make_spider([2, 2])).value == ex_path(6, 5).value
         assert turan_oracle(7, make_double_star(2)).value == ex_path(7, 4).value
 
+    def test_claw_free_on_ten_vertices(self):
+        # once row 0 is done, deg(0) <= 2 caps every branch at 10 edges by the
+        # degree-sum bound, so the first 10-edge graph ends the search
+        assert turan_oracle(10, make_star(3)).value == 10
+
     def test_size_limits(self):
         with pytest.raises(ResourceLimitError):
             turan_oracle(11, make_path(4))
         with pytest.raises(ResourceLimitError):
             turan_oracle(8, make_path(13))
+
+
+# Every (n, pattern) cell with n <= 7 the suite and the benchmark use, plus
+# an odd cycle and a disconnected forest.
+C5 = custom_pattern(SimpleGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]), "cycle:5")
+ORACLE_CELLS = [
+    *[(n, "path:3") for n in (4, 5)],
+    *[(n, "path:4") for n in (4, 5, 6, 7)],
+    *[(n, "path:5") for n in (5, 6, 7)],
+    *[(n, "path:6") for n in (6, 7)],
+    *[(n, "star:3") for n in (5, 6, 7)],
+    (7, "star:4"),
+    (5, "spider:2,1"),
+    (6, "spider:2,2"),
+    (7, "spider:2,2,1"),
+    (7, "dstar:2"),
+    *[(n, "cycle:5") for n in (5, 6, 7)],
+    *[(n, "path:2+path:3") for n in (5, 6, 7)],
+]
+
+
+@pytest.mark.parametrize("n, spec", ORACLE_CELLS, ids=[f"n{n}-{s}" for n, s in ORACLE_CELLS])
+def test_oracle_matches_the_edge_bound_search(n, spec):
+    h = C5 if spec == "cycle:5" else parse_pattern(spec)
+    r = turan_oracle(n, h)
+    old_value, old_witness = turan_oracle_edge_bound(n, h.graph)
+    assert r.value == old_value
+    assert r.witness.edge_count == r.value
+    assert not contains_brute(r.witness, h.graph)
+    assert old_witness.edge_count == old_value
 
 
 class TestLemmaGap:
