@@ -17,7 +17,6 @@ from .graphs import (
     disjoint_union,
     edge_index,
     edge_unindex,
-    is_isomorphic,
     join,
     to_dot,
 )

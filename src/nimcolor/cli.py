@@ -15,6 +15,7 @@ import datetime
 import json
 import os
 import sys
+from typing import Optional
 
 from . import __version__
 from .constructions import (
@@ -118,13 +119,7 @@ def _cmd_construct(args) -> int:
     elif args.family == "overlay":
         if not args.pattern:
             raise ValueError("overlay needs --pattern")
-        h = parse_pattern(args.pattern)
-        if h.family != "path":
-            raise ValueError("overlay construction is wired for path patterns; use the library API otherwise")
-        result = ex_path(args.n, h.vertex_count)
-        t = args.t if args.t is not None else result.recipe["a"]
-        red = extremal_path_graph(args.n, h.vertex_count, t)
-        coloring = extremal_overlay(args.n, h, red)
+        coloring = _path_overlay(args.n, parse_pattern(args.pattern), args.t)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {args.family}")
 
@@ -140,6 +135,15 @@ def _cmd_construct(args) -> int:
     else:
         _emit(coloring.to_dict())
     return 0
+
+
+def _path_overlay(n: int, h: PatternGraph, t: Optional[int] = None) -> EdgeColoring:
+    """The overlay on a path-extremal red graph; t defaults to the recipe's clique count."""
+    if h.family != "path":
+        raise ValueError("overlay construction is wired for path patterns; use the library API otherwise")
+    if t is None:
+        t = ex_path(n, h.vertex_count).recipe["a"]
+    return extremal_overlay(n, h, extremal_path_graph(n, h.vertex_count, t))
 
 
 def _cmd_verify(args) -> int:
@@ -200,9 +204,7 @@ def _cmd_search(args) -> int:
 def _build_seed(args, h: PatternGraph) -> EdgeColoring:
     name = args.seed_construction
     if name == "overlay":
-        result = ex_path(args.n, h.vertex_count)
-        red = extremal_path_graph(args.n, h.vertex_count, result.recipe["a"])
-        coloring = extremal_overlay(args.n, h, red)
+        coloring = _path_overlay(args.n, h)
     elif name == "tail":
         from .constructions import tail_coloring_for
 

@@ -193,62 +193,6 @@ def components(g: SimpleGraph) -> list[list[int]]:
     return out
 
 
-def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
-    """Isomorphism test: invariant filtering plus backtracking.
-
-    Meant for test-sized graphs (tens of vertices); refines vertex classes by
-    iterated degree profiles before searching, no canonical forms involved.
-    """
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-
-    def refine(graph: SimpleGraph) -> list[int]:
-        colors = [graph.degree(v) for v in range(graph.n)]
-        for _ in range(graph.n):
-            keys = [
-                (colors[v], tuple(sorted(colors[w] for w in _bits(graph.adj[v]))))
-                for v in range(graph.n)
-            ]
-            lut = {key: i for i, key in enumerate(sorted(set(keys)))}
-            new = [lut[k] for k in keys]
-            if new == colors:
-                break
-            colors = new
-        return colors
-
-    gc, hc = refine(g), refine(h)
-    if sorted(gc) != sorted(hc):
-        return False
-    # map most-constrained g-vertices first
-    order = sorted(range(g.n), key=lambda v: (gc.count(gc[v]), -g.degree(v)))
-    image = [-1] * g.n
-    used = [False] * h.n
-
-    def place(i: int) -> bool:
-        if i == g.n:
-            return True
-        u = order[i]
-        for w in range(h.n):
-            if used[w] or hc[w] != gc[u]:
-                continue
-            ok = True
-            for q in order[:i]:
-                if g.has_edge(u, q) != h.has_edge(w, image[q]):
-                    ok = False
-                    break
-            if ok:
-                image[u] = w
-                used[w] = True
-                if place(i + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return place(0)
-
-
 # -- edge colorings ---------------------------------------------------
 
 
@@ -286,15 +230,15 @@ class EdgeColoring:
         """The graph on 0..n-1 whose edges carry color i."""
         if not (0 <= i < self.k):
             raise ValueError(f"color {i} not in 0..{self.k - 1}")
-        adj = [0] * self.n
-        idx = 0
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if self.colors[idx] == i:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                idx += 1
-        return SimpleGraph(self.n, tuple(adj))
+        return SimpleGraph(self.n, tuple(self.class_adjacency()[i]))
+
+    def class_adjacency(self) -> list[list[int]]:
+        """Bitset adjacency rows of every color class: entry [i][v] is v's class-i row."""
+        adj = [[0] * self.n for _ in range(self.k)]
+        for (u, v), c in zip(all_pairs(self.n), self.colors):
+            adj[c][u] |= 1 << v
+            adj[c][v] |= 1 << u
+        return adj
 
     def recolored(self, idx: int, color: int) -> "EdgeColoring":
         if not (0 <= color < self.k):

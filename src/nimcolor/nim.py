@@ -6,12 +6,15 @@ color i is monochromatic iff it lies inside color class i, the whole
 computation reduces to anchored subgraph-embedding queries within single
 color classes.
 
-`nim_edges` walks each color class in canonical edge order and keeps a
-cover mask: every embedding found marks *all* edges it uses, an edge
-already marked is skipped, and a class whose edges are all marked is done.
-Edges whose anchored search exhausts without a witness are NIM.  The test
-suite checks it against a reference counter with its own, separately coded
-search (`nim_edges_anchored` in tests/oracles.py).
+`_cover_pass` sweeps all edges once in canonical order and keeps one
+cover mask: each edge not yet marked is queried in its own class, and the
+copy found, a bitmask of its edges in canonical order, marks all of them.
+Copies never leave their class, so this is the per-class cover pass of
+every class at once.  Edges whose anchored search exhausts without a copy
+are NIM.  `nim_edges` reports them; the hill climber in search.py keeps
+the copies too.  The test suite checks the count against a reference
+counter with its own, separately coded search (`nim_edges_anchored` in
+tests/oracles.py).
 
 The engine maps pattern vertices in a DFS order (components rooted at a
 max-degree vertex) so partial embeddings stay connected, prunes by host
@@ -26,7 +29,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import EdgeColoring, SimpleGraph, all_pairs, components, edge_index
+from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, components, edge_index
 from .patterns import PatternGraph, _as_graph
 
 DEFAULT_MAX_N = 64
@@ -181,8 +184,8 @@ def _find_unanchored(adj: Sequence[int], n: int, pattern: SimpleGraph) -> Option
     return None
 
 
-def _find_through(adj: Sequence[int], n: int, pattern: SimpleGraph, u: int, v: int):
-    """Witness edge list (canonical indices) for a copy through host edge (u, v)."""
+def _find_through(adj: Sequence[int], n: int, pattern: SimpleGraph, u: int, v: int) -> Optional[int]:
+    """A copy through host edge (u, v) as a bitmask over canonical edge indices, or None."""
     if pattern.n > n:
         return None
     full = (1 << n) - 1
@@ -194,7 +197,10 @@ def _find_through(adj: Sequence[int], n: int, pattern: SimpleGraph, u: int, v: i
             continue
         img[0], img[1] = u, v
         if _search(adj, full, plan, img, bu | bv, 2):
-            return [edge_index(img[p], img[q], n) for p, q in plan.edges]
+            witness = 0
+            for p, q in plan.edges:
+                witness |= 1 << edge_index(img[p], img[q], n)
+            return witness
     return None
 
 
@@ -232,6 +238,32 @@ def _guard(n: int, pattern: SimpleGraph, max_n: int, max_pattern: int) -> None:
         raise ResourceLimitError(f"pattern order {pattern.n} exceeds limit {max_pattern}")
 
 
+def _cover_pass(
+    coloring: EdgeColoring, pattern: SimpleGraph
+) -> tuple[list[list[int]], int, list[tuple[int, int]]]:
+    """One cover pass: (class adjacency, NIM edge mask, copies found).
+
+    Each copy is recorded as (witness, fresh): the mask of its edges and
+    the mask of those it was the first to cover.
+    """
+    n = coloring.n
+    pairs = all_pairs(n)
+    adj = coloring.class_adjacency()
+    nim = covered = 0
+    copies = []
+    for e, c in enumerate(coloring.colors):
+        if (covered >> e) & 1:
+            continue
+        u, v = pairs[e]
+        witness = _find_through(adj[c], n, pattern, u, v)
+        if witness is None:
+            nim |= 1 << e
+        else:
+            copies.append((witness, witness & ~covered))
+            covered |= witness
+    return adj, nim, copies
+
+
 def nim_edges(
     coloring: EdgeColoring,
     h,
@@ -244,34 +276,10 @@ def nim_edges(
     if pattern.n < 2:
         raise ValueError("pattern needs at least 2 vertices")
     _guard(coloring.n, pattern, max_n, max_pattern)
-    n, k = coloring.n, coloring.k
     spec = h.spec if isinstance(h, PatternGraph) else f"custom:{pattern.n}v{pattern.edge_count}e"
-    pairs = all_pairs(n)
-
-    nim: list[int] = []
-    per_color = []
-    for i in range(k):
-        adj = [0] * n
-        class_edges = []
-        for e, c in enumerate(coloring.colors):
-            if c == i:
-                u, v = pairs[e]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                class_edges.append(e)
-        covered = 0
-        hits = 0
-        for e in class_edges:
-            if (covered >> e) & 1:
-                continue
-            u, v = pairs[e]
-            witness = _find_through(adj, n, pattern, u, v)
-            if witness is None:
-                nim.append(e)
-                hits += 1
-            else:
-                for f in witness:
-                    covered |= 1 << f
-        per_color.append(hits)
-    nim.sort()
-    return NimReport(n, k, spec, tuple(nim), len(nim), tuple(per_color))
+    _, nim, _ = _cover_pass(coloring, pattern)
+    edges = _bits(nim)
+    per_color = [0] * coloring.k
+    for e in edges:
+        per_color[coloring.colors[e]] += 1
+    return NimReport(coloring.n, coloring.k, spec, tuple(edges), len(edges), tuple(per_color))

@@ -178,22 +178,30 @@ def bipartition(h) -> tuple[tuple[int, ...], tuple[int, ...]]:
     g = _as_graph(h)
     side = [-1] * g.n
     for comp in components(g):
-        root = comp[0]
-        side[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in g.neighbors(v):
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    raise NotBipartiteError(f"odd cycle through edge ({v}, {w})")
+        _two_color(g, comp, side)
     a = tuple(v for v in range(g.n) if side[v] == 0)
     b = tuple(v for v in range(g.n) if side[v] == 1)
     if len(a) > len(b):
         a, b = b, a
     return a, b
+
+
+def _two_color(g: SimpleGraph, comp: list[int], side: list[int]) -> None:
+    """Fill side[v] with 0 or 1 for each v in the component, by BFS from comp[0] on side 0.
+
+    Raises NotBipartiteError on an odd cycle.
+    """
+    root = comp[0]
+    side[root] = 0
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for w in g.neighbors(v):
+            if side[w] == -1:
+                side[w] = 1 - side[v]
+                queue.append(w)
+            elif side[w] == side[v]:
+                raise NotBipartiteError(f"odd cycle through edge ({v}, {w})")
 
 
 def is_forest(h) -> bool:
@@ -238,17 +246,10 @@ def is_balanced(h) -> bool:
     g = _as_graph(h)
     if not is_forest(g):
         raise ValueError("balance test is implemented for forests only")
+    side = [-1] * g.n
     for comp in components(g):
-        sub_side = {comp[0]: 0}
-        queue = [comp[0]]
-        while queue:
-            v = queue.pop(0)
-            for w in g.neighbors(v):
-                if w not in sub_side:
-                    sub_side[w] = 1 - sub_side[v]
-                    queue.append(w)
-        sizes = [sum(1 for s in sub_side.values() if s == i) for i in (0, 1)]
-        if sizes[0] != sizes[1]:
+        _two_color(g, comp, side)
+        if 2 * sum(side[v] for v in comp) != len(comp):
             return False
     return True
 

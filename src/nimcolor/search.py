@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, components
-from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _find_through, _guard, nim_edges
+from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _find_through, _guard, nim_edges
 from .patterns import PatternGraph
 from .turan import TuranResult, turan_value
 
@@ -46,7 +46,7 @@ class SearchResult:
     k: int
     pattern: str
     best_count: int
-    witness: EdgeColoring
+    witness: Optional[EdgeColoring]  # None when no coloring was examined
     method: str  # exhaustive | hill_climb
     exhaustive: bool
     colorings_examined: int
@@ -63,7 +63,7 @@ class SearchResult:
             "exhaustive": self.exhaustive,
             "colorings_examined": self.colorings_examined,
             "elapsed": self.elapsed,
-            "witness": self.witness.to_dict(),
+            "witness": None if self.witness is None else self.witness.to_dict(),
         }
 
 
@@ -92,8 +92,8 @@ def exhaustive_f(
     combines shard results.  Shards over every prefix extension of (0,)
     jointly cover the same space the unsharded call does.  A prefix can
     break the rules above before any leaf is reached: such a shard holds
-    no canonical coloring and returns best_count -1 with no leaves
-    examined, which a merge never picks over a shard with leaves.
+    no canonical coloring and returns best_count -1, no witness and no
+    leaves examined; a merge never picks it over a shard with leaves.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -172,17 +172,13 @@ def exhaustive_f(
             adj[u] |= bv
             adj[v] |= bu
             witness = _find_through(adj, n, pattern, u, v)
-            new_covered = covered
-            if witness is not None:
-                for f in witness:
-                    new_covered |= 1 << f
-            rec(idx + 1, new_covered)
+            rec(idx + 1, covered if witness is None else covered | witness)
             adj[u] &= ~bv
             adj[v] &= ~bu
         colors[idx] = 0
 
     rec(0, 0)
-    witness_coloring = EdgeColoring(n, k, best_colors)
+    witness_coloring = EdgeColoring(n, k, best_colors) if leaves else None
     elapsed = time.perf_counter() - started
     return SearchResult(
         n, k, h.spec, best, witness_coloring, "exhaustive", not prefix, leaves, elapsed, prefix
@@ -310,45 +306,29 @@ def hill_climb_f(
 class _NimState:
     """The NIM edges of one coloring, kept for scoring single-edge recolorings.
 
-    Built by the same cover pass as `nim_edges` (canonical edge order,
-    cover mask), which also records, for each edge f, `dependents[f]`: the
-    bitmask of edges whose cover witness contains f.  The cover witness of
-    an edge is the copy that first covered it.  Recoloring edge e from class c to
-    class c' changes only those two classes, so its new NIM count is
+    Built from one `_cover_pass`, the pass `nim_edges` makes: `adj` is the
+    class adjacency, `nim` the NIM edge mask and `class_nim[c]` the NIM
+    edges of class c in canonical order.  `dependents[f]` is the bitmask of
+    edges whose cover witness contains f, the cover witness of an edge
+    being the copy that first covered it.  Recoloring edge e from class c
+    to class c' changes only those two classes, so its new NIM count is
     `score + loss(e) + gain(e, c')`.  `radius` is the pattern's diameter,
     or None for a disconnected pattern.
     """
 
     def __init__(self, coloring: EdgeColoring, pattern: SimpleGraph, radius: Optional[int]):
-        n = coloring.n
-        self.n, self.pattern, self.radius = n, pattern, radius
+        self.n, self.pattern, self.radius = coloring.n, pattern, radius
         self.colors = coloring.colors
-        self.pairs = pairs = all_pairs(n)
-        self.adj = adj = [[0] * n for _ in range(coloring.k)]
-        for (u, v), c in zip(pairs, self.colors):
-            adj[c][u] |= 1 << v
-            adj[c][v] |= 1 << u
-        self.dependents = dependents = [0] * len(pairs)
-        self.class_nim: list[list[int]] = [[] for _ in range(coloring.k)]
-        nim = covered = 0
-        # Witnesses stay inside one class, so a single pass in canonical order
-        # with one cover mask is the per-class cover pass of every class at once.
-        for e, c in enumerate(self.colors):
-            if (covered >> e) & 1:
-                continue
-            u, v = pairs[e]
-            witness = _find_through(adj[c], n, pattern, u, v)
-            if witness is None:
-                nim |= 1 << e
-                self.class_nim[c].append(e)
-                continue
-            mask = _mask(witness)
-            fresh = mask & ~covered
-            covered |= mask
-            for f in witness:
+        self.pairs = all_pairs(coloring.n)
+        self.adj, self.nim, copies = _cover_pass(coloring, pattern)
+        self.dependents = dependents = [0] * len(self.pairs)
+        for witness, fresh in copies:
+            for f in _bits(witness):
                 dependents[f] |= fresh
-        self.nim = nim
-        self.score = nim.bit_count()
+        self.class_nim: list[list[int]] = [[] for _ in range(coloring.k)]
+        for e in _bits(self.nim):
+            self.class_nim[self.colors[e]].append(e)
+        self.score = self.nim.bit_count()
 
     def loss(self, e: int) -> int:
         """Change in the NIM count when edge e leaves its class."""
@@ -371,7 +351,7 @@ class _NimState:
             if witness is None:
                 freed += 1
             else:
-                covered |= _mask(witness)
+                covered |= witness
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
         return freed
@@ -396,7 +376,7 @@ class _NimState:
             delta = 1  # every new copy would go through e, so nothing else changes
         else:
             nim = self.nim & ~(1 << e)  # e is NIM, if at all, in its own class only
-            covered = _mask(witness)
+            covered = witness
             delta = -(covered & nim).bit_count()
             # A NIM edge of c can only join a copy through e, which lies
             # within the pattern's diameter of u and v.
@@ -410,18 +390,11 @@ class _NimState:
                 if (ball >> x) & 1 and (ball >> y) & 1:
                     found = _find_through(adj, n, pattern, x, y)
                     if found is not None:
-                        covered |= _mask(found)
+                        covered |= found
                         delta = -(covered & nim).bit_count()
         adj[u] ^= bv
         adj[v] ^= bu
         return delta
-
-
-def _mask(edges: list[int]) -> int:
-    mask = 0
-    for f in edges:
-        mask |= 1 << f
-    return mask
 
 
 def _diameter(g: SimpleGraph) -> Optional[int]:

@@ -11,7 +11,8 @@ full-recount loop, scores every candidate with a fresh `nim_edges` count;
 `turan_oracle_edge_bound` and `exhaustive_f_first_edge_pin` are the two
 branch-and-bound recursions before the degree-sum bound and the class-0
 degree-order symmetry were added.  `nim_edges_anchored` is the reference
-NIM counter, with its own separately coded embedding search.
+NIM counter, with its own separately coded embedding search, and
+`is_isomorphic` a backtracking isomorphism test.
 """
 
 import random
@@ -56,6 +57,62 @@ def nim_brute(coloring: EdgeColoring, h: SimpleGraph) -> set[int]:
     for i in range(coloring.k):
         nim -= covered_edges_brute(coloring.color_class(i), h)
     return nim
+
+
+def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
+    """Isomorphism test: invariant filtering plus backtracking.
+
+    Meant for test-sized graphs (tens of vertices); refines vertex classes by
+    iterated degree profiles before searching, no canonical forms involved.
+    """
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return False
+    if g.degree_sequence() != h.degree_sequence():
+        return False
+
+    def refine(graph: SimpleGraph) -> list[int]:
+        colors = [graph.degree(v) for v in range(graph.n)]
+        for _ in range(graph.n):
+            keys = [
+                (colors[v], tuple(sorted(colors[w] for w in graph.neighbors(v))))
+                for v in range(graph.n)
+            ]
+            lut = {key: i for i, key in enumerate(sorted(set(keys)))}
+            new = [lut[k] for k in keys]
+            if new == colors:
+                break
+            colors = new
+        return colors
+
+    gc, hc = refine(g), refine(h)
+    if sorted(gc) != sorted(hc):
+        return False
+    # map most-constrained g-vertices first
+    order = sorted(range(g.n), key=lambda v: (gc.count(gc[v]), -g.degree(v)))
+    image = [-1] * g.n
+    used = [False] * h.n
+
+    def place(i: int) -> bool:
+        if i == g.n:
+            return True
+        u = order[i]
+        for w in range(h.n):
+            if used[w] or hc[w] != gc[u]:
+                continue
+            ok = True
+            for q in order[:i]:
+                if g.has_edge(u, q) != h.has_edge(w, image[q]):
+                    ok = False
+                    break
+            if ok:
+                image[u] = w
+                used[w] = True
+                if place(i + 1):
+                    return True
+                used[w] = False
+        return False
+
+    return place(0)
 
 
 def perfect_matchings_brute(g: SimpleGraph) -> int:
@@ -236,11 +293,7 @@ def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, E
             adj[u] |= bv
             adj[v] |= bu
             witness = _find_through(adj, n, pattern, u, v)
-            new_covered = covered
-            if witness is not None:
-                for f in witness:
-                    new_covered |= 1 << f
-            rec(idx + 1, new_covered)
+            rec(idx + 1, covered if witness is None else covered | witness)
             adj[u] &= ~bv
             adj[v] &= ~bu
         colors[idx] = 0

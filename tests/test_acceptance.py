@@ -22,7 +22,6 @@ from nimcolor.graphs import (
     SimpleGraph,
     disjoint_union,
     edge_unindex,
-    is_isomorphic,
     join,
 )
 from nimcolor.nim import nim_edges
@@ -36,7 +35,7 @@ from nimcolor.turan import (
     turan_oracle,
     turan_value,
 )
-from oracles import nim_edges_anchored
+from oracles import is_isomorphic, nim_edges_anchored
 
 
 def criterion(number, name):

@@ -214,6 +214,17 @@ class TestSearchAndReport:
         assert code == 1
         assert "even --k" in err
 
+    def test_overlay_seed_needs_a_path_pattern(self, capsys, tmp_path):
+        ledger = tmp_path / "l.jsonl"
+        code, _, err = run(
+            capsys,
+            "search", "--pattern", "star:3", "--n", "9", "--k", "2",
+            "--mode", "hill", "--seed-construction", "overlay", "--ledger", str(ledger),
+        )
+        assert code == 1
+        assert "overlay construction is wired for path patterns" in err
+        assert not ledger.exists()
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import is_isomorphic
 from nimcolor.graphs import (
     EdgeColoring,
     SimpleGraph,
@@ -15,7 +16,6 @@ from nimcolor.graphs import (
     disjoint_union,
     edge_index,
     edge_unindex,
-    is_isomorphic,
     join,
     to_dot,
 )

@@ -1,8 +1,8 @@
 import pytest
 
-from oracles import nim_brute, nim_edges_anchored
-from nimcolor.graphs import EdgeColoring, SimpleGraph, edge_index, edge_unindex, join
-from nimcolor.nim import contains, contains_through_edge, nim_edges
+from oracles import contains_brute, covered_edges_brute, nim_brute, nim_edges_anchored
+from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, edge_index, edge_unindex, join
+from nimcolor.nim import _find_through, contains, contains_through_edge, nim_edges
 from nimcolor.errors import ResourceLimitError
 from nimcolor.patterns import (
     custom_pattern,
@@ -78,6 +78,26 @@ class TestContainsThroughEdge:
     def test_rejects_non_edges(self):
         with pytest.raises(ValueError):
             contains_through_edge(c4(), P3, (0, 2))
+
+    def test_witness_is_the_edge_mask_of_a_copy_through_the_edge(self, rng):
+        c5 = custom_pattern(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+        for _ in range(12):
+            n = rng.randrange(4, 10)
+            p = rng.choice([0.3, 0.5, 0.7])
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = SimpleGraph.from_edges(n, edges)
+            in_class = sum(1 << e for e in g.edge_indices())
+            for h in (P3, P4, CLAW, SPIDER, c5):
+                covered = covered_edges_brute(g, h.graph)
+                for u, v in g.edges():
+                    e = edge_index(u, v, n)
+                    witness = _find_through(g.adj, n, h.graph, u, v)
+                    assert (witness is None) == (e not in covered), (n, h.spec, u, v)
+                    if witness is None:
+                        continue
+                    assert witness.bit_count() == h.edge_count
+                    assert (witness >> e) & 1 and not witness & ~in_class
+                    assert contains_brute(SimpleGraph.from_edge_indices(n, _bits(witness)), h.graph)
 
 
 class TestNimEdges:

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import perfect_matchings_brute, tails_brute
+from oracles import is_isomorphic, perfect_matchings_brute, tails_brute
 from nimcolor.errors import NotBipartiteError
-from nimcolor.graphs import SimpleGraph, components, is_isomorphic
+from nimcolor.graphs import SimpleGraph, components
 from nimcolor.patterns import (
     PatternSyntaxError,
     bipartition,
@@ -194,6 +194,11 @@ class TestBipartitionMatchingBalance:
         assert is_balanced(make_path(4).graph)
         assert not is_balanced(make_star(3).graph)
         assert is_balanced(forest_union(make_path(2), make_path(6)).graph)
+
+    def test_unbalanced_when_the_root_side_is_larger(self):
+        # the BFS puts each component's lowest vertex on side 0, here the larger side
+        assert not is_balanced(make_path(3).graph)
+        assert not is_balanced(forest_union(make_path(2), make_path(5)).graph)
 
     def test_custom_cycle_pattern_flags(self):
         h = custom_pattern(cycle(4))

@@ -107,7 +107,8 @@ class TestExhaustive:
         for h in (P3, P4):
             shards = [exhaustive_f(5, 2, h, prefix=p) for p in prefixes]
             empty = shards[prefixes.index(cut)]
-            assert (empty.best_count, empty.colorings_examined) == (-1, 0)
+            assert (empty.best_count, empty.colorings_examined, empty.witness) == (-1, 0, None)
+            assert empty.to_dict()["witness"] is None
             merged = merge_shards(shards)
             assert merged.exhaustive
             assert merged.best_count == exhaustive_f(5, 2, h).best_count

@@ -2,9 +2,9 @@ from math import comb
 
 import pytest
 
-from oracles import contains_brute, max_pattern_free_edges_brute, turan_oracle_edge_bound
+from oracles import contains_brute, is_isomorphic, max_pattern_free_edges_brute, turan_oracle_edge_bound
 from nimcolor.errors import ResourceLimitError, TuranUnavailableError
-from nimcolor.graphs import SimpleGraph, components, is_isomorphic, join
+from nimcolor.graphs import SimpleGraph, components, join
 from nimcolor.nim import contains
 from nimcolor.patterns import (
     custom_pattern,
