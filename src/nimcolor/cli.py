@@ -28,7 +28,7 @@ from .errors import ResourceLimitError, TuranUnavailableError
 from .graphs import EdgeColoring
 from .nim import nim_edges
 from .patterns import PatternGraph, parse_pattern
-from .search import exhaustive_f, hill_climb_f
+from .search import exhaustive_f, hill_climb_f, turan_gap
 from .turan import ex_path, extremal_path_graph, turan_oracle, turan_value
 
 DEFAULT_LEDGER = "nimcolor-ledger.jsonl"
@@ -230,8 +230,7 @@ def _cmd_report(args) -> int:
         payload = record["result"]
         h = parse_pattern(payload["pattern"])
         try:
-            ex = turan_value(payload["n"], h)
-            gap = payload["best_count"] - (payload["k"] - 1) * ex.value
+            ex, gap = turan_gap(payload["n"], payload["k"], payload["best_count"], h)
             ex_value = ex.value
         except (TuranUnavailableError, ResourceLimitError):
             ex_value, gap = None, None

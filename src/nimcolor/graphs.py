@@ -296,7 +296,3 @@ def to_dot(g: SimpleGraph, name: str = "G") -> str:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines)
-
-
-def color_class_dot(coloring: EdgeColoring, i: int) -> str:
-    return to_dot(coloring.color_class(i), name=f"color_{i}")

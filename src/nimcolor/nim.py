@@ -16,6 +16,17 @@ the copies too.  The test suite checks the count against a reference
 counter with its own, separately coded search (`nim_edges_anchored` in
 tests/oracles.py).
 
+Proving an edge NIM is the costly query, since its search must exhaust
+its tree, and the paper's colorings are built from cliques, joins and
+complete bipartite pieces whose classes are full of twins (vertices with
+the same open or the same closed neighbourhood in the class).  Swapping
+two twins is an automorphism of the class graph, so all edges of a class
+between two twin classes, or inside one, are NIM or not together: the
+pass proves NIM once per such group and marks the group's later edges
+without a query.  Edges with a copy through them are still queried one by
+one, so the copies found, and the pass's result, are those of one query
+per uncovered edge.
+
 The engine maps pattern vertices in a DFS order (components rooted at a
 max-degree vertex) so partial embeddings stay connected, prunes by host
 degree, and collapses twin candidates (vertices with identical adjacency
@@ -233,9 +244,30 @@ def contains_through_edge(g: SimpleGraph, h, e: tuple[int, int]) -> bool:
 
 def _guard(n: int, pattern: SimpleGraph, max_n: int, max_pattern: int) -> None:
     if n > max_n:
-        raise ResourceLimitError(f"n={n} exceeds limit {max_n}")
+        raise ResourceLimitError(f"n={n} exceeds limit {max_n}; pass max_n={n} to allow it")
     if pattern.n > max_pattern:
-        raise ResourceLimitError(f"pattern order {pattern.n} exceeds limit {max_pattern}")
+        raise ResourceLimitError(
+            f"pattern order {pattern.n} exceeds limit {max_pattern}; pass max_pattern={pattern.n} to allow it"
+        )
+
+
+def _twin_classes(rows: Sequence[int]) -> list[int]:
+    """Each vertex's twin class, named by its first member.
+
+    Twins have the same open neighbourhood (false twins) or the same
+    closed one (true twins).  One dict holds both keys: an open key N(v)
+    never equals a closed key N[x], since x would lie in N(v) while v does
+    not lie in N[x], and no vertex has both a false and a true twin, so
+    the first key that hits names the class.
+    """
+    first: dict[int, int] = {}
+    twin = []
+    for v, row in enumerate(rows):
+        t = first.setdefault(row, v)
+        if t == v:
+            t = first.setdefault(row | 1 << v, v)
+        twin.append(t)
+    return twin
 
 
 def _cover_pass(
@@ -245,19 +277,38 @@ def _cover_pass(
 
     Each copy is recorded as (witness, fresh): the mask of its edges and
     the mask of those it was the first to cover.
+
+    Swapping two twins of a class graph is an automorphism of it, so all
+    edges of class c between two twin classes, or inside one, share their
+    NIM status.  Once one edge of such a group is proven NIM, the rest of
+    the group is marked NIM without a query.  Twin classes come from
+    `_twin_classes`, one dict pass per class.  Edges with a copy through
+    them are still queried one by one: the copies found decide which edges
+    are covered, and the climber in search.py needs each one.  NIM edges
+    never cover anything, so the result is the same as querying every
+    uncovered edge.
     """
     n = coloring.n
     pairs = all_pairs(n)
     adj = coloring.class_adjacency()
+    twins = [_twin_classes(rows) for rows in adj]
     nim = covered = 0
+    nim_groups = set()
     copies = []
     for e, c in enumerate(coloring.colors):
         if (covered >> e) & 1:
             continue
         u, v = pairs[e]
+        twin = twins[c]
+        tu, tv = twin[u], twin[v]
+        group = (c, tu, tv) if tu < tv else (c, tv, tu)
+        if group in nim_groups:
+            nim |= 1 << e
+            continue
         witness = _find_through(adj[c], n, pattern, u, v)
         if witness is None:
             nim |= 1 << e
+            nim_groups.add(group)
         else:
             copies.append((witness, witness & ~covered))
             covered |= witness

@@ -425,6 +425,12 @@ def _ball(adj: Sequence[int], seeds: int, radius: int) -> int:
     return ball
 
 
+def turan_gap(n: int, k: int, best_count: int, h: PatternGraph) -> tuple[TuranResult, int]:
+    """ex(n, H) and the gap best_count - (k-1) ex(n, H)."""
+    ex = turan_value(n, h)
+    return ex, best_count - (k - 1) * ex.value
+
+
 def compare_to_turan(result: SearchResult, h: PatternGraph) -> dict:
     """Gap between a search result and (k-1) times the Turan value.
 
@@ -433,9 +439,8 @@ def compare_to_turan(result: SearchResult, h: PatternGraph) -> dict:
     far below where the asymptotic theorems apply, so the gap is labeled
     as observed, not guaranteed.
     """
-    ex: TuranResult = turan_value(result.n, h)
+    ex, gap = turan_gap(result.n, result.k, result.best_count, h)
     scale = result.k - 1
-    reference = scale * ex.value
     return {
         "n": result.n,
         "k": result.k,
@@ -445,7 +450,7 @@ def compare_to_turan(result: SearchResult, h: PatternGraph) -> dict:
         "ex_method": ex.method,
         "ex_below_threshold": ex.below_threshold,
         "scale": scale,
-        "reference": reference,
-        "gap": result.best_count - reference,
+        "reference": scale * ex.value,
+        "gap": gap,
         "note": f"observed at n={result.n}; theorems are asymptotic",
     }

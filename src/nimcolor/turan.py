@@ -183,9 +183,12 @@ def turan_oracle(
     """
     pattern = _as_graph(h)
     if n > max_n:
-        raise ResourceLimitError(f"oracle limited to n <= {max_n}, got {n}")
+        raise ResourceLimitError(f"oracle limited to n <= {max_n}, got {n}; pass max_n={n} to allow it")
     if pattern.n > max_pattern:
-        raise ResourceLimitError(f"oracle limited to pattern order <= {max_pattern}")
+        raise ResourceLimitError(
+            f"oracle limited to pattern order <= {max_pattern}, got {pattern.n}; "
+            f"pass max_pattern={pattern.n} to allow it"
+        )
     if pattern.edge_count == 0:
         raise ValueError("pattern needs at least one edge")
 

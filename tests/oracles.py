@@ -10,9 +10,11 @@ as references for the faster ones: `hill_climb_recount`, the climber's
 full-recount loop, scores every candidate with a fresh `nim_edges` count;
 `turan_oracle_edge_bound` and `exhaustive_f_first_edge_pin` are the two
 branch-and-bound recursions before the degree-sum bound and the class-0
-degree-order symmetry were added.  `nim_edges_anchored` is the reference
-NIM counter, with its own separately coded embedding search, and
-`is_isomorphic` a backtracking isomorphism test.
+degree-order symmetry were added; `cover_pass_per_edge` is the cover pass
+before twin groups, with one query per uncovered edge.
+`nim_edges_anchored` is the reference NIM counter, with its own
+separately coded embedding search, and `is_isomorphic` a backtracking
+isomorphism test.
 """
 
 import random
@@ -300,6 +302,32 @@ def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, E
 
     rec(0, 0)
     return best, EdgeColoring(n, k, best_colors)
+
+
+def cover_pass_per_edge(
+    coloring: EdgeColoring, pattern: SimpleGraph
+) -> tuple[list[list[int]], int, list[tuple[int, int]]]:
+    """One cover pass: (class adjacency, NIM edge mask, copies found).
+
+    Each copy is recorded as (witness, fresh): the mask of its edges and
+    the mask of those it was the first to cover.
+    """
+    n = coloring.n
+    pairs = all_pairs(n)
+    adj = coloring.class_adjacency()
+    nim = covered = 0
+    copies = []
+    for e, c in enumerate(coloring.colors):
+        if (covered >> e) & 1:
+            continue
+        u, v = pairs[e]
+        witness = _find_through(adj[c], n, pattern, u, v)
+        if witness is None:
+            nim |= 1 << e
+        else:
+            copies.append((witness, witness & ~covered))
+            covered |= witness
+    return adj, nim, copies
 
 
 def nim_edges_anchored(coloring: EdgeColoring, h, *, max_n: int = 12) -> NimReport:

@@ -9,7 +9,6 @@ from nimcolor.graphs import (
     EdgeColoring,
     SimpleGraph,
     all_pairs,
-    color_class_dot,
     complement,
     complete_edge_count,
     components,
@@ -169,8 +168,3 @@ class TestDot:
         assert dot.startswith("graph G {")
         assert "  0 -- 1;" in dot and "  1 -- 2;" in dot
         assert "  3;" in dot
-
-    def test_color_class_dot(self):
-        c = EdgeColoring(3, 2, (0, 1, 1))
-        dot = color_class_dot(c, 0)
-        assert "0 -- 1" in dot and "2;" in dot

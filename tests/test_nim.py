@@ -1,8 +1,14 @@
-import pytest
+import random
 
-from oracles import contains_brute, covered_edges_brute, nim_brute, nim_edges_anchored
-from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, edge_index, edge_unindex, join
-from nimcolor.nim import _find_through, contains, contains_through_edge, nim_edges
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import contains_brute, covered_edges_brute, cover_pass_per_edge, nim_brute, nim_edges_anchored
+from nimcolor import nim
+from nimcolor.constructions import p2k_multicoloring, tail_forest_coloring
+from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, edge_index, edge_unindex, join
+from nimcolor.nim import _cover_pass, _find_through, _twin_classes, contains, contains_through_edge, nim_edges
 from nimcolor.errors import ResourceLimitError
 from nimcolor.patterns import (
     custom_pattern,
@@ -134,6 +140,14 @@ class TestNimEdges:
         with pytest.raises(ResourceLimitError):
             nim_edges(EdgeColoring.monochromatic(70), P3)
 
+    def test_limits_name_their_keyword(self):
+        with pytest.raises(ResourceLimitError, match=r"n=70 exceeds limit 64; pass max_n=70"):
+            nim_edges(EdgeColoring.monochromatic(70), P3)
+        with pytest.raises(ResourceLimitError, match=r"pattern order 17 exceeds limit 16; pass max_pattern=17"):
+            nim_edges(EdgeColoring.monochromatic(4), make_path(17))
+        assert nim_edges(EdgeColoring.monochromatic(70), P3, max_n=70).count == 0
+        assert nim_edges(EdgeColoring.monochromatic(4), make_path(17), max_pattern=17).count == 6
+
     def test_matches_definition_on_random_colorings(self, rng):
         two_edges = forest_union(make_path(2), make_path(2))
         for _ in range(40):
@@ -237,3 +251,95 @@ class TestSymmetries:
             widened = c.with_colors(3).recolored(e, 2)
             r2 = nim_edges(widened, P4)
             assert sum(r2.per_color[:2]) >= r.count
+
+
+C5 = custom_pattern(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+TWIN_PATTERNS = [
+    *map(parse_pattern, ["path:3", "path:4", "path:5", "path:6", "star:3", "spider:2,2,1", "path:2+path:3"]),
+    C5,
+]
+
+
+@st.composite
+def blown_up_colorings(draw):
+    """A small coloring with each vertex replaced by a monochromatic module, relabeled.
+
+    A module whose inside edges all take color d is a clique of true twins
+    in class d and an independent set of false twins in every other class.
+    About 30% of draws are plain random colorings instead.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    if draw(st.integers(0, 9)) < 3:
+        n = draw(st.integers(3, 9))
+        m = n * (n - 1) // 2
+        return EdgeColoring(n, k, tuple(draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))))
+    q = draw(st.integers(2, 5))
+    base = draw(st.lists(st.integers(0, k - 1), min_size=q * (q - 1) // 2, max_size=q * (q - 1) // 2))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=q, max_size=q))
+    inside = draw(st.lists(st.integers(0, k - 1), min_size=q, max_size=q))
+    module = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(module)
+    colors = []
+    for u, v in all_pairs(n):
+        a, b = module[u], module[v]
+        colors.append(inside[a] if a == b else base[edge_index(min(a, b), max(a, b), q)])
+    perm = draw(st.permutations(range(n)))
+    return EdgeColoring(n, k, tuple(colors)).permuted(perm)
+
+
+# Class 1 is a triangle on 0, 1, 2 and a 4-cycle 3-4-6-5, all of degree 2:
+# the triangle's edges are NIM for P_4 and the cycle's are not.
+TRIANGLE_AND_C4 = EdgeColoring(7, 3, (1, 1, 2, 0, 0, 2, 1, 2, 0, 0, 2, 2, 0, 0, 2, 1, 1, 2, 0, 1, 1))
+
+PETERSEN = SimpleGraph.from_edges(
+    10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+
+
+class TestTwinCollapse:
+    @settings(max_examples=200, deadline=None)
+    @given(blown_up_colorings(), st.sampled_from(TWIN_PATTERNS))
+    @example(TRIANGLE_AND_C4, P4)
+    def test_pass_matches_the_per_edge_pass(self, coloring, h):
+        assert _cover_pass(coloring, h.graph) == cover_pass_per_edge(coloring, h.graph)
+        if coloring.n <= 8:
+            assert set(nim_edges(coloring, h).nim_edges) == nim_brute(coloring, h.graph)
+
+    @pytest.mark.parametrize(
+        "g, twins",
+        [
+            (SimpleGraph.complete(5), [0, 0, 0, 0, 0]),
+            (SimpleGraph.empty(4), [0, 0, 0, 0]),
+            (join(SimpleGraph.empty(2), SimpleGraph.empty(3)), [0, 0, 2, 2, 2]),
+            (c4(), [0, 1, 0, 1]),
+            (make_path(4).graph, [0, 1, 2, 3]),
+            (SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), list(range(6))),
+            (PETERSEN, list(range(10))),
+        ],
+        ids=["K5", "empty", "K2,3", "C4", "P4", "C6", "Petersen"],
+    )
+    def test_twin_classes(self, g, twins):
+        assert _twin_classes(g.adj) == twins
+
+    @pytest.mark.parametrize(
+        "coloring, spec, queries, hits",
+        [
+            (p2k_multicoloring(60, 4)[0], "path:8", 494, 435),
+            (tail_forest_coloring(40, 3), "dstar:3+path:6", 519, 517),
+            (EdgeColoring.random(30, 3, random.Random(5)), "path:4", 351, 351),
+        ],
+        ids=["p2k-60-4", "tail-40-3", "random-30-3"],
+    )
+    def test_query_counts(self, monkeypatch, coloring, spec, queries, hits):
+        # without twin groups these take 1716, 702 and 351 queries
+        calls = []
+
+        def counted(*args):
+            witness = find(*args)
+            calls.append(witness is not None)
+            return witness
+
+        find = nim._find_through
+        monkeypatch.setattr(nim, "_find_through", counted)
+        nim_edges(coloring, parse_pattern(spec))
+        assert (len(calls), sum(calls)) == (queries, hits)

@@ -195,6 +195,14 @@ class TestOracle:
         with pytest.raises(ResourceLimitError):
             turan_oracle(8, make_path(13))
 
+    def test_size_limits_name_their_keyword(self):
+        with pytest.raises(ResourceLimitError, match=r"n <= 10, got 11; pass max_n=11"):
+            turan_oracle(11, make_path(4))
+        with pytest.raises(ResourceLimitError, match=r"pattern order <= 12, got 13; pass max_pattern=13"):
+            turan_oracle(8, make_path(13))
+        assert turan_oracle(11, make_star(3), max_n=11).value == 11
+        assert turan_oracle(8, make_path(13), max_pattern=13).value == 28
+
 
 # Every (n, pattern) cell with n <= 7 the suite and the benchmark use, plus
 # an odd cycle and a disconnected forest.
