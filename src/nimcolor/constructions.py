@@ -110,19 +110,6 @@ def tail_coloring_for(n: int, h: PatternGraph) -> tuple[EdgeColoring, int]:
     return tail_forest_coloring(n, a), a
 
 
-def tail_expected_nim_indices(n: int, a: int) -> list[int]:
-    """Red bipartite edges plus the blue X-clique: all pairs meeting 0..2a-2."""
-    x_size = 2 * a - 1
-    out = []
-    idx = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if u < x_size:
-                out.append(idx)
-            idx += 1
-    return out
-
-
 # -- the 2k-coloring from a clique decomposition ---------------------------
 
 

@@ -27,10 +27,18 @@ without a query.  Edges with a copy through them are still queried one by
 one, so the copies found, and the pass's result, are those of one query
 per uncovered edge.
 
-The engine maps pattern vertices in a DFS order (components rooted at a
-max-degree vertex) so partial embeddings stay connected, prunes by host
-degree, and collapses twin candidates (vertices with identical adjacency
-outside the pair), which is sound for existence queries.
+The engine is one plan family and one recursion.  `_anchor_plans` makes
+one plan per pattern edge and orientation: the edge's ends take positions
+0 and 1, the rest of their component follows in DFS order, then the other
+components, largest first, each DFS-ordered from a max-degree root, so
+partial embeddings stay connected.  `_search` draws each position from the
+common host neighbours of its earlier pattern neighbours, or from all free
+vertices when it has none; it prunes by host degree and collapses twin
+candidates (vertices with identical adjacency outside the pair), which is
+sound for existence queries.  `_find_through` pins positions 0 and 1 to a
+host edge and tries every plan; `contains` enters the first plan at
+position 0, which has no earlier neighbours and so ranges over every host
+vertex.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, components, edge_index
-from .patterns import PatternGraph, _as_graph
+from .patterns import _as_graph, pattern_spec
 
 DEFAULT_MAX_N = 64
 DEFAULT_MAX_PATTERN = 16
@@ -92,12 +100,8 @@ def _dfs_extend(g: SimpleGraph, order: list[int], seen: set[int]) -> None:
     """Grow `order` by DFS until the current component set is exhausted."""
     stack = list(order)
     while stack:
-        v = stack[-1]
-        nxt = None
-        for w in sorted(g.neighbors(v), key=lambda x: (-g.degree(x), x)):
-            if w not in seen:
-                nxt = w
-                break
+        by_degree = sorted(g.neighbors(stack[-1]), key=lambda x: (-g.degree(x), x))
+        nxt = next((w for w in by_degree if w not in seen), None)
         if nxt is None:
             stack.pop()
         else:
@@ -107,27 +111,18 @@ def _dfs_extend(g: SimpleGraph, order: list[int], seen: set[int]) -> None:
 
 
 def _component_order(g: SimpleGraph, skip: set[int]) -> list[list[int]]:
-    """Remaining components, largest first, each DFS-ordered from a max-degree root."""
+    """Components outside `skip` (a union of whole components), largest first,
+    each DFS-ordered from a max-degree root."""
     out = []
     for comp in components(g):
-        rest = [v for v in comp if v not in skip]
-        if not rest:
+        if comp[0] in skip:
             continue
-        root = max(rest, key=lambda v: (g.degree(v), -v))
+        root = max(comp, key=lambda v: (g.degree(v), -v))
         order = [root]
-        seen = set(skip) | {root}
-        _dfs_extend(g, order, seen)
-        out.append([v for v in order if v not in skip])
+        _dfs_extend(g, order, {root})
+        out.append(order)
     out.sort(key=len, reverse=True)
     return out
-
-
-@lru_cache(maxsize=None)
-def _unanchored_plan(g: SimpleGraph) -> _Plan:
-    order: list[int] = []
-    for chunk in _component_order(g, set()):
-        order.extend(chunk)
-    return _plan_from_order(g, order)
 
 
 @lru_cache(maxsize=None)
@@ -137,10 +132,8 @@ def _anchor_plans(g: SimpleGraph) -> tuple[_Plan, ...]:
     for x, y in g.edges():
         for a, b in ((x, y), (y, x)):
             order = [a, b]
-            seen = {a, b}
-            _dfs_extend(g, order, seen)
-            anchored_comp = list(order)
-            for chunk in _component_order(g, set(anchored_comp)):
+            _dfs_extend(g, order, {a, b})
+            for chunk in _component_order(g, set(order)):
                 order.extend(chunk)
             plans.append(_plan_from_order(g, order))
     return tuple(plans)
@@ -185,16 +178,6 @@ def _search(adj: Sequence[int], full: int, plan: _Plan, img: list[int], used: in
     return False
 
 
-def _find_unanchored(adj: Sequence[int], n: int, pattern: SimpleGraph) -> Optional[list[int]]:
-    if pattern.n > n:
-        return None
-    plan = _unanchored_plan(pattern)
-    img = [0] * pattern.n
-    if _search(adj, (1 << n) - 1, plan, img, 0, 0):
-        return [img[p] for p in _inverse_positions(plan)]
-    return None
-
-
 def _find_through(adj: Sequence[int], n: int, pattern: SimpleGraph, u: int, v: int) -> Optional[int]:
     """A copy through host edge (u, v) as a bitmask over canonical edge indices, or None."""
     if pattern.n > n:
@@ -215,22 +198,17 @@ def _find_through(adj: Sequence[int], n: int, pattern: SimpleGraph, u: int, v: i
     return None
 
 
-def _inverse_positions(plan: _Plan) -> list[int]:
-    inv = [0] * len(plan.order)
-    for p, vtx in enumerate(plan.order):
-        inv[vtx] = p
-    return inv
-
-
 # -- public operations ---------------------------------------------------
 
 
 def contains(g: SimpleGraph, h) -> bool:
     """True iff g has a (not necessarily induced) subgraph isomorphic to h."""
     pattern = _as_graph(h)
+    if pattern.n > g.n:
+        return False
     if pattern.edge_count == 0:
-        return pattern.n <= g.n
-    return _find_unanchored(g.adj, g.n, pattern) is not None
+        return True
+    return _search(g.adj, (1 << g.n) - 1, _anchor_plans(pattern)[0], [0] * pattern.n, 0, 0)
 
 
 def contains_through_edge(g: SimpleGraph, h, e: tuple[int, int]) -> bool:
@@ -327,10 +305,9 @@ def nim_edges(
     if pattern.n < 2:
         raise ValueError("pattern needs at least 2 vertices")
     _guard(coloring.n, pattern, max_n, max_pattern)
-    spec = h.spec if isinstance(h, PatternGraph) else f"custom:{pattern.n}v{pattern.edge_count}e"
     _, nim, _ = _cover_pass(coloring, pattern)
     edges = _bits(nim)
     per_color = [0] * coloring.k
     for e in edges:
         per_color[coloring.colors[e]] += 1
-    return NimReport(coloring.n, coloring.k, spec, tuple(edges), len(edges), tuple(per_color))
+    return NimReport(coloring.n, coloring.k, pattern_spec(h), tuple(edges), len(edges), tuple(per_color))

@@ -45,6 +45,11 @@ def _as_graph(h) -> SimpleGraph:
     return h.graph if isinstance(h, PatternGraph) else h
 
 
+def pattern_spec(h) -> str:
+    """The name results report for a pattern; a raw graph is custom:{n}v{e}e."""
+    return h.spec if isinstance(h, PatternGraph) else f"custom:{h.n}v{h.edge_count}e"
+
+
 def _annotate(graph: SimpleGraph, family: str, spec: str) -> PatternGraph:
     try:
         bip = bipartition(graph)
@@ -135,7 +140,7 @@ def forest_union(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
 
 def custom_pattern(graph: SimpleGraph, spec: str | None = None) -> PatternGraph:
     """Wrap an arbitrary graph for NIM counting; no structure is assumed."""
-    return _annotate(graph, "custom", spec or f"custom:{graph.n}v{graph.edge_count}e")
+    return _annotate(graph, "custom", spec or pattern_spec(graph))
 
 
 def custom_pattern_from_json(text: str) -> PatternGraph:

@@ -25,7 +25,7 @@ from .graphs import (
     join,
 )
 from .nim import _find_through, contains
-from .patterns import PatternGraph, _as_graph, is_balanced, is_forest, make_path
+from .patterns import PatternGraph, _as_graph, is_balanced, is_forest, make_path, pattern_spec
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
@@ -93,15 +93,13 @@ def extremal_path_graph(n: int, length: int, t: int) -> SimpleGraph:
             f"t={t} invalid for n={n}, length={length}: "
             f"allowed t in {list(valid)} (a={a}, b={b})"
         )
-    g = SimpleGraph.empty(0)
-    for _ in range(t):
-        g = disjoint_union(g, SimpleGraph.complete(length - 1))
-    rest = n - t * (length - 1)
-    if t == a:
-        g = disjoint_union(g, SimpleGraph.complete(b))
+    if t < a:
+        g = near_extremal_path_graph(n, length // 2, t)
     else:
-        half = length // 2
-        g = disjoint_union(g, join(SimpleGraph.complete(half - 1), SimpleGraph.empty(rest - half + 1)))
+        g = SimpleGraph.empty(0)
+        for _ in range(t):
+            g = disjoint_union(g, SimpleGraph.complete(length - 1))
+        g = disjoint_union(g, SimpleGraph.complete(b))
     expected = ex_path(n, length).value
     if g.edge_count != expected:
         raise AssertionError(f"extremal graph has {g.edge_count} edges, expected {expected}")
@@ -118,7 +116,7 @@ def near_extremal_path_graph(n: int, k: int, t: int) -> SimpleGraph:
     at n divisible by 2k-1.
     """
     rest = n - t * (2 * k - 1) - (k - 1)
-    if k < 2 or t < 0 or rest < 0:
+    if k < 1 or t < 0 or rest < 0:
         raise ValueError(f"invalid near-extremal parameters n={n}, k={k}, t={t}")
     g = SimpleGraph.empty(0)
     for _ in range(t):
@@ -239,8 +237,7 @@ def turan_oracle(
         raise AssertionError("oracle witness contains the pattern")
     if witness.edge_count != best:
         raise AssertionError("oracle witness edge count mismatch")
-    spec = h.spec if isinstance(h, PatternGraph) else f"custom:{pattern.n}v{pattern.edge_count}e"
-    return TuranResult(n, spec, best, "oracle", witness=witness)
+    return TuranResult(n, pattern_spec(h), best, "oracle", witness=witness)
 
 
 # -- shift inequality for the path formula -----------------------------------

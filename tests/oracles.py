@@ -25,7 +25,7 @@ from typing import Optional
 from nimcolor.errors import ResourceLimitError
 from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs, complete_edge_count, edge_index
 from nimcolor.nim import NimReport, _find_through, nim_edges
-from nimcolor.patterns import PatternGraph, _as_graph
+from nimcolor.patterns import PatternGraph, _as_graph, pattern_spec
 from nimcolor.search import SearchResult
 
 
@@ -59,6 +59,20 @@ def nim_brute(coloring: EdgeColoring, h: SimpleGraph) -> set[int]:
     for i in range(coloring.k):
         nim -= covered_edges_brute(coloring.color_class(i), h)
     return nim
+
+
+def tail_expected_nim_indices(n: int, a: int) -> list[int]:
+    """NIM set of `tail_forest_coloring(n, a)`: the red bipartite edges plus
+    the blue X-clique, i.e. all pairs meeting 0..2a-2."""
+    x_size = 2 * a - 1
+    out = []
+    idx = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u < x_size:
+                out.append(idx)
+            idx += 1
+    return out
 
 
 def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -343,7 +357,7 @@ def nim_edges_anchored(coloring: EdgeColoring, h, *, max_n: int = 12) -> NimRepo
     if coloring.n > max_n:
         raise ResourceLimitError(f"reference NIM oracle limited to n <= {max_n}")
     n, k = coloring.n, coloring.k
-    spec = h.spec if isinstance(h, PatternGraph) else f"custom:{pattern.n}v{pattern.edge_count}e"
+    spec = pattern_spec(h)
     pairs = all_pairs(n)
     adj_sets: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(k)]
     for e, c in enumerate(coloring.colors):

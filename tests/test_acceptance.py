@@ -14,7 +14,6 @@ from nimcolor.constructions import (
     extremal_overlay,
     p2k_multicoloring,
     tail_coloring_for,
-    tail_expected_nim_indices,
     verify_layout,
 )
 from nimcolor.graphs import (
@@ -35,7 +34,7 @@ from nimcolor.turan import (
     turan_oracle,
     turan_value,
 )
-from oracles import is_isomorphic, nim_edges_anchored
+from oracles import is_isomorphic, nim_edges_anchored, tail_expected_nim_indices
 
 
 def criterion(number, name):

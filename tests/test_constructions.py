@@ -9,7 +9,6 @@ from nimcolor.constructions import (
     p2k_expected_nim,
     p2k_multicoloring,
     tail_coloring_for,
-    tail_expected_nim_indices,
     tail_forest_coloring,
     verify_layout,
 )
@@ -17,6 +16,7 @@ from nimcolor.graphs import SimpleGraph, complete_edge_count, components
 from nimcolor.nim import nim_edges
 from nimcolor.patterns import forest_union, make_path, parse_pattern
 from nimcolor.turan import extremal_path_graph
+from oracles import tail_expected_nim_indices
 
 H_FOREST = parse_pattern("dstar:3+path:6")
 

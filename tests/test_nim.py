@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import contains_brute, covered_edges_brute, cover_pass_per_edge, nim_brute, nim_edges_anchored
 from nimcolor import nim
 from nimcolor.constructions import p2k_multicoloring, tail_forest_coloring
-from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, edge_index, edge_unindex, join
+from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoint_union, edge_index, edge_unindex, join
 from nimcolor.nim import _cover_pass, _find_through, _twin_classes, contains, contains_through_edge, nim_edges
 from nimcolor.errors import ResourceLimitError
 from nimcolor.patterns import (
@@ -24,6 +24,7 @@ P3 = make_path(3)
 P4 = make_path(4)
 CLAW = make_star(3)
 SPIDER = make_spider([2, 2, 1])
+C5 = custom_pattern(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
 
 
 def c4():
@@ -158,20 +159,31 @@ class TestNimEdges:
             assert set(nim_edges(c, h).nim_edges) == nim_brute(c, h.graph)
 
     def test_contains_matches_brute_force_on_random_graphs(self, rng):
-        from oracles import contains_brute
-
-        pats = [P3, P4, CLAW, SPIDER, make_path(5), forest_union(make_path(2), make_path(3))]
+        # contains starts at position 0 of the first anchor plan, which need not
+        # be a max-degree vertex in the largest component: the custom patterns
+        # (one with an isolated vertex, C_5) and path:2+path:3 cover that, and
+        # n from 2 gives hosts smaller than the pattern
+        pats = [
+            P3,
+            P4,
+            CLAW,
+            SPIDER,
+            make_path(5),
+            custom_pattern(SimpleGraph.from_edges(4, [(1, 2), (2, 3)])),
+            C5,
+            parse_pattern("path:2+path:3"),
+        ]
         for _ in range(60):
-            n = rng.randrange(3, 8)
+            n = rng.randrange(2, 8)
             edges = [
                 (u, v)
                 for u in range(n)
                 for v in range(u + 1, n)
-                if rng.random() < 0.4
+                if rng.random() < 0.5
             ]
             g = SimpleGraph.from_edges(n, edges)
-            h = rng.choice(pats)
-            assert contains(g, h) == contains_brute(g, h.graph), (edges, h.spec)
+            for h in pats:
+                assert contains(g, h) == contains_brute(g, h.graph), (edges, h.spec)
 
 
 class TestDualImplementations:
@@ -253,7 +265,6 @@ class TestSymmetries:
             assert sum(r2.per_color[:2]) >= r.count
 
 
-C5 = custom_pattern(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
 TWIN_PATTERNS = [
     *map(parse_pattern, ["path:3", "path:4", "path:5", "path:6", "star:3", "spider:2,2,1", "path:2+path:3"]),
     C5,
@@ -287,6 +298,30 @@ def blown_up_colorings(draw):
     return EdgeColoring(n, k, tuple(colors)).permuted(perm)
 
 
+@st.composite
+def regular_pieces(draw):
+    """K_{d+1} beside K_{d,d} or C_m in one class, relabeled, with path:{d+2}.
+
+    Every vertex of the class has degree d, but only the second piece holds
+    a path on d+2 vertices, so its edges are not NIM and the clique's are:
+    vertices of equal degree need not be twins.  All other edges take the
+    other colors at random.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    if d == 2 and draw(st.booleans()):
+        m = draw(st.integers(4, 6))
+        other = SimpleGraph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+    else:
+        other = join(SimpleGraph.empty(d), SimpleGraph.empty(d))
+    piece_class = disjoint_union(SimpleGraph.complete(d + 1), other)
+    k = draw(st.sampled_from([2, 3]))
+    c = draw(st.integers(0, k - 1))
+    rest = st.sampled_from([x for x in range(k) if x != c])
+    colors = tuple(c if piece_class.has_edge(u, v) else draw(rest) for u, v in all_pairs(piece_class.n))
+    perm = draw(st.permutations(range(piece_class.n)))
+    return EdgeColoring(piece_class.n, k, colors).permuted(perm), make_path(d + 2)
+
+
 # Class 1 is a triangle on 0, 1, 2 and a 4-cycle 3-4-6-5, all of degree 2:
 # the triangle's edges are NIM for P_4 and the cycle's are not.
 TRIANGLE_AND_C4 = EdgeColoring(7, 3, (1, 1, 2, 0, 0, 2, 1, 2, 0, 0, 2, 2, 0, 0, 2, 1, 1, 2, 0, 1, 1))
@@ -298,9 +333,10 @@ PETERSEN = SimpleGraph.from_edges(
 
 class TestTwinCollapse:
     @settings(max_examples=200, deadline=None)
-    @given(blown_up_colorings(), st.sampled_from(TWIN_PATTERNS))
-    @example(TRIANGLE_AND_C4, P4)
-    def test_pass_matches_the_per_edge_pass(self, coloring, h):
+    @given(st.one_of(st.tuples(blown_up_colorings(), st.sampled_from(TWIN_PATTERNS)), regular_pieces()))
+    @example((TRIANGLE_AND_C4, P4))
+    def test_pass_matches_the_per_edge_pass(self, case):
+        coloring, h = case
         assert _cover_pass(coloring, h.graph) == cover_pass_per_edge(coloring, h.graph)
         if coloring.n <= 8:
             assert set(nim_edges(coloring, h).nim_edges) == nim_brute(coloring, h.graph)

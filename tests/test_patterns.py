@@ -20,6 +20,7 @@ from nimcolor.patterns import (
     make_spider,
     make_star,
     parse_pattern,
+    pattern_spec,
 )
 
 
@@ -204,6 +205,18 @@ class TestBipartitionMatchingBalance:
         h = custom_pattern(cycle(4))
         assert not h.balanced and not h.has_perfect_matching
         assert not is_forest(h)
+
+    def test_raw_graphs_are_named_by_order_and_size(self):
+        from nimcolor.graphs import EdgeColoring
+        from nimcolor.nim import nim_edges
+        from nimcolor.turan import turan_oracle
+
+        c5 = cycle(5)
+        assert pattern_spec(c5) == custom_pattern(c5).spec == "custom:5v5e"
+        assert nim_edges(EdgeColoring.monochromatic(6), c5).pattern == "custom:5v5e"
+        assert turan_oracle(5, c5).pattern == "custom:5v5e"
+        assert custom_pattern(c5, "ring").spec == "ring"
+        assert pattern_spec(make_path(4)) == "path:4"
 
 
 class TestParse:

@@ -90,6 +90,29 @@ class TestExtremalPathGraph:
         with pytest.raises(ValueError, match="allowed t"):
             extremal_path_graph(9, 5, 0)
 
+    def test_joined_case_is_the_near_extremal_graph(self):
+        # t < a: t cliques K_{l-1}, then K_{l/2-1} joined to independent vertices
+        from nimcolor.graphs import disjoint_union
+
+        cases = 0
+        for length in range(4, 13, 2):
+            half = length // 2
+            for n in range(70):
+                for t in path_extremal_t_range(n, length)[:-1]:
+                    expected = SimpleGraph.empty(0)
+                    for _ in range(t):
+                        expected = disjoint_union(expected, SimpleGraph.complete(length - 1))
+                    rest = n - t * (length - 1) - (half - 1)
+                    expected = disjoint_union(expected, join(SimpleGraph.complete(half - 1), SimpleGraph.empty(rest)))
+                    assert extremal_path_graph(n, length, t) == expected == near_extremal_path_graph(n, half, t)
+                    cases += 1
+        assert cases == 864
+
+    def test_p2_recipe_graphs_are_edgeless(self):
+        for n in range(6):
+            for t in path_extremal_t_range(n, 2):
+                assert extremal_path_graph(n, 2, t) == SimpleGraph.empty(n)
+
     @pytest.mark.parametrize("length", [4, 6])
     def test_all_recipe_graphs_are_path_free_and_extremal(self, length):
         for n in range(length, 25):
