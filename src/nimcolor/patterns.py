@@ -19,8 +19,6 @@ from typing import Optional
 from .errors import NotBipartiteError
 from .graphs import SimpleGraph, components, disjoint_union
 
-FAMILIES = ("path", "star", "spider", "double_broom", "double_star", "union", "custom")
-
 
 @dataclass(frozen=True)
 class PatternGraph:

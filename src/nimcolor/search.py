@@ -17,9 +17,8 @@ tie-breaking, restarted from seeded random colorings or from a
 construction.  Candidates are scored by delta evaluation, not by a fresh
 NIM count: recoloring e from c to c' changes only classes c and c', so
 the climber requeries just the edges whose cover witness used e (in c)
-and the NIM edges of c' a copy through e could reach.  For a connected
-pattern those lie within its diameter of e; for a disconnected one every
-NIM edge of c' is requeried.
+and the NIM edges of c' not yet covered by a copy through e, stopping
+once the candidate cannot beat the best move so far.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ResourceLimitError
-from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, components
-from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _find_through, _guard, nim_edges
+from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count
+from .nim import DEFAULT_MAX_PATTERN, _cover_pass, _find_through, nim_edges
 from .patterns import PatternGraph
 from .turan import TuranResult, turan_value
 
@@ -97,6 +96,8 @@ def exhaustive_f(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if h.graph.n > DEFAULT_MAX_PATTERN:
+        raise ResourceLimitError(f"exhaustive search limited to pattern order <= {DEFAULT_MAX_PATTERN}")
     m = complete_edge_count(n)
     if len(prefix) > m or any(not 0 <= c < k for c in prefix):
         raise ValueError("prefix does not fit the edge list")
@@ -256,11 +257,11 @@ def hill_climb_f(
     pattern = h.graph
     if pattern.n < 2:
         raise ValueError("pattern needs at least 2 vertices")
-    _guard(n, pattern, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
+    if pattern.n > DEFAULT_MAX_PATTERN:
+        raise ResourceLimitError(f"hill climb limited to pattern order <= {DEFAULT_MAX_PATTERN}")
     started = time.perf_counter()
     rng = random.Random(seed)
     m = complete_edge_count(n)
-    radius = _diameter(pattern)
     best = -1
     best_witness: Optional[EdgeColoring] = None
     examined = 0
@@ -270,7 +271,7 @@ def hill_climb_f(
             current = seed_coloring
         else:
             current = EdgeColoring.random(n, k, rng)
-        state = _NimState(current, pattern, radius)
+        state = _NimState(current, pattern)
         score = state.score
         examined += 1
         for _ in range(iterations):
@@ -290,7 +291,7 @@ def hill_climb_f(
                 break
             score = move[0]
             current = current.recolored(move[1], move[2])
-            state = _NimState(current, pattern, radius)
+            state = _NimState(current, pattern)
             assert state.score == score, "delta score disagrees with the rebuilt NIM state"
         if score > best:
             best = score
@@ -312,12 +313,12 @@ class _NimState:
     edges whose cover witness contains f, the cover witness of an edge
     being the copy that first covered it.  Recoloring edge e from class c
     to class c' changes only those two classes, so its new NIM count is
-    `score + loss(e) + gain(e, c')`.  `radius` is the pattern's diameter,
-    or None for a disconnected pattern.
+    `score + loss(e) + gain(e, c')`.  `gain` requeries the NIM edges of c'
+    that no copy through e covers yet, in `class_nim[c']` order.
     """
 
-    def __init__(self, coloring: EdgeColoring, pattern: SimpleGraph, radius: Optional[int]):
-        self.n, self.pattern, self.radius = coloring.n, pattern, radius
+    def __init__(self, coloring: EdgeColoring, pattern: SimpleGraph):
+        self.n, self.pattern = coloring.n, pattern
         self.colors = coloring.colors
         self.pairs = all_pairs(coloring.n)
         self.adj, self.nim, copies = _cover_pass(coloring, pattern)
@@ -378,51 +379,19 @@ class _NimState:
             nim = self.nim & ~(1 << e)  # e is NIM, if at all, in its own class only
             covered = witness
             delta = -(covered & nim).bit_count()
-            # A NIM edge of c can only join a copy through e, which lies
-            # within the pattern's diameter of u and v.
-            ball = (1 << n) - 1 if self.radius is None else _ball(adj, bu | bv, self.radius)
             for f in self.class_nim[c]:
                 if delta <= floor:
                     break
                 if (covered >> f) & 1:
                     continue
                 x, y = pairs[f]
-                if (ball >> x) & 1 and (ball >> y) & 1:
-                    found = _find_through(adj, n, pattern, x, y)
-                    if found is not None:
-                        covered |= found
-                        delta = -(covered & nim).bit_count()
+                found = _find_through(adj, n, pattern, x, y)
+                if found is not None:
+                    covered |= found
+                    delta = -(covered & nim).bit_count()
         adj[u] ^= bv
         adj[v] ^= bu
         return delta
-
-
-def _diameter(g: SimpleGraph) -> Optional[int]:
-    """Largest distance between two vertices of g, or None if g is disconnected."""
-    if len(components(g)) > 1:
-        return None
-    full = (1 << g.n) - 1
-    longest = 0
-    for v in range(g.n):
-        ball, depth = 1 << v, 0
-        while ball != full:
-            ball, depth = _ball(g.adj, ball, 1), depth + 1
-        longest = max(longest, depth)
-    return longest
-
-
-def _ball(adj: Sequence[int], seeds: int, radius: int) -> int:
-    """Vertices within `radius` steps of the vertex set `seeds`."""
-    ball = frontier = seeds
-    for _ in range(radius):
-        reach = 0
-        for w in _bits(frontier):
-            reach |= adj[w]
-        frontier = reach & ~ball
-        if not frontier:
-            break
-        ball |= frontier
-    return ball
 
 
 def turan_gap(n: int, k: int, best_count: int, h: PatternGraph) -> tuple[TuranResult, int]:

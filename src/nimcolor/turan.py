@@ -60,18 +60,19 @@ class TuranResult:
 
 def ex_path(n: int, length: int) -> TuranResult:
     """Maximum edges of an n-vertex graph with no path on `length` vertices."""
-    if length < 2:
-        raise ValueError("path length must be >= 2 vertices")
+    t_range = path_extremal_t_range(n, length)
     if n < 0:
         raise ValueError("n must be >= 0")
     a, b = divmod(n, length - 1)
     value = a * comb(length - 1, 2) + comb(b, 2)
-    recipe = {"a": a, "b": b, "t_range": list(path_extremal_t_range(n, length))}
+    recipe = {"a": a, "b": b, "t_range": list(t_range)}
     return TuranResult(n, f"path:{length}", value, "faudree_schelp", recipe)
 
 
 def path_extremal_t_range(n: int, length: int) -> range:
     """Valid t for `extremal_path_graph`: 0..a in the even split cases, else just a."""
+    if length < 2:
+        raise ValueError("path length must be >= 2 vertices")
     a, b = divmod(n, length - 1)
     if length % 2 == 0 and b in (length // 2, length // 2 - 1):
         return range(0, a + 1)
@@ -86,8 +87,8 @@ def extremal_path_graph(n: int, length: int, t: int) -> SimpleGraph:
     replaces leftover cliques with a (length/2-1)-clique joined to
     independent vertices.  Edge count and path-freeness are asserted.
     """
-    a, b = divmod(n, length - 1)
     valid = path_extremal_t_range(n, length)
+    a, b = divmod(n, length - 1)
     if t not in valid:
         raise ValueError(
             f"t={t} invalid for n={n}, length={length}: "

@@ -7,7 +7,7 @@ from nimcolor.errors import ResourceLimitError
 from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs
 from nimcolor.nim import nim_edges
 from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
-from nimcolor.search import _diameter, _NimState, compare_to_turan, exhaustive_f, hill_climb_f, merge_shards
+from nimcolor.search import _NimState, compare_to_turan, exhaustive_f, hill_climb_f, merge_shards
 from nimcolor.turan import ex_path, extremal_path_graph
 from oracles import exhaustive_f_first_edge_pin, hill_climb_recount, nim_brute
 
@@ -30,6 +30,11 @@ class TestExhaustive:
         # 2^3 colorings: the best pattern is one isolated edge in its color
         r = exhaustive_f(3, 2, P3)
         assert r.best_count == 1
+
+    def test_pattern_order_is_checked_before_the_search(self):
+        with pytest.raises(ResourceLimitError, match=r"exhaustive search limited to pattern order <= 16") as err:
+            exhaustive_f(4, 2, make_path(17))
+        assert "max_pattern=" not in str(err.value)
 
     def test_budget_error_suggests_hill_climb(self):
         with pytest.raises(ResourceLimitError, match="hill_climb"):
@@ -190,14 +195,18 @@ class TestHillClimb:
     def test_size_guard(self):
         with pytest.raises(ResourceLimitError):
             hill_climb_f(41, 2, P4)
+        with pytest.raises(ResourceLimitError, match=r"hill climb limited to pattern order <= 16") as err:
+            hill_climb_f(20, 2, make_path(17))
+        assert "max_pattern=" not in str(err.value)
 
     def test_seed_shape_checked(self):
         with pytest.raises(ValueError):
             hill_climb_f(6, 2, P4, seed_coloring=EdgeColoring.monochromatic(6, k=3))
 
 
-# Trees, forests and an odd cycle: a copy through an edge of C_5 can reach
-# a vertex at distance diam = 2 from both ends, which no tree pattern does.
+# Trees, forests and an odd cycle.  C_5 is the one pattern with a cycle;
+# its pinned example below stays as a regression case for `gain`, since it
+# caught a requery rule that skipped NIM edges a copy through e could cover.
 PROPERTY_PATTERNS = [
     *map(parse_pattern, ["path:3", "path:4", "star:3", "spider:2,2,1", "path:3+path:3", "star:3+path:3"]),
     C5,
@@ -252,7 +261,7 @@ class TestDeltaEvaluation:
     @given(colorings(), st.sampled_from(PROPERTY_PATTERNS), st.integers(-2, 1))
     @example(EdgeColoring(7, 2, (1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 1)), C5, -2)
     def test_every_delta_matches_a_fresh_count(self, coloring, h, floor):
-        state = _NimState(coloring, h.graph, _diameter(h.graph))
+        state = _NimState(coloring, h.graph)
         assert state.score == nim_edges(coloring, h).count
         for e, old in enumerate(coloring.colors):
             loss = state.loss(e)
@@ -264,17 +273,13 @@ class TestDeltaEvaluation:
                 bounded = state.gain(e, c, floor)
                 assert bounded == exact if exact > floor else bounded <= floor
 
-    def test_diameter(self):
-        assert _diameter(make_path(5).graph) == 4
-        assert _diameter(make_star(3).graph) == 2
-        assert _diameter(parse_pattern("path:3+path:3").graph) is None
-
 
 def _overlay(n, length, k):
     red = extremal_path_graph(n, length, ex_path(n, length).recipe["a"])
     return extremal_overlay(n, make_path(length), red).with_colors(k)
 
 
+TAIL_17, _ = tail_coloring_for(17, parse_pattern("dstar:3+path:6"))
 REFERENCE_GRID = {
     "overlay-p4-k3": ("path:4", 12, 3, dict(iterations=3, seed_coloring=_overlay(12, 4, 3))),
     "overlay-p5-k2": ("path:5", 12, 2, dict(iterations=3, seed_coloring=_overlay(12, 5, 2))),
@@ -284,6 +289,7 @@ REFERENCE_GRID = {
     "random-spider-k3": ("spider:2,2,1", 8, 3, dict(seed=2, iterations=10, restarts=2)),
     "random-p4-k4": ("path:4", 7, 4, dict(seed=9, iterations=20, restarts=2)),
     "random-forest-k2": ("path:3+path:3", 7, 2, dict(seed=1, iterations=20, restarts=3)),
+    "tail-forest-k2": ("dstar:3+path:6", 17, 2, dict(iterations=1, seed_coloring=TAIL_17)),
 }
 
 

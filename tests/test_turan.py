@@ -56,8 +56,10 @@ class TestExPath:
         assert list(path_extremal_t_range(6, 4)) == [2]
 
     def test_rejects_short_paths(self):
-        with pytest.raises(ValueError):
-            ex_path(5, 1)
+        for length in (0, 1):
+            for call in (ex_path, path_extremal_t_range, lambda n, length: extremal_path_graph(n, length, 0)):
+                with pytest.raises(ValueError, match="path length must be >= 2"):
+                    call(5, length)
 
     def test_monotone_in_n(self):
         for length in (3, 4, 5, 6, 8):
