@@ -29,7 +29,7 @@ from .graphs import EdgeColoring
 from .nim import nim_edges
 from .patterns import PatternGraph, parse_pattern
 from .search import exhaustive_f, hill_climb_f, turan_gap
-from .turan import ex_path, extremal_path_graph, turan_oracle, turan_value
+from .turan import TuranResult, ex_path, extremal_path_graph, turan_oracle, turan_value
 
 DEFAULT_LEDGER = "nimcolor-ledger.jsonl"
 
@@ -150,7 +150,8 @@ def _cmd_verify(args) -> int:
     with open(args.coloring, encoding="utf-8") as fh:
         coloring = EdgeColoring.from_json(fh.read())
     h = parse_pattern(args.pattern)
-    report = nim_edges(coloring, h)
+    # the file already spells out all C(n, 2) colors, so its n is the caller's choice
+    report = nim_edges(coloring, h, max_n=coloring.n)
     _emit(report.to_dict())
     return 0
 
@@ -185,16 +186,9 @@ def _cmd_search(args) -> int:
             seed_coloring=seed_coloring,
         )
     payload = result.to_dict()
+    # every search flag, so a record replays exactly; the ledger path is not part of the run
     parameters = {
-        "pattern": args.pattern,
-        "n": args.n,
-        "k": args.k,
-        "mode": args.mode,
-        "seed": args.seed,
-        "iterations": args.iterations,
-        "restarts": args.restarts,
-        "seed_construction": args.seed_construction,
-        "budget": args.budget,
+        key: value for key, value in vars(args).items() if key not in ("func", "command", "ledger")
     }
     _append_ledger(_ledger_path(args), "search", parameters, payload)
     _emit(payload)
@@ -224,16 +218,20 @@ def _build_seed(args, h: PatternGraph) -> EdgeColoring:
 def _cmd_report(args) -> int:
     records = read_ledger(_ledger_path(args))
     rows = []
+    ex_by_case: dict[tuple[int, str], Optional[TuranResult]] = {}  # (n, pattern spec) -> ex
     for record in records:
         if record.get("command") != "search":
             continue
         payload = record["result"]
-        h = parse_pattern(payload["pattern"])
-        try:
-            ex, gap = turan_gap(payload["n"], payload["k"], payload["best_count"], h)
-            ex_value = ex.value
-        except (TuranUnavailableError, ResourceLimitError):
-            ex_value, gap = None, None
+        case = (payload["n"], payload["pattern"])
+        if case not in ex_by_case:
+            try:
+                ex_by_case[case] = turan_value(payload["n"], parse_pattern(payload["pattern"]))
+            except (TuranUnavailableError, ResourceLimitError):
+                ex_by_case[case] = None
+        ex = ex_by_case[case]
+        ex_value = None if ex is None else ex.value
+        gap = None if ex is None else turan_gap(ex, payload["k"], payload["best_count"])
         rows.append(
             {
                 "timestamp": record["timestamp"],

@@ -15,7 +15,8 @@ Three families:
   classes of 2k-1 disjoint (2k-1)-cliques each, requiring 2k-1 prime),
   arranged so that each of the first 2k-1 color classes is a disjoint union
   of cliques plus one clique joined to independent vertices, i.e. exactly
-  the near-extremal family for the path on 2k vertices.
+  the near-extremal family for the path on 2k vertices.  Every edge is
+  assigned its color once.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ class P2kConstructionLayout:
     2k-1; cell [i, j] (1-based row i, column j) is vertex
     (i-1)*(2k-1) + (j-1).  sigma[j-1][i-1] lists the clique with one vertex
     per row, row m holding column i + (m-1)*j (mod 2k-1, into 1..2k-1).
-    sigma_diamond[j-1] is its restriction to rows k+1..2k-1.  W is the rest.
+    sigma_diamond[j-1] is sigma[j-1][0] restricted to rows k+1..2k-1.  W is
+    the rest.
     """
 
     k: int
@@ -157,11 +159,6 @@ class P2kConstructionLayout:
         }
 
 
-def _mod_star(x: int, q: int) -> int:
-    """Residue of x in 1..q."""
-    return (x - 1) % q + 1
-
-
 def build_p2k_layout(n: int, k: int) -> P2kConstructionLayout:
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -174,15 +171,12 @@ def build_p2k_layout(n: int, k: int) -> P2kConstructionLayout:
     rows = tuple(tuple(cell(i, j) for j in range(1, q + 1)) for i in range(1, q + 1))
     sigma = tuple(
         tuple(
-            tuple(cell(m, _mod_star(i + (m - 1) * j, q)) for m in range(1, q + 1))
+            tuple(cell(m, (i - 1 + (m - 1) * j) % q + 1) for m in range(1, q + 1))
             for i in range(1, q + 1)
         )
         for j in range(1, q + 1)
     )
-    diamond = tuple(
-        tuple(cell(m, _mod_star(1 + (m - 1) * j, q)) for m in range(k + 1, q + 1))
-        for j in range(1, q + 1)
-    )
+    diamond = tuple(per_j[0][k:] for per_j in sigma)  # rows k+1..2k-1 of sigma[j][1]
     w = tuple(range(q * q, n))
     return P2kConstructionLayout(k, n, rows, sigma, diamond, w)
 
@@ -190,14 +184,12 @@ def build_p2k_layout(n: int, k: int) -> P2kConstructionLayout:
 def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayout]:
     """The 2k-coloring of K_n whose first 2k-1 classes are path-extremal shaped.
 
-    Build order, with every step asserting it never overwrites a previous
-    assignment except the one sanctioned recoloring:
+    Build order; no step assigns an edge that an earlier step assigned:
 
-    1. for each j, color every clique sigma[j][i] with color j-1;
-    2. inside sigma[j][1] (i = 1), recolor the sub-clique on rows 1..k to
-       color 2k-1;
-    3. color all edges between sigma_diamond[j] and W with color j-1;
-    4. give every remaining edge (row cliques, W clique, rows 1..k to W)
+    1. for each j, color every clique sigma[j][i] with color j-1, except
+       the sub-clique of sigma[j][1] on rows 1..k, which gets color 2k-1;
+    2. color all edges between sigma_diamond[j] and W with color j-1;
+    3. give every remaining edge (row cliques, W clique, rows 1..k to W)
        color 2k-1.
 
     Step 1 covering each cross-row edge of U exactly once is what needs
@@ -217,31 +209,21 @@ def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayo
             )
         colors[e] = color
 
-    # step 1: parallel classes of cliques
+    # step 1: parallel classes of cliques; verts[t] is the clique's vertex in row t+1
     for j in range(1, q + 1):
         for i in range(1, q + 1):
             verts = layout.sigma[j - 1][i - 1]
             for s in range(q):
                 for t in range(s + 1, q):
-                    assign(verts[s], verts[t], j - 1)
+                    assign(verts[s], verts[t], last if i == 1 and t < k else j - 1)
 
-    # step 2: sanctioned recoloring of the top-k sub-clique of sigma[j][1]
-    for j in range(1, q + 1):
-        top = layout.sigma[j - 1][0][:k]  # rows 1..k
-        for s in range(k):
-            for t in range(s + 1, k):
-                e = edge_index(top[s], top[t], n)
-                if colors[e] != j - 1:
-                    raise AssertionError("recolor target was not the expected clique color")
-                colors[e] = last
-
-    # step 3: diamond-to-W bipartite edges
+    # step 2: diamond-to-W bipartite edges
     for j in range(1, q + 1):
         for u in layout.sigma_diamond[j - 1]:
             for w in layout.w:
                 assign(u, w, j - 1)
 
-    # step 4: everything else
+    # step 3: everything else
     for e in range(m):
         if colors[e] == -1:
             colors[e] = last
@@ -277,8 +259,8 @@ def verify_layout(layout: P2kConstructionLayout) -> LayoutReport:
     Checks: every sigma clique picks one vertex per row; the row cliques
     plus all sigma cliques cover each edge of U exactly once (so in
     particular no two parallel classes share an edge); the diamonds are
-    pairwise vertex-disjoint and exactly cover rows k+1..2k-1; and the
-    edge-count identity e(U) = sum e(rows) + sum e(sigma) holds.
+    pairwise vertex-disjoint, exactly cover rows k+1..2k-1 and lie inside
+    sigma[j][1].
     """
     k, q = layout.k, layout.block
     violations = []
@@ -319,13 +301,6 @@ def verify_layout(layout: P2kConstructionLayout) -> LayoutReport:
         violations.append(f"U-edge {e} covered by {tags}")
     if len(multi) > 5:
         violations.append(f"... and {len(multi) - 5} more multiply covered edges")
-
-    # counting identity
-    clique_edge_sum = q * comb(q, 2) + q * q * comb(q, 2)
-    if clique_edge_sum != total_u_edges:
-        violations.append(
-            f"edge count identity fails: {clique_edge_sum} != {total_u_edges}"
-        )
 
     # diamond vertex-decomposition of rows k+1..2k-1
     tail_rows = set()

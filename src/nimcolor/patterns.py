@@ -189,21 +189,29 @@ def bipartition(h) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return a, b
 
 
+def _bfs_tree(g: SimpleGraph, root: int) -> tuple[list[int], dict[int, int]]:
+    """Root's component in BFS order, and each vertex's BFS parent (-1 for the root)."""
+    parent = {root: -1}
+    order = [root]
+    for v in order:  # the loop reaches the vertices it appends
+        for w in g.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
 def _two_color(g: SimpleGraph, comp: list[int], side: list[int]) -> None:
     """Fill side[v] with 0 or 1 for each v in the component, by BFS from comp[0] on side 0.
 
     Raises NotBipartiteError on an odd cycle.
     """
-    root = comp[0]
-    side[root] = 0
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
+    order, parent = _bfs_tree(g, comp[0])
+    for v in order:
+        side[v] = 0 if parent[v] < 0 else 1 - side[parent[v]]
+    for v in order:
         for w in g.neighbors(v):
-            if side[w] == -1:
-                side[w] = 1 - side[v]
-                queue.append(w)
-            elif side[w] == side[v]:
+            if side[w] == side[v]:
                 raise NotBipartiteError(f"odd cycle through edge ({v}, {w})")
 
 
@@ -213,35 +221,25 @@ def is_forest(h) -> bool:
 
 
 def has_perfect_matching_forest(h) -> bool:
-    """Greedy leaf-matching: exact and linear for forests.
+    """Leaf-up greedy matching: exact and linear for forests.
 
-    Repeatedly match a leaf to its neighbor and delete both; the forest has
-    a perfect matching iff nothing is left over.
+    Each tree is walked in reverse BFS order, so a vertex comes after all
+    its children.  A vertex still unmatched then can only be matched to
+    its parent; the forest has a perfect matching iff that always succeeds.
     """
     g = _as_graph(h)
     if not is_forest(g):
         raise ValueError("perfect-matching test is implemented for forests only")
-    if g.n % 2 == 1:
-        return False
-    adj = list(g.adj)
-    alive = (1 << g.n) - 1
-    leaves = [v for v in range(g.n) if adj[v].bit_count() == 1]
-    matched = 0
-    while leaves:
-        v = leaves.pop()
-        if not (alive >> v) & 1 or adj[v].bit_count() != 1:
-            continue
-        u = adj[v].bit_length() - 1
-        for x in (u, v):
-            alive &= ~(1 << x)
-        for w in range(g.n):
-            if (adj[w] >> u) & 1 or (adj[w] >> v) & 1:
-                adj[w] &= ~((1 << u) | (1 << v))
-                if (alive >> w) & 1 and adj[w].bit_count() == 1:
-                    leaves.append(w)
-        adj[u] = adj[v] = 0
-        matched += 2
-    return matched == g.n
+    free = [True] * g.n
+    for comp in components(g):
+        order, parent = _bfs_tree(g, comp[0])
+        for v in reversed(order):
+            if free[v]:
+                p = parent[v]
+                if p < 0 or not free[p]:
+                    return False
+                free[v] = free[p] = False
+    return True
 
 
 def is_balanced(h) -> bool:

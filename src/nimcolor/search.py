@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count
-from .nim import DEFAULT_MAX_PATTERN, _cover_pass, _find_through, nim_edges
+from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _find_through, nim_edges
 from .patterns import PatternGraph
 from .turan import TuranResult, turan_value
 
@@ -96,6 +96,8 @@ def exhaustive_f(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n > DEFAULT_MAX_N:
+        raise ResourceLimitError(f"exhaustive search limited to n <= {DEFAULT_MAX_N}")
     if h.graph.n > DEFAULT_MAX_PATTERN:
         raise ResourceLimitError(f"exhaustive search limited to pattern order <= {DEFAULT_MAX_PATTERN}")
     m = complete_edge_count(n)
@@ -178,7 +180,10 @@ def exhaustive_f(
             adj[v] &= ~bu
         colors[idx] = 0
 
-    rec(0, 0)
+    if k == 1:  # one coloring, scored directly: rec would recurse once per edge
+        best, leaves = nim_edges(EdgeColoring(n, k, best_colors), h).count, 1
+    else:
+        rec(0, 0)
     witness_coloring = EdgeColoring(n, k, best_colors) if leaves else None
     elapsed = time.perf_counter() - started
     return SearchResult(
@@ -394,10 +399,9 @@ class _NimState:
         return delta
 
 
-def turan_gap(n: int, k: int, best_count: int, h: PatternGraph) -> tuple[TuranResult, int]:
-    """ex(n, H) and the gap best_count - (k-1) ex(n, H)."""
-    ex = turan_value(n, h)
-    return ex, best_count - (k - 1) * ex.value
+def turan_gap(ex: TuranResult, k: int, best_count: int) -> int:
+    """The gap best_count - (k-1) ex(n, H), given ex(n, H)."""
+    return best_count - (k - 1) * ex.value
 
 
 def compare_to_turan(result: SearchResult, h: PatternGraph) -> dict:
@@ -408,7 +412,7 @@ def compare_to_turan(result: SearchResult, h: PatternGraph) -> dict:
     far below where the asymptotic theorems apply, so the gap is labeled
     as observed, not guaranteed.
     """
-    ex, gap = turan_gap(result.n, result.k, result.best_count, h)
+    ex = turan_value(result.n, h)
     scale = result.k - 1
     return {
         "n": result.n,
@@ -420,6 +424,6 @@ def compare_to_turan(result: SearchResult, h: PatternGraph) -> dict:
         "ex_below_threshold": ex.below_threshold,
         "scale": scale,
         "reference": scale * ex.value,
-        "gap": gap,
+        "gap": turan_gap(ex, result.k, result.best_count),
         "note": f"observed at n={result.n}; theorems are asymptotic",
     }

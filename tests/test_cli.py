@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import nimcolor.turan
 from nimcolor.cli import _append_ledger, main, read_ledger
 
 
@@ -79,6 +80,13 @@ class TestConstructVerifyPipeline:
         assert code == 1
         assert "color 5" in err
 
+    def test_verify_takes_the_size_of_its_file(self, capsys, tmp_path):
+        mono = tmp_path / "mono.json"
+        mono.write_text(json.dumps({"n": 70, "k": 1, "colors": [0] * (70 * 69 // 2)}))
+        code, out, err = run(capsys, "verify", "--coloring", str(mono), "--pattern", "path:3")
+        assert code == 0, err
+        assert json.loads(out)["count"] == 0
+
     def test_missing_construct_flags(self, capsys):
         code, _, err = run(capsys, "construct", "--family", "p2k", "--n", "13")
         assert code == 1
@@ -125,6 +133,49 @@ class TestSearchAndReport:
         assert payload["totals"]["rows"] == 2
         assert payload["totals"]["best_sum"] == sum(r["best"] for r in payload["rows"]) == 4
         assert payload["totals"]["gap_sum"] == 0
+
+    def test_ledger_parameters_replay_the_run(self, capsys, tmp_path):
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        code, _, err = run(
+            capsys,
+            "search", "--pattern", "path:4", "--n", "13", "--k", "5",
+            "--mode", "hill", "--seed-construction", "p2k", "--construction-k", "2",
+            "--iterations", "1", "--ledger", str(first),
+        )
+        assert code == 0, err
+        (record,) = read_ledger(str(first))
+        argv = ["search", "--ledger", str(second)]
+        for key, value in record["parameters"].items():
+            if value is not None:
+                argv += ["--" + key.replace("_", "-"), str(value)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        (replay,) = read_ledger(str(second))
+        assert replay["parameters"] == record["parameters"]
+        for field in ("best_count", "witness"):
+            assert replay["result"][field] == record["result"][field]
+
+    def test_report_computes_each_turan_value_once(self, capsys, tmp_path, monkeypatch):
+        ledger = tmp_path / "ledger.jsonl"
+        for _ in range(2):
+            run(
+                capsys,
+                "search", "--pattern", "star:3", "--n", "5", "--k", "2",
+                "--mode", "exhaustive", "--ledger", str(ledger),
+            )
+        calls = []
+        real_oracle = nimcolor.turan.turan_oracle
+
+        def counting_oracle(*args, **kwargs):
+            calls.append(args)
+            return real_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(nimcolor.turan, "turan_oracle", counting_oracle)
+        code, out, _ = run(capsys, "report", "--format", "json", "--ledger", str(ledger))
+        assert code == 0
+        assert len(calls) == 1
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 2 and rows[0]["ex"] == rows[1]["ex"] == 5
 
     def test_report_csv_totals(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.jsonl"

@@ -64,6 +64,17 @@ class TestExhaustive:
         assert r.best_count == 0
         assert r.colorings_examined == 1
 
+    def test_single_color_at_large_n(self):
+        # K_46 has 1,035 edges, deeper than the default recursion limit
+        r = exhaustive_f(46, 1, P3)
+        assert r.best_count == 0
+        assert r.colorings_examined == 1
+
+    def test_n_is_checked_before_the_search(self):
+        with pytest.raises(ResourceLimitError, match=r"exhaustive search limited to n <= 64") as err:
+            exhaustive_f(65, 1, P3)
+        assert "max_n=" not in str(err.value)
+
     def test_prefix_shards_cover_the_space(self):
         whole = exhaustive_f(5, 2, P4)
         shards = [exhaustive_f(5, 2, P4, prefix=(0, c)) for c in range(2)]
