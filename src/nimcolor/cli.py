@@ -29,7 +29,15 @@ from .graphs import EdgeColoring
 from .nim import nim_edges
 from .patterns import PatternGraph, parse_pattern
 from .search import exhaustive_f, hill_climb_f, turan_gap
-from .turan import TuranResult, ex_path, extremal_path_graph, turan_oracle, turan_value
+from .turan import (
+    ORACLE_MAX_N,
+    ORACLE_MAX_PATTERN,
+    TuranResult,
+    ex_path,
+    extremal_path_graph,
+    turan_oracle,
+    turan_value,
+)
 
 DEFAULT_LEDGER = "nimcolor-ledger.jsonl"
 
@@ -67,16 +75,25 @@ def read_ledger(path: str) -> list[dict]:
     append: it is skipped with a warning on stderr.  A bad line anywhere
     else raises.
     """
+    return [record for _, record in _ledger_lines(path)]
+
+
+def _ledger_lines(path: str) -> list[tuple[int, dict]]:
+    """`read_ledger`'s records, each with its line number in the file."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in map(str.strip, fh) if line]
+        lines = [(no, line) for no, line in enumerate(map(str.strip, fh), 1) if line]
     records = []
-    for i, line in enumerate(lines):
+    for i, (no, line) in enumerate(lines):
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             if i < len(lines) - 1:
                 raise
             print(f"warning: {path}: skipped a torn last record ({exc})", file=sys.stderr)
+            continue
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: line {no}: ledger record is not a JSON object")
+        records.append((no, record))
     return records
 
 
@@ -159,6 +176,13 @@ def _cmd_verify(args) -> int:
 def _cmd_turan(args) -> int:
     h = parse_pattern(args.pattern)
     if args.method == "oracle":
+        # the library's limit errors name keywords that the CLI has no flags for
+        if args.n > ORACLE_MAX_N:
+            raise ResourceLimitError(f"oracle limited to n <= {ORACLE_MAX_N}, got {args.n}")
+        if h.vertex_count > ORACLE_MAX_PATTERN:
+            raise ResourceLimitError(
+                f"oracle limited to pattern order <= {ORACLE_MAX_PATTERN}, got {h.vertex_count}"
+            )
         result = turan_oracle(args.n, h)
     elif args.method == "formula":
         result = turan_value(args.n, h, allow_oracle=False)
@@ -170,10 +194,9 @@ def _cmd_turan(args) -> int:
 
 def _cmd_search(args) -> int:
     h = parse_pattern(args.pattern)
-    seed_coloring = None
-    if args.seed_construction:
-        seed_coloring = _build_seed(args, h)
     if args.mode == "exhaustive":
+        if args.seed_construction:
+            raise ValueError("--seed-construction seeds --mode hill only; exhaustive search takes no seed")
         result = exhaustive_f(args.n, args.k, h, budget=args.budget)
     else:
         result = hill_climb_f(
@@ -183,7 +206,7 @@ def _cmd_search(args) -> int:
             seed=args.seed,
             iterations=args.iterations,
             restarts=args.restarts,
-            seed_coloring=seed_coloring,
+            seed_coloring=_build_seed(args, h) if args.seed_construction else None,
         )
     payload = result.to_dict()
     # every search flag, so a record replays exactly; the ledger path is not part of the run
@@ -215,14 +238,21 @@ def _build_seed(args, h: PatternGraph) -> EdgeColoring:
     return coloring
 
 
+# the result fields `report` reads from each search record, with their JSON types
+_REPORT_FIELDS = {"n": int, "k": int, "pattern": str, "best_count": int, "exhaustive": bool}
+
+
 def _cmd_report(args) -> int:
-    records = read_ledger(_ledger_path(args))
+    path = _ledger_path(args)
     rows = []
     ex_by_case: dict[tuple[int, str], Optional[TuranResult]] = {}  # (n, pattern spec) -> ex
-    for record in records:
+    for no, record in _ledger_lines(path):
         if record.get("command") != "search":
             continue
-        payload = record["result"]
+        payload = record.get("result")
+        for field, kind in _REPORT_FIELDS.items():
+            if not isinstance(payload, dict) or not isinstance(payload.get(field), kind):
+                raise ValueError(f"{path}: line {no}: search record has no valid result.{field}")
         case = (payload["n"], payload["pattern"])
         if case not in ex_by_case:
             try:
@@ -234,7 +264,7 @@ def _cmd_report(args) -> int:
         gap = None if ex is None else turan_gap(ex, payload["k"], payload["best_count"])
         rows.append(
             {
-                "timestamp": record["timestamp"],
+                "timestamp": record.get("timestamp"),
                 "pattern": payload["pattern"],
                 "n": payload["n"],
                 "k": payload["k"],

@@ -172,25 +172,26 @@ def complement(g: SimpleGraph) -> SimpleGraph:
 
 def components(g: SimpleGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest vertex."""
+    return [sorted(order) for order in _bfs_forest(g)[0]]
+
+
+def _bfs_forest(g: SimpleGraph) -> tuple[list[list[int]], list[int]]:
+    """The one graph walk: each component in BFS order from its smallest vertex,
+    components ordered by that vertex, and each vertex's BFS parent (-1 at a root)."""
+    parent = [-1] * g.n
+    orders = []
     seen = 0
-    out = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            w = frontier
-            while w:
-                b = w & -w
-                w ^= b
-                nxt |= g.adj[b.bit_length() - 1]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(_bits(comp))
-    return out
+    for root in range(g.n):
+        if not (seen >> root) & 1:
+            seen |= 1 << root
+            order = [root]
+            for v in order:  # the loop reaches the vertices it appends
+                for w in _bits(g.adj[v] & ~seen):
+                    parent[w] = v
+                    order.append(w)
+                seen |= g.adj[v]
+            orders.append(order)
+    return orders, parent
 
 
 # -- edge colorings ---------------------------------------------------
@@ -274,10 +275,26 @@ class EdgeColoring:
 
     @staticmethod
     def from_dict(payload: dict) -> "EdgeColoring":
+        """Parse the schema.  The JSON types are checked here, not in `__post_init__`,
+        which every recoloring pays for; `__post_init__` checks the color range."""
+        if not isinstance(payload, dict):
+            raise ValueError("coloring JSON must be an object")
         for field in ("n", "k", "colors"):
             if field not in payload:
                 raise ValueError(f"coloring JSON missing field '{field}'")
-        return EdgeColoring(int(payload["n"]), int(payload["k"]), tuple(payload["colors"]))
+        n, k, colors = payload["n"], payload["k"], payload["colors"]
+        # `type(...) is int`, as bool is an int subclass but not a JSON integer
+        for field, value in (("n", n), ("k", k)):
+            if type(value) is not int:
+                raise ValueError(f"coloring field '{field}' must be an integer, got {value!r}")
+        if n < 0:
+            raise ValueError(f"coloring field 'n' must be >= 0, got {n}")
+        if not isinstance(colors, list):
+            raise ValueError("coloring field 'colors' must be a list")
+        for i, c in enumerate(colors):
+            if type(c) is not int:
+                raise ValueError(f"color {c!r} at edge {i} is not an integer")
+        return EdgeColoring(n, k, tuple(colors))
 
     @staticmethod
     def from_json(text: str) -> "EdgeColoring":

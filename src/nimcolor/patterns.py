@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotBipartiteError
-from .graphs import SimpleGraph, components, disjoint_union
+from .graphs import SimpleGraph, _bfs_forest, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,10 @@ def bipartition(h) -> tuple[tuple[int, ...], tuple[int, ...]]:
     keep vertex 0 in A.  Raises NotBipartiteError on an odd cycle.
     """
     g = _as_graph(h)
-    side = [-1] * g.n
-    for comp in components(g):
-        _two_color(g, comp, side)
+    _, side = _two_color(g)
+    for u, v in g.edges():
+        if side[u] == side[v]:
+            raise NotBipartiteError(f"odd cycle through edge ({u}, {v})")
     a = tuple(v for v in range(g.n) if side[v] == 0)
     b = tuple(v for v in range(g.n) if side[v] == 1)
     if len(a) > len(b):
@@ -189,35 +190,23 @@ def bipartition(h) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return a, b
 
 
-def _bfs_tree(g: SimpleGraph, root: int) -> tuple[list[int], dict[int, int]]:
-    """Root's component in BFS order, and each vertex's BFS parent (-1 for the root)."""
-    parent = {root: -1}
-    order = [root]
-    for v in order:  # the loop reaches the vertices it appends
-        for w in g.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    return order, parent
+def _two_color(g: SimpleGraph) -> tuple[list[list[int]], list[int]]:
+    """The walk's components, and each vertex's side: 0 at each root, flipping along BFS edges.
 
-
-def _two_color(g: SimpleGraph, comp: list[int], side: list[int]) -> None:
-    """Fill side[v] with 0 or 1 for each v in the component, by BFS from comp[0] on side 0.
-
-    Raises NotBipartiteError on an odd cycle.
+    The sides are a proper 2-coloring iff no edge joins equal sides; in a
+    forest every edge is a BFS edge, so they always are.
     """
-    order, parent = _bfs_tree(g, comp[0])
-    for v in order:
-        side[v] = 0 if parent[v] < 0 else 1 - side[parent[v]]
-    for v in order:
-        for w in g.neighbors(v):
-            if side[w] == side[v]:
-                raise NotBipartiteError(f"odd cycle through edge ({v}, {w})")
+    orders, parent = _bfs_forest(g)
+    side = [0] * g.n
+    for order in orders:
+        for v in order[1:]:
+            side[v] = 1 - side[parent[v]]
+    return orders, side
 
 
 def is_forest(h) -> bool:
     g = _as_graph(h)
-    return g.edge_count == g.n - len(components(g))
+    return g.edge_count == g.n - len(_bfs_forest(g)[0])
 
 
 def has_perfect_matching_forest(h) -> bool:
@@ -228,11 +217,11 @@ def has_perfect_matching_forest(h) -> bool:
     its parent; the forest has a perfect matching iff that always succeeds.
     """
     g = _as_graph(h)
-    if not is_forest(g):
+    orders, parent = _bfs_forest(g)
+    if g.edge_count != g.n - len(orders):
         raise ValueError("perfect-matching test is implemented for forests only")
     free = [True] * g.n
-    for comp in components(g):
-        order, parent = _bfs_tree(g, comp[0])
+    for order in orders:
         for v in reversed(order):
             if free[v]:
                 p = parent[v]
@@ -245,14 +234,10 @@ def has_perfect_matching_forest(h) -> bool:
 def is_balanced(h) -> bool:
     """True iff every component is a tree with equal bipartition classes."""
     g = _as_graph(h)
-    if not is_forest(g):
+    orders, side = _two_color(g)
+    if g.edge_count != g.n - len(orders):
         raise ValueError("balance test is implemented for forests only")
-    side = [-1] * g.n
-    for comp in components(g):
-        _two_color(g, comp, side)
-        if 2 * sum(side[v] for v in comp) != len(comp):
-            return False
-    return True
+    return all(2 * sum(side[v] for v in order) == len(order) for order in orders)
 
 
 # -- text DSL ----------------------------------------------------------

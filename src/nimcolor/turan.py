@@ -263,12 +263,8 @@ def turan_value(n: int, h: PatternGraph, *, allow_oracle: bool = True) -> TuranR
     """Best available Turan value for a pattern: formula if known, else oracle."""
     if h.family == "path":
         return ex_path(n, h.vertex_count)
-    if (
-        is_forest(h.graph)
-        and len(components(h.graph)) >= 2
-        and h.vertex_count % 2 == 0
-        and h.balanced
-    ):
+    # a balanced pattern is a forest of even order: each tree has equal sides
+    if h.balanced and len(components(h.graph)) >= 2:
         return ex_balanced_forest(n, h)
     if allow_oracle and n <= ORACLE_MAX_N and h.vertex_count <= ORACLE_MAX_PATTERN:
         return turan_oracle(n, h)

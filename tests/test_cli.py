@@ -80,6 +80,27 @@ class TestConstructVerifyPipeline:
         assert code == 1
         assert "color 5" in err
 
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"n": 3, "k": 2, "colors": [0, 1.0, 0]}, "at edge 1"),
+            ({"n": 3, "k": 2, "colors": [0, "1", 0]}, "at edge 1"),
+            ({"n": 3, "k": 2, "colors": [0, True, 0]}, "at edge 1"),
+            ({"n": -1, "k": 2, "colors": []}, "'n'"),
+            ({"n": 3.0, "k": 2, "colors": [0, 1, 0]}, "'n'"),
+            ({"n": 3, "k": "2", "colors": [0, 1, 0]}, "'k'"),
+            ({"n": 3, "k": 2, "colors": "010"}, "'colors'"),
+            ([0, 1, 0], "object"),
+        ],
+    )
+    def test_verify_rejects_mistyped_fields(self, capsys, tmp_path, payload, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "verify", "--coloring", str(bad), "--pattern", "path:3")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_verify_takes_the_size_of_its_file(self, capsys, tmp_path):
         mono = tmp_path / "mono.json"
         mono.write_text(json.dumps({"n": 70, "k": 1, "colors": [0] * (70 * 69 // 2)}))
@@ -109,6 +130,16 @@ class TestTuranCommand:
         code, _, err = run(capsys, "turan", "--pattern", "star:3", "--n", "6", "--method", "formula")
         assert code == 1
         assert "no Turan value" in err
+
+    @pytest.mark.parametrize(
+        "pattern, n, limit", [("path:3", "11", "n <= 10"), ("path:13", "6", "pattern order <= 12")]
+    )
+    def test_oracle_limit_names_no_keyword(self, capsys, pattern, n, limit):
+        # the CLI has no flag to lift the oracle's limits, so it must not suggest a keyword
+        code, _, err = run(capsys, "turan", "--method", "oracle", "--n", n, "--pattern", pattern)
+        assert code == 1
+        assert limit in err
+        assert "max_n=" not in err and "max_pattern=" not in err
 
 
 class TestSearchAndReport:
@@ -206,6 +237,49 @@ class TestSearchAndReport:
         assert [r["n"] for r in json.loads(out)["rows"]] == [4, 5]
         assert "torn last record" in err
 
+    def test_report_table_marks_an_unavailable_ex(self, capsys, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        searches = [
+            ("path:3", "4", "exhaustive"),
+            ("star:3", "11", "hill"),  # no formula, and n = 11 is past the oracle
+        ]
+        for pattern, n, mode in searches:
+            code, _, err = run(
+                capsys,
+                "search", "--pattern", pattern, "--n", n, "--k", "2", "--mode", mode,
+                "--iterations", "0", "--ledger", str(ledger),
+            )
+            assert code == 0, err
+        code, out, _ = run(capsys, "report", "--ledger", str(ledger))
+        assert code == 0
+        header, path_row, star_row, totals = out.splitlines()
+        assert header.split() == ["pattern", "n", "k", "best", "ex", "gap"]
+        assert path_row.split() == ["path:3", "4", "2", "2", "2", "0"]
+        assert star_row.split()[:2] == ["star:3", "11"] and star_row.split()[-2:] == ["-", "-"]
+        assert totals.startswith("rows=2 ") and totals.endswith(" gap_sum=0")
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("[1, 2]", "line 2: ledger record is not a JSON object"),
+            ('{"command": "search", "result": {"n": 4, "k": 2}}', "line 2: search record has no valid result.pattern"),
+        ],
+    )
+    def test_report_names_a_malformed_record(self, capsys, tmp_path, line, named):
+        ledger = tmp_path / "ledger.jsonl"
+        run(
+            capsys,
+            "search", "--pattern", "path:3", "--n", "4", "--k", "2",
+            "--mode", "exhaustive", "--ledger", str(ledger),
+        )
+        # the malformed record is not the last line, so the torn-line rule does not apply
+        good = ledger.read_text()
+        ledger.write_text(good + line + "\n" + good)
+        code, _, err = run(capsys, "report", "--ledger", str(ledger))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_bad_line_before_the_last_still_raises(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         for n in (4, 5):
@@ -264,6 +338,17 @@ class TestSearchAndReport:
         )
         assert code == 1
         assert "even --k" in err
+
+    def test_exhaustive_mode_refuses_a_seed_construction(self, capsys, tmp_path):
+        ledger = tmp_path / "l.jsonl"
+        code, _, err = run(
+            capsys,
+            "search", "--pattern", "path:3", "--n", "5", "--k", "3",
+            "--mode", "exhaustive", "--seed-construction", "p2k", "--ledger", str(ledger),
+        )
+        assert code == 1
+        assert "--seed-construction" in err and "even --k" not in err
+        assert not ledger.exists()
 
     def test_overlay_seed_needs_a_path_pattern(self, capsys, tmp_path):
         ledger = tmp_path / "l.jsonl"

@@ -172,6 +172,24 @@ class TestLayoutVerification:
         assert not report.ok
         assert any("overlap" in v or "diamond" in v for v in report.violations)
 
+    def test_every_violation_kind_is_reported(self):
+        layout = build_p2k_layout(13, 2)  # q = 3
+        sigma = [list(per_j) for per_j in layout.sigma]
+        sigma[0][0] = sigma[0][0][:2]  # two vertices, not a 3-clique
+        sigma[0][1] = layout.rows[0]  # three vertices, all in row 1
+        sigma[1] = sigma[2]  # a repeated parallel class covers its 9 edges twice
+        diamonds = list(layout.sigma_diamond)
+        diamonds[2] = layout.sigma[2][0][1:]  # rows 2-3, where k - 1 = 1 vertex belongs
+        bad = replace(layout, sigma=tuple(map(tuple, sigma)), sigma_diamond=tuple(diamonds))
+        report = verify_layout(bad)
+        assert not report.ok
+        found = report.violations
+        assert "sigma[1][1] is not a 3-clique vertex set" in found
+        assert "sigma[1][2] does not meet every row once" in found
+        assert sum(v.startswith("U-edge ") for v in found) == 5
+        assert any(v.startswith("... and ") and v.endswith(" more multiply covered edges") for v in found)
+        assert "diamond[3] has 2 vertices, expected 1" in found
+
     def test_layout_cell_lookup(self):
         layout = build_p2k_layout(13, 2)
         assert layout.vertex(1, 1) == 0
