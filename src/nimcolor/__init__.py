@@ -18,14 +18,12 @@ from .graphs import (
     edge_index,
     edge_unindex,
     join,
-    to_dot,
 )
-from .nim import NimReport, contains, contains_through_edge, nim_edges
+from .nim import NimReport, contains, nim_edges
 from .patterns import (
     PatternGraph,
     bipartition,
     custom_pattern,
-    custom_pattern_from_json,
     find_tails,
     forest_union,
     has_perfect_matching_forest,
@@ -46,7 +44,7 @@ from .constructions import (
     tail_forest_coloring,
     verify_layout,
 )
-from .search import SearchResult, compare_to_turan, exhaustive_f, hill_climb_f, merge_shards
+from .search import SearchResult, exhaustive_f, hill_climb_f
 from .turan import (
     TuranResult,
     ex_balanced_forest,
@@ -58,4 +56,24 @@ from .turan import (
     turan_value,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "NotBipartiteError", "ResourceLimitError", "TuranUnavailableError",
+    # graphs
+    "EdgeColoring", "SimpleGraph", "complement", "components", "disjoint_union", "edge_index",
+    "edge_unindex", "join",
+    # nim
+    "NimReport", "contains", "nim_edges",
+    # patterns
+    "PatternGraph", "bipartition", "custom_pattern", "find_tails", "forest_union",
+    "has_perfect_matching_forest", "is_balanced", "make_double_broom", "make_double_star",
+    "make_path", "make_spider", "make_star", "parse_pattern",
+    # constructions
+    "P2kConstructionLayout", "extremal_overlay", "p2k_expected_nim", "p2k_multicoloring",
+    "tail_coloring_for", "tail_forest_coloring", "verify_layout",
+    # search
+    "SearchResult", "exhaustive_f", "hill_climb_f",
+    # turan
+    "TuranResult", "ex_balanced_forest", "ex_path", "extremal_path_graph", "lemma_gap",
+    "near_extremal_path_graph", "turan_oracle", "turan_value",
+]

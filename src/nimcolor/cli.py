@@ -29,15 +29,7 @@ from .graphs import EdgeColoring
 from .nim import nim_edges
 from .patterns import PatternGraph, parse_pattern
 from .search import exhaustive_f, hill_climb_f, turan_gap
-from .turan import (
-    ORACLE_MAX_N,
-    ORACLE_MAX_PATTERN,
-    TuranResult,
-    ex_path,
-    extremal_path_graph,
-    turan_oracle,
-    turan_value,
-)
+from .turan import TuranResult, ex_path, extremal_path_graph, turan_oracle, turan_value
 
 DEFAULT_LEDGER = "nimcolor-ledger.jsonl"
 
@@ -176,13 +168,6 @@ def _cmd_verify(args) -> int:
 def _cmd_turan(args) -> int:
     h = parse_pattern(args.pattern)
     if args.method == "oracle":
-        # the library's limit errors name keywords that the CLI has no flags for
-        if args.n > ORACLE_MAX_N:
-            raise ResourceLimitError(f"oracle limited to n <= {ORACLE_MAX_N}, got {args.n}")
-        if h.vertex_count > ORACLE_MAX_PATTERN:
-            raise ResourceLimitError(
-                f"oracle limited to pattern order <= {ORACLE_MAX_PATTERN}, got {h.vertex_count}"
-            )
         result = turan_oracle(args.n, h)
     elif args.method == "formula":
         result = turan_value(args.n, h, allow_oracle=False)
@@ -194,6 +179,8 @@ def _cmd_turan(args) -> int:
 
 def _cmd_search(args) -> int:
     h = parse_pattern(args.pattern)
+    if args.construction_k is not None and args.seed_construction != "p2k":
+        raise ValueError("--construction-k sizes the p2k seed; it needs --seed-construction p2k")
     if args.mode == "exhaustive":
         if args.seed_construction:
             raise ValueError("--seed-construction seeds --mode hill only; exhaustive search takes no seed")
@@ -364,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, ResourceLimitError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a limit's hint names a library keyword, which the CLI has no flag for
+        print(f"error: {exc.limit if isinstance(exc, ResourceLimitError) else exc}", file=sys.stderr)
         return 1
 
 

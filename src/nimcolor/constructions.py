@@ -32,7 +32,7 @@ from .graphs import (
     edge_index,
 )
 from .nim import contains
-from .patterns import PatternGraph, is_balanced, is_forest
+from .patterns import PatternGraph
 from .turan import ex_path
 
 
@@ -94,8 +94,6 @@ def tail_coloring_for(n: int, h: PatternGraph) -> tuple[EdgeColoring, int]:
     claim fails).
     """
     g = h.graph
-    if not is_forest(g):
-        raise ValueError("pattern must be a forest")
     comps = components(g)
     if len(comps) != 2:
         raise ValueError(f"pattern must have exactly two components, got {len(comps)}")
@@ -104,8 +102,8 @@ def tail_coloring_for(n: int, h: PatternGraph) -> tuple[EdgeColoring, int]:
     a = g.n // 4
     if any(len(c) != 2 * a for c in comps):
         raise ValueError("both components must have 2a vertices")
-    if not is_balanced(g):
-        raise ValueError("pattern must be balanced")
+    if not h.balanced:  # balanced implies a forest
+        raise ValueError("pattern must be a balanced forest")
     if h.has_perfect_matching:
         raise ValueError("pattern admits a perfect matching; exact count claim needs none")
     return tail_forest_coloring(n, a), a

@@ -49,6 +49,8 @@ def _row_start(u: int, n: int) -> int:
 
 
 def complete_edge_count(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     return n * (n - 1) // 2
 
 
@@ -101,10 +103,6 @@ class SimpleGraph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return SimpleGraph(n, tuple(adj))
-
-    @staticmethod
-    def from_edge_indices(n: int, idxs: Iterable[int]) -> "SimpleGraph":
-        return SimpleGraph.from_edges(n, (edge_unindex(i, n) for i in idxs))
 
     # -- queries ------------------------------------------------------
 
@@ -299,17 +297,3 @@ class EdgeColoring:
     @staticmethod
     def from_json(text: str) -> "EdgeColoring":
         return EdgeColoring.from_dict(json.loads(text))
-
-
-# -- DOT export --------------------------------------------------------
-
-
-def to_dot(g: SimpleGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            lines.append(f"  {v};")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines)

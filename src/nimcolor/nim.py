@@ -211,21 +211,12 @@ def contains(g: SimpleGraph, h) -> bool:
     return _search(g.adj, (1 << g.n) - 1, _anchor_plans(pattern)[0], [0] * pattern.n, 0, 0)
 
 
-def contains_through_edge(g: SimpleGraph, h, e: tuple[int, int]) -> bool:
-    """True iff some embedding of h into g maps a pattern edge onto e."""
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u}, {v}) not in graph")
-    pattern = _as_graph(h)
-    return _find_through(g.adj, g.n, pattern, u, v) is not None
-
-
 def _guard(n: int, pattern: SimpleGraph, max_n: int, max_pattern: int) -> None:
     if n > max_n:
-        raise ResourceLimitError(f"n={n} exceeds limit {max_n}; pass max_n={n} to allow it")
+        raise ResourceLimitError(f"n={n} exceeds limit {max_n}", f"pass max_n={n} to allow it")
     if pattern.n > max_pattern:
         raise ResourceLimitError(
-            f"pattern order {pattern.n} exceeds limit {max_pattern}; pass max_pattern={pattern.n} to allow it"
+            f"pattern order {pattern.n} exceeds limit {max_pattern}", f"pass max_pattern={pattern.n} to allow it"
         )
 
 

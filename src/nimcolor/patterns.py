@@ -3,7 +3,7 @@
 Supported families: paths, stars, spiders (t paths sharing one end vertex),
 double brooms (a path with leaves appended to both ends), double stars
 (the two-vertex double broom with equal leaf counts), disjoint unions of
-those, and custom graphs loaded from edge data.
+those, and any custom graph.
 
 Each generated pattern carries derived metadata used elsewhere: its
 bipartition (when bipartite), all tails (paths v0-v1-v2 with deg(v2)=1,
@@ -139,18 +139,6 @@ def forest_union(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
 def custom_pattern(graph: SimpleGraph, spec: str | None = None) -> PatternGraph:
     """Wrap an arbitrary graph for NIM counting; no structure is assumed."""
     return _annotate(graph, "custom", spec or pattern_spec(graph))
-
-
-def custom_pattern_from_json(text: str) -> PatternGraph:
-    """Load a custom pattern from JSON of the form {"n": int, "edges": [[u, v], ...]}."""
-    import json
-
-    payload = json.loads(text)
-    for field in ("n", "edges"):
-        if field not in payload:
-            raise ValueError(f"pattern JSON missing field {field!r}")
-    g = SimpleGraph.from_edges(int(payload["n"]), [tuple(e) for e in payload["edges"]])
-    return custom_pattern(g)
 
 
 # -- classifiers -------------------------------------------------------

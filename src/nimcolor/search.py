@@ -6,8 +6,8 @@ preserve the NIM count, so this loses nothing for the maximum): the first
 edge (0, 1) has color 0, vertex 0 has the largest class-0 degree, vertex 1
 is a class-0 neighbour of vertex 0, and vertices 2..n-1 come in
 non-increasing class-0 degree.  A sound branch-and-bound cut tracks edges
-already provably covered by a monochromatic copy among the colored
-prefix: classes only grow along a branch, so covered edges stay covered,
+already provably covered by a monochromatic copy among the edges colored
+so far: classes only grow along a branch, so covered edges stay covered,
 and a branch whose uncovered budget cannot beat the best is dropped.
 Leaves are scored by the real NIM counter.
 
@@ -27,13 +27,13 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count
 from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _find_through, nim_edges
 from .patterns import PatternGraph
-from .turan import TuranResult, turan_value
+from .turan import TuranResult
 
 DEFAULT_LEAF_BUDGET = 1 << 20
 HILL_MAX_N = 40
@@ -45,12 +45,11 @@ class SearchResult:
     k: int
     pattern: str
     best_count: int
-    witness: Optional[EdgeColoring]  # None when no coloring was examined
+    witness: EdgeColoring
     method: str  # exhaustive | hill_climb
     exhaustive: bool
     colorings_examined: int
     elapsed: float
-    prefix: tuple[int, ...] = ()  # the colors a shard pinned; () for a whole search
 
     def to_dict(self) -> dict:
         return {
@@ -62,7 +61,7 @@ class SearchResult:
             "exhaustive": self.exhaustive,
             "colorings_examined": self.colorings_examined,
             "elapsed": self.elapsed,
-            "witness": None if self.witness is None else self.witness.to_dict(),
+            "witness": self.witness.to_dict(),
         }
 
 
@@ -72,7 +71,6 @@ def exhaustive_f(
     h: PatternGraph,
     *,
     budget: int = DEFAULT_LEAF_BUDGET,
-    prefix: tuple[int, ...] = (),
 ) -> SearchResult:
     """Exact maximum NIM count over all k-colorings of E(K_n).
 
@@ -85,14 +83,6 @@ def exhaustive_f(
     edge order: when row u starts, the degrees of 0..u-1 are final and cap
     the degree of every later vertex, so color 0 is skipped on an edge that
     would push an end past its cap.
-
-    A non-empty `prefix` pins the colors of the first len(prefix) edges,
-    turning the call into one shard of the full search; `merge_shards`
-    combines shard results.  Shards over every prefix extension of (0,)
-    jointly cover the same space the unsharded call does.  A prefix can
-    break the rules above before any leaf is reached: such a shard holds
-    no canonical coloring and returns best_count -1, no witness and no
-    leaves examined; a merge never picks it over a shard with leaves.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -101,14 +91,31 @@ def exhaustive_f(
     if h.graph.n > DEFAULT_MAX_PATTERN:
         raise ResourceLimitError(f"exhaustive search limited to pattern order <= {DEFAULT_MAX_PATTERN}")
     m = complete_edge_count(n)
-    if len(prefix) > m or any(not 0 <= c < k for c in prefix):
-        raise ValueError("prefix does not fit the edge list")
-    free = m - max(len(prefix), 1 if k > 1 else 0)
+    free = m - (1 if k > 1 else 0)
     if free >= 0 and k**free > budget:
         raise ResourceLimitError(
             f"{k}^{free} colorings exceed budget {budget}; try hill_climb_f"
         )
     started = time.perf_counter()
+    if k == 1:  # one coloring, scored directly: the search would recurse once per edge
+        colors = (0,) * m
+        best, leaves = nim_edges(EdgeColoring(n, k, colors), h).count, 1
+    else:
+        # color permutations preserve the count, so edge (0, 1) is pinned to color 0
+        best, colors, leaves = _canonical_search(n, k, h, [(0,)] + [range(k)] * (m - 1) if m else [])
+    elapsed = time.perf_counter() - started
+    return SearchResult(n, k, h.spec, best, EdgeColoring(n, k, colors), "exhaustive", True, leaves, elapsed)
+
+
+def _canonical_search(
+    n: int, k: int, h: PatternGraph, choices: Sequence[Sequence[int]]
+) -> tuple[int, tuple[int, ...], int]:
+    """(best NIM count, its colors, leaves scored) over the canonical colorings
+    in which edge e takes a color from choices[e].
+
+    Best is -1, with all colors 0, when no such coloring is canonical.
+    """
+    m = len(choices)
     pairs = all_pairs(n)
     pattern = h.graph
     colors = [0] * m
@@ -156,18 +163,12 @@ def exhaustive_f(
             if red[u].bit_count() > caps[u][(red[0] >> u) & 1]:
                 return
         bu, bv = 1 << u, 1 << v
-        if idx < len(prefix):
-            choices: range | tuple[int, ...] = (prefix[idx],)
-        elif idx == 0 and k > 1:
-            choices = (0,)  # color permutations preserve the count
-        else:
-            choices = range(k)
         # from row 1 on, color 0 on (u, v) must leave both degrees within their caps
         red_ok = u == 0 or (
             red[u].bit_count() < caps[u][(red[0] >> u) & 1]
             and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
         )
-        for c in choices:
+        for c in choices[idx]:
             if c == 0 and not red_ok:
                 continue
             colors[idx] = c
@@ -180,57 +181,8 @@ def exhaustive_f(
             adj[v] &= ~bu
         colors[idx] = 0
 
-    if k == 1:  # one coloring, scored directly: rec would recurse once per edge
-        best, leaves = nim_edges(EdgeColoring(n, k, best_colors), h).count, 1
-    else:
-        rec(0, 0)
-    witness_coloring = EdgeColoring(n, k, best_colors) if leaves else None
-    elapsed = time.perf_counter() - started
-    return SearchResult(
-        n, k, h.spec, best, witness_coloring, "exhaustive", not prefix, leaves, elapsed, prefix
-    )
-
-
-def merge_shards(shards: list[SearchResult]) -> SearchResult:
-    """Monotone max-merge of shard results; ties keep the earliest shard.
-
-    All shards must solve the same (n, k, pattern) problem.  The merge is
-    exhaustive only when one shard is a whole exhaustive search, or when
-    the shard prefixes tile the coloring tree under (0,): no prefix extends
-    another, all start with color 0, and the subtrees they pin add up to
-    the whole tree (sum of k^-(len(p) - 1) equals 1).
-    """
-    if not shards:
-        raise ValueError("nothing to merge")
-    first = shards[0]
-    for r in shards[1:]:
-        if (r.n, r.k, r.pattern) != (first.n, first.k, first.pattern):
-            raise ValueError(
-                f"shards solve different problems: n={first.n}, k={first.k}, {first.pattern}"
-                f" vs n={r.n}, k={r.k}, {r.pattern}"
-            )
-    prefixes = sorted(r.prefix for r in shards)
-    depth = max(len(p) for p in prefixes)
-    tiled = (
-        all(p and p[0] == 0 for p in prefixes)
-        # in sorted order a prefix sits right before the prefixes extending it
-        and all(b[: len(a)] != a for a, b in zip(prefixes, prefixes[1:]))
-        # the sum above, scaled by k^(depth - 1) to stay in integers
-        and sum(first.k ** (depth - len(p)) for p in prefixes) == first.k ** (depth - 1)
-    )
-    exhaustive = tiled or any(r.exhaustive and not r.prefix for r in shards)
-    winner = max(shards, key=lambda r: r.best_count)  # max keeps the first on ties
-    return SearchResult(
-        winner.n,
-        winner.k,
-        winner.pattern,
-        winner.best_count,
-        winner.witness,
-        "exhaustive",
-        exhaustive,
-        sum(r.colorings_examined for r in shards),
-        sum(r.elapsed for r in shards),
-    )
+    rec(0, 0)
+    return best, best_colors, leaves
 
 
 def hill_climb_f(
@@ -253,6 +205,8 @@ def hill_climb_f(
     a `_NimState` of the current coloring, rebuilt once per accepted move.
     Fully deterministic for fixed arguments.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if n > HILL_MAX_N:
         raise ResourceLimitError(f"hill climb limited to n <= {HILL_MAX_N}")
     if restarts < 1:
@@ -402,28 +356,3 @@ class _NimState:
 def turan_gap(ex: TuranResult, k: int, best_count: int) -> int:
     """The gap best_count - (k-1) ex(n, H), given ex(n, H)."""
     return best_count - (k - 1) * ex.value
-
-
-def compare_to_turan(result: SearchResult, h: PatternGraph) -> dict:
-    """Gap between a search result and (k-1) times the Turan value.
-
-    The scale k-1 matches the overlay-style lower bound for k-colorings
-    (for 2 colorings it is just the Turan number itself).  Desk-scale n is
-    far below where the asymptotic theorems apply, so the gap is labeled
-    as observed, not guaranteed.
-    """
-    ex = turan_value(result.n, h)
-    scale = result.k - 1
-    return {
-        "n": result.n,
-        "k": result.k,
-        "pattern": result.pattern,
-        "best_count": result.best_count,
-        "ex_value": ex.value,
-        "ex_method": ex.method,
-        "ex_below_threshold": ex.below_threshold,
-        "scale": scale,
-        "reference": scale * ex.value,
-        "gap": turan_gap(ex, result.k, result.best_count),
-        "note": f"observed at n={result.n}; theorems are asymptotic",
-    }

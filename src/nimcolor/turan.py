@@ -25,7 +25,7 @@ from .graphs import (
     join,
 )
 from .nim import _find_through, contains
-from .patterns import PatternGraph, _as_graph, is_balanced, is_forest, make_path, pattern_spec
+from .patterns import PatternGraph, _as_graph, make_path, pattern_spec
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
@@ -137,14 +137,14 @@ def ex_balanced_forest(n: int, h: PatternGraph) -> TuranResult:
     below it the result carries `below_threshold=True`.
     """
     g = h.graph
-    if not is_forest(g):
-        raise ValueError("pattern must be a forest")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if len(components(g)) < 2:
         raise ValueError("pattern must have at least two components")
     if g.n % 2 == 1:
         raise ValueError("pattern must have even order")
-    if not is_balanced(g):
-        raise ValueError("pattern must be balanced (equal classes per component)")
+    if not h.balanced:  # balanced implies a forest
+        raise ValueError("pattern must be a balanced forest (equal classes per component)")
     m = g.n // 2
     base = (m - 1) * (n - m + 1)
     value = base + (comb(m - 1, 2) if h.has_perfect_matching else 0)
@@ -182,11 +182,11 @@ def turan_oracle(
     """
     pattern = _as_graph(h)
     if n > max_n:
-        raise ResourceLimitError(f"oracle limited to n <= {max_n}, got {n}; pass max_n={n} to allow it")
+        raise ResourceLimitError(f"oracle limited to n <= {max_n}, got {n}", f"pass max_n={n} to allow it")
     if pattern.n > max_pattern:
         raise ResourceLimitError(
-            f"oracle limited to pattern order <= {max_pattern}, got {pattern.n}; "
-            f"pass max_pattern={pattern.n} to allow it"
+            f"oracle limited to pattern order <= {max_pattern}, got {pattern.n}",
+            f"pass max_pattern={pattern.n} to allow it",
         )
     if pattern.edge_count == 0:
         raise ValueError("pattern needs at least one edge")

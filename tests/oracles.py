@@ -277,7 +277,6 @@ def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, E
     m = complete_edge_count(n)
     pairs = all_pairs(n)
     pattern = h.graph
-    prefix: tuple[int, ...] = ()
     colors = [0] * m
     class_adj = [[0] * n for _ in range(k)]
     best = -1
@@ -297,13 +296,8 @@ def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, E
             return
         u, v = pairs[idx]
         bu, bv = 1 << u, 1 << v
-        if idx < len(prefix):
-            choices: range | tuple[int, ...] = (prefix[idx],)
-        elif idx == 0 and k > 1:
-            choices = (0,)  # color permutations preserve the count
-        else:
-            choices = range(k)
-        for c in choices:
+        # color permutations preserve the count
+        for c in (0,) if idx == 0 and k > 1 else range(k):
             colors[idx] = c
             adj = class_adj[c]
             adj[u] |= bv

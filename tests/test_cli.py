@@ -108,6 +108,13 @@ class TestConstructVerifyPipeline:
         assert code == 0, err
         assert json.loads(out)["count"] == 0
 
+    def test_verify_limit_names_no_keyword(self, capsys, tmp_path):
+        mono = tmp_path / "mono.json"
+        mono.write_text(json.dumps({"n": 3, "k": 1, "colors": [0, 0, 0]}))
+        code, _, err = run(capsys, "verify", "--coloring", str(mono), "--pattern", "path:17")
+        assert code == 1
+        assert "exceeds limit 16" in err and "max_pattern=" not in err
+
     def test_missing_construct_flags(self, capsys):
         code, _, err = run(capsys, "construct", "--family", "p2k", "--n", "13")
         assert code == 1
@@ -140,6 +147,11 @@ class TestTuranCommand:
         assert code == 1
         assert limit in err
         assert "max_n=" not in err and "max_pattern=" not in err
+
+    def test_negative_n_is_refused(self, capsys):
+        code, _, err = run(capsys, "turan", "--n", "-1", "--pattern", "star:3")
+        assert code == 1
+        assert err == "error: n must be >= 0, got -1\n"
 
 
 class TestSearchAndReport:
@@ -348,6 +360,30 @@ class TestSearchAndReport:
         )
         assert code == 1
         assert "--seed-construction" in err and "even --k" not in err
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize(
+        "mode", [["exhaustive"], ["hill"], ["hill", "--seed-construction", "overlay"]], ids=["exhaustive", "hill", "overlay"]
+    )
+    def test_construction_k_needs_a_p2k_seed(self, capsys, tmp_path, mode):
+        ledger = tmp_path / "l.jsonl"
+        code, _, err = run(
+            capsys,
+            "search", "--pattern", "path:4", "--n", "6", "--k", "2", "--construction-k", "3",
+            "--iterations", "0", "--ledger", str(ledger), "--mode", *mode,
+        )
+        assert code == 1
+        assert "--construction-k" in err and "--seed-construction p2k" in err
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "hill"])
+    def test_negative_n_is_refused(self, capsys, tmp_path, mode):
+        ledger = tmp_path / "l.jsonl"
+        code, _, err = run(
+            capsys, "search", "--pattern", "path:3", "--n", "-1", "--k", "2", "--mode", mode, "--ledger", str(ledger)
+        )
+        assert code == 1
+        assert err == "error: n must be >= 0, got -1\n"
         assert not ledger.exists()
 
     def test_overlay_seed_needs_a_path_pattern(self, capsys, tmp_path):

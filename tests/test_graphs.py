@@ -16,7 +16,6 @@ from nimcolor.graphs import (
     edge_index,
     edge_unindex,
     join,
-    to_dot,
 )
 
 
@@ -154,17 +153,12 @@ class TestEdgeColoring:
         with pytest.raises(ValueError, match="missing field 'colors'"):
             EdgeColoring.from_dict({"n": 3, "k": 2})
 
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            EdgeColoring(-1, 2, (0,))
+
     def test_recolored(self):
         c = EdgeColoring.monochromatic(3, k=2)
         c2 = c.recolored(1, 1)
         assert c2.colors == (0, 1, 0)
         assert c.colors == (0, 0, 0)
-
-
-class TestDot:
-    def test_dot_lists_edges_and_isolated_vertices(self):
-        g = SimpleGraph.from_edges(4, [(0, 1), (1, 2)])
-        dot = to_dot(g)
-        assert dot.startswith("graph G {")
-        assert "  0 -- 1;" in dot and "  1 -- 2;" in dot
-        assert "  3;" in dot

@@ -8,7 +8,7 @@ from oracles import contains_brute, covered_edges_brute, cover_pass_per_edge, ni
 from nimcolor import nim
 from nimcolor.constructions import p2k_multicoloring, tail_forest_coloring
 from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoint_union, edge_index, edge_unindex, join
-from nimcolor.nim import _cover_pass, _find_through, _twin_classes, contains, contains_through_edge, nim_edges
+from nimcolor.nim import _cover_pass, _find_through, _twin_classes, contains, nim_edges
 from nimcolor.errors import ResourceLimitError
 from nimcolor.patterns import (
     custom_pattern,
@@ -63,15 +63,20 @@ class TestContains:
         assert not contains(SimpleGraph.complete(2), custom_pattern(SimpleGraph.empty(3)))
 
 
+def through(g: SimpleGraph, h, e: tuple[int, int]) -> bool:
+    """True iff some copy of pattern h in g uses edge e."""
+    return _find_through(g.adj, g.n, h.graph, *e) is not None
+
+
 class TestContainsThroughEdge:
     def test_identity_embedding(self):
         g = make_path(4).graph
-        assert contains_through_edge(g, P4, (1, 2))
+        assert through(g, P4, (1, 2))
 
     def test_star_has_no_p4_anywhere(self):
         g = CLAW.graph
         for e in g.edges():
-            assert not contains_through_edge(g, P4, e)
+            assert not through(g, P4, e)
 
     def test_small_component_edge(self):
         from nimcolor.graphs import disjoint_union
@@ -80,11 +85,7 @@ class TestContainsThroughEdge:
             disjoint_union(SimpleGraph.complete(3), SimpleGraph.complete(3)),
             join(SimpleGraph.complete(1), SimpleGraph.empty(6)),
         )
-        assert not contains_through_edge(g, P4, (0, 1))
-
-    def test_rejects_non_edges(self):
-        with pytest.raises(ValueError):
-            contains_through_edge(c4(), P3, (0, 2))
+        assert not through(g, P4, (0, 1))
 
     def test_witness_is_the_edge_mask_of_a_copy_through_the_edge(self, rng):
         c5 = custom_pattern(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
@@ -104,7 +105,8 @@ class TestContainsThroughEdge:
                         continue
                     assert witness.bit_count() == h.edge_count
                     assert (witness >> e) & 1 and not witness & ~in_class
-                    assert contains_brute(SimpleGraph.from_edge_indices(n, _bits(witness)), h.graph)
+                    copy = SimpleGraph.from_edges(n, (edge_unindex(f, n) for f in _bits(witness)))
+                    assert contains_brute(copy, h.graph)
 
 
 class TestNimEdges:
@@ -131,7 +133,7 @@ class TestNimEdges:
         for e in r.nim_edges:
             i = c.colors[e]
             cls = c.color_class(i)
-            assert not contains_through_edge(cls, P4, edge_unindex(e, c.n))
+            assert not through(cls, P4, edge_unindex(e, c.n))
 
     def test_rejects_single_vertex_pattern(self):
         with pytest.raises(ValueError):
@@ -148,6 +150,16 @@ class TestNimEdges:
             nim_edges(EdgeColoring.monochromatic(4), make_path(17))
         assert nim_edges(EdgeColoring.monochromatic(70), P3, max_n=70).count == 0
         assert nim_edges(EdgeColoring.monochromatic(4), make_path(17), max_pattern=17).count == 6
+
+    def test_limit_and_hint_are_kept_apart(self):
+        with pytest.raises(ResourceLimitError) as err:
+            nim_edges(EdgeColoring.monochromatic(4), make_path(17))
+        assert err.value.limit == "pattern order 17 exceeds limit 16"
+        assert err.value.hint == "pass max_pattern=17 to allow it"
+
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            nim_edges(EdgeColoring(-1, 2, (0,)), P3)
 
     def test_matches_definition_on_random_colorings(self, rng):
         two_edges = forest_union(make_path(2), make_path(2))

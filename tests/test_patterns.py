@@ -263,19 +263,3 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(PatternSyntaxError):
             parse_pattern("")
-
-
-class TestCustomFromJson:
-    def test_loads_edge_list(self):
-        from nimcolor.patterns import custom_pattern_from_json
-
-        h = custom_pattern_from_json('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}')
-        assert h.family == "custom"
-        assert h.graph.edge_count == 4
-        assert h.bipartition is not None
-
-    def test_missing_field(self):
-        from nimcolor.patterns import custom_pattern_from_json
-
-        with pytest.raises(ValueError, match="missing field"):
-            custom_pattern_from_json('{"n": 4}')

@@ -7,8 +7,8 @@ from nimcolor.errors import ResourceLimitError
 from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs
 from nimcolor.nim import nim_edges
 from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
-from nimcolor.search import _NimState, compare_to_turan, exhaustive_f, hill_climb_f, merge_shards
-from nimcolor.turan import ex_path, extremal_path_graph
+from nimcolor.search import _canonical_search, _NimState, exhaustive_f, hill_climb_f, turan_gap
+from nimcolor.turan import ex_path, extremal_path_graph, turan_value
 from oracles import exhaustive_f_first_edge_pin, hill_climb_recount, nim_brute
 
 P3 = make_path(3)
@@ -75,64 +75,16 @@ class TestExhaustive:
             exhaustive_f(65, 1, P3)
         assert "max_n=" not in str(err.value)
 
-    def test_prefix_shards_cover_the_space(self):
-        whole = exhaustive_f(5, 2, P4)
-        shards = [exhaustive_f(5, 2, P4, prefix=(0, c)) for c in range(2)]
-        merged = merge_shards(shards)
-        assert merged.best_count == whole.best_count
-        assert merged.exhaustive
-        assert not shards[0].exhaustive
-        assert nim_edges(merged.witness, P4).count == merged.best_count
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            exhaustive_f(-1, 2, P3)
 
-    @pytest.mark.parametrize(
-        "prefixes",
-        [[(0, 1)], [(0, 0), (0, 0, 1), (0, 1)], [(0, 0), (0, 0), (0, 1)], [(1, 0), (1, 1)]],
-        ids=["one-of-two", "nested", "repeated", "not-under-0"],
-    )
-    def test_prefixes_that_do_not_tile_are_not_exhaustive(self, prefixes):
-        merged = merge_shards([exhaustive_f(5, 2, P3, prefix=p) for p in prefixes])
-        assert not merged.exhaustive
-
-    def test_merge_rejects_shards_of_different_problems(self):
-        shards = [exhaustive_f(5, 2, P3, prefix=(0, 0)), exhaustive_f(6, 2, P4, prefix=(0, 1))]
-        with pytest.raises(ValueError, match="different problems"):
-            merge_shards(shards)
-
-    @pytest.mark.parametrize(
-        "n, k, prefixes",
-        [
-            (4, 3, [(0, c) for c in range(3)]),
-            (5, 2, [(0, 0), (0, 1, 0), (0, 1, 1)]),
-            (5, 2, [(), (0, 1)]),
-        ],
-        ids=["k3-length-2", "mixed-lengths", "whole-search"],
-    )
-    def test_tiling_merge_is_exhaustive(self, n, k, prefixes):
-        whole = exhaustive_f(n, k, P3)
-        shards = [exhaustive_f(n, k, P3, prefix=p) for p in prefixes]
-        assert [r.prefix for r in shards] == prefixes
-        merged = merge_shards(shards)
-        assert merged.exhaustive
-        assert merged.best_count == whole.best_count
-
-    def test_tiling_with_a_shard_symmetry_cuts_completely(self):
+    def test_a_pin_that_breaks_the_vertex_order_has_no_leaf(self):
         # (0,1) and (1,2), (1,3), (1,4) in class 0 but (0,2), (0,3), (0,4) not:
         # vertex 1 would outrank vertex 0 in class-0 degree, so no leaf is canonical
-        cut = (0, 1, 1, 1, 0, 0, 0)
-        prefixes = [(0, 0), (0, 1, 0), (0, 1, 1, 0), cut, (0, 1, 1, 1, 0, 0, 1), (0, 1, 1, 1, 0, 1), (0, 1, 1, 1, 1)]
+        cut = (0, 1, 1, 1, 0, 0, 0, 1, 1, 1)
         for h in (P3, P4):
-            shards = [exhaustive_f(5, 2, h, prefix=p) for p in prefixes]
-            empty = shards[prefixes.index(cut)]
-            assert (empty.best_count, empty.colorings_examined, empty.witness) == (-1, 0, None)
-            assert empty.to_dict()["witness"] is None
-            merged = merge_shards(shards)
-            assert merged.exhaustive
-            assert merged.best_count == exhaustive_f(5, 2, h).best_count
-            assert nim_edges(merged.witness, h).count == merged.best_count
-
-    def test_prefix_validation(self):
-        with pytest.raises(ValueError):
-            exhaustive_f(4, 2, P3, prefix=(0, 3))
+            assert _canonical_search(5, 2, h, [(c,) for c in cut]) == (-1, (0,) * 10, 0)
 
     def test_matches_plain_enumeration_on_k4(self):
         # reference maximum over all 2^6 colorings straight from the definition
@@ -210,6 +162,10 @@ class TestHillClimb:
             hill_climb_f(20, 2, make_path(17))
         assert "max_pattern=" not in str(err.value)
 
+    def test_needs_a_color(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            hill_climb_f(5, 0, P4)
+
     def test_seed_shape_checked(self):
         with pytest.raises(ValueError):
             hill_climb_f(6, 2, P4, seed_coloring=EdgeColoring.monochromatic(6, k=3))
@@ -259,12 +215,12 @@ TWO_CHERRIES = EdgeColoring(6, 2, tuple(0 if e in {(0, 1), (0, 2), (3, 4), (3, 5
 @given(colorings(), st.sampled_from(PROPERTY_PATTERNS))
 @example(TWO_CHERRIES, P3)
 def test_every_coloring_has_a_relabeling_the_search_keeps(coloring, h):
-    # a shard whose prefix is a whole coloring scores it, or returns -1 when
-    # symmetry breaking cuts it
+    # the real search, pinned to one coloring, scores it, or finds no leaf
+    # when symmetry breaking cuts it
     canonical = canonical_relabeling(coloring)
-    shard = exhaustive_f(coloring.n, coloring.k, h, prefix=canonical.colors)
-    assert shard.colorings_examined == 1
-    assert shard.best_count == nim_edges(coloring, h).count
+    best, colors, leaves = _canonical_search(coloring.n, coloring.k, h, [(c,) for c in canonical.colors])
+    assert leaves == 1
+    assert (best, colors) == (nim_edges(coloring, h).count, canonical.colors)
 
 
 class TestDeltaEvaluation:
@@ -319,28 +275,26 @@ class TestReferenceClimber:
 class TestCompare:
     def test_zero_gap_for_small_p3(self):
         r = exhaustive_f(5, 2, P3)
-        report = compare_to_turan(r, P3)
-        assert report["ex_value"] == 2
-        assert report["gap"] == 0
-        assert "observed" in report["note"]
+        ex = turan_value(r.n, P3)
+        assert ex.value == 2
+        assert turan_gap(ex, r.k, r.best_count) == 0
 
     def test_tail_gap_is_the_block_clique(self):
         h = parse_pattern("dstar:3+path:6")
         seed, _ = tail_coloring_for(20, h)
         r = hill_climb_f(20, 2, h, iterations=0, restarts=1, seed_coloring=seed)
-        report = compare_to_turan(r, h)
-        assert report["ex_value"] == 75
-        assert report["gap"] == 10  # C(5,2)
-        assert report["ex_below_threshold"]
+        ex = turan_value(r.n, h)
+        assert ex.value == 75
+        assert turan_gap(ex, r.k, r.best_count) == 10  # C(5,2)
+        assert ex.below_threshold
 
     def test_p2k_gap_matches_added_cliques(self):
         seed, _ = p2k_multicoloring(13, 2)
         r = hill_climb_f(13, 4, P4, iterations=0, restarts=1, seed_coloring=seed)
-        report = compare_to_turan(r, P4)
-        assert report["reference"] == 3 * 12
-        assert report["gap"] == 3  # (k-1) * C(2k-1, 2) with k = 2
+        ex = turan_value(r.n, P4)
+        assert (r.k - 1) * ex.value == 3 * 12
+        assert turan_gap(ex, r.k, r.best_count) == 3  # (k-1) * C(2k-1, 2) with k = 2
 
     def test_star_uses_oracle(self):
         r = exhaustive_f(5, 2, make_star(3))
-        report = compare_to_turan(r, make_star(3))
-        assert report["ex_method"] == "oracle"
+        assert turan_value(r.n, make_star(3)).method == "oracle"

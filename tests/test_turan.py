@@ -176,6 +176,10 @@ class TestBalancedForestFormula:
         with pytest.raises(ValueError, match="even order"):
             ex_balanced_forest(20, h)
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -3"):
+            ex_balanced_forest(-3, parse_pattern("dstar:3+path:6"))
+
     def test_rejects_unbalanced(self):
         h = forest_union(make_star(3), make_path(4))
         with pytest.raises(ValueError, match="balanced"):
@@ -227,6 +231,10 @@ class TestOracle:
             turan_oracle(8, make_path(13))
         assert turan_oracle(11, make_star(3), max_n=11).value == 11
         assert turan_oracle(8, make_path(13), max_pattern=13).value == 28
+
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -2"):
+            turan_oracle(-2, make_star(3))
 
 
 # Every (n, pattern) cell with n <= 7 the suite and the benchmark use, plus
