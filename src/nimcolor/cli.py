@@ -113,7 +113,14 @@ def _cmd_pattern(args) -> int:
     return 0
 
 
+# each family-specific construct flag and the one family that reads it
+_CONSTRUCT_FLAGS = {"k": "p2k", "a": "tail", "t": "overlay", "pattern": "overlay"}
+
+
 def _cmd_construct(args) -> int:
+    for flag, family in _CONSTRUCT_FLAGS.items():
+        if getattr(args, flag) is not None and args.family != family:
+            raise ValueError(f"--{flag} is for --family {family}; --family {args.family} does not use it")
     layout_payload = None
     if args.family == "p2k":
         if args.k is None:

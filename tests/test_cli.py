@@ -120,6 +120,27 @@ class TestConstructVerifyPipeline:
         assert code == 1
         assert "--k" in err
 
+    @pytest.mark.parametrize(
+        "family, extra, flag",
+        [
+            (["p2k", "--k", "2"], ["--a", "3"], "--a"),
+            (["p2k", "--k", "2"], ["--pattern", "path:9"], "--pattern"),
+            (["p2k", "--k", "2"], ["--t", "4"], "--t"),
+            (["tail", "--a", "3"], ["--k", "7"], "--k"),
+            (["tail", "--a", "3"], ["--pattern", "path:4"], "--pattern"),
+            (["overlay", "--pattern", "path:4"], ["--k", "2"], "--k"),
+            (["overlay", "--pattern", "path:4"], ["--a", "3"], "--a"),
+        ],
+        ids=["p2k-a", "p2k-pattern", "p2k-t", "tail-k", "tail-pattern", "overlay-k", "overlay-a"],
+    )
+    def test_construct_refuses_another_familys_flag(self, capsys, tmp_path, family, extra, flag):
+        target = tmp_path / "c.json"
+        code, out, err = run(capsys, "construct", "--n", "10", "-o", str(target), "--family", *family, *extra)
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {flag} is for --family ") and f"--family {family[0]} does not use it" in err
+        assert not target.exists()
+
 
 class TestTuranCommand:
     def test_formula(self, capsys):

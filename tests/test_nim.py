@@ -4,9 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import contains_brute, covered_edges_brute, cover_pass_per_edge, nim_brute, nim_edges_anchored
+from oracles import (
+    contains_brute,
+    covered_edges_brute,
+    cover_pass_per_edge,
+    is_isomorphic,
+    nim_brute,
+    nim_edges_anchored,
+)
 from nimcolor import nim
-from nimcolor.constructions import p2k_multicoloring, tail_forest_coloring
+from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_forest_coloring
 from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoint_union, edge_index, edge_unindex, join
 from nimcolor.nim import _cover_pass, _find_through, _twin_classes, contains, nim_edges
 from nimcolor.errors import ResourceLimitError
@@ -19,6 +26,7 @@ from nimcolor.patterns import (
     make_star,
     parse_pattern,
 )
+from nimcolor.turan import ex_path, extremal_path_graph
 
 P3 = make_path(3)
 P4 = make_path(4)
@@ -343,15 +351,73 @@ PETERSEN = SimpleGraph.from_edges(
 )
 
 
+def assert_copies_valid(coloring: EdgeColoring, h, nim_mask: int, copies) -> None:
+    """Each copy of a cover pass is a copy of h in one class, made for its
+    lowest fresh edge in pass order, and the copies cover every non-NIM edge."""
+    n = coloring.n
+    covered = 0
+    for witness, fresh in copies:
+        edges = _bits(witness)
+        assert len(edges) == h.edge_count
+        assert len({coloring.colors[f] for f in edges}) == 1
+        assert fresh == witness & ~covered and fresh
+        below = (fresh & -fresh) - 1
+        assert (covered | nim_mask) & below == below
+        verts = sorted({v for f in edges for v in edge_unindex(f, n)})
+        assert len(verts) <= h.graph.n
+        pos = {v: i for i, v in enumerate(verts)}
+        copy = SimpleGraph.from_edges(
+            h.graph.n, ((pos[u], pos[v]) for u, v in (edge_unindex(f, n) for f in edges))
+        )
+        assert is_isomorphic(copy, h.graph)
+        covered |= witness
+    assert covered | nim_mask == (1 << len(coloring.colors)) - 1
+    assert not covered & nim_mask
+
+
+def assert_pass_is_sound(coloring: EdgeColoring, h) -> None:
+    adj, nim_mask, copies = _cover_pass(coloring, h.graph)
+    ref_adj, ref_nim, _ = cover_pass_per_edge(coloring, h.graph)
+    assert (adj, nim_mask) == (ref_adj, ref_nim)
+    assert_copies_valid(coloring, h, nim_mask, copies)
+
+
+def _overlay_40_path6() -> EdgeColoring:
+    h = make_path(6)
+    return extremal_overlay(40, h, extremal_path_graph(40, 6, ex_path(40, 6).recipe["a"]))
+
+
 class TestTwinCollapse:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.tuples(blown_up_colorings(), st.sampled_from(TWIN_PATTERNS)), regular_pieces()))
     @example((TRIANGLE_AND_C4, P4))
+    # one class is a K_4: the group's edge (1, 3) starts at the end b = 1
+    # of its first edge (0, 1), so the second swap moves a, not b
+    @example((EdgeColoring.monochromatic(4), P3))
     def test_pass_matches_the_per_edge_pass(self, case):
+        # the NIM mask must match one query per edge; the copies may differ
+        # from that pass's, so each is checked on its own
         coloring, h = case
-        assert _cover_pass(coloring, h.graph) == cover_pass_per_edge(coloring, h.graph)
+        assert_pass_is_sound(coloring, h)
         if coloring.n <= 8:
             assert set(nim_edges(coloring, h).nim_edges) == nim_brute(coloring, h.graph)
+
+    @pytest.mark.parametrize(
+        "build, spec",
+        [
+            (lambda: p2k_multicoloring(60, 4)[0], "path:8"),
+            (lambda: tail_forest_coloring(40, 3), "dstar:3+path:6"),
+            (_overlay_40_path6, "path:6"),
+        ],
+        ids=["p2k-60-4", "tail-40-3", "overlay-40-path6"],
+    )
+    def test_mapped_copies_on_bench_sized_constructions(self, build, spec):
+        coloring = build()
+        perm = list(range(coloring.n))
+        random.Random(7).shuffle(perm)
+        h = parse_pattern(spec)
+        for c in (coloring, coloring.permuted(perm)):
+            assert_pass_is_sound(c, h)
 
     @pytest.mark.parametrize(
         "g, twins",
@@ -372,14 +438,15 @@ class TestTwinCollapse:
     @pytest.mark.parametrize(
         "coloring, spec, queries, hits",
         [
-            (p2k_multicoloring(60, 4)[0], "path:8", 494, 435),
-            (tail_forest_coloring(40, 3), "dstar:3+path:6", 519, 517),
+            (p2k_multicoloring(60, 4)[0], "path:8", 138, 79),
+            (tail_forest_coloring(40, 3), "dstar:3+path:6", 3, 1),
             (EdgeColoring.random(30, 3, random.Random(5)), "path:4", 351, 351),
         ],
         ids=["p2k-60-4", "tail-40-3", "random-30-3"],
     )
     def test_query_counts(self, monkeypatch, coloring, spec, queries, hits):
-        # without twin groups these take 1716, 702 and 351 queries
+        # one query per uncovered edge takes 1716, 702 and 351 queries, and
+        # proving NIM once per twin group but querying every hit 494, 519 and 351
         calls = []
 
         def counted(*args):
