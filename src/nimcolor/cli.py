@@ -28,7 +28,7 @@ from .errors import ResourceLimitError, TuranUnavailableError
 from .graphs import EdgeColoring
 from .nim import nim_edges
 from .patterns import PatternGraph, parse_pattern
-from .search import exhaustive_f, hill_climb_f, turan_gap
+from .search import DEFAULT_LEAF_BUDGET, exhaustive_f, hill_climb_f, turan_gap
 from .turan import TuranResult, ex_path, extremal_path_graph, turan_oracle, turan_value
 
 DEFAULT_LEDGER = "nimcolor-ledger.jsonl"
@@ -245,7 +245,8 @@ def _cmd_report(args) -> int:
             continue
         payload = record.get("result")
         for field, kind in _REPORT_FIELDS.items():
-            if not isinstance(payload, dict) or not isinstance(payload.get(field), kind):
+            # `type(...) is kind`, as bool is an int subclass but not a JSON integer
+            if not isinstance(payload, dict) or type(payload.get(field)) is not kind:
                 raise ValueError(f"{path}: line {no}: search record has no valid result.{field}")
         case = (payload["n"], payload["pattern"])
         if case not in ex_by_case:
@@ -253,6 +254,8 @@ def _cmd_report(args) -> int:
                 ex_by_case[case] = turan_value(payload["n"], parse_pattern(payload["pattern"]))
             except (TuranUnavailableError, ResourceLimitError):
                 ex_by_case[case] = None
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {no}: {exc}") from exc
         ex = ex_by_case[case]
         ex_value = None if ex is None else ex.value
         gap = None if ex is None else turan_gap(ex, payload["k"], payload["best_count"])
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed-construction", choices=["overlay", "tail", "p2k"])
     p.add_argument("--construction-k", type=int)
-    p.add_argument("--budget", type=int, default=1 << 20)
+    p.add_argument("--budget", type=int, default=DEFAULT_LEAF_BUDGET)
     p.add_argument("--ledger")
     p.set_defaults(func=_cmd_search)
 

@@ -7,27 +7,24 @@ computation reduces to anchored subgraph-embedding queries within single
 color classes.
 
 `_cover_pass` sweeps all edges once in canonical order and keeps one
-cover mask: each edge not yet marked gets a copy through it in its own
-class, and the copy, a bitmask of its edges in canonical order, marks all
-of them.  Copies never leave their class, so this is the per-class cover
-pass of every class at once.  Edges with no such copy are NIM.
-`nim_edges` reports them; the hill climber in search.py keeps the copies
-too.  The test suite checks the count against a reference counter with
-its own, separately coded search (`nim_edges_anchored` in
+cover mask: an edge not yet marked is queried for a copy through it in its
+own class, and the copy, a bitmask of its edges in canonical order, marks
+all of them.  Copies never leave their class, so this is the per-class
+cover pass of every class at once.  Edges with no such copy are NIM.
+`nim_edges` reports them; the hill climber in search.py starts from the
+pass's copies too.  The test suite checks the count against a reference
+counter with its own, separately coded search (`nim_edges_anchored` in
 tests/oracles.py).
 
 The paper's colorings are built from cliques, joins and complete
 bipartite pieces whose classes are full of twins (vertices with the same
 open or the same closed neighbourhood in the class).  Swapping two twins
 is an automorphism of the class graph, so all edges of a class between
-two twin classes, or inside one, are NIM or not together, and a copy
-through one edge of such a group maps to a copy through any other.  The
-pass queries only the first uncovered edge of each group.  If it is NIM,
-so is the rest of the group; if not, each later uncovered edge of the
-group takes the first copy mapped through two twin swaps.  The NIM mask
-is that of one query per uncovered edge; the copies may differ from the
-ones such queries would find, but each is a copy of the pattern in its
-class through the edge it was made for.
+two twin classes, or inside one, are NIM or not together.  The pass
+queries only the first uncovered edge of each such group and gives the
+rest of the group its answer: NIM, or hit with no copy.  The NIM mask is
+that of one query per uncovered edge.  The hit edges the pass skips have
+no copy of their own; the hill climber queries them when it needs one.
 
 The engine is one plan family and one recursion.  `_anchor_plans` makes
 one plan per pattern edge and orientation: the edge's ends take positions
@@ -241,35 +238,27 @@ def _twin_classes(rows: Sequence[int]) -> list[int]:
     return twin
 
 
-def _cover_pass(
-    coloring: EdgeColoring, pattern: SimpleGraph
-) -> tuple[list[list[int]], int, list[tuple[int, int]]]:
+def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> tuple[list[list[int]], int, dict[int, int]]:
     """One cover pass: (class adjacency, NIM edge mask, copies found).
 
-    Each copy is recorded as (witness, fresh): the mask of its edges and
-    the mask of those it was the first to cover.  Every uncovered edge
-    gets one copy through it, or is NIM.
+    `copies` maps each queried edge that is not NIM to the copy found
+    through it, a mask of its edges; the copy marks all of them covered.
 
     Edges are grouped by (color, twin-class pair), with twin classes from
-    `_twin_classes`, one dict pass per class.  The first uncovered edge
-    (a, b) of a group is queried.  If it is NIM, the group's later edges
-    are marked NIM without a query.  Otherwise its copy is kept as a list
-    of vertex pairs, and each later uncovered edge (x, y) of the group,
-    oriented so that x is a twin of a, takes that copy mapped through two
-    twin swaps: a with x, then b' with y, where b' is b's image under the
-    first swap (a if b = x, else b).  The composition sends a to x and b
-    to y and is an automorphism of the class graph, so the mapped copy
-    lies in the class and passes through (x, y).  NIM edges never cover
-    anything, so the NIM mask is the same as querying every uncovered
-    edge.
+    `_twin_classes`, one dict pass per class.  Only the first uncovered
+    edge of a group is queried: the group is NIM or hit as a whole, so
+    each later uncovered edge of the group is NIM if the group is and is
+    otherwise left uncovered, with no query and no copy.  NIM edges never
+    cover anything, so the NIM mask is the same as querying every
+    uncovered edge.
     """
     n = coloring.n
     pairs = all_pairs(n)
     adj = coloring.class_adjacency()
     twins = [_twin_classes(rows) for rows in adj]
     nim = covered = 0
-    groups: dict[tuple[int, int, int], tuple] = {}  # () when NIM, else (a, b, copy's vertex pairs)
-    copies = []
+    groups: dict[tuple[int, int, int], bool] = {}  # True when the group is NIM
+    copies: dict[int, int] = {}
     for e, c in enumerate(coloring.colors):
         if (covered >> e) & 1:
             continue
@@ -277,33 +266,15 @@ def _cover_pass(
         twin = twins[c]
         tx, ty = twin[x], twin[y]
         group = (c, tx, ty) if tx < ty else (c, ty, tx)
-        rep = groups.get(group)
-        if rep is None:
+        is_nim = groups.get(group)
+        if is_nim is None:
             witness = _find_through(adj[c], n, pattern, x, y)
-            if witness is None:
-                groups[group] = ()
-                nim |= 1 << e
-                continue
-            groups[group] = (x, y, [pairs[f] for f in _bits(witness)])
-        elif not rep:
+            is_nim = groups[group] = witness is None
+            if witness is not None:
+                copies[e] = witness
+                covered |= witness
+        if is_nim:
             nim |= 1 << e
-            continue
-        else:
-            a, b, copy = rep
-            if twin[a] != tx:
-                x, y = y, x
-            b = a if b == x else b
-            witness = 0
-            for p, q in copy:
-                p = x if p == a else a if p == x else p
-                p = y if p == b else b if p == y else p
-                q = x if q == a else a if q == x else q
-                q = y if q == b else b if q == y else q
-                if p > q:
-                    p, q = q, p
-                witness |= 1 << (p * n - p * (p + 1) // 2 + q - p - 1)
-        copies.append((witness, witness & ~covered))
-        covered |= witness
     return adj, nim, copies
 
 

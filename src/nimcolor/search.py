@@ -270,8 +270,12 @@ class _NimState:
     class adjacency, `nim` the NIM edge mask and `class_nim[c]` the NIM
     edges of class c in canonical order.  `dependents[f]` is the bitmask of
     edges whose cover witness contains f, the cover witness of an edge
-    being the copy that first covered it.  Recoloring edge e from class c
-    to class c' changes only those two classes, so its new NIM count is
+    being the copy that first covers it in a walk over the non-NIM edges in
+    canonical order.  The walk takes the pass's copy through an edge where
+    there is one and otherwise queries the edge, which always finds a copy
+    since the edge is not NIM; the pass leaves the later hits of each twin
+    group without one.  Recoloring edge e from class c to class c' changes
+    only those two classes, so its new NIM count is
     `score + loss(e) + gain(e, c')`.  `gain` requeries the NIM edges of c'
     that no copy through e covers yet, in `class_nim[c']` order.
     """
@@ -282,9 +286,18 @@ class _NimState:
         self.pairs = all_pairs(coloring.n)
         self.adj, self.nim, copies = _cover_pass(coloring, pattern)
         self.dependents = dependents = [0] * len(self.pairs)
-        for witness, fresh in copies:
+        covered = self.nim
+        for e, c in enumerate(self.colors):
+            if (covered >> e) & 1:
+                continue
+            witness = copies.get(e)
+            if witness is None:  # skipped by the pass, or covered there by a copy not taken here
+                u, v = self.pairs[e]
+                witness = _find_through(self.adj[c], self.n, pattern, u, v)
+            fresh = witness & ~covered
             for f in _bits(witness):
                 dependents[f] |= fresh
+            covered |= witness
         self.class_nim: list[list[int]] = [[] for _ in range(coloring.k)]
         for e in _bits(self.nim):
             self.class_nim[self.colors[e]].append(e)

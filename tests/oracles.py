@@ -12,8 +12,8 @@ full-recount loop, scores every candidate with a fresh `nim_edges` count;
 branch-and-bound recursions before the degree-sum bound and the class-0
 degree-order symmetry were added; `cover_pass_per_edge` is the cover pass
 before twin groups, with one query per uncovered edge: the pass's NIM
-mask must equal its own, while the pass's copies, mapped through twin
-swaps, are checked one by one instead.
+mask must equal its own, while the pass's copies, which skip the later
+hits of each twin group, are checked one by one instead.
 `nim_edges_anchored` is the reference NIM counter, with its own
 separately coded embedding search, and `is_isomorphic` a backtracking
 isomorphism test.

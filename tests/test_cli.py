@@ -296,6 +296,18 @@ class TestSearchAndReport:
         [
             ("[1, 2]", "line 2: ledger record is not a JSON object"),
             ('{"command": "search", "result": {"n": 4, "k": 2}}', "line 2: search record has no valid result.pattern"),
+            (
+                '{"command": "search", "result": {"n": true, "k": 2, "pattern": "path:3", "best_count": true, "exhaustive": true}}',
+                "line 2: search record has no valid result.n",
+            ),
+            (
+                '{"command": "search", "result": {"n": 4, "k": 2, "pattern": "bogus", "best_count": 2, "exhaustive": true}}',
+                "line 2: expected 'family:args', got 'bogus'",
+            ),
+            (
+                '{"command": "search", "result": {"n": -3, "k": 2, "pattern": "path:3", "best_count": 2, "exhaustive": true}}',
+                "line 2: n must be >= 0",
+            ),
         ],
     )
     def test_report_names_a_malformed_record(self, capsys, tmp_path, line, named):

@@ -26,6 +26,7 @@ from nimcolor.patterns import (
     make_star,
     parse_pattern,
 )
+from nimcolor.search import _NimState
 from nimcolor.turan import ex_path, extremal_path_graph
 
 P3 = make_path(3)
@@ -351,35 +352,36 @@ PETERSEN = SimpleGraph.from_edges(
 )
 
 
-def assert_copies_valid(coloring: EdgeColoring, h, nim_mask: int, copies) -> None:
-    """Each copy of a cover pass is a copy of h in one class, made for its
-    lowest fresh edge in pass order, and the copies cover every non-NIM edge."""
+def assert_copy_through(coloring: EdgeColoring, h, witness: int, e: int) -> None:
+    """`witness` is the edge mask of a copy of h inside e's class through e."""
     n = coloring.n
-    covered = 0
-    for witness, fresh in copies:
-        edges = _bits(witness)
-        assert len(edges) == h.edge_count
-        assert len({coloring.colors[f] for f in edges}) == 1
-        assert fresh == witness & ~covered and fresh
-        below = (fresh & -fresh) - 1
-        assert (covered | nim_mask) & below == below
-        verts = sorted({v for f in edges for v in edge_unindex(f, n)})
-        assert len(verts) <= h.graph.n
-        pos = {v: i for i, v in enumerate(verts)}
-        copy = SimpleGraph.from_edges(
-            h.graph.n, ((pos[u], pos[v]) for u, v in (edge_unindex(f, n) for f in edges))
-        )
-        assert is_isomorphic(copy, h.graph)
-        covered |= witness
-    assert covered | nim_mask == (1 << len(coloring.colors)) - 1
-    assert not covered & nim_mask
+    edges = _bits(witness)
+    assert (witness >> e) & 1
+    assert len(edges) == h.edge_count
+    assert {coloring.colors[f] for f in edges} == {coloring.colors[e]}
+    verts = sorted({v for f in edges for v in edge_unindex(f, n)})
+    assert len(verts) <= h.graph.n
+    pos = {v: i for i, v in enumerate(verts)}
+    copy = SimpleGraph.from_edges(h.graph.n, ((pos[u], pos[v]) for u, v in (edge_unindex(f, n) for f in edges)))
+    assert is_isomorphic(copy, h.graph)
 
 
 def assert_pass_is_sound(coloring: EdgeColoring, h) -> None:
+    """The pass's adjacency and NIM mask are those of one query per uncovered
+    edge, each of its copies is a copy through the edge it was found for, and
+    the climber's state gives every non-NIM edge, and no other, such a copy."""
     adj, nim_mask, copies = _cover_pass(coloring, h.graph)
     ref_adj, ref_nim, _ = cover_pass_per_edge(coloring, h.graph)
     assert (adj, nim_mask) == (ref_adj, ref_nim)
-    assert_copies_valid(coloring, h, nim_mask, copies)
+    for e, witness in copies.items():
+        assert_copy_through(coloring, h, witness, e)
+    witnesses: dict[int, int] = {}  # each edge's cover witness, read back from `dependents`
+    for f, dependents in enumerate(_NimState(coloring, h.graph).dependents):
+        for e in _bits(dependents):
+            witnesses[e] = witnesses.get(e, 0) | 1 << f
+    assert sum(1 << e for e in witnesses) == ((1 << len(coloring.colors)) - 1) & ~nim_mask
+    for e, witness in witnesses.items():
+        assert_copy_through(coloring, h, witness, e)
 
 
 def _overlay_40_path6() -> EdgeColoring:
@@ -391,12 +393,12 @@ class TestTwinCollapse:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.tuples(blown_up_colorings(), st.sampled_from(TWIN_PATTERNS)), regular_pieces()))
     @example((TRIANGLE_AND_C4, P4))
-    # one class is a K_4: the group's edge (1, 3) starts at the end b = 1
-    # of its first edge (0, 1), so the second swap moves a, not b
+    # one class is a K_4, a single twin group: the pass queries (0, 1) only,
+    # and the climber's state queries each later edge no copy covers yet
     @example((EdgeColoring.monochromatic(4), P3))
     def test_pass_matches_the_per_edge_pass(self, case):
-        # the NIM mask must match one query per edge; the copies may differ
-        # from that pass's, so each is checked on its own
+        # the NIM mask must match one query per edge; the copies differ from
+        # that pass's, since skipped hits have none, so each is checked on its own
         coloring, h = case
         assert_pass_is_sound(coloring, h)
         if coloring.n <= 8:
@@ -411,7 +413,7 @@ class TestTwinCollapse:
         ],
         ids=["p2k-60-4", "tail-40-3", "overlay-40-path6"],
     )
-    def test_mapped_copies_on_bench_sized_constructions(self, build, spec):
+    def test_copies_and_climber_witnesses_on_bench_sized_constructions(self, build, spec):
         coloring = build()
         perm = list(range(coloring.n))
         random.Random(7).shuffle(perm)
