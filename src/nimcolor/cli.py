@@ -193,6 +193,8 @@ def _cmd_search(args) -> int:
             raise ValueError("--seed-construction seeds --mode hill only; exhaustive search takes no seed")
         result = exhaustive_f(args.n, args.k, h, budget=args.budget)
     else:
+        if args.iterations < 0:
+            raise ValueError(f"--iterations must be >= 0, got {args.iterations}")
         result = hill_climb_f(
             args.n,
             args.k,

@@ -60,6 +60,13 @@ def all_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
+@lru_cache(maxsize=None)
+def edge_rank_offsets(n: int) -> tuple[int, ...]:
+    """`edge_index` as a cached table: for u < v the rank of {u, v} is
+    ``edge_rank_offsets(n)[u] + v``, for loops that rank many pairs of one n."""
+    return tuple(_row_start(u, n) - u - 1 for u in range(n))
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:

@@ -27,17 +27,24 @@ that of one query per uncovered edge.  The hit edges the pass skips have
 no copy of their own; the hill climber queries them when it needs one.
 
 The engine is one plan family and one recursion.  `_anchor_plans` makes
-one plan per pattern edge and orientation: the edge's ends take positions
-0 and 1, the rest of their component follows in DFS order, then the other
-components, largest first, each DFS-ordered from a max-degree root, so
-partial embeddings stay connected.  `_search` draws each position from the
-common host neighbours of its earlier pattern neighbours, or from all free
-vertices when it has none; it prunes by host degree and collapses twin
-candidates (vertices with identical adjacency outside the pair), which is
-sound for existence queries.  `_find_through` pins positions 0 and 1 to a
-host edge and tries every plan; `contains` enters the first plan at
-position 0, which has no earlier neighbours and so ranges over every host
-vertex.
+one plan per automorphism orbit of an oriented pattern edge: the edge's
+ends take positions 0 and 1, the rest of their component follows in DFS
+order, then the other components, largest first, each DFS-ordered from a
+max-degree root, so partial embeddings stay connected.  An oriented edge
+that an automorphism of the pattern maps an earlier plan's anchor onto
+gets no plan of its own: a copy anchored by it is, through that
+automorphism, a copy anchored by the earlier plan.  `_search` draws each
+position from the common host neighbours of its earlier pattern
+neighbours, or from all free vertices when it has none; it prunes by host
+degree and collapses twin candidates (vertices with identical adjacency
+outside the pair), which is sound for existence queries.  At the last
+position every pattern neighbour is placed, so any candidate fits and the
+lowest is taken.  `_find_through` pins positions 0 and 1 to a host edge
+and tries the plans in order.  A plan succeeds only if the first plan of
+its orbit does, so the first plan to succeed, and the copy it returns,
+are those of trying every oriented edge.  `contains` enters the first
+plan at position 0, which has no earlier neighbours and so ranges over
+every host vertex.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, components, edge_index
+from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, components, edge_rank_offsets
 from .patterns import _as_graph, pattern_spec
 
 DEFAULT_MAX_N = 64
@@ -124,12 +131,35 @@ def _component_order(g: SimpleGraph, skip: set[int]) -> list[list[int]]:
     return out
 
 
+# keyed by the adjacency rows, not by the graph: a tuple of ints hashes and
+# compares in C, where SimpleGraph's generated __hash__ and __eq__ would run
+# Python code on every query
 @lru_cache(maxsize=None)
-def _anchor_plans(g: SimpleGraph) -> tuple[_Plan, ...]:
-    """One plan per (pattern edge, orientation): positions 0 and 1 are the anchor."""
-    plans = []
+def _anchor_plans(pattern_adj: tuple[int, ...]) -> tuple[_Plan, ...]:
+    """One plan per automorphism orbit of an oriented edge of the pattern g
+    with adjacency rows `pattern_adj`.
+
+    Positions 0 and 1 of a plan are its anchor (a, b).  Oriented edges are
+    taken in edge order, and (a, b) gets a plan only if no kept plan's
+    anchor maps onto it by an automorphism of g.  `_search` on g itself,
+    with a kept plan's positions 0 and 1 pinned to a and b, finds such an
+    automorphism: an injective edge-preserving map of g into itself.
+
+    Witnesses do not change.  If an automorphism s takes the anchor of a
+    kept plan onto (a, b), then for every copy f of g anchored by (a, b)
+    at a host edge, f∘s is a copy anchored by the kept plan there.  So the
+    kept plan, which comes first, succeeds whenever (a, b)'s plan would,
+    and the first plan to succeed is always the first of its orbit.
+    """
+    g = SimpleGraph(len(pattern_adj), pattern_adj)
+    full = (1 << g.n) - 1
+    img = [0] * g.n
+    plans: list[_Plan] = []
     for x, y in g.edges():
         for a, b in ((x, y), (y, x)):
+            img[0], img[1] = a, b
+            if any(_search(g.adj, full, kept, img, 1 << a | 1 << b, 2) for kept in plans):
+                continue
             order = [a, b]
             _dfs_extend(g, order, {a, b})
             for chunk in _component_order(g, set(order)):
@@ -142,9 +172,9 @@ def _anchor_plans(g: SimpleGraph) -> tuple[_Plan, ...]:
 
 
 def _search(adj: Sequence[int], full: int, plan: _Plan, img: list[int], used: int, pos: int) -> bool:
-    order, prev, degrees = plan.order, plan.prev, plan.degrees
-    h = len(order)
-    if pos == h:
+    prev = plan.prev
+    last = len(prev) - 1
+    if pos > last:
         return True
     nbrs = prev[pos]
     if nbrs:
@@ -154,7 +184,14 @@ def _search(adj: Sequence[int], full: int, plan: _Plan, img: list[int], used: in
         cand &= ~used
     else:
         cand = full & ~used
-    need = degrees[pos]
+    if pos == last:
+        # every pattern neighbour is placed, so each candidate has the
+        # degree and completes the copy: take the lowest, as the loop would
+        if not cand:
+            return False
+        img[pos] = (cand & -cand).bit_length() - 1
+        return True
+    need = plan.degrees[pos]
     kept: list[int] = []
     while cand:
         b = cand & -cand
@@ -182,17 +219,19 @@ def _find_through(adj: Sequence[int], n: int, pattern: SimpleGraph, u: int, v: i
     if pattern.n > n:
         return None
     full = (1 << n) - 1
-    bu, bv = 1 << u, 1 << v
+    used = 1 << u | 1 << v
     du, dv = adj[u].bit_count(), adj[v].bit_count()
     img = [0] * pattern.n
-    for plan in _anchor_plans(pattern):
+    img[0], img[1] = u, v  # _search writes positions 2 and up only
+    for plan in _anchor_plans(pattern.adj):
         if du < plan.degrees[0] or dv < plan.degrees[1]:
             continue
-        img[0], img[1] = u, v
-        if _search(adj, full, plan, img, bu | bv, 2):
+        if _search(adj, full, plan, img, used, 2):
+            offset = edge_rank_offsets(n)
             witness = 0
             for p, q in plan.edges:
-                witness |= 1 << edge_index(img[p], img[q], n)
+                a, b = img[p], img[q]
+                witness |= 1 << (offset[a] + b if a < b else offset[b] + a)
             return witness
     return None
 
@@ -207,7 +246,7 @@ def contains(g: SimpleGraph, h) -> bool:
         return False
     if pattern.edge_count == 0:
         return True
-    return _search(g.adj, (1 << g.n) - 1, _anchor_plans(pattern)[0], [0] * pattern.n, 0, 0)
+    return _search(g.adj, (1 << g.n) - 1, _anchor_plans(pattern.adj)[0], [0] * pattern.n, 0, 0)
 
 
 def _guard(n: int, pattern: SimpleGraph, max_n: int, max_pattern: int) -> None:

@@ -209,6 +209,8 @@ def hill_climb_f(
         raise ValueError("k must be >= 1")
     if n > HILL_MAX_N:
         raise ResourceLimitError(f"hill climb limited to n <= {HILL_MAX_N}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     if restarts < 1:
         raise ValueError("need at least one start")
     if seed_coloring is not None and (seed_coloring.n != n or seed_coloring.k != k):

@@ -13,7 +13,11 @@ branch-and-bound recursions before the degree-sum bound and the class-0
 degree-order symmetry were added; `cover_pass_per_edge` is the cover pass
 before twin groups, with one query per uncovered edge: the pass's NIM
 mask must equal its own, while the pass's copies, which skip the later
-hits of each twin group, are checked one by one instead.
+hits of each twin group, are checked one by one instead;
+`find_through_all_plans` is the anchored query before automorphism
+orbits and the last-vertex shortcut, trying a plan for every oriented
+pattern edge and every candidate at every position: the query must
+return its copy mask, bit for bit, or None with it.
 `nim_edges_anchored` is the reference NIM counter, with its own
 separately coded embedding search, and `is_isomorphic` a backtracking
 isomorphism test.
@@ -21,12 +25,13 @@ isomorphism test.
 
 import random
 import time
+from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Optional, Sequence
 
 from nimcolor.errors import ResourceLimitError
 from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs, complete_edge_count, edge_index
-from nimcolor.nim import NimReport, _find_through, nim_edges
+from nimcolor.nim import NimReport, _component_order, _dfs_extend, _find_through, _Plan, _plan_from_order, nim_edges
 from nimcolor.patterns import PatternGraph, _as_graph, pattern_spec
 from nimcolor.search import SearchResult
 
@@ -312,6 +317,77 @@ def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, E
 
     rec(0, 0)
     return best, EdgeColoring(n, k, best_colors)
+
+
+@lru_cache(maxsize=None)
+def anchor_plans_all(g: SimpleGraph) -> tuple[_Plan, ...]:
+    """`_anchor_plans` before orbit dedupe: one plan per (pattern edge, orientation)."""
+    plans = []
+    for x, y in g.edges():
+        for a, b in ((x, y), (y, x)):
+            order = [a, b]
+            _dfs_extend(g, order, {a, b})
+            for chunk in _component_order(g, set(order)):
+                order.extend(chunk)
+            plans.append(_plan_from_order(g, order))
+    return tuple(plans)
+
+
+def search_every_candidate(adj: Sequence[int], full: int, plan: _Plan, img: list[int], used: int, pos: int) -> bool:
+    """`_search` before the last-vertex shortcut."""
+    order, prev, degrees = plan.order, plan.prev, plan.degrees
+    h = len(order)
+    if pos == h:
+        return True
+    nbrs = prev[pos]
+    if nbrs:
+        cand = adj[img[nbrs[0]]]
+        for q in nbrs[1:]:
+            cand &= adj[img[q]]
+        cand &= ~used
+    else:
+        cand = full & ~used
+    need = degrees[pos]
+    kept: list[int] = []
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        w = b.bit_length() - 1
+        aw = adj[w]
+        if aw.bit_count() < need:
+            continue
+        twin = False
+        for r in kept:
+            if not (aw ^ adj[r]) & ~(b | (1 << r)):
+                twin = True
+                break
+        if twin:
+            continue
+        kept.append(w)
+        img[pos] = w
+        if search_every_candidate(adj, full, plan, img, used | b, pos + 1):
+            return True
+    return False
+
+
+def find_through_all_plans(adj: Sequence[int], n: int, pattern: SimpleGraph, u: int, v: int) -> Optional[int]:
+    """`_find_through` before orbit dedupe: every plan of `anchor_plans_all` in turn."""
+    if pattern.n > n:
+        return None
+    full = (1 << n) - 1
+    bu, bv = 1 << u, 1 << v
+    du, dv = adj[u].bit_count(), adj[v].bit_count()
+    img = [0] * pattern.n
+    for plan in anchor_plans_all(pattern):
+        if du < plan.degrees[0] or dv < plan.degrees[1]:
+            continue
+        img[0], img[1] = u, v
+        if search_every_candidate(adj, full, plan, img, bu | bv, 2):
+            witness = 0
+            for p, q in plan.edges:
+                witness |= 1 << edge_index(img[p], img[q], n)
+            return witness
+    return None
 
 
 def cover_pass_per_edge(

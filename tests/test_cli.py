@@ -419,6 +419,17 @@ class TestSearchAndReport:
         assert err == "error: n must be >= 0, got -1\n"
         assert not ledger.exists()
 
+    def test_negative_iterations_are_refused(self, capsys, tmp_path):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", "path:3", "--n", "5", "--k", "2",
+            "--mode", "hill", "--iterations", "-1", "--ledger", str(ledger),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --iterations must be >= 0, got -1\n"
+        assert not ledger.exists()
+
     def test_overlay_seed_needs_a_path_pattern(self, capsys, tmp_path):
         ledger = tmp_path / "l.jsonl"
         code, _, err = run(

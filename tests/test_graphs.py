@@ -14,6 +14,7 @@ from nimcolor.graphs import (
     components,
     disjoint_union,
     edge_index,
+    edge_rank_offsets,
     edge_unindex,
     join,
 )
@@ -45,6 +46,13 @@ class TestEdgeIndex:
             for i, (u, v) in enumerate(all_pairs(n)):
                 assert edge_index(u, v, n) == i
                 assert edge_unindex(i, n) == (u, v)
+
+    def test_rank_offsets_match_edge_index(self):
+        for n in (0, 1, 2, 7, 64):
+            offset = edge_rank_offsets(n)
+            assert len(offset) == n
+            for u, v in all_pairs(n):
+                assert offset[u] + v == edge_index(u, v, n)
 
     def test_large_n_support(self):
         n = 4096

@@ -8,6 +8,7 @@ from oracles import (
     contains_brute,
     covered_edges_brute,
     cover_pass_per_edge,
+    find_through_all_plans,
     is_isomorphic,
     nim_brute,
     nim_edges_anchored,
@@ -15,7 +16,7 @@ from oracles import (
 from nimcolor import nim
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_forest_coloring
 from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoint_union, edge_index, edge_unindex, join
-from nimcolor.nim import _cover_pass, _find_through, _twin_classes, contains, nim_edges
+from nimcolor.nim import _anchor_plans, _cover_pass, _find_through, _twin_classes, contains, nim_edges
 from nimcolor.errors import ResourceLimitError
 from nimcolor.patterns import (
     custom_pattern,
@@ -27,7 +28,7 @@ from nimcolor.patterns import (
     parse_pattern,
 )
 from nimcolor.search import _NimState
-from nimcolor.turan import ex_path, extremal_path_graph
+from nimcolor.turan import ex_path, extremal_path_graph, turan_oracle
 
 P3 = make_path(3)
 P4 = make_path(4)
@@ -116,6 +117,82 @@ class TestContainsThroughEdge:
                     assert (witness >> e) & 1 and not witness & ~in_class
                     copy = SimpleGraph.from_edges(n, (edge_unindex(f, n) for f in _bits(witness)))
                     assert contains_brute(copy, h.graph)
+
+
+ORBIT_PATTERNS = [
+    make_path(6),
+    CLAW,
+    SPIDER,
+    C5,
+    custom_pattern(SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])),  # K_4 minus an edge
+    forest_union(P3, P3),
+    custom_pattern(SimpleGraph.from_edges(5, [(0, 1), (1, 2), (1, 3)])),  # a claw beside an isolated vertex
+]
+
+
+@st.composite
+def small_hosts(draw):
+    """A graph on at most 9 vertices, each pair an edge with a drawn density."""
+    n = draw(st.integers(2, 9))
+    density = draw(st.integers(2, 9))
+    dice = draw(st.lists(st.integers(0, 9), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return SimpleGraph.from_edges(n, (pair for pair, d in zip(all_pairs(n), dice) if d < density))
+
+
+class TestAnchorOrbits:
+    @pytest.mark.parametrize(
+        "spec, plans",
+        [
+            ("path:2", 1),
+            ("path:3", 2),
+            ("path:4", 3),
+            ("path:6", 5),
+            ("path:8", 7),
+            ("star:3", 2),
+            ("star:6", 2),
+            ("spider:2,2,1", 6),
+            ("dstar:3+path:6", 8),
+        ],
+    )
+    def test_one_plan_per_orbit_of_oriented_edges(self, spec, plans):
+        # every oriented edge has a plan of its own without the dedupe:
+        # 2, 4, 6, 10, 14, 6, 12, 10 and 20
+        assert len(_anchor_plans(parse_pattern(spec).graph.adj)) == plans
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_hosts(), st.sampled_from(ORBIT_PATTERNS))
+    def test_copy_masks_match_trying_every_plan(self, g, h):
+        for x, y in g.edges():
+            for u, v in ((x, y), (y, x)):
+                got = _find_through(g.adj, g.n, h.graph, u, v)
+                assert got == find_through_all_plans(g.adj, g.n, h.graph, u, v), (h.spec, u, v)
+
+    @pytest.mark.parametrize(
+        "run, spec, entered",
+        [
+            # 905 when every oriented edge had a plan
+            (lambda h: nim_edges(p2k_multicoloring(60, 4)[0], h), "path:8", 492),
+            # 36,980 when every oriented edge had a plan; the closing
+            # `contains` check on the witness adds its own
+            (lambda h: turan_oracle(8, h), "spider:2,2,1", 24043),
+        ],
+        ids=["nim-p2k-60-4-path8", "turan-8-spider"],
+    )
+    def test_plans_entered(self, monkeypatch, run, spec, entered):
+        # a query enters a plan by calling _search at position 2
+        h = parse_pattern(spec)
+        _anchor_plans(h.graph.adj)  # build the plans first: the orbit check calls _search too
+        calls = 0
+
+        def counted(adj, full, plan, img, used, pos):
+            nonlocal calls
+            calls += pos == 2
+            return search(adj, full, plan, img, used, pos)
+
+        search = nim._search
+        monkeypatch.setattr(nim, "_search", counted)
+        run(h)
+        assert calls == entered
 
 
 class TestNimEdges:

@@ -170,6 +170,10 @@ class TestHillClimb:
         with pytest.raises(ValueError):
             hill_climb_f(6, 2, P4, seed_coloring=EdgeColoring.monochromatic(6, k=3))
 
+    def test_negative_iterations_are_refused(self):
+        with pytest.raises(ValueError, match=r"^iterations must be >= 0, got -1$"):
+            hill_climb_f(5, 2, make_path(3), iterations=-1)
+
 
 # Trees, forests and an odd cycle.  C_5 is the one pattern with a cycle;
 # its pinned example below stays as a regression case for `gain`, since it
