@@ -121,13 +121,11 @@ def _cmd_construct(args) -> int:
     for flag, family in _CONSTRUCT_FLAGS.items():
         if getattr(args, flag) is not None and args.family != family:
             raise ValueError(f"--{flag} is for --family {family}; --family {args.family} does not use it")
-    layout_payload = None
+    layout = None
     if args.family == "p2k":
         if args.k is None:
             raise ValueError("p2k needs --k")
         coloring, layout = p2k_multicoloring(args.n, args.k)
-        layout_payload = layout.to_dict()
-        layout_payload["verify"] = verify_layout(layout).to_dict()
     elif args.family == "tail":
         if args.a is None:
             raise ValueError("tail needs --a")
@@ -142,9 +140,10 @@ def _cmd_construct(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(coloring.to_json() + "\n")
-        if layout_payload is not None:
-            sidecar = args.output + ".layout.json"
-            with open(sidecar, "w", encoding="utf-8") as fh:
+        if layout is not None:
+            layout_payload = layout.to_dict()
+            layout_payload["verify"] = verify_layout(layout).to_dict()
+            with open(args.output + ".layout.json", "w", encoding="utf-8") as fh:
                 json.dump(layout_payload, fh, sort_keys=True)
                 fh.write("\n")
         _emit({"written": args.output, "n": coloring.n, "k": coloring.k})
@@ -195,6 +194,8 @@ def _cmd_search(args) -> int:
     else:
         if args.iterations < 0:
             raise ValueError(f"--iterations must be >= 0, got {args.iterations}")
+        if args.restarts < 1:
+            raise ValueError(f"--restarts must be >= 1, got {args.restarts}")
         result = hill_climb_f(
             args.n,
             args.k,
@@ -250,11 +251,14 @@ def _cmd_report(args) -> int:
             # `type(...) is kind`, as bool is an int subclass but not a JSON integer
             if not isinstance(payload, dict) or type(payload.get(field)) is not kind:
                 raise ValueError(f"{path}: line {no}: search record has no valid result.{field}")
+        for field, least in (("k", 1), ("best_count", 0)):
+            if payload[field] < least:
+                raise ValueError(f"{path}: line {no}: result.{field} must be >= {least}, got {payload[field]}")
         case = (payload["n"], payload["pattern"])
         if case not in ex_by_case:
             try:
                 ex_by_case[case] = turan_value(payload["n"], parse_pattern(payload["pattern"]))
-            except (TuranUnavailableError, ResourceLimitError):
+            except TuranUnavailableError:
                 ex_by_case[case] = None
             except ValueError as exc:
                 raise ValueError(f"{path}: line {no}: {exc}") from exc

@@ -249,13 +249,23 @@ def contains(g: SimpleGraph, h) -> bool:
     return _search(g.adj, (1 << g.n) - 1, _anchor_plans(pattern.adj)[0], [0] * pattern.n, 0, 0)
 
 
-def _guard(n: int, pattern: SimpleGraph, max_n: int, max_pattern: int) -> None:
-    if n > max_n:
-        raise ResourceLimitError(f"n={n} exceeds limit {max_n}", f"pass max_n={n} to allow it")
-    if pattern.n > max_pattern:
-        raise ResourceLimitError(
-            f"pattern order {pattern.n} exceeds limit {max_pattern}", f"pass max_pattern={pattern.n} to allow it"
-        )
+def _guard(label: str, n: int, h, max_n: int, max_pattern: int, *, tunable: bool = False) -> SimpleGraph:
+    """The pattern graph of `h`, once the entry point `label` accepts n and h.
+
+    A pattern under 2 vertices has no edge to anchor a copy, so it is a
+    ValueError; n or pattern order over its limit is a ResourceLimitError
+    reading "<label> limited to n <= L, got N".  `tunable` entry points take
+    max_n and max_pattern keywords, and the hint names the one to pass.
+    """
+    pattern = _as_graph(h)
+    if pattern.n < 2:
+        raise ValueError("pattern needs at least 2 vertices")
+    limits = (("n", "max_n", n, max_n), ("pattern order", "max_pattern", pattern.n, max_pattern))
+    for what, key, value, limit in limits:
+        if value > limit:
+            hint = f"pass {key}={value} to allow it" if tunable else ""
+            raise ResourceLimitError(f"{label} limited to {what} <= {limit}, got {value}", hint)
+    return pattern
 
 
 def _twin_classes(rows: Sequence[int]) -> list[int]:
@@ -325,10 +335,7 @@ def nim_edges(
     max_pattern: int = DEFAULT_MAX_PATTERN,
 ) -> NimReport:
     """All edges of the colored K_n in no monochromatic copy of the pattern."""
-    pattern = _as_graph(h)
-    if pattern.n < 2:
-        raise ValueError("pattern needs at least 2 vertices")
-    _guard(coloring.n, pattern, max_n, max_pattern)
+    pattern = _guard("NIM count", coloring.n, h, max_n, max_pattern, tunable=True)
     _, nim, _ = _cover_pass(coloring, pattern)
     edges = _bits(nim)
     per_color = [0] * coloring.k

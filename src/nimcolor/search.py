@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count
-from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _find_through, nim_edges
+from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _find_through, _guard, nim_edges
 from .patterns import PatternGraph
 from .turan import TuranResult
 
@@ -84,12 +84,9 @@ def exhaustive_f(
     the degree of every later vertex, so color 0 is skipped on an edge that
     would push an end past its cap.
     """
+    _guard("exhaustive search", n, h, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n > DEFAULT_MAX_N:
-        raise ResourceLimitError(f"exhaustive search limited to n <= {DEFAULT_MAX_N}")
-    if h.graph.n > DEFAULT_MAX_PATTERN:
-        raise ResourceLimitError(f"exhaustive search limited to pattern order <= {DEFAULT_MAX_PATTERN}")
     m = complete_edge_count(n)
     free = m - (1 if k > 1 else 0)
     if free >= 0 and k**free > budget:
@@ -205,21 +202,15 @@ def hill_climb_f(
     a `_NimState` of the current coloring, rebuilt once per accepted move.
     Fully deterministic for fixed arguments.
     """
+    pattern = _guard("hill climb", n, h, HILL_MAX_N, DEFAULT_MAX_PATTERN)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n > HILL_MAX_N:
-        raise ResourceLimitError(f"hill climb limited to n <= {HILL_MAX_N}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if restarts < 1:
-        raise ValueError("need at least one start")
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed_coloring is not None and (seed_coloring.n != n or seed_coloring.k != k):
         raise ValueError("seed coloring does not match n, k")
-    pattern = h.graph
-    if pattern.n < 2:
-        raise ValueError("pattern needs at least 2 vertices")
-    if pattern.n > DEFAULT_MAX_PATTERN:
-        raise ResourceLimitError(f"hill climb limited to pattern order <= {DEFAULT_MAX_PATTERN}")
     started = time.perf_counter()
     rng = random.Random(seed)
     m = complete_edge_count(n)

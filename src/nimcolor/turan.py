@@ -24,8 +24,8 @@ from .graphs import (
     disjoint_union,
     join,
 )
-from .nim import _find_through, contains
-from .patterns import PatternGraph, _as_graph, make_path, pattern_spec
+from .nim import _find_through, _guard, contains
+from .patterns import PatternGraph, make_path, pattern_spec
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
@@ -180,14 +180,7 @@ def turan_oracle(
     caps every later degree, so the graph has at most
     (deg(0) + ... + deg(u-1) + (n-u) deg(u-1)) / 2 edges.  Attaches a witness.
     """
-    pattern = _as_graph(h)
-    if n > max_n:
-        raise ResourceLimitError(f"oracle limited to n <= {max_n}, got {n}", f"pass max_n={n} to allow it")
-    if pattern.n > max_pattern:
-        raise ResourceLimitError(
-            f"oracle limited to pattern order <= {max_pattern}, got {pattern.n}",
-            f"pass max_pattern={pattern.n} to allow it",
-        )
+    pattern = _guard("oracle", n, h, max_n, max_pattern, tunable=True)
     if pattern.edge_count == 0:
         raise ValueError("pattern needs at least one edge")
 
@@ -266,6 +259,9 @@ def turan_value(n: int, h: PatternGraph, *, allow_oracle: bool = True) -> TuranR
     # a balanced pattern is a forest of even order: each tree has equal sides
     if h.balanced and len(components(h.graph)) >= 2:
         return ex_balanced_forest(n, h)
-    if allow_oracle and n <= ORACLE_MAX_N and h.vertex_count <= ORACLE_MAX_PATTERN:
-        return turan_oracle(n, h)
+    if allow_oracle:
+        try:
+            return turan_oracle(n, h)
+        except ResourceLimitError:
+            pass  # past the oracle's default limits
     raise TuranUnavailableError(f"no Turan value available for {h.spec} at n={n}")

@@ -113,7 +113,7 @@ class TestConstructVerifyPipeline:
         mono.write_text(json.dumps({"n": 3, "k": 1, "colors": [0, 0, 0]}))
         code, _, err = run(capsys, "verify", "--coloring", str(mono), "--pattern", "path:17")
         assert code == 1
-        assert "exceeds limit 16" in err and "max_pattern=" not in err
+        assert "limited to pattern order <= 16, got 17" in err and "max_pattern=" not in err
 
     def test_missing_construct_flags(self, capsys):
         code, _, err = run(capsys, "construct", "--family", "p2k", "--n", "13")
@@ -308,6 +308,14 @@ class TestSearchAndReport:
                 '{"command": "search", "result": {"n": -3, "k": 2, "pattern": "path:3", "best_count": 2, "exhaustive": true}}',
                 "line 2: n must be >= 0",
             ),
+            (
+                '{"command": "search", "result": {"n": 4, "k": 0, "pattern": "path:3", "best_count": 2, "exhaustive": true}}',
+                "line 2: result.k must be >= 1, got 0",
+            ),
+            (
+                '{"command": "search", "result": {"n": 4, "k": 2, "pattern": "path:3", "best_count": -1, "exhaustive": true}}',
+                "line 2: result.best_count must be >= 0, got -1",
+            ),
         ],
     )
     def test_report_names_a_malformed_record(self, capsys, tmp_path, line, named):
@@ -428,6 +436,27 @@ class TestSearchAndReport:
         )
         assert (code, out) == (1, "")
         assert err == "error: --iterations must be >= 0, got -1\n"
+        assert not ledger.exists()
+
+    def test_zero_restarts_are_refused(self, capsys, tmp_path):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", "path:3", "--n", "5", "--k", "2",
+            "--mode", "hill", "--restarts", "0", "--ledger", str(ledger),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --restarts must be >= 1, got 0\n"
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "hill"])
+    def test_single_vertex_pattern_is_refused(self, capsys, tmp_path, mode):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys, "search", "--pattern", "path:1", "--n", "3", "--k", "2", "--mode", mode, "--ledger", str(ledger)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: pattern needs at least 2 vertices\n"
         assert not ledger.exists()
 
     def test_overlay_seed_needs_a_path_pattern(self, capsys, tmp_path):

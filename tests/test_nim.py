@@ -13,7 +13,7 @@ from oracles import (
     nim_brute,
     nim_edges_anchored,
 )
-from nimcolor import nim
+from nimcolor import nim, search, turan
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_forest_coloring
 from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoint_union, edge_index, edge_unindex, join
 from nimcolor.nim import _anchor_plans, _cover_pass, _find_through, _twin_classes, contains, nim_edges
@@ -27,7 +27,7 @@ from nimcolor.patterns import (
     make_star,
     parse_pattern,
 )
-from nimcolor.search import _NimState
+from nimcolor.search import _NimState, exhaustive_f, hill_climb_f
 from nimcolor.turan import ex_path, extremal_path_graph, turan_oracle
 
 P3 = make_path(3)
@@ -230,9 +230,9 @@ class TestNimEdges:
             nim_edges(EdgeColoring.monochromatic(70), P3)
 
     def test_limits_name_their_keyword(self):
-        with pytest.raises(ResourceLimitError, match=r"n=70 exceeds limit 64; pass max_n=70"):
+        with pytest.raises(ResourceLimitError, match=r"NIM count limited to n <= 64, got 70; pass max_n=70"):
             nim_edges(EdgeColoring.monochromatic(70), P3)
-        with pytest.raises(ResourceLimitError, match=r"pattern order 17 exceeds limit 16; pass max_pattern=17"):
+        with pytest.raises(ResourceLimitError, match=r"NIM count limited to pattern order <= 16, got 17; pass max_pattern=17"):
             nim_edges(EdgeColoring.monochromatic(4), make_path(17))
         assert nim_edges(EdgeColoring.monochromatic(70), P3, max_n=70).count == 0
         assert nim_edges(EdgeColoring.monochromatic(4), make_path(17), max_pattern=17).count == 6
@@ -240,7 +240,7 @@ class TestNimEdges:
     def test_limit_and_hint_are_kept_apart(self):
         with pytest.raises(ResourceLimitError) as err:
             nim_edges(EdgeColoring.monochromatic(4), make_path(17))
-        assert err.value.limit == "pattern order 17 exceeds limit 16"
+        assert err.value.limit == "NIM count limited to pattern order <= 16, got 17"
         assert err.value.hint == "pass max_pattern=17 to allow it"
 
     def test_negative_n_is_refused(self):
@@ -282,6 +282,55 @@ class TestNimEdges:
             g = SimpleGraph.from_edges(n, edges)
             for h in pats:
                 assert contains(g, h) == contains_brute(g, h.graph), (edges, h.spec)
+
+
+# each exact entry point: a call at (n, pattern), its label, its two limits,
+# and whether it takes the max_n and max_pattern keywords its hint names
+ENTRY_POINTS = {
+    "nim_edges": (lambda n, h: nim_edges(EdgeColoring.monochromatic(n), h), "NIM count", 64, 16, True),
+    "exhaustive_f": (lambda n, h: exhaustive_f(n, 2, h), "exhaustive search", 64, 16, False),
+    "hill_climb_f": (lambda n, h: hill_climb_f(n, 2, h), "hill climb", 40, 16, False),
+    "turan_oracle": (lambda n, h: turan_oracle(n, h), "oracle", 10, 12, True),
+}
+
+
+class TestEntryGate:
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        """The anchored queries made, from whichever module makes them."""
+        calls = []
+        real = nim._find_through
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (nim, search, turan):
+            monkeypatch.setattr(module, "_find_through", counting)
+        return calls
+
+    @pytest.mark.parametrize("spec", ["path:1", "star:0"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_refuses_a_pattern_under_two_vertices(self, queries, entry, spec):
+        call = ENTRY_POINTS[entry][0]
+        with pytest.raises(ValueError, match=r"^pattern needs at least 2 vertices$"):
+            call(3, parse_pattern(spec))
+        assert queries == []
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_limits_share_one_message(self, queries, entry):
+        call, label, max_n, max_pattern, tunable = ENTRY_POINTS[entry]
+        over = [
+            (max_n + 1, P3, "n", "max_n", max_n),
+            (4, make_path(max_pattern + 1), "pattern order", "max_pattern", max_pattern),
+        ]
+        for n, h, what, key, limit in over:
+            got = n if what == "n" else h.vertex_count
+            with pytest.raises(ResourceLimitError) as err:
+                call(n, h)
+            assert err.value.limit == f"{label} limited to {what} <= {limit}, got {got}"
+            assert err.value.hint == (f"pass {key}={got} to allow it" if tunable else "")
+        assert queries == []
 
 
 class TestDualImplementations:

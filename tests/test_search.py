@@ -174,6 +174,10 @@ class TestHillClimb:
         with pytest.raises(ValueError, match=r"^iterations must be >= 0, got -1$"):
             hill_climb_f(5, 2, make_path(3), iterations=-1)
 
+    def test_zero_restarts_are_refused(self):
+        with pytest.raises(ValueError, match=r"^restarts must be >= 1, got 0$"):
+            hill_climb_f(5, 2, make_path(3), restarts=0)
+
 
 # Trees, forests and an odd cycle.  C_5 is the one pattern with a cycle;
 # its pinned example below stays as a regression case for `gain`, since it
