@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -187,15 +188,19 @@ def _cmd_search(args) -> int:
     h = parse_pattern(args.pattern)
     if args.construction_k is not None and args.seed_construction != "p2k":
         raise ValueError("--construction-k sizes the p2k seed; it needs --seed-construction p2k")
+    if args.iterations < 0:
+        raise ValueError(f"--iterations must be >= 0, got {args.iterations}")
+    if args.restarts < 1:
+        raise ValueError(f"--restarts must be >= 1, got {args.restarts}")
     if args.mode == "exhaustive":
         if args.seed_construction:
             raise ValueError("--seed-construction seeds --mode hill only; exhaustive search takes no seed")
+        if args.budget is None:  # recorded as the budget the search ran with
+            args.budget = DEFAULT_LEAF_BUDGET
         result = exhaustive_f(args.n, args.k, h, budget=args.budget)
     else:
-        if args.iterations < 0:
-            raise ValueError(f"--iterations must be >= 0, got {args.iterations}")
-        if args.restarts < 1:
-            raise ValueError(f"--restarts must be >= 1, got {args.restarts}")
+        if args.budget is not None:
+            raise ValueError("--budget bounds --mode exhaustive only; hill climbing takes no budget")
         result = hill_climb_f(
             args.n,
             args.k,
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed-construction", choices=["overlay", "tail", "p2k"])
     p.add_argument("--construction-k", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_LEAF_BUDGET)
+    p.add_argument("--budget", type=int, help=f"exhaustive mode only (default {DEFAULT_LEAF_BUDGET})")
     p.add_argument("--ledger")
     p.set_defaults(func=_cmd_search)
 
@@ -358,10 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main builds its parser once per process: a build costs about 20 parses,
+# and tests and the benchmark call main many times in one process
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

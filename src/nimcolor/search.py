@@ -5,11 +5,22 @@ of E(K_n) that are canonical under vertex and color relabeling (both
 preserve the NIM count, so this loses nothing for the maximum): the first
 edge (0, 1) has color 0, vertex 0 has the largest class-0 degree, vertex 1
 is a class-0 neighbour of vertex 0, and vertices 2..n-1 come in
-non-increasing class-0 degree.  A sound branch-and-bound cut tracks edges
-already provably covered by a monochromatic copy among the edges colored
-so far: classes only grow along a branch, so covered edges stay covered,
-and a branch whose uncovered budget cannot beat the best is dropped.
-Leaves are scored by the real NIM counter.
+non-increasing class-0 degree.  Leaves are scored by the real NIM counter.
+
+The branch-and-bound cut is forward checking.  Classes only grow along a
+branch, so an edge in a monochromatic copy stays in one.  The search
+counts two kinds of such edges: *covered* ones, colored edges in a copy
+found so far, and *forced* ones, uncolored edges that close a copy
+through themselves in every class, so a copy will hold them whatever
+color they get.  A branch is dropped when m - |covered| - |forced|
+cannot beat the best count found.  Forced edges come from one blocked
+mask per class, kept exact: bit f of class c's mask is set iff class c
+plus edge f has a copy through f.  Bits once set stay set, and when
+class c gains an edge only c's unblocked later edges are requeried (for
+a star, degrees decide with no query; for k >= 3 requeries and copies
+are memoized by the class graph).  An edge colored where it is
+unblocked has no copy through it, so only blocked edges are queried
+when colored.
 
 `hill_climb_f` is the heuristic companion for sizes enumeration cannot
 reach: steepest-ascent single-edge recoloring with fully deterministic
@@ -83,6 +94,14 @@ def exhaustive_f(
     edge order: when row u starts, the degrees of 0..u-1 are final and cap
     the degree of every later vertex, so color 0 is skipped on an edge that
     would push an end past its cap.
+
+    The bound: an uncolored edge that closes a copy through itself in
+    every class is forced, since classes only grow; a branch whose
+    m - |covered| - |forced| is at most the best count is dropped.
+    Each class carries a blocked mask, exact at every node: the uncolored
+    edges f such that the class plus f has a copy through f.  Any sound
+    bound keeps the first maximal coloring in search order, so the
+    witness does not depend on how strong the bound is.
     """
     _guard("exhaustive search", n, h, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
     if k < 1:
@@ -111,15 +130,21 @@ def _canonical_search(
     in which edge e takes a color from choices[e].
 
     Best is -1, with all colors 0, when no such coloring is canonical.
+    An edge is forced when it is blocked (`_Blocking`) in every class.
+    Covered edges are colored and forced ones are not, so the bound adds
+    their counts.
     """
     m = len(choices)
     pairs = all_pairs(n)
-    pattern = h.graph
     colors = [0] * m
     class_adj = [[0] * n for _ in range(k)]
     best = -1
     best_colors: tuple[int, ...] = tuple(colors)
     leaves = 0
+
+    blocking = _Blocking(n, k, h.graph)
+    cover, grow = blocking.cover, blocking.grow
+    blocked = [blocking.empty] * k
 
     red = class_adj[0]
     caps = [(n, n)] * n  # caps[u] = row_caps(u), set when row u starts
@@ -141,7 +166,10 @@ def _canonical_search(
 
     def rec(idx: int, covered: int) -> None:
         nonlocal best, best_colors, leaves
-        if m - covered.bit_count() <= best:
+        forced = -1
+        for mask in blocked:
+            forced &= mask
+        if m - covered.bit_count() - (forced >> idx).bit_count() <= best:
             return
         if idx == m:
             # row n-1 has no edges, so the last vertex is checked here
@@ -172,14 +200,163 @@ def _canonical_search(
             adj = class_adj[c]
             adj[u] |= bv
             adj[v] |= bu
-            witness = _find_through(adj, n, pattern, u, v)
-            rec(idx + 1, covered if witness is None else covered | witness)
+            mask = blocked[c]
+            child_covered = covered | cover(adj, idx) if (mask >> idx) & 1 else covered
+            blocked[c] = grow(adj, idx, mask)
+            rec(idx + 1, child_covered)
+            blocked[c] = mask
             adj[u] &= ~bv
             adj[v] &= ~bu
         colors[idx] = 0
 
     rec(0, 0)
     return best, best_colors, leaves
+
+
+# each memo of a search (k >= 3 only) is emptied when it reaches this many entries
+_MEMO_CAP = 1 << 15
+
+
+class _Blocking:
+    """The blocked masks of one search: which uncolored edges close a copy.
+
+    The blocked mask of a color class holds the uncolored edges f (later
+    in canonical order than every edge of the class) for which the class
+    plus f has a copy of the pattern through f; bits of colored edges are
+    never read.  A class only grows, so a bit once set stays set, and
+    `grow` requeries only the unblocked later edges when the class gains
+    an edge e.  A copy that f closes only now goes through e too, so f is
+    requeried only where the pattern's shape allows both in one copy: for
+    a connected pattern, an end of f lies within `reach` of an end of e
+    in the class, `reach` being the largest distance between two pattern
+    edges.
+
+    For a star K_{1,s} the mask follows from degrees, with no query: f is
+    blocked iff an end of f has class degree >= s - 1.  With k >= 3 the
+    same class graph recurs under different colorings of the other
+    classes, so requery results and copies are memoized by the class's
+    adjacency rows (which fix the edge just gained: it is the class's
+    last).  With k = 2 the two classes split the colored edges, so no
+    class graph recurs and there is no memo.
+    """
+
+    def __init__(self, n: int, k: int, pattern: SimpleGraph):
+        self.n, self.pattern = n, pattern
+        self.pairs = pairs = all_pairs(n)
+        m = len(pairs)
+        self.incident = [0] * n
+        for e, (x, y) in enumerate(pairs):
+            self.incident[x] |= 1 << e
+            self.incident[y] |= 1 << e
+        self.full = full = (1 << m) - 1
+        self.star = _star_size(pattern)
+        self.reach = _edge_reach(pattern)
+        # with k >= 3, class rows -> the later edges their last edge blocked, and -> the copy through it
+        self.memo: Optional[dict[tuple[int, ...], int]] = {} if k >= 3 and self.star is None else None
+        self.copies: Optional[dict[tuple[int, ...], int]] = {} if k >= 3 else None
+        # f alone is a copy only of one edge plus isolated vertices that fit in n
+        self.empty = full if pattern.edge_count == 1 and pattern.n <= n else 0
+
+    def cover(self, adj: list[int], idx: int) -> int:
+        """The copy through edge idx as an edge mask; the class has just
+        gained idx, which was blocked in it, so the copy exists.  Memoized
+        by the class's rows when k >= 3."""
+        u, v = self.pairs[idx]
+        copies = self.copies
+        if copies is None:
+            return _find_through(adj, self.n, self.pattern, u, v)
+        key = tuple(adj)
+        copy = copies.get(key)
+        if copy is None:
+            if len(copies) >= _MEMO_CAP:
+                copies.clear()
+            copy = copies[key] = _find_through(adj, self.n, self.pattern, u, v)
+        return copy
+
+    def grow(self, adj: list[int], idx: int, mask: int) -> int:
+        """The blocked mask of a class that has just gained edge idx.
+
+        `adj` holds the class's rows with the edge and `mask` its blocked
+        mask without it.
+        """
+        u, v = self.pairs[idx]
+        incident = self.incident
+        if self.star is not None:
+            if adj[u].bit_count() >= self.star - 1:
+                mask |= incident[u]
+            if adj[v].bit_count() >= self.star - 1:
+                mask |= incident[v]
+            return mask
+        cand = (self.full & ~mask) >> (idx + 1) << (idx + 1)  # unblocked edges after idx
+        if cand and self.reach is not None:
+            ball = 1 << u | 1 << v
+            for _ in range(self.reach):
+                grown = ball
+                for w in _bits(ball):
+                    grown |= adj[w]
+                if grown == ball:
+                    break
+                ball = grown
+            near = 0
+            for w in _bits(ball):
+                near |= incident[w]
+            cand &= near
+        if not cand:
+            return mask
+        memo = self.memo
+        if memo is not None:
+            key = tuple(adj)
+            hit = memo.get(key)
+            if hit is not None:
+                return mask | hit
+        n, pattern, pairs = self.n, self.pattern, self.pairs
+        add = 0
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            x, y = pairs[b.bit_length() - 1]
+            bx, by = 1 << x, 1 << y
+            adj[x] |= by
+            adj[y] |= bx
+            if _find_through(adj, n, pattern, x, y) is not None:
+                add |= b
+            adj[x] ^= by
+            adj[y] ^= bx
+        if memo is not None:
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = add
+        return mask | add
+
+
+def _star_size(pattern: SimpleGraph) -> Optional[int]:
+    """s when the pattern is the star K_{1,s} (K_2 and P_3 included), else None."""
+    order = pattern.n
+    if pattern.edge_count == order - 1 and any(row.bit_count() == order - 1 for row in pattern.adj):
+        return order - 1
+    return None
+
+
+def _edge_reach(pattern: SimpleGraph) -> Optional[int]:
+    """The largest distance between two edges of a connected pattern, None if
+    it is disconnected.  Two edges are as far apart as their closest ends."""
+    order, rows = pattern.n, pattern.adj
+    dist = [[-1] * order for _ in range(order)]
+    for s in range(order):
+        seen = layer = 1 << s
+        step = 0
+        while layer:
+            reached = 0
+            for w in _bits(layer):
+                dist[s][w] = step
+                reached |= rows[w]
+            layer = reached & ~seen
+            seen |= layer
+            step += 1
+        if seen != (1 << order) - 1:
+            return None
+    edges = list(pattern.edges())
+    return max(min(dist[a][c], dist[a][d], dist[b][c], dist[b][d]) for a, b in edges for c, d in edges)
 
 
 def hill_climb_f(

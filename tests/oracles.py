@@ -10,10 +10,14 @@ as references for the faster ones: `hill_climb_recount`, the climber's
 full-recount loop, scores every candidate with a fresh `nim_edges` count;
 `turan_oracle_edge_bound` and `exhaustive_f_first_edge_pin` are the two
 branch-and-bound recursions before the degree-sum bound and the class-0
-degree-order symmetry were added; `cover_pass_per_edge` is the cover pass
-before twin groups, with one query per uncovered edge: the pass's NIM
-mask must equal its own, while the pass's copies, which skip the later
-hits of each twin group, are checked one by one instead;
+degree-order symmetry were added; `canonical_search_plain` is
+`exhaustive_f`'s recursion with that symmetry but before forward checking,
+which queries every colored edge and bounds by covered edges alone: the
+search must return its maximum and witness colors exactly;
+`cover_pass_per_edge` is the cover pass before twin groups, with one
+query per uncovered edge: the pass's NIM mask must equal its own, while
+the pass's copies, which skip the later hits of each twin group, are
+checked one by one instead;
 `find_through_all_plans` is the anchored query before automorphism
 orbits and the last-vertex shortcut, trying a plan for every oriented
 pattern edge and every candidate at every position: the query must
@@ -317,6 +321,84 @@ def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, E
 
     rec(0, 0)
     return best, EdgeColoring(n, k, best_colors)
+
+
+def canonical_search_plain(
+    n: int, k: int, h: PatternGraph, choices: Sequence[Sequence[int]]
+) -> tuple[int, tuple[int, ...], int]:
+    """(best NIM count, its colors, leaves scored) over the canonical colorings
+    in which edge e takes a color from choices[e].
+
+    Best is -1, with all colors 0, when no such coloring is canonical.
+    """
+    m = len(choices)
+    pairs = all_pairs(n)
+    pattern = h.graph
+    colors = [0] * m
+    class_adj = [[0] * n for _ in range(k)]
+    best = -1
+    best_colors: tuple[int, ...] = tuple(colors)
+    leaves = 0
+
+    red = class_adj[0]
+    caps = [(n, n)] * n  # caps[u] = row_caps(u), set when row u starts
+
+    def row_caps(u: int) -> tuple[int, int]:
+        """Caps on the final class-0 degree of any vertex w >= u, rows 0..u-1 done.
+
+        Entry 1 holds when w is a class-0 neighbour of vertex 0, entry 0
+        otherwise, so `(red[0] >> w) & 1` picks w's cap.
+        """
+        cap = hub_cap = red[0].bit_count()
+        if u >= 2:
+            hub_cap = min(cap, red[1].bit_count())
+        if u >= 3:
+            last = red[u - 1].bit_count()
+            cap = min(cap, last)
+            hub_cap = min(hub_cap, last - (not (red[0] >> (u - 1)) & 1))
+        return cap, hub_cap
+
+    def rec(idx: int, covered: int) -> None:
+        nonlocal best, best_colors, leaves
+        if m - covered.bit_count() <= best:
+            return
+        if idx == m:
+            # row n-1 has no edges, so the last vertex is checked here
+            if n >= 2 and red[n - 1].bit_count() > row_caps(n - 1)[(red[0] >> (n - 1)) & 1]:
+                return
+            leaves += 1
+            report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
+            if report.count > best:
+                best = report.count
+                best_colors = tuple(colors)
+            return
+        u, v = pairs[idx]
+        if v == u + 1 and u >= 1:
+            # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
+            caps[u] = row_caps(u)
+            if red[u].bit_count() > caps[u][(red[0] >> u) & 1]:
+                return
+        bu, bv = 1 << u, 1 << v
+        # from row 1 on, color 0 on (u, v) must leave both degrees within their caps
+        red_ok = u == 0 or (
+            red[u].bit_count() < caps[u][(red[0] >> u) & 1]
+            and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
+        )
+        for c in choices[idx]:
+            if c == 0 and not red_ok:
+                continue
+            colors[idx] = c
+            adj = class_adj[c]
+            adj[u] |= bv
+            adj[v] |= bu
+            witness = _find_through(adj, n, pattern, u, v)
+            rec(idx + 1, covered if witness is None else covered | witness)
+            adj[u] &= ~bv
+            adj[v] &= ~bu
+        colors[idx] = 0
+
+    rec(0, 0)
+    return best, best_colors, leaves
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,8 @@ import os
 import pytest
 
 import nimcolor.turan
-from nimcolor.cli import _append_ledger, main, read_ledger
+from nimcolor.cli import _append_ledger, build_parser, main, read_ledger
+from nimcolor.search import DEFAULT_LEAF_BUDGET
 
 
 def run(capsys, *argv):
@@ -449,6 +450,47 @@ class TestSearchAndReport:
         assert err == "error: --restarts must be >= 1, got 0\n"
         assert not ledger.exists()
 
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (["--restarts", "0"], "error: --restarts must be >= 1, got 0\n"),
+            (["--iterations", "-5"], "error: --iterations must be >= 0, got -5\n"),
+        ],
+        ids=["restarts", "iterations"],
+    )
+    def test_exhaustive_mode_checks_the_hill_ranges(self, capsys, tmp_path, flags, err):
+        ledger = tmp_path / "l.jsonl"
+        code, out, got = run(
+            capsys,
+            "search", "--pattern", "path:3", "--n", "4", "--k", "2",
+            "--mode", "exhaustive", *flags, "--ledger", str(ledger),
+        )
+        assert (code, out, got) == (1, "", err)
+        assert not ledger.exists()
+
+    def test_hill_mode_refuses_a_budget(self, capsys, tmp_path):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", "path:3", "--n", "5", "--k", "2",
+            "--mode", "hill", "--budget", "1000", "--ledger", str(ledger),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --budget ") and err.count("\n") == 1
+        assert not ledger.exists()
+
+    def test_ledger_records_the_budget_only_in_exhaustive_mode(self, capsys, tmp_path):
+        # main reuses one parser, so an explicit budget must not carry over to the next call
+        ledger = tmp_path / "l.jsonl"
+        for flags in (["--mode", "exhaustive"], ["--mode", "exhaustive", "--budget", "4096"], ["--mode", "hill"]):
+            code, _, err = run(
+                capsys,
+                "search", "--pattern", "path:3", "--n", "4", "--k", "2",
+                "--iterations", "1", "--ledger", str(ledger), *flags,
+            )
+            assert code == 0, err
+        assert [r["parameters"]["budget"] for r in read_ledger(str(ledger))] == [DEFAULT_LEAF_BUDGET, 4096, None]
+
     @pytest.mark.parametrize("mode", ["exhaustive", "hill"])
     def test_single_vertex_pattern_is_refused(self, capsys, tmp_path, mode):
         ledger = tmp_path / "l.jsonl"
@@ -477,6 +519,9 @@ class TestUsage:
 
     def test_missing_required_flag_exits_2(self, capsys):
         assert main(["turan", "--n", "5"]) == 2
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

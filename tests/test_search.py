@@ -1,15 +1,33 @@
+import os
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_coloring_for
 from nimcolor.errors import ResourceLimitError
-from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs
-from nimcolor.nim import nim_edges
+from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs
+from nimcolor.nim import _find_through, nim_edges
 from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
-from nimcolor.search import _canonical_search, _NimState, exhaustive_f, hill_climb_f, turan_gap
+from nimcolor.search import (
+    _Blocking,
+    _canonical_search,
+    _edge_reach,
+    _NimState,
+    _star_size,
+    exhaustive_f,
+    hill_climb_f,
+    turan_gap,
+)
 from nimcolor.turan import ex_path, extremal_path_graph, turan_value
-from oracles import exhaustive_f_first_edge_pin, hill_climb_recount, nim_brute
+from oracles import (
+    canonical_search_plain,
+    contains_brute,
+    covered_edges_brute,
+    exhaustive_f_first_edge_pin,
+    hill_climb_recount,
+    nim_brute,
+)
 
 P3 = make_path(3)
 P4 = make_path(4)
@@ -113,6 +131,12 @@ EXHAUSTIVE_CELLS = [
 ]
 
 
+def full_choices(n: int, k: int) -> list:
+    """The choices `exhaustive_f` hands the search: edge (0, 1) pinned to color 0."""
+    m = n * (n - 1) // 2
+    return [(0,)] + [range(k)] * (m - 1) if m else []
+
+
 @pytest.mark.parametrize("n, k, spec", EXHAUSTIVE_CELLS, ids=[f"n{n}-k{k}-{s}" for n, k, s in EXHAUSTIVE_CELLS])
 def test_exhaustive_matches_the_first_edge_pin_search(n, k, spec):
     h = C5 if spec == "cycle:5" else parse_pattern(spec)
@@ -122,6 +146,142 @@ def test_exhaustive_matches_the_first_edge_pin_search(n, k, spec):
     assert r.exhaustive
     assert len(nim_brute(r.witness, h.graph)) == nim_edges(r.witness, h).count == r.best_count
     assert nim_edges(old_witness, h).count == old_best
+    # any sound bound keeps the first maximal leaf in search order, so the
+    # recursion before forward checking returns the same witness
+    assert (r.best_count, r.witness.colors) == canonical_search_plain(n, k, h, full_choices(n, k))[:2]
+
+
+# Cells past the sizes above, with f and the witness colors the plain
+# recursion returns on them.  It takes 1.3-8 s a cell, and the search 4 s on
+# star:4, so NIMCOLOR_SLOW_TESTS=1 runs that cell and recomputes the pins.
+SLOW_TESTS = os.environ.get("NIMCOLOR_SLOW_TESTS") == "1"
+OFF_BENCH = {
+    (8, 2, "path:4"): (7, "0000000111111111111111111111"),
+    (8, 2, "star:4"): (12, "0000111000111110011010100000"),
+    (8, 2, "spider:2,1,1"): (12, "0000111111000110001000000111"),
+    (7, 3, "path:4"): (12, "000000111222211211112"),
+    (7, 3, "path:5"): (21, "000112001120221221000"),
+}
+FAST_OFF_BENCH = {(8, 2, "path:4"), (8, 2, "spider:2,1,1"), (7, 3, "path:4"), (7, 3, "path:5")}
+OFF_BENCH_IDS = [f"n{n}-k{k}-{s}" for n, k, s in OFF_BENCH]
+
+
+@pytest.mark.parametrize("cell", list(OFF_BENCH), ids=OFF_BENCH_IDS)
+def test_search_keeps_the_plain_recursions_witness_off_the_bench(cell):
+    if cell not in FAST_OFF_BENCH and not SLOW_TESTS:
+        pytest.skip("slow cell; set NIMCOLOR_SLOW_TESTS=1")
+    n, k, spec = cell
+    best, colors = OFF_BENCH[cell]
+    got = _canonical_search(n, k, parse_pattern(spec), full_choices(n, k))
+    assert got[:2] == (best, tuple(map(int, colors)))
+
+
+@pytest.mark.skipif(not SLOW_TESTS, reason="slow; set NIMCOLOR_SLOW_TESTS=1")
+@pytest.mark.parametrize("cell", list(OFF_BENCH), ids=OFF_BENCH_IDS)
+def test_off_bench_pins_are_the_plain_recursions(cell):
+    n, k, spec = cell
+    best, colors = OFF_BENCH[cell]
+    got = canonical_search_plain(n, k, parse_pattern(spec), full_choices(n, k))
+    assert got[:2] == (best, tuple(map(int, colors)))
+
+
+def test_p4_on_eight_vertices():
+    r = exhaustive_f(8, 2, P4, budget=1 << 27)
+    assert r.best_count == 7
+    assert len(nim_brute(r.witness, P4.graph)) == 7
+
+
+def test_star_and_reach_are_read_from_the_graph():
+    assert [_star_size(parse_pattern(s).graph) for s in ("path:2", "path:3", "spider:1,1", "star:4")] == [1, 2, 2, 4]
+    assert [_star_size(parse_pattern(s).graph) for s in ("path:4", "path:2+path:2", "star:3+path:2")] == [None] * 3
+    assert [_edge_reach(parse_pattern(s).graph) for s in ("path:2", "star:3", "path:4", "path:5", "spider:2,2,1")] == [
+        0, 0, 1, 2, 2,
+    ]
+    assert _edge_reach(parse_pattern("path:2+path:3").graph) is None
+
+
+def _with_edge(rows, x, y):
+    rows = list(rows)
+    rows[x] |= 1 << y
+    rows[y] |= 1 << x
+    return rows
+
+
+MASK_PATTERNS = [
+    *map(parse_pattern, ["path:2", "path:3", "path:4", "path:5", "star:3", "spider:2,2,1", "path:2+path:3"]),
+    C5,
+    custom_pattern(SimpleGraph.from_edges(4, [(0, 1)]), "edge+2K1"),  # one edge, so never a star
+]
+
+
+@st.composite
+def search_nodes(draw):
+    """(n, k, nodes): two nodes of one search, each (colors, depth) with its
+    first `depth` edges colored.  The second swaps colors 1 and 2 on some
+    edges, so with k = 3 its class-0 graphs are the first node's."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.sampled_from([2, 3]))
+    m = n * (n - 1) // 2
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+    swaps = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    other = [3 - c if k == 3 and c and swap else c for c, swap in zip(colors, swaps)]
+    depth = draw(st.integers(0, m))
+    return n, k, [(colors, depth), (other, depth)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_nodes(), st.sampled_from(MASK_PATTERNS))
+# class 0 gains (0, 3) after (0, 1): path 3-0-1-2 now blocks (1, 2), an edge that misses (0, 3)
+@example((4, 2, [((0, 1, 0, 0, 0, 0), 3)] * 2), P4)
+def test_carried_blocked_masks_match_a_recount(search, h):
+    # each class's mask carried through `grow` as the search carries it; the
+    # nodes share one `_Blocking`, so with k = 3 the second walk reads the memos
+    n, k, nodes = search
+    m = n * (n - 1) // 2
+    pairs = all_pairs(n)
+    blocking = _Blocking(n, k, h.graph)
+    for colors, depth in nodes:
+        adj = [[0] * n for _ in range(k)]
+        blocked = [blocking.empty] * k
+        for idx in range(depth):
+            u, v = pairs[idx]
+            c = colors[idx]
+            adj[c] = _with_edge(adj[c], u, v)
+            if (blocked[c] >> idx) & 1:
+                # the copy through a blocked edge as it is colored
+                cover = blocking.cover(adj[c], idx)
+                edges = [pairs[e] for e in _bits(cover)]
+                assert (cover >> idx) & 1 and len(edges) == h.edge_count
+                assert all(adj[c][x] >> y & 1 for x, y in edges)
+                assert contains_brute(SimpleGraph.from_edges(n, edges), h.graph)
+            blocked[c] = blocking.grow(adj[c], idx, blocked[c])
+        for c in range(k):
+            for f in range(depth, m):
+                rows = _with_edge(adj[c], *pairs[f])
+                through = f in covered_edges_brute(SimpleGraph(n, tuple(rows)), h.graph)
+                assert (blocked[c] >> f) & 1 == through
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(["star:1", "star:2", "star:3", "star:4", "path:3"]))
+def test_star_degree_rule_matches_the_queries(data, spec):
+    # a random class graph grown in canonical order, as the search grows one
+    h = parse_pattern(spec)
+    n = data.draw(st.integers(2, 7), label="n")
+    m = n * (n - 1) // 2
+    edges = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="edges")
+    pairs = all_pairs(n)
+    blocking = _Blocking(n, 2, h.graph)
+    assert blocking.star == h.vertex_count - 1
+    rows, mask = [0] * n, blocking.empty
+    for idx, (u, v) in enumerate(pairs):
+        if edges[idx]:
+            rows = _with_edge(rows, u, v)
+            mask = blocking.grow(rows, idx, mask)
+    for f, (x, y) in enumerate(pairs):
+        if not edges[f]:
+            closes = _find_through(_with_edge(rows, x, y), n, h.graph, x, y) is not None
+            assert (mask >> f) & 1 == closes
 
 
 class TestHillClimb:
