@@ -197,6 +197,8 @@ def _cmd_search(args) -> int:
             raise ValueError("--seed-construction seeds --mode hill only; exhaustive search takes no seed")
         if args.budget is None:  # recorded as the budget the search ran with
             args.budget = DEFAULT_LEAF_BUDGET
+        if args.budget < 1:
+            raise ValueError(f"--budget must be >= 1, got {args.budget}")
         result = exhaustive_f(args.n, args.k, h, budget=args.budget)
     else:
         if args.budget is not None:

@@ -86,7 +86,6 @@ class NimReport:
 
 @dataclass(frozen=True)
 class _Plan:
-    order: tuple[int, ...]  # pattern vertices in mapping order
     prev: tuple[tuple[int, ...], ...]  # earlier positions adjacent in the pattern
     degrees: tuple[int, ...]  # pattern degree at each position
     edges: tuple[tuple[int, int], ...]  # pattern edges as position pairs
@@ -99,7 +98,7 @@ def _plan_from_order(g: SimpleGraph, order: list[int]) -> _Plan:
     )
     degrees = tuple(g.degree(v) for v in order)
     edges = tuple((pos[u], pos[v]) for u, v in g.edges())
-    return _Plan(tuple(order), prev, degrees, edges)
+    return _Plan(prev, degrees, edges)
 
 
 def _dfs_extend(g: SimpleGraph, order: list[int], seen: set[int]) -> None:

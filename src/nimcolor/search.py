@@ -17,10 +17,10 @@ cannot beat the best count found.  Forced edges come from one blocked
 mask per class, kept exact: bit f of class c's mask is set iff class c
 plus edge f has a copy through f.  Bits once set stay set, and when
 class c gains an edge only c's unblocked later edges are requeried (for
-a star, degrees decide with no query; for k >= 3 requeries and copies
-are memoized by the class graph).  An edge colored where it is
-unblocked has no copy through it, so only blocked edges are queried
-when colored.
+a star, degrees decide with no query; for k >= 3 one memo keyed by
+the class graph holds the copy and the mask each step yields).  An edge
+colored where it is unblocked has no copy through it, so only blocked
+edges are queried when colored.
 
 `hill_climb_f` is the heuristic companion for sizes enumeration cannot
 reach: steepest-ascent single-edge recoloring with fully deterministic
@@ -106,6 +106,8 @@ def exhaustive_f(
     _guard("exhaustive search", n, h, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
     if k < 1:
         raise ValueError("k must be >= 1")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     m = complete_edge_count(n)
     free = m - (1 if k > 1 else 0)
     if free >= 0 and k**free > budget:
@@ -143,7 +145,7 @@ def _canonical_search(
     leaves = 0
 
     blocking = _Blocking(n, k, h.graph)
-    cover, grow = blocking.cover, blocking.grow
+    step = blocking.step
     blocked = [blocking.empty] * k
 
     red = class_adj[0]
@@ -201,9 +203,8 @@ def _canonical_search(
             adj[u] |= bv
             adj[v] |= bu
             mask = blocked[c]
-            child_covered = covered | cover(adj, idx) if (mask >> idx) & 1 else covered
-            blocked[c] = grow(adj, idx, mask)
-            rec(idx + 1, child_covered)
+            copy, blocked[c] = step(adj, idx, mask)
+            rec(idx + 1, covered | copy)
             blocked[c] = mask
             adj[u] &= ~bv
             adj[v] &= ~bu
@@ -213,7 +214,7 @@ def _canonical_search(
     return best, best_colors, leaves
 
 
-# each memo of a search (k >= 3 only) is emptied when it reaches this many entries
+# a search's memo (k >= 3 only) is emptied when it reaches this many entries
 _MEMO_CAP = 1 << 15
 
 
@@ -224,7 +225,7 @@ class _Blocking:
     in canonical order than every edge of the class) for which the class
     plus f has a copy of the pattern through f; bits of colored edges are
     never read.  A class only grows, so a bit once set stays set, and
-    `grow` requeries only the unblocked later edges when the class gains
+    `step` requeries only the unblocked later edges when the class gains
     an edge e.  A copy that f closes only now goes through e too, so f is
     requeried only where the pattern's shape allows both in one copy: for
     a connected pattern, an end of f lies within `reach` of an end of e
@@ -234,10 +235,15 @@ class _Blocking:
     For a star K_{1,s} the mask follows from degrees, with no query: f is
     blocked iff an end of f has class degree >= s - 1.  With k >= 3 the
     same class graph recurs under different colorings of the other
-    classes, so requery results and copies are memoized by the class's
-    adjacency rows (which fix the edge just gained: it is the class's
-    last).  With k = 2 the two classes split the colored edges, so no
-    class graph recurs and there is no memo.
+    classes, so `step` is memoized by the class's adjacency rows, which
+    fix the edge just gained (it is the class's last).  The memo holds
+    the copy and the mask: the copy, bit idx and every later bit are
+    functions of the class graph, since the mask is exact and
+    `_find_through` is deterministic.  Invariant: the bits before idx of
+    a remembered mask may come from another branch; they are bits of
+    colored edges, which the search never reads.  With k = 2 the two
+    classes split the colored edges, so no class graph recurs and there
+    is no memo.
     """
 
     def __init__(self, n: int, k: int, pattern: SimpleGraph):
@@ -251,82 +257,65 @@ class _Blocking:
         self.full = full = (1 << m) - 1
         self.star = _star_size(pattern)
         self.reach = _edge_reach(pattern)
-        # with k >= 3, class rows -> the later edges their last edge blocked, and -> the copy through it
-        self.memo: Optional[dict[tuple[int, ...], int]] = {} if k >= 3 and self.star is None else None
-        self.copies: Optional[dict[tuple[int, ...], int]] = {} if k >= 3 else None
+        # with k >= 3, class rows -> (the copy through their last edge, the class's blocked mask)
+        self.memo: Optional[dict[tuple[int, ...], tuple[int, int]]] = {} if k >= 3 else None
         # f alone is a copy only of one edge plus isolated vertices that fit in n
         self.empty = full if pattern.edge_count == 1 and pattern.n <= n else 0
 
-    def cover(self, adj: list[int], idx: int) -> int:
-        """The copy through edge idx as an edge mask; the class has just
-        gained idx, which was blocked in it, so the copy exists.  Memoized
-        by the class's rows when k >= 3."""
-        u, v = self.pairs[idx]
-        copies = self.copies
-        if copies is None:
-            return _find_through(adj, self.n, self.pattern, u, v)
-        key = tuple(adj)
-        copy = copies.get(key)
-        if copy is None:
-            if len(copies) >= _MEMO_CAP:
-                copies.clear()
-            copy = copies[key] = _find_through(adj, self.n, self.pattern, u, v)
-        return copy
-
-    def grow(self, adj: list[int], idx: int, mask: int) -> int:
-        """The blocked mask of a class that has just gained edge idx.
+    def step(self, adj: list[int], idx: int, mask: int) -> tuple[int, int]:
+        """(copy, mask) for a class that has just gained edge idx.
 
         `adj` holds the class's rows with the edge and `mask` its blocked
-        mask without it.
+        mask without it.  The copy is the class's copy through idx as an
+        edge mask, 0 when idx was not blocked (then there is none); the
+        mask is the class's blocked mask with the edge.
         """
+        memo = self.memo
+        if memo is not None:
+            key = tuple(adj)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
         u, v = self.pairs[idx]
+        copy = _find_through(adj, self.n, self.pattern, u, v) if (mask >> idx) & 1 else 0
         incident = self.incident
         if self.star is not None:
             if adj[u].bit_count() >= self.star - 1:
                 mask |= incident[u]
             if adj[v].bit_count() >= self.star - 1:
                 mask |= incident[v]
-            return mask
-        cand = (self.full & ~mask) >> (idx + 1) << (idx + 1)  # unblocked edges after idx
-        if cand and self.reach is not None:
-            ball = 1 << u | 1 << v
-            for _ in range(self.reach):
-                grown = ball
+        else:
+            n, pattern, pairs = self.n, self.pattern, self.pairs
+            cand = (self.full & ~mask) >> (idx + 1) << (idx + 1)  # unblocked edges after idx
+            if cand and self.reach is not None:
+                ball = 1 << u | 1 << v
+                for _ in range(self.reach):
+                    grown = ball
+                    for w in _bits(ball):
+                        grown |= adj[w]
+                    if grown == ball:
+                        break
+                    ball = grown
+                near = 0
                 for w in _bits(ball):
-                    grown |= adj[w]
-                if grown == ball:
-                    break
-                ball = grown
-            near = 0
-            for w in _bits(ball):
-                near |= incident[w]
-            cand &= near
-        if not cand:
-            return mask
-        memo = self.memo
-        if memo is not None:
-            key = tuple(adj)
-            hit = memo.get(key)
-            if hit is not None:
-                return mask | hit
-        n, pattern, pairs = self.n, self.pattern, self.pairs
-        add = 0
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            x, y = pairs[b.bit_length() - 1]
-            bx, by = 1 << x, 1 << y
-            adj[x] |= by
-            adj[y] |= bx
-            if _find_through(adj, n, pattern, x, y) is not None:
-                add |= b
-            adj[x] ^= by
-            adj[y] ^= bx
+                    near |= incident[w]
+                cand &= near
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                x, y = pairs[b.bit_length() - 1]
+                bx, by = 1 << x, 1 << y
+                adj[x] |= by
+                adj[y] |= bx
+                if _find_through(adj, n, pattern, x, y) is not None:
+                    mask |= b
+                adj[x] ^= by
+                adj[y] ^= bx
         if memo is not None:
             if len(memo) >= _MEMO_CAP:
                 memo.clear()
-            memo[key] = add
-        return mask | add
+            memo[key] = (copy, mask)
+        return copy, mask
 
 
 def _star_size(pattern: SimpleGraph) -> Optional[int]:

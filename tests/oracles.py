@@ -417,8 +417,8 @@ def anchor_plans_all(g: SimpleGraph) -> tuple[_Plan, ...]:
 
 def search_every_candidate(adj: Sequence[int], full: int, plan: _Plan, img: list[int], used: int, pos: int) -> bool:
     """`_search` before the last-vertex shortcut."""
-    order, prev, degrees = plan.order, plan.prev, plan.degrees
-    h = len(order)
+    prev, degrees = plan.prev, plan.degrees
+    h = len(prev)
     if pos == h:
         return True
     nbrs = prev[pos]

@@ -479,6 +479,17 @@ class TestSearchAndReport:
         assert err.startswith("error: --budget ") and err.count("\n") == 1
         assert not ledger.exists()
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_under_one_is_refused(self, capsys, tmp_path, budget):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", "path:3", "--n", "4", "--k", "2",
+            "--mode", "exhaustive", "--budget", budget, "--ledger", str(ledger),
+        )
+        assert (code, out, err) == (1, "", f"error: --budget must be >= 1, got {budget}\n")
+        assert not ledger.exists()
+
     def test_ledger_records_the_budget_only_in_exhaustive_mode(self, capsys, tmp_path):
         # main reuses one parser, so an explicit budget must not carry over to the next call
         ledger = tmp_path / "l.jsonl"

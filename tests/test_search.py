@@ -60,6 +60,12 @@ class TestExhaustive:
         with pytest.raises(ResourceLimitError):
             exhaustive_f(6, 4, P3)
 
+    @pytest.mark.parametrize("n, budget", [(4, -5), (4, 0), (1, 0)])
+    def test_budget_under_one_is_refused(self, n, budget):
+        # K_1 has no edges, so a check on the number of colorings alone lets budget 0 through
+        with pytest.raises(ValueError, match=f"^budget must be >= 1, got {budget}$"):
+            exhaustive_f(n, 2, P3, budget=budget)
+
     def test_deterministic_reruns(self):
         a = exhaustive_f(5, 2, P4)
         b = exhaustive_f(5, 2, P4)
@@ -185,6 +191,19 @@ def test_off_bench_pins_are_the_plain_recursions(cell):
     assert got[:2] == (best, tuple(map(int, colors)))
 
 
+MEMO_CELLS = [(5, 3, "path:4"), (5, 3, "star:3"), (6, 4, "path:4"), (6, 3, "spider:2,1,1")]
+
+
+@pytest.mark.parametrize("cell", MEMO_CELLS, ids=[f"n{n}-k{k}-{s}" for n, k, s in MEMO_CELLS])
+def test_emptying_the_memo_at_its_cap_keeps_the_answer(cell, monkeypatch):
+    n, k, spec = cell
+    h = parse_pattern(spec)
+    expected = _canonical_search(n, k, h, full_choices(n, k))
+    for cap in (1, 3):
+        monkeypatch.setattr("nimcolor.search._MEMO_CAP", cap)
+        assert _canonical_search(n, k, h, full_choices(n, k)) == expected
+
+
 def test_p4_on_eight_vertices():
     r = exhaustive_f(8, 2, P4, budget=1 << 27)
     assert r.best_count == 7
@@ -234,8 +253,8 @@ def search_nodes(draw):
 # class 0 gains (0, 3) after (0, 1): path 3-0-1-2 now blocks (1, 2), an edge that misses (0, 3)
 @example((4, 2, [((0, 1, 0, 0, 0, 0), 3)] * 2), P4)
 def test_carried_blocked_masks_match_a_recount(search, h):
-    # each class's mask carried through `grow` as the search carries it; the
-    # nodes share one `_Blocking`, so with k = 3 the second walk reads the memos
+    # each class's mask carried through `step` as the search carries it; the
+    # nodes share one `_Blocking`, so with k = 3 the second walk reads the memo
     n, k, nodes = search
     m = n * (n - 1) // 2
     pairs = all_pairs(n)
@@ -247,14 +266,15 @@ def test_carried_blocked_masks_match_a_recount(search, h):
             u, v = pairs[idx]
             c = colors[idx]
             adj[c] = _with_edge(adj[c], u, v)
-            if (blocked[c] >> idx) & 1:
+            was_blocked = bool((blocked[c] >> idx) & 1)
+            copy, blocked[c] = blocking.step(adj[c], idx, blocked[c])
+            assert bool(copy) == was_blocked
+            if was_blocked:
                 # the copy through a blocked edge as it is colored
-                cover = blocking.cover(adj[c], idx)
-                edges = [pairs[e] for e in _bits(cover)]
-                assert (cover >> idx) & 1 and len(edges) == h.edge_count
+                edges = [pairs[e] for e in _bits(copy)]
+                assert (copy >> idx) & 1 and len(edges) == h.edge_count
                 assert all(adj[c][x] >> y & 1 for x, y in edges)
                 assert contains_brute(SimpleGraph.from_edges(n, edges), h.graph)
-            blocked[c] = blocking.grow(adj[c], idx, blocked[c])
         for c in range(k):
             for f in range(depth, m):
                 rows = _with_edge(adj[c], *pairs[f])
@@ -277,7 +297,9 @@ def test_star_degree_rule_matches_the_queries(data, spec):
     for idx, (u, v) in enumerate(pairs):
         if edges[idx]:
             rows = _with_edge(rows, u, v)
-            mask = blocking.grow(rows, idx, mask)
+            was_blocked = bool((mask >> idx) & 1)
+            copy, mask = blocking.step(rows, idx, mask)
+            assert bool(copy) == was_blocked
     for f, (x, y) in enumerate(pairs):
         if not edges[f]:
             closes = _find_through(_with_edge(rows, x, y), n, h.graph, x, y) is not None
