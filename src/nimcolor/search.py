@@ -241,7 +241,9 @@ class _Blocking:
     functions of the class graph, since the mask is exact and
     `_find_through` is deterministic.  Invariant: the bits before idx of
     a remembered mask may come from another branch; they are bits of
-    colored edges, which the search never reads.  With k = 2 the two
+    colored edges, which the search never reads.  A star step where idx
+    was not blocked neither reads nor fills the memo: it has no copy and
+    its mask costs two degree reads.  With k = 2 the two
     classes split the colored edges, so no class graph recurs and there
     is no memo.
     """
@@ -270,14 +272,16 @@ class _Blocking:
         edge mask, 0 when idx was not blocked (then there is none); the
         mask is the class's blocked mask with the edge.
         """
-        memo = self.memo
+        blocked = (mask >> idx) & 1
+        # an unblocked star step has no copy and a mask from two degree reads
+        memo = self.memo if blocked or self.star is None else None
         if memo is not None:
             key = tuple(adj)
             hit = memo.get(key)
             if hit is not None:
                 return hit
         u, v = self.pairs[idx]
-        copy = _find_through(adj, self.n, self.pattern, u, v) if (mask >> idx) & 1 else 0
+        copy = _find_through(adj, self.n, self.pattern, u, v) if blocked else 0
         incident = self.incident
         if self.star is not None:
             if adj[u].bit_count() >= self.star - 1:

@@ -6,7 +6,12 @@ n = a(l-1) + b, 0 <= b <= l-2, together with the extremal-graph recipe
 vertices).  `ex_balanced_forest` evaluates the balanced-forest formula for
 patterns with at least two components.  `turan_oracle` maximizes edges over
 all pattern-free graphs by a depth-first search over the canonical edge
-order and serves as an independent cross-check on both formulas.
+order and serves as an independent cross-check on both formulas.  The
+search remembers, per edge, the last copies of the pattern it found
+through that edge, each minus the edge itself.  When one of them lies
+inside the graph built so far, adding the edge would complete that copy,
+so the edge is excluded without another subgraph search: the decision
+is the one the search would make, and only the query is saved.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .patterns import PatternGraph, make_path, pattern_spec
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
+# copies `turan_oracle` keeps per edge; past this many the oldest is dropped
+_KNOWN_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -179,6 +186,14 @@ def turan_oracle(
     could all be included, and, once row u starts, deg(u-1) is final and
     caps every later degree, so the graph has at most
     (deg(0) + ... + deg(u-1) + (n-u) deg(u-1)) / 2 edges.  Attaches a witness.
+
+    Before querying an edge idx, the search checks the copies it found
+    through idx earlier in this call, each stored as its edge mask minus
+    idx (at most `_KNOWN_CAP` per edge, newest first).  A stored mask
+    inside the included edges g means g plus idx contains that copy, so
+    the edge is blocked exactly when the query would have found a copy:
+    the nodes, the maximum and the witness are those of the search
+    without the store.
     """
     pattern = _guard("oracle", n, h, max_n, max_pattern, tunable=True)
     if pattern.edge_count == 0:
@@ -189,9 +204,12 @@ def turan_oracle(
     adj = [0] * n
     best = -1
     best_adj: tuple[int, ...] = tuple(adj)
+    # known[idx]: copies found through edge idx, minus idx, newest first
+    known: list[list[int]] = [[] for _ in range(m)]
 
-    def rec(idx: int, count: int, done: int) -> None:
-        # done: the degree sum of the vertices whose rows are finished
+    def rec(idx: int, count: int, done: int, g: int) -> None:
+        # done: the degree sum of the vertices whose rows are finished;
+        # g: the included edges as a mask over canonical edge indices
         nonlocal best, best_adj
         if count + (m - idx) <= best:
             return
@@ -217,15 +235,25 @@ def turan_oracle(
         # include first so good solutions tighten the bound early
         bu, bv = 1 << u, 1 << v
         if u == 0 or adj[u].bit_count() < adj[u - 1].bit_count():
-            adj[u] |= bv
-            adj[v] |= bu
-            if _find_through(adj, n, pattern, u, v) is None:
-                rec(idx + 1, count + 1, done)
-            adj[u] &= ~bv
-            adj[v] &= ~bu
-        rec(idx + 1, count, done)
+            rests = known[idx]
+            for rest in rests:
+                if rest & g == rest:
+                    break  # g plus idx holds a copy found before
+            else:
+                adj[u] |= bv
+                adj[v] |= bu
+                copy = _find_through(adj, n, pattern, u, v)
+                if copy is None:
+                    rec(idx + 1, count + 1, done, g | 1 << idx)
+                else:
+                    rests.insert(0, copy & ~(1 << idx))
+                    if len(rests) > _KNOWN_CAP:
+                        rests.pop()
+                adj[u] &= ~bv
+                adj[v] &= ~bu
+        rec(idx + 1, count, done, g)
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, 0)
     witness = SimpleGraph(n, best_adj)
     if contains(witness, pattern):
         raise AssertionError("oracle witness contains the pattern")

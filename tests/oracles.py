@@ -10,7 +10,10 @@ as references for the faster ones: `hill_climb_recount`, the climber's
 full-recount loop, scores every candidate with a fresh `nim_edges` count;
 `turan_oracle_edge_bound` and `exhaustive_f_first_edge_pin` are the two
 branch-and-bound recursions before the degree-sum bound and the class-0
-degree-order symmetry were added; `canonical_search_plain` is
+degree-order symmetry were added; `turan_oracle_plain` is `turan_oracle`'s
+recursion before it stored found copies, which queries every edge it
+tries to include: the oracle must return its maximum, witness rows and
+node count exactly; `canonical_search_plain` is
 `exhaustive_f`'s recursion with that symmetry but before forward checking,
 which queries every colored edge and bounds by covered edges alone: the
 search must return its maximum and witness colors exactly;
@@ -281,6 +284,56 @@ def turan_oracle_edge_bound(n: int, pattern: SimpleGraph) -> tuple[int, SimpleGr
 
     rec(0, 0)
     return best, SimpleGraph(n, best_adj)
+
+
+def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ...], int]:
+    """`turan_oracle`'s search before it stored found copies, verbatim:
+    (maximum, witness rows, nodes), nodes counting calls of the recursion."""
+    m = complete_edge_count(n)
+    pairs = all_pairs(n)
+    adj = [0] * n
+    best = -1
+    best_adj: tuple[int, ...] = tuple(adj)
+    nodes = 0
+
+    def rec(idx: int, count: int, done: int) -> None:
+        # done: the degree sum of the vertices whose rows are finished
+        nonlocal best, best_adj, nodes
+        nodes += 1
+        if count + (m - idx) <= best:
+            return
+        if idx == m:
+            if n >= 2 and adj[n - 1].bit_count() > adj[n - 2].bit_count():
+                return
+            if n >= 3 and adj[n - 2].bit_count() > adj[n - 3].bit_count():
+                return
+            best = count
+            best_adj = tuple(adj)
+            return
+        u, v = pairs[idx]
+        if u >= 1:
+            last = adj[u - 1].bit_count()
+            if v == u + 1:
+                # row u is starting, so deg(u-1) is final: enforce sortedness
+                if u >= 2 and last > adj[u - 2].bit_count():
+                    return
+                done += last
+            # no later degree exceeds deg(u-1); best can rise within a row
+            if (done + (n - u) * last) // 2 <= best:
+                return
+        # include first so good solutions tighten the bound early
+        bu, bv = 1 << u, 1 << v
+        if u == 0 or adj[u].bit_count() < adj[u - 1].bit_count():
+            adj[u] |= bv
+            adj[v] |= bu
+            if _find_through(adj, n, pattern, u, v) is None:
+                rec(idx + 1, count + 1, done)
+            adj[u] &= ~bv
+            adj[v] &= ~bu
+        rec(idx + 1, count, done)
+
+    rec(0, 0, 0)
+    return best, best_adj, nodes
 
 
 def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, EdgeColoring]:

@@ -204,6 +204,22 @@ def test_emptying_the_memo_at_its_cap_keeps_the_answer(cell, monkeypatch):
         assert _canonical_search(n, k, h, full_choices(n, k)) == expected
 
 
+def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
+    # 149,972 when every star step took a memo entry: the memo then reached
+    # its cap four times, not three, and forgot more copies
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _find_through(*args)
+
+    monkeypatch.setattr("nimcolor.search._find_through", counted)
+    best, colors, leaves = _canonical_search(7, 3, P3, full_choices(7, 3))
+    assert (best, "".join(map(str, colors)), leaves) == (6, "000000000120120201000", 83)
+    assert calls == 126379
+
+
 def test_p4_on_eight_vertices():
     r = exhaustive_f(8, 2, P4, budget=1 << 27)
     assert r.best_count == 7

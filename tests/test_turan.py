@@ -1,8 +1,17 @@
+import os
+import sys
 from math import comb
 
 import pytest
 
-from oracles import contains_brute, is_isomorphic, max_pattern_free_edges_brute, turan_oracle_edge_bound
+from oracles import (
+    contains_brute,
+    is_isomorphic,
+    max_pattern_free_edges_brute,
+    turan_oracle_edge_bound,
+    turan_oracle_plain,
+)
+import nimcolor.turan
 from nimcolor.errors import ResourceLimitError, TuranUnavailableError
 from nimcolor.graphs import SimpleGraph, components, join
 from nimcolor.nim import contains
@@ -265,6 +274,70 @@ def test_oracle_matches_the_edge_bound_search(n, spec):
     assert r.witness.edge_count == r.value
     assert not contains_brute(r.witness, h.graph)
     assert old_witness.edge_count == old_value
+
+
+# Every Turan cell of the bench's `exact` workload (perfbench/workloads.py
+# TURAN_CASES), every oracle cell the suite uses and the limit-lifting calls
+# of TestOracle, as (n, spec, keywords).  spider:2,2,2 at n = 9 takes about
+# 25 s on a 2-core box with the plain recursion and the node count, so it
+# runs only under NIMCOLOR_SLOW_TESTS=1.
+SLOW_TESTS = os.environ.get("NIMCOLOR_SLOW_TESTS") == "1"
+BENCH_TURAN_CELLS = [
+    (9, "path:3"), (7, "path:4"), (8, "path:4"), (9, "path:4"), (7, "path:5"), (8, "path:5"), (7, "path:6"),
+    (7, "star:3"), (8, "star:3"), (7, "star:4"), (7, "spider:2,2,1"), (8, "spider:2,2,1"),
+]
+SUITE_TURAN_CELLS = [
+    *[(n, "path:4") for n in range(4, 10)],
+    *[(n, "path:5") for n in range(5, 10)],
+    *[(n, "path:6") for n in range(6, 10)],
+    (10, "star:3"),
+]
+PLAIN_CELLS = [(n, s, {}) for n, s in dict.fromkeys(ORACLE_CELLS + BENCH_TURAN_CELLS + SUITE_TURAN_CELLS)]
+PLAIN_CELLS += [(11, "star:3", {"max_n": 11}), (8, "path:13", {"max_pattern": 13}), (9, "spider:2,2,2", {})]
+
+
+def oracle_nodes(n, h, **kwargs):
+    """`turan_oracle(n, h)` and the number of calls of its recursion."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename == nimcolor.turan.__file__:
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        r = turan_oracle(n, h, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return r, nodes
+
+
+@pytest.mark.parametrize("n, spec, kwargs", PLAIN_CELLS, ids=[f"n{n}-{s}" for n, s, _ in PLAIN_CELLS])
+def test_oracle_matches_the_plain_recursion(n, spec, kwargs):
+    # the stored copies only skip queries whose answer they already give
+    if spec == "spider:2,2,2" and not SLOW_TESTS:
+        pytest.skip("slow cell; set NIMCOLOR_SLOW_TESTS=1")
+    h = C5 if spec == "cycle:5" else parse_pattern(spec)
+    r, nodes = oracle_nodes(n, h, **kwargs)
+    assert (r.value, r.witness.adj, nodes) == turan_oracle_plain(n, h.graph)
+
+
+def test_oracle_queries_pinned(monkeypatch):
+    # 11,869 before the oracle stored the copies it found
+    calls = 0
+    find = nimcolor.turan._find_through
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return find(*args)
+
+    monkeypatch.setattr(nimcolor.turan, "_find_through", counted)
+    assert turan_oracle(8, parse_pattern("spider:2,2,1")).value == 13
+    assert calls == 4223
 
 
 class TestLemmaGap:
