@@ -7,11 +7,15 @@ vertices).  `ex_balanced_forest` evaluates the balanced-forest formula for
 patterns with at least two components.  `turan_oracle` maximizes edges over
 all pattern-free graphs by a depth-first search over the canonical edge
 order and serves as an independent cross-check on both formulas.  The
-search remembers, per edge, the last copies of the pattern it found
-through that edge, each minus the edge itself.  When one of them lies
-inside the graph built so far, adding the edge would complete that copy,
-so the edge is excluded without another subgraph search: the decision
-is the one the search would make, and only the query is saved.
+search keeps two stores per edge.  The first holds the last copies of the
+pattern it found through that edge, each minus the edge itself: when one
+lies inside the graph built so far, adding the edge would complete that
+copy, so the edge is excluded without a subgraph search.  The second holds
+the last graphs built so far to which the edge could be added with no copy
+through it: when the graph built now lies inside one of them, it has no
+copy through the edge either, since a copy in the smaller graph is one in
+the larger, so the edge is included without a search.  Either way the
+decision is the one the search would make, and only the query is saved.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .patterns import PatternGraph, make_path, pattern_spec
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
-# copies `turan_oracle` keeps per edge; past this many the oldest is dropped
+# masks each of `turan_oracle`'s two stores keeps per edge; past this many the oldest is dropped
 _KNOWN_CAP = 16
 
 
@@ -187,13 +191,17 @@ def turan_oracle(
     caps every later degree, so the graph has at most
     (deg(0) + ... + deg(u-1) + (n-u) deg(u-1)) / 2 edges.  Attaches a witness.
 
-    Before querying an edge idx, the search checks the copies it found
-    through idx earlier in this call, each stored as its edge mask minus
-    idx (at most `_KNOWN_CAP` per edge, newest first).  A stored mask
-    inside the included edges g means g plus idx contains that copy, so
-    the edge is blocked exactly when the query would have found a copy:
-    the nodes, the maximum and the witness are those of the search
-    without the store.
+    Before querying an edge idx, the search checks two stores of earlier
+    answers for idx in this call, each at most `_KNOWN_CAP` masks, newest
+    first.  `known[idx]` holds the copies found through idx, each as its
+    edge mask minus idx: one inside the included edges g means g plus idx
+    contains that copy, so the edge is excluded.  `free[idx]` holds the
+    masks g for which g plus idx had no copy through idx: g inside one of
+    them means g plus idx has none either, because a pattern-free graph's
+    subgraphs are pattern-free, so the edge is included.  `known` is
+    checked first; its hits are the more common.  Each store answers only
+    what the query would have answered, so the nodes, the maximum and the
+    witness are those of the search without the stores.
     """
     pattern = _guard("oracle", n, h, max_n, max_pattern, tunable=True)
     if pattern.edge_count == 0:
@@ -204,8 +212,10 @@ def turan_oracle(
     adj = [0] * n
     best = -1
     best_adj: tuple[int, ...] = tuple(adj)
-    # known[idx]: copies found through edge idx, minus idx, newest first
+    # known[idx]: copies found through edge idx, minus idx, newest first;
+    # free[idx]: included-edge masks g where g plus idx had no copy through idx
     known: list[list[int]] = [[] for _ in range(m)]
+    free: list[list[int]] = [[] for _ in range(m)]
 
     def rec(idx: int, count: int, done: int, g: int) -> None:
         # done: the degree sum of the vertices whose rows are finished;
@@ -242,13 +252,19 @@ def turan_oracle(
             else:
                 adj[u] |= bv
                 adj[v] |= bu
-                copy = _find_through(adj, n, pattern, u, v)
+                frees = free[idx]
+                for f in frees:
+                    if g & f == g:
+                        copy = None  # g lies inside a graph with no copy through idx
+                        break
+                else:
+                    copy = _find_through(adj, n, pattern, u, v)
+                    store, mask = (frees, g) if copy is None else (rests, copy & ~(1 << idx))
+                    store.insert(0, mask)
+                    if len(store) > _KNOWN_CAP:
+                        store.pop()
                 if copy is None:
                     rec(idx + 1, count + 1, done, g | 1 << idx)
-                else:
-                    rests.insert(0, copy & ~(1 << idx))
-                    if len(rests) > _KNOWN_CAP:
-                        rests.pop()
                 adj[u] &= ~bv
                 adj[v] &= ~bu
         rec(idx + 1, count, done, g)

@@ -173,9 +173,10 @@ class TestAnchorOrbits:
             # 905 when every oriented edge had a plan
             (lambda h: nim_edges(p2k_multicoloring(60, 4)[0], h), "path:8", 492),
             # 36,980 when every oriented edge had a plan, 24,043 before the
-            # oracle stored the copies it found; the closing `contains`
-            # check on the witness adds its own
-            (lambda h: turan_oracle(8, h), "spider:2,2,1", 11308),
+            # oracle stored the copies it found, 11,308 before it stored the
+            # graphs where it found none; the closing `contains` check on
+            # the witness adds its own
+            (lambda h: turan_oracle(8, h), "spider:2,2,1", 1108),
         ],
         ids=["nim-p2k-60-4-path8", "turan-8-spider"],
     )

@@ -3,6 +3,8 @@ import sys
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     contains_brute,
@@ -13,7 +15,7 @@ from oracles import (
 )
 import nimcolor.turan
 from nimcolor.errors import ResourceLimitError, TuranUnavailableError
-from nimcolor.graphs import SimpleGraph, components, join
+from nimcolor.graphs import SimpleGraph, all_pairs, components, join
 from nimcolor.nim import contains
 from nimcolor.patterns import (
     custom_pattern,
@@ -279,7 +281,7 @@ def test_oracle_matches_the_edge_bound_search(n, spec):
 # Every Turan cell of the bench's `exact` workload (perfbench/workloads.py
 # TURAN_CASES), every oracle cell the suite uses and the limit-lifting calls
 # of TestOracle, as (n, spec, keywords).  spider:2,2,2 at n = 9 takes about
-# 25 s on a 2-core box with the plain recursion and the node count, so it
+# 14 s on a 2-core box with the plain recursion and the node count, so it
 # runs only under NIMCOLOR_SLOW_TESTS=1.
 SLOW_TESTS = os.environ.get("NIMCOLOR_SLOW_TESTS") == "1"
 BENCH_TURAN_CELLS = [
@@ -326,18 +328,52 @@ def test_oracle_matches_the_plain_recursion(n, spec, kwargs):
 
 
 def test_oracle_queries_pinned(monkeypatch):
-    # 11,869 before the oracle stored the copies it found
-    calls = 0
+    # 11,869 before the oracle stored the copies it found, and 4,223 (3,683
+    # of them finding none) before it stored the graphs where it found none
+    calls = misses = 0
     find = nimcolor.turan._find_through
 
     def counted(*args):
-        nonlocal calls
+        nonlocal calls, misses
         calls += 1
-        return find(*args)
+        copy = find(*args)
+        misses += copy is None
+        return copy
 
     monkeypatch.setattr(nimcolor.turan, "_find_through", counted)
     assert turan_oracle(8, parse_pattern("spider:2,2,1")).value == 13
-    assert calls == 4223
+    assert calls == 615
+    assert misses == 75
+
+
+# (n, spec) cells whose stores reach a small cap; cap 0 is the plain recursion
+CAP_CELLS = [(7, "spider:2,2,1"), (8, "spider:2,2,1"), (8, "path:5"), (7, "cycle:5")]
+
+
+@pytest.mark.parametrize("n, spec", CAP_CELLS, ids=[f"n{n}-{s}" for n, s in CAP_CELLS])
+def test_dropping_stored_masks_at_the_cap_keeps_the_answer(n, spec, monkeypatch):
+    h = C5 if spec == "cycle:5" else parse_pattern(spec)
+    r, nodes = oracle_nodes(n, h)
+    expected = (r.value, r.witness.adj, nodes)
+    for cap in (0, 1, 3):
+        monkeypatch.setattr(nimcolor.turan, "_KNOWN_CAP", cap)
+        r, nodes = oracle_nodes(n, h)
+        assert (r.value, r.witness.adj, nodes) == expected, cap
+
+
+@st.composite
+def small_patterns(draw):
+    """A graph on 2..5 vertices with at least one edge, connected or not."""
+    order = draw(st.integers(2, 5))
+    edges = draw(st.lists(st.sampled_from(all_pairs(order)), min_size=1, unique=True))
+    return SimpleGraph.from_edges(order, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_patterns(), st.integers(0, 7))
+def test_oracle_matches_the_plain_recursion_on_random_patterns(g, n):
+    r, nodes = oracle_nodes(n, custom_pattern(g))
+    assert (r.value, r.witness.adj, nodes) == turan_oracle_plain(n, g)
 
 
 class TestLemmaGap:
