@@ -26,32 +26,37 @@ rest of the group its answer: NIM, or hit with no copy.  The NIM mask is
 that of one query per uncovered edge.  The hit edges the pass skips have
 no copy of their own; the hill climber queries them when it needs one.
 
-The engine is one plan family and one recursion.  `_anchor_plans` makes
-one plan per automorphism orbit of an oriented pattern edge: the edge's
-ends take positions 0 and 1, the rest of their component follows in DFS
-order, then the other components, largest first, each DFS-ordered from a
-max-degree root, so partial embeddings stay connected.  An oriented edge
-that an automorphism of the pattern maps an earlier plan's anchor onto
-gets no plan of its own: a copy anchored by it is, through that
-automorphism, a copy anchored by the earlier plan.  `_search` draws each
-position from the common host neighbours of its earlier pattern
-neighbours, or from all free vertices when it has none; it prunes by host
-degree and collapses twin candidates (vertices with identical adjacency
-outside the pair), which is sound for existence queries.  At the last
-position every pattern neighbour is placed, so any candidate fits and the
-lowest is taken.  `_find_through` pins positions 0 and 1 to a host edge
-and tries the plans in order.  A plan succeeds only if the first plan of
-its orbit does, so the first plan to succeed, and the copy it returns,
-are those of trying every oriented edge.  `contains` enters the first
-plan at position 0, which has no earlier neighbours and so ranges over
-every host vertex.
+The engine is one plan family, each plan compiled to one loop kernel.
+`_anchor_plans` makes one plan per automorphism orbit of an oriented
+pattern edge: the edge's ends take positions 0 and 1, the rest of their
+component follows in DFS order, then the other components, largest first,
+each DFS-ordered from a max-degree root, so partial embeddings stay
+connected.  An oriented edge that an automorphism of the pattern maps an
+earlier plan's anchor onto gets no plan of its own: a copy anchored by it
+is, through that automorphism, a copy anchored by the earlier plan.
+`_kernel` turns a plan into Python source, one nested `while` loop per
+position, and compiles it once; the kernels are cached per pattern, as
+the plans are.  Each position draws its candidates from the common host
+neighbours of its earlier pattern neighbours, or from all free vertices
+when it has none, lowest first; it prunes by host degree and collapses
+twin candidates (vertices with identical adjacency outside the pair),
+which is sound for existence queries.  At the last position every pattern
+neighbour is placed, so any candidate fits and the lowest is taken, and
+the copy mask is one expression over `edge_rank_offsets`.  The generated
+source holds fixed names and integers read from the plan, never text
+from a pattern spec, so `exec` runs nothing a caller wrote.
+`_find_through` pins positions 0 and 1 to a host edge and runs the plans'
+kernels in order.  A plan succeeds only if the first plan of its orbit
+does, so the first plan to succeed, and the copy it returns, are those of
+trying every oriented edge.  `contains` enters the first plan at position
+0, which has no earlier neighbours and so ranges over every host vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, components, edge_rank_offsets
@@ -130,19 +135,96 @@ def _component_order(g: SimpleGraph, skip: set[int]) -> list[list[int]]:
     return out
 
 
+# -- compiled plans -----------------------------------------------------
+
+# kernel(adj, n, used, u0, ..., u{s-1}): the search of one plan from
+# position s on, with positions before s placed at u0, ..., u{s-1} and
+# `used` their mask; the copy mask it finds, or None
+_Kernel = Callable[..., Optional[int]]
+
+# loops per generated function: CPython refuses more than 20 statically
+# nested blocks, so a deeper plan hands its later positions to a tail
+_KERNEL_LOOPS = 16
+
+
+@lru_cache(maxsize=None)
+def _kernel(plan: _Plan, start: int) -> _Kernel:
+    """The search of `plan` from position `start` on, generated as nested loops.
+
+    Position p is a `while c{p}:` loop over its candidates, lowest bit
+    first.  The degree test is left out where the earlier pattern
+    neighbours alone give the degree.  Twins have equal open or equal
+    closed rows, so `k{p}` holds both rows of each candidate kept at p; no
+    open row equals a closed one (see `_twin_classes`).  A kernel from
+    position 0 loops over positions 0 and 1 and hands on to the plan's
+    kernel from position 2, the one `_anchor_plans` keeps; any kernel hands
+    on after `_KERNEL_LOOPS` loops.
+    """
+    prev, degrees, last = plan.prev, plan.degrees, len(plan.prev) - 1
+    stop = min(last, 2 if start < 2 else start + _KERNEL_LOOPS)
+
+    def cand(p: int) -> str:
+        rows = [f"a{q}" for q in prev[p]] or ["((1 << n) - 1)"]
+        return " & ".join(rows) + f" & ~m{p}"
+
+    namespace: dict = {"edge_rank_offsets": edge_rank_offsets}
+    lines = ["def kernel(" + ", ".join(["adj", "n", f"m{start}"] + [f"u{q}" for q in range(start)]) + "):"]
+    pad = "    "
+    lines += [f"{pad}a{q} = adj[u{q}]" for q in range(start) if any(q in prev[p] for p in range(start, len(prev)))]
+    for p in range(start, stop):
+        skip = f"a{p} in k{p} or (t := a{p} | b) in k{p}"
+        if degrees[p] > len(prev[p]):
+            skip = f"a{p}.bit_count() < {degrees[p]} or " + skip
+        lines += [f"{pad}c{p} = {cand(p)}", f"{pad}k{p} = set()", f"{pad}while c{p}:"]
+        pad += "    "
+        lines += [
+            f"{pad}b = c{p} & -c{p}",
+            f"{pad}c{p} ^= b",
+            f"{pad}a{p} = adj[u{p} := b.bit_length() - 1]",
+            f"{pad}if {skip}: continue",
+            f"{pad}k{p} |= {{a{p}, t}}",
+            f"{pad}m{p + 1} = m{p} | b",
+        ]
+    if stop < last:
+        namespace["tail"] = _kernel(plan, stop)
+        args = ", ".join(["adj", "n", f"m{stop}"] + [f"u{q}" for q in range(stop)])
+        lines += [f"{pad}w = tail({args})", f"{pad}if w is not None:", f"{pad}    return w"]
+    else:
+        if start <= last:
+            lines += [f"{pad}c = {cand(last)}", f"{pad}if c:"]
+            pad += "    "
+            lines.append(f"{pad}u{last} = (c & -c).bit_length() - 1")
+        ends = [(f"u{p}", f"u{q}") for p, q in plan.edges]
+        witness = " | ".join(f"1 << (o[{a}] + {b} if {a} < {b} else o[{b}] + {a})" for a, b in ends)
+        lines += [f"{pad}o = edge_rank_offsets(n)", f"{pad}return {witness}"]
+    exec(compile("\n".join(lines), "<anchor plan>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _anchor_order(g: SimpleGraph, a: int, b: int) -> list[int]:
+    """Pattern vertices in plan order for the anchor (a, b)."""
+    order = [a, b]
+    _dfs_extend(g, order, {a, b})
+    for chunk in _component_order(g, set(order)):
+        order.extend(chunk)
+    return order
+
+
 # keyed by the adjacency rows, not by the graph: a tuple of ints hashes and
 # compares in C, where SimpleGraph's generated __hash__ and __eq__ would run
 # Python code on every query
 @lru_cache(maxsize=None)
-def _anchor_plans(pattern_adj: tuple[int, ...]) -> tuple[_Plan, ...]:
-    """One plan per automorphism orbit of an oriented edge of the pattern g
-    with adjacency rows `pattern_adj`.
+def _anchor_plans(pattern_adj: tuple[int, ...]) -> tuple[tuple[int, int, _Kernel], ...]:
+    """One compiled plan per automorphism orbit of an oriented edge of the
+    pattern g with adjacency rows `pattern_adj`: the pattern degrees of its
+    anchor (a, b), which take positions 0 and 1, and its kernel from
+    position 2.
 
-    Positions 0 and 1 of a plan are its anchor (a, b).  Oriented edges are
-    taken in edge order, and (a, b) gets a plan only if no kept plan's
-    anchor maps onto it by an automorphism of g.  `_search` on g itself,
-    with a kept plan's positions 0 and 1 pinned to a and b, finds such an
-    automorphism: an injective edge-preserving map of g into itself.
+    Oriented edges are taken in edge order, and (a, b) gets a plan only if
+    no kept plan's anchor maps onto it by an automorphism of g.  A kept
+    plan's kernel run on g itself, with its anchor placed at a and b,
+    finds such an automorphism: an injective edge-preserving map of g into
+    itself.
 
     Witnesses do not change.  If an automorphism s takes the anchor of a
     kept plan onto (a, b), then for every copy f of g anchored by (a, b)
@@ -151,87 +233,38 @@ def _anchor_plans(pattern_adj: tuple[int, ...]) -> tuple[_Plan, ...]:
     and the first plan to succeed is always the first of its orbit.
     """
     g = SimpleGraph(len(pattern_adj), pattern_adj)
-    full = (1 << g.n) - 1
-    img = [0] * g.n
-    plans: list[_Plan] = []
+    plans: list[tuple[int, int, _Kernel]] = []
     for x, y in g.edges():
         for a, b in ((x, y), (y, x)):
-            img[0], img[1] = a, b
-            if any(_search(g.adj, full, kept, img, 1 << a | 1 << b, 2) for kept in plans):
+            used = 1 << a | 1 << b
+            if any(kernel(g.adj, g.n, used, a, b) is not None for _, _, kernel in plans):
                 continue
-            order = [a, b]
-            _dfs_extend(g, order, {a, b})
-            for chunk in _component_order(g, set(order)):
-                order.extend(chunk)
-            plans.append(_plan_from_order(g, order))
+            plan = _plan_from_order(g, _anchor_order(g, a, b))
+            plans.append((plan.degrees[0], plan.degrees[1], _kernel(plan, 2)))
     return tuple(plans)
 
 
-# -- core search --------------------------------------------------------
+@lru_cache(maxsize=None)
+def _containment_kernel(pattern_adj: tuple[int, ...]) -> _Kernel:
+    """The first anchor plan of the pattern with these rows, from position 0."""
+    g = SimpleGraph(len(pattern_adj), pattern_adj)
+    return _kernel(_plan_from_order(g, _anchor_order(g, *next(g.edges()))), 0)
 
 
-def _search(adj: Sequence[int], full: int, plan: _Plan, img: list[int], used: int, pos: int) -> bool:
-    prev = plan.prev
-    last = len(prev) - 1
-    if pos > last:
-        return True
-    nbrs = prev[pos]
-    if nbrs:
-        cand = adj[img[nbrs[0]]]
-        for q in nbrs[1:]:
-            cand &= adj[img[q]]
-        cand &= ~used
-    else:
-        cand = full & ~used
-    if pos == last:
-        # every pattern neighbour is placed, so each candidate has the
-        # degree and completes the copy: take the lowest, as the loop would
-        if not cand:
-            return False
-        img[pos] = (cand & -cand).bit_length() - 1
-        return True
-    need = plan.degrees[pos]
-    kept: list[int] = []
-    while cand:
-        b = cand & -cand
-        cand ^= b
-        w = b.bit_length() - 1
-        aw = adj[w]
-        if aw.bit_count() < need:
-            continue
-        twin = False
-        for r in kept:
-            if not (aw ^ adj[r]) & ~(b | (1 << r)):
-                twin = True
-                break
-        if twin:
-            continue
-        kept.append(w)
-        img[pos] = w
-        if _search(adj, full, plan, img, used | b, pos + 1):
-            return True
-    return False
+# -- anchored queries ---------------------------------------------------
 
 
 def _find_through(adj: Sequence[int], n: int, pattern: SimpleGraph, u: int, v: int) -> Optional[int]:
     """A copy through host edge (u, v) as a bitmask over canonical edge indices, or None."""
     if pattern.n > n:
         return None
-    full = (1 << n) - 1
-    used = 1 << u | 1 << v
     du, dv = adj[u].bit_count(), adj[v].bit_count()
-    img = [0] * pattern.n
-    img[0], img[1] = u, v  # _search writes positions 2 and up only
-    for plan in _anchor_plans(pattern.adj):
-        if du < plan.degrees[0] or dv < plan.degrees[1]:
-            continue
-        if _search(adj, full, plan, img, used, 2):
-            offset = edge_rank_offsets(n)
-            witness = 0
-            for p, q in plan.edges:
-                a, b = img[p], img[q]
-                witness |= 1 << (offset[a] + b if a < b else offset[b] + a)
-            return witness
+    used = 1 << u | 1 << v
+    for need_u, need_v, kernel in _anchor_plans(pattern.adj):
+        if du >= need_u and dv >= need_v:
+            witness = kernel(adj, n, used, u, v)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -245,7 +278,7 @@ def contains(g: SimpleGraph, h) -> bool:
         return False
     if pattern.edge_count == 0:
         return True
-    return _search(g.adj, (1 << g.n) - 1, _anchor_plans(pattern.adj)[0], [0] * pattern.n, 0, 0)
+    return _containment_kernel(pattern.adj)(g.adj, g.n, 0) is not None
 
 
 def _guard(label: str, n: int, h, max_n: int, max_pattern: int, *, tunable: bool = False) -> SimpleGraph:

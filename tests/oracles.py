@@ -469,7 +469,7 @@ def anchor_plans_all(g: SimpleGraph) -> tuple[_Plan, ...]:
 
 
 def search_every_candidate(adj: Sequence[int], full: int, plan: _Plan, img: list[int], used: int, pos: int) -> bool:
-    """`_search` before the last-vertex shortcut."""
+    """The search of one plan, as nim.py compiles it, before the last-vertex shortcut."""
     prev, degrees = plan.prev, plan.degrees
     h = len(prev)
     if pos == h:

@@ -130,10 +130,20 @@ ORBIT_PATTERNS = [
 ]
 
 
+# 7 and 8 vertices: deeper plans than ORBIT_PATTERNS, a position with two
+# earlier neighbours, and one with none
+LARGER_PATTERNS = [
+    make_path(8),
+    make_spider([2, 2, 2]),
+    # a 6-cycle with a pendant vertex, beside an isolated vertex
+    custom_pattern(SimpleGraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)])),
+]
+
+
 @st.composite
-def small_hosts(draw):
-    """A graph on at most 9 vertices, each pair an edge with a drawn density."""
-    n = draw(st.integers(2, 9))
+def small_hosts(draw, min_n=2, max_n=9):
+    """A graph on min_n to max_n vertices, each pair an edge with a drawn density."""
+    n = draw(st.integers(min_n, max_n))
     density = draw(st.integers(2, 9))
     dice = draw(st.lists(st.integers(0, 9), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
     return SimpleGraph.from_edges(n, (pair for pair, d in zip(all_pairs(n), dice) if d < density))
@@ -167,6 +177,24 @@ class TestAnchorOrbits:
                 got = _find_through(g.adj, g.n, h.graph, u, v)
                 assert got == find_through_all_plans(g.adj, g.n, h.graph, u, v), (h.spec, u, v)
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_hosts(min_n=7, max_n=11), st.sampled_from(LARGER_PATTERNS))
+    def test_copy_masks_match_trying_every_plan_on_larger_patterns(self, g, h):
+        for x, y in g.edges():
+            for u, v in ((x, y), (y, x)):
+                got = _find_through(g.adj, g.n, h.graph, u, v)
+                assert got == find_through_all_plans(g.adj, g.n, h.graph, u, v), (h.spec, u, v)
+
+    def test_contains_matches_brute_force_on_larger_patterns(self, rng):
+        # hosts of the pattern's order or one more: brute force tries every
+        # injection, so a larger host costs it a factor of n per vertex
+        for h in LARGER_PATTERNS:
+            for _ in range(6):
+                n = h.vertex_count + (h.vertex_count < 8)
+                p = rng.choice([0.3, 0.5, 0.7])
+                g = SimpleGraph.from_edges(n, [pair for pair in all_pairs(n) if rng.random() < p])
+                assert contains(g, h) == contains_brute(g, h.graph), (h.spec, list(g.edges()))
+
     @pytest.mark.parametrize(
         "run, spec, entered",
         [
@@ -174,27 +202,74 @@ class TestAnchorOrbits:
             (lambda h: nim_edges(p2k_multicoloring(60, 4)[0], h), "path:8", 492),
             # 36,980 when every oriented edge had a plan, 24,043 before the
             # oracle stored the copies it found, 11,308 before it stored the
-            # graphs where it found none; the closing `contains` check on
-            # the witness adds its own
-            (lambda h: turan_oracle(8, h), "spider:2,2,1", 1108),
+            # graphs where it found none, 1,108 while the closing `contains`
+            # check on the witness entered the same recursion
+            (lambda h: turan_oracle(8, h), "spider:2,2,1", 1106),
         ],
         ids=["nim-p2k-60-4-path8", "turan-8-spider"],
     )
     def test_plans_entered(self, monkeypatch, run, spec, entered):
-        # a query enters a plan by calling _search at position 2
-        h = parse_pattern(spec)
-        _anchor_plans(h.graph.adj)  # build the plans first: the orbit check calls _search too
+        # an anchored query enters a plan by calling its kernel; the orbit
+        # check runs kernels from inside _anchor_plans and is not counted
         calls = 0
 
-        def counted(adj, full, plan, img, used, pos):
-            nonlocal calls
-            calls += pos == 2
-            return search(adj, full, plan, img, used, pos)
+        def counted(kernel):
+            def entry(*args):
+                nonlocal calls
+                calls += 1
+                return kernel(*args)
 
-        search = nim._search
-        monkeypatch.setattr(nim, "_search", counted)
-        run(h)
+            return entry
+
+        plans = nim._anchor_plans
+        monkeypatch.setattr(nim, "_anchor_plans", lambda rows: tuple((du, dv, counted(k)) for du, dv, k in plans(rows)))
+        run(parse_pattern(spec))
         assert calls == entered
+
+
+class TestDeepPlans:
+    """Patterns of order 24, whose plans need more nested loops than CPython
+    compiles into one function."""
+
+    P24 = make_path(24)
+    LONE = parse_pattern("path:23+path:1")  # a path beside an isolated vertex
+    TWELVES = parse_pattern("path:12+path:12")
+
+    def test_nim_edges(self):
+        # colour 0 is a path on 23 of the 25 vertices, colour 1 every other edge
+        n = 25
+        red = tuple(edge_index(i, i + 1, n) for i in range(22))
+        c = EdgeColoring(n, 2, tuple(0 if e in red else 1 for e in range(n * (n - 1) // 2)))
+        assert nim_edges(c, self.P24, max_pattern=24).nim_edges == tuple(sorted(red))
+        assert nim_edges(c, self.TWELVES, max_pattern=24).nim_edges == tuple(sorted(red))
+        assert nim_edges(c, self.LONE, max_pattern=24).count == 0
+        assert nim_edges(EdgeColoring.monochromatic(24), make_path(23), max_pattern=23).count == 0
+
+    @pytest.mark.parametrize(
+        "h, host",
+        [
+            (P24, make_path(26).graph),
+            (LONE, disjoint_union(make_path(23).graph, SimpleGraph.empty(1))),
+            (LONE, disjoint_union(make_path(22).graph, make_path(2).graph)),
+            # two paths on 12 fit a path on 24 only as its two halves
+            (TWELVES, disjoint_union(make_path(24).graph, SimpleGraph.empty(1))),
+        ],
+        ids=["path24", "lone", "lone-too-short", "twelves"],
+    )
+    def test_copy_masks_match_trying_every_plan(self, h, host):
+        for x, y in host.edges():
+            for u, v in ((x, y), (y, x)):
+                got = _find_through(host.adj, host.n, h.graph, u, v)
+                assert got == find_through_all_plans(host.adj, host.n, h.graph, u, v), (u, v)
+
+    def test_contains(self):
+        assert contains(make_path(25).graph, self.P24)
+        assert not contains(disjoint_union(make_path(23).graph, make_path(2).graph), self.P24)
+        assert contains(make_path(25).graph, self.TWELVES)
+        assert contains(disjoint_union(make_path(13).graph, make_path(12).graph), self.TWELVES)
+        assert not contains(disjoint_union(disjoint_union(make_path(13).graph, make_path(11).graph), SimpleGraph.empty(1)), self.TWELVES)
+        assert contains(disjoint_union(make_path(23).graph, SimpleGraph.empty(1)), self.LONE)
+        assert not contains(disjoint_union(make_path(22).graph, make_path(2).graph), self.LONE)
 
 
 class TestNimEdges:
