@@ -22,6 +22,7 @@ from . import __version__
 from .constructions import (
     extremal_overlay,
     p2k_multicoloring,
+    tail_coloring_for,
     tail_forest_coloring,
     verify_layout,
 )
@@ -114,29 +115,36 @@ def _cmd_pattern(args) -> int:
     return 0
 
 
-# each family-specific construct flag and the one family that reads it
-_CONSTRUCT_FLAGS = {"k": "p2k", "a": "tail", "t": "overlay", "pattern": "overlay"}
+# each construction family and the construct flags it reads: first the one it
+# needs, last the one that sizes it
+_FAMILIES = {"p2k": ("k",), "tail": ("a",), "overlay": ("pattern", "t")}
+
+
+def _construction(family: str, n: int, size: Optional[int], h: Optional[PatternGraph]):
+    """(coloring, its layout or None) of a family at n, `size` being what the
+    family's sizing flag holds; an overlay's t of None is the path recipe's."""
+    flag = _FAMILIES[family][-1]
+    if flag == "k":
+        return p2k_multicoloring(n, size)
+    if flag == "a":
+        return tail_forest_coloring(n, size), None
+    if h.family != "path":
+        raise ValueError(f"{family} construction is wired for path patterns; use the library API otherwise")
+    if size is None:
+        size = ex_path(n, h.vertex_count).recipe["a"]
+    return extremal_overlay(n, h, extremal_path_graph(n, h.vertex_count, size)), None
 
 
 def _cmd_construct(args) -> int:
-    for flag, family in _CONSTRUCT_FLAGS.items():
-        if getattr(args, flag) is not None and args.family != family:
-            raise ValueError(f"--{flag} is for --family {family}; --family {args.family} does not use it")
-    layout = None
-    if args.family == "p2k":
-        if args.k is None:
-            raise ValueError("p2k needs --k")
-        coloring, layout = p2k_multicoloring(args.n, args.k)
-    elif args.family == "tail":
-        if args.a is None:
-            raise ValueError("tail needs --a")
-        coloring = tail_forest_coloring(args.n, args.a)
-    elif args.family == "overlay":
-        if not args.pattern:
-            raise ValueError("overlay needs --pattern")
-        coloring = _path_overlay(args.n, parse_pattern(args.pattern), args.t)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {args.family}")
+    for family, flags in _FAMILIES.items():
+        for flag in flags:
+            if getattr(args, flag) is not None and family != args.family:
+                raise ValueError(f"--{flag} is for --family {family}; --family {args.family} does not use it")
+    flags = _FAMILIES[args.family]
+    if getattr(args, flags[0]) is None:
+        raise ValueError(f"{args.family} needs --{flags[0]}")
+    h = None if args.pattern is None else parse_pattern(args.pattern)
+    coloring, layout = _construction(args.family, args.n, getattr(args, flags[-1]), h)
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -151,15 +159,6 @@ def _cmd_construct(args) -> int:
     else:
         _emit(coloring.to_dict())
     return 0
-
-
-def _path_overlay(n: int, h: PatternGraph, t: Optional[int] = None) -> EdgeColoring:
-    """The overlay on a path-extremal red graph; t defaults to the recipe's clique count."""
-    if h.family != "path":
-        raise ValueError("overlay construction is wired for path patterns; use the library API otherwise")
-    if t is None:
-        t = ex_path(n, h.vertex_count).recipe["a"]
-    return extremal_overlay(n, h, extremal_path_graph(n, h.vertex_count, t))
 
 
 def _cmd_verify(args) -> int:
@@ -186,8 +185,9 @@ def _cmd_turan(args) -> int:
 
 def _cmd_search(args) -> int:
     h = parse_pattern(args.pattern)
-    if args.construction_k is not None and args.seed_construction != "p2k":
-        raise ValueError("--construction-k sizes the p2k seed; it needs --seed-construction p2k")
+    for family, flags in _FAMILIES.items():  # --construction-k is the seed's --k
+        if flags[-1] == "k" and args.construction_k is not None and args.seed_construction != family:
+            raise ValueError(f"--construction-k sizes the {family} seed; it needs --seed-construction {family}")
     if args.iterations < 0:
         raise ValueError(f"--iterations must be >= 0, got {args.iterations}")
     if args.restarts < 1:
@@ -223,23 +223,20 @@ def _cmd_search(args) -> int:
 
 
 def _build_seed(args, h: PatternGraph) -> EdgeColoring:
-    name = args.seed_construction
-    if name == "overlay":
-        coloring = _path_overlay(args.n, h)
-    elif name == "tail":
-        from .constructions import tail_coloring_for
-
+    family = args.seed_construction
+    flag = _FAMILIES[family][-1]
+    if flag == "a":  # the pattern fixes a
         coloring, _ = tail_coloring_for(args.n, h)
     else:
-        ck = args.construction_k
-        if ck is None:
+        size = args.construction_k  # None unless --k sizes the family, as _cmd_search checks
+        if flag == "k" and size is None:
             if args.k % 2:
-                raise ValueError("p2k seeding needs an even --k (or an explicit --construction-k)")
-            ck = args.k // 2
-        coloring, _ = p2k_multicoloring(args.n, ck)
-    if coloring.k != args.k:
-        coloring = coloring.with_colors(args.k)
-    return coloring
+                raise ValueError(f"{family} seeding needs an even --k (or an explicit --construction-k)")
+            size = args.k // 2
+        coloring, _ = _construction(family, args.n, size, h)
+    if coloring.k > args.k:
+        raise ValueError(f"--k {args.k} is fewer than the {coloring.k} colors of the {family} seed")
+    return coloring.with_colors(args.k) if coloring.k < args.k else coloring
 
 
 # the result fields `report` reads from each search record, with their JSON types
@@ -323,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pattern)
 
     p = sub.add_parser("construct", help="build a coloring and write it as JSON")
-    p.add_argument("--family", choices=["overlay", "tail", "p2k"], required=True)
+    p.add_argument("--family", choices=_FAMILIES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--a", type=int)
@@ -351,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--seed-construction", choices=["overlay", "tail", "p2k"])
+    p.add_argument("--seed-construction", choices=_FAMILIES)
     p.add_argument("--construction-k", type=int)
     p.add_argument("--budget", type=int, help=f"exhaustive mode only (default {DEFAULT_LEAF_BUDGET})")
     p.add_argument("--ledger")

@@ -54,12 +54,14 @@ trying every oriented edge.  `contains` enters the first plan at position
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, components, edge_rank_offsets
+from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, components, edge_rank_offsets
 from .patterns import _as_graph, pattern_spec
 
 DEFAULT_MAX_N = 64
@@ -298,6 +300,29 @@ def _guard(label: str, n: int, h, max_n: int, max_pattern: int, *, tunable: bool
             hint = f"pass {key}={value} to allow it" if tunable else ""
             raise ResourceLimitError(f"{label} limited to {what} <= {limit}, got {value}", hint)
     return pattern
+
+
+def _depth_guard(label: str, n: int, pattern: SimpleGraph) -> None:
+    """Refuse an exact search of K_n that would pass the recursion limit.
+
+    The exact searches recurse once per edge of K_n on top of the caller's
+    frames, and their deepest calls score a leaf or query for a copy: a
+    few frames more, plus one per `_KERNEL_LOOPS` positions of a plan.
+    Past the limit is a ResourceLimitError that names it, not a
+    RecursionError deep in the search.
+    """
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    room = limit - depth - 10 - pattern.n // _KERNEL_LOOPS
+    if complete_edge_count(n) > room:
+        top = (1 + math.isqrt(1 + 8 * max(room, 0))) // 2  # the largest n with C(n, 2) <= room
+        raise ResourceLimitError(
+            f"{label} limited to n <= {top} by the recursion limit {limit}, got {n}",
+            "sys.setrecursionlimit raises it",
+        )
 
 
 def _twin_classes(rows: Sequence[int]) -> list[int]:

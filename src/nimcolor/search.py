@@ -42,8 +42,8 @@ from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count
-from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _find_through, _guard, nim_edges
-from .patterns import PatternGraph
+from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _depth_guard, _find_through, _guard, nim_edges
+from .patterns import PatternGraph, _as_graph, pattern_spec
 from .turan import TuranResult
 
 DEFAULT_LEAF_BUDGET = 1 << 20
@@ -103,7 +103,7 @@ def exhaustive_f(
     bound keeps the first maximal coloring in search order, so the
     witness does not depend on how strong the bound is.
     """
-    _guard("exhaustive search", n, h, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
+    pattern = _guard("exhaustive search", n, h, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
     if k < 1:
         raise ValueError("k must be >= 1")
     if budget < 1:
@@ -114,22 +114,24 @@ def exhaustive_f(
         raise ResourceLimitError(
             f"{k}^{free} colorings exceed budget {budget}; try hill_climb_f"
         )
+    if k > 1:
+        _depth_guard("exhaustive search", n, pattern)
     started = time.perf_counter()
     if k == 1:  # one coloring, scored directly: the search would recurse once per edge
         colors = (0,) * m
-        best, leaves = nim_edges(EdgeColoring(n, k, colors), h).count, 1
+        best, leaves = nim_edges(EdgeColoring(n, k, colors), pattern).count, 1
     else:
         # color permutations preserve the count, so edge (0, 1) is pinned to color 0
-        best, colors, leaves = _canonical_search(n, k, h, [(0,)] + [range(k)] * (m - 1) if m else [])
+        best, colors, leaves = _canonical_search(n, k, pattern, [(0,)] + [range(k)] * (m - 1) if m else [])
     elapsed = time.perf_counter() - started
-    return SearchResult(n, k, h.spec, best, EdgeColoring(n, k, colors), "exhaustive", True, leaves, elapsed)
+    return SearchResult(n, k, pattern_spec(h), best, EdgeColoring(n, k, colors), "exhaustive", True, leaves, elapsed)
 
 
 def _canonical_search(
-    n: int, k: int, h: PatternGraph, choices: Sequence[Sequence[int]]
+    n: int, k: int, h, choices: Sequence[Sequence[int]]
 ) -> tuple[int, tuple[int, ...], int]:
     """(best NIM count, its colors, leaves scored) over the canonical colorings
-    in which edge e takes a color from choices[e].
+    in which edge e takes a color from choices[e]; h is a pattern or its graph.
 
     Best is -1, with all colors 0, when no such coloring is canonical.
     An edge is forced when it is blocked (`_Blocking`) in every class.
@@ -144,7 +146,7 @@ def _canonical_search(
     best_colors: tuple[int, ...] = tuple(colors)
     leaves = 0
 
-    blocking = _Blocking(n, k, h.graph)
+    blocking = _Blocking(n, k, _as_graph(h))
     step = blocking.step
     blocked = [blocking.empty] * k
 
@@ -422,7 +424,7 @@ def hill_climb_f(
     elapsed = time.perf_counter() - started
     assert best_witness is not None
     return SearchResult(
-        n, k, h.spec, best, best_witness, "hill_climb", False, examined, elapsed
+        n, k, pattern_spec(h), best, best_witness, "hill_climb", False, examined, elapsed
     )
 
 

@@ -33,7 +33,7 @@ from .graphs import (
     disjoint_union,
     join,
 )
-from .nim import _find_through, _guard, contains
+from .nim import _depth_guard, _find_through, _guard, contains
 from .patterns import PatternGraph, make_path, pattern_spec
 
 ORACLE_MAX_N = 10
@@ -206,6 +206,7 @@ def turan_oracle(
     pattern = _guard("oracle", n, h, max_n, max_pattern, tunable=True)
     if pattern.edge_count == 0:
         raise ValueError("pattern needs at least one edge")
+    _depth_guard("oracle", n, pattern)
 
     m = complete_edge_count(n)
     pairs = all_pairs(n)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -523,8 +524,66 @@ class TestSearchAndReport:
         assert "overlay construction is wired for path patterns" in err
         assert not ledger.exists()
 
+    @pytest.mark.parametrize(
+        "pattern, n, k, flags, count",
+        [
+            ("dstar:3+path:6", 17, 2, ["tail"], 70),
+            ("path:4", 13, 2, ["overlay"], 12),
+            ("path:4", 13, 3, ["overlay"], 12),
+            ("path:4", 13, 4, ["p2k"], 39),
+        ],
+        ids=["tail", "overlay-k2", "overlay-k3", "p2k"],
+    )
+    def test_a_seed_climbs_from_its_construction_count(self, capsys, tmp_path, pattern, n, k, flags, count):
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", pattern, "--n", str(n), "--k", str(k), "--mode", "hill",
+            "--iterations", "0", "--ledger", str(tmp_path / "l.jsonl"), "--seed-construction", *flags,
+        )
+        assert code == 0, err
+        assert json.loads(out)["best_count"] == count
+
+    @pytest.mark.parametrize(
+        "pattern, n, k, flags, colors",
+        [
+            ("dstar:3+path:6", 17, 1, ["tail"], 2),
+            ("path:4", 13, 3, ["p2k", "--construction-k", "2"], 4),
+        ],
+        ids=["tail", "p2k"],
+    )
+    def test_a_seed_with_more_colors_than_k_is_refused(self, capsys, tmp_path, pattern, n, k, flags, colors):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", pattern, "--n", str(n), "--k", str(k), "--mode", "hill",
+            "--iterations", "0", "--ledger", str(ledger), "--seed-construction", *flags,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --k {k} is fewer than the {colors} colors of the {flags[0]} seed\n"
+        assert not ledger.exists()
+
+    def test_depth_past_the_recursion_limit_is_refused(self, capsys, tmp_path):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", "path:2", "--n", "46", "--k", "2",
+            "--budget", str(2**2000), "--ledger", str(ledger),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exhaustive search limited to n <= ") and err.count("\n") == 1
+        assert "by the recursion limit" in err and err.endswith(", got 46\n")
+        assert not ledger.exists()
+
 
 class TestUsage:
+    def test_families_are_the_same_for_construct_and_seeds(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+        def choices(command, dest):
+            return sorted(next(a.choices for a in sub.choices[command]._actions if a.dest == dest))
+
+        assert choices("construct", "family") == choices("search", "seed_construction") == ["overlay", "p2k", "tail"]
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -93,6 +94,21 @@ class TestExhaustive:
         r = exhaustive_f(46, 1, P3)
         assert r.best_count == 0
         assert r.colorings_examined == 1
+
+    def test_depth_past_the_recursion_limit_is_refused_up_front(self):
+        # the search recurses once per edge: K_46 has 1,035, past the default limit of 1000
+        with pytest.raises(ResourceLimitError) as err:
+            exhaustive_f(46, 2, make_path(2), budget=2**2000)
+        assert re.fullmatch(r"exhaustive search limited to n <= \d+ by the recursion limit \d+, got 46", err.value.limit)
+        assert err.value.hint == "sys.setrecursionlimit raises it"
+
+    def test_raw_graph_pattern(self):
+        by_pattern = exhaustive_f(4, 2, P3)
+        by_graph = exhaustive_f(4, 2, P3.graph)
+        assert by_graph.pattern == "custom:3v2e"
+        assert (by_graph.best_count, by_graph.witness, by_graph.colorings_examined) == (
+            by_pattern.best_count, by_pattern.witness, by_pattern.colorings_examined
+        )
 
     def test_n_is_checked_before_the_search(self):
         with pytest.raises(ResourceLimitError, match=r"exhaustive search limited to n <= 64") as err:
@@ -352,6 +368,14 @@ class TestHillClimb:
         seed, _ = tail_coloring_for(20, h)
         r = hill_climb_f(20, 2, h, iterations=0, restarts=1, seed_coloring=seed)
         assert r.best_count >= 85
+
+    def test_raw_graph_pattern(self):
+        by_pattern = hill_climb_f(5, 2, P3, seed=3, restarts=2)
+        by_graph = hill_climb_f(5, 2, P3.graph, seed=3, restarts=2)
+        assert by_graph.pattern == "custom:3v2e"
+        assert (by_graph.best_count, by_graph.witness, by_graph.colorings_examined) == (
+            by_pattern.best_count, by_pattern.witness, by_pattern.colorings_examined
+        )
 
     def test_size_guard(self):
         with pytest.raises(ResourceLimitError):

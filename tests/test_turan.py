@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 from math import comb
 
@@ -246,6 +247,19 @@ class TestOracle:
     def test_negative_n_is_refused(self):
         with pytest.raises(ValueError, match="n must be >= 0, got -2"):
             turan_oracle(-2, make_star(3))
+
+    def test_depth_past_the_recursion_limit_is_refused_up_front(self):
+        # the search recurses once per edge: K_46 has 1,035, past the default limit of 1000
+        with pytest.raises(ResourceLimitError) as err:
+            turan_oracle(46, make_path(2), max_n=46)
+        assert re.fullmatch(r"oracle limited to n <= \d+ by the recursion limit \d+, got 46", err.value.limit)
+        assert err.value.hint == "sys.setrecursionlimit raises it"
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 200)
+        try:
+            assert turan_oracle(46, make_path(2), max_n=46).value == 0
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 # Every (n, pattern) cell with n <= 7 the suite and the benchmark use, plus
