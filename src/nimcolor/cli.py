@@ -30,8 +30,8 @@ from .errors import ResourceLimitError, TuranUnavailableError
 from .graphs import EdgeColoring
 from .nim import nim_edges
 from .patterns import PatternGraph, parse_pattern
-from .search import DEFAULT_LEAF_BUDGET, exhaustive_f, hill_climb_f, turan_gap
-from .turan import TuranResult, ex_path, extremal_path_graph, turan_oracle, turan_value
+from .search import DEFAULT_LEAF_BUDGET, exhaustive_f, hill_climb_f
+from .turan import ex_path, extremal_path_graph, turan_oracle, turan_value
 
 DEFAULT_LEDGER = "nimcolor-ledger.jsonl"
 
@@ -188,10 +188,10 @@ def _cmd_search(args) -> int:
     for family, flags in _FAMILIES.items():  # --construction-k is the seed's --k
         if flags[-1] == "k" and args.construction_k is not None and args.seed_construction != family:
             raise ValueError(f"--construction-k sizes the {family} seed; it needs --seed-construction {family}")
-    if args.iterations < 0:
-        raise ValueError(f"--iterations must be >= 0, got {args.iterations}")
-    if args.restarts < 1:
-        raise ValueError(f"--restarts must be >= 1, got {args.restarts}")
+    for flag, least in (("iterations", 0), ("restarts", 1), ("construction_k", 2)):
+        value = getattr(args, flag)
+        if value is not None and value < least:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
     if args.mode == "exhaustive":
         if args.seed_construction:
             raise ValueError("--seed-construction seeds --mode hill only; exhaustive search takes no seed")
@@ -242,11 +242,17 @@ def _build_seed(args, h: PatternGraph) -> EdgeColoring:
 # the result fields `report` reads from each search record, with their JSON types
 _REPORT_FIELDS = {"n": int, "k": int, "pattern": str, "best_count": int, "exhaustive": bool}
 
+# the report's columns in order, with their format specs in the text table (None: not shown)
+_REPORT_COLUMNS = {
+    "timestamp": None, "pattern": "<22", "n": ">4", "k": ">3", "best": ">6", "ex": ">6", "gap": ">5",
+    "exhaustive": None,
+}
+
 
 def _cmd_report(args) -> int:
     path = _ledger_path(args)
     rows = []
-    ex_by_case: dict[tuple[int, str], Optional[TuranResult]] = {}  # (n, pattern spec) -> ex
+    ex_by_case: dict[tuple[int, str], Optional[int]] = {}  # (n, pattern spec) -> ex(n, H)
     for no, record in _ledger_lines(path):
         if record.get("command") != "search":
             continue
@@ -261,14 +267,12 @@ def _cmd_report(args) -> int:
         case = (payload["n"], payload["pattern"])
         if case not in ex_by_case:
             try:
-                ex_by_case[case] = turan_value(payload["n"], parse_pattern(payload["pattern"]))
+                ex_by_case[case] = turan_value(payload["n"], parse_pattern(payload["pattern"])).value
             except TuranUnavailableError:
                 ex_by_case[case] = None
             except ValueError as exc:
                 raise ValueError(f"{path}: line {no}: {exc}") from exc
         ex = ex_by_case[case]
-        ex_value = None if ex is None else ex.value
-        gap = None if ex is None else turan_gap(ex, payload["k"], payload["best_count"])
         rows.append(
             {
                 "timestamp": record.get("timestamp"),
@@ -276,8 +280,8 @@ def _cmd_report(args) -> int:
                 "n": payload["n"],
                 "k": payload["k"],
                 "best": payload["best_count"],
-                "ex": ex_value,
-                "gap": gap,
+                "ex": ex,
+                "gap": None if ex is None else payload["best_count"] - (payload["k"] - 1) * ex,
                 "exhaustive": payload["exhaustive"],
             }
         )
@@ -286,23 +290,18 @@ def _cmd_report(args) -> int:
         "best_sum": sum(r["best"] for r in rows),
         "gap_sum": sum(r["gap"] for r in rows if r["gap"] is not None),
     }
+    header = {column: column for column in _REPORT_COLUMNS}
     if args.format == "json":
         _emit({"rows": rows, "totals": totals})
     elif args.format == "csv":
-        print("timestamp,pattern,n,k,best,ex,gap,exhaustive")
-        for r in rows:
-            print(
-                f'{r["timestamp"]},{r["pattern"]},{r["n"]},{r["k"]},'
-                f'{r["best"]},{r["ex"]},{r["gap"]},{r["exhaustive"]}'
-            )
-        print(f'totals,,,,{totals["best_sum"]},,{totals["gap_sum"]},{totals["rows"]}')
+        sums = {"timestamp": "totals", "best": totals["best_sum"], "gap": totals["gap_sum"]}
+        sums["exhaustive"] = totals["rows"]  # the row count goes in the last column
+        for r in (header, *rows, sums):
+            print(",".join(str(r.get(column, "")) for column in _REPORT_COLUMNS))
     else:
-        header = f'{"pattern":<22}{"n":>4}{"k":>3}{"best":>6}{"ex":>6}{"gap":>5}'
-        print(header)
-        for r in rows:
-            ex_s = "-" if r["ex"] is None else r["ex"]
-            gap_s = "-" if r["gap"] is None else r["gap"]
-            print(f'{r["pattern"]:<22}{r["n"]:>4}{r["k"]:>3}{r["best"]:>6}{ex_s:>6}{gap_s:>5}')
+        shown = {column: spec for column, spec in _REPORT_COLUMNS.items() if spec is not None}
+        for r in (header, *rows):
+            print("".join(format("-" if r[column] is None else r[column], spec) for column, spec in shown.items()))
         print(f'rows={totals["rows"]} best_sum={totals["best_sum"]} gap_sum={totals["gap_sum"]}')
     return 0
 
@@ -375,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, ResourceLimitError, OSError, json.JSONDecodeError) as exc:
-        # a limit's hint names a library keyword, which the CLI has no flag for
+        # a limit's hint names a library keyword or call, which the CLI has no flag for
         print(f"error: {exc.limit if isinstance(exc, ResourceLimitError) else exc}", file=sys.stderr)
         return 1
 

@@ -27,6 +27,7 @@ from math import comb
 from .graphs import (
     EdgeColoring,
     SimpleGraph,
+    all_pairs,
     complete_edge_count,
     components,
     edge_index,
@@ -76,13 +77,8 @@ def tail_forest_coloring(n: int, a: int) -> EdgeColoring:
         raise ValueError("a must be >= 2")
     if n < 4 * a + (2 * a - 1):
         raise ValueError(f"n={n} too small; need n >= {6 * a - 1} for a={a}")
-    x_size = 2 * a - 1
-    colors = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            red = u < x_size <= v
-            colors.append(0 if red else 1)
-    return EdgeColoring(n, 2, tuple(colors))
+    x_size = 2 * a - 1  # red (0) between X and Y, blue (1) within each side
+    return EdgeColoring(n, 2, tuple(0 if u < x_size <= v else 1 for u, v in all_pairs(n)))
 
 
 def tail_coloring_for(n: int, h: PatternGraph) -> tuple[EdgeColoring, int]:

@@ -9,7 +9,7 @@ class ResourceLimitError(RuntimeError):
     """Raised when an exact computation exceeds its configured size budget.
 
     `limit` says which limit was exceeded; `hint`, when there is one, names
-    the keyword argument that lifts it.  The message joins the two.
+    the library keyword or call that gets past it.  The message joins the two.
     """
 
     def __init__(self, limit: str, hint: str = ""):

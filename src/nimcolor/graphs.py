@@ -6,8 +6,8 @@ rank ``u*n - u*(u+1)//2 + (v - u - 1)``, i.e. pairs (u, v) sorted
 lexicographically.  Python's unbounded ints serve as bitsets, so there is
 no hard vertex limit; everything here works for n well beyond 4096.
 
-Both `SimpleGraph` and `EdgeColoring` are frozen: safe to share across
-workers, hashable, usable as cache keys.
+Both `SimpleGraph` and `EdgeColoring` are frozen: hashable and usable as
+cache keys.
 """
 
 from __future__ import annotations
@@ -229,9 +229,6 @@ class EdgeColoring:
         """Uniform color per edge in canonical order, drawn via rng.randrange(k)."""
         return EdgeColoring(n, k, tuple(rng.randrange(k) for _ in range(complete_edge_count(n))))
 
-    def color_of(self, u: int, v: int) -> int:
-        return self.colors[edge_index(u, v, self.n)]
-
     def color_class(self, i: int) -> SimpleGraph:
         """The graph on 0..n-1 whose edges carry color i."""
         if not (0 <= i < self.k):
@@ -262,9 +259,8 @@ class EdgeColoring:
     def permuted(self, perm: list[int]) -> "EdgeColoring":
         """Apply a vertex permutation; edge {u,v} takes the old color of {u,v}."""
         colors = [0] * len(self.colors)
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                colors[edge_index(perm[u], perm[v], self.n)] = self.color_of(u, v)
+        for (u, v), c in zip(all_pairs(self.n), self.colors):
+            colors[edge_index(perm[u], perm[v], self.n)] = c
         return EdgeColoring(self.n, self.k, tuple(colors))
 
     def relabel_colors(self, sigma: list[int]) -> "EdgeColoring":

@@ -44,7 +44,6 @@ from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count
 from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _depth_guard, _find_through, _guard, nim_edges
 from .patterns import PatternGraph, _as_graph, pattern_spec
-from .turan import TuranResult
 
 DEFAULT_LEAF_BUDGET = 1 << 20
 HILL_MAX_N = 40
@@ -111,9 +110,7 @@ def exhaustive_f(
     m = complete_edge_count(n)
     free = m - (1 if k > 1 else 0)
     if free >= 0 and k**free > budget:
-        raise ResourceLimitError(
-            f"{k}^{free} colorings exceed budget {budget}; try hill_climb_f"
-        )
+        raise ResourceLimitError(f"{k}^{free} colorings exceed budget {budget}", "try hill_climb_f")
     if k > 1:
         _depth_guard("exhaustive search", n, pattern)
     started = time.perf_counter()
@@ -529,8 +526,3 @@ class _NimState:
         adj[u] ^= bv
         adj[v] ^= bu
         return delta
-
-
-def turan_gap(ex: TuranResult, k: int, best_count: int) -> int:
-    """The gap best_count - (k-1) ex(n, H), given ex(n, H)."""
-    return best_count - (k - 1) * ex.value

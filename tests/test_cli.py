@@ -122,6 +122,10 @@ class TestConstructVerifyPipeline:
         assert code == 1
         assert "--k" in err
 
+    def test_p2k_construct_under_two_names_its_k(self, capsys):
+        code, out, err = run(capsys, "construct", "--family", "p2k", "--n", "13", "--k", "1")
+        assert (code, out, err) == (1, "", "error: k must be >= 2\n")
+
     @pytest.mark.parametrize(
         "family, extra, flag",
         [
@@ -293,6 +297,61 @@ class TestSearchAndReport:
         assert star_row.split()[:2] == ["star:3", "11"] and star_row.split()[-2:] == ["-", "-"]
         assert totals.startswith("rows=2 ") and totals.endswith(" gap_sum=0")
 
+    # a hand-written ledger: a non-search record (skipped), an unavailable ex
+    # (star:3 past the oracle), the p2k hill row and a k = 3 row
+    GOLDEN_LEDGER = "".join(
+        json.dumps(record, sort_keys=True) + "\n"
+        for record in [
+            {"command": "search", "timestamp": "2026-01-05T10:00:00+00:00",
+             "result": {"n": 4, "k": 2, "pattern": "path:3", "best_count": 2, "exhaustive": True}},
+            {"command": "verify", "timestamp": "2026-01-05T10:01:00+00:00", "result": {"count": 39}},
+            {"command": "search", "timestamp": "2026-01-05T10:02:00+00:00",
+             "result": {"n": 11, "k": 2, "pattern": "star:3", "best_count": 0, "exhaustive": False}},
+            {"command": "search", "timestamp": "2026-01-05T10:03:00+00:00",
+             "result": {"n": 13, "k": 4, "pattern": "path:4", "best_count": 39, "exhaustive": False}},
+            {"command": "search", "timestamp": "2026-01-05T10:04:00+00:00",
+             "result": {"n": 5, "k": 3, "pattern": "path:3", "best_count": 4, "exhaustive": True}},
+        ]
+    )
+    GOLDEN_REPORT = {
+        "table": (
+            "pattern                  n  k  best    ex  gap\n"
+            "path:3                   4  2     2     2    0\n"
+            "star:3                  11  2     0     -    -\n"
+            "path:4                  13  4    39    12    3\n"
+            "path:3                   5  3     4     2    0\n"
+            "rows=4 best_sum=45 gap_sum=3\n"
+        ),
+        "csv": (
+            "timestamp,pattern,n,k,best,ex,gap,exhaustive\n"
+            "2026-01-05T10:00:00+00:00,path:3,4,2,2,2,0,True\n"
+            "2026-01-05T10:02:00+00:00,star:3,11,2,0,None,None,False\n"
+            "2026-01-05T10:03:00+00:00,path:4,13,4,39,12,3,False\n"
+            "2026-01-05T10:04:00+00:00,path:3,5,3,4,2,0,True\n"
+            "totals,,,,45,,3,4\n"
+        ),
+        "json": (
+            '{"rows": ['
+            '{"best": 2, "ex": 2, "exhaustive": true, "gap": 0, "k": 2, "n": 4, '
+            '"pattern": "path:3", "timestamp": "2026-01-05T10:00:00+00:00"}, '
+            '{"best": 0, "ex": null, "exhaustive": false, "gap": null, "k": 2, "n": 11, '
+            '"pattern": "star:3", "timestamp": "2026-01-05T10:02:00+00:00"}, '
+            '{"best": 39, "ex": 12, "exhaustive": false, "gap": 3, "k": 4, "n": 13, '
+            '"pattern": "path:4", "timestamp": "2026-01-05T10:03:00+00:00"}, '
+            '{"best": 4, "ex": 2, "exhaustive": true, "gap": 0, "k": 3, "n": 5, '
+            '"pattern": "path:3", "timestamp": "2026-01-05T10:04:00+00:00"}], '
+            '"totals": {"best_sum": 45, "gap_sum": 3, "rows": 4}}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN_REPORT))
+    def test_report_golden_output(self, capsys, tmp_path, fmt):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(self.GOLDEN_LEDGER)
+        code, out, err = run(capsys, "report", "--format", fmt, "--ledger", str(ledger))
+        assert (code, err) == (0, "")
+        assert out == self.GOLDEN_REPORT[fmt]
+
     @pytest.mark.parametrize(
         "line, named",
         [
@@ -419,6 +478,17 @@ class TestSearchAndReport:
         assert "--construction-k" in err and "--seed-construction p2k" in err
         assert not ledger.exists()
 
+    @pytest.mark.parametrize("size", ["0", "1"])
+    def test_construction_k_under_two_is_refused(self, capsys, tmp_path, size):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", "path:4", "--n", "12", "--k", "2", "--mode", "hill",
+            "--seed-construction", "p2k", "--construction-k", size, "--ledger", str(ledger),
+        )
+        assert (code, out, err) == (1, "", f"error: --construction-k must be >= 2, got {size}\n")
+        assert not ledger.exists()
+
     @pytest.mark.parametrize("mode", ["exhaustive", "hill"])
     def test_negative_n_is_refused(self, capsys, tmp_path, mode):
         ledger = tmp_path / "l.jsonl"
@@ -478,6 +548,14 @@ class TestSearchAndReport:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: --budget ") and err.count("\n") == 1
+        assert not ledger.exists()
+
+    def test_budget_refusal_names_no_library_call(self, capsys, tmp_path):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys, "search", "--pattern", "path:4", "--n", "8", "--k", "2", "--ledger", str(ledger)
+        )
+        assert (code, out, err) == (1, "", f"error: 2^27 colorings exceed budget {DEFAULT_LEAF_BUDGET}\n")
         assert not ledger.exists()
 
     @pytest.mark.parametrize("budget", ["0", "-5"])

@@ -18,7 +18,6 @@ from nimcolor.search import (
     _star_size,
     exhaustive_f,
     hill_climb_f,
-    turan_gap,
 )
 from nimcolor.turan import ex_path, extremal_path_graph, turan_value
 from oracles import (
@@ -507,7 +506,7 @@ class TestCompare:
         r = exhaustive_f(5, 2, P3)
         ex = turan_value(r.n, P3)
         assert ex.value == 2
-        assert turan_gap(ex, r.k, r.best_count) == 0
+        assert r.best_count - (r.k - 1) * ex.value == 0
 
     def test_tail_gap_is_the_block_clique(self):
         h = parse_pattern("dstar:3+path:6")
@@ -515,7 +514,7 @@ class TestCompare:
         r = hill_climb_f(20, 2, h, iterations=0, restarts=1, seed_coloring=seed)
         ex = turan_value(r.n, h)
         assert ex.value == 75
-        assert turan_gap(ex, r.k, r.best_count) == 10  # C(5,2)
+        assert r.best_count - (r.k - 1) * ex.value == 10  # C(5,2)
         assert ex.below_threshold
 
     def test_p2k_gap_matches_added_cliques(self):
@@ -523,7 +522,7 @@ class TestCompare:
         r = hill_climb_f(13, 4, P4, iterations=0, restarts=1, seed_coloring=seed)
         ex = turan_value(r.n, P4)
         assert (r.k - 1) * ex.value == 3 * 12
-        assert turan_gap(ex, r.k, r.best_count) == 3  # (k-1) * C(2k-1, 2) with k = 2
+        assert r.best_count - (r.k - 1) * ex.value == 3  # (k-1) * C(2k-1, 2) with k = 2
 
     def test_star_uses_oracle(self):
         r = exhaustive_f(5, 2, make_star(3))

@@ -127,6 +127,17 @@ class TestExtremalPathGraph:
             for t in path_extremal_t_range(n, 2):
                 assert extremal_path_graph(n, 2, t) == SimpleGraph.empty(n)
 
+    def test_path_freeness_is_checked_past_n_64(self, monkeypatch):
+        calls = []
+
+        def counting_contains(g, pattern):
+            calls.append((g.n, pattern.n))
+            return contains(g, pattern)
+
+        monkeypatch.setattr(nimcolor.turan, "contains", counting_contains)
+        extremal_path_graph(65, 4, path_extremal_t_range(65, 4)[-1])
+        assert calls == [(65, 4)]
+
     @pytest.mark.parametrize("length", [4, 6])
     def test_all_recipe_graphs_are_path_free_and_extremal(self, length):
         for n in range(length, 25):
