@@ -153,8 +153,7 @@ def _cmd_construct(args) -> int:
             layout_payload = layout.to_dict()
             layout_payload["verify"] = verify_layout(layout).to_dict()
             with open(args.output + ".layout.json", "w", encoding="utf-8") as fh:
-                json.dump(layout_payload, fh, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(layout_payload, sort_keys=True) + "\n")
         _emit({"written": args.output, "n": coloring.n, "k": coloring.k})
     else:
         _emit(coloring.to_dict())

@@ -6,25 +6,42 @@ color i is monochromatic iff it lies inside color class i, the whole
 computation reduces to anchored subgraph-embedding queries within single
 color classes.
 
-`_cover_pass` sweeps all edges once in canonical order and keeps one
-cover mask: an edge not yet marked is queried for a copy through it in its
-own class, and the copy, a bitmask of its edges in canonical order, marks
-all of them.  Copies never leave their class, so this is the per-class
-cover pass of every class at once.  Edges with no such copy are NIM.
-`nim_edges` reports them; the hill climber in search.py starts from the
-pass's copies too.  The test suite checks the count against a reference
-counter with its own, separately coded search (`nim_edges_anchored` in
+`nim_edges` makes one cover pass, `_cover_pass`.  An edge is NIM when a
+query for a copy through it in its own class finds none; a copy found,
+a bitmask of its edges in canonical order, covers all of its edges, so
+they are not NIM and need no query of their own.  Copies never leave
+their class.  The test suite checks the count against a reference counter
+with its own, separately coded search (`nim_edges_anchored` in
 tests/oracles.py).
+
+The pass works per component C of each class.  The component of a copy
+that holds the queried edge is connected, so it lies inside C, and any
+vertex cover of C covers it.  So C holds no copy through any of its
+edges, and they are NIM with no query, when every pattern component H_i
+with an edge has more vertices than C, a larger top degree than C, or a
+matching number above |C| minus the largest independent twin class of
+C.  The rest of C is then a vertex cover of C, and it would cover a copy
+of H_i inside C with fewer vertices than H_i's cover number, which the
+matching number bounds from below (and equals on forests, by König's
+theorem).  A false-twin class or a single vertex is independent.  A
+class whose vertices with an edge are fewer than every such H_i's, or
+whose top degree is below every H_i's, settles whole before its twins
+and components are found.
 
 The paper's colorings are built from cliques, joins and complete
 bipartite pieces whose classes are full of twins (vertices with the same
 open or the same closed neighbourhood in the class).  Swapping two twins
 is an automorphism of the class graph, so all edges of a class between
-two twin classes, or inside one, are NIM or not together.  The pass
-queries only the first uncovered edge of each such group and gives the
-rest of the group its answer: NIM, or hit with no copy.  The NIM mask is
-that of one query per uncovered edge.  The hit edges the pass skips have
-no copy of their own; the hill climber queries them when it needs one.
+two twin classes, or inside one, are NIM or not together.  In the
+components that do not settle, the pass queries the first edge of each
+such group, in canonical order, unless a copy found earlier covers it
+(then the whole group is hit).  A group whose query fails ORs its
+members' rows into per-vertex NIM rows, and the rows become the NIM mask
+with one shift per vertex.  The mask is that of one query per uncovered
+edge, the pass `_edge_walk` makes.  The pass serves `nim_edges`, which
+also scores the exhaustive search's leaves, many colorings of a few
+vertices.  The walk serves the hill climber's `_NimState`, which needs
+the copy that first covered each non-NIM edge.
 
 The engine is one plan family, each plan compiled to one loop kernel.
 `_anchor_plans` makes one plan per automorphism orbit of an oriented
@@ -157,7 +174,7 @@ def _kernel(plan: _Plan, start: int) -> _Kernel:
     first.  The degree test is left out where the earlier pattern
     neighbours alone give the degree.  Twins have equal open or equal
     closed rows, so `k{p}` holds both rows of each candidate kept at p; no
-    open row equals a closed one (see `_twin_classes`).  A kernel from
+    open row equals a closed one (see `_twin_members`).  A kernel from
     position 0 loops over positions 0 and 1 and hands on to the plan's
     kernel from position 2, the one `_anchor_plans` keeps; any kernel hands
     on after `_KERNEL_LOOPS` loops.
@@ -325,63 +342,207 @@ def _depth_guard(label: str, n: int, pattern: SimpleGraph) -> None:
         )
 
 
-def _twin_classes(rows: Sequence[int]) -> list[int]:
-    """Each vertex's twin class, named by its first member.
+def _twin_members(rows: Sequence[int]) -> tuple[list[int], int]:
+    """The twin classes of the graph with adjacency `rows`: (members, firsts).
 
-    Twins have the same open neighbourhood (false twins) or the same
-    closed one (true twins).  One dict holds both keys: an open key N(v)
-    never equals a closed key N[x], since x would lie in N(v) while v does
-    not lie in N[x], and no vertex has both a false and a true twin, so
+    members[t] is the vertex mask of the class whose first member is t, and
+    0 for a vertex that is not first in its class; `firsts` is the mask of
+    first members.  Twins have the same open neighbourhood (false twins) or
+    the same closed one (true twins).  One dict holds both keys: an open key
+    N(v) never equals a closed key N[x], since x would lie in N(v) while v
+    does not lie in N[x], and no vertex has both a false and a true twin, so
     the first key that hits names the class.
     """
     first: dict[int, int] = {}
-    twin = []
+    members = [0] * len(rows)
+    firsts = 0
     for v, row in enumerate(rows):
+        b = 1 << v
         t = first.setdefault(row, v)
         if t == v:
-            t = first.setdefault(row | 1 << v, v)
-        twin.append(t)
+            t = first.setdefault(row | b, v)
+            if t == v:
+                firsts |= b
+        members[t] |= b
+    return members, firsts
+
+
+def _twin_classes(rows: Sequence[int]) -> list[int]:
+    """Each vertex's twin class, named by its first member (`_twin_members`)."""
+    twin = [0] * len(rows)
+    for t, mask in enumerate(_twin_members(rows)[0]):
+        for v in _bits(mask):
+            twin[v] = t
     return twin
 
 
-def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> tuple[list[list[int]], int, dict[int, int]]:
-    """One cover pass: (class adjacency, NIM edge mask, copies found).
+@lru_cache(maxsize=None)
+def _component_bounds(pattern_adj: tuple[int, ...]) -> tuple[float, float, tuple[tuple[int, int, int], ...]]:
+    """(least order, least top degree, bounds) of the pattern with adjacency
+    rows `pattern_adj`: bounds holds (order, matching number, top degree)
+    of each component with an edge, and both minima are infinite when there
+    is none."""
+    g = SimpleGraph(len(pattern_adj), pattern_adj)
+    bounds = tuple(
+        (len(comp), _matching_number(pattern_adj, sum(1 << v for v in comp)), max(map(g.degree, comp)))
+        for comp in components(g)
+        if len(comp) > 1
+    )
+    return min((b[0] for b in bounds), default=math.inf), min((b[2] for b in bounds), default=math.inf), bounds
 
-    `copies` maps each queried edge that is not NIM to the copy found
-    through it, a mask of its edges; the copy marks all of them covered.
 
-    Edges are grouped by (color, twin-class pair), with twin classes from
-    `_twin_classes`, one dict pass per class.  Only the first uncovered
-    edge of a group is queried: the group is NIM or hit as a whole, so
-    each later uncovered edge of the group is NIM if the group is and is
-    otherwise left uncovered, with no query and no copy.  NIM edges never
-    cover anything, so the NIM mask is the same as querying every
-    uncovered edge.
+def _matching_number(rows: Sequence[int], mask: int) -> int:
+    """The size of a largest matching in the graph that `rows` induce on `mask`."""
+    memo: dict[int, int] = {}
+
+    def size(mask: int) -> int:
+        if mask and mask not in memo:
+            v = (mask & -mask).bit_length() - 1
+            rest = mask ^ 1 << v
+            top = mask.bit_count() // 2
+            found = 0
+            for w in _bits(rows[v] & rest):
+                found = max(found, 1 + size(rest ^ 1 << w))
+                if found == top:
+                    break
+            memo[mask] = found if found == top else max(found, size(rest))
+        return memo.get(mask, 0)
+
+    return size(mask)
+
+
+def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
+    """One cover pass by class components and twin groups: the NIM edge mask.
+
+    A component too small for every edge-bearing pattern component, by
+    order, cover number or top degree, is NIM as a whole.  In the others one edge
+    per twin group is queried, in canonical order, unless a copy found
+    earlier covers it; a group is NIM or hit as a whole, so a NIM group
+    puts every one of its edges into the NIM rows.  Sets of vertices are
+    walked bit by bit in place, lowest first.
     """
     n = coloring.n
+    min_order, min_degree, bounds = _component_bounds(pattern.adj)
+    offsets = edge_rank_offsets(n)
+    # rows over the other ends: open_rows[x] holds x's edges in components
+    # that need queries, nim_rows[x] those of them in NIM groups
+    open_rows, nim_rows = [0] * n, [0] * n
+    opened = 0  # the vertices with an edge in such a component
+    for rows in coloring.class_adjacency():
+        # every component has too few vertices, or too low a top degree
+        if n - rows.count(0) < min_order or max(map(int.bit_count, rows)) < min_degree:
+            continue
+        members, firsts = _twin_members(rows)
+        # components by BFS over twin classes: the row of a class's first
+        # member reaches every neighbour of the class, whole twin classes at
+        # a time; `free` is the largest independent twin class met and `top`
+        # the largest degree, which twins share
+        left, open_ = firsts, 0
+        while left:
+            b = left & -left
+            t = b.bit_length() - 1
+            if not rows[t]:  # the isolated vertices
+                left ^= b
+                continue
+            comp, todo, free, top = members[t], b, 1, 0
+            while todo:
+                b = todo & -todo
+                todo ^= b
+                t = b.bit_length() - 1
+                row = rows[t]
+                if row.bit_count() > top:
+                    top = row.bit_count()
+                if not row & members[t] and members[t].bit_count() > free:
+                    free = members[t].bit_count()
+                grown = row & ~comp
+                comp |= grown
+                todo |= grown & firsts
+            left &= ~comp
+            size = comp.bit_count()
+            if size < min_order:
+                continue
+            for order, matching, degree in bounds:
+                if order <= size and matching <= size - free and degree <= top:
+                    open_ |= comp
+                    break
+        if not open_:
+            continue
+        opened |= open_
+        todo = open_
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            v = b.bit_length() - 1
+            open_rows[v] |= rows[v]
+        covered = 0
+        todo = open_ & firsts
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            r = b.bit_length() - 1
+            row, mine, base = rows[r], members[r], offsets[r]
+            # the first members of the later twin classes next to r, and the
+            # second member of r's own class when its members are adjacent
+            inside = row & mine
+            ends = ((row & firsts) >> (r + 1) << (r + 1)) | (inside & -inside)
+            while ends:
+                b = ends & -ends
+                ends ^= b
+                y = b.bit_length() - 1
+                if (covered >> (base + y)) & 1:
+                    continue
+                witness = _find_through(rows, n, pattern, r, y)
+                if witness is not None:
+                    covered |= witness
+                    continue
+                # a NIM group: the edges between mine and y's class, or
+                # inside mine when y is in it (y then heads no class)
+                theirs = members[y] or mine
+                rest = mine
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    nim_rows[b.bit_length() - 1] |= theirs & ~b
+                rest = theirs & ~mine
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    nim_rows[b.bit_length() - 1] |= mine
+    # every edge outside those components is NIM
+    nim = (1 << complete_edge_count(n)) - 1
+    while opened:
+        b = opened & -opened
+        opened ^= b
+        x = b.bit_length() - 1
+        nim ^= (open_rows[x] ^ nim_rows[x]) >> (x + 1) << (offsets[x] + x + 1)
+    return nim
+
+
+def _edge_walk(
+    adj: Sequence[Sequence[int]], colors: Sequence[int], n: int, pattern: SimpleGraph, dependents: list[int]
+) -> int:
+    """The NIM edge mask by one query per uncovered edge in canonical order.
+
+    `adj` holds the class rows of the coloring `colors`.  Each edge no copy
+    covers yet is queried in its class; its copy, when there is one, covers
+    all of its edges.  `dependents` is a list with one 0 per edge: bit e of
+    dependents[f] is set when the copy that first covered e holds f.
+    """
     pairs = all_pairs(n)
-    adj = coloring.class_adjacency()
-    twins = [_twin_classes(rows) for rows in adj]
     nim = covered = 0
-    groups: dict[tuple[int, int, int], bool] = {}  # True when the group is NIM
-    copies: dict[int, int] = {}
-    for e, c in enumerate(coloring.colors):
+    for e, c in enumerate(colors):
         if (covered >> e) & 1:
             continue
-        x, y = pairs[e]
-        twin = twins[c]
-        tx, ty = twin[x], twin[y]
-        group = (c, tx, ty) if tx < ty else (c, ty, tx)
-        is_nim = groups.get(group)
-        if is_nim is None:
-            witness = _find_through(adj[c], n, pattern, x, y)
-            is_nim = groups[group] = witness is None
-            if witness is not None:
-                copies[e] = witness
-                covered |= witness
-        if is_nim:
+        u, v = pairs[e]
+        witness = _find_through(adj[c], n, pattern, u, v)
+        if witness is None:
             nim |= 1 << e
-    return adj, nim, copies
+            continue
+        fresh = witness & ~covered
+        for f in _bits(witness):
+            dependents[f] |= fresh
+        covered |= witness
+    return nim
 
 
 def nim_edges(
@@ -393,7 +554,7 @@ def nim_edges(
 ) -> NimReport:
     """All edges of the colored K_n in no monochromatic copy of the pattern."""
     pattern = _guard("NIM count", coloring.n, h, max_n, max_pattern, tunable=True)
-    _, nim, _ = _cover_pass(coloring, pattern)
+    nim = _cover_pass(coloring, pattern)
     edges = _bits(nim)
     per_color = [0] * coloring.k
     for e in edges:

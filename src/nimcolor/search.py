@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count
-from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _cover_pass, _depth_guard, _find_through, _guard, nim_edges
+from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _depth_guard, _edge_walk, _find_through, _guard, nim_edges
 from .patterns import PatternGraph, _as_graph, pattern_spec
 
 DEFAULT_LEAF_BUDGET = 1 << 20
@@ -428,16 +428,14 @@ def hill_climb_f(
 class _NimState:
     """The NIM edges of one coloring, kept for scoring single-edge recolorings.
 
-    Built from one `_cover_pass`, the pass `nim_edges` makes: `adj` is the
-    class adjacency, `nim` the NIM edge mask and `class_nim[c]` the NIM
-    edges of class c in canonical order.  `dependents[f]` is the bitmask of
-    edges whose cover witness contains f, the cover witness of an edge
-    being the copy that first covers it in a walk over the non-NIM edges in
-    canonical order.  The walk takes the pass's copy through an edge where
-    there is one and otherwise queries the edge, which always finds a copy
-    since the edge is not NIM; the pass leaves the later hits of each twin
-    group without one.  Recoloring edge e from class c to class c' changes
-    only those two classes, so its new NIM count is
+    Built by one per-edge walk, `nim._edge_walk`, which queries each edge
+    no copy found so far covers, in canonical order: `adj` is the class
+    adjacency, `nim` the NIM edge mask and `class_nim[c]` the NIM edges of
+    class c in canonical order.  `dependents[f]` is the bitmask of edges
+    whose cover witness contains f, the cover witness of an edge being the
+    copy that first covers it in that walk: the copy found through the
+    edge itself, or an earlier edge's.  Recoloring edge e from class c to
+    class c' changes only those two classes, so its new NIM count is
     `score + loss(e) + gain(e, c')`.  `gain` requeries the NIM edges of c'
     that no copy through e covers yet, in `class_nim[c']` order.
     """
@@ -446,20 +444,9 @@ class _NimState:
         self.n, self.pattern = coloring.n, pattern
         self.colors = coloring.colors
         self.pairs = all_pairs(coloring.n)
-        self.adj, self.nim, copies = _cover_pass(coloring, pattern)
-        self.dependents = dependents = [0] * len(self.pairs)
-        covered = self.nim
-        for e, c in enumerate(self.colors):
-            if (covered >> e) & 1:
-                continue
-            witness = copies.get(e)
-            if witness is None:  # skipped by the pass, or covered there by a copy not taken here
-                u, v = self.pairs[e]
-                witness = _find_through(self.adj[c], self.n, pattern, u, v)
-            fresh = witness & ~covered
-            for f in _bits(witness):
-                dependents[f] |= fresh
-            covered |= witness
+        self.adj = coloring.class_adjacency()
+        self.dependents = [0] * len(self.pairs)
+        self.nim = _edge_walk(self.adj, self.colors, self.n, pattern, self.dependents)
         self.class_nim: list[list[int]] = [[] for _ in range(coloring.k)]
         for e in _bits(self.nim):
             self.class_nim[self.colors[e]].append(e)

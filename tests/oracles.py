@@ -17,10 +17,9 @@ node count exactly; `canonical_search_plain` is
 `exhaustive_f`'s recursion with that symmetry but before forward checking,
 which queries every colored edge and bounds by covered edges alone: the
 search must return its maximum and witness colors exactly;
-`cover_pass_per_edge` is the cover pass before twin groups, with one
-query per uncovered edge: the pass's NIM mask must equal its own, while
-the pass's copies, which skip the later hits of each twin group, are
-checked one by one instead;
+`cover_pass_per_edge` is the cover pass before class components and
+twin groups, with one query per uncovered edge: the pass's NIM mask
+must equal its own;
 `find_through_all_plans` is the anchored query before automorphism
 orbits and the last-vertex shortcut, trying a plan for every oriented
 pattern edge and every candidate at every position: the query must

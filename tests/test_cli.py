@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import io
 import json
 import os
 
@@ -49,6 +51,18 @@ class TestConstructVerifyPipeline:
         # byte-identical on replay
         code, out2, _ = run(capsys, "verify", "--coloring", str(target), "--pattern", "path:4")
         assert out == out2
+
+    def test_layout_sidecar_bytes(self, capsys, tmp_path):
+        # the sidecar is one json.dumps call: the bytes json.dump streamed
+        # to the file before, pinned by digest, with one trailing newline
+        target = tmp_path / "c.json"
+        assert run(capsys, "construct", "--family", "p2k", "--k", "2", "--n", "13", "-o", str(target))[0] == 0
+        written = (tmp_path / "c.json.layout.json").read_bytes()
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed, sort_keys=True)
+        assert written == streamed.getvalue().encode() + b"\n"
+        digest = "d3b44878f770e72cbbe043a71d83ce8aaf004660b542cee311a3129d68781467"
+        assert hashlib.sha256(written).hexdigest() == digest
 
     def test_construct_to_stdout(self, capsys):
         code, out, _ = run(capsys, "construct", "--family", "tail", "--a", "3", "--n", "20")

@@ -198,8 +198,10 @@ class TestAnchorOrbits:
     @pytest.mark.parametrize(
         "run, spec, entered",
         [
-            # 905 when every oriented edge had a plan
-            (lambda h: nim_edges(p2k_multicoloring(60, 4)[0], h), "path:8", 492),
+            # 905 when every oriented edge had a plan, 492 while the pass
+            # queried the K_7 and K_3 ∨ E_15 components, whose NIM groups each
+            # failed through all seven plans; it now settles them unqueried
+            (lambda h: nim_edges(p2k_multicoloring(60, 4)[0], h), "path:8", 78),
             # 36,980 when every oriented edge had a plan, 24,043 before the
             # oracle stored the copies it found, 11,308 before it stored the
             # graphs where it found none, 1,108 while the closing `contains`
@@ -570,14 +572,10 @@ def assert_copy_through(coloring: EdgeColoring, h, witness: int, e: int) -> None
 
 
 def assert_pass_is_sound(coloring: EdgeColoring, h) -> None:
-    """The pass's adjacency and NIM mask are those of one query per uncovered
-    edge, each of its copies is a copy through the edge it was found for, and
-    the climber's state gives every non-NIM edge, and no other, such a copy."""
-    adj, nim_mask, copies = _cover_pass(coloring, h.graph)
-    ref_adj, ref_nim, _ = cover_pass_per_edge(coloring, h.graph)
-    assert (adj, nim_mask) == (ref_adj, ref_nim)
-    for e, witness in copies.items():
-        assert_copy_through(coloring, h, witness, e)
+    """The pass's NIM mask is that of one query per uncovered edge, and the
+    climber's state gives every non-NIM edge, and no other, a copy through it."""
+    nim_mask = _cover_pass(coloring, h.graph)
+    assert nim_mask == cover_pass_per_edge(coloring, h.graph)[1]
     witnesses: dict[int, int] = {}  # each edge's cover witness, read back from `dependents`
     for f, dependents in enumerate(_NimState(coloring, h.graph).dependents):
         for e in _bits(dependents):
@@ -600,8 +598,8 @@ class TestTwinCollapse:
     # and the climber's state queries each later edge no copy covers yet
     @example((EdgeColoring.monochromatic(4), P3))
     def test_pass_matches_the_per_edge_pass(self, case):
-        # the NIM mask must match one query per edge; the copies differ from
-        # that pass's, since skipped hits have none, so each is checked on its own
+        # the NIM mask must match one query per edge; the pass returns no
+        # copies, so each of the climber's is checked on its own
         coloring, h = case
         assert_pass_is_sound(coloring, h)
         if coloring.n <= 8:
@@ -643,8 +641,13 @@ class TestTwinCollapse:
     @pytest.mark.parametrize(
         "coloring, spec, queries, hits",
         [
-            (p2k_multicoloring(60, 4)[0], "path:8", 138, 79),
-            (tail_forest_coloring(40, 3), "dstar:3+path:6", 3, 1),
+            # 138 and 79 while the K_7 and K_3 ∨ E_15 components were queried
+            # (59 failed queries) and a hit group whose first edge a copy
+            # covered was queried at a later edge; both now take no query
+            (p2k_multicoloring(60, 4)[0], "path:8", 78, 78),
+            # 3 and 1 while the second class's K_5 component was queried; it
+            # is smaller than either pattern component and now settles unqueried
+            (tail_forest_coloring(40, 3), "dstar:3+path:6", 2, 1),
             (EdgeColoring.random(30, 3, random.Random(5)), "path:4", 351, 351),
         ],
         ids=["p2k-60-4", "tail-40-3", "random-30-3"],
@@ -663,3 +666,115 @@ class TestTwinCollapse:
         monkeypatch.setattr(nim, "_find_through", counted)
         nim_edges(coloring, parse_pattern(spec))
         assert (len(calls), sum(calls)) == (queries, hits)
+
+
+# patterns whose components are too large, by order, cover number or top
+# degree, for some of the pieces `settled_pieces` draws; two are disconnected
+SETTLE_PATTERNS = [
+    *map(parse_pattern, ["path:4", "path:6", "path:8", "spider:2,2,1", "dstar:3+path:6", "path:3+path:5", "star:3"]),
+    C5,
+]
+
+
+@st.composite
+def settled_pieces(draw):
+    """Small cliques and joins K_t ∨ E_s side by side in one class, relabeled.
+
+    A clique with fewer vertices than a pattern component, or a join whose
+    t is below the component's matching number, holds no copy through any
+    of its edges: the pass settles it without a query.  The other edges
+    take the other colors at random, or one color per residue of u + v
+    mod n, which makes each of those classes a matching.
+    """
+    h = draw(st.sampled_from(SETTLE_PATTERNS))
+    piece = st.one_of(
+        st.integers(2, 7).map(SimpleGraph.complete),
+        st.tuples(st.integers(1, 3), st.integers(1, 8)).map(
+            lambda ts: join(SimpleGraph.complete(ts[0]), SimpleGraph.empty(ts[1]))
+        ),
+    )
+    pieces = draw(st.lists(piece, min_size=1, max_size=3))
+    g = SimpleGraph.empty(draw(st.integers(0, 2)))
+    for p in pieces:
+        g = disjoint_union(g, p)
+    n = g.n
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([2, 3]))
+        rest = st.integers(1, k - 1)
+        colors = tuple(0 if g.has_edge(u, v) else draw(rest) for u, v in all_pairs(n))
+    else:
+        k = n + 1
+        colors = tuple(0 if g.has_edge(u, v) else 1 + (u + v) % n for u, v in all_pairs(n))
+    perm = draw(st.permutations(range(n)))
+    return EdgeColoring(n, k, colors).permuted(perm), h
+
+
+def _relabeled(coloring: EdgeColoring, seed: int) -> EdgeColoring:
+    perm = list(range(coloring.n))
+    random.Random(seed).shuffle(perm)
+    return coloring.permuted(perm)
+
+
+CONSTRUCTIONS = [
+    (lambda: p2k_multicoloring(13, 2)[0], "path:4"),
+    (lambda: p2k_multicoloring(33, 3)[0], "path:6"),
+    (lambda: p2k_multicoloring(52, 4)[0], "path:8"),
+    (lambda: tail_forest_coloring(24, 3), "dstar:3+path:6"),
+    (lambda: extremal_overlay(30, P4, extremal_path_graph(30, 4, ex_path(30, 4).recipe["a"])), "path:4"),
+    (_overlay_40_path6, "path:6"),
+]
+
+
+class TestComponentSettle:
+    """The pass settles small class components unqueried and queries one edge
+    per twin group elsewhere; its NIM mask must be that of one query per
+    uncovered edge."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(settled_pieces(), st.tuples(blown_up_colorings(), st.sampled_from(SETTLE_PATTERNS))))
+    def test_pass_matches_the_per_edge_pass(self, case):
+        coloring, h = case
+        assert _cover_pass(coloring, h.graph) == cover_pass_per_edge(coloring, h.graph)[1]
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(range(len(CONSTRUCTIONS))), st.integers(0, 1 << 16))
+    def test_relabeled_constructions(self, which, seed):
+        build, spec = CONSTRUCTIONS[which]
+        coloring, h = _relabeled(build(), seed), parse_pattern(spec)
+        assert _cover_pass(coloring, h.graph) == cover_pass_per_edge(coloring, h.graph)[1]
+
+    @given(st.integers(2, 9), st.sampled_from(SETTLE_PATTERNS + [P3, CLAW, custom_pattern(SimpleGraph.empty(3))]))
+    def test_one_color(self, n, h):
+        # with n below the pattern's order, or an edgeless pattern, every edge is NIM
+        coloring = EdgeColoring.monochromatic(n)
+        assert _cover_pass(coloring, h.graph) == cover_pass_per_edge(coloring, h.graph)[1]
+
+    def test_small_components_take_no_query(self, monkeypatch):
+        # class 0 is K_3 ∨ E_15 beside a K_7; every other class is a matching.
+        # P_8 has 8 vertices and matching number 4: the K_7 is too small, and
+        # the join has a vertex cover of 3, its K_3.  Every edge is NIM.
+        g = disjoint_union(join(SimpleGraph.complete(3), SimpleGraph.empty(15)), SimpleGraph.complete(7))
+        n = g.n
+        colors = tuple(0 if g.has_edge(u, v) else 1 + (u + v) % n for u, v in all_pairs(n))
+        coloring = _relabeled(EdgeColoring(n, n + 1, colors), 3)
+        calls = []
+        monkeypatch.setattr(nim, "_find_through", lambda *args: calls.append(args))
+        report = nim_edges(coloring, parse_pattern("path:8"))
+        assert (calls, report.count, report.per_color[0]) == ([], 300, 69)
+
+    def test_low_degree_components_take_no_query(self, monkeypatch):
+        # class 0 is a 12-cycle beside a K_4; every other class is a matching.
+        # spider:2,2,1 has 6 vertices, matching number 3 and top degree 3:
+        # the K_4 is too small and the cycle's degrees are too low, though
+        # its order and cover number would admit a copy.  Every edge is NIM.
+        cycle = SimpleGraph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)])
+        g = disjoint_union(cycle, SimpleGraph.complete(4))
+        n = g.n
+        colors = tuple(0 if g.has_edge(u, v) else 1 + (u + v) % n for u, v in all_pairs(n))
+        coloring = _relabeled(EdgeColoring(n, n + 1, colors), 5)
+        h = parse_pattern("spider:2,2,1")
+        assert _cover_pass(coloring, h.graph) == cover_pass_per_edge(coloring, h.graph)[1]
+        calls = []
+        monkeypatch.setattr(nim, "_find_through", lambda *args: calls.append(args))
+        report = nim_edges(coloring, h)
+        assert (calls, report.count, report.per_color[0]) == ([], 120, 18)
