@@ -31,6 +31,7 @@ from .graphs import (
     complete_edge_count,
     components,
     edge_index,
+    edge_rank_offsets,
 )
 from .nim import contains
 from .patterns import PatternGraph
@@ -192,16 +193,13 @@ def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayo
     layout = build_p2k_layout(n, k)
     q = layout.block
     last = 2 * k - 1  # color index of the final catch-all color
+    offset = edge_rank_offsets(n)
     m = complete_edge_count(n)
-    colors = [-1] * m
+    colors = [last] * m  # step 3's color, on every edge no other step assigns
+    assigned = [False] * m
 
-    def assign(u: int, v: int, color: int) -> None:
-        e = edge_index(u, v, n)
-        if colors[e] != -1:
-            raise AssertionError(
-                f"edge ({u}, {v}) assigned twice: {colors[e]} then {color}"
-            )
-        colors[e] = color
+    def twice(u: int, v: int, e: int, color: int) -> AssertionError:
+        return AssertionError(f"edge ({u}, {v}) assigned twice: {colors[e]} then {color}")
 
     # step 1: parallel classes of cliques; verts[t] is the clique's vertex in row t+1
     for j in range(1, q + 1):
@@ -209,18 +207,25 @@ def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayo
             verts = layout.sigma[j - 1][i - 1]
             for s in range(q):
                 for t in range(s + 1, q):
-                    assign(verts[s], verts[t], last if i == 1 and t < k else j - 1)
+                    u, v = verts[s], verts[t]
+                    e = offset[u] + v if u < v else offset[v] + u
+                    color = last if i == 1 and t < k else j - 1
+                    if assigned[e]:
+                        raise twice(u, v, e, color)
+                    assigned[e] = True
+                    colors[e] = color
 
-    # step 2: diamond-to-W bipartite edges
+    # step 2: diamond-to-W bipartite edges.  W is q*q..n-1, above every
+    # diamond vertex u, so u's edges to W are one slice of ranks
+    width = len(layout.w)
     for j in range(1, q + 1):
         for u in layout.sigma_diamond[j - 1]:
-            for w in layout.w:
-                assign(u, w, j - 1)
-
-    # step 3: everything else
-    for e in range(m):
-        if colors[e] == -1:
-            colors[e] = last
+            row = slice(offset[u] + q * q, offset[u] + n)
+            if True in assigned[row]:
+                w = next(w for w in layout.w if assigned[offset[u] + w])
+                raise twice(u, w, offset[u] + w, j - 1)
+            assigned[row] = [True] * width
+            colors[row] = [j - 1] * width
     return EdgeColoring(n, 2 * k, tuple(colors)), layout
 
 
@@ -258,8 +263,8 @@ def verify_layout(layout: P2kConstructionLayout) -> LayoutReport:
     """
     k, q = layout.k, layout.block
     violations = []
-    u_vertices = set(range(q * q))
-    row_of = {v: v // q for v in u_vertices}
+    row_of = {v: v // q for v in range(q * q)}
+    every_row = set(range(q))
 
     for j in range(q):
         for i in range(q):
@@ -267,34 +272,13 @@ def verify_layout(layout: P2kConstructionLayout) -> LayoutReport:
             if len(verts) != q or len(set(verts)) != q:
                 violations.append(f"sigma[{j + 1}][{i + 1}] is not a {q}-clique vertex set")
                 continue
-            if sorted(row_of.get(v, -1) for v in verts) != list(range(q)):
+            if set(map(row_of.get, verts)) != every_row:  # q distinct vertices, one per row
                 violations.append(f"sigma[{j + 1}][{i + 1}] does not meet every row once")
 
     # edge coverage of U: rows + all sigma cliques, each edge exactly once
-    coverage: dict[tuple[int, int], list[str]] = {}
-
-    def cover(verts, tag):
-        vs = sorted(verts)
-        for s in range(len(vs)):
-            for t in range(s + 1, len(vs)):
-                coverage.setdefault((vs[s], vs[t]), []).append(tag)
-
-    for i, row in enumerate(layout.rows):
-        cover(row, f"row{i + 1}")
-    for j in range(q):
-        for i in range(q):
-            cover(layout.sigma[j][i], f"sigma[{j + 1}][{i + 1}]")
-
     total_u_edges = comb(q * q, 2)
-    if len(coverage) != total_u_edges:
-        violations.append(
-            f"covered {len(coverage)} distinct U-edges, expected {total_u_edges}"
-        )
-    multi = [(e, tags) for e, tags in coverage.items() if len(tags) > 1]
-    for e, tags in multi[:5]:
-        violations.append(f"U-edge {e} covered by {tags}")
-    if len(multi) > 5:
-        violations.append(f"... and {len(multi) - 5} more multiply covered edges")
+    if not _covers_exactly(list(layout.rows) + [c for per_j in layout.sigma for c in per_j], q * q):
+        violations += _coverage_violations(layout, total_u_edges)
 
     # diamond vertex-decomposition of rows k+1..2k-1
     tail_rows = set()
@@ -320,3 +304,55 @@ def verify_layout(layout: P2kConstructionLayout) -> LayoutReport:
         "w_size": len(layout.w),
     }
     return LayoutReport(not violations, tuple(violations), stats)
+
+
+def _covers_exactly(cliques: list[tuple[int, ...]], size: int) -> bool:
+    """Whether the cliques cover every edge of K_size exactly once.
+
+    Each vertex v keeps a bit row met[v] of the vertices sharing a clique
+    with it.  When every row is full, every edge is covered; when the
+    cliques also hold no more pairs than K_size has edges, none is covered
+    twice.  A clique with a repeated vertex or one outside 0..size-1 fails.
+    """
+    vertices = set(range(size))
+    bit = [1 << v for v in range(size)]
+    met = [0] * size
+    pairs = 0
+    for verts in cliques:
+        if len(set(verts)) != len(verts) or not vertices.issuperset(verts):
+            return False
+        mask = sum(map(bit.__getitem__, verts))
+        for v in verts:
+            met[v] |= mask
+        pairs += comb(len(verts), 2)
+    return pairs == comb(size, 2) and met.count((1 << size) - 1) == size
+
+
+def _coverage_violations(layout: P2kConstructionLayout, total_u_edges: int) -> list[str]:
+    """The coverage violations, each U-edge tagged with the cliques that cover it."""
+    q = layout.block
+    coverage: dict[tuple[int, int], list[str]] = {}
+
+    def cover(verts, tag):
+        vs = sorted(verts)
+        for s in range(len(vs)):
+            for t in range(s + 1, len(vs)):
+                coverage.setdefault((vs[s], vs[t]), []).append(tag)
+
+    for i, row in enumerate(layout.rows):
+        cover(row, f"row{i + 1}")
+    for j in range(q):
+        for i in range(q):
+            cover(layout.sigma[j][i], f"sigma[{j + 1}][{i + 1}]")
+
+    violations = []
+    if len(coverage) != total_u_edges:
+        violations.append(
+            f"covered {len(coverage)} distinct U-edges, expected {total_u_edges}"
+        )
+    multi = [(e, tags) for e, tags in coverage.items() if len(tags) > 1]
+    for e, tags in multi[:5]:
+        violations.append(f"U-edge {e} covered by {tags}")
+    if len(multi) > 5:
+        violations.append(f"... and {len(multi) - 5} more multiply covered edges")
+    return violations

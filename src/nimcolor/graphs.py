@@ -202,6 +202,18 @@ def _bfs_forest(g: SimpleGraph) -> tuple[list[list[int]], list[int]]:
 # -- edge colorings ---------------------------------------------------
 
 
+_BYTE_VALUES = bytes(range(256))
+
+
+def _in_palette(colors: tuple[int, ...], k: int) -> bool:
+    """Whether every color, an int, is in 0..k-1."""
+    try:
+        # the bytes outside 0..k-1 that survive deleting the palette
+        return not bytes(colors).translate(None, _BYTE_VALUES[:k])
+    except ValueError:  # a color outside 0..255
+        return min(colors) >= 0 and max(colors) < k
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """A k-coloring of E(K_n): flat color array in canonical edge order."""
@@ -212,13 +224,23 @@ class EdgeColoring:
 
     def __post_init__(self):
         m = complete_edge_count(self.n)
+        colors = self.colors
+        if type(colors) is not tuple:  # a list would make the coloring unhashable
+            colors = tuple(colors)
+            object.__setattr__(self, "colors", colors)
+        # each check is one C-level pass; a failing one scans again to name
+        # the first bad edge.  `type(c) is int`, as bool is an int subclass
+        # but not a JSON integer
+        if list(map(type, colors)).count(int) != len(colors):
+            i, c = next((i, c) for i, c in enumerate(colors) if type(c) is not int)
+            raise ValueError(f"color {c!r} at edge {i} is not an integer")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if len(self.colors) != m:
-            raise ValueError(f"colors length {len(self.colors)} != {m}")
-        for i, c in enumerate(self.colors):
-            if not (0 <= c < self.k):
-                raise ValueError(f"color {c} at edge {i} not in 0..{self.k - 1}")
+        if len(colors) != m:
+            raise ValueError(f"colors length {len(colors)} != {m}")
+        if not _in_palette(colors, self.k):
+            i, c = next((i, c) for i, c in enumerate(colors) if not 0 <= c < self.k)
+            raise ValueError(f"color {c} at edge {i} not in 0..{self.k - 1}")
 
     @staticmethod
     def monochromatic(n: int, k: int = 1, color: int = 0) -> "EdgeColoring":
@@ -276,8 +298,7 @@ class EdgeColoring:
 
     @staticmethod
     def from_dict(payload: dict) -> "EdgeColoring":
-        """Parse the schema.  The JSON types are checked here, not in `__post_init__`,
-        which every recoloring pays for; `__post_init__` checks the color range."""
+        """Parse the schema.  `__post_init__` checks the colors, their types first."""
         if not isinstance(payload, dict):
             raise ValueError("coloring JSON must be an object")
         for field in ("n", "k", "colors"):
@@ -292,9 +313,6 @@ class EdgeColoring:
             raise ValueError(f"coloring field 'n' must be >= 0, got {n}")
         if not isinstance(colors, list):
             raise ValueError("coloring field 'colors' must be a list")
-        for i, c in enumerate(colors):
-            if type(c) is not int:
-                raise ValueError(f"color {c!r} at edge {i} is not an integer")
         return EdgeColoring(n, k, tuple(colors))
 
     @staticmethod

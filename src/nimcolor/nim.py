@@ -75,6 +75,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -545,6 +546,10 @@ def _edge_walk(
     return nim
 
 
+# the set bit positions of each byte value, lowest first
+_BYTE_BITS = tuple(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
+
+
 def nim_edges(
     coloring: EdgeColoring,
     h,
@@ -555,8 +560,11 @@ def nim_edges(
     """All edges of the colored K_n in no monochromatic copy of the pattern."""
     pattern = _guard("NIM count", coloring.n, h, max_n, max_pattern, tunable=True)
     nim = _cover_pass(coloring, pattern)
-    edges = _bits(nim)
+    # the set bits of the mask, lowest first, byte by byte: `compress` skips
+    # the zero bytes in C, and no C(n, 2)-bit int is shifted once per bit
+    raw = nim.to_bytes((nim.bit_length() + 7) // 8, "little")
+    edges = tuple([8 * i + p for i in compress(range(len(raw)), raw) for p in _BYTE_BITS[raw[i]]])
     per_color = [0] * coloring.k
-    for e in edges:
-        per_color[coloring.colors[e]] += 1
-    return NimReport(coloring.n, coloring.k, pattern_spec(h), tuple(edges), len(edges), tuple(per_color))
+    for c in map(coloring.colors.__getitem__, edges):
+        per_color[c] += 1
+    return NimReport(coloring.n, coloring.k, pattern_spec(h), edges, len(edges), tuple(per_color))

@@ -5,15 +5,16 @@ double brooms (a path with leaves appended to both ends), double stars
 (the two-vertex double broom with equal leaf counts), disjoint unions of
 those, and any custom graph.
 
-Each generated pattern carries derived metadata used elsewhere: its
-bipartition (when bipartite), all tails (paths v0-v1-v2 with deg(v2)=1,
-deg(v1)=2), whether every component is a balanced tree, and whether the
-forest has a perfect matching.
+Each generated pattern carries derived metadata used elsewhere, computed
+on first use: its bipartition (when bipartite), all tails (paths v0-v1-v2
+with deg(v2)=1, deg(v1)=2), whether every component is a balanced tree,
+and whether the forest has a perfect matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import NotBipartiteError
@@ -22,13 +23,13 @@ from .graphs import SimpleGraph, _bfs_forest, disjoint_union
 
 @dataclass(frozen=True)
 class PatternGraph:
+    """A pattern graph with its family and spec.  Its structural annotations
+    are computed on first use and then kept: counting NIM edges reads none
+    of them."""
+
     graph: SimpleGraph
     family: str
     spec: str
-    bipartition: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
-    tails: tuple[tuple[int, int, int], ...]
-    balanced: bool
-    has_perfect_matching: bool
 
     @property
     def vertex_count(self) -> int:
@@ -37,6 +38,29 @@ class PatternGraph:
     @property
     def edge_count(self) -> int:
         return self.graph.edge_count
+
+    @cached_property
+    def bipartition(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The sides of `bipartition(graph)`, or None if the graph has an odd cycle."""
+        try:
+            return bipartition(self.graph)
+        except NotBipartiteError:
+            return None
+
+    @cached_property
+    def tails(self) -> tuple[tuple[int, int, int], ...]:
+        """Every tail of the graph, as `find_tails` lists them."""
+        return tuple(find_tails(self.graph))
+
+    @cached_property
+    def balanced(self) -> bool:
+        """Whether the graph is a forest of balanced trees."""
+        return is_forest(self.graph) and is_balanced(self.graph)
+
+    @cached_property
+    def has_perfect_matching(self) -> bool:
+        """Whether the graph is a forest with a perfect matching."""
+        return is_forest(self.graph) and has_perfect_matching_forest(self.graph)
 
 
 def _as_graph(h) -> SimpleGraph:
@@ -48,23 +72,6 @@ def pattern_spec(h) -> str:
     return h.spec if isinstance(h, PatternGraph) else f"custom:{h.n}v{h.edge_count}e"
 
 
-def _annotate(graph: SimpleGraph, family: str, spec: str) -> PatternGraph:
-    try:
-        bip = bipartition(graph)
-    except NotBipartiteError:
-        bip = None
-    forest = is_forest(graph)
-    return PatternGraph(
-        graph=graph,
-        family=family,
-        spec=spec,
-        bipartition=bip,
-        tails=tuple(find_tails(graph)),
-        balanced=is_balanced(graph) if forest else False,
-        has_perfect_matching=has_perfect_matching_forest(graph) if forest else False,
-    )
-
-
 # -- generators --------------------------------------------------------
 
 
@@ -73,7 +80,7 @@ def make_path(length: int) -> PatternGraph:
     if length < 1:
         raise ValueError("path needs at least one vertex")
     g = SimpleGraph.from_edges(length, [(i, i + 1) for i in range(length - 1)])
-    return _annotate(g, "path", f"path:{length}")
+    return PatternGraph(g, "path", f"path:{length}")
 
 
 def make_star(leaves: int) -> PatternGraph:
@@ -81,7 +88,7 @@ def make_star(leaves: int) -> PatternGraph:
     if leaves < 0:
         raise ValueError("leaf count must be >= 0")
     g = SimpleGraph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-    return _annotate(g, "star", f"star:{leaves}")
+    return PatternGraph(g, "star", f"star:{leaves}")
 
 
 def make_spider(lengths: list[int]) -> PatternGraph:
@@ -99,7 +106,7 @@ def make_spider(lengths: list[int]) -> PatternGraph:
             prev = nxt
             nxt += 1
     g = SimpleGraph.from_edges(nxt, edges)
-    return _annotate(g, "spider", "spider:" + ",".join(str(l) for l in lengths))
+    return PatternGraph(g, "spider", "spider:" + ",".join(str(l) for l in lengths))
 
 
 def make_double_broom(t: int, s1: int, s2: int) -> PatternGraph:
@@ -117,7 +124,7 @@ def make_double_broom(t: int, s1: int, s2: int) -> PatternGraph:
         edges.append((t - 1, nxt))
         nxt += 1
     g = SimpleGraph.from_edges(nxt, edges)
-    return _annotate(g, "double_broom", f"dbroom:{t},{s1},{s2}")
+    return PatternGraph(g, "double_broom", f"dbroom:{t},{s1},{s2}")
 
 
 def make_double_star(a: int) -> PatternGraph:
@@ -125,7 +132,7 @@ def make_double_star(a: int) -> PatternGraph:
     if a < 2:
         raise ValueError("double star needs a >= 2")
     broom = make_double_broom(2, a - 1, a - 1)
-    return _annotate(broom.graph, "double_star", f"dstar:{a}")
+    return PatternGraph(broom.graph, "double_star", f"dstar:{a}")
 
 
 def forest_union(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
@@ -133,12 +140,12 @@ def forest_union(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
     if not is_forest(h1.graph) or not is_forest(h2.graph):
         raise ValueError("forest_union requires acyclic inputs")
     g = disjoint_union(h1.graph, h2.graph)
-    return _annotate(g, "union", f"{h1.spec}+{h2.spec}")
+    return PatternGraph(g, "union", f"{h1.spec}+{h2.spec}")
 
 
 def custom_pattern(graph: SimpleGraph, spec: str | None = None) -> PatternGraph:
     """Wrap an arbitrary graph for NIM counting; no structure is assumed."""
-    return _annotate(graph, "custom", spec or pattern_spec(graph))
+    return PatternGraph(graph, "custom", spec or pattern_spec(graph))
 
 
 # -- classifiers -------------------------------------------------------

@@ -24,6 +24,11 @@ must equal its own;
 orbits and the last-vertex shortcut, trying a plan for every oriented
 pattern edge and every candidate at every position: the query must
 return its copy mask, bit for bit, or None with it.
+`coloring_error_scan` is `EdgeColoring`'s validation before each check
+became one C-level pass, one element at a time: the constructor and
+`from_dict` must raise its message; `verify_layout_per_edge` is
+`verify_layout` before per-vertex row masks, tagging every U-edge with
+the cliques that cover it: the two must return equal reports.
 `nim_edges_anchored` is the reference NIM counter, with its own
 separately coded embedding search, and `is_isomorphic` a backtracking
 isomorphism test.
@@ -33,8 +38,10 @@ import random
 import time
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 from typing import Optional, Sequence
 
+from nimcolor.constructions import LayoutReport, P2kConstructionLayout
 from nimcolor.errors import ResourceLimitError
 from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs, complete_edge_count, edge_index
 from nimcolor.nim import NimReport, _component_order, _dfs_extend, _find_through, _Plan, _plan_from_order, nim_edges
@@ -548,6 +555,85 @@ def cover_pass_per_edge(
             copies.append((witness, witness & ~covered))
             covered |= witness
     return adj, nim, copies
+
+
+def coloring_error_scan(n: int, k: int, colors: Sequence) -> Optional[str]:
+    """The message `EdgeColoring(n, k, colors)` raises, or None, by scanning
+    one color at a time: first every color's type, as `from_dict` did before
+    constructing, then k, the length and every color's range (n >= 0)."""
+    for i, c in enumerate(colors):
+        if type(c) is not int:
+            return f"color {c!r} at edge {i} is not an integer"
+    if k < 1:
+        return f"k must be >= 1, got {k}"
+    m = complete_edge_count(n)
+    if len(colors) != m:
+        return f"colors length {len(colors)} != {m}"
+    for i, c in enumerate(colors):
+        if not (0 <= c < k):
+            return f"color {c} at edge {i} not in 0..{k - 1}"
+    return None
+
+
+def verify_layout_per_edge(layout: P2kConstructionLayout) -> LayoutReport:
+    """`verify_layout`, with U's edge coverage checked by a dict from each
+    covered edge to the tags of the cliques that cover it."""
+    k, q = layout.k, layout.block
+    violations = []
+    u_vertices = set(range(q * q))
+    row_of = {v: v // q for v in u_vertices}
+
+    for j in range(q):
+        for i in range(q):
+            verts = layout.sigma[j][i]
+            if len(verts) != q or len(set(verts)) != q:
+                violations.append(f"sigma[{j + 1}][{i + 1}] is not a {q}-clique vertex set")
+                continue
+            if sorted(row_of.get(v, -1) for v in verts) != list(range(q)):
+                violations.append(f"sigma[{j + 1}][{i + 1}] does not meet every row once")
+
+    coverage: dict[tuple[int, int], list[str]] = {}
+
+    def cover(verts, tag):
+        vs = sorted(verts)
+        for s in range(len(vs)):
+            for t in range(s + 1, len(vs)):
+                coverage.setdefault((vs[s], vs[t]), []).append(tag)
+
+    for i, row in enumerate(layout.rows):
+        cover(row, f"row{i + 1}")
+    for j in range(q):
+        for i in range(q):
+            cover(layout.sigma[j][i], f"sigma[{j + 1}][{i + 1}]")
+
+    total_u_edges = comb(q * q, 2)
+    if len(coverage) != total_u_edges:
+        violations.append(f"covered {len(coverage)} distinct U-edges, expected {total_u_edges}")
+    multi = [(e, tags) for e, tags in coverage.items() if len(tags) > 1]
+    for e, tags in multi[:5]:
+        violations.append(f"U-edge {e} covered by {tags}")
+    if len(multi) > 5:
+        violations.append(f"... and {len(multi) - 5} more multiply covered edges")
+
+    tail_rows = set()
+    for i in range(k, q):
+        tail_rows.update(layout.rows[i])
+    seen: set[int] = set()
+    for j in range(q):
+        d = set(layout.sigma_diamond[j])
+        if len(d) != k - 1:
+            violations.append(f"diamond[{j + 1}] has {len(d)} vertices, expected {k - 1}")
+        overlap = seen & d
+        if overlap:
+            violations.append(f"diamond[{j + 1}] overlaps earlier diamonds at {sorted(overlap)}")
+        seen |= d
+        if not d <= set(layout.sigma[j][0]):
+            violations.append(f"diamond[{j + 1}] is not inside sigma[{j + 1}][1]")
+    if seen != tail_rows:
+        violations.append("diamonds do not exactly cover the last k-1 rows")
+
+    stats = {"u_edges": total_u_edges, "cliques": q + q * q, "w_size": len(layout.w)}
+    return LayoutReport(not violations, tuple(violations), stats)
 
 
 def nim_edges_anchored(coloring: EdgeColoring, h, *, max_n: int = 12) -> NimReport:

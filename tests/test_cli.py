@@ -64,6 +64,47 @@ class TestConstructVerifyPipeline:
         digest = "d3b44878f770e72cbbe043a71d83ce8aaf004660b542cee311a3129d68781467"
         assert hashlib.sha256(written).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "flags, pattern, digests",
+        [
+            # sha256 of the coloring file, its layout sidecar (None: not
+            # written) and verify's stdout
+            ("--family p2k --k 2 --n 13", "path:4", (
+                "b6db0dcc65671d012a0927947d9205321bc1916e490e7c65329d334a1ae3a415",
+                "d3b44878f770e72cbbe043a71d83ce8aaf004660b542cee311a3129d68781467",
+                "f0daee603b4ed36973df32fba03a300dc13ee0cb6e71771c68bfbcc8656bdee7")),
+            ("--family p2k --k 3 --n 27", "path:6", (
+                "173e6d0eea0c11d0d70d903e5c2c1789af5fcb164eb7493ac9a7065978657ff1",
+                "72a11737bef0527370a5b469f6189983176502629c608d4a5dbbeae1078b21bd",
+                "73ee14476ff87aac7ce6bea077b4dc2280c13638d3bf2d42d2649739a7860205")),
+            ("--family p2k --k 4 --n 52", "path:8", (
+                "3860f81fcb29f7149c12a0645914030737644e929402ad27cab1660f43862210",
+                "6754e580fffc6fc1648a20bae353672998d9496e9cfac270212391df6a6e4812",
+                "2e1f4aa9dabcc35533a670d09d50f8cbc02e16b68031631b397c09132abf3d19")),
+            ("--family tail --a 3 --n 20", "dstar:3+path:6", (
+                "3426a167e2862ac9f983a89f45593d2e4f19366534b865752b35656c123a891e",
+                None,
+                "ede16db26fd536511bf815f2e79e816473351a8be9519e0423d0194491605764")),
+            ("--family overlay --pattern path:4 --n 13", "path:4", (
+                "e52ad822ded9edd59383fb3008636e607f7ad5adf7896ce3fe76a4027ea2c1c4",
+                None,
+                "631c2c34e9b78bbb86044c1ff5060c066322819870dd3205b906193b6d4a2f07")),
+            ("--family overlay --pattern path:6 --n 30", "path:6", (
+                "7bf1324a2d17adbf01108ec06c54b36fcac9f27e09006253466f4e04993423d2",
+                None,
+                "69131ece279402f11a363c527c4bf7055a4d30e2b0d74190ee36d4785f6eafb0")),
+        ],
+    )
+    def test_construct_verify_golden_output(self, capsys, tmp_path, flags, pattern, digests):
+        target = tmp_path / "c.json"
+        sidecar = tmp_path / "c.json.layout.json"
+        assert run(capsys, "construct", *flags.split(), "-o", str(target))[0] == 0
+        code, out, _ = run(capsys, "verify", "--coloring", str(target), "--pattern", pattern)
+        assert code == 0
+        sha = lambda data: hashlib.sha256(data).hexdigest()
+        written = (sha(target.read_bytes()), sha(sidecar.read_bytes()) if sidecar.exists() else None, sha(out.encode()))
+        assert written == digests
+
     def test_construct_to_stdout(self, capsys):
         code, out, _ = run(capsys, "construct", "--family", "tail", "--a", "3", "--n", "20")
         assert code == 0

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import nimcolor.constructions
 from nimcolor.constructions import (
     build_p2k_layout,
     extremal_overlay,
@@ -16,7 +17,7 @@ from nimcolor.graphs import SimpleGraph, complete_edge_count, components
 from nimcolor.nim import nim_edges
 from nimcolor.patterns import forest_union, make_path, parse_pattern
 from nimcolor.turan import extremal_path_graph
-from oracles import tail_expected_nim_indices
+from oracles import tail_expected_nim_indices, verify_layout_per_edge
 
 H_FOREST = parse_pattern("dstar:3+path:6")
 
@@ -134,6 +135,30 @@ class TestP2kColoring:
         assert p2k_expected_nim(15, 2)[1] is False
         assert p2k_expected_nim(27, 3)[1] is True  # 27 % 5 == 2 == k-1
 
+    @pytest.mark.parametrize(
+        "n, k, mutate, message",
+        [
+            # a clique of class 1 repeated in class 2, one reversed, one moved
+            (13, 2, lambda l: replace(l, sigma=(l.sigma[0], (l.sigma[0][0],) + l.sigma[1][1:]) + l.sigma[2:]),
+             "edge (0, 4) assigned twice: 3 then 3"),
+            (13, 2, lambda l: replace(l, sigma=(l.sigma[0], (l.sigma[0][0][::-1],) + l.sigma[1][1:]) + l.sigma[2:]),
+             "edge (8, 4) assigned twice: 0 then 3"),
+            (52, 4, lambda l: replace(l, sigma=(l.sigma[0], (l.sigma[0][2],) + l.sigma[1][1:]) + l.sigma[2:]),
+             "edge (2, 10) assigned twice: 0 then 7"),
+            # a repeated diamond: its edges to W are assigned in step 2 twice
+            (13, 2, lambda l: replace(l, sigma_diamond=(l.sigma_diamond[0],) * 2 + l.sigma_diamond[2:]),
+             "edge (8, 9) assigned twice: 0 then 1"),
+            (52, 4, lambda l: replace(l, sigma_diamond=(l.sigma_diamond[0],) * 2 + l.sigma_diamond[2:]),
+             "edge (32, 49) assigned twice: 0 then 1"),
+        ],
+    )
+    def test_overlapping_layout_is_refused(self, monkeypatch, n, k, mutate, message):
+        layout = build_p2k_layout(n, k)
+        monkeypatch.setattr(nimcolor.constructions, "build_p2k_layout", lambda n, k: mutate(layout))
+        with pytest.raises(AssertionError) as caught:
+            p2k_multicoloring(n, k)
+        assert str(caught.value) == message
+
     def test_off_residue_count_still_at_least_classes_sum(self):
         # outside the two good residues the first 2k-1 classes are merely
         # near-extremal; the count still clears (2k-1) times their edges
@@ -189,6 +214,38 @@ class TestLayoutVerification:
         assert sum(v.startswith("U-edge ") for v in found) == 5
         assert any(v.startswith("... and ") and v.endswith(" more multiply covered edges") for v in found)
         assert "diamond[3] has 2 vertices, expected 1" in found
+
+    def test_reports_match_the_per_edge_check_on_every_prime_layout(self):
+        # every (n, k) the suite and the benchmark build, and more
+        for k, ns in ((2, range(10, 65)), (3, range(26, 65)), (4, range(50, 65))):
+            for n in ns:
+                layout = build_p2k_layout(n, k)
+                assert verify_layout(layout) == verify_layout_per_edge(layout)
+
+    @pytest.mark.parametrize("n, k", [(13, 2), (27, 3), (52, 4)])
+    @pytest.mark.parametrize(
+        "mutant",
+        ["swapped vertices", "dropped clique", "repeated class", "W vertex", "repeated vertex", "reversed clique"],
+    )
+    def test_reports_match_the_per_edge_check_on_mutants(self, n, k, mutant):
+        layout = build_p2k_layout(n, k)
+        sigma = [list(map(list, per_j)) for per_j in layout.sigma]
+        if mutant == "swapped vertices":  # across two cliques of one class
+            sigma[0][0][1], sigma[0][1][1] = sigma[0][1][1], sigma[0][0][1]
+        elif mutant == "dropped clique":
+            sigma[1][2] = []
+        elif mutant == "repeated class":
+            sigma[2] = sigma[1]
+        elif mutant == "W vertex":  # inside a sigma clique
+            sigma[1][1][-1] = layout.w[0]
+        elif mutant == "repeated vertex":
+            sigma[0][2][1] = sigma[0][2][0]
+        else:  # the same edges, listed backwards
+            sigma[1][0].reverse()
+        bad = replace(layout, sigma=tuple(tuple(tuple(c) for c in per_j) for per_j in sigma))
+        report = verify_layout(bad)
+        assert report == verify_layout_per_edge(bad)
+        assert report.ok is (mutant == "reversed clique")
 
     def test_layout_cell_lookup(self):
         layout = build_p2k_layout(13, 2)

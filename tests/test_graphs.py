@@ -1,10 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_isomorphic
+from oracles import coloring_error_scan, is_isomorphic
 from nimcolor.graphs import (
     EdgeColoring,
     SimpleGraph,
@@ -123,7 +123,57 @@ class TestSimpleGraph:
         assert is_isomorphic(g, h)
 
 
+@st.composite
+def colorings_with_bad_entries(draw):
+    """(n, k, colors): a short color list, its length sometimes off by one,
+    with entries out of range, negative, past one byte or not ints (bool
+    included) at its first, middle or last position; k > 255 at times."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.sampled_from([0, 1, 2, 3, 255, 256, 300]))
+    m = complete_edge_count(n)
+    length = draw(st.sampled_from([m, m, m, m - 1, m + 1]))
+    colors = draw(st.lists(st.integers(0, max(k - 1, 0)), min_size=length, max_size=length))
+    bad = st.sampled_from([k, k + 1, 255, 256, -1, -256, 1.0, 0.5, "1", True, False, None])
+    for i in draw(st.sets(st.sampled_from([0, length // 2, length - 1]))) if length else ():
+        colors[i] = draw(bad)
+    return n, k, colors
+
+
 class TestEdgeColoring:
+    @settings(max_examples=400, deadline=None)
+    @given(colorings_with_bad_entries())
+    def test_validation_raises_what_the_per_element_scan_names(self, case):
+        n, k, colors = case
+        expected = coloring_error_scan(n, k, colors)
+        for build in (
+            lambda: EdgeColoring(n, k, tuple(colors)),
+            lambda: EdgeColoring(n, k, colors),
+            lambda: EdgeColoring.from_dict({"n": n, "k": k, "colors": colors}),
+        ):
+            if expected is None:
+                assert build().colors == tuple(colors)
+            else:
+                with pytest.raises(ValueError) as caught:
+                    build()
+                assert str(caught.value) == expected
+
+    def test_non_int_colors_are_refused(self):
+        with pytest.raises(ValueError, match=r"^color 1\.0 at edge 1 is not an integer$"):
+            EdgeColoring(3, 2, (0, 1.0, 0))
+        with pytest.raises(ValueError, match="^color True at edge 1 is not an integer$"):
+            EdgeColoring.from_dict({"n": 3, "k": 2, "colors": [0, True, 0]})
+
+    def test_a_color_list_is_stored_as_a_hashable_tuple(self):
+        c = EdgeColoring(3, 2, [0, 1, 0])
+        assert c.colors == (0, 1, 0)
+        assert hash(c) == hash(EdgeColoring(3, 2, (0, 1, 0)))
+
+    def test_palettes_past_one_byte(self):
+        colors = tuple(range(300))  # n = 25 has 300 edges
+        assert EdgeColoring(25, 300, colors).colors == colors
+        with pytest.raises(ValueError, match="^color 299 at edge 299 not in 0..298$"):
+            EdgeColoring(25, 299, colors)
+
     def test_length_validation_message(self):
         with pytest.raises(ValueError, match="colors length 77 != 78"):
             EdgeColoring(13, 2, (0,) * 77)

@@ -206,6 +206,27 @@ class TestBipartitionMatchingBalance:
         assert not h.balanced and not h.has_perfect_matching
         assert not is_forest(h)
 
+    def test_annotations_are_computed_on_first_use(self):
+        from nimcolor.graphs import EdgeColoring
+        from nimcolor.nim import nim_edges
+
+        annotations = ("bipartition", "tails", "balanced", "has_perfect_matching")
+        for spec in ("dstar:3+path:6", "path:8", "spider:2,2,1"):
+            h = parse_pattern(spec)
+            nim_edges(EdgeColoring.monochromatic(6, 2), h)  # counting reads none of them
+            assert not set(annotations) & set(vars(h))
+            g = h.graph
+            forest = is_forest(g)
+            assert (h.bipartition, h.tails, h.balanced, h.has_perfect_matching) == (
+                bipartition(g),
+                tuple(find_tails(g)),
+                forest and is_balanced(g),
+                forest and has_perfect_matching_forest(g),
+            )
+            assert set(annotations) <= set(vars(h))
+        odd = custom_pattern(cycle(5))
+        assert odd.bipartition is None and odd.tails == ()
+
     def test_raw_graphs_are_named_by_order_and_size(self):
         from nimcolor.graphs import EdgeColoring
         from nimcolor.nim import nim_edges
