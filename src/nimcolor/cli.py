@@ -122,12 +122,13 @@ _FAMILIES = {"p2k": ("k",), "tail": ("a",), "overlay": ("pattern", "t")}
 
 def _construction(family: str, n: int, size: Optional[int], h: Optional[PatternGraph]):
     """(coloring, its layout or None) of a family at n, `size` being what the
-    family's sizing flag holds; an overlay's t of None is the path recipe's."""
+    family's sizing flag holds; a tail's a of None is the pattern's, and an
+    overlay's t of None is the path recipe's."""
     flag = _FAMILIES[family][-1]
     if flag == "k":
         return p2k_multicoloring(n, size)
     if flag == "a":
-        return tail_forest_coloring(n, size), None
+        return (tail_forest_coloring(n, size) if size is not None else tail_coloring_for(n, h)[0]), None
     if h.family != "path":
         raise ValueError(f"{family} construction is wired for path patterns; use the library API otherwise")
     if size is None:
@@ -223,16 +224,12 @@ def _cmd_search(args) -> int:
 
 def _build_seed(args, h: PatternGraph) -> EdgeColoring:
     family = args.seed_construction
-    flag = _FAMILIES[family][-1]
-    if flag == "a":  # the pattern fixes a
-        coloring, _ = tail_coloring_for(args.n, h)
-    else:
-        size = args.construction_k  # None unless --k sizes the family, as _cmd_search checks
-        if flag == "k" and size is None:
-            if args.k % 2:
-                raise ValueError(f"{family} seeding needs an even --k (or an explicit --construction-k)")
-            size = args.k // 2
-        coloring, _ = _construction(family, args.n, size, h)
+    size = args.construction_k  # None unless --k sizes the family, as _cmd_search checks
+    if _FAMILIES[family][-1] == "k" and size is None:
+        if args.k % 2:
+            raise ValueError(f"{family} seeding needs an even --k (or an explicit --construction-k)")
+        size = args.k // 2
+    coloring, _ = _construction(family, args.n, size, h)
     if coloring.k > args.k:
         raise ValueError(f"--k {args.k} is fewer than the {coloring.k} colors of the {family} seed")
     return coloring.with_colors(args.k) if coloring.k < args.k else coloring

@@ -67,6 +67,11 @@ def edge_rank_offsets(n: int) -> tuple[int, ...]:
     return tuple(_row_start(u, n) - u - 1 for u in range(n))
 
 
+def _check_permutation(perm: list[int], n: int) -> None:
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -114,7 +119,9 @@ class SimpleGraph:
     # -- queries ------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1) if u != v else False
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"invalid edge ({u}, {v}) for n={self.n}")
+        return bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -136,14 +143,12 @@ class SimpleGraph:
                 rest >>= 1
                 v += 1
 
-    def edge_indices(self) -> list[int]:
-        return [edge_index(u, v, self.n) for u, v in self.edges()]
-
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
 
     def permuted(self, perm: list[int]) -> "SimpleGraph":
         """Relabel: vertex v becomes perm[v]."""
+        _check_permutation(perm, self.n)
         adj = [0] * self.n
         for u, v in self.edges():
             adj[perm[u]] |= 1 << perm[v]
@@ -268,6 +273,8 @@ class EdgeColoring:
     def recolored(self, idx: int, color: int) -> "EdgeColoring":
         if not (0 <= color < self.k):
             raise ValueError(f"color {color} not in 0..{self.k - 1}")
+        if not (0 <= idx < len(self.colors)):
+            raise ValueError(f"edge index {idx} out of range for n={self.n}")
         colors = list(self.colors)
         colors[idx] = color
         return EdgeColoring(self.n, self.k, tuple(colors))
@@ -280,6 +287,7 @@ class EdgeColoring:
 
     def permuted(self, perm: list[int]) -> "EdgeColoring":
         """Apply a vertex permutation; edge {u,v} takes the old color of {u,v}."""
+        _check_permutation(perm, self.n)
         colors = [0] * len(self.colors)
         for (u, v), c in zip(all_pairs(self.n), self.colors):
             colors[edge_index(perm[u], perm[v], self.n)] = c

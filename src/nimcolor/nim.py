@@ -116,43 +116,33 @@ class _Plan:
     edges: tuple[tuple[int, int], ...]  # pattern edges as position pairs
 
 
-def _plan_from_order(g: SimpleGraph, order: list[int]) -> _Plan:
+def _anchor_plan(g: SimpleGraph, a: int, b: int) -> _Plan:
+    """The plan of g for the anchor (a, b).
+
+    a and b take positions 0 and 1 and the rest of their component follows;
+    then come the other components, largest first, each from a root of top
+    degree.  Each part grows by DFS, which steps to the unplaced neighbour
+    of highest degree, lowest first among equals.
+    """
+    rank = lambda v: (-g.degree(v), v)
+    rest = sorted((comp for comp in components(g) if a not in comp), key=len, reverse=True)
+    order: list[int] = []
+    for start in [[a, b]] + [[min(comp, key=rank)] for comp in rest]:
+        order += start
+        stack = list(start)
+        while stack:
+            nxt = next((w for w in sorted(g.neighbors(stack[-1]), key=rank) if w not in order), None)
+            if nxt is None:
+                stack.pop()
+            else:
+                order.append(nxt)
+                stack.append(nxt)
     pos = {v: p for p, v in enumerate(order)}
-    prev = tuple(
-        tuple(pos[w] for w in g.neighbors(v) if pos[w] < p) for p, v in enumerate(order)
+    return _Plan(
+        tuple(tuple(pos[w] for w in g.neighbors(v) if pos[w] < p) for p, v in enumerate(order)),
+        tuple(g.degree(v) for v in order),
+        tuple((pos[u], pos[v]) for u, v in g.edges()),
     )
-    degrees = tuple(g.degree(v) for v in order)
-    edges = tuple((pos[u], pos[v]) for u, v in g.edges())
-    return _Plan(prev, degrees, edges)
-
-
-def _dfs_extend(g: SimpleGraph, order: list[int], seen: set[int]) -> None:
-    """Grow `order` by DFS until the current component set is exhausted."""
-    stack = list(order)
-    while stack:
-        by_degree = sorted(g.neighbors(stack[-1]), key=lambda x: (-g.degree(x), x))
-        nxt = next((w for w in by_degree if w not in seen), None)
-        if nxt is None:
-            stack.pop()
-        else:
-            seen.add(nxt)
-            order.append(nxt)
-            stack.append(nxt)
-
-
-def _component_order(g: SimpleGraph, skip: set[int]) -> list[list[int]]:
-    """Components outside `skip` (a union of whole components), largest first,
-    each DFS-ordered from a max-degree root."""
-    out = []
-    for comp in components(g):
-        if comp[0] in skip:
-            continue
-        root = max(comp, key=lambda v: (g.degree(v), -v))
-        order = [root]
-        _dfs_extend(g, order, {root})
-        out.append(order)
-    out.sort(key=len, reverse=True)
-    return out
 
 
 # -- compiled plans -----------------------------------------------------
@@ -221,15 +211,6 @@ def _kernel(plan: _Plan, start: int) -> _Kernel:
     return namespace["kernel"]
 
 
-def _anchor_order(g: SimpleGraph, a: int, b: int) -> list[int]:
-    """Pattern vertices in plan order for the anchor (a, b)."""
-    order = [a, b]
-    _dfs_extend(g, order, {a, b})
-    for chunk in _component_order(g, set(order)):
-        order.extend(chunk)
-    return order
-
-
 # keyed by the adjacency rows, not by the graph: a tuple of ints hashes and
 # compares in C, where SimpleGraph's generated __hash__ and __eq__ would run
 # Python code on every query
@@ -259,7 +240,7 @@ def _anchor_plans(pattern_adj: tuple[int, ...]) -> tuple[tuple[int, int, _Kernel
             used = 1 << a | 1 << b
             if any(kernel(g.adj, g.n, used, a, b) is not None for _, _, kernel in plans):
                 continue
-            plan = _plan_from_order(g, _anchor_order(g, a, b))
+            plan = _anchor_plan(g, a, b)
             plans.append((plan.degrees[0], plan.degrees[1], _kernel(plan, 2)))
     return tuple(plans)
 
@@ -268,7 +249,7 @@ def _anchor_plans(pattern_adj: tuple[int, ...]) -> tuple[tuple[int, int, _Kernel
 def _containment_kernel(pattern_adj: tuple[int, ...]) -> _Kernel:
     """The first anchor plan of the pattern with these rows, from position 0."""
     g = SimpleGraph(len(pattern_adj), pattern_adj)
-    return _kernel(_plan_from_order(g, _anchor_order(g, *next(g.edges()))), 0)
+    return _kernel(_anchor_plan(g, *next(g.edges())), 0)
 
 
 # -- anchored queries ---------------------------------------------------
@@ -366,15 +347,6 @@ def _twin_members(rows: Sequence[int]) -> tuple[list[int], int]:
                 firsts |= b
         members[t] |= b
     return members, firsts
-
-
-def _twin_classes(rows: Sequence[int]) -> list[int]:
-    """Each vertex's twin class, named by its first member (`_twin_members`)."""
-    twin = [0] * len(rows)
-    for t, mask in enumerate(_twin_members(rows)[0]):
-        for v in _bits(mask):
-            twin[v] = t
-    return twin
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,8 @@ must equal its own;
 `find_through_all_plans` is the anchored query before automorphism
 orbits and the last-vertex shortcut, trying a plan for every oriented
 pattern edge and every candidate at every position: the query must
-return its copy mask, bit for bit, or None with it.
+return its copy mask, bit for bit, or None with it.  `twin_classes`
+reads the cover pass's twin classes as one class name per vertex.
 `coloring_error_scan` is `EdgeColoring`'s validation before each check
 became one C-level pass, one element at a time: the constructor and
 `from_dict` must raise its message; `verify_layout_per_edge` is
@@ -43,8 +44,8 @@ from typing import Optional, Sequence
 
 from nimcolor.constructions import LayoutReport, P2kConstructionLayout
 from nimcolor.errors import ResourceLimitError
-from nimcolor.graphs import EdgeColoring, SimpleGraph, all_pairs, complete_edge_count, edge_index
-from nimcolor.nim import NimReport, _component_order, _dfs_extend, _find_through, _Plan, _plan_from_order, nim_edges
+from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_index
+from nimcolor.nim import NimReport, _anchor_plan, _find_through, _Plan, _twin_members, nim_edges
 from nimcolor.patterns import PatternGraph, _as_graph, pattern_spec
 from nimcolor.search import SearchResult
 
@@ -463,15 +464,7 @@ def canonical_search_plain(
 @lru_cache(maxsize=None)
 def anchor_plans_all(g: SimpleGraph) -> tuple[_Plan, ...]:
     """`_anchor_plans` before orbit dedupe: one plan per (pattern edge, orientation)."""
-    plans = []
-    for x, y in g.edges():
-        for a, b in ((x, y), (y, x)):
-            order = [a, b]
-            _dfs_extend(g, order, {a, b})
-            for chunk in _component_order(g, set(order)):
-                order.extend(chunk)
-            plans.append(_plan_from_order(g, order))
-    return tuple(plans)
+    return tuple(_anchor_plan(g, a, b) for x, y in g.edges() for a, b in ((x, y), (y, x)))
 
 
 def search_every_candidate(adj: Sequence[int], full: int, plan: _Plan, img: list[int], used: int, pos: int) -> bool:
@@ -529,6 +522,15 @@ def find_through_all_plans(adj: Sequence[int], n: int, pattern: SimpleGraph, u: 
                 witness |= 1 << edge_index(img[p], img[q], n)
             return witness
     return None
+
+
+def twin_classes(rows: Sequence[int]) -> list[int]:
+    """Each vertex's twin class, named by its first member (`_twin_members`)."""
+    twin = [0] * len(rows)
+    for t, mask in enumerate(_twin_members(rows)[0]):
+        for v in _bits(mask):
+            twin[v] = t
+    return twin
 
 
 def cover_pass_per_edge(

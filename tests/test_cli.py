@@ -657,6 +657,17 @@ class TestSearchAndReport:
         assert "overlay construction is wired for path patterns" in err
         assert not ledger.exists()
 
+    def test_tail_seed_needs_a_two_component_pattern(self, capsys, tmp_path):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", "path:4", "--n", "17", "--k", "2",
+            "--mode", "hill", "--seed-construction", "tail", "--ledger", str(ledger),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: pattern must have exactly two components, got 1\n"
+        assert not ledger.exists()
+
     @pytest.mark.parametrize(
         "pattern, n, k, flags, count",
         [

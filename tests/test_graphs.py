@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,21 @@ class TestSimpleGraph:
         assert h.edge_count == g.edge_count
         assert h.has_edge(3, 2) and h.has_edge(2, 1)
 
+    def test_permuted_refuses_a_non_permutation(self):
+        g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+        c = EdgeColoring(3, 2, (0, 1, 0))
+        for perm in ([0, 1], [0, 1, 2, 3], [0, 1, 0], [0, 1, 3], [-1, 0, 1]):
+            for x in (g, c):
+                with pytest.raises(ValueError, match=re.escape(f"{perm} is not a permutation of 0..2")):
+                    x.permuted(perm)
+
+    def test_has_edge_refuses_vertices_outside_the_graph(self):
+        g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+        assert g.has_edge(2, 1) and not g.has_edge(0, 2) and not g.has_edge(1, 1)
+        for u, v in ((-1, 1), (1, -1), (3, 0), (0, 3)):
+            with pytest.raises(ValueError, match=rf"^invalid edge \({u}, {v}\) for n=3$"):
+                g.has_edge(u, v)
+
     def test_isomorphism_rejects_c6_vs_two_triangles(self):
         c6 = SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         two_k3 = disjoint_union(SimpleGraph.complete(3), SimpleGraph.complete(3))
@@ -220,3 +236,8 @@ class TestEdgeColoring:
         c2 = c.recolored(1, 1)
         assert c2.colors == (0, 1, 0)
         assert c.colors == (0, 0, 0)
+
+    @pytest.mark.parametrize("idx", [-1, -3, 3, 10])
+    def test_recolored_refuses_an_index_outside_the_edges(self, idx):
+        with pytest.raises(ValueError, match=rf"^edge index {idx} out of range for n=3$"):
+            EdgeColoring.monochromatic(3, k=2).recolored(idx, 1)
