@@ -62,18 +62,13 @@ def _append_ledger(path: str, command: str, parameters: dict, payload: dict) -> 
     return record
 
 
-def read_ledger(path: str) -> list[dict]:
-    """Every record of a ledger.
+def read_ledger(path: str) -> list[tuple[int, dict]]:
+    """Every record of a ledger, each with its line number in the file.
 
     A final line that does not parse is a record torn by an interrupted
     append: it is skipped with a warning on stderr.  A bad line anywhere
     else raises.
     """
-    return [record for _, record in _ledger_lines(path)]
-
-
-def _ledger_lines(path: str) -> list[tuple[int, dict]]:
-    """`read_ledger`'s records, each with its line number in the file."""
     with open(path, encoding="utf-8") as fh:
         lines = [(no, line) for no, line in enumerate(map(str.strip, fh), 1) if line]
     records = []
@@ -124,10 +119,9 @@ def _construction(family: str, n: int, size: Optional[int], h: Optional[PatternG
     """(coloring, its layout or None) of a family at n, `size` being what the
     family's sizing flag holds; a tail's a of None is the pattern's, and an
     overlay's t of None is the path recipe's."""
-    flag = _FAMILIES[family][-1]
-    if flag == "k":
+    if family == "p2k":
         return p2k_multicoloring(n, size)
-    if flag == "a":
+    if family == "tail":
         return (tail_forest_coloring(n, size) if size is not None else tail_coloring_for(n, h)[0]), None
     if h.family != "path":
         raise ValueError(f"{family} construction is wired for path patterns; use the library API otherwise")
@@ -185,9 +179,8 @@ def _cmd_turan(args) -> int:
 
 def _cmd_search(args) -> int:
     h = parse_pattern(args.pattern)
-    for family, flags in _FAMILIES.items():  # --construction-k is the seed's --k
-        if flags[-1] == "k" and args.construction_k is not None and args.seed_construction != family:
-            raise ValueError(f"--construction-k sizes the {family} seed; it needs --seed-construction {family}")
+    if args.construction_k is not None and args.seed_construction != "p2k":  # the p2k seed's --k
+        raise ValueError("--construction-k sizes the p2k seed; it needs --seed-construction p2k")
     for flag, least in (("iterations", 0), ("restarts", 1), ("construction_k", 2)):
         value = getattr(args, flag)
         if value is not None and value < least:
@@ -225,9 +218,9 @@ def _cmd_search(args) -> int:
 def _build_seed(args, h: PatternGraph) -> EdgeColoring:
     family = args.seed_construction
     size = args.construction_k  # None unless --k sizes the family, as _cmd_search checks
-    if _FAMILIES[family][-1] == "k" and size is None:
+    if family == "p2k" and size is None:
         if args.k % 2:
-            raise ValueError(f"{family} seeding needs an even --k (or an explicit --construction-k)")
+            raise ValueError("p2k seeding needs an even --k (or an explicit --construction-k)")
         size = args.k // 2
     coloring, _ = _construction(family, args.n, size, h)
     if coloring.k > args.k:
@@ -249,7 +242,7 @@ def _cmd_report(args) -> int:
     path = _ledger_path(args)
     rows = []
     ex_by_case: dict[tuple[int, str], Optional[int]] = {}  # (n, pattern spec) -> ex(n, H)
-    for no, record in _ledger_lines(path):
+    for no, record in read_ledger(path):
         if record.get("command") != "search":
             continue
         payload = record.get("result")

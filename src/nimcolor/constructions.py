@@ -140,18 +140,8 @@ class P2kConstructionLayout:
         return (i - 1) * q + (j - 1)
 
     def to_dict(self) -> dict:
-        q = self.block
-        return {
-            "k": self.k,
-            "n": self.n,
-            "label_map": [
-                [i, j, self.vertex(i, j)] for i in range(1, q + 1) for j in range(1, q + 1)
-            ],
-            "rows": [list(r) for r in self.rows],
-            "sigma": [[list(c) for c in per_j] for per_j in self.sigma],
-            "sigma_diamond": [list(c) for c in self.sigma_diamond],
-            "w": list(self.w),
-        }
+        side = range(1, self.block + 1)
+        return {**vars(self), "label_map": [[i, j, self.vertex(i, j)] for i in side for j in side]}
 
 
 def build_p2k_layout(n: int, k: int) -> P2kConstructionLayout:
@@ -249,7 +239,7 @@ class LayoutReport:
     stats: dict
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "violations": list(self.violations), "stats": self.stats}
+        return dict(vars(self))
 
 
 def verify_layout(layout: P2kConstructionLayout) -> LayoutReport:

@@ -248,8 +248,8 @@ class EdgeColoring:
             raise ValueError(f"color {c} at edge {i} not in 0..{self.k - 1}")
 
     @staticmethod
-    def monochromatic(n: int, k: int = 1, color: int = 0) -> "EdgeColoring":
-        return EdgeColoring(n, k, (color,) * complete_edge_count(n))
+    def monochromatic(n: int, k: int = 1) -> "EdgeColoring":
+        return EdgeColoring(n, k, (0,) * complete_edge_count(n))
 
     @staticmethod
     def random(n: int, k: int, rng) -> "EdgeColoring":
@@ -299,7 +299,8 @@ class EdgeColoring:
     # -- bit-exact JSON schema ----------------------------------------
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "colors": list(self.colors)}
+        # `to_json` does not sort keys: the file order n, k, colors is the field order
+        return dict(vars(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -96,14 +96,7 @@ class NimReport:
     per_color: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "pattern": self.pattern,
-            "count": self.count,
-            "nim_edges": list(self.nim_edges),
-            "per_color": list(self.per_color),
-        }
+        return dict(vars(self))
 
 
 # -- embedding plans ----------------------------------------------------

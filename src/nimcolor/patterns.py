@@ -248,22 +248,41 @@ class PatternSyntaxError(ValueError):
         self.position = position
 
 
+# the most a spec's integers may sum to, each counted as at least 1: no family's
+# order is more than twice its atom's sum, so this bounds the graph a spec builds
+MAX_SPEC_SUM = 4096
+
+
 def parse_pattern(text: str) -> PatternGraph:
-    """Parse the pattern DSL; raises PatternSyntaxError with an offset."""
+    """Parse the pattern DSL; raises PatternSyntaxError with an offset.
+
+    Every atom is read before any graph is built, so a spec past
+    MAX_SPEC_SUM is refused without allocating.
+    """
     if not text:
         raise PatternSyntaxError("empty pattern", 0)
-    parts = []
+    atoms = []
     offset = 0
     for chunk in text.split("+"):
-        parts.append(_parse_atom(chunk, offset))
+        atoms.append((offset, *_parse_atom(chunk, offset)))
         offset += len(chunk) + 1
+    total = sum(max(v, 1) for _, _, values in atoms for v in values)
+    if total > MAX_SPEC_SUM:
+        raise PatternSyntaxError(f"pattern integers sum to {total}, over the limit of {MAX_SPEC_SUM}", 0)
+    parts = []
+    for offset, make, values in atoms:
+        try:
+            parts.append(make(*values))
+        except ValueError as exc:
+            raise PatternSyntaxError(str(exc), offset)
     result = parts[0]
     for part in parts[1:]:
         result = forest_union(result, part)
     return result
 
 
-def _parse_atom(chunk: str, offset: int) -> PatternGraph:
+def _parse_atom(chunk: str, offset: int):
+    """(generator, arguments) of one atom, its syntax checked but nothing built."""
     if ":" not in chunk:
         raise PatternSyntaxError(f"expected 'family:args', got {chunk!r}", offset)
     name, _, args = chunk.partition(":")
@@ -271,27 +290,22 @@ def _parse_atom(chunk: str, offset: int) -> PatternGraph:
         values = [int(x) for x in args.split(",")] if args else []
     except ValueError:
         raise PatternSyntaxError(f"non-integer argument in {args!r}", offset + len(name) + 1)
-    try:
-        if name == "path":
-            _expect(values, 1, name, offset)
-            return make_path(values[0])
-        if name == "star":
-            _expect(values, 1, name, offset)
-            return make_star(values[0])
-        if name == "spider":
-            if not values:
-                raise PatternSyntaxError("spider needs at least one length", offset)
-            return make_spider(values)
-        if name == "dbroom":
-            _expect(values, 3, name, offset)
-            return make_double_broom(*values)
-        if name == "dstar":
-            _expect(values, 1, name, offset)
-            return make_double_star(values[0])
-    except ValueError as exc:
-        if isinstance(exc, PatternSyntaxError):
-            raise
-        raise PatternSyntaxError(str(exc), offset)
+    if name == "path":
+        _expect(values, 1, name, offset)
+        return make_path, values
+    if name == "star":
+        _expect(values, 1, name, offset)
+        return make_star, values
+    if name == "spider":
+        if not values:
+            raise PatternSyntaxError("spider needs at least one length", offset)
+        return lambda *lengths: make_spider(list(lengths)), values
+    if name == "dbroom":
+        _expect(values, 3, name, offset)
+        return make_double_broom, values
+    if name == "dstar":
+        _expect(values, 1, name, offset)
+        return make_double_star, values
     raise PatternSyntaxError(f"unknown family {name!r}", offset)
 
 

@@ -62,17 +62,7 @@ class SearchResult:
     elapsed: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "pattern": self.pattern,
-            "best_count": self.best_count,
-            "method": self.method,
-            "exhaustive": self.exhaustive,
-            "colorings_examined": self.colorings_examined,
-            "elapsed": self.elapsed,
-            "witness": self.witness.to_dict(),
-        }
+        return {**vars(self), "witness": self.witness.to_dict()}
 
 
 def exhaustive_f(

@@ -53,14 +53,8 @@ class TuranResult:
     below_threshold: bool = False
 
     def to_dict(self) -> dict:
-        payload = {
-            "n": self.n,
-            "pattern": self.pattern,
-            "value": self.value,
-            "method": self.method,
-            "recipe": self.recipe,
-            "below_threshold": self.below_threshold,
-        }
+        payload = dict(vars(self))
+        del payload["witness"]
         if self.witness is not None:
             payload["witness_edges"] = sorted(self.witness.edges())
         return payload

@@ -3,12 +3,19 @@ import hashlib
 import io
 import json
 import os
+import re
+from dataclasses import fields
 
 import pytest
 
 import nimcolor.turan
 from nimcolor.cli import _append_ledger, build_parser, main, read_ledger
-from nimcolor.search import DEFAULT_LEAF_BUDGET
+from nimcolor.constructions import build_p2k_layout, verify_layout
+from nimcolor.graphs import EdgeColoring
+from nimcolor.nim import nim_edges
+from nimcolor.patterns import make_path, make_star
+from nimcolor.search import DEFAULT_LEAF_BUDGET, exhaustive_f
+from nimcolor.turan import ex_path, turan_oracle
 
 
 def run(capsys, *argv):
@@ -25,6 +32,11 @@ class TestPatternCommand:
         assert payload["vertices"] == 12
         assert payload["balanced"] is True
         assert payload["has_perfect_matching"] is False
+
+    def test_oversized_pattern_is_refused_before_it_is_built(self, capsys):
+        code, out, err = run(capsys, "pattern", "--pattern", "path:100000000")
+        assert (code, out) == (1, "")
+        assert err == "error: pattern integers sum to 100000000, over the limit of 4096 (at position 0)\n"
 
     def test_bad_pattern_is_a_computation_error(self, capsys):
         code, _, err = run(capsys, "pattern", "--pattern", "blob:3")
@@ -111,6 +123,20 @@ class TestConstructVerifyPipeline:
         payload = json.loads(out)
         assert payload["n"] == 20 and payload["k"] == 2
         assert len(payload["colors"]) == 190
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            # sha256 of construct's stdout when no -o is given: the coloring's fields
+            ("--family p2k --k 2 --n 13", "200049ebd2b9e97a6145f468195c03424019644a5ea4d8191ec8a6bfbf906d76"),
+            ("--family tail --a 3 --n 20", "1c94008f806da3d1b4865f4495afc122c9b5d628f6d7f355c8cb9a4403a61199"),
+            ("--family overlay --pattern path:4 --n 13", "c7c2ff13483de47e508780132a3e072c265f6381732ea79cf729cd68f07aa717"),
+        ],
+    )
+    def test_construct_stdout_golden_output(self, capsys, flags, digest):
+        code, out, _ = run(capsys, "construct", *flags.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_overlay_construct(self, capsys, tmp_path):
         target = tmp_path / "o.json"
@@ -215,6 +241,22 @@ class TestTuranCommand:
         code, out, _ = run(capsys, "turan", "--pattern", "star:3", "--n", "6", "--method", "oracle")
         assert json.loads(out)["value"] == 6
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            # sha256 of stdout: a formula, an oracle value with its witness_edges,
+            # and a below_threshold bound
+            ("--pattern path:4 --n 13", "049c8b7bb2e504e55b649c861ec175d8cdce3b1389b9ea594f0252ca845a4597"),
+            ("--pattern spider:2,2,1 --n 8 --method oracle",
+             "58e40e8c3d631781e37f168669d07c6ec7c62c25c62c426c273b5d020a2ef3f2"),
+            ("--pattern dstar:3+path:6 --n 20", "43db21d78d0c28fcd00684003167349f7c5742894644d6543d3b349d2f517218"),
+        ],
+    )
+    def test_turan_golden_output(self, capsys, flags, digest):
+        code, out, _ = run(capsys, "turan", *flags.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_formula_unavailable(self, capsys):
         code, _, err = run(capsys, "turan", "--pattern", "star:3", "--n", "6", "--method", "formula")
         assert code == 1
@@ -248,7 +290,7 @@ class TestSearchAndReport:
             assert code == 0
             assert json.loads(out)["best_count"] == 2
 
-        records = read_ledger(str(ledger))
+        records = [record for _, record in read_ledger(str(ledger))]
         assert len(records) == 2
         assert all(r["command"] == "search" for r in records)
         assert all("parameters" in r and "version" in r for r in records)
@@ -268,17 +310,40 @@ class TestSearchAndReport:
             "--iterations", "1", "--ledger", str(first),
         )
         assert code == 0, err
-        (record,) = read_ledger(str(first))
+        ((_, record),) = read_ledger(str(first))
         argv = ["search", "--ledger", str(second)]
         for key, value in record["parameters"].items():
             if value is not None:
                 argv += ["--" + key.replace("_", "-"), str(value)]
         code, _, err = run(capsys, *argv)
         assert code == 0, err
-        (replay,) = read_ledger(str(second))
+        ((_, replay),) = read_ledger(str(second))
         assert replay["parameters"] == record["parameters"]
         for field in ("best_count", "witness"):
             assert replay["result"][field] == record["result"][field]
+
+    @pytest.mark.parametrize(
+        "flags, digests",
+        [
+            # sha256 of stdout and of the ledger line, with the elapsed time and
+            # the timestamp blanked
+            ("--pattern path:4 --n 6 --k 2", (
+                "54680891548f569188d62617e057a5240eb93596c4dee37719fe0a8cb4ab3cfc",
+                "c1680b006377975a74230692790eb8d900b80472fd9bf45e149406adbf5526eb")),
+            ("--pattern path:4 --n 13 --k 4 --mode hill --seed-construction p2k --iterations 3", (
+                "eef2327b1e5025d8333a39fea80f3e687c009d74fb6a69275abeded59e619523",
+                "d9cc3d68a806a73dc56d144136129d26510cda82f0b40fce06a6f8e3141e0794")),
+        ],
+    )
+    def test_search_golden_output(self, capsys, tmp_path, flags, digests):
+        ledger = tmp_path / "ledger.jsonl"
+        code, out, _ = run(capsys, "search", *flags.split(), "--ledger", str(ledger))
+        assert code == 0
+        blank = lambda text: re.sub(
+            r'"timestamp": "[^"]*"', '"timestamp": ""', re.sub(r'"elapsed": [-+.e0-9]+', '"elapsed": 0', text)
+        )
+        sha = lambda text: hashlib.sha256(blank(text).encode()).hexdigest()
+        assert (sha(out), sha(ledger.read_text())) == digests
 
     def test_report_computes_each_turan_value_once(self, capsys, tmp_path, monkeypatch):
         ledger = tmp_path / "ledger.jsonl"
@@ -479,7 +544,7 @@ class TestSearchAndReport:
         # each record goes out whole in a single write, newline included
         assert [json.loads(w) for w in writes] == written
         assert all(w.endswith(b"\n") for w in writes)
-        assert read_ledger(ledger) == written
+        assert read_ledger(ledger) == [(1, written[0]), (2, written[1])]
 
     def test_env_var_ledger(self, capsys, tmp_path, monkeypatch):
         ledger = tmp_path / "env-ledger.jsonl"
@@ -634,7 +699,7 @@ class TestSearchAndReport:
                 "--iterations", "1", "--ledger", str(ledger), *flags,
             )
             assert code == 0, err
-        assert [r["parameters"]["budget"] for r in read_ledger(str(ledger))] == [DEFAULT_LEAF_BUDGET, 4096, None]
+        assert [r["parameters"]["budget"] for _, r in read_ledger(str(ledger))] == [DEFAULT_LEAF_BUDGET, 4096, None]
 
     @pytest.mark.parametrize("mode", ["exhaustive", "hill"])
     def test_single_vertex_pattern_is_refused(self, capsys, tmp_path, mode):
@@ -717,6 +782,30 @@ class TestSearchAndReport:
         assert err.startswith("error: exhaustive search limited to n <= ") and err.count("\n") == 1
         assert "by the recursion limit" in err and err.endswith(", got 46\n")
         assert not ledger.exists()
+
+
+class TestResultDicts:
+    # every result's JSON is its fields, held as they are, with at most one
+    # field swapped for a derived key
+    @pytest.mark.parametrize(
+        "make, dropped, derived",
+        [
+            (lambda: nim_edges(EdgeColoring.monochromatic(5, 2), make_path(3)), None, None),
+            (lambda: EdgeColoring.monochromatic(4), None, None),
+            (lambda: verify_layout(build_p2k_layout(13, 2)), None, None),
+            (lambda: build_p2k_layout(13, 2), None, "label_map"),
+            (lambda: exhaustive_f(5, 2, make_path(3)), "witness", "witness"),
+            (lambda: ex_path(13, 4), "witness", None),
+            (lambda: turan_oracle(6, make_star(3)), "witness", "witness_edges"),
+        ],
+        ids=["nim", "coloring", "layout_report", "layout", "search", "turan_formula", "turan_oracle"],
+    )
+    def test_a_result_dict_is_its_fields(self, make, dropped, derived):
+        result = make()
+        payload = result.to_dict()
+        kept = [f.name for f in fields(result) if f.name != dropped]
+        assert sorted(payload) == sorted(kept + ([derived] if derived else []))
+        assert all(payload[name] is getattr(result, name) for name in kept)
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ from oracles import is_isomorphic, perfect_matchings_brute, tails_brute
 from nimcolor.errors import NotBipartiteError
 from nimcolor.graphs import SimpleGraph, components
 from nimcolor.patterns import (
+    MAX_SPEC_SUM,
     PatternSyntaxError,
     bipartition,
     custom_pattern,
@@ -280,6 +281,36 @@ class TestParse:
     def test_semantic_error_propagates(self):
         with pytest.raises(PatternSyntaxError, match="at least 2 vertices"):
             parse_pattern("dbroom:1,1,1")
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            ("path:4096", 4096),
+            ("spider:" + ",".join(["1"] * 4096), 4097),
+            ("path:4000+path:96", 4096),
+            ("+".join(["star:0"] * 8 + ["path:4088"]), 4096),
+        ],
+    )
+    def test_a_spec_at_the_size_limit_parses(self, text, order):
+        assert MAX_SPEC_SUM == 4096
+        assert parse_pattern(text).vertex_count == order
+
+    @pytest.mark.parametrize(
+        "text, total",
+        [
+            ("path:4097", 4097),
+            ("spider:" + ",".join(["1"] * 4097), 4097),
+            ("path:4000+path:97", 4097),
+            # an integer under 1 counts as 1, so one-vertex atoms cannot pile up unbounded
+            ("+".join(["star:0"] * 9 + ["path:4088"]), 4097),
+            ("path:4097+path:-1", 4098),
+            # path:0 would fail to build; the sum is checked first, with nothing built
+            ("path:0+path:5000", 5001),
+        ],
+    )
+    def test_a_spec_past_the_size_limit_is_refused(self, text, total):
+        with pytest.raises(PatternSyntaxError, match=f"sum to {total}, over the limit of 4096"):
+            parse_pattern(text)
 
     def test_empty(self):
         with pytest.raises(PatternSyntaxError):
