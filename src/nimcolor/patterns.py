@@ -275,10 +275,10 @@ def parse_pattern(text: str) -> PatternGraph:
             parts.append(make(*values))
         except ValueError as exc:
             raise PatternSyntaxError(str(exc), offset)
-    result = parts[0]
-    for part in parts[1:]:
-        result = forest_union(result, part)
-    return result
+    if len(parts) == 1:
+        return parts[0]
+    # every atom is a tree, so their union is a forest with no walk to check it
+    return PatternGraph(disjoint_union(*(p.graph for p in parts)), "union", "+".join(p.spec for p in parts))
 
 
 def _parse_atom(chunk: str, offset: int):

@@ -4,8 +4,11 @@
 of E(K_n) that are canonical under vertex and color relabeling (both
 preserve the NIM count, so this loses nothing for the maximum): the first
 edge (0, 1) has color 0, vertex 0 has the largest class-0 degree, vertex 1
-is a class-0 neighbour of vertex 0, and vertices 2..n-1 come in
-non-increasing class-0 degree.  Leaves are scored by the real NIM counter.
+is a class-0 neighbour of vertex 0, vertices 2..n-1 come in
+non-increasing class-0 degree, no vertex has a larger degree in any
+class than vertex 0 in class 0, and colors 1..k-1 are first used in
+increasing order along the canonical edge order.  Leaves are scored by
+the real NIM counter.
 
 The branch-and-bound cut is forward checking.  Classes only grow along a
 branch, so an edge in a monochromatic copy stays in one.  The search
@@ -74,23 +77,38 @@ def exhaustive_f(
 ) -> SearchResult:
     """Exact maximum NIM count over all k-colorings of E(K_n).
 
-    Only canonical colorings are enumerated.  Every coloring has a relabeling
-    of its colors and vertices in which edge (0, 1) has color 0, vertex 0
-    has the largest class-0 degree, vertex 1 has the largest class-0 degree
-    among the class-0 neighbours of vertex 0, and vertices 2..n-1 are sorted
-    by class-0 degree, non-increasing, class-0 neighbours of vertex 0 first
-    among equal degrees.  The search enforces these rules in the canonical
-    edge order: when row u starts, the degrees of 0..u-1 are final and cap
-    the degree of every later vertex, so color 0 is skipped on an edge that
-    would push an end past its cap.
+    Only canonical colorings are enumerated.  The vertex rules: edge (0, 1)
+    has color 0, vertex 0 has the largest class-0 degree, vertex 1 has the
+    largest class-0 degree among the class-0 neighbours of vertex 0, and
+    vertices 2..n-1 are sorted by class-0 degree, non-increasing, class-0
+    neighbours of vertex 0 first among equal degrees.  The color rules:
+    (a) no class has a vertex whose degree is above vertex 0's class-0
+    degree, the top degree; (b) colors 1..k-1 are first used in increasing
+    order along the canonical edge order.  Every coloring has a relabeling
+    that keeps all of them: give a class of largest top degree color 0,
+    relabel the vertices by the vertex rules, then rename colors 1..k-1 by
+    first use.  That last step changes neither class 0 nor any degree, so
+    the maximum is unchanged.
+
+    The search enforces the rules in the canonical edge order.  When row u
+    starts, the class-0 degrees of 0..u-1 are final and cap the degree of
+    every later vertex, so color 0 is skipped on an edge that would push
+    an end past its cap.  When row 0 ends, vertex 0's degrees are final:
+    rule (a) is checked on them, and from then on color c >= 1 is skipped
+    on an edge with an end of class-c degree at the top degree already.
+    Color c is tried only if it is at most 1 + the largest color used.
 
     The bound: an uncolored edge that closes a copy through itself in
     every class is forced, since classes only grow; a branch whose
     m - |covered| - |forced| is at most the best count is dropped.
     Each class carries a blocked mask, exact at every node: the uncolored
     edges f such that the class plus f has a copy through f.  Any sound
-    bound keeps the first maximal coloring in search order, so the
-    witness does not depend on how strong the bound is.
+    bound keeps the first maximal coloring in search order among those
+    that keep the rules, so the witness does not depend on how strong the
+    bound is.  Rule (b) alone would not move it either: the first maximal
+    coloring already uses colors 1..k-1 in first-use order, since its
+    first-use renaming is maximal too and comes no later.  Rule (a) is a
+    symmetry cut and can move it.
     """
     pattern = _guard("exhaustive search", n, h, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
     if k < 1:
@@ -120,7 +138,8 @@ def _canonical_search(
     """(best NIM count, its colors, leaves scored) over the canonical colorings
     in which edge e takes a color from choices[e]; h is a pattern or its graph.
 
-    Best is -1, with all colors 0, when no such coloring is canonical.
+    Best is -1, with all colors 0, when no such coloring is canonical,
+    under the vertex rules and the color rules alike.
     An edge is forced when it is blocked (`_Blocking`) in every class.
     Covered edges are colored and forced ones are not, so the bound adds
     their counts.
@@ -139,6 +158,7 @@ def _canonical_search(
 
     red = class_adj[0]
     caps = [(n, n)] * n  # caps[u] = row_caps(u), set when row u starts
+    top = n  # vertex 0's final class-0 degree, set when row 0 ends
 
     def row_caps(u: int) -> tuple[int, int]:
         """Caps on the final class-0 degree of any vertex w >= u, rows 0..u-1 done.
@@ -155,13 +175,19 @@ def _canonical_search(
             hub_cap = min(hub_cap, last - (not (red[0] >> (u - 1)) & 1))
         return cap, hub_cap
 
-    def rec(idx: int, covered: int) -> None:
-        nonlocal best, best_colors, leaves
+    def rec(idx: int, covered: int, hi: int) -> None:
+        """hi is the largest color on edges 0..idx-1, 0 before any."""
+        nonlocal best, best_colors, leaves, top
         forced = -1
         for mask in blocked:
             forced &= mask
         if m - covered.bit_count() - (forced >> idx).bit_count() <= best:
             return
+        if idx == n - 1:
+            # row 0 has ended: vertex 0's degrees are final, and no class tops its class-0 degree
+            top = red[0].bit_count()
+            if any(adj[0].bit_count() > top for adj in class_adj):
+                return
         if idx == m:
             # row n-1 has no edges, so the last vertex is checked here
             if n >= 2 and red[n - 1].bit_count() > row_caps(n - 1)[(red[0] >> (n - 1)) & 1]:
@@ -185,21 +211,26 @@ def _canonical_search(
             and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
         )
         for c in choices[idx]:
-            if c == 0 and not red_ok:
+            adj = class_adj[c]
+            if c == 0:
+                if not red_ok:
+                    continue
+            # colors 1..k-1 come in first-use order, and from row 1 on color c
+            # on (u, v) must leave both class-c degrees within vertex 0's top
+            elif c > hi + 1 or (u and (adj[u].bit_count() >= top or adj[v].bit_count() >= top)):
                 continue
             colors[idx] = c
-            adj = class_adj[c]
             adj[u] |= bv
             adj[v] |= bu
             mask = blocked[c]
             copy, blocked[c] = step(adj, idx, mask)
-            rec(idx + 1, covered | copy)
+            rec(idx + 1, covered | copy, c if c > hi else hi)
             blocked[c] = mask
             adj[u] &= ~bv
             adj[v] &= ~bu
         colors[idx] = 0
 
-    rec(0, 0)
+    rec(0, 0, 0)
     return best, best_colors, leaves
 
 

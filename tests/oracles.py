@@ -15,8 +15,10 @@ recursion before it stored found copies, which queries every edge it
 tries to include: the oracle must return its maximum, witness rows and
 node count exactly; `canonical_search_plain` is
 `exhaustive_f`'s recursion with that symmetry but before forward checking,
-which queries every colored edge and bounds by covered edges alone: the
-search must return its maximum and witness colors exactly;
+which queries every colored edge and bounds by covered edges alone, and
+which applies the color rules (`keeps_color_rules`) to its leaves only,
+never as a cut: the search must return its maximum and witness colors
+exactly;
 `cover_pass_per_edge` is the cover pass before class components and
 twin groups, with one query per uncovered edge: the pass's NIM mask
 must equal its own;
@@ -426,6 +428,8 @@ def canonical_search_plain(
             # row n-1 has no edges, so the last vertex is checked here
             if n >= 2 and red[n - 1].bit_count() > row_caps(n - 1)[(red[0] >> (n - 1)) & 1]:
                 return
+            if not keeps_color_rules(n, k, colors):
+                return
             leaves += 1
             report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
             if report.count > best:
@@ -459,6 +463,22 @@ def canonical_search_plain(
 
     rec(0, 0)
     return best, best_colors, leaves
+
+
+def keeps_color_rules(n: int, k: int, colors: Sequence[int]) -> bool:
+    """Whether a coloring of E(K_n) keeps `exhaustive_f`'s two color rules:
+    no vertex has a larger degree in any class than vertex 0 in class 0,
+    and colors 1..k-1 are first used in increasing order along the
+    canonical edge order."""
+    degrees = [[0] * n for _ in range(k)]
+    used = 0
+    for (u, v), c in zip(all_pairs(n), colors):
+        if c > used + 1:
+            return False
+        used = max(used, c)
+        degrees[c][u] += 1
+        degrees[c][v] += 1
+    return n == 0 or max(map(max, degrees)) <= degrees[0][0]
 
 
 @lru_cache(maxsize=None)

@@ -79,6 +79,10 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph.from_edges(3, [(1, 1)])
 
+    def test_a_row_with_a_bit_past_n_is_refused(self):
+        with pytest.raises(ValueError, match=r"^vertex 0 has a neighbour at or past n=2$"):
+            SimpleGraph(2, (0b100, 0))
+
     def test_edge_count_is_half_degree_sum(self):
         g = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 2)])
         assert sum(g.degree(v) for v in range(5)) == 2 * g.edge_count
@@ -93,6 +97,8 @@ class TestSimpleGraph:
         g = disjoint_union(k3, k3)
         assert g.edge_count == 6
         assert components(g) == [[0, 1, 2], [3, 4, 5]]
+        assert disjoint_union(k3, SimpleGraph.empty(1), k3) == SimpleGraph(7, g.adj[:3] + (0,) + tuple(r << 1 for r in g.adj[3:]))
+        assert disjoint_union() == SimpleGraph.empty(0)
 
     def test_complement_of_perfect_matching_is_c4(self):
         pm = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])

@@ -1,9 +1,12 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import is_isomorphic, perfect_matchings_brute, tails_brute
 from nimcolor.errors import NotBipartiteError
+from nimcolor import patterns
 from nimcolor.graphs import SimpleGraph, components
 from nimcolor.patterns import (
     MAX_SPEC_SUM,
@@ -264,6 +267,29 @@ class TestParse:
         assert parse_pattern("dstar:3+path:6").graph == forest_union(
             make_double_star(3), make_path(6)
         ).graph
+
+    def test_a_union_of_many_atoms_is_not_walked_per_atom(self, monkeypatch):
+        # a left fold of forest_union walked both sides of every union: 8,190 walks here
+        walks = 0
+        real = patterns._bfs_forest
+
+        def counted(g):
+            nonlocal walks
+            walks += 1
+            return real(g)
+
+        monkeypatch.setattr("nimcolor.patterns._bfs_forest", counted)
+        h = parse_pattern("+".join(["path:1"] * 4096))
+        assert walks <= 1
+        assert (h.vertex_count, h.edge_count, h.family) == (4096, 0, "union")
+
+    @pytest.mark.parametrize(
+        "text", ["path:3+star:2", "path:2+path:2+path:2", "spider:2,1+path:1+dstar:2+dbroom:2,1,2", "star:0+star:0"]
+    )
+    def test_a_union_is_the_fold_of_forest_union(self, text):
+        folded = reduce(forest_union, map(parse_pattern, text.split("+")))
+        h = parse_pattern(text)
+        assert (h.spec, h.family, h.graph) == (folded.spec, folded.family, folded.graph)
 
     def test_unknown_family_position(self):
         with pytest.raises(PatternSyntaxError) as err:

@@ -26,6 +26,7 @@ from oracles import (
     covered_edges_brute,
     exhaustive_f_first_edge_pin,
     hill_climb_recount,
+    keeps_color_rules,
     nim_brute,
 )
 
@@ -221,7 +222,8 @@ def test_emptying_the_memo_at_its_cap_keeps_the_answer(cell, monkeypatch):
 
 def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
     # 149,972 when every star step took a memo entry: the memo then reached
-    # its cap four times, not three, and forgot more copies
+    # its cap four times, not three, and forgot more copies.  The color
+    # rules took the count from 126,379 and the leaves from 83.
     calls = 0
 
     def counted(*args):
@@ -231,8 +233,8 @@ def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
 
     monkeypatch.setattr("nimcolor.search._find_through", counted)
     best, colors, leaves = _canonical_search(7, 3, P3, full_choices(7, 3))
-    assert (best, "".join(map(str, colors)), leaves) == (6, "000000000120120201000", 83)
-    assert calls == 126379
+    assert (best, "".join(map(str, colors)), leaves) == (6, "000000000120120201000", 7)
+    assert calls == 24092
 
 
 def test_p4_on_eight_vertices():
@@ -418,9 +420,12 @@ def colorings(draw):
 
 
 def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
-    """The relabeling the `exhaustive_f` docstring promises, built from its rules."""
+    """The relabeling the `exhaustive_f` docstring promises, built from its rules:
+    a class of largest top degree becomes class 0, the vertices are ordered
+    by class-0 degree, and colors 1..k-1 are renamed by first use."""
     n, k = coloring.n, coloring.k
-    first = coloring.colors[0]
+    tops = [max(row.bit_count() for row in rows) for rows in coloring.class_adjacency()]
+    first = tops.index(max(tops))
     swap = list(range(k))
     swap[0], swap[first] = first, 0
     swapped = coloring.relabel_colors(swap)
@@ -432,17 +437,27 @@ def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
     perm = [0] * n  # old vertex -> new label
     for new, old in enumerate([v0, v1, *rest]):
         perm[old] = new
-    return swapped.permuted(perm)
+    permuted = swapped.permuted(perm)
+    # colors 1..k-1 in first-use order, the unused ones after them
+    order = list(dict.fromkeys(c for c in permuted.colors + tuple(range(1, k)) if c))
+    rename = [0] * k  # old color -> new color
+    for new, old in enumerate(order, 1):
+        rename[old] = new
+    return permuted.relabel_colors(rename)
 
 
 # Class 0 is two disjoint cherries: vertex 0 is one center, vertex 1 one of
 # its leaves, and the other center outranks vertex 1 in class-0 degree.
 TWO_CHERRIES = EdgeColoring(6, 2, tuple(0 if e in {(0, 1), (0, 2), (3, 4), (3, 5)} else 1 for e in all_pairs(6)))
+# Class 0 is a perfect matching, class 1 empty and class 2 the rest, of
+# degree 4: classes 0 and 2 trade colors, and the matching's color becomes 1.
+COCKTAIL_PARTY = EdgeColoring(6, 3, tuple(0 if e in {(0, 1), (2, 3), (4, 5)} else 2 for e in all_pairs(6)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(colorings(), st.sampled_from(PROPERTY_PATTERNS))
 @example(TWO_CHERRIES, P3)
+@example(COCKTAIL_PARTY, P3)
 def test_every_coloring_has_a_relabeling_the_search_keeps(coloring, h):
     # the real search, pinned to one coloring, scores it, or finds no leaf
     # when symmetry breaking cuts it
@@ -450,6 +465,39 @@ def test_every_coloring_has_a_relabeling_the_search_keeps(coloring, h):
     best, colors, leaves = _canonical_search(coloring.n, coloring.k, h, [(c,) for c in canonical.colors])
     assert leaves == 1
     assert (best, colors) == (nim_edges(coloring, h).count, canonical.colors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(PROPERTY_PATTERNS))
+def test_every_leaf_keeps_the_color_rules_and_the_maximum(data, h):
+    # every coloring the search scores keeps both color rules, and cutting
+    # the others loses no maximum of the search with edge (0, 1) pinned alone
+    k = data.draw(st.integers(2, 4), label="k")
+    n = data.draw(st.integers(2, 6 if k < 4 else 5), label="n")
+    leaves = []
+
+    def recorded(coloring, pattern):
+        leaves.append(coloring.colors)
+        return nim_edges(coloring, pattern)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("nimcolor.search.nim_edges", recorded)
+        r = exhaustive_f(n, k, h, budget=k ** (n * (n - 1) // 2))
+    assert len(leaves) == r.colorings_examined
+    assert all(keeps_color_rules(n, k, colors) for colors in leaves)
+    assert r.best_count == exhaustive_f_first_edge_pin(n, k, h)[0]
+
+
+@pytest.mark.parametrize("k, colors", [
+    (3, (0, 0, 0, 2, 1, 1)),  # color 2 is used before color 1
+    (4, (0, 1, 1, 2, 3, 0)),  # vertex 0: class-1 degree 2 once row 0 ends, class-0 degree 1
+    (2, (0, 0, 1, 0, 1, 1)),  # vertex 3 reaches class-1 degree 3 on the last edge, vertex 0 has 2 in class 0
+])
+def test_a_pin_that_breaks_a_color_rule_has_no_leaf(k, colors):
+    # each pin keeps the vertex rules and breaks one color rule at one vertex
+    assert not keeps_color_rules(4, k, colors)
+    assert _canonical_search(4, k, P3, [(c,) for c in colors]) == (-1, (0,) * 6, 0)
+
 
 
 class TestDeltaEvaluation:
