@@ -30,7 +30,7 @@ from .errors import ResourceLimitError, TuranUnavailableError
 from .graphs import EdgeColoring
 from .nim import nim_edges
 from .patterns import PatternGraph, parse_pattern
-from .search import DEFAULT_LEAF_BUDGET, exhaustive_f, hill_climb_f
+from .search import DEFAULT_LEAF_BUDGET, _hill_guard, exhaustive_f, hill_climb_f
 from .turan import ex_path, extremal_path_graph, turan_oracle, turan_value
 
 DEFAULT_LEDGER = "nimcolor-ledger.jsonl"
@@ -114,11 +114,17 @@ def _cmd_pattern(args) -> int:
 # needs, last the one that sizes it
 _FAMILIES = {"p2k": ("k",), "tail": ("a",), "overlay": ("pattern", "t")}
 
+# the largest n a construction is built at: a coloring of K_n holds C(n, 2)
+# colors, and every family builds a list of that many before it can refuse
+MAX_CONSTRUCT_N = 4096
+
 
 def _construction(family: str, n: int, size: Optional[int], h: Optional[PatternGraph]):
     """(coloring, its layout or None) of a family at n, `size` being what the
     family's sizing flag holds; a tail's a of None is the pattern's, and an
     overlay's t of None is the path recipe's."""
+    if n > MAX_CONSTRUCT_N:
+        raise ResourceLimitError(f"construct limited to n <= {MAX_CONSTRUCT_N}, got {n}")
     if family == "p2k":
         return p2k_multicoloring(n, size)
     if family == "tail":
@@ -216,6 +222,7 @@ def _cmd_search(args) -> int:
 
 
 def _build_seed(args, h: PatternGraph) -> EdgeColoring:
+    _hill_guard(args.n, h)  # a seed holds C(n, 2) colors: refuse n before building one
     family = args.seed_construction
     size = args.construction_k  # None unless --k sizes the family, as _cmd_search checks
     if family == "p2k" and size is None:

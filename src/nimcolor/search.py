@@ -32,7 +32,13 @@ construction.  Candidates are scored by delta evaluation, not by a fresh
 NIM count: recoloring e from c to c' changes only classes c and c', so
 the climber requeries just the edges whose cover witness used e (in c)
 and the NIM edges of c' not yet covered by a copy through e, stopping
-once the candidate cannot beat the best move so far.
+once the candidate cannot beat the best move so far.  Each step scores
+one edge per colored-twin orbit: swapping two colored twins changes no
+edge color, so it maps each recoloring onto one with the same count, and
+only the lowest edge of each orbit is scored.  The paper's constructions
+are blow-ups with few orbits: the bench's path:4 overlays have 10 and 15
+orbits at n = 12 and 14 (66 and 91 edges), its path:5 overlays 6, 10 and
+10 at n = 12, 14 and 16, and its p2k colorings 37 at n = 13 and 14.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count
+from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_rank_offsets
 from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _depth_guard, _edge_walk, _find_through, _guard, nim_edges
 from .patterns import PatternGraph, _as_graph, pattern_spec
 
@@ -372,6 +378,11 @@ def _edge_reach(pattern: SimpleGraph) -> Optional[int]:
     return max(min(dist[a][c], dist[a][d], dist[b][c], dist[b][d]) for a, b in edges for c, d in edges)
 
 
+def _hill_guard(n: int, h: PatternGraph) -> SimpleGraph:
+    """The pattern graph of `h`, once `hill_climb_f` accepts n and h."""
+    return _guard("hill climb", n, h, HILL_MAX_N, DEFAULT_MAX_PATTERN)
+
+
 def hill_climb_f(
     n: int,
     k: int,
@@ -391,8 +402,16 @@ def hill_climb_f(
     `iterations` steps.  Candidates are scored by delta evaluation against
     a `_NimState` of the current coloring, rebuilt once per accepted move.
     Fully deterministic for fixed arguments.
+
+    A step scores only the lowest edge of each colored-twin orbit
+    (`_orbit_edges`), from 66-120 edges down to 6-15 on the bench's path
+    overlays and from 78 or 91 to 37 on its p2k starts.  The chosen move
+    is unchanged: moves in one orbit score the same, so the first maximal
+    (edge, color) of a full scan is already at an orbit's lowest edge.
+    `colorings_examined` still counts all C(n, 2)(k - 1) candidates of
+    each step, as the full scan decides them.
     """
-    pattern = _guard("hill climb", n, h, HILL_MAX_N, DEFAULT_MAX_PATTERN)
+    pattern = _hill_guard(n, h)
     if k < 1:
         raise ValueError("k must be >= 1")
     if iterations < 0:
@@ -418,7 +437,9 @@ def hill_climb_f(
         examined += 1
         for _ in range(iterations):
             move = None  # (score, edge, color)
-            for e in range(m) if k > 1 else ():  # one color leaves no move
+            # every candidate is decided, but only each orbit's lowest edge is scored
+            examined += m * (k - 1)
+            for e in _orbit_edges(state.adj, n) if k > 1 else ():  # one color leaves no move
                 old = current.colors[e]
                 base = score + state.loss(e)
                 for c in range(k):
@@ -426,7 +447,6 @@ def hill_climb_f(
                         continue
                     bar = score if move is None else move[0]  # what a move must beat
                     cand_score = base + state.gain(e, c, bar - base)
-                    examined += 1
                     if cand_score > bar:
                         move = (cand_score, e, c)
             if move is None:
@@ -444,6 +464,53 @@ def hill_climb_f(
     return SearchResult(
         n, k, pattern_spec(h), best, best_witness, "hill_climb", False, examined, elapsed
     )
+
+
+def _orbit_edges(adj: list[list[int]], n: int) -> Sequence[int]:
+    """The lowest edge of each colored-twin orbit, in canonical order, for
+    a coloring of K_n with k >= 2 colors and class rows `adj`.
+
+    Vertices x and y are colored twins when swapping them changes no edge
+    color: in every class, their rows agree off x and y.  Swaps of twins
+    generate the orbits.  The relation is transitive, so its classes T
+    partition the vertices and each keeps one color inside; the orbit of
+    (u, v) is T_u x T_v, or every pair of T when u and v are twins.  Its
+    lowest edge joins the first members of T_u and T_v, or T's two lowest.
+    Twins share their rows in every class but the one holding (x, y), so
+    each twin pair is found among the equal rows of class 0 or class 1.
+    Two vertices with equal rows in one of those are twins iff their rows
+    agree off x and y in classes 2..k-1: the other of classes 0 and 1 holds
+    what the rest leave.  A class whose n rows all differ is skipped, and
+    when both are, each edge is its own orbit.
+    """
+    first = list(range(n))  # each vertex's twin class, named by its lowest member
+    found = False
+    rest = adj[2:]
+    for rows in adj[:2]:
+        if len(set(rows)) == n:
+            continue
+        seen: dict[int, int] = {}  # a class row -> the earlier vertices with it
+        for x, row in enumerate(rows):
+            earlier = seen.get(row, 0)
+            seen[row] = earlier | 1 << x
+            if earlier and first[x] == x:
+                for y in _bits(earlier):
+                    if not any((r[x] ^ r[y]) & ~(1 << x | 1 << y) for r in rest):
+                        first[x] = y  # x's lowest twin shares x's row here too, so it is y
+                        found = True
+                        break
+    if not found:
+        return range(complete_edge_count(n))
+    members = [0] * n
+    for v, t in enumerate(first):
+        members[t] |= 1 << v
+    firsts = sum(1 << t for t in range(n) if first[t] == t)
+    offsets = edge_rank_offsets(n)
+    edges: list[int] = []
+    for u in _bits(firsts):
+        twins = members[u] ^ 1 << u
+        edges += [offsets[u] + v for v in _bits(firsts >> (u + 1) << (u + 1) | twins & -twins)]
+    return edges
 
 
 class _NimState:

@@ -27,6 +27,8 @@ orbits and the last-vertex shortcut, trying a plan for every oriented
 pattern edge and every candidate at every position: the query must
 return its copy mask, bit for bit, or None with it.  `twin_classes`
 reads the cover pass's twin classes as one class name per vertex.
+`colored_twin_orbits` gives the edge orbits under every vertex
+transposition that keeps all colors, found by trying each on every edge.
 `coloring_error_scan` is `EdgeColoring`'s validation before each check
 became one C-level pass, one element at a time: the constructor and
 `from_dict` must raise its message; `verify_layout_per_edge` is
@@ -253,6 +255,38 @@ def hill_climb_recount(
     return SearchResult(
         n, k, h.spec, best, best_witness, "hill_climb", False, examined, elapsed
     )
+
+
+def colored_twin_orbits(coloring: EdgeColoring) -> list[frozenset[int]]:
+    """The edge orbits of the group that the color-preserving vertex
+    transpositions generate, as sets of edge indices in order of their least.
+
+    Every transposition (x y) is tried on every edge; the orbits are the
+    components of the edges joined to their images under those kept.
+    """
+    n, colors = coloring.n, coloring.colors
+    swaps = []
+    for x, y in combinations(range(n), 2):
+        swap = list(range(n))
+        swap[x], swap[y] = y, x
+        image = [edge_index(*sorted((swap[u], swap[v])), n) for u, v in all_pairs(n)]
+        if all(colors[image[e]] == colors[e] for e in range(len(colors))):
+            swaps.append(image)
+    orbit = list(range(len(colors)))  # each edge's orbit, named by an edge in it
+
+    def find(e: int) -> int:
+        while orbit[e] != e:
+            e = orbit[e]
+        return e
+
+    for image in swaps:
+        for e, f in enumerate(image):
+            a, b = find(e), find(f)
+            orbit[max(a, b)] = min(a, b)
+    orbits: dict[int, set[int]] = {}
+    for e in range(len(colors)):
+        orbits.setdefault(find(e), set()).add(e)
+    return [frozenset(orbits[e]) for e in sorted(orbits)]
 
 
 def turan_oracle_edge_bound(n: int, pattern: SimpleGraph) -> tuple[int, SimpleGraph]:

@@ -203,6 +203,15 @@ class TestConstructVerifyPipeline:
         assert code == 1
         assert "--k" in err
 
+    @pytest.mark.parametrize("family", [["p2k", "--k", "2"], ["tail", "--a", "3"], ["overlay", "--pattern", "path:4"]])
+    def test_construct_refuses_an_oversized_n(self, capsys, monkeypatch, family):
+        # refused before any family builds its C(n, 2) colors
+        monkeypatch.setattr("nimcolor.cli.p2k_multicoloring", None)
+        monkeypatch.setattr("nimcolor.cli.tail_forest_coloring", None)
+        monkeypatch.setattr("nimcolor.cli.extremal_path_graph", None)
+        code, out, err = run(capsys, "construct", "--n", "1000000", "--family", *family)
+        assert (code, out, err) == (1, "", "error: construct limited to n <= 4096, got 1000000\n")
+
     def test_p2k_construct_under_two_names_its_k(self, capsys):
         code, out, err = run(capsys, "construct", "--family", "p2k", "--n", "13", "--k", "1")
         assert (code, out, err) == (1, "", "error: k must be >= 2\n")
@@ -562,6 +571,20 @@ class TestSearchAndReport:
         )
         assert code == 0
         assert json.loads(out)["best_count"] >= 39
+
+    def test_hill_n_is_refused_before_the_seed_is_built(self, capsys, tmp_path, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("a seed was built for an n the climber refuses")
+
+        monkeypatch.setattr("nimcolor.cli._construction", unbuilt)
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", "path:4", "--n", "2000", "--k", "4",
+            "--mode", "hill", "--seed-construction", "p2k", "--ledger", str(ledger),
+        )
+        assert (code, out, err) == (1, "", "error: hill climb limited to n <= 40, got 2000\n")
+        assert not ledger.exists()
 
     def test_p2k_seed_needs_even_palette(self, capsys, tmp_path):
         code, _, err = run(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_coloring_for
 from nimcolor.errors import ResourceLimitError
-from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs
+from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, edge_index
 from nimcolor.nim import _find_through, nim_edges
 from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
 from nimcolor.search import (
@@ -15,6 +15,7 @@ from nimcolor.search import (
     _canonical_search,
     _edge_reach,
     _NimState,
+    _orbit_edges,
     _star_size,
     exhaustive_f,
     hill_climb_f,
@@ -22,6 +23,7 @@ from nimcolor.search import (
 from nimcolor.turan import ex_path, extremal_path_graph, turan_value
 from oracles import (
     canonical_search_plain,
+    colored_twin_orbits,
     contains_brute,
     covered_edges_brute,
     exhaustive_f_first_edge_pin,
@@ -547,6 +549,67 @@ class TestReferenceClimber:
         assert fast.best_count == slow.best_count
         assert fast.witness == slow.witness
         assert fast.colorings_examined == slow.colorings_examined
+
+
+@st.composite
+def twin_colorings(draw):
+    """A coloring of K_n, n <= 8, k <= 4, with twins planted: up to three
+    times, one vertex's color row is copied onto another's."""
+    n = draw(st.integers(2, 8), label="n")
+    k = draw(st.integers(2, 4), label="k")
+    m = n * (n - 1) // 2
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m), label="colors")
+    for _ in range(draw(st.integers(0, 3), label="plants")):
+        x = draw(st.integers(0, n - 1))
+        y = draw(st.integers(0, n - 2))
+        y += y >= x
+        for w in set(range(n)) - {x, y}:
+            colors[edge_index(min(y, w), max(y, w), n)] = colors[edge_index(min(x, w), max(x, w), n)]
+    return EdgeColoring(n, k, tuple(colors))
+
+
+class TestTwinOrbits:
+    @settings(max_examples=200, deadline=None)
+    @given(twin_colorings())
+    def test_each_orbit_is_scored_at_its_lowest_edge(self, coloring):
+        orbits = colored_twin_orbits(coloring)
+        assert list(_orbit_edges(coloring.class_adjacency(), coloring.n)) == [min(o) for o in orbits]
+
+    @settings(max_examples=60, deadline=None)
+    @given(twin_colorings(), st.sampled_from(PROPERTY_PATTERNS))
+    def test_same_climb_as_full_recounts_from_a_start_with_twins(self, coloring, h):
+        kwargs = dict(iterations=3, seed_coloring=coloring)
+        fast = hill_climb_f(coloring.n, coloring.k, h, **kwargs)
+        slow = hill_climb_recount(coloring.n, coloring.k, h, **kwargs)
+        assert (fast.best_count, fast.witness, fast.colorings_examined) == (
+            slow.best_count, slow.witness, slow.colorings_examined
+        )
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_twin_free_coloring_scores_every_edge(self, k):
+        # class 0 is the path 0-1-...-5, whose open and closed rows all differ; a class 2 is empty
+        path = {(v, v + 1) for v in range(5)}
+        coloring = EdgeColoring(6, k, tuple(0 if e in path else 1 for e in all_pairs(6)))
+        assert list(_orbit_edges(coloring.class_adjacency(), 6)) == list(range(15))
+        assert all(len(o) == 1 for o in colored_twin_orbits(coloring))
+
+    @pytest.mark.parametrize(
+        "start, orbits",
+        [
+            (_overlay(12, 4, 3), 10),
+            (_overlay(14, 4, 3), 15),
+            (_overlay(12, 5, 2), 6),
+            (_overlay(14, 5, 2), 10),
+            (_overlay(16, 5, 2), 10),
+            (p2k_multicoloring(13, 2)[0], 37),
+            (p2k_multicoloring(14, 2)[0], 37),
+        ],
+        ids=["overlay-p4-12", "overlay-p4-14", "overlay-p5-12", "overlay-p5-14", "overlay-p5-16", "p2k-13", "p2k-14"],
+    )
+    def test_orbits_of_the_constructions(self, start, orbits):
+        edges = list(_orbit_edges(start.class_adjacency(), start.n))
+        assert edges == [min(o) for o in colored_twin_orbits(start)]
+        assert len(edges) == orbits
 
 
 class TestCompare:
