@@ -496,7 +496,8 @@ def _orbit_edges(adj: list[list[int]], n: int) -> Sequence[int]:
             if earlier and first[x] == x:
                 for y in _bits(earlier):
                     if not any((r[x] ^ r[y]) & ~(1 << x | 1 << y) for r in rest):
-                        first[x] = y  # x's lowest twin shares x's row here too, so it is y
+                        # a twin shares x's row here, so x's lowest twin does too: it is y
+                        first[x] = y
                         found = True
                         break
     if not found:
