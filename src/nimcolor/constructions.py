@@ -225,8 +225,14 @@ def p2k_expected_nim(n: int, k: int) -> tuple[int, bool]:
     The flag reports whether n has one of the two residues mod 2k-1 for
     which the first 2k-1 classes are genuinely extremal, i.e. for which
     the target is an exact equality rather than a nearby reference value.
+    Like `build_p2k_layout`, it refuses k < 2 and n <= (2k-1)^2; it does
+    not ask 2k-1 to be prime.
     """
+    if k < 2:
+        raise ValueError("k must be >= 2")
     q = 2 * k - 1
+    if n < q * q + 1:
+        raise ValueError(f"n={n} too small; need n >= {q * q + 1}")
     value = q * ex_path(n, 2 * k).value + (k - 1) * comb(q, 2)
     exact = n % q in (k - 1, k)
     return value, exact

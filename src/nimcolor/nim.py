@@ -35,13 +35,14 @@ is an automorphism of the class graph, so all edges of a class between
 two twin classes, or inside one, are NIM or not together.  In the
 components that do not settle, the pass queries the first edge of each
 such group, in canonical order, unless a copy found earlier covers it
-(then the whole group is hit).  A group whose query fails ORs its
-members' rows into per-vertex NIM rows, and the rows become the NIM mask
-with one shift per vertex.  The mask is that of one query per uncovered
-edge, the pass `_edge_walk` makes.  The pass serves `nim_edges`, which
-also scores the exhaustive search's leaves, many colorings of a few
-vertices.  The walk serves the hill climber's `_NimState`, which needs
-the copy that first covered each non-NIM edge.
+(then the whole group is hit).  The open components' rows are kept per
+vertex, each group whose query fails clears its edges from them, and the
+edges left, the hit ones, come off the full mask with one shift per
+vertex.  The mask is that of one query per uncovered edge, the pass
+`_edge_walk` makes.  The pass serves `nim_edges`, which also scores the
+exhaustive search's leaves, many colorings of a few vertices.  The walk
+serves the hill climber's `_NimState`, which needs the copy that first
+covered each non-NIM edge.
 
 The engine is one plan family, each plan compiled to one loop kernel.
 `_anchor_plans` makes one plan per automorphism orbit of an oriented
@@ -384,15 +385,14 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
     order, cover number or top degree, is NIM as a whole.  In the others one edge
     per twin group is queried, in canonical order, unless a copy found
     earlier covers it; a group is NIM or hit as a whole, so a NIM group
-    puts every one of its edges into the NIM rows.  Sets of vertices are
-    walked bit by bit in place, lowest first.
+    clears every one of its edges from the hit rows.
     """
     n = coloring.n
     min_order, min_degree, bounds = _component_bounds(pattern.adj)
     offsets = edge_rank_offsets(n)
-    # rows over the other ends: open_rows[x] holds x's edges in components
-    # that need queries, nim_rows[x] those of them in NIM groups
-    open_rows, nim_rows = [0] * n, [0] * n
+    # rows over the other ends: hit_rows[x] holds x's edges in components
+    # that need queries, less those in NIM groups
+    hit_rows = [0] * n
     opened = 0  # the vertices with an edge in such a component
     for rows in coloring.class_adjacency():
         # every component has too few vertices, or too low a top degree
@@ -434,27 +434,15 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
         if not open_:
             continue
         opened |= open_
-        todo = open_
-        while todo:
-            b = todo & -todo
-            todo ^= b
-            v = b.bit_length() - 1
-            open_rows[v] |= rows[v]
+        for v in _bits(open_):
+            hit_rows[v] |= rows[v]
         covered = 0
-        todo = open_ & firsts
-        while todo:
-            b = todo & -todo
-            todo ^= b
-            r = b.bit_length() - 1
+        for r in _bits(open_ & firsts):
             row, mine, base = rows[r], members[r], offsets[r]
             # the first members of the later twin classes next to r, and the
             # second member of r's own class when its members are adjacent
             inside = row & mine
-            ends = ((row & firsts) >> (r + 1) << (r + 1)) | (inside & -inside)
-            while ends:
-                b = ends & -ends
-                ends ^= b
-                y = b.bit_length() - 1
+            for y in _bits(((row & firsts) >> (r + 1) << (r + 1)) | (inside & -inside)):
                 if (covered >> (base + y)) & 1:
                     continue
                 witness = _find_through(rows, n, pattern, r, y)
@@ -462,25 +450,17 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
                     covered |= witness
                     continue
                 # a NIM group: the edges between mine and y's class, or
-                # inside mine when y is in it (y then heads no class)
+                # inside mine when y is in it (y then heads no class); no
+                # row holds its own vertex, so mine may clear all of theirs
                 theirs = members[y] or mine
-                rest = mine
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    nim_rows[b.bit_length() - 1] |= theirs & ~b
-                rest = theirs & ~mine
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    nim_rows[b.bit_length() - 1] |= mine
-    # every edge outside those components is NIM
+                for v in _bits(mine):
+                    hit_rows[v] &= ~theirs
+                for w in _bits(theirs & ~mine):
+                    hit_rows[w] &= ~mine
+    # every edge outside those components, or in a NIM group, is NIM
     nim = (1 << complete_edge_count(n)) - 1
-    while opened:
-        b = opened & -opened
-        opened ^= b
-        x = b.bit_length() - 1
-        nim ^= (open_rows[x] ^ nim_rows[x]) >> (x + 1) << (offsets[x] + x + 1)
+    for x in _bits(opened):
+        nim ^= hit_rows[x] >> (x + 1) << (offsets[x] + x + 1)
     return nim
 
 

@@ -66,8 +66,6 @@ class TuranResult:
 def ex_path(n: int, length: int) -> TuranResult:
     """Maximum edges of an n-vertex graph with no path on `length` vertices."""
     t_range = path_extremal_t_range(n, length)
-    if n < 0:
-        raise ValueError("n must be >= 0")
     a, b = divmod(n, length - 1)
     value = a * comb(length - 1, 2) + comb(b, 2)
     recipe = {"a": a, "b": b, "t_range": list(t_range)}
@@ -78,6 +76,8 @@ def path_extremal_t_range(n: int, length: int) -> range:
     """Valid t for `extremal_path_graph`: 0..a in the even split cases, else just a."""
     if length < 2:
         raise ValueError("path length must be >= 2 vertices")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     a, b = divmod(n, length - 1)
     if length % 2 == 0 and b in (length // 2, length // 2 - 1):
         return range(0, a + 1)

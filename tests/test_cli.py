@@ -216,6 +216,10 @@ class TestConstructVerifyPipeline:
         code, out, err = run(capsys, "construct", "--family", "p2k", "--n", "13", "--k", "1")
         assert (code, out, err) == (1, "", "error: k must be >= 2\n")
 
+    def test_overlay_construct_refuses_a_negative_n(self, capsys):
+        code, out, err = run(capsys, "construct", "--family", "overlay", "--pattern", "path:4", "--n", "-3", "--t", "0")
+        assert (code, out, err) == (1, "", "error: n must be >= 0\n")
+
     @pytest.mark.parametrize(
         "family, extra, flag",
         [

@@ -135,6 +135,12 @@ class TestP2kColoring:
         assert p2k_expected_nim(15, 2)[1] is False
         assert p2k_expected_nim(27, 3)[1] is True  # 27 % 5 == 2 == k-1
 
+    @pytest.mark.parametrize("n, k, message", [(10, 1, "k must be >= 2"), (5, 2, "n=5 too small; need n >= 10")])
+    def test_expected_nim_refuses_what_the_layout_refuses(self, n, k, message):
+        for call in (p2k_expected_nim, build_p2k_layout):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(n, k)
+
     @pytest.mark.parametrize(
         "n, k, mutate, message",
         [

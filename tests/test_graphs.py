@@ -9,6 +9,7 @@ from oracles import coloring_error_scan, is_isomorphic
 from nimcolor.graphs import (
     EdgeColoring,
     SimpleGraph,
+    _bits,
     all_pairs,
     complement,
     complete_edge_count,
@@ -67,6 +68,21 @@ class TestEdgeIndex:
         u, v = edge_unindex(i, n)
         assert u < v < n
         assert edge_index(u, v, n) == i
+
+
+class TestBits:
+    # 2,100 bits hold the C(64, 2) = 2,016 edge bits of the largest host;
+    # dense masks come from the integers, sparse ones from position sets
+    @given(
+        st.one_of(
+            st.integers(min_value=0, max_value=(1 << 2100) - 1),
+            st.sets(st.integers(min_value=0, max_value=2099)).map(lambda ps: sum(1 << p for p in ps)),
+        )
+    )
+    def test_set_bits_in_ascending_order(self, mask):
+        # the cover pass queries in canonical order through it, and
+        # _orbit_edges takes the first equal-row vertex it yields as the lowest
+        assert _bits(mask) == [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 class TestSimpleGraph:

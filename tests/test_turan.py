@@ -73,6 +73,12 @@ class TestExPath:
                 with pytest.raises(ValueError, match="path length must be >= 2"):
                     call(5, length)
 
+    def test_rejects_negative_n(self):
+        # one check in path_extremal_t_range, which the other two call first
+        for call in (ex_path, path_extremal_t_range, lambda n, length: extremal_path_graph(n, length, 0)):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                call(-3, 4)
+
     def test_monotone_in_n(self):
         for length in (3, 4, 5, 6, 8):
             values = [ex_path(n, length).value for n in range(0, 50)]
