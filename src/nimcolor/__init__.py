@@ -50,7 +50,6 @@ from .turan import (
     ex_balanced_forest,
     ex_path,
     extremal_path_graph,
-    lemma_gap,
     near_extremal_path_graph,
     turan_oracle,
     turan_value,
@@ -74,6 +73,6 @@ __all__ = [
     # search
     "SearchResult", "exhaustive_f", "hill_climb_f",
     # turan
-    "TuranResult", "ex_balanced_forest", "ex_path", "extremal_path_graph", "lemma_gap",
+    "TuranResult", "ex_balanced_forest", "ex_path", "extremal_path_graph",
     "near_extremal_path_graph", "turan_oracle", "turan_value",
 ]

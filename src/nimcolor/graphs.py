@@ -151,9 +151,6 @@ class SimpleGraph:
                 rest >>= 1
                 v += 1
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
-
     def permuted(self, perm: list[int]) -> "SimpleGraph":
         """Relabel: vertex v becomes perm[v]."""
         _check_permutation(perm, self.n)
@@ -303,9 +300,6 @@ class EdgeColoring:
         for (u, v), c in zip(all_pairs(self.n), self.colors):
             colors[edge_index(perm[u], perm[v], self.n)] = c
         return EdgeColoring(self.n, self.k, tuple(colors))
-
-    def relabel_colors(self, sigma: list[int]) -> "EdgeColoring":
-        return EdgeColoring(self.n, self.k, tuple(sigma[c] for c in self.colors))
 
     # -- bit-exact JSON schema ----------------------------------------
 

@@ -273,21 +273,6 @@ def turan_oracle(
     return TuranResult(n, pattern_spec(h), best, "oracle", witness=witness)
 
 
-# -- shift inequality for the path formula -----------------------------------
-
-
-def lemma_gap(n1: int, n2: int, c: int, length: int) -> tuple[int, int]:
-    """Both sides of the strict inequality
-    ex(n1,P) + ex(n2,P) < ex(n1-c,P) + ex(n2+c+length,P)."""
-    if min(n1, n2, c) < 0 or n1 - c < 0:
-        raise ValueError("arguments must be >= 0 with n1 - c >= 0")
-    if length < 2:
-        raise ValueError("path length must be >= 2")
-    lhs = ex_path(n1, length).value + ex_path(n2, length).value
-    rhs = ex_path(n1 - c, length).value + ex_path(n2 + c + length, length).value
-    return lhs, rhs
-
-
 # -- dispatcher ---------------------------------------------------------------
 
 

@@ -36,7 +36,9 @@ became one C-level pass, one element at a time: the constructor and
 the cliques that cover it: the two must return equal reports.
 `nim_edges_anchored` is the reference NIM counter, with its own
 separately coded embedding search, and `is_isomorphic` a backtracking
-isomorphism test.
+isomorphism test.  `degree_sequence`, `relabel_colors` and `lemma_gap`
+(both sides of the shift inequality behind the path formula) are small
+helpers that only the tests call.
 """
 
 import random
@@ -52,6 +54,7 @@ from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complet
 from nimcolor.nim import NimReport, _anchor_plan, _find_through, _Plan, _twin_members, nim_edges
 from nimcolor.patterns import PatternGraph, _as_graph, pattern_spec
 from nimcolor.search import SearchResult
+from nimcolor.turan import ex_path
 
 
 def contains_brute(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -108,7 +111,7 @@ def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
     """
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    if g.degree_sequence() != h.degree_sequence():
+    if degree_sequence(g) != degree_sequence(h):
         return False
 
     def refine(graph: SimpleGraph) -> list[int]:
@@ -576,6 +579,28 @@ def find_through_all_plans(adj: Sequence[int], n: int, pattern: SimpleGraph, u: 
                 witness |= 1 << edge_index(img[p], img[q], n)
             return witness
     return None
+
+
+def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:
+    """The vertex degrees of g, largest first."""
+    return tuple(sorted((row.bit_count() for row in g.adj), reverse=True))
+
+
+def relabel_colors(coloring: EdgeColoring, sigma: Sequence[int]) -> EdgeColoring:
+    """The coloring with color c renamed sigma[c] on every edge."""
+    return EdgeColoring(coloring.n, coloring.k, tuple(sigma[c] for c in coloring.colors))
+
+
+def lemma_gap(n1: int, n2: int, c: int, length: int) -> tuple[int, int]:
+    """Both sides of the strict inequality
+    ex(n1,P) + ex(n2,P) < ex(n1-c,P) + ex(n2+c+length,P)."""
+    if min(n1, n2, c) < 0 or n1 - c < 0:
+        raise ValueError("arguments must be >= 0 with n1 - c >= 0")
+    if length < 2:
+        raise ValueError("path length must be >= 2")
+    lhs = ex_path(n1, length).value + ex_path(n2, length).value
+    rhs = ex_path(n1 - c, length).value + ex_path(n2 + c + length, length).value
+    return lhs, rhs
 
 
 def twin_classes(rows: Sequence[int]) -> list[int]:

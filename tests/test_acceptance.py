@@ -29,12 +29,11 @@ from nimcolor.search import exhaustive_f
 from nimcolor.turan import (
     ex_path,
     extremal_path_graph,
-    lemma_gap,
     path_extremal_t_range,
     turan_oracle,
     turan_value,
 )
-from oracles import is_isomorphic, nim_edges_anchored, tail_expected_nim_indices
+from oracles import is_isomorphic, lemma_gap, nim_edges_anchored, tail_expected_nim_indices
 
 
 def criterion(number, name):

@@ -1,5 +1,6 @@
 import os
 import re
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from nimcolor.search import (
     _Blocking,
     _canonical_search,
     _edge_reach,
+    _nim_degree_cap,
     _NimState,
     _orbit_edges,
     _star_size,
@@ -30,6 +32,7 @@ from oracles import (
     hill_climb_recount,
     keeps_color_rules,
     nim_brute,
+    relabel_colors,
 )
 
 P3 = make_path(3)
@@ -130,10 +133,6 @@ class TestExhaustive:
 
     def test_matches_plain_enumeration_on_k4(self):
         # reference maximum over all 2^6 colorings straight from the definition
-        from itertools import product
-
-        from oracles import nim_brute
-
         for h in (P3, P4, make_star(3)):
             best = max(
                 len(nim_brute(EdgeColoring(4, 2, colors), h.graph))
@@ -176,8 +175,8 @@ def test_exhaustive_matches_the_first_edge_pin_search(n, k, spec):
 
 
 # Cells past the sizes above, with f and the witness colors the plain
-# recursion returns on them.  It takes 1.3-8 s a cell, and the search 4 s on
-# star:4, so NIMCOLOR_SLOW_TESTS=1 runs that cell and recomputes the pins.
+# recursion returns on them.  It takes 1.3-8 s a cell, so
+# NIMCOLOR_SLOW_TESTS=1 recomputes the pins; the search takes under 0.5 s.
 SLOW_TESTS = os.environ.get("NIMCOLOR_SLOW_TESTS") == "1"
 OFF_BENCH = {
     (8, 2, "path:4"): (7, "0000000111111111111111111111"),
@@ -186,14 +185,11 @@ OFF_BENCH = {
     (7, 3, "path:4"): (12, "000000111222211211112"),
     (7, 3, "path:5"): (21, "000112001120221221000"),
 }
-FAST_OFF_BENCH = {(8, 2, "path:4"), (8, 2, "spider:2,1,1"), (7, 3, "path:4"), (7, 3, "path:5")}
 OFF_BENCH_IDS = [f"n{n}-k{k}-{s}" for n, k, s in OFF_BENCH]
 
 
 @pytest.mark.parametrize("cell", list(OFF_BENCH), ids=OFF_BENCH_IDS)
 def test_search_keeps_the_plain_recursions_witness_off_the_bench(cell):
-    if cell not in FAST_OFF_BENCH and not SLOW_TESTS:
-        pytest.skip("slow cell; set NIMCOLOR_SLOW_TESTS=1")
     n, k, spec = cell
     best, colors = OFF_BENCH[cell]
     got = _canonical_search(n, k, parse_pattern(spec), full_choices(n, k))
@@ -223,9 +219,9 @@ def test_emptying_the_memo_at_its_cap_keeps_the_answer(cell, monkeypatch):
 
 
 def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
-    # 149,972 when every star step took a memo entry: the memo then reached
-    # its cap four times, not three, and forgot more copies.  The color
-    # rules took the count from 126,379 and the leaves from 83.
+    # 2,267 when every star step took a memo entry: the memo then reached
+    # its cap more often and forgot more copies.  The search fills only
+    # 1,422 entries here, far under the default cap, so a low cap is set.
     calls = 0
 
     def counted(*args):
@@ -234,9 +230,73 @@ def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
         return _find_through(*args)
 
     monkeypatch.setattr("nimcolor.search._find_through", counted)
+    monkeypatch.setattr("nimcolor.search._MEMO_CAP", 256)
     best, colors, leaves = _canonical_search(7, 3, P3, full_choices(7, 3))
     assert (best, "".join(map(str, colors)), leaves) == (6, "000000000120120201000", 7)
-    assert calls == 24092
+    assert calls == 2020
+
+
+# The bench's exhaustive star cells (path:3 is K_{1,2}): nodes below the
+# root and anchored queries, with the NIM degree caps and without them.
+BENCH_STAR_CELLS = {
+    (5, 2, "path:3"): ((16, 12), (47, 30)),
+    (6, 2, "path:3"): ((37, 29), (148, 107)),
+    (5, 3, "path:3"): ((96, 43), (252, 95)),
+    (5, 2, "star:3"): ((76, 21), (80, 23)),
+    (6, 2, "star:3"): ((64, 32), (1298, 691)),
+    (7, 2, "star:3"): ((96, 57), (10255, 6404)),
+    (5, 3, "star:3"): ((64, 15), (74, 18)),
+}
+
+
+@pytest.mark.parametrize("cell", list(BENCH_STAR_CELLS), ids=[f"n{n}-k{k}-{s}" for n, k, s in BENCH_STAR_CELLS])
+def test_degree_caps_only_cut_nodes_on_the_bench_star_cells(cell, monkeypatch):
+    counts = {"nodes": 0, "queries": 0}
+    step = _Blocking.step
+
+    def counted_step(self, *args):
+        counts["nodes"] += 1
+        return step(self, *args)
+
+    def counted_query(*args):
+        counts["queries"] += 1
+        return _find_through(*args)
+
+    monkeypatch.setattr(_Blocking, "step", counted_step)
+    monkeypatch.setattr("nimcolor.search._find_through", counted_query)
+    n, k, spec = cell
+    _canonical_search(n, k, parse_pattern(spec), full_choices(n, k))
+    pinned, without_caps = BENCH_STAR_CELLS[cell]
+    assert (counts["nodes"], counts["queries"]) == pinned
+    assert pinned[0] <= without_caps[0] and pinned[1] <= without_caps[1]
+
+
+# Cells past the plain recursion's reach that the NIM degree caps search in
+# under 0.1 s: f and the witness colors.
+FRONTIER = {
+    (9, 2, "star:4"): (13, "000000110000111001011111001100000000"),
+    (10, 2, "star:4"): (15, "000000111000001110000111111000110001000000000"),
+    (8, 3, "path:3"): (8, "0000012000021012002100000000"),
+}
+
+
+@pytest.mark.parametrize("cell", list(FRONTIER), ids=[f"n{n}-k{k}-{s}" for n, k, s in FRONTIER])
+def test_frontier_cells_and_their_witnesses(cell):
+    n, k, spec = cell
+    h = parse_pattern(spec)
+    r = exhaustive_f(n, k, h, budget=k ** (n * (n - 1) // 2))
+    best, colors = FRONTIER[cell]
+    assert (r.best_count, "".join(map(str, r.witness.colors))) == (best, colors)
+    assert len(nim_brute(r.witness, h.graph)) == best
+
+
+@pytest.mark.parametrize("s, n", [(s, n) for s in (3, 4) for n in range(2 * s, 11)])
+def test_two_colored_stars_meet_the_closed_form(s, n):
+    # f(n, K_{1,s}) = ex(n, K_{1,s}) = floor((s - 1)n / 2) once n >= 2s: an
+    # extremal graph in red gives it, and a vertex with n - 1 > 2(s - 1)
+    # edges has degree >= s in one class, so at most s - 1 NIM edges
+    r = exhaustive_f(n, 2, make_star(s), budget=2 ** (n * (n - 1) // 2))
+    assert r.best_count == (s - 1) * n // 2
 
 
 def test_p4_on_eight_vertices():
@@ -341,6 +401,42 @@ def test_star_degree_rule_matches_the_queries(data, spec):
             assert (mask >> f) & 1 == closes
 
 
+@st.composite
+def colored_prefixes(draw):
+    """(n, k, colors): the first edges of E(K_n), n <= 6, colored in
+    canonical order, leaving at most 6 uncolored with k = 2 and 4 with k = 3."""
+    n = draw(st.integers(2, 6), label="n")
+    k = draw(st.integers(1, 3), label="k")
+    m = n * (n - 1) // 2
+    depth = draw(st.integers(max(0, m - (m, 6, 4)[k - 1]), m), label="depth")
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=depth, max_size=depth), label="colors")
+    return n, k, tuple(colors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_prefixes(), st.integers(1, 4))
+# each of the three cases of `_nim_degree_cap` is tight on one example:
+# in the Ramsey range, every uncolored edge fits in a live class
+@example((3, 2, (1,)), 4)
+# vertex 0 has a dead class 0, and the other vertices fill their live classes
+@example((5, 2, (0, 0, 0, 0, 0, 0, 1)), 2)
+# with nothing colored yet, one of the two classes must reach s at every vertex
+@example((4, 2, ()), 2)
+def test_star_degree_caps_bound_every_completion(prefix, s):
+    n, k, colors = prefix
+    m = n * (n - 1) // 2
+    degrees = [[0] * k for _ in range(n)]
+    for (u, v), c in zip(all_pairs(n), colors):
+        degrees[u][c] += 1
+        degrees[v][c] += 1
+    bound = sum(_nim_degree_cap(d, n - 1 - sum(d), s) for d in degrees) // 2
+    h = make_star(s).graph
+    best = max(
+        len(nim_brute(EdgeColoring(n, k, colors + rest), h)) for rest in product(range(k), repeat=m - len(colors))
+    )
+    assert best <= bound
+
+
 class TestHillClimb:
     def test_never_beats_exhaustive(self):
         exact = exhaustive_f(5, 2, P4).best_count
@@ -430,7 +526,7 @@ def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
     first = tops.index(max(tops))
     swap = list(range(k))
     swap[0], swap[first] = first, 0
-    swapped = coloring.relabel_colors(swap)
+    swapped = relabel_colors(coloring, swap)
     red = swapped.color_class(0)
     deg = [red.degree(w) for w in range(n)]
     v0 = max(range(n), key=lambda w: deg[w])
@@ -445,7 +541,7 @@ def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
     rename = [0] * k  # old color -> new color
     for new, old in enumerate(order, 1):
         rename[old] = new
-    return permuted.relabel_colors(rename)
+    return relabel_colors(permuted, rename)
 
 
 # Class 0 is two disjoint cherries: vertex 0 is one center, vertex 1 one of

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     contains_brute,
+    degree_sequence,
     is_isomorphic,
+    lemma_gap,
     max_pattern_free_edges_brute,
     turan_oracle_edge_bound,
     turan_oracle_plain,
@@ -31,7 +33,6 @@ from nimcolor.turan import (
     ex_balanced_forest,
     ex_path,
     extremal_path_graph,
-    lemma_gap,
     near_extremal_path_graph,
     path_extremal_t_range,
     turan_oracle,
@@ -103,7 +104,7 @@ class TestExtremalPathGraph:
     def test_7_4_t0_is_star(self):
         g = extremal_path_graph(7, 4, 0)
         assert g.edge_count == 6
-        assert g.degree_sequence() == (6, 1, 1, 1, 1, 1, 1)
+        assert degree_sequence(g) == (6, 1, 1, 1, 1, 1, 1)
         assert not contains(g, make_path(4))
 
     def test_invalid_t_rejected_with_context(self):
