@@ -42,7 +42,10 @@ vertex.  The mask is that of one query per uncovered edge, the pass
 `_edge_walk` makes.  The pass serves `nim_edges`, which also scores the
 exhaustive search's leaves, many colorings of a few vertices.  The walk
 serves the hill climber's `_NimState`, which needs the copy that first
-covered each non-NIM edge.
+covered each non-NIM edge.  The twin classes, `_twin_members`, serve the
+climber too: two vertices are colored twins exactly when they are twins
+in every class, so its colored-twin orbits refine the classes' twin
+classes.
 
 The engine is one plan family, each plan compiled to one loop kernel.
 `_anchor_plans` makes one plan per automorphism orbit of an oriented

@@ -45,10 +45,13 @@ and the NIM edges of c' not yet covered by a copy through e, stopping
 once the candidate cannot beat the best move so far.  Each step scores
 one edge per colored-twin orbit: swapping two colored twins changes no
 edge color, so it maps each recoloring onto one with the same count, and
-only the lowest edge of each orbit is scored.  The paper's constructions
-are blow-ups with few orbits: the bench's path:4 overlays have 10 and 15
-orbits at n = 12 and 14 (66 and 91 edges), its path:5 overlays 6, 10 and
-10 at n = 12, 14 and 16, and its p2k colorings 37 at n = 13 and 14.
+only the lowest edge of each orbit is scored.  Colored twins are twins in
+every class, so the orbits come from the cover pass's twin classes
+(`nim._twin_members`), refined over the k classes.  The paper's
+constructions are blow-ups with few orbits: the bench's path:4 overlays
+have 10 and 15 orbits at n = 12 and 14 (66 and 91 edges), its path:5
+overlays 6, 10 and 10 at n = 12, 14 and 16, and its p2k colorings 37 at
+n = 13 and 14.
 """
 
 from __future__ import annotations
@@ -62,7 +65,9 @@ from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_rank_offsets
-from .nim import DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _depth_guard, _edge_walk, _find_through, _guard, nim_edges
+from .nim import (
+    DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _depth_guard, _edge_walk, _find_through, _guard, _twin_members, nim_edges
+)
 from .patterns import PatternGraph, _as_graph, pattern_spec
 
 DEFAULT_LEAF_BUDGET = 1 << 20
@@ -285,7 +290,8 @@ def _canonical_search(
             code[u], code[v] = cu, cv
         colors[idx] = 0
 
-    rec(0, 0, 0, n * cap_of[0] if star is not None else 0)
+    # K_0 has no vertex to cap, and its caps could not be read in base 0
+    rec(0, 0, 0, n * cap_of[0] if star is not None and n else 0)
     return best, best_colors, leaves
 
 
@@ -566,41 +572,26 @@ def _orbit_edges(adj: list[list[int]], n: int) -> Sequence[int]:
     a coloring of K_n with k >= 2 colors and class rows `adj`.
 
     Vertices x and y are colored twins when swapping them changes no edge
-    color: in every class, their rows agree off x and y.  Swaps of twins
-    generate the orbits.  The relation is transitive, so its classes T
-    partition the vertices and each keeps one color inside; the orbit of
-    (u, v) is T_u x T_v, or every pair of T when u and v are twins.  Its
-    lowest edge joins the first members of T_u and T_v, or T's two lowest.
-    Twins share their rows in every class but the one holding (x, y), so
-    each twin pair is found among the equal rows of class 0 or class 1.
-    Two vertices with equal rows in one of those are twins iff their rows
-    agree off x and y in classes 2..k-1: the other of classes 0 and 1 holds
-    what the rest leave.  A class whose n rows all differ is skipped, and
-    when both are, each edge is its own orbit.
+    color: in every class, their rows agree off x and y, that is, they are
+    twins there (`nim._twin_members`), closed in the class holding (x, y)
+    and open in the rest.  No vertex has both kinds of twin in one class,
+    so being twins there is an equivalence, and the colored-twin classes T
+    are the common refinement of the k classes' twin classes.  Swaps of
+    colored twins generate the orbits; each T keeps one color inside, and
+    the orbit of (u, v) is T_u x T_v, or every pair of T when u and v are
+    twins.  Its lowest edge joins the first members of T_u and T_v, or T's
+    two lowest.  A class with no twin pair leaves each edge its own orbit.
     """
-    first = list(range(n))  # each vertex's twin class, named by its lowest member
-    found = False
-    rest = adj[2:]
-    for rows in adj[:2]:
-        if len(set(rows)) == n:
-            continue
-        seen: dict[int, int] = {}  # a class row -> the earlier vertices with it
-        for x, row in enumerate(rows):
-            earlier = seen.get(row, 0)
-            seen[row] = earlier | 1 << x
-            if earlier and first[x] == x:
-                for y in _bits(earlier):
-                    if not any((r[x] ^ r[y]) & ~(1 << x | 1 << y) for r in rest):
-                        # a twin shares x's row here, so x's lowest twin does too: it is y
-                        first[x] = y
-                        found = True
-                        break
-    if not found:
-        return range(complete_edge_count(n))
-    members = [0] * n
-    for v, t in enumerate(first):
-        members[t] |= 1 << v
-    firsts = sum(1 << t for t in range(n) if first[t] == t)
+    full = (1 << n) - 1
+    members = [full] * n  # each vertex's colored-twin class
+    for rows in adj:
+        classes, heads = _twin_members(rows)
+        if heads == full:
+            return range(complete_edge_count(n))
+        for t in _bits(heads):
+            for v in _bits(classes[t]):
+                members[v] &= classes[t]
+    firsts = sum(1 << v for v, mine in enumerate(members) if mine & -mine == 1 << v)
     offsets = edge_rank_offsets(n)
     edges: list[int] = []
     for u in _bits(firsts):

@@ -43,6 +43,20 @@ class TestPatternCommand:
         assert code == 1
         assert "unknown family" in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("spider:", "spider needs at least one length"),
+            ("path:3,4", "path takes 1 argument(s), got 2"),
+            ("path:0", "path needs at least one vertex"),
+            ("star:-1", "leaf count must be >= 0"),
+            ("dbroom:2,0,1", "leaf counts must be >= 1"),
+        ],
+    )
+    def test_bad_family_arguments_are_refused(self, capsys, spec, message):
+        code, out, err = run(capsys, "pattern", "--pattern", spec)
+        assert (code, out, err) == (1, "", f"error: {message} (at position 0)\n")
+
 
 class TestConstructVerifyPipeline:
     def test_p2k_end_to_end(self, capsys, tmp_path):
@@ -211,6 +225,10 @@ class TestConstructVerifyPipeline:
         monkeypatch.setattr("nimcolor.cli.extremal_path_graph", None)
         code, out, err = run(capsys, "construct", "--n", "1000000", "--family", *family)
         assert (code, out, err) == (1, "", "error: construct limited to n <= 4096, got 1000000\n")
+
+    def test_tail_construct_refuses_a_under_two(self, capsys):
+        code, out, err = run(capsys, "construct", "--family", "tail", "--a", "1", "--n", "10")
+        assert (code, out, err) == (1, "", "error: a must be >= 2\n")
 
     def test_p2k_construct_under_two_names_its_k(self, capsys):
         code, out, err = run(capsys, "construct", "--family", "p2k", "--n", "13", "--k", "1")
@@ -644,6 +662,34 @@ class TestSearchAndReport:
         )
         assert code == 1
         assert err == "error: n must be >= 0, got -1\n"
+        assert not ledger.exists()
+
+    def test_no_color_is_refused(self, capsys, tmp_path):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(capsys, "search", "--pattern", "path:3", "--n", "4", "--k", "0", "--ledger", str(ledger))
+        assert (code, out, err) == (1, "", "error: k must be >= 1\n")
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize("spec", ["path:2", "path:3", "star:4"])
+    def test_a_star_on_no_vertex_scores_zero(self, capsys, tmp_path, spec):
+        code, out, err = run(
+            capsys, "search", "--pattern", spec, "--n", "0", "--k", "2", "--ledger", str(tmp_path / "l.jsonl")
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["best_count"] == 0
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("path:3+path:3", "pattern order must be 4a"), ("star:3+star:3", "pattern must be a balanced forest")],
+    )
+    def test_tail_seed_refuses_a_pattern_it_cannot_build_for(self, capsys, tmp_path, spec, message):
+        ledger = tmp_path / "l.jsonl"
+        code, out, err = run(
+            capsys,
+            "search", "--pattern", spec, "--n", "10", "--k", "2",
+            "--mode", "hill", "--seed-construction", "tail", "--ledger", str(ledger),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not ledger.exists()
 
     def test_negative_iterations_are_refused(self, capsys, tmp_path):

@@ -80,8 +80,7 @@ class TestBits:
         )
     )
     def test_set_bits_in_ascending_order(self, mask):
-        # the cover pass queries in canonical order through it, and
-        # _orbit_edges takes the first equal-row vertex it yields as the lowest
+        # the cover pass queries in canonical order through it
         assert _bits(mask) == [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
@@ -219,6 +218,14 @@ class TestEdgeColoring:
     def test_color_range_validation(self):
         with pytest.raises(ValueError, match="not in 0..1"):
             EdgeColoring(3, 2, (0, 1, 2))
+
+    def test_recoloring_refuses_a_color_past_the_palette(self):
+        with pytest.raises(ValueError, match=r"^color 2 not in 0\.\.1$"):
+            EdgeColoring(3, 2, (0, 1, 0)).recolored(0, 2)
+
+    def test_a_palette_cannot_shrink(self):
+        with pytest.raises(ValueError, match="^cannot shrink palette$"):
+            EdgeColoring(3, 2, (0, 1, 0)).with_colors(1)
 
     def test_color_class_of_monochromatic_k3(self):
         c = EdgeColoring.monochromatic(3, k=2)

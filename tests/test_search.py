@@ -299,6 +299,14 @@ def test_two_colored_stars_meet_the_closed_form(s, n):
     assert r.best_count == (s - 1) * n // 2
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("spec", ["path:2", "path:3", "star:4"])
+def test_a_star_on_no_vertex_scores_one_empty_leaf(spec, k):
+    # the star search reads NIM degree caps in base n, which K_0 has none of
+    r = exhaustive_f(0, k, parse_pattern(spec))
+    assert (r.best_count, r.colorings_examined, r.witness.colors) == (0, 1, ())
+
+
 def test_p4_on_eight_vertices():
     r = exhaustive_f(8, 2, P4, budget=1 << 27)
     assert r.best_count == 7
@@ -667,6 +675,8 @@ def twin_colorings(draw):
 class TestTwinOrbits:
     @settings(max_examples=200, deadline=None)
     @given(twin_colorings())
+    # 0 and 1 are twins in classes 0 and 1 but not in 2 and 3; 2 and 3 are colored twins
+    @example(EdgeColoring(4, 4, (0, 2, 2, 3, 3, 1)))
     def test_each_orbit_is_scored_at_its_lowest_edge(self, coloring):
         orbits = colored_twin_orbits(coloring)
         assert list(_orbit_edges(coloring.class_adjacency(), coloring.n)) == [min(o) for o in orbits]

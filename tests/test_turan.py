@@ -248,6 +248,10 @@ class TestOracle:
         # degree-sum bound, so the first 10-edge graph ends the search
         assert turan_oracle(10, make_star(3)).value == 10
 
+    def test_an_edgeless_pattern_is_refused(self):
+        with pytest.raises(ValueError, match="^pattern needs at least one edge$"):
+            turan_oracle(5, SimpleGraph.empty(2))
+
     def test_size_limits(self):
         with pytest.raises(ResourceLimitError):
             turan_oracle(11, make_path(4))
