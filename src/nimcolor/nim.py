@@ -67,7 +67,9 @@ the copy mask is one expression over `edge_rank_offsets`.  The generated
 source holds fixed names and integers read from the plan, never text
 from a pattern spec, so `exec` runs nothing a caller wrote.
 `_find_through` pins positions 0 and 1 to a host edge and runs the plans'
-kernels in order.  A plan succeeds only if the first plan of its orbit
+kernels in order, on plans and offsets its caller fetched once per pass,
+search or state (`_query_plans`: no plans for a pattern larger than the
+host).  A plan succeeds only if the first plan of its orbit
 does, so the first plan to succeed, and the copy it returns, are those of
 trying every oriented edge.  `contains` enters the first plan at position
 0, which has no earlier neighbours and so ranges over every host vertex.
@@ -144,10 +146,13 @@ def _anchor_plan(g: SimpleGraph, a: int, b: int) -> _Plan:
 
 # -- compiled plans -----------------------------------------------------
 
-# kernel(adj, n, used, u0, ..., u{s-1}): the search of one plan from
-# position s on, with positions before s placed at u0, ..., u{s-1} and
-# `used` their mask; the copy mask it finds, or None
+# kernel(adj, o, used, u0, ..., u{s-1}): the search of one plan from
+# position s on in a host of len(o) vertices, o = edge_rank_offsets(n),
+# with positions before s placed at u0, ..., u{s-1} and `used` their
+# mask; the copy mask it finds, or None
 _Kernel = Callable[..., Optional[int]]
+# compiled plans: (pattern degree at position 0, at position 1, kernel from position 2)
+_Plans = tuple[tuple[int, int, _Kernel], ...]
 
 # loops per generated function: CPython refuses more than 20 statically
 # nested blocks, so a deeper plan hands its later positions to a tail
@@ -161,8 +166,9 @@ def _kernel(plan: _Plan, start: int) -> _Kernel:
     Position p is a `while c{p}:` loop over its candidates, lowest bit
     first.  The degree test is left out where the earlier pattern
     neighbours alone give the degree.  Twins have equal open or equal
-    closed rows, so `k{p}` holds both rows of each candidate kept at p; no
-    open row equals a closed one (see `_twin_members`).  A kernel from
+    closed rows, so `k{p}` holds both rows of each candidate whose subtree
+    failed at p, the only ones later candidates there read; no open row
+    equals a closed one (see `_twin_members`).  A kernel from
     position 0 loops over positions 0 and 1 and hands on to the plan's
     kernel from position 2, the one `_anchor_plans` keeps; any kernel hands
     on after `_KERNEL_LOOPS` loops.
@@ -171,15 +177,17 @@ def _kernel(plan: _Plan, start: int) -> _Kernel:
     stop = min(last, 2 if start < 2 else start + _KERNEL_LOOPS)
 
     def cand(p: int) -> str:
-        rows = [f"a{q}" for q in prev[p]] or ["((1 << n) - 1)"]
+        rows = [f"a{q}" for q in prev[p]] or ["((1 << len(o)) - 1)"]
         return " & ".join(rows) + f" & ~m{p}"
 
-    namespace: dict = {"edge_rank_offsets": edge_rank_offsets}
-    lines = ["def kernel(" + ", ".join(["adj", "n", f"m{start}"] + [f"u{q}" for q in range(start)]) + "):"]
+    namespace: dict = {}
+    lines = ["def kernel(" + ", ".join(["adj", "o", f"m{start}"] + [f"u{q}" for q in range(start)]) + "):"]
     pad = "    "
     lines += [f"{pad}a{q} = adj[u{q}]" for q in range(start) if any(q in prev[p] for p in range(start, len(prev)))]
+    # a candidate's twin keys, added at the end of its loop body once its subtree has failed
+    keep: list[str] = []
     for p in range(start, stop):
-        skip = f"a{p} in k{p} or (t := a{p} | b) in k{p}"
+        skip = f"a{p} in k{p} or (t{p} := a{p} | b) in k{p}"
         if degrees[p] > len(prev[p]):
             skip = f"a{p}.bit_count() < {degrees[p]} or " + skip
         lines += [f"{pad}c{p} = {cand(p)}", f"{pad}k{p} = set()", f"{pad}while c{p}:"]
@@ -189,12 +197,12 @@ def _kernel(plan: _Plan, start: int) -> _Kernel:
             f"{pad}c{p} ^= b",
             f"{pad}a{p} = adj[u{p} := b.bit_length() - 1]",
             f"{pad}if {skip}: continue",
-            f"{pad}k{p} |= {{a{p}, t}}",
             f"{pad}m{p + 1} = m{p} | b",
         ]
+        keep.append(f"{pad}k{p} |= {{a{p}, t{p}}}")
     if stop < last:
         namespace["tail"] = _kernel(plan, stop)
-        args = ", ".join(["adj", "n", f"m{stop}"] + [f"u{q}" for q in range(stop)])
+        args = ", ".join(["adj", "o", f"m{stop}"] + [f"u{q}" for q in range(stop)])
         lines += [f"{pad}w = tail({args})", f"{pad}if w is not None:", f"{pad}    return w"]
     else:
         if start <= last:
@@ -203,7 +211,8 @@ def _kernel(plan: _Plan, start: int) -> _Kernel:
             lines.append(f"{pad}u{last} = (c & -c).bit_length() - 1")
         ends = [(f"u{p}", f"u{q}") for p, q in plan.edges]
         witness = " | ".join(f"1 << (o[{a}] + {b} if {a} < {b} else o[{b}] + {a})" for a, b in ends)
-        lines += [f"{pad}o = edge_rank_offsets(n)", f"{pad}return {witness}"]
+        lines.append(f"{pad}return {witness}")
+    lines += reversed(keep)
     exec(compile("\n".join(lines), "<anchor plan>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -212,7 +221,7 @@ def _kernel(plan: _Plan, start: int) -> _Kernel:
 # compares in C, where SimpleGraph's generated __hash__ and __eq__ would run
 # Python code on every query
 @lru_cache(maxsize=None)
-def _anchor_plans(pattern_adj: tuple[int, ...]) -> tuple[tuple[int, int, _Kernel], ...]:
+def _anchor_plans(pattern_adj: tuple[int, ...]) -> _Plans:
     """One compiled plan per automorphism orbit of an oriented edge of the
     pattern g with adjacency rows `pattern_adj`: the pattern degrees of its
     anchor (a, b), which take positions 0 and 1, and its kernel from
@@ -231,11 +240,12 @@ def _anchor_plans(pattern_adj: tuple[int, ...]) -> tuple[tuple[int, int, _Kernel
     and the first plan to succeed is always the first of its orbit.
     """
     g = SimpleGraph(len(pattern_adj), pattern_adj)
+    offsets = edge_rank_offsets(g.n)
     plans: list[tuple[int, int, _Kernel]] = []
     for x, y in g.edges():
         for a, b in ((x, y), (y, x)):
             used = 1 << a | 1 << b
-            if any(kernel(g.adj, g.n, used, a, b) is not None for _, _, kernel in plans):
+            if any(kernel(g.adj, offsets, used, a, b) is not None for _, _, kernel in plans):
                 continue
             plan = _anchor_plan(g, a, b)
             plans.append((plan.degrees[0], plan.degrees[1], _kernel(plan, 2)))
@@ -252,15 +262,21 @@ def _containment_kernel(pattern_adj: tuple[int, ...]) -> _Kernel:
 # -- anchored queries ---------------------------------------------------
 
 
-def _find_through(adj: Sequence[int], n: int, pattern: SimpleGraph, u: int, v: int) -> Optional[int]:
-    """A copy through host edge (u, v) as a bitmask over canonical edge indices, or None."""
-    if pattern.n > n:
-        return None
+def _query_plans(pattern: SimpleGraph, n: int) -> tuple[tuple[int, ...], _Plans]:
+    """(offsets, plans) for `_find_through` queries of the pattern in hosts
+    on n vertices: `edge_rank_offsets(n)` and the pattern's compiled plans,
+    none when the pattern has more vertices than the host."""
+    return edge_rank_offsets(n), _anchor_plans(pattern.adj) if pattern.n <= n else ()
+
+
+def _find_through(adj: Sequence[int], offsets: Sequence[int], plans: _Plans, u: int, v: int) -> Optional[int]:
+    """A copy through host edge (u, v) as a bitmask over canonical edge
+    indices, or None; `offsets` and `plans` come from `_query_plans`."""
     du, dv = adj[u].bit_count(), adj[v].bit_count()
     used = 1 << u | 1 << v
-    for need_u, need_v, kernel in _anchor_plans(pattern.adj):
+    for need_u, need_v, kernel in plans:
         if du >= need_u and dv >= need_v:
-            witness = kernel(adj, n, used, u, v)
+            witness = kernel(adj, offsets, used, u, v)
             if witness is not None:
                 return witness
     return None
@@ -276,7 +292,7 @@ def contains(g: SimpleGraph, h) -> bool:
         return False
     if pattern.edge_count == 0:
         return True
-    return _containment_kernel(pattern.adj)(g.adj, g.n, 0) is not None
+    return _containment_kernel(pattern.adj)(g.adj, edge_rank_offsets(g.n), 0) is not None
 
 
 def _guard(label: str, n: int, h, max_n: int, max_pattern: int, *, tunable: bool = False) -> SimpleGraph:
@@ -392,7 +408,7 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
     """
     n = coloring.n
     min_order, min_degree, bounds = _component_bounds(pattern.adj)
-    offsets = edge_rank_offsets(n)
+    offsets, plans = _query_plans(pattern, n)
     # rows over the other ends: hit_rows[x] holds x's edges in components
     # that need queries, less those in NIM groups
     hit_rows = [0] * n
@@ -448,7 +464,7 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
             for y in _bits(((row & firsts) >> (r + 1) << (r + 1)) | (inside & -inside)):
                 if (covered >> (base + y)) & 1:
                     continue
-                witness = _find_through(rows, n, pattern, r, y)
+                witness = _find_through(rows, offsets, plans, r, y)
                 if witness is not None:
                     covered |= witness
                     continue
@@ -468,22 +484,23 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
 
 
 def _edge_walk(
-    adj: Sequence[Sequence[int]], colors: Sequence[int], n: int, pattern: SimpleGraph, dependents: list[int]
+    adj: Sequence[Sequence[int]], colors: Sequence[int], offsets: Sequence[int], plans: _Plans, dependents: list[int]
 ) -> int:
     """The NIM edge mask by one query per uncovered edge in canonical order.
 
-    `adj` holds the class rows of the coloring `colors`.  Each edge no copy
+    `adj` holds the class rows of the coloring `colors`, and `offsets` and
+    `plans` come from `_query_plans` for its pattern.  Each edge no copy
     covers yet is queried in its class; its copy, when there is one, covers
     all of its edges.  `dependents` is a list with one 0 per edge: bit e of
     dependents[f] is set when the copy that first covered e holds f.
     """
-    pairs = all_pairs(n)
+    pairs = all_pairs(len(offsets))
     nim = covered = 0
     for e, c in enumerate(colors):
         if (covered >> e) & 1:
             continue
         u, v = pairs[e]
-        witness = _find_through(adj[c], n, pattern, u, v)
+        witness = _find_through(adj[c], offsets, plans, u, v)
         if witness is None:
             nim |= 1 << e
             continue

@@ -66,7 +66,8 @@ from typing import Optional, Sequence
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_rank_offsets
 from .nim import (
-    DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _depth_guard, _edge_walk, _find_through, _guard, _twin_members, nim_edges
+    DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _depth_guard, _edge_walk, _find_through, _guard, _query_plans, _twin_members,
+    nim_edges,
 )
 from .patterns import PatternGraph, _as_graph, pattern_spec
 
@@ -376,7 +377,7 @@ class _Blocking:
     """
 
     def __init__(self, n: int, k: int, pattern: SimpleGraph):
-        self.n, self.pattern = n, pattern
+        self.offsets, self.plans = _query_plans(pattern, n)
         self.pairs = pairs = all_pairs(n)
         m = len(pairs)
         self.incident = [0] * n
@@ -408,7 +409,7 @@ class _Blocking:
             if hit is not None:
                 return hit
         u, v = self.pairs[idx]
-        copy = _find_through(adj, self.n, self.pattern, u, v) if blocked else 0
+        copy = _find_through(adj, self.offsets, self.plans, u, v) if blocked else 0
         incident = self.incident
         if self.star is not None:
             if adj[u].bit_count() >= self.star - 1:
@@ -416,7 +417,7 @@ class _Blocking:
             if adj[v].bit_count() >= self.star - 1:
                 mask |= incident[v]
         else:
-            n, pattern, pairs = self.n, self.pattern, self.pairs
+            offsets, plans, pairs = self.offsets, self.plans, self.pairs
             cand = (self.full & ~mask) >> (idx + 1) << (idx + 1)  # unblocked edges after idx
             if cand and self.reach is not None:
                 ball = 1 << u | 1 << v
@@ -438,7 +439,7 @@ class _Blocking:
                 bx, by = 1 << x, 1 << y
                 adj[x] |= by
                 adj[y] |= bx
-                if _find_through(adj, n, pattern, x, y) is not None:
+                if _find_through(adj, offsets, plans, x, y) is not None:
                     mask |= b
                 adj[x] ^= by
                 adj[y] ^= bx
@@ -616,12 +617,12 @@ class _NimState:
     """
 
     def __init__(self, coloring: EdgeColoring, pattern: SimpleGraph):
-        self.n, self.pattern = coloring.n, pattern
+        self.offsets, self.plans = _query_plans(pattern, coloring.n)
         self.colors = coloring.colors
         self.pairs = all_pairs(coloring.n)
         self.adj = coloring.class_adjacency()
         self.dependents = [0] * len(self.pairs)
-        self.nim = _edge_walk(self.adj, self.colors, self.n, pattern, self.dependents)
+        self.nim = _edge_walk(self.adj, self.colors, self.offsets, self.plans, self.dependents)
         self.class_nim: list[list[int]] = [[] for _ in range(coloring.k)]
         for e in _bits(self.nim):
             self.class_nim[self.colors[e]].append(e)
@@ -634,7 +635,7 @@ class _NimState:
         rest = self.dependents[e] & ~(1 << e)
         if not rest:
             return 0
-        n, pattern, pairs = self.n, self.pattern, self.pairs
+        offsets, plans, pairs = self.offsets, self.plans, self.pairs
         adj = self.adj[self.colors[e]]
         u, v = pairs[e]
         adj[u] ^= 1 << v
@@ -644,7 +645,7 @@ class _NimState:
             if (covered >> f) & 1:
                 continue
             x, y = pairs[f]
-            witness = _find_through(adj, n, pattern, x, y)
+            witness = _find_through(adj, offsets, plans, x, y)
             if witness is None:
                 freed += 1
             else:
@@ -662,13 +663,13 @@ class _NimState:
         """
         if floor >= 1:
             return 1  # a gain never adds more than e itself
-        n, pattern, pairs = self.n, self.pattern, self.pairs
+        offsets, plans, pairs = self.offsets, self.plans, self.pairs
         adj = self.adj[c]
         u, v = pairs[e]
         bu, bv = 1 << u, 1 << v
         adj[u] |= bv
         adj[v] |= bu
-        witness = _find_through(adj, n, pattern, u, v)
+        witness = _find_through(adj, offsets, plans, u, v)
         if witness is None:
             delta = 1  # every new copy would go through e, so nothing else changes
         else:
@@ -681,7 +682,7 @@ class _NimState:
                 if (covered >> f) & 1:
                     continue
                 x, y = pairs[f]
-                found = _find_through(adj, n, pattern, x, y)
+                found = _find_through(adj, offsets, plans, x, y)
                 if found is not None:
                     covered |= found
                     delta = -(covered & nim).bit_count()

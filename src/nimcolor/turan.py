@@ -33,7 +33,7 @@ from .graphs import (
     disjoint_union,
     join,
 )
-from .nim import _depth_guard, _find_through, _guard, contains
+from .nim import _depth_guard, _find_through, _guard, _query_plans, contains
 from .patterns import PatternGraph, make_path, pattern_spec
 
 ORACLE_MAX_N = 10
@@ -47,7 +47,7 @@ class TuranResult:
     n: int
     pattern: str
     value: int
-    method: str  # faudree_schelp | bushaw_kettle | oracle
+    method: str  # faudree_schelp | bushaw_kettle | oracle | complete (pattern order above n: K_n is H-free)
     recipe: Optional[dict] = None
     witness: Optional[SimpleGraph] = None
     below_threshold: bool = False
@@ -204,6 +204,7 @@ def turan_oracle(
 
     m = complete_edge_count(n)
     pairs = all_pairs(n)
+    offsets, plans = _query_plans(pattern, n)
     adj = [0] * n
     best = -1
     best_adj: tuple[int, ...] = tuple(adj)
@@ -253,7 +254,7 @@ def turan_oracle(
                         copy = None  # g lies inside a graph with no copy through idx
                         break
                 else:
-                    copy = _find_through(adj, n, pattern, u, v)
+                    copy = _find_through(adj, offsets, plans, u, v)
                     store, mask = (frees, g) if copy is None else (rests, copy & ~(1 << idx))
                     store.insert(0, mask)
                     if len(store) > _KNOWN_CAP:
@@ -278,6 +279,8 @@ def turan_oracle(
 
 def turan_value(n: int, h: PatternGraph, *, allow_oracle: bool = True) -> TuranResult:
     """Best available Turan value for a pattern: formula if known, else oracle."""
+    if h.vertex_count > n:  # no copy fits in K_n, whatever the pattern's family
+        return TuranResult(n, h.spec, complete_edge_count(n), "complete")
     if h.family == "path":
         return ex_path(n, h.vertex_count)
     # a balanced pattern is a forest of even order: each tree has equal sides

@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 from nimcolor.constructions import LayoutReport, P2kConstructionLayout
 from nimcolor.errors import ResourceLimitError
 from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_index
-from nimcolor.nim import NimReport, _anchor_plan, _find_through, _Plan, _twin_members, nim_edges
+from nimcolor.nim import NimReport, _anchor_plan, _find_through, _Plan, _query_plans, _twin_members, nim_edges
 from nimcolor.patterns import PatternGraph, _as_graph, pattern_spec
 from nimcolor.search import SearchResult
 from nimcolor.turan import ex_path
@@ -296,6 +296,7 @@ def turan_oracle_edge_bound(n: int, pattern: SimpleGraph) -> tuple[int, SimpleGr
     """`turan_oracle`'s search before the degree-sum bound: (maximum, witness)."""
     m = complete_edge_count(n)
     pairs = all_pairs(n)
+    offsets, plans = _query_plans(pattern, n)
     adj = [0] * n
     best = -1
     best_adj: tuple[int, ...] = tuple(adj)
@@ -322,7 +323,7 @@ def turan_oracle_edge_bound(n: int, pattern: SimpleGraph) -> tuple[int, SimpleGr
         if u == 0 or adj[u].bit_count() < adj[u - 1].bit_count():
             adj[u] |= bv
             adj[v] |= bu
-            if _find_through(adj, n, pattern, u, v) is None:
+            if _find_through(adj, offsets, plans, u, v) is None:
                 rec(idx + 1, count + 1)
             adj[u] &= ~bv
             adj[v] &= ~bu
@@ -337,6 +338,7 @@ def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ..
     (maximum, witness rows, nodes), nodes counting calls of the recursion."""
     m = complete_edge_count(n)
     pairs = all_pairs(n)
+    offsets, plans = _query_plans(pattern, n)
     adj = [0] * n
     best = -1
     best_adj: tuple[int, ...] = tuple(adj)
@@ -372,7 +374,7 @@ def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ..
         if u == 0 or adj[u].bit_count() < adj[u - 1].bit_count():
             adj[u] |= bv
             adj[v] |= bu
-            if _find_through(adj, n, pattern, u, v) is None:
+            if _find_through(adj, offsets, plans, u, v) is None:
                 rec(idx + 1, count + 1, done)
             adj[u] &= ~bv
             adj[v] &= ~bu
@@ -387,6 +389,7 @@ def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, E
     m = complete_edge_count(n)
     pairs = all_pairs(n)
     pattern = h.graph
+    offsets, plans = _query_plans(pattern, n)
     colors = [0] * m
     class_adj = [[0] * n for _ in range(k)]
     best = -1
@@ -412,7 +415,7 @@ def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, E
             adj = class_adj[c]
             adj[u] |= bv
             adj[v] |= bu
-            witness = _find_through(adj, n, pattern, u, v)
+            witness = _find_through(adj, offsets, plans, u, v)
             rec(idx + 1, covered if witness is None else covered | witness)
             adj[u] &= ~bv
             adj[v] &= ~bu
@@ -433,6 +436,7 @@ def canonical_search_plain(
     m = len(choices)
     pairs = all_pairs(n)
     pattern = h.graph
+    offsets, plans = _query_plans(pattern, n)
     colors = [0] * m
     class_adj = [[0] * n for _ in range(k)]
     best = -1
@@ -492,7 +496,7 @@ def canonical_search_plain(
             adj = class_adj[c]
             adj[u] |= bv
             adj[v] |= bu
-            witness = _find_through(adj, n, pattern, u, v)
+            witness = _find_through(adj, offsets, plans, u, v)
             rec(idx + 1, covered if witness is None else covered | witness)
             adj[u] &= ~bv
             adj[v] &= ~bu
@@ -622,6 +626,7 @@ def cover_pass_per_edge(
     """
     n = coloring.n
     pairs = all_pairs(n)
+    offsets, plans = _query_plans(pattern, n)
     adj = coloring.class_adjacency()
     nim = covered = 0
     copies = []
@@ -629,7 +634,7 @@ def cover_pass_per_edge(
         if (covered >> e) & 1:
             continue
         u, v = pairs[e]
-        witness = _find_through(adj[c], n, pattern, u, v)
+        witness = _find_through(adj[c], offsets, plans, u, v)
         if witness is None:
             nim |= 1 << e
         else:

@@ -19,7 +19,7 @@ from oracles import (
 from nimcolor import nim, search, turan
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_forest_coloring
 from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoint_union, edge_index, edge_unindex, join
-from nimcolor.nim import _anchor_plan, _anchor_plans, _cover_pass, _find_through, contains, nim_edges
+from nimcolor.nim import _anchor_plan, _anchor_plans, _cover_pass, _find_through, _query_plans, contains, nim_edges
 from nimcolor.errors import ResourceLimitError
 from nimcolor.patterns import (
     custom_pattern,
@@ -78,7 +78,7 @@ class TestContains:
 
 def through(g: SimpleGraph, h, e: tuple[int, int]) -> bool:
     """True iff some copy of pattern h in g uses edge e."""
-    return _find_through(g.adj, g.n, h.graph, *e) is not None
+    return _find_through(g.adj, *_query_plans(h.graph, g.n), *e) is not None
 
 
 class TestContainsThroughEdge:
@@ -112,7 +112,7 @@ class TestContainsThroughEdge:
                 covered = covered_edges_brute(g, h.graph)
                 for u, v in g.edges():
                     e = edge_index(u, v, n)
-                    witness = _find_through(g.adj, n, h.graph, u, v)
+                    witness = _find_through(g.adj, *_query_plans(h.graph, n), u, v)
                     assert (witness is None) == (e not in covered), (n, h.spec, u, v)
                     if witness is None:
                         continue
@@ -177,7 +177,7 @@ class TestAnchorOrbits:
     def test_copy_masks_match_trying_every_plan(self, g, h):
         for x, y in g.edges():
             for u, v in ((x, y), (y, x)):
-                got = _find_through(g.adj, g.n, h.graph, u, v)
+                got = _find_through(g.adj, *_query_plans(h.graph, g.n), u, v)
                 assert got == find_through_all_plans(g.adj, g.n, h.graph, u, v), (h.spec, u, v)
 
     @settings(max_examples=200, deadline=None)
@@ -185,7 +185,7 @@ class TestAnchorOrbits:
     def test_copy_masks_match_trying_every_plan_on_larger_patterns(self, g, h):
         for x, y in g.edges():
             for u, v in ((x, y), (y, x)):
-                got = _find_through(g.adj, g.n, h.graph, u, v)
+                got = _find_through(g.adj, *_query_plans(h.graph, g.n), u, v)
                 assert got == find_through_all_plans(g.adj, g.n, h.graph, u, v), (h.spec, u, v)
 
     def test_contains_matches_brute_force_on_larger_patterns(self, rng):
@@ -264,7 +264,7 @@ class TestDeepPlans:
     def test_copy_masks_match_trying_every_plan(self, h, host):
         for x, y in host.edges():
             for u, v in ((x, y), (y, x)):
-                got = _find_through(host.adj, host.n, h.graph, u, v)
+                got = _find_through(host.adj, *_query_plans(h.graph, host.n), u, v)
                 assert got == find_through_all_plans(host.adj, host.n, h.graph, u, v), (u, v)
 
     def test_contains(self):
@@ -509,6 +509,63 @@ class TestEntryGate:
             assert err.value.limit == f"{label} limited to {what} <= {limit}, got {got}"
             assert err.value.hint == (f"pass {key}={got} to allow it" if tunable else "")
         assert queries == []
+
+
+class TestPlanFetches:
+    """Each cover pass, walk state and exact search fetches the pattern's
+    plans once (`nim._query_plans`), not once per anchored query."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Plan fetches, kernel entries, and the passes, searches and states built."""
+        counts = {"fetches": 0, "entered": 0, "built": 0}
+        plans = nim._anchor_plans
+
+        def counted(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return call
+
+        def fetched(rows):
+            counts["fetches"] += 1
+            return tuple((du, dv, counted("entered", k)) for du, dv, k in plans(rows))
+
+        monkeypatch.setattr(nim, "_anchor_plans", fetched)
+        for owner, attr in ((nim, "_cover_pass"), (search._Blocking, "__init__"), (search._NimState, "__init__")):
+            monkeypatch.setattr(owner, attr, counted("built", getattr(owner, attr)))
+        monkeypatch.setattr(turan, "turan_oracle", counted("built", turan.turan_oracle))
+        return counts
+
+    @pytest.mark.parametrize(
+        "run, spec, fetches",
+        [
+            # one pass; 78 when each query fetched the plans
+            (lambda h: nim_edges(p2k_multicoloring(60, 4)[0], h), "path:8", 1),
+            # one search; 615
+            (lambda h: turan.turan_oracle(8, h), "spider:2,2,1", 1),
+            # one search and a pass per leaf, 7 leaves; 1,104
+            (lambda h: exhaustive_f(6, 2, h), "path:4", 8),
+            # the start's state, a local optimum, so no move rebuilds it; 141
+            (lambda h: hill_climb_f(13, 4, h, iterations=2, seed_coloring=p2k_multicoloring(13, 2)[0]), "path:4", 1),
+        ],
+        ids=["nim-p2k-60-4-path8", "turan-8-spider", "exhaustive-6-2-path4", "hill-p2k-13-4-path4"],
+    )
+    def test_plans_fetched_once_per_pass_search_or_state(self, counts, run, spec, fetches):
+        run(parse_pattern(spec))
+        assert counts["fetches"] == counts["built"] == fetches
+
+    @pytest.mark.parametrize("spec", ["path:6", "dstar:3+path:6"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_a_pattern_larger_than_the_host_takes_no_plan(self, counts, entry, spec):
+        # K_n with n under the pattern's order holds no copy: every edge is
+        # NIM, and K_n itself is the extremal graph
+        call = ENTRY_POINTS[entry][0]
+        answer = {"nim_edges": "count", "turan_oracle": "value"}.get(entry, "best_count")
+        for n in range(6):
+            assert getattr(call(n, parse_pattern(spec)), answer) == n * (n - 1) // 2, n
+        assert (counts["fetches"], counts["entered"]) == (0, 0)
 
 
 class TestDualImplementations:

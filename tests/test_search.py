@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_coloring_for
 from nimcolor.errors import ResourceLimitError
 from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, edge_index
-from nimcolor.nim import _find_through, nim_edges
+from nimcolor.nim import _find_through, _query_plans, nim_edges
 from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
 from nimcolor.search import (
     _Blocking,
@@ -405,7 +405,7 @@ def test_star_degree_rule_matches_the_queries(data, spec):
             assert bool(copy) == was_blocked
     for f, (x, y) in enumerate(pairs):
         if not edges[f]:
-            closes = _find_through(_with_edge(rows, x, y), n, h.graph, x, y) is not None
+            closes = _find_through(_with_edge(rows, x, y), *_query_plans(h.graph, n), x, y) is not None
             assert (mask >> f) & 1 == closes
 
 

@@ -449,6 +449,17 @@ class TestDispatcher:
     def test_small_everything_else_uses_oracle(self):
         assert turan_value(6, make_star(3)).method == "oracle"
 
+    @pytest.mark.parametrize(
+        "n, spec, value",
+        [(5, "dstar:3+path:6", 10), (3, "path:2+path:2", 3), (7, "path:4+path:4", 21), (11, "dstar:3+path:6", 55)],
+    )
+    def test_a_pattern_larger_than_n_leaves_k_n_free(self, n, spec, value):
+        # the balanced-forest formula gave 0, 2, 15 and 30, flagged below_threshold
+        h = parse_pattern(spec)
+        r = turan_value(n, h)
+        assert (r.value, r.method, r.below_threshold) == (value, "complete", False)
+        assert turan_oracle(n, h, max_n=11).value == value
+
     def test_unavailable(self):
         with pytest.raises(TuranUnavailableError):
             turan_value(30, make_star(3))
