@@ -52,8 +52,13 @@ def _append_ledger(path: str, command: str, parameters: dict, payload: dict) -> 
     }
     data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
     # One write on an O_APPEND descriptor, so concurrent appends never interleave.
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            # a torn last record: start on a line of its own (racing writers
+            # can at worst leave an empty line, which read_ledger skips)
+            data = b"\n" + data
         written = os.write(fd, data)
     finally:
         os.close(fd)
@@ -67,18 +72,25 @@ def read_ledger(path: str) -> list[tuple[int, dict]]:
 
     A final line that does not parse is a record torn by an interrupted
     append: it is skipped with a warning on stderr.  A bad line anywhere
-    else raises.
+    else raises a json.JSONDecodeError that names the file and its line.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [(no, line) for no, line in enumerate(map(str.strip, fh), 1) if line]
+        text = fh.read()
+    lines, start = [], 0  # (line number, offset in text, line) of each non-blank line
+    for no, line in enumerate(text.split("\n"), 1):
+        if line.strip():
+            lines.append((no, start, line))
+        start += len(line) + 1
     records = []
-    for i, (no, line) in enumerate(lines):
+    for i, (no, start, line) in enumerate(lines):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
+            # the same error placed in the file, so it names the file's line
+            err = json.JSONDecodeError(f"{path}: {exc.msg}", text, start + exc.pos)
             if i < len(lines) - 1:
-                raise
-            print(f"warning: {path}: skipped a torn last record ({exc})", file=sys.stderr)
+                raise err from None
+            print(f"warning: skipped a torn last record: {err}", file=sys.stderr)
             continue
         if not isinstance(record, dict):
             raise ValueError(f"{path}: line {no}: ledger record is not a JSON object")

@@ -317,9 +317,11 @@ def _guard(label: str, n: int, h, max_n: int, max_pattern: int, *, tunable: bool
 def _depth_guard(label: str, n: int, pattern: SimpleGraph) -> None:
     """Refuse an exact search of K_n that would pass the recursion limit.
 
-    The exact searches recurse once per edge of K_n on top of the caller's
-    frames, and their deepest calls score a leaf or query for a copy: a
-    few frames more, plus one per `_KERNEL_LOOPS` positions of a plan.
+    `exhaustive_f` recurses once per edge of K_n and `turan_oracle` once per
+    edge it includes, which is every edge when the pattern has more vertices
+    than n, so both may stack C(n, 2) calls on top of the caller's frames.
+    Their deepest calls score a leaf or query for a copy: a few frames
+    more, plus one per `_KERNEL_LOOPS` positions of a plan.
     Past the limit is a ResourceLimitError that names it, not a
     RecursionError deep in the search.
     """

@@ -6,16 +6,19 @@ n = a(l-1) + b, 0 <= b <= l-2, together with the extremal-graph recipe
 vertices).  `ex_balanced_forest` evaluates the balanced-forest formula for
 patterns with at least two components.  `turan_oracle` maximizes edges over
 all pattern-free graphs by a depth-first search over the canonical edge
-order and serves as an independent cross-check on both formulas.  The
-search keeps two stores per edge.  The first holds the last copies of the
-pattern it found through that edge, each minus the edge itself: when one
-lies inside the graph built so far, adding the edge would complete that
-copy, so the edge is excluded without a subgraph search.  The second holds
-the last graphs built so far to which the edge could be added with no copy
-through it: when the graph built now lies inside one of them, it has no
-copy through the edge either, since a copy in the smaller graph is one in
-the larger, so the edge is included without a search.  Either way the
-decision is the one the search would make, and only the query is saved.
+order and serves as an independent cross-check on both formulas.  It
+recurses only to include an edge; excluding one is the next pass of a loop
+in the same call, and each row's degree cap is computed once, when the row
+starts.  The search keeps two stores per edge.  The first holds the last
+copies of the pattern it found through that edge, each minus the edge
+itself: when one lies inside the graph built so far, adding the edge would
+complete that copy, so the edge is excluded without a subgraph search.
+The second holds the last graphs built so far to which the edge could be
+added with no copy through it: when the graph built now lies inside one of
+them, it has no copy through the edge either, since a copy in the smaller
+graph is one in the larger, so the edge is included without a search.
+Either way the decision is the one the search would make, and only the
+query is saved.
 """
 
 from __future__ import annotations
@@ -177,13 +180,16 @@ def turan_oracle(
     """Exact maximum edges over all pattern-free n-vertex graphs, by search.
 
     Depth-first over the canonical edge order; each edge is included (when
-    that creates no copy of the pattern through it) or excluded.  Only
-    graphs whose degrees are non-increasing in vertex order are kept (every
-    graph has such a relabeling, so the maximum is unaffected).  Two bounds
-    prune a branch that cannot beat the best found: the undecided edges
-    could all be included, and, once row u starts, deg(u-1) is final and
-    caps every later degree, so the graph has at most
-    (deg(0) + ... + deg(u-1) + (n-u) deg(u-1)) / 2 edges.  Attaches a witness.
+    that creates no copy of the pattern through it) or excluded.  Including
+    recurses; excluding, always the last step, is the loop's next pass, so
+    the recursion is as deep as the included edges.  Only graphs whose
+    degrees are non-increasing in vertex order are kept (every graph has
+    such a relabeling, so the maximum is unaffected).  Two bounds prune a
+    branch that cannot beat the best found: the undecided edges could all
+    be included, and, once row u starts, deg(u-1) is final and caps every
+    later degree, so the graph has at most
+    (deg(0) + ... + deg(u-1) + (n-u) deg(u-1)) / 2 edges.  That cap is
+    computed as row u starts and tested at every edge.  Attaches a witness.
 
     Before querying an edge idx, the search checks two stores of earlier
     answers for idx in this call, each at most `_KNOWN_CAP` masks, newest
@@ -212,60 +218,64 @@ def turan_oracle(
     # free[idx]: included-edge masks g where g plus idx had no copy through idx
     known: list[list[int]] = [[] for _ in range(m)]
     free: list[list[int]] = [[] for _ in range(m)]
+    # per edge idx: its ends, their bits, and whether it starts row u >= 1
+    edges = [(u, v, 1 << u, 1 << v, u >= 1 and v == u + 1) for u, v in pairs]
 
-    def rec(idx: int, count: int, done: int, g: int) -> None:
+    def rec(idx: int, count: int, done: int, g: int, last: int, cap: int) -> None:
         # done: the degree sum of the vertices whose rows are finished;
-        # g: the included edges as a mask over canonical edge indices
+        # g: the included edges as a mask over canonical edge indices;
+        # last, cap: deg(u-1) and the row's edge cap, fixed while row u runs
         nonlocal best, best_adj
-        if count + (m - idx) <= best:
-            return
-        if idx == m:
-            if n >= 2 and adj[n - 1].bit_count() > adj[n - 2].bit_count():
+        while True:  # edge idx: include it by a call, then exclude it by looping
+            if count + (m - idx) <= best:
                 return
-            if n >= 3 and adj[n - 2].bit_count() > adj[n - 3].bit_count():
+            if idx == m:
+                if n >= 2 and adj[n - 1].bit_count() > adj[n - 2].bit_count():
+                    return
+                if n >= 3 and adj[n - 2].bit_count() > adj[n - 3].bit_count():
+                    return
+                best = count
+                best_adj = tuple(adj)
                 return
-            best = count
-            best_adj = tuple(adj)
-            return
-        u, v = pairs[idx]
-        if u >= 1:
-            last = adj[u - 1].bit_count()
-            if v == u + 1:
+            u, v, bu, bv, starts = edges[idx]
+            if starts:
                 # row u is starting, so deg(u-1) is final: enforce sortedness
+                last = adj[u - 1].bit_count()
                 if u >= 2 and last > adj[u - 2].bit_count():
                     return
                 done += last
-            # no later degree exceeds deg(u-1); best can rise within a row
-            if (done + (n - u) * last) // 2 <= best:
+                # no later degree exceeds deg(u-1)
+                cap = (done + (n - u) * last) // 2
+            if cap <= best:  # best can rise within a row
                 return
-        # include first so good solutions tighten the bound early
-        bu, bv = 1 << u, 1 << v
-        if u == 0 or adj[u].bit_count() < adj[u - 1].bit_count():
-            rests = known[idx]
-            for rest in rests:
-                if rest & g == rest:
-                    break  # g plus idx holds a copy found before
-            else:
-                adj[u] |= bv
-                adj[v] |= bu
-                frees = free[idx]
-                for f in frees:
-                    if g & f == g:
-                        copy = None  # g lies inside a graph with no copy through idx
-                        break
+            # include first so good solutions tighten the bound early
+            if adj[u].bit_count() < last:
+                rests = known[idx]
+                for rest in rests:
+                    if rest & g == rest:
+                        break  # g plus idx holds a copy found before
                 else:
-                    copy = _find_through(adj, offsets, plans, u, v)
-                    store, mask = (frees, g) if copy is None else (rests, copy & ~(1 << idx))
-                    store.insert(0, mask)
-                    if len(store) > _KNOWN_CAP:
-                        store.pop()
-                if copy is None:
-                    rec(idx + 1, count + 1, done, g | 1 << idx)
-                adj[u] &= ~bv
-                adj[v] &= ~bu
-        rec(idx + 1, count, done, g)
+                    adj[u] |= bv
+                    adj[v] |= bu
+                    frees = free[idx]
+                    for f in frees:
+                        if g & f == g:
+                            copy = None  # g lies inside a graph with no copy through idx
+                            break
+                    else:
+                        copy = _find_through(adj, offsets, plans, u, v)
+                        store, mask = (frees, g) if copy is None else (rests, copy & ~(1 << idx))
+                        store.insert(0, mask)
+                        if len(store) > _KNOWN_CAP:
+                            store.pop()
+                    if copy is None:
+                        rec(idx + 1, count + 1, done, g | 1 << idx, last, cap)
+                    adj[u] ^= bv
+                    adj[v] ^= bu
+            idx += 1
 
-    rec(0, 0, 0, 0)
+    # row 0: no degree caps, and m edges bound nothing the first test misses
+    rec(0, 0, 0, 0, n, m)
     witness = SimpleGraph(n, best_adj)
     if contains(witness, pattern):
         raise AssertionError("oracle witness contains the pattern")

@@ -334,20 +334,21 @@ def turan_oracle_edge_bound(n: int, pattern: SimpleGraph) -> tuple[int, SimpleGr
 
 
 def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ...], int]:
-    """`turan_oracle`'s search before it stored found copies, verbatim:
-    (maximum, witness rows, nodes), nodes counting calls of the recursion."""
+    """`turan_oracle`'s search before it stored found copies, verbatim but
+    for the count: (maximum, witness rows, includes), includes counting the
+    include branches taken plus the root.  Every exclusion step follows
+    from them and the bounds, so they fix the search tree."""
     m = complete_edge_count(n)
     pairs = all_pairs(n)
     offsets, plans = _query_plans(pattern, n)
     adj = [0] * n
     best = -1
     best_adj: tuple[int, ...] = tuple(adj)
-    nodes = 0
+    includes = 1
 
     def rec(idx: int, count: int, done: int) -> None:
         # done: the degree sum of the vertices whose rows are finished
-        nonlocal best, best_adj, nodes
-        nodes += 1
+        nonlocal best, best_adj, includes
         if count + (m - idx) <= best:
             return
         if idx == m:
@@ -375,13 +376,14 @@ def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ..
             adj[u] |= bv
             adj[v] |= bu
             if _find_through(adj, offsets, plans, u, v) is None:
+                includes += 1
                 rec(idx + 1, count + 1, done)
             adj[u] &= ~bv
             adj[v] &= ~bu
         rec(idx + 1, count, done)
 
     rec(0, 0, 0)
-    return best, best_adj, nodes
+    return best, best_adj, includes
 
 
 def exhaustive_f_first_edge_pin(n: int, k: int, h: PatternGraph) -> tuple[int, EdgeColoring]:

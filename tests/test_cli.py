@@ -427,6 +427,31 @@ class TestSearchAndReport:
         assert [r["n"] for r in json.loads(out)["rows"]] == [4, 5]
         assert "torn last record" in err
 
+    def test_a_search_after_a_torn_last_record_starts_a_new_line(self, capsys, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        for n in (4, 5, 6):
+            run(
+                capsys,
+                "search", "--pattern", "path:3", "--n", str(n), "--k", "2",
+                "--mode", "exhaustive", "--ledger", str(ledger),
+            )
+        *complete, last = ledger.read_text().splitlines()
+        cut = last.index('"pattern": "') + len('"pattern": "pa')  # mid-string, no newline
+        ledger.write_text("\n".join(complete + [last[:cut]]))
+        code, out, _ = run(
+            capsys,
+            "search", "--pattern", "path:3", "--n", "7", "--k", "2",
+            "--mode", "exhaustive", "--ledger", str(ledger),
+        )
+        assert code == 0
+        *_, torn, appended = ledger.read_text().splitlines()
+        assert torn == last[:cut]
+        assert json.loads(appended)["result"] == json.loads(out)
+        # the torn record is no longer last, so it is an error naming its line
+        code, _, err = run(capsys, "report", "--ledger", str(ledger))
+        assert code == 1
+        assert f"{ledger}: Unterminated string starting at: line 3 column " in err
+
     def test_report_table_marks_an_unavailable_ex(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         searches = [
@@ -555,7 +580,7 @@ class TestSearchAndReport:
             )
         first, second = ledger.read_text().splitlines()
         ledger.write_text(first[:40] + "\n" + second + "\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(json.JSONDecodeError, match=rf"^{re.escape(str(ledger))}: .*: line 1 column "):
             read_ledger(str(ledger))
         code, _, _ = run(capsys, "report", "--ledger", str(ledger))
         assert code == 1

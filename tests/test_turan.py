@@ -271,7 +271,8 @@ class TestOracle:
             turan_oracle(-2, make_star(3))
 
     def test_depth_past_the_recursion_limit_is_refused_up_front(self):
-        # the search recurses once per edge: K_46 has 1,035, past the default limit of 1000
+        # the search recurses once per included edge, and a pattern larger than n
+        # includes all of K_46's 1,035, past the default limit of 1000
         with pytest.raises(ResourceLimitError) as err:
             turan_oracle(46, make_path(2), max_n=46)
         assert re.fullmatch(r"oracle limited to n <= \d+ by the recursion limit \d+, got 46", err.value.limit)
@@ -317,7 +318,7 @@ def test_oracle_matches_the_edge_bound_search(n, spec):
 # Every Turan cell of the bench's `exact` workload (perfbench/workloads.py
 # TURAN_CASES), every oracle cell the suite uses and the limit-lifting calls
 # of TestOracle, as (n, spec, keywords).  spider:2,2,2 at n = 9 takes about
-# 14 s on a 2-core box with the plain recursion and the node count, so it
+# 5.5 s on a 2-core box with the plain recursion and the call count, so it
 # runs only under NIMCOLOR_SLOW_TESTS=1.
 SLOW_TESTS = os.environ.get("NIMCOLOR_SLOW_TESTS") == "1"
 BENCH_TURAN_CELLS = [
@@ -334,15 +335,16 @@ PLAIN_CELLS = [(n, s, {}) for n, s in dict.fromkeys(ORACLE_CELLS + BENCH_TURAN_C
 PLAIN_CELLS += [(11, "star:3", {"max_n": 11}), (8, "path:13", {"max_pattern": 13}), (9, "spider:2,2,2", {})]
 
 
-def oracle_nodes(n, h, **kwargs):
-    """`turan_oracle(n, h)` and the number of calls of its recursion."""
-    nodes = 0
+def oracle_calls(n, h, **kwargs):
+    """`turan_oracle(n, h)` and the number of calls of its recursion: the
+    root plus one per include branch, since exclusions loop in one call."""
+    calls = 0
 
     def profile(frame, event, arg):
-        nonlocal nodes
+        nonlocal calls
         code = frame.f_code
         if event == "call" and code.co_name == "rec" and code.co_filename == nimcolor.turan.__file__:
-            nodes += 1
+            calls += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -350,7 +352,7 @@ def oracle_nodes(n, h, **kwargs):
         r = turan_oracle(n, h, **kwargs)
     finally:
         sys.setprofile(previous)
-    return r, nodes
+    return r, calls
 
 
 @pytest.mark.parametrize("n, spec, kwargs", PLAIN_CELLS, ids=[f"n{n}-{s}" for n, s, _ in PLAIN_CELLS])
@@ -359,8 +361,8 @@ def test_oracle_matches_the_plain_recursion(n, spec, kwargs):
     if spec == "spider:2,2,2" and not SLOW_TESTS:
         pytest.skip("slow cell; set NIMCOLOR_SLOW_TESTS=1")
     h = C5 if spec == "cycle:5" else parse_pattern(spec)
-    r, nodes = oracle_nodes(n, h, **kwargs)
-    assert (r.value, r.witness.adj, nodes) == turan_oracle_plain(n, h.graph)
+    r, calls = oracle_calls(n, h, **kwargs)
+    assert (r.value, r.witness.adj, calls) == turan_oracle_plain(n, h.graph)
 
 
 def test_oracle_queries_pinned(monkeypatch):
@@ -382,6 +384,13 @@ def test_oracle_queries_pinned(monkeypatch):
     assert misses == 75
 
 
+@pytest.mark.parametrize("n, spec, calls", [(8, "spider:2,2,1", 3684), (9, "path:4", 1104)])
+def test_oracle_recursion_pinned(n, spec, calls):
+    # 16,088 and 6,658 when each exclusion was a call of its own; 1,117 on
+    # path:4 if the row cap were tested only where the row starts
+    assert oracle_calls(n, parse_pattern(spec))[1] == calls
+
+
 # (n, spec) cells whose stores reach a small cap; cap 0 is the plain recursion
 CAP_CELLS = [(7, "spider:2,2,1"), (8, "spider:2,2,1"), (8, "path:5"), (7, "cycle:5")]
 
@@ -389,12 +398,12 @@ CAP_CELLS = [(7, "spider:2,2,1"), (8, "spider:2,2,1"), (8, "path:5"), (7, "cycle
 @pytest.mark.parametrize("n, spec", CAP_CELLS, ids=[f"n{n}-{s}" for n, s in CAP_CELLS])
 def test_dropping_stored_masks_at_the_cap_keeps_the_answer(n, spec, monkeypatch):
     h = C5 if spec == "cycle:5" else parse_pattern(spec)
-    r, nodes = oracle_nodes(n, h)
-    expected = (r.value, r.witness.adj, nodes)
+    r, calls = oracle_calls(n, h)
+    expected = (r.value, r.witness.adj, calls)
     for cap in (0, 1, 3):
         monkeypatch.setattr(nimcolor.turan, "_KNOWN_CAP", cap)
-        r, nodes = oracle_nodes(n, h)
-        assert (r.value, r.witness.adj, nodes) == expected, cap
+        r, calls = oracle_calls(n, h)
+        assert (r.value, r.witness.adj, calls) == expected, cap
 
 
 @st.composite
@@ -408,8 +417,8 @@ def small_patterns(draw):
 @settings(max_examples=100, deadline=None)
 @given(small_patterns(), st.integers(0, 7))
 def test_oracle_matches_the_plain_recursion_on_random_patterns(g, n):
-    r, nodes = oracle_nodes(n, custom_pattern(g))
-    assert (r.value, r.witness.adj, nodes) == turan_oracle_plain(n, g)
+    r, calls = oracle_calls(n, custom_pattern(g))
+    assert (r.value, r.witness.adj, calls) == turan_oracle_plain(n, g)
 
 
 class TestLemmaGap:
