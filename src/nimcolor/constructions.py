@@ -35,7 +35,6 @@ from .graphs import (
 )
 from .nim import contains
 from .patterns import PatternGraph
-from .turan import ex_path
 
 
 def _is_prime(p: int) -> bool:
@@ -167,7 +166,7 @@ def build_p2k_layout(n: int, k: int) -> P2kConstructionLayout:
 
 
 def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayout]:
-    """The 2k-coloring of K_n whose first 2k-1 classes are path-extremal shaped.
+    """The 2k-coloring of K_n whose first 2k-1 classes are near-extremal for P_2k.
 
     Build order; no step assigns an edge that an earlier step assigned:
 
@@ -219,23 +218,24 @@ def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayo
     return EdgeColoring(n, 2 * k, tuple(colors)), layout
 
 
-def p2k_expected_nim(n: int, k: int) -> tuple[int, bool]:
-    """Target NIM count (2k-1)*ex(n, P_2k) + (k-1)*C(2k-1, 2).
+def p2k_expected_nim(n: int, k: int) -> int:
+    """NIM count of `p2k_multicoloring(n, k)` for P_2k, exact at every n.
 
-    The flag reports whether n has one of the two residues mod 2k-1 for
-    which the first 2k-1 classes are genuinely extremal, i.e. for which
-    the target is an exact equality rather than a nearby reference value.
-    Like `build_p2k_layout`, it refuses k < 2 and n <= (2k-1)^2; it does
-    not ask 2k-1 to be prime.
+    With q = 2k-1, each color j < q is q-1 copies of K_q plus K_{k-1} joined
+    to an independent set (rows 1..k of sigma[j][1] and all of W): the
+    `near_extremal_path_graph`, with (k-1)(n-k+1) + C(k-1, 2) edges for any t.
+    No component has a P_2k, so all these edges are NIM.  In color q, rows
+    k+1..q are isolated copies of K_q, whose (k-1)*C(q, 2) edges are NIM;
+    every other edge lies on a P_2k through W, non-empty as n > q^2.  Like
+    `build_p2k_layout`, it refuses k < 2 and n <= q^2; it does not ask q to
+    be prime.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     q = 2 * k - 1
     if n < q * q + 1:
         raise ValueError(f"n={n} too small; need n >= {q * q + 1}")
-    value = q * ex_path(n, 2 * k).value + (k - 1) * comb(q, 2)
-    exact = n % q in (k - 1, k)
-    return value, exact
+    return q * ((k - 1) * (n - k + 1) + comb(k - 1, 2)) + (k - 1) * comb(q, 2)
 
 
 @dataclass(frozen=True)

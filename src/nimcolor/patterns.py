@@ -286,10 +286,10 @@ def _parse_atom(chunk: str, offset: int):
     if ":" not in chunk:
         raise PatternSyntaxError(f"expected 'family:args', got {chunk!r}", offset)
     name, _, args = chunk.partition(":")
-    try:
-        values = [int(x) for x in args.split(",")] if args else []
-    except ValueError:
+    values = args.split(",") if args else []
+    if not all(x.isascii() and x.removeprefix("-").isdigit() for x in values):  # int() takes "3_0", " 3"
         raise PatternSyntaxError(f"non-integer argument in {args!r}", offset + len(name) + 1)
+    values = list(map(int, values))
     if name == "path":
         _expect(values, 1, name, offset)
         return make_path, values

@@ -120,9 +120,9 @@ def extremal_path_graph(n: int, length: int, t: int) -> SimpleGraph:
 def near_extremal_path_graph(n: int, k: int, t: int) -> SimpleGraph:
     """The t-clique family for even paths P_2k at arbitrary n (not always extremal).
 
-    Defined whenever n - t(2k-1) - (k-1) >= 0; its edge count is within
-    C(k,2) of ex(n, P_2k) for every n, with equality of the deficit exactly
-    at n divisible by 2k-1.
+    Defined whenever n - t(2k-1) - (k-1) >= 0.  It has (k-1)(n-k+1) + C(k-1,2)
+    edges for every t: ex(n, P_2k) - C(d+1,2), where d is the distance of
+    n mod 2k-1 from {k-1, k}.
     """
     rest = n - t * (2 * k - 1) - (k - 1)
     if k < 1 or t < 0 or rest < 0:

@@ -16,7 +16,7 @@ from nimcolor.constructions import (
 from nimcolor.graphs import SimpleGraph, complete_edge_count, components
 from nimcolor.nim import nim_edges
 from nimcolor.patterns import forest_union, make_path, parse_pattern
-from nimcolor.turan import extremal_path_graph
+from nimcolor.turan import ex_path, extremal_path_graph
 from oracles import tail_expected_nim_indices, verify_layout_per_edge
 
 H_FOREST = parse_pattern("dstar:3+path:6")
@@ -107,7 +107,7 @@ class TestP2kColoring:
         assert verify_layout(layout).ok
         report = nim_edges(c, make_path(4))
         assert report.count == 39
-        assert p2k_expected_nim(13, 2) == (39, True)
+        assert p2k_expected_nim(13, 2) == 39
         assert report.per_color == (12, 12, 12, 3)
 
     def test_last_class_has_isolated_cliques(self):
@@ -126,14 +126,7 @@ class TestP2kColoring:
         c, layout = p2k_multicoloring(52, 4)
         assert verify_layout(layout).ok
         report = nim_edges(c, make_path(8))
-        target, exact = p2k_expected_nim(52, 4)
-        assert exact and report.count == target == 7 * 150 + 3 * comb(7, 2)
-
-    def test_expected_nim_residue_flag(self):
-        assert p2k_expected_nim(13, 2)[1] is True  # 13 % 3 == 1 == k-1
-        assert p2k_expected_nim(14, 2)[1] is True  # 14 % 3 == 2 == k
-        assert p2k_expected_nim(15, 2)[1] is False
-        assert p2k_expected_nim(27, 3)[1] is True  # 27 % 5 == 2 == k-1
+        assert report.count == p2k_expected_nim(52, 4) == 7 * 150 + 3 * comb(7, 2)
 
     @pytest.mark.parametrize("n, k, message", [(10, 1, "k must be >= 2"), (5, 2, "n=5 too small; need n >= 10")])
     def test_expected_nim_refuses_what_the_layout_refuses(self, n, k, message):
@@ -165,14 +158,20 @@ class TestP2kColoring:
             p2k_multicoloring(n, k)
         assert str(caught.value) == message
 
-    def test_off_residue_count_still_at_least_classes_sum(self):
-        # outside the two good residues the first 2k-1 classes are merely
-        # near-extremal; the count still clears (2k-1) times their edges
-        n, k = 15, 2
-        c, _ = p2k_multicoloring(n, k)
-        report = nim_edges(c, make_path(4))
-        per_class = c.color_class(0).edge_count
-        assert report.count >= 3 * per_class + comb(3, 2)
+    @pytest.mark.parametrize("k, ns", [(2, range(10, 71)), (3, range(26, 71)), (4, range(50, 71)), (6, range(122, 133))])
+    def test_expected_count_holds_at_every_residue(self, k, ns):
+        # colors 0..q-1 are near-extremal path graphs, every edge NIM, and
+        # color q keeps its k-1 isolated row cliques; off the residues k-1
+        # and k, each of the q near-extremal classes is C(d+1, 2) below ex
+        q = 2 * k - 1
+        for n in ns:
+            c, _ = p2k_multicoloring(n, k)
+            report = nim_edges(c, make_path(2 * k), max_n=n)
+            near = (k - 1) * (n - k + 1) + comb(k - 1, 2)
+            assert report.per_color == (near,) * q + ((k - 1) * comb(q, 2),), n
+            d = min(abs(n % q - k + 1), abs(n % q - k))
+            residue_formula = q * ex_path(n, 2 * k).value + q * ((k - 1) ** 2 - comb(d + 1, 2))
+            assert report.count == p2k_expected_nim(n, k) == residue_formula, n
 
 
 class TestLayoutVerification:

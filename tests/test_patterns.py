@@ -300,9 +300,13 @@ class TestParse:
         with pytest.raises(PatternSyntaxError):
             parse_pattern("path4")
 
-    def test_non_integer_argument(self):
-        with pytest.raises(PatternSyntaxError, match="non-integer"):
-            parse_pattern("path:x")
+    # int() alone would read the first four as 30, 3, 3 and 3 (an Arabic-Indic digit)
+    @pytest.mark.parametrize("text", ["path:3_0", "path: 3", "path:3 ", "path:\u0663", "path:--3", "path:x", "spider:2,\u00b2"])
+    def test_non_integer_argument(self, text):
+        name, _, args = text.partition(":")
+        with pytest.raises(PatternSyntaxError) as err:
+            parse_pattern(text)
+        assert str(err.value) == f"non-integer argument in {args!r} (at position {len(name) + 1})"
 
     def test_semantic_error_propagates(self):
         with pytest.raises(PatternSyntaxError, match="at least 2 vertices"):

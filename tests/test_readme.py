@@ -13,6 +13,10 @@ def test_quick_tour_runs_and_its_commented_values_hold():
     assert ns["report"].count == 85
     assert (ns["h"].balanced, ns["h"].has_perfect_matching) == (True, False)
     assert nimcolor.verify_layout(ns["layout"]).ok is True
+    commented = re.findall(r"^(\S.*?)\s+# (\d+)\b", tour, re.M)
+    assert ("nc.p2k_expected_nim(13, 2)", "39") in commented
+    for expr, value in commented:
+        assert eval(expr, ns) == int(value), expr
 
 
 def test_all_lists_every_public_name_and_no_submodule():

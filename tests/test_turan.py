@@ -155,21 +155,22 @@ class TestExtremalPathGraph:
 
 
 class TestNearExtremalFamily:
-    def test_deficit_bounded_by_choose_k_2(self):
-        # the t-clique family misses the optimum by at most C(k,2); for k=2
-        # the bound is attained exactly when 2k-1 divides n
-        for k in (2, 3):
+    def test_edge_count_does_not_depend_on_t(self):
+        for k in range(1, 5):
+            for n in range(k - 1, 41):
+                for t in range((n - k + 1) // (2 * k - 1) + 1):
+                    assert near_extremal_path_graph(n, k, t).edge_count == (k - 1) * (n - k + 1) + comb(k - 1, 2)
+        assert [near_extremal_path_graph(20, 3, t).edge_count for t in range(4)] == [37] * 4
+
+    def test_deficit_is_choose_d_plus_1_2(self):
+        # d is the distance of n mod 2k-1 from the two extremal residues k-1
+        # and k, so the deficit is 0 there and at most C(k, 2) anywhere
+        for k in range(1, 7):
             q = 2 * k - 1
-            for n in range(k - 1, 61):
-                t = 0
-                while n - t * q - (k - 1) >= 0:
-                    gap = ex_path(n, 2 * k).value - near_extremal_path_graph(n, k, t).edge_count
-                    assert 0 <= gap <= comb(k, 2), (k, n, t, gap)
-                    if k == 2:
-                        assert (gap == 1) == (n % q == 0), (n, t, gap)
-                    else:
-                        assert gap < (k - 1) ** 2
-                    t += 1
+            for n in range(k - 1, 81):
+                d = min(abs(n % q - k + 1), abs(n % q - k))
+                gap = ex_path(n, 2 * k).value - near_extremal_path_graph(n, k, 0).edge_count
+                assert gap == comb(d + 1, 2), (k, n)
 
     def test_family_members_avoid_the_path(self):
         for k, n, t in ((2, 12, 1), (3, 30, 2)):
