@@ -28,6 +28,23 @@ class whose vertices with an edge are fewer than every such H_i's, or
 whose top degree is below every H_i's, settles whole before its twins
 and components are found.
 
+The mirror image of that rule proves C hit with no query.  When H is a
+forest with an edge, on h vertices, and every vertex of C has degree at
+least h - 1 in the class, then every edge of C lies in a copy of H: map
+an edge of H onto it, then place the rest of its component in DFS order,
+each vertex next to its placed parent.  The parent has at least h - 1
+neighbours, and at most h - 2 of them are taken, so one is free.  Each
+further component of H is rooted at an unused vertex of C, which has one
+since |C| >= h; an isolated vertex of H takes one too.  This is the
+greedy embedding behind the folklore bound that minimum degree t - 1
+forces every tree on t vertices.  A cycle breaks the argument, since the
+last vertex must meet two placed ones (K_{3,3} has minimum degree 3 and
+no K_3), and a pattern with no edge has no copy through any edge.  The
+paper's colorings are blow-ups, so their largest class is dense (an
+overlay's is the complement of disjoint cliques), and on the p2k and
+overlay colorings the benchmark verifies the pass makes no query at all.
+The rule is checked before the order, matching and degree bounds above.
+
 The paper's colorings are built from cliques, joins and complete
 bipartite pieces whose classes are full of twins (vertices with the same
 open or the same closed neighbourhood in the class).  Swapping two twins
@@ -365,18 +382,23 @@ def _twin_members(rows: Sequence[int]) -> tuple[list[int], int]:
 
 
 @lru_cache(maxsize=None)
-def _component_bounds(pattern_adj: tuple[int, ...]) -> tuple[float, float, tuple[tuple[int, int, int], ...]]:
-    """(least order, least top degree, bounds) of the pattern with adjacency
-    rows `pattern_adj`: bounds holds (order, matching number, top degree)
-    of each component with an edge, and both minima are infinite when there
-    is none."""
+def _component_bounds(pattern_adj: tuple[int, ...]) -> tuple[float, float, float, tuple[tuple[int, int, int], ...]]:
+    """(least order, least top degree, dense degree, bounds) of the pattern
+    with adjacency rows `pattern_adj`: bounds holds (order, matching number,
+    top degree) of each component with an edge, and both minima are
+    infinite when there is none.  The dense degree, the least degree that
+    gets a class component hit whole, is h - 1 for a forest on h vertices
+    with an edge, and infinite for any other pattern."""
     g = SimpleGraph(len(pattern_adj), pattern_adj)
+    comps = components(g)
     bounds = tuple(
         (len(comp), _matching_number(pattern_adj, sum(1 << v for v in comp)), max(map(g.degree, comp)))
-        for comp in components(g)
+        for comp in comps
         if len(comp) > 1
     )
-    return min((b[0] for b in bounds), default=math.inf), min((b[2] for b in bounds), default=math.inf), bounds
+    # a forest has one edge fewer than vertices in each component
+    dense = g.n - 1 if bounds and g.edge_count == g.n - len(comps) else math.inf
+    return min((b[0] for b in bounds), default=math.inf), min((b[2] for b in bounds), default=math.inf), dense, bounds
 
 
 def _matching_number(rows: Sequence[int], mask: int) -> int:
@@ -402,17 +424,21 @@ def _matching_number(rows: Sequence[int], mask: int) -> int:
 def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
     """One cover pass by class components and twin groups: the NIM edge mask.
 
-    A component too small for every edge-bearing pattern component, by
-    order, cover number or top degree, is NIM as a whole.  In the others one edge
-    per twin group is queried, in canonical order, unless a copy found
-    earlier covers it; a group is NIM or hit as a whole, so a NIM group
-    clears every one of its edges from the hit rows.
+    A component whose least degree is at least h - 1, for a forest pattern
+    on h vertices with an edge, is hit as a whole: the forest embeds
+    greedily through each of its edges, each vertex beside its placed
+    parent, which has a free neighbour left (see the module docstring).
+    This is checked first.  A component too small for every edge-bearing
+    pattern component, by order, cover number or top degree, is NIM as a
+    whole.  In the others one edge per twin group is queried, in canonical
+    order, unless a copy found earlier covers it; a group is NIM or hit as
+    a whole, so a NIM group clears every one of its edges from the hit rows.
     """
     n = coloring.n
-    min_order, min_degree, bounds = _component_bounds(pattern.adj)
+    min_order, min_degree, dense, bounds = _component_bounds(pattern.adj)
     offsets, plans = _query_plans(pattern, n)
     # rows over the other ends: hit_rows[x] holds x's edges in components
-    # that need queries, less those in NIM groups
+    # that are dense or need queries, less those in NIM groups
     hit_rows = [0] * n
     opened = 0  # the vertices with an edge in such a component
     for rows in coloring.class_adjacency():
@@ -422,29 +448,35 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
         members, firsts = _twin_members(rows)
         # components by BFS over twin classes: the row of a class's first
         # member reaches every neighbour of the class, whole twin classes at
-        # a time; `free` is the largest independent twin class met and `top`
-        # the largest degree, which twins share
-        left, open_ = firsts, 0
+        # a time; `free` is the largest independent twin class met, and `top`
+        # and `low` the largest and least degree, which twins share
+        left, open_, hit = firsts, 0, 0
         while left:
             b = left & -left
             t = b.bit_length() - 1
             if not rows[t]:  # the isolated vertices
                 left ^= b
                 continue
-            comp, todo, free, top = members[t], b, 1, 0
+            comp, todo, free, top, low = members[t], b, 1, 0, n
             while todo:
                 b = todo & -todo
                 todo ^= b
                 t = b.bit_length() - 1
                 row = rows[t]
-                if row.bit_count() > top:
-                    top = row.bit_count()
+                d = row.bit_count()
+                if d > top:
+                    top = d
+                if d < low:
+                    low = d
                 if not row & members[t] and members[t].bit_count() > free:
                     free = members[t].bit_count()
                 grown = row & ~comp
                 comp |= grown
                 todo |= grown & firsts
             left &= ~comp
+            if low >= dense:  # a forest pattern embeds greedily through every edge
+                hit |= comp
+                continue
             size = comp.bit_count()
             if size < min_order:
                 continue
@@ -452,10 +484,11 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
                 if order <= size and matching <= size - free and degree <= top:
                     open_ |= comp
                     break
-        if not open_:
+        kept = open_ | hit
+        if not kept:
             continue
-        opened |= open_
-        for v in _bits(open_):
+        opened |= kept
+        for v in _bits(kept):
             hit_rows[v] |= rows[v]
         covered = 0
         for r in _bits(open_ & firsts):

@@ -203,15 +203,21 @@ class TestAnchorOrbits:
         [
             # 905 when every oriented edge had a plan, 492 while the pass
             # queried the K_7 and K_3 ∨ E_15 components, whose NIM groups each
-            # failed through all seven plans; it now settles them unqueried
-            (lambda h: nim_edges(p2k_multicoloring(60, 4)[0], h), "path:8", 78),
+            # failed through all seven plans, and 78 while it queried one edge
+            # per twin group of the dense class components, which are now hit
+            # unqueried: every vertex there has degree at least 7
+            (lambda h: nim_edges(p2k_multicoloring(60, 4)[0], h), "path:8", 0),
+            # a random 6-coloring has few twins and sparse classes: 266
+            # queries, every one a hit, each entering one plan, bar one that
+            # enters two
+            (lambda h: nim_edges(EdgeColoring.random(30, 6, random.Random(5)), h), "path:6", 267),
             # 36,980 when every oriented edge had a plan, 24,043 before the
             # oracle stored the copies it found, 11,308 before it stored the
             # graphs where it found none, 1,108 while the closing `contains`
             # check on the witness entered the same recursion
             (lambda h: turan_oracle(8, h), "spider:2,2,1", 1106),
         ],
-        ids=["nim-p2k-60-4-path8", "turan-8-spider"],
+        ids=["nim-p2k-60-4-path8", "nim-random-30-6-path6", "turan-8-spider"],
     )
     def test_plans_entered(self, monkeypatch, run, spec, entered):
         # an anchored query enters a plan by calling its kernel; the orbit
@@ -654,21 +660,24 @@ TWIN_PATTERNS = [
 
 
 @st.composite
-def blown_up_colorings(draw):
+def blown_up_colorings(draw, max_n: int = 20):
     """A small coloring with each vertex replaced by a monochromatic module, relabeled.
 
     A module whose inside edges all take color d is a clique of true twins
     in class d and an independent set of false twins in every other class.
-    About 30% of draws are plain random colorings instead.
+    About 30% of draws are plain random colorings instead.  Modules hold 1
+    to 4 vertices, and no draw has more than max_n.
     """
     k = draw(st.sampled_from([2, 3]))
     if draw(st.integers(0, 9)) < 3:
-        n = draw(st.integers(3, 9))
+        n = draw(st.integers(3, min(9, max_n)))
         m = n * (n - 1) // 2
         return EdgeColoring(n, k, tuple(draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))))
     q = draw(st.integers(2, 5))
     base = draw(st.lists(st.integers(0, k - 1), min_size=q * (q - 1) // 2, max_size=q * (q - 1) // 2))
-    sizes = draw(st.lists(st.integers(1, 4), min_size=q, max_size=q))
+    sizes: list[int] = []
+    for i in range(q):  # room for one vertex in each module still to come
+        sizes.append(draw(st.integers(1, min(4, max_n - sum(sizes) - (q - 1 - i)))))
     inside = draw(st.lists(st.integers(0, k - 1), min_size=q, max_size=q))
     module = [i for i, size in enumerate(sizes) for _ in range(size)]
     n = len(module)
@@ -799,18 +808,30 @@ class TestTwinCollapse:
         [
             # 138 and 79 while the K_7 and K_3 ∨ E_15 components were queried
             # (59 failed queries) and a hit group whose first edge a copy
-            # covered was queried at a later edge; both now take no query
-            (p2k_multicoloring(60, 4)[0], "path:8", 78, 78),
+            # covered was queried at a later edge, then 78 and 78 while the
+            # dense components' twin groups were queried; the least degree
+            # there is at least 7, so they are now hit unqueried
+            (p2k_multicoloring(60, 4)[0], "path:8", 0, 0),
             # 3 and 1 while the second class's K_5 component was queried; it
-            # is smaller than either pattern component and now settles unqueried
-            (tail_forest_coloring(40, 3), "dstar:3+path:6", 2, 1),
-            (EdgeColoring.random(30, 3, random.Random(5)), "path:4", 351, 351),
+            # is smaller than either pattern component and now settles
+            # unqueried.  2 and 1 while the blue clique on the 35 other
+            # vertices was queried; its degree 34 gets it hit whole, and
+            # the red K_{5,35}, of least degree 5 < 11, takes one failed query
+            (tail_forest_coloring(40, 3), "dstar:3+path:6", 1, 0),
+            # 351 and 351 while the three classes, of least degrees 4, 6 and
+            # 4, at least 3, had every uncovered edge queried
+            (EdgeColoring.random(30, 3, random.Random(5)), "path:4", 0, 0),
+            # six sparser classes, each one component of least degree 1, 2
+            # or 3, below 5: the pass still queries one edge per twin group,
+            # 266 of them, and all are hits
+            (EdgeColoring.random(30, 6, random.Random(5)), "path:6", 266, 266),
         ],
-        ids=["p2k-60-4", "tail-40-3", "random-30-3"],
+        ids=["p2k-60-4", "tail-40-3", "random-30-3", "random-30-6"],
     )
     def test_query_counts(self, monkeypatch, coloring, spec, queries, hits):
-        # one query per uncovered edge takes 1716, 702 and 351 queries, and
-        # proving NIM once per twin group but querying every hit 494, 519 and 351
+        # one query per uncovered edge takes 1716, 702, 351 and 266 queries,
+        # and proving NIM once per twin group but querying every hit 494,
+        # 519, 351 and 266
         calls = []
 
         def counted(*args):
@@ -934,3 +955,86 @@ class TestComponentSettle:
         monkeypatch.setattr(nim, "_find_through", lambda *args: calls.append(args))
         report = nim_edges(coloring, h)
         assert (calls, report.count, report.per_color[0]) == ([], 120, 18)
+
+
+K3 = custom_pattern(SimpleGraph.complete(3))
+C4 = custom_pattern(c4())
+
+# forests whose dense degree h - 1 runs from 1 to 5, one with an isolated
+# vertex, and three patterns with a cycle, for which the rule must not fire
+DENSE_PATTERNS = [
+    *map(parse_pattern, ["path:2", "path:3", "path:4", "path:5", "star:3", "path:2+path:2", "path:3+path:1"]),
+    parse_pattern("spider:2,2,1"),
+    C4,
+    C5,
+    K3,
+]
+
+
+@st.composite
+def dense_colorings(draw):
+    """A random coloring of K_n, n <= 8, whose edges take color 0 with a drawn
+    chance of 50% to 90%, and the other colors evenly: class 0 is often
+    dense, with components of least degree on both sides of h - 1."""
+    n = draw(st.integers(3, 8))
+    k = draw(st.sampled_from([2, 3]))
+    bias = draw(st.integers(5, 9))
+    m = n * (n - 1) // 2
+    dice = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+    rest = draw(st.lists(st.integers(1, k - 1), min_size=m, max_size=m))
+    return EdgeColoring(n, k, tuple(0 if d < bias else r for d, r in zip(dice, rest)))
+
+
+def _two_classes(g: SimpleGraph) -> EdgeColoring:
+    """The 2-coloring of K_n whose class 0 is g and class 1 its complement."""
+    return EdgeColoring(g.n, 2, tuple(0 if g.has_edge(u, v) else 1 for u, v in all_pairs(g.n)))
+
+
+class TestDenseComponents:
+    """A class component whose least degree is at least h - 1, for a forest
+    pattern on h vertices with an edge, is hit whole with no query."""
+
+    @pytest.mark.parametrize(
+        "h, dense",
+        [
+            (make_path(2), 1),
+            (P4, 3),
+            (CLAW, 3),
+            (parse_pattern("path:2+path:3"), 4),
+            (parse_pattern("path:3+path:1"), 3),  # the isolated vertex counts in h
+            (C4, float("inf")),
+            (C5, float("inf")),
+            (K3, float("inf")),
+            (parse_pattern("path:1+path:1"), float("inf")),  # no edge
+            (custom_pattern(SimpleGraph.empty(3)), float("inf")),
+        ],
+        ids=["P2", "P4", "claw", "P2+P3", "P3+P1", "C4", "C5", "K3", "P1+P1", "E3"],
+    )
+    def test_dense_degree(self, h, dense):
+        assert nim._component_bounds(h.graph.adj)[2] == dense
+
+    def test_prism_is_hit_unqueried_and_its_complement_is_nim(self, monkeypatch):
+        # K_6 with a C_6 in color 0 and its complement, the triangular
+        # prism, in color 1.  The prism is 3-regular, and the claw has 4
+        # vertices, so every prism edge is hit with no query; the C_6 has
+        # no claw, and its top degree 2 settles it unqueried too
+        cycle = SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        calls = []
+        monkeypatch.setattr(nim, "_find_through", lambda *args: calls.append(args))
+        assert (nim_edges(_two_classes(cycle), CLAW).per_color, calls) == ((6, 0), [])
+
+    def test_no_triangle_in_k33(self):
+        # K_{3,3} has least degree 3 >= |K_3| - 1 but no triangle: the rule
+        # holds for forests only.  Class 1 is 2K_3, whose edges are all hit
+        k33 = join(SimpleGraph.empty(3), SimpleGraph.empty(3))
+        assert nim_edges(_two_classes(k33), SimpleGraph.complete(3)).per_color == (9, 0)
+
+    def test_edgeless_pattern(self):
+        # two isolated vertices: no copy goes through an edge, however dense
+        # the class, so all 10 edges of K_5 are NIM
+        assert nim_edges(EdgeColoring.monochromatic(5), parse_pattern("path:1+path:1")).count == 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(dense_colorings(), blown_up_colorings(max_n=8)), st.sampled_from(DENSE_PATTERNS))
+    def test_matches_brute_force(self, coloring, h):
+        assert set(nim_edges(coloring, h).nim_edges) == nim_brute(coloring, h.graph)
