@@ -44,6 +44,10 @@ paper's colorings are blow-ups, so their largest class is dense (an
 overlay's is the complement of disjoint cliques), and on the p2k and
 overlay colorings the benchmark verifies the pass makes no query at all.
 The rule is checked before the order, matching and degree bounds above.
+It serves the hill climber too, class by class: the climber's state has
+`_edge_walk` skip every class whose least degree exceeds h - 1, and
+scores a recoloring that leaves a class dense with no query (see
+`search._NimState`).
 
 The paper's colorings are built from cliques, joins and complete
 bipartite pieces whose classes are full of twins (vertices with the same
@@ -519,7 +523,12 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
 
 
 def _edge_walk(
-    adj: Sequence[Sequence[int]], colors: Sequence[int], offsets: Sequence[int], plans: _Plans, dependents: list[int]
+    adj: Sequence[Sequence[int]],
+    colors: Sequence[int],
+    offsets: Sequence[int],
+    plans: _Plans,
+    dependents: list[int],
+    skip: int,
 ) -> int:
     """The NIM edge mask by one query per uncovered edge in canonical order.
 
@@ -527,10 +536,16 @@ def _edge_walk(
     `plans` come from `_query_plans` for its pattern.  Each edge no copy
     covers yet is queried in its class; its copy, when there is one, covers
     all of its edges.  `dependents` is a list with one 0 per edge: bit e of
-    dependents[f] is set when the copy that first covered e holds f.
+    dependents[f] is set when the copy that first covered e holds f.  The
+    classes set in the bitmask `skip` are known hit whole (the dense rule):
+    their edges start covered, so none is queried, none is NIM, and they
+    get no dependents, since copies never leave their class.
     """
     pairs = all_pairs(len(offsets))
     nim = covered = 0
+    for c in _bits(skip):
+        for x, row in enumerate(adj[c]):
+            covered |= row >> (x + 1) << (offsets[x] + x + 1)
     for e, c in enumerate(colors):
         if (covered >> e) & 1:
             continue

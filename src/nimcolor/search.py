@@ -42,10 +42,18 @@ construction.  Candidates are scored by delta evaluation, not by a fresh
 NIM count: recoloring e from c to c' changes only classes c and c', so
 the climber requeries just the edges whose cover witness used e (in c)
 and the NIM edges of c' not yet covered by a copy through e, stopping
-once the candidate cannot beat the best move so far.  Each step scores
-one edge per colored-twin orbit: swapping two colored twins changes no
-edge color, so it maps each recoloring onto one with the same count, and
-only the lowest edge of each orbit is scored.  Colored twins are twins in
+once the candidate cannot beat the best move so far.  For a forest
+pattern on h vertices with an edge, a class whose vertices with an edge
+all have degree at least h - 1 has every edge hit (the dense rule of
+`nim._cover_pass`), and many scores need no query: the state's walk
+skips a class of least degree at least h, where no single removal can
+undo the rule; removing an edge from a dense class loses nothing when
+both its ends keep degree at least h - 1; and adding one to a dense
+class gains nothing when both its ends reach degree h - 1, since the
+class had no NIM edge.  Each step scores one edge per colored-twin
+orbit: swapping two colored twins changes no edge color, so it maps
+each recoloring onto one with the same count, and only the lowest edge
+of each orbit is scored.  Colored twins are twins in
 every class, so the orbits come from the cover pass's twin classes
 (`nim._twin_members`), refined over the k classes.  The paper's
 constructions are blow-ups with few orbits: the bench's path:4 overlays
@@ -66,8 +74,8 @@ from typing import Optional, Sequence
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_rank_offsets
 from .nim import (
-    DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _depth_guard, _edge_walk, _find_through, _guard, _query_plans, _twin_members,
-    nim_edges,
+    DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _component_bounds, _depth_guard, _edge_walk, _find_through, _guard, _query_plans,
+    _twin_members, nim_edges,
 )
 from .patterns import PatternGraph, _as_graph, pattern_spec
 
@@ -614,6 +622,22 @@ class _NimState:
     class c' changes only those two classes, so its new NIM count is
     `score + loss(e) + gain(e, c')`.  `gain` requeries the NIM edges of c'
     that no copy through e covers yet, in `class_nim[c']` order.
+
+    The dense rule of `nim._cover_pass` decides many of these with no
+    query.  `dense` is the pattern's dense degree d (h - 1 for a forest on
+    h vertices with an edge, infinite otherwise), and `low[c]` the least
+    degree over class c's vertices with an edge (infinite when c is
+    empty).  A class whose vertices with an edge all have degree at least
+    d has every edge in a copy, so:
+
+    - the walk skips a class with `low[c] >= d + 1`: all its edges are
+      hit, and removing any one leaves it dense, so no loss needs its
+      witnesses (its edges get no dependents);
+    - `loss(e)` of a non-NIM e in class c is 0 when `low[c] >= d` and both
+      ends of e have class degree at least d + 1: c less e stays dense;
+    - `gain(e, c')` is 0 when `low[c'] >= d` and both ends have c'-degree
+      at least d - 1: c' plus e is dense, so e is hit, and c' had no NIM
+      edge to lose.
     """
 
     def __init__(self, coloring: EdgeColoring, pattern: SimpleGraph):
@@ -621,23 +645,33 @@ class _NimState:
         self.colors = coloring.colors
         self.pairs = all_pairs(coloring.n)
         self.adj = coloring.class_adjacency()
+        self.dense = _component_bounds(pattern.adj)[2]
+        self.low = [min([row.bit_count() for row in rows if row], default=math.inf) for rows in self.adj]
+        skip = sum(1 << c for c, low in enumerate(self.low) if low > self.dense)
         self.dependents = [0] * len(self.pairs)
-        self.nim = _edge_walk(self.adj, self.colors, self.offsets, self.plans, self.dependents)
+        self.nim = _edge_walk(self.adj, self.colors, self.offsets, self.plans, self.dependents, skip)
         self.class_nim: list[list[int]] = [[] for _ in range(coloring.k)]
         for e in _bits(self.nim):
             self.class_nim[self.colors[e]].append(e)
         self.score = self.nim.bit_count()
 
     def loss(self, e: int) -> int:
-        """Change in the NIM count when edge e leaves its class."""
+        """Change in the NIM count when edge e leaves its class.
+
+        0 with no query when the class less e stays dense: its least degree
+        is at least `dense` and both ends of e have more.
+        """
         if (self.nim >> e) & 1:
             return -1  # no copy uses e, so every other edge keeps its witness
         rest = self.dependents[e] & ~(1 << e)
         if not rest:
             return 0
+        c = self.colors[e]
         offsets, plans, pairs = self.offsets, self.plans, self.pairs
-        adj = self.adj[self.colors[e]]
+        adj = self.adj[c]
         u, v = pairs[e]
+        if self.low[c] >= self.dense and min(adj[u].bit_count(), adj[v].bit_count()) > self.dense:
+            return 0  # the class less e stays dense, so every edge stays hit
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
         freed = covered = 0
@@ -659,13 +693,17 @@ class _NimState:
 
         The answer is exact when it exceeds `floor`; otherwise some value at
         most `floor` comes back, so requeries stop once the change is known
-        not to beat it.
+        not to beat it.  It is 0 with no query when c plus e is dense: c's
+        least degree is at least `dense` and both ends of e have at least
+        `dense` - 1 in c.
         """
         if floor >= 1:
             return 1  # a gain never adds more than e itself
         offsets, plans, pairs = self.offsets, self.plans, self.pairs
         adj = self.adj[c]
         u, v = pairs[e]
+        if self.low[c] >= self.dense and min(adj[u].bit_count(), adj[v].bit_count()) >= self.dense - 1:
+            return 0  # c plus e is dense, so e is hit, and c had no NIM edge to lose
         bu, bv = 1 << u, 1 << v
         adj[u] |= bv
         adj[v] |= bu

@@ -18,7 +18,9 @@ from oracles import (
 )
 from nimcolor import nim, search, turan
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_forest_coloring
-from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoint_union, edge_index, edge_unindex, join
+from nimcolor.graphs import (
+    EdgeColoring, SimpleGraph, _bits, all_pairs, components, disjoint_union, edge_index, edge_unindex, join,
+)
 from nimcolor.nim import _anchor_plan, _anchor_plans, _cover_pass, _find_through, _query_plans, contains, nim_edges
 from nimcolor.errors import ResourceLimitError
 from nimcolor.patterns import (
@@ -738,16 +740,32 @@ def assert_copy_through(coloring: EdgeColoring, h, witness: int, e: int) -> None
 
 def assert_pass_is_sound(coloring: EdgeColoring, h) -> None:
     """The pass's NIM mask is that of one query per uncovered edge, and the
-    climber's state gives every non-NIM edge, and no other, a copy through it."""
+    climber's state has that mask too.  It gives every non-NIM edge a copy
+    through it, and no NIM edge one, except in the classes its walk skips:
+    each of those is hit whole in the per-edge pass, and its least degree
+    is at least h, for a forest pattern on h vertices with an edge."""
     nim_mask = _cover_pass(coloring, h.graph)
     assert nim_mask == cover_pass_per_edge(coloring, h.graph)[1]
+    state = _NimState(coloring, h.graph)
+    assert state.nim == nim_mask
     witnesses: dict[int, int] = {}  # each edge's cover witness, read back from `dependents`
-    for f, dependents in enumerate(_NimState(coloring, h.graph).dependents):
+    for f, dependents in enumerate(state.dependents):
         for e in _bits(dependents):
             witnesses[e] = witnesses.get(e, 0) | 1 << f
-    assert sum(1 << e for e in witnesses) == ((1 << len(coloring.colors)) - 1) & ~nim_mask
+    hit = ((1 << len(coloring.colors)) - 1) & ~nim_mask
+    witnessed = sum(1 << e for e in witnesses)
+    assert witnessed & ~hit == 0
     for e, witness in witnesses.items():
         assert_copy_through(coloring, h, witness, e)
+    skipped = {coloring.colors[e] for e in _bits(hit & ~witnessed)}
+    g = h.graph
+    if skipped:
+        assert g.edge_count and g.edge_count == g.n - len(components(g))
+    for c, rows in enumerate(coloring.class_adjacency()):
+        if c in skipped:
+            edges = sum(1 << e for e, color in enumerate(coloring.colors) if color == c)
+            assert edges & hit == edges and not edges & witnessed  # hit whole, with no query
+            assert min(row.bit_count() for row in rows if row) >= g.n
 
 
 def _overlay_40_path6() -> EdgeColoring:

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 from itertools import product
 
@@ -606,10 +607,51 @@ def test_a_pin_that_breaks_a_color_rule_has_no_leaf(k, colors):
 
 
 
+@st.composite
+def dense_colorings(draw):
+    """A coloring of K_n, n <= 8, k <= 3, whose class 0 takes each edge with
+    chance 0.8 and the other classes share the rest: class 0's least degree
+    is often at or above h - 1, the dense degree of a forest on h vertices."""
+    n = draw(st.integers(3, 8))
+    k = draw(st.sampled_from([2, 3]))
+    m = n * (n - 1) // 2
+    dice = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+    rest = draw(st.lists(st.integers(1, k - 1), min_size=m, max_size=m))
+    return EdgeColoring(n, k, tuple(0 if d < 8 else r for d, r in zip(dice, rest)))
+
+
+def _class_zero(g: SimpleGraph) -> EdgeColoring:
+    """The 2-coloring of K_n whose class 0 is g and class 1 its complement."""
+    return EdgeColoring(g.n, 2, tuple(0 if g.has_edge(u, v) else 1 for u, v in all_pairs(g.n)))
+
+
+# the property patterns, plus K_2 (dense degree 1) and 2K_2 (3), whose
+# copies can leave a class's component
+DELTA_PATTERNS = [*PROPERTY_PATTERNS, *map(parse_pattern, ["path:2", "path:2+path:2"])]
+
+
 class TestDeltaEvaluation:
-    @settings(max_examples=150, deadline=None)
-    @given(colorings(), st.sampled_from(PROPERTY_PATTERNS), st.integers(-2, 1))
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(colorings(), dense_colorings()), st.sampled_from(DELTA_PATTERNS), st.integers(-2, 1))
     @example(EdgeColoring(7, 2, (1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 1)), C5, -2)
+    # class 0 is K_4, of least degree 3, the dense degree of 2K_2: each edge
+    # leaving it leaves the opposite edge with no disjoint partner, so each
+    # loss is 1 though both ends have degree exactly 3, and `loss` must query
+    @example(_class_zero(SimpleGraph.complete(4)), parse_pattern("path:2+path:2"), -2)
+    # K_5 less (3, 4), of least degree 3 = |P_4| - 1: the edges inside
+    # {0, 1, 2} have both ends at degree 4 and score no loss with no query;
+    # the edges at 3 or 4 get no such shortcut
+    @example(_class_zero(SimpleGraph.from_edges(5, [p for p in all_pairs(5) if p != (3, 4)])), P4, 0)
+    # K_5 beside a vertex of class 1 only: least degree 4 > |P_4| - 1, so
+    # the walk skips class 0 and every loss there is 0 unqueried
+    @example(_class_zero(SimpleGraph.from_edges(6, all_pairs(5))), P4, -2)
+    # class 0 is the 4-cycle 0-1-2-3, of least degree 2 = |P_3| - 1: adding
+    # a diagonal gains nothing unqueried, and adding (4, 5), whose ends have
+    # no class-0 edge, makes a NIM edge, so `gain` must not fire there
+    @example(_class_zero(SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3)])), P3, -2)
+    # K_{4,4}, of least degree 4 = |C_5| - 1, has no odd cycle, so all its
+    # edges are NIM; an edge inside a side closes a C_5, and the rule is off
+    @example(_class_zero(SimpleGraph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])), C5, -2)
     def test_every_delta_matches_a_fresh_count(self, coloring, h, floor):
         state = _NimState(coloring, h.graph)
         assert state.score == nim_edges(coloring, h).count
@@ -622,6 +664,33 @@ class TestDeltaEvaluation:
                 assert state.gain(e, c) == exact
                 bounded = state.gain(e, c, floor)
                 assert bounded == exact if exact > floor else bounded <= floor
+
+    @pytest.mark.parametrize(
+        "start, spec, queries, hits",
+        [
+            # 236 and 236 before the dense rule.  Class 0 has least degree
+            # 2 = |P_3| - 1 and is walked; class 1 has 3 and is skipped, and
+            # most losses and gains keep a class dense
+            (EdgeColoring.random(14, 2, random.Random(1)), "path:3", 33, 33),
+            # least degrees 1, 1, 1 and 2, all below |P_5| - 1 = 4: no rule
+            # fires, and the counts are those from before the rule
+            (EdgeColoring.random(12, 4, random.Random(1)), "path:5", 212, 205),
+        ],
+        ids=["dense-14-2", "sparse-12-4"],
+    )
+    def test_query_counts_of_one_step(self, monkeypatch, start, spec, queries, hits):
+        # the state's walk and its rebuild query through nim, loss and gain through search
+        calls = []
+
+        def counted(*args):
+            witness = _find_through(*args)
+            calls.append(witness is not None)
+            return witness
+
+        monkeypatch.setattr("nimcolor.nim._find_through", counted)
+        monkeypatch.setattr("nimcolor.search._find_through", counted)
+        hill_climb_f(start.n, start.k, parse_pattern(spec), iterations=1, seed_coloring=start)
+        assert (len(calls), sum(calls)) == (queries, hits)
 
 
 def _overlay(n, length, k):
