@@ -33,7 +33,11 @@ only the caps of u and v, so the search carries the sum and checks it
 before it colors an edge.  For k = 2 and n >= 2s the caps sum to
 n(s - 1) at the root, so once a coloring reaches ex(n, K_{1,s}) =
 floor(n(s - 1)/2) every other branch falls: (9, 2, star:4) went from
-16,327,509 nodes and 87 s to 471 nodes and 0.01 s.
+16,327,509 nodes and 87 s to 471 nodes and 0.01 s.  The climber scores
+stars by the same degree rule and makes no query (`_StarState`):
+recoloring (u, v) changes only the degrees of u and v in two classes, so
+only edges at u or v change status, and bit operations on each class's
+mask of vertices of degree at most s - 1 count them.
 
 `hill_climb_f` is the heuristic companion for sizes enumeration cannot
 reach: steepest-ascent single-edge recoloring with fully deterministic
@@ -510,8 +514,11 @@ def hill_climb_f(
     the recoloring with the largest NIM gain, ties broken by lowest edge
     index then lowest color, and stops at a local optimum or after
     `iterations` steps.  Candidates are scored by delta evaluation against
-    a `_NimState` of the current coloring, rebuilt once per accepted move.
-    Fully deterministic for fixed arguments.
+    a state of the current coloring, rebuilt once per accepted move: a
+    `_StarState` for a star K_{1,s}, whose edges are NIM iff both ends
+    have class degree at most s - 1, so degrees alone score every move,
+    and a `_NimState`, which queries, for every other pattern.  Fully
+    deterministic for fixed arguments.
 
     A step scores only the lowest edge of each colored-twin orbit
     (`_orbit_edges`), from 66-120 edges down to 6-15 on the bench's path
@@ -536,13 +543,19 @@ def hill_climb_f(
     best = -1
     best_witness: Optional[EdgeColoring] = None
     examined = 0
+    star = _star_size(pattern)
+    # a star's NIM edges follow from class degrees, so its state makes no query
+    if star is None:
+        state_of = lambda coloring: _NimState(coloring, pattern)
+    else:
+        state_of = lambda coloring: _StarState(coloring, star)
 
     for r in range(restarts):
         if r == 0 and seed_coloring is not None:
             current = seed_coloring
         else:
             current = EdgeColoring.random(n, k, rng)
-        state = _NimState(current, pattern)
+        state = state_of(current)
         score = state.score
         examined += 1
         for _ in range(iterations):
@@ -563,7 +576,7 @@ def hill_climb_f(
                 break
             score = move[0]
             current = current.recolored(move[1], move[2])
-            state = _NimState(current, pattern)
+            state = state_of(current)
             assert state.score == score, "delta score disagrees with the rebuilt NIM state"
         if score > best:
             best = score
@@ -726,4 +739,68 @@ class _NimState:
                     delta = -(covered & nim).bit_count()
         adj[u] ^= bv
         adj[v] ^= bu
+        return delta
+
+
+class _StarState:
+    """The NIM edges of one coloring for the star K_{1,s}, read from degrees.
+
+    An edge of class c lies in a copy of K_{1,s} iff one of its ends has
+    class-c degree at least s, so the NIM edges of c are its edges inside
+    `low[c]`, the mask of vertices of class-c degree at most s - 1.  The
+    state has `_NimState`'s interface (`adj`, `score`, `loss`, `gain`) and
+    makes no query.  Recoloring e = (u, v) changes only the degrees of u
+    and v in its two classes, so only edges at u and v change status:
+
+    - `loss(e)` is -1 when e is NIM: its ends stay low, so no other edge
+      moves.  Otherwise an end u of class degree exactly s falls to s - 1
+      and frees its edges towards low vertices other than v; an end of
+      any other degree keeps its status.
+    - `gain(e, c')` is +1 when both ends stay at most s - 1 in c' after
+      the add, and an end u of c'-degree exactly s - 1 rises to s and takes
+      away the NIM edges of c' at u.
+
+    u and v are not adjacent in c', and no edge counts at both ends in c,
+    so nothing is counted twice.  When n <= s no vertex reaches degree s,
+    and every edge is NIM.
+    """
+
+    def __init__(self, coloring: EdgeColoring, s: int):
+        self.s = s
+        self.colors = coloring.colors
+        self.pairs = all_pairs(coloring.n)
+        self.adj = coloring.class_adjacency()
+        self.degree = [[row.bit_count() for row in rows] for rows in self.adj]
+        self.low = [sum(1 << v for v, d in enumerate(degrees) if d < s) for degrees in self.degree]
+        # each NIM edge is counted at both its ends
+        self.score = sum(
+            (rows[v] & low).bit_count() for rows, low in zip(self.adj, self.low) for v in _bits(low)
+        ) >> 1
+
+    def loss(self, e: int) -> int:
+        """Change in the NIM count when edge e leaves its class."""
+        c = self.colors[e]
+        u, v = self.pairs[e]
+        low = self.low[c]
+        if (low >> u) & (low >> v) & 1:
+            return -1
+        rows, degree, s = self.adj[c], self.degree[c], self.s
+        freed = 0
+        if degree[u] == s:
+            freed += (rows[u] & low & ~(1 << v)).bit_count()
+        if degree[v] == s:
+            freed += (rows[v] & low & ~(1 << u)).bit_count()
+        return freed
+
+    def gain(self, e: int, c: int, floor: float = -math.inf) -> int:
+        """Change in the NIM count when class c (not e's own) gains edge e;
+        exact whatever `floor` is."""
+        u, v = self.pairs[e]
+        rows, degree, low, s = self.adj[c], self.degree[c], self.low[c], self.s
+        du, dv = degree[u], degree[v]
+        delta = 1 if du < s - 1 and dv < s - 1 else 0
+        if du == s - 1:
+            delta -= (rows[u] & low).bit_count()
+        if dv == s - 1:
+            delta -= (rows[v] & low).bit_count()
         return delta

@@ -20,6 +20,7 @@ from nimcolor.search import (
     _NimState,
     _orbit_edges,
     _star_size,
+    _StarState,
     exhaustive_f,
     hill_climb_f,
 )
@@ -628,6 +629,9 @@ def _class_zero(g: SimpleGraph) -> EdgeColoring:
 # the property patterns, plus K_2 (dense degree 1) and 2K_2 (3), whose
 # copies can leave a class's component
 DELTA_PATTERNS = [*PROPERTY_PATTERNS, *map(parse_pattern, ["path:2", "path:2+path:2"])]
+STAR3 = parse_pattern("star:3")
+# the stars the climber scores by degrees; P_2 is K_{1,1} and P_3 is K_{1,2}
+STAR_PATTERNS = [*map(parse_pattern, ["path:2", "path:3", "star:4"]), STAR3]
 
 
 class TestDeltaEvaluation:
@@ -668,15 +672,18 @@ class TestDeltaEvaluation:
     @pytest.mark.parametrize(
         "start, spec, queries, hits",
         [
-            # 236 and 236 before the dense rule.  Class 0 has least degree
-            # 2 = |P_3| - 1 and is walked; class 1 has 3 and is skipped, and
-            # most losses and gains keep a class dense
-            (EdgeColoring.random(14, 2, random.Random(1)), "path:3", 33, 33),
+            # P_3 is the star K_{1,2}: degrees score every move, with no
+            # query (33 and 33 with the dense rule alone, 236 and 236 before it)
+            (EdgeColoring.random(14, 2, random.Random(1)), "path:3", 0, 0),
+            # 212 and 212 before the dense rule.  Class 0 has least degree
+            # 4 = |P_4| and is skipped; class 1 has 3 = |P_4| - 1 and is
+            # walked, and most losses and gains keep a class dense
+            (EdgeColoring.random(12, 2, random.Random(1)), "path:4", 30, 30),
             # least degrees 1, 1, 1 and 2, all below |P_5| - 1 = 4: no rule
             # fires, and the counts are those from before the rule
             (EdgeColoring.random(12, 4, random.Random(1)), "path:5", 212, 205),
         ],
-        ids=["dense-14-2", "sparse-12-4"],
+        ids=["star-14-2", "dense-12-2", "sparse-12-4"],
     )
     def test_query_counts_of_one_step(self, monkeypatch, start, spec, queries, hits):
         # the state's walk and its rebuild query through nim, loss and gain through search
@@ -692,6 +699,31 @@ class TestDeltaEvaluation:
         hill_climb_f(start.n, start.k, parse_pattern(spec), iterations=1, seed_coloring=start)
         assert (len(calls), sum(calls)) == (queries, hits)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(colorings(), dense_colorings()), st.sampled_from(STAR_PATTERNS), st.integers(-2, 1))
+    # star:3 centred at 0 (degree exactly s) and at 4 (degree s + 1): removing
+    # (0, 1) frees (0, 2) and (0, 3); removing (4, 5) frees nothing
+    @example(_class_zero(SimpleGraph.from_edges(9, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (4, 8)])), STAR3, -2)
+    # vertex 0 has class-0 degree exactly s - 1 = 2: adding (0, 3) takes
+    # (0, 1) and (0, 2) away; vertex 4 has s already, so adding (3, 4) takes none
+    @example(_class_zero(SimpleGraph.from_edges(8, [(0, 1), (0, 2), (4, 5), (4, 6), (4, 7)])), STAR3, -2)
+    # n <= s: K_4 has no K_{1,4}, so every edge is NIM
+    @example(EdgeColoring(4, 2, (0, 0, 1, 0, 1, 1)), parse_pattern("star:4"), 0)
+    # K_2 is the star with s = 1: every edge is a copy, and no move scores
+    @example(EdgeColoring(5, 3, (0, 1, 2, 0, 1, 2, 0, 1, 2, 0)), parse_pattern("path:2"), 1)
+    def test_star_state_matches_the_queried_state(self, coloring, h, floor):
+        state, reference = _StarState(coloring, _star_size(h.graph)), _NimState(coloring, h.graph)
+        assert state.score == reference.score == nim_edges(coloring, h).count
+        for e, old in enumerate(coloring.colors):
+            loss = state.loss(e)
+            assert loss == reference.loss(e)
+            for c in range(coloring.k):
+                if c == old:
+                    continue
+                exact = nim_edges(coloring.recolored(e, c), h).count - state.score - loss
+                # exact whatever the floor
+                assert state.gain(e, c, floor) == reference.gain(e, c) == exact
+
 
 def _overlay(n, length, k):
     red = extremal_path_graph(n, length, ex_path(n, length).recipe["a"])
@@ -705,6 +737,9 @@ REFERENCE_GRID = {
     "p2k-p4-k4": ("path:4", 13, 4, dict(iterations=2, seed_coloring=p2k_multicoloring(13, 2)[0])),
     "random-p4-k2": ("path:4", 7, 2, dict(seed=2, iterations=20, restarts=3)),
     "random-star-k3": ("star:3", 7, 3, dict(seed=5, iterations=20, restarts=2)),
+    # star cells take the degree-only state: 3 and 10 moves
+    "random-p3-k2": ("path:3", 6, 2, dict(seed=5, iterations=20, restarts=2)),
+    "random-star4-k3": ("star:4", 9, 3, dict(seed=4, iterations=20, restarts=2)),
     "random-spider-k3": ("spider:2,2,1", 8, 3, dict(seed=2, iterations=10, restarts=2)),
     "random-p4-k4": ("path:4", 7, 4, dict(seed=9, iterations=20, restarts=2)),
     "random-forest-k2": ("path:3+path:3", 7, 2, dict(seed=1, iterations=20, restarts=3)),
