@@ -44,10 +44,12 @@ paper's colorings are blow-ups, so their largest class is dense (an
 overlay's is the complement of disjoint cliques), and on the p2k and
 overlay colorings the benchmark verifies the pass makes no query at all.
 The rule is checked before the order, matching and degree bounds above.
-It serves the hill climber too, class by class: the climber's state has
-`_edge_walk` skip every class whose least degree exceeds h - 1, and
-scores a recoloring that leaves a class dense with no query (see
-`search._NimState`).
+One classifier, `_class_components`, applies both rules to a class's
+components.  It serves the hill climber too, component by component:
+the climber's state has `_edge_walk` start from the components it
+settles, those of least degree at least h hit and those the bounds rule
+out NIM, and scores a recoloring that leaves a class dense with no query
+(see `search._NimState`).
 
 The paper's colorings are built from cliques, joins and complete
 bipartite pieces whose classes are full of twins (vertices with the same
@@ -59,11 +61,12 @@ such group, in canonical order, unless a copy found earlier covers it
 (then the whole group is hit).  The open components' rows are kept per
 vertex, each group whose query fails clears its edges from them, and the
 edges left, the hit ones, come off the full mask with one shift per
-vertex.  The mask is that of one query per uncovered edge, the pass
-`_edge_walk` makes.  The pass serves `nim_edges`, which also scores the
-exhaustive search's leaves, many colorings of a few vertices.  The walk
-serves the hill climber's `_NimState`, which needs the copy that first
-covered each non-NIM edge.  The twin classes, `_twin_members`, serve the
+vertex.  The mask is that of one query per uncovered edge, the walk
+`_edge_walk` makes over the edges no rule settles.  The pass serves
+`nim_edges`, which also scores the exhaustive search's leaves, many
+colorings of a few vertices.  The walk serves the hill climber's
+`_NimState`, which needs the copy that first covered each walked non-NIM
+edge.  The twin classes, `_twin_members`, serve the
 climber too: two vertices are colored twins exactly when they are twins
 in every class, so its colored-twin orbits refine the classes' twin
 classes.
@@ -425,21 +428,77 @@ def _matching_number(rows: Sequence[int], mask: int) -> int:
     return size(mask)
 
 
+def _class_components(
+    rows: Sequence[int], members: Sequence[int], firsts: int, dense: float, pattern_bounds: tuple
+) -> tuple[int, int]:
+    """(hit, open) vertex masks of the components of one class, by BFS over
+    its twin classes (`members`, `firsts` from `_twin_members`).
+
+    The row of a class's first member reaches every neighbour of the class,
+    whole twin classes at a time.  Each component's size, least and top
+    degree (twins share degree) and largest independent twin class are
+    tracked.  A component of least degree at least `dense` is hit; one that
+    is too small for every edge-bearing component of the pattern, by order,
+    cover number or top degree (`pattern_bounds`, from `_component_bounds`),
+    is NIM as a whole and in neither mask; the rest are open.  The cover
+    pass passes the pattern's dense degree, h - 1 for a forest on h
+    vertices with an edge; the climber's state passes h, the least degree
+    at which no single removal undoes the rule.
+    """
+    min_order, bounds = pattern_bounds[0], pattern_bounds[3]
+    left, open_, hit = firsts, 0, 0
+    while left:
+        b = left & -left
+        t = b.bit_length() - 1
+        if not rows[t]:  # the isolated vertices
+            left ^= b
+            continue
+        comp, todo, free, top, low = members[t], b, 1, 0, len(rows)
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            t = b.bit_length() - 1
+            row = rows[t]
+            d = row.bit_count()
+            if d > top:
+                top = d
+            if d < low:
+                low = d
+            if not row & members[t] and members[t].bit_count() > free:
+                free = members[t].bit_count()
+            grown = row & ~comp
+            comp |= grown
+            todo |= grown & firsts
+        left &= ~comp
+        if low >= dense:  # a forest pattern embeds greedily through every edge
+            hit |= comp
+            continue
+        size = comp.bit_count()
+        if size < min_order:
+            continue
+        for order, matching, degree in bounds:
+            if order <= size and matching <= size - free and degree <= top:
+                open_ |= comp
+                break
+    return hit, open_
+
+
 def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
     """One cover pass by class components and twin groups: the NIM edge mask.
 
-    A component whose least degree is at least h - 1, for a forest pattern
-    on h vertices with an edge, is hit as a whole: the forest embeds
-    greedily through each of its edges, each vertex beside its placed
-    parent, which has a free neighbour left (see the module docstring).
-    This is checked first.  A component too small for every edge-bearing
-    pattern component, by order, cover number or top degree, is NIM as a
-    whole.  In the others one edge per twin group is queried, in canonical
-    order, unless a copy found earlier covers it; a group is NIM or hit as
-    a whole, so a NIM group clears every one of its edges from the hit rows.
+    `_class_components` sorts each class's components: those of least
+    degree at least h - 1, for a forest pattern on h vertices with an edge,
+    are hit as a whole (the forest embeds greedily through each of their
+    edges, each vertex beside its placed parent, which has a free neighbour
+    left; see the module docstring), and those too small for every
+    edge-bearing pattern component are NIM as a whole.  In the others one
+    edge per twin group is queried, in canonical order, unless a copy found
+    earlier covers it; a group is NIM or hit as a whole, so a NIM group
+    clears every one of its edges from the hit rows.
     """
     n = coloring.n
-    min_order, min_degree, dense, bounds = _component_bounds(pattern.adj)
+    limits = _component_bounds(pattern.adj)
+    min_order, min_degree, dense = limits[:3]
     offsets, plans = _query_plans(pattern, n)
     # rows over the other ends: hit_rows[x] holds x's edges in components
     # that are dense or need queries, less those in NIM groups
@@ -450,44 +509,7 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
         if n - rows.count(0) < min_order or max(map(int.bit_count, rows)) < min_degree:
             continue
         members, firsts = _twin_members(rows)
-        # components by BFS over twin classes: the row of a class's first
-        # member reaches every neighbour of the class, whole twin classes at
-        # a time; `free` is the largest independent twin class met, and `top`
-        # and `low` the largest and least degree, which twins share
-        left, open_, hit = firsts, 0, 0
-        while left:
-            b = left & -left
-            t = b.bit_length() - 1
-            if not rows[t]:  # the isolated vertices
-                left ^= b
-                continue
-            comp, todo, free, top, low = members[t], b, 1, 0, n
-            while todo:
-                b = todo & -todo
-                todo ^= b
-                t = b.bit_length() - 1
-                row = rows[t]
-                d = row.bit_count()
-                if d > top:
-                    top = d
-                if d < low:
-                    low = d
-                if not row & members[t] and members[t].bit_count() > free:
-                    free = members[t].bit_count()
-                grown = row & ~comp
-                comp |= grown
-                todo |= grown & firsts
-            left &= ~comp
-            if low >= dense:  # a forest pattern embeds greedily through every edge
-                hit |= comp
-                continue
-            size = comp.bit_count()
-            if size < min_order:
-                continue
-            for order, matching, degree in bounds:
-                if order <= size and matching <= size - free and degree <= top:
-                    open_ |= comp
-                    break
+        hit, open_ = _class_components(rows, members, firsts, dense, limits)
         kept = open_ | hit
         if not kept:
             continue
@@ -516,10 +538,17 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
                 for w in _bits(theirs & ~mine):
                     hit_rows[w] &= ~mine
     # every edge outside those components, or in a NIM group, is NIM
-    nim = (1 << complete_edge_count(n)) - 1
-    for x in _bits(opened):
-        nim ^= hit_rows[x] >> (x + 1) << (offsets[x] + x + 1)
-    return nim
+    return ((1 << complete_edge_count(n)) - 1) ^ _edge_mask(hit_rows, opened, offsets)
+
+
+def _edge_mask(rows: Sequence[int], vertices: int, offsets: Sequence[int]) -> int:
+    """The canonical mask of the edges in `rows` whose lower end is in the
+    bitmask `vertices`: every edge at those vertices when no edge leaves
+    them, as for a union of class components."""
+    mask = 0
+    for x in _bits(vertices):
+        mask |= rows[x] >> (x + 1) << (offsets[x] + x + 1)
+    return mask
 
 
 def _edge_walk(
@@ -528,36 +557,41 @@ def _edge_walk(
     offsets: Sequence[int],
     plans: _Plans,
     dependents: list[int],
-    skip: int,
+    nim: int,
+    hit: int,
 ) -> int:
-    """The NIM edge mask by one query per uncovered edge in canonical order.
+    """The NIM edge mask by one query per unsettled, uncovered edge in
+    canonical order.
 
     `adj` holds the class rows of the coloring `colors`, and `offsets` and
-    `plans` come from `_query_plans` for its pattern.  Each edge no copy
-    covers yet is queried in its class; its copy, when there is one, covers
-    all of its edges.  `dependents` is a list with one 0 per edge: bit e of
-    dependents[f] is set when the copy that first covered e holds f.  The
-    classes set in the bitmask `skip` are known hit whole (the dense rule):
-    their edges start covered, so none is queried, none is NIM, and they
-    get no dependents, since copies never leave their class.
+    `plans` come from `_query_plans` for its pattern.  `nim` and `hit` are
+    the edge masks the caller settled with no query (`_class_components`):
+    no settled edge is queried, and the hit ones start covered.  Each other
+    edge no copy covers yet is queried in its class; its copy, when there
+    is one, covers all of its edges.  `dependents` is a list with one 0 per
+    edge: bit e of dependents[f] is set when the copy that first covered e
+    holds f.  A settled edge gets no bit of its own, but the copies of a
+    disconnected pattern can leave a component, so it may hold one.
     """
     pairs = all_pairs(len(offsets))
-    nim = covered = 0
-    for c in _bits(skip):
-        for x, row in enumerate(adj[c]):
-            covered |= row >> (x + 1) << (offsets[x] + x + 1)
-    for e, c in enumerate(colors):
-        if (covered >> e) & 1:
-            continue
+    covered = hit
+    todo = ((1 << len(colors)) - 1) & ~(nim | hit)
+    while todo:
+        b = todo & -todo
+        e = b.bit_length() - 1
         u, v = pairs[e]
-        witness = _find_through(adj[c], offsets, plans, u, v)
+        witness = _find_through(adj[colors[e]], offsets, plans, u, v)
         if witness is None:
-            nim |= 1 << e
+            nim |= b
+            todo ^= b
             continue
         fresh = witness & ~covered
-        for f in _bits(witness):
-            dependents[f] |= fresh
         covered |= witness
+        todo &= ~witness
+        while witness:
+            b = witness & -witness
+            witness ^= b
+            dependents[b.bit_length() - 1] |= fresh
     return nim
 
 

@@ -46,20 +46,24 @@ construction.  Candidates are scored by delta evaluation, not by a fresh
 NIM count: recoloring e from c to c' changes only classes c and c', so
 the climber requeries just the edges whose cover witness used e (in c)
 and the NIM edges of c' not yet covered by a copy through e, stopping
-once the candidate cannot beat the best move so far.  For a forest
-pattern on h vertices with an edge, a class whose vertices with an edge
-all have degree at least h - 1 has every edge hit (the dense rule of
-`nim._cover_pass`), and many scores need no query: the state's walk
-skips a class of least degree at least h, where no single removal can
-undo the rule; removing an edge from a dense class loses nothing when
-both its ends keep degree at least h - 1; and adding one to a dense
-class gains nothing when both its ends reach degree h - 1, since the
-class had no NIM edge.  Each step scores one edge per colored-twin
+once the candidate cannot beat the best move so far.  The state settles
+whole class components with no query, by the cover pass's rules
+(`nim._class_components`).  For a forest pattern on h vertices with an
+edge, a component whose vertices all have degree at least h - 1 has
+every edge hit (the dense rule).  The state's walk starts with each
+component of least degree at least h hit, since no single removal can
+undo the rule there, and with each component too small for the pattern
+NIM; on the bench's overlay and p2k starts it makes no query at all.
+Removing an edge from a dense class loses nothing when both its ends
+keep degree at least h - 1, and adding one to a dense class gains
+nothing when both its ends reach degree h - 1, since the class had no
+NIM edge.  Each step scores one edge per colored-twin
 orbit: swapping two colored twins changes no edge color, so it maps
 each recoloring onto one with the same count, and only the lowest edge
 of each orbit is scored.  Colored twins are twins in
 every class, so the orbits come from the cover pass's twin classes
-(`nim._twin_members`), refined over the k classes.  The paper's
+(`nim._twin_members`), refined over the k classes; the state keeps
+those it computed for settling.  The paper's
 constructions are blow-ups with few orbits: the bench's path:4 overlays
 have 10 and 15 orbits at n = 12 and 14 (66 and 91 edges), its path:5
 overlays 6, 10 and 10 at n = 12, 14 and 16, and its p2k colorings 37 at
@@ -73,13 +77,14 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from operator import or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_rank_offsets
 from .nim import (
-    DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _component_bounds, _depth_guard, _edge_walk, _find_through, _guard, _query_plans,
-    _twin_members, nim_edges,
+    DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _class_components, _component_bounds, _depth_guard, _edge_mask, _edge_walk,
+    _find_through, _guard, _query_plans, _twin_members, nim_edges,
 )
 from .patterns import PatternGraph, _as_graph, pattern_spec
 
@@ -562,7 +567,7 @@ def hill_climb_f(
             move = None  # (score, edge, color)
             # every candidate is decided, but only each orbit's lowest edge is scored
             examined += m * (k - 1)
-            for e in _orbit_edges(state.adj, n) if k > 1 else ():  # one color leaves no move
+            for e in _orbit_edges(state.twin_classes(), n) if k > 1 else ():  # one color leaves no move
                 old = current.colors[e]
                 base = score + state.loss(e)
                 for c in range(k):
@@ -589,9 +594,11 @@ def hill_climb_f(
     )
 
 
-def _orbit_edges(adj: list[list[int]], n: int) -> Sequence[int]:
+def _orbit_edges(twin_classes: Iterable[tuple[list[int], int]], n: int) -> Sequence[int]:
     """The lowest edge of each colored-twin orbit, in canonical order, for
-    a coloring of K_n with k >= 2 colors and class rows `adj`.
+    a coloring of K_n with k >= 2 colors whose classes have the twin
+    classes `twin_classes`, `nim._twin_members` of each class's rows in
+    turn.  They are read only up to the first twin-free class.
 
     Vertices x and y are colored twins when swapping them changes no edge
     color: in every class, their rows agree off x and y, that is, they are
@@ -606,8 +613,7 @@ def _orbit_edges(adj: list[list[int]], n: int) -> Sequence[int]:
     """
     full = (1 << n) - 1
     members = [full] * n  # each vertex's colored-twin class
-    for rows in adj:
-        classes, heads = _twin_members(rows)
+    for classes, heads in twin_classes:
         if heads == full:
             return range(complete_edge_count(n))
         for t in _bits(heads):
@@ -626,47 +632,95 @@ class _NimState:
     """The NIM edges of one coloring, kept for scoring single-edge recolorings.
 
     Built by one per-edge walk, `nim._edge_walk`, which queries each edge
-    no copy found so far covers, in canonical order: `adj` is the class
-    adjacency, `nim` the NIM edge mask and `class_nim[c]` the NIM edges of
-    class c in canonical order.  `dependents[f]` is the bitmask of edges
-    whose cover witness contains f, the cover witness of an edge being the
-    copy that first covers it in that walk: the copy found through the
-    edge itself, or an earlier edge's.  Recoloring edge e from class c to
-    class c' changes only those two classes, so its new NIM count is
-    `score + loss(e) + gain(e, c')`.  `gain` requeries the NIM edges of c'
-    that no copy through e covers yet, in `class_nim[c']` order.
+    that no rule settles and no copy found so far covers, in canonical
+    order: `adj` is the class adjacency, `nim` the NIM edge mask and
+    `class_nim[c]` the NIM edges of class c in canonical order.
+    `dependents[f]` is the bitmask of walked edges whose cover witness
+    contains f, the cover witness of an edge being the copy that first
+    covers it in that walk: the copy found through the edge itself, or an
+    earlier edge's.  Recoloring edge e from class c to class c' changes
+    only those two classes, so its new NIM count is `score + loss(e) +
+    gain(e, c')`.  `gain` requeries the NIM edges of c' that no copy
+    through e covers yet, in `class_nim[c']` order.
 
-    The dense rule of `nim._cover_pass` decides many of these with no
-    query.  `dense` is the pattern's dense degree d (h - 1 for a forest on
-    h vertices with an edge, infinite otherwise), and `low[c]` the least
-    degree over class c's vertices with an edge (infinite when c is
-    empty).  A class whose vertices with an edge all have degree at least
-    d has every edge in a copy, so:
+    The cover pass's rules settle whole class components with no query
+    (`nim._class_components`).  `dense` is the pattern's dense degree d
+    (h - 1 for a forest on h vertices with an edge, infinite otherwise),
+    and `low[c]` the least degree over class c's vertices with an edge
+    (infinite when c is empty).  A component whose vertices all have
+    degree at least d has every edge in a copy, so:
 
-    - the walk skips a class with `low[c] >= d + 1`: all its edges are
-      hit, and removing any one leaves it dense, so no loss needs its
-      witnesses (its edges get no dependents);
+    - the walk starts with every component of least degree at least d + 1
+      hit, a whole class when `low[c] >= d + 1`.  Removing any one edge
+      leaves each piece of such a component with least degree at least d,
+      so it stays hit and no loss needs the witnesses of its edges, which
+      get no dependents of their own.  A copy of a disconnected pattern
+      can still use its edges, and a walked edge's witness records them;
+    - the walk starts with every component that the order, matching or
+      top-degree bound rules out NIM, a whole class when its vertices with
+      an edge or its top degree fall short.  A class in which no two
+      vertices with an edge are twins is walked whole, with no BFS: most
+      classes of a random coloring are twin-free, and on the bench's
+      random `hill` starts none of them had a component to settle, while
+      the twin classes and the BFS cost each start a few per cent;
     - `loss(e)` of a non-NIM e in class c is 0 when `low[c] >= d` and both
       ends of e have class degree at least d + 1: c less e stays dense;
     - `gain(e, c')` is 0 when `low[c'] >= d` and both ends have c'-degree
       at least d - 1: c' plus e is dense, so e is hit, and c' had no NIM
       edge to lose.
+
+    `twins[c]` holds class c's twin classes once they are computed, for
+    the settling above or for `hill_climb_f`'s orbit scan.
     """
 
     def __init__(self, coloring: EdgeColoring, pattern: SimpleGraph):
         self.offsets, self.plans = _query_plans(pattern, coloring.n)
+        offsets = self.offsets
         self.colors = coloring.colors
         self.pairs = all_pairs(coloring.n)
         self.adj = coloring.class_adjacency()
-        self.dense = _component_bounds(pattern.adj)[2]
-        self.low = [min([row.bit_count() for row in rows if row], default=math.inf) for rows in self.adj]
-        skip = sum(1 << c for c, low in enumerate(self.low) if low > self.dense)
+        limits = _component_bounds(pattern.adj)
+        min_order, min_degree, self.dense = limits[:3]
+        self.low: list[float] = []
+        self.twins: list[Optional[tuple[list[int], int]]] = [None] * coloring.k
+        # the least degree at which no single removal undoes the dense rule
+        settled = self.dense + 1
+        n = coloring.n
+        every = (1 << n) - 1
+        singles = [1 << v for v in range(n)]
+        nim = hit = 0
+        for c, rows in enumerate(self.adj):
+            degrees = [row.bit_count() for row in rows if row]
+            low = min(degrees, default=math.inf)
+            self.low.append(low)
+            if low >= settled:
+                hit |= _edge_mask(rows, every, offsets)
+            elif len(degrees) < min_order or max(degrees) < min_degree:
+                nim |= _edge_mask(rows, every, offsets)
+            # no two vertices with an edge share their open or closed row:
+            # the class is walked whole
+            elif len(set(rows)) == len(degrees) + (len(degrees) < n) and len(set(map(or_, rows, singles))) == n:
+                if len(degrees) >= n - 1:  # and each vertex is its own twin class
+                    self.twins[c] = singles, every
+            else:
+                members, firsts = self.twins[c] = _twin_members(rows)
+                hit_at, open_at = _class_components(rows, members, firsts, settled, limits)
+                hit |= _edge_mask(rows, hit_at, offsets)
+                nim |= _edge_mask(rows, every & ~hit_at & ~open_at, offsets)
         self.dependents = [0] * len(self.pairs)
-        self.nim = _edge_walk(self.adj, self.colors, self.offsets, self.plans, self.dependents, skip)
+        self.nim = _edge_walk(self.adj, self.colors, offsets, self.plans, self.dependents, nim, hit)
         self.class_nim: list[list[int]] = [[] for _ in range(coloring.k)]
         for e in _bits(self.nim):
             self.class_nim[self.colors[e]].append(e)
         self.score = self.nim.bit_count()
+
+    def twin_classes(self) -> Iterator[tuple[list[int], int]]:
+        """Each class's twin classes (`nim._twin_members`), in class order,
+        computed at most once per state, and only when read."""
+        for c, twins in enumerate(self.twins):
+            if twins is None:
+                twins = self.twins[c] = _twin_members(self.adj[c])
+            yield twins
 
     def loss(self, e: int) -> int:
         """Change in the NIM count when edge e leaves its class.
@@ -687,16 +741,16 @@ class _NimState:
             return 0  # the class less e stays dense, so every edge stays hit
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
-        freed = covered = 0
-        for f in _bits(rest):
-            if (covered >> f) & 1:
-                continue
-            x, y = pairs[f]
+        freed = 0
+        while rest:  # the edges whose cover witness used e, less those a new copy covers
+            b = rest & -rest
+            x, y = pairs[b.bit_length() - 1]
             witness = _find_through(adj, offsets, plans, x, y)
             if witness is None:
                 freed += 1
+                rest ^= b
             else:
-                covered |= witness
+                rest &= ~witness
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
         return freed
@@ -776,6 +830,11 @@ class _StarState:
         self.score = sum(
             (rows[v] & low).bit_count() for rows, low in zip(self.adj, self.low) for v in _bits(low)
         ) >> 1
+
+    def twin_classes(self) -> Iterator[tuple[list[int], int]]:
+        """Each class's twin classes (`nim._twin_members`), in class order,
+        computed only when read."""
+        return map(_twin_members, self.adj)
 
     def loss(self, e: int) -> int:
         """Change in the NIM count when edge e leaves its class."""

@@ -738,15 +738,63 @@ def assert_copy_through(coloring: EdgeColoring, h, witness: int, e: int) -> None
     assert is_isomorphic(copy, h.graph)
 
 
+def _matching_brute(g: SimpleGraph, comp: set[int]) -> int:
+    """The size of a largest matching among the edges of g inside comp."""
+    edges = [(u, v) for u, v in g.edges() if u in comp and v in comp]
+
+    def best(i: int, used: int) -> int:
+        if i == len(edges):
+            return 0
+        u, v = edges[i]
+        skip = best(i + 1, used)
+        if (used >> u) & 1 or (used >> v) & 1:
+            return skip
+        return max(skip, 1 + best(i + 1, used | 1 << u | 1 << v))
+
+    return best(0, 0)
+
+
+def _ruled_out(rows, comp: list[int], g: SimpleGraph) -> bool:
+    """True when the component `comp` of a class with rows `rows` is too
+    small for every pattern component of g with an edge: by order, by top
+    degree, or by a matching number above |comp| less its largest
+    independent twin class, so it holds no copy through any of its edges."""
+    size = len(comp)
+    top = max(rows[v].bit_count() for v in comp)
+    twin = twin_classes(rows)
+    free = 1
+    for t in {twin[v] for v in comp}:
+        members = [v for v in comp if twin[v] == t]
+        if not any(rows[v] >> w & 1 for v in members for w in members):
+            free = max(free, len(members))
+    return all(
+        len(pc) > size or max(g.degree(v) for v in pc) > top or _matching_brute(g, set(pc)) > size - free
+        for pc in components(g)
+        if len(pc) > 1
+    )
+
+
 def assert_pass_is_sound(coloring: EdgeColoring, h) -> None:
     """The pass's NIM mask is that of one query per uncovered edge, and the
-    climber's state has that mask too.  It gives every non-NIM edge a copy
-    through it, and no NIM edge one, except in the classes its walk skips:
-    each of those is hit whole in the per-edge pass, and its least degree
-    is at least h, for a forest pattern on h vertices with an edge."""
+    climber's state has that mask too.  The state's walk gives every hit
+    edge it covers a copy through it, and no NIM edge one.  The edges it
+    settles with no query lie in whole class components: every hit edge
+    with no witness in one of least degree at least h, for a forest pattern
+    on h vertices with an edge, and every NIM edge no query touched in one
+    that the order, matching or top-degree bound rules out."""
     nim_mask = _cover_pass(coloring, h.graph)
     assert nim_mask == cover_pass_per_edge(coloring, h.graph)[1]
-    state = _NimState(coloring, h.graph)
+    n = coloring.n
+    queried = set()
+    find = nim._find_through
+
+    def recorded(adj, offsets, plans, u, v):
+        queried.add(edge_index(min(u, v), max(u, v), n))
+        return find(adj, offsets, plans, u, v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nim, "_find_through", recorded)
+        state = _NimState(coloring, h.graph)
     assert state.nim == nim_mask
     witnesses: dict[int, int] = {}  # each edge's cover witness, read back from `dependents`
     for f, dependents in enumerate(state.dependents):
@@ -757,15 +805,23 @@ def assert_pass_is_sound(coloring: EdgeColoring, h) -> None:
     assert witnessed & ~hit == 0
     for e, witness in witnesses.items():
         assert_copy_through(coloring, h, witness, e)
-    skipped = {coloring.colors[e] for e in _bits(hit & ~witnessed)}
     g = h.graph
-    if skipped:
+    adj = coloring.class_adjacency()
+
+    def component(e: int) -> tuple[list[int], list[int]]:  # e's class rows and its component there
+        rows = adj[coloring.colors[e]]
+        u = edge_unindex(e, n)[0]
+        return rows, next(comp for comp in components(SimpleGraph(n, tuple(rows))) if u in comp)
+
+    unwitnessed = _bits(hit & ~witnessed)
+    if unwitnessed:
         assert g.edge_count and g.edge_count == g.n - len(components(g))
-    for c, rows in enumerate(coloring.class_adjacency()):
-        if c in skipped:
-            edges = sum(1 << e for e, color in enumerate(coloring.colors) if color == c)
-            assert edges & hit == edges and not edges & witnessed  # hit whole, with no query
-            assert min(row.bit_count() for row in rows if row) >= g.n
+    for e in unwitnessed:
+        rows, comp = component(e)
+        assert min(rows[v].bit_count() for v in comp) >= g.n
+    for e in _bits(nim_mask):
+        if e not in queried:
+            assert _ruled_out(*component(e), g)
 
 
 def _overlay_40_path6() -> EdgeColoring:
@@ -778,7 +834,7 @@ class TestTwinCollapse:
     @given(st.one_of(st.tuples(blown_up_colorings(), st.sampled_from(TWIN_PATTERNS)), regular_pieces()))
     @example((TRIANGLE_AND_C4, P4))
     # one class is a K_4, a single twin group: the pass queries (0, 1) only,
-    # and the climber's state queries each later edge no copy covers yet
+    # and the climber's state, as 3 >= |P_3|, settles it hit with no query
     @example((EdgeColoring.monochromatic(4), P3))
     def test_pass_matches_the_per_edge_pass(self, case):
         # the NIM mask must match one query per edge; the pass returns no

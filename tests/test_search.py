@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_coloring_for
 from nimcolor.errors import ResourceLimitError
-from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, edge_index
-from nimcolor.nim import _find_through, _query_plans, nim_edges
+from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoint_union, edge_index
+from nimcolor.nim import _find_through, _query_plans, _twin_members, nim_edges
 from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
 from nimcolor.search import (
     _Blocking,
@@ -656,6 +656,14 @@ class TestDeltaEvaluation:
     # K_{4,4}, of least degree 4 = |C_5| - 1, has no odd cycle, so all its
     # edges are NIM; an edge inside a side closes a C_5, and the rule is off
     @example(_class_zero(SimpleGraph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])), C5, -2)
+    # class 0 is K_5 beside K_3: the walk starts with the K_5 hit, of least
+    # degree 4 = |P_4|, and the K_3 NIM, too small for P_4, and queries only
+    # class 1, the K_{5,3} between them
+    @example(_class_zero(disjoint_union(SimpleGraph.complete(5), SimpleGraph.complete(3))), P4, -2)
+    # class 0 is K_6 beside the path 6-7-8: the K_6, of least degree 5 =
+    # |P_2 + P_3|, starts hit, and each copy through a path edge puts P_2
+    # or P_3 in the K_6, so the walk's witnesses span both components
+    @example(_class_zero(disjoint_union(SimpleGraph.complete(6), make_path(3).graph)), parse_pattern("path:2+path:3"), -2)
     def test_every_delta_matches_a_fresh_count(self, coloring, h, floor):
         state = _NimState(coloring, h.graph)
         assert state.score == nim_edges(coloring, h).count
@@ -679,9 +687,11 @@ class TestDeltaEvaluation:
             # 4 = |P_4| and is skipped; class 1 has 3 = |P_4| - 1 and is
             # walked, and most losses and gains keep a class dense
             (EdgeColoring.random(12, 2, random.Random(1)), "path:4", 30, 30),
-            # least degrees 1, 1, 1 and 2, all below |P_5| - 1 = 4: no rule
-            # fires, and the counts are those from before the rule
-            (EdgeColoring.random(12, 4, random.Random(1)), "path:5", 212, 205),
+            # least degrees 1, 1, 1 and 2, all below |P_5| - 1 = 4: no dense
+            # rule fires.  212 and 205 while the walk went class by class:
+            # the move splits a P_3 off class 1, too small for P_5, and the
+            # rebuilt state now settles its two edges NIM unqueried
+            (EdgeColoring.random(12, 4, random.Random(1)), "path:5", 210, 205),
         ],
         ids=["star-14-2", "dense-12-2", "sparse-12-4"],
     )
@@ -776,6 +786,48 @@ def twin_colorings(draw):
     return EdgeColoring(n, k, tuple(colors))
 
 
+# the bench's constructed hill starts, their patterns and their colored-twin
+# orbit counts; every class component is settled, dense ones hit and
+# cliques, stars and small joins NIM
+CONSTRUCTED_STARTS = {
+    "overlay-p4-12": (_overlay(12, 4, 3), "path:4", 10),
+    "overlay-p4-14": (_overlay(14, 4, 3), "path:4", 15),
+    "overlay-p5-12": (_overlay(12, 5, 2), "path:5", 6),
+    "overlay-p5-14": (_overlay(14, 5, 2), "path:5", 10),
+    "overlay-p5-16": (_overlay(16, 5, 2), "path:5", 10),
+    "p2k-13": (p2k_multicoloring(13, 2)[0], "path:4", 37),
+    "p2k-14": (p2k_multicoloring(14, 2)[0], "path:4", 37),
+}
+
+
+class TestComponentSettling:
+    @pytest.mark.parametrize("case", list(CONSTRUCTED_STARTS))
+    def test_the_walk_makes_no_query_from_a_constructed_start(self, monkeypatch, case):
+        # over the two-step climb the walk queried 39 and 42 times on the
+        # path:4 overlays, 18, 19 and 24 on the path:5 overlays and 69 and
+        # 81 on the p2k starts while it settled whole classes only
+        start, spec, _ = CONSTRUCTED_STARTS[case]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _find_through(*args)
+
+        monkeypatch.setattr("nimcolor.nim._find_through", counted)
+        hill_climb_f(start.n, start.k, parse_pattern(spec), iterations=2, seed_coloring=start)
+        assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(twin_colorings(), dense_colorings(), st.sampled_from([start for start, _, _ in CONSTRUCTED_STARTS.values()])),
+        st.sampled_from(DELTA_PATTERNS),
+    )
+    def test_kept_twin_classes_are_the_classes_twin_classes(self, coloring, h):
+        # those the settling computed, those it found twin-free, and the rest on demand
+        state = _NimState(coloring, h.graph)
+        assert list(state.twin_classes()) == list(map(_twin_members, coloring.class_adjacency()))
+
+
 class TestTwinOrbits:
     @settings(max_examples=200, deadline=None)
     @given(twin_colorings())
@@ -783,7 +835,8 @@ class TestTwinOrbits:
     @example(EdgeColoring(4, 4, (0, 2, 2, 3, 3, 1)))
     def test_each_orbit_is_scored_at_its_lowest_edge(self, coloring):
         orbits = colored_twin_orbits(coloring)
-        assert list(_orbit_edges(coloring.class_adjacency(), coloring.n)) == [min(o) for o in orbits]
+        edges = _orbit_edges(map(_twin_members, coloring.class_adjacency()), coloring.n)
+        assert list(edges) == [min(o) for o in orbits]
 
     @settings(max_examples=60, deadline=None)
     @given(twin_colorings(), st.sampled_from(PROPERTY_PATTERNS))
@@ -800,24 +853,13 @@ class TestTwinOrbits:
         # class 0 is the path 0-1-...-5, whose open and closed rows all differ; a class 2 is empty
         path = {(v, v + 1) for v in range(5)}
         coloring = EdgeColoring(6, k, tuple(0 if e in path else 1 for e in all_pairs(6)))
-        assert list(_orbit_edges(coloring.class_adjacency(), 6)) == list(range(15))
+        assert list(_orbit_edges(map(_twin_members, coloring.class_adjacency()), 6)) == list(range(15))
         assert all(len(o) == 1 for o in colored_twin_orbits(coloring))
 
-    @pytest.mark.parametrize(
-        "start, orbits",
-        [
-            (_overlay(12, 4, 3), 10),
-            (_overlay(14, 4, 3), 15),
-            (_overlay(12, 5, 2), 6),
-            (_overlay(14, 5, 2), 10),
-            (_overlay(16, 5, 2), 10),
-            (p2k_multicoloring(13, 2)[0], 37),
-            (p2k_multicoloring(14, 2)[0], 37),
-        ],
-        ids=["overlay-p4-12", "overlay-p4-14", "overlay-p5-12", "overlay-p5-14", "overlay-p5-16", "p2k-13", "p2k-14"],
-    )
-    def test_orbits_of_the_constructions(self, start, orbits):
-        edges = list(_orbit_edges(start.class_adjacency(), start.n))
+    @pytest.mark.parametrize("case", list(CONSTRUCTED_STARTS))
+    def test_orbits_of_the_constructions(self, case):
+        start, _, orbits = CONSTRUCTED_STARTS[case]
+        edges = list(_orbit_edges(map(_twin_members, start.class_adjacency()), start.n))
         assert edges == [min(o) for o in colored_twin_orbits(start)]
         assert len(edges) == orbits
 
