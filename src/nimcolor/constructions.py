@@ -27,7 +27,6 @@ from math import comb
 from .graphs import (
     EdgeColoring,
     SimpleGraph,
-    all_pairs,
     complete_edge_count,
     components,
     edge_index,
@@ -78,7 +77,11 @@ def tail_forest_coloring(n: int, a: int) -> EdgeColoring:
     if n < 4 * a + (2 * a - 1):
         raise ValueError(f"n={n} too small; need n >= {6 * a - 1} for a={a}")
     x_size = 2 * a - 1  # red (0) between X and Y, blue (1) within each side
-    return EdgeColoring(n, 2, tuple(0 if u < x_size <= v else 1 for u, v in all_pairs(n)))
+    colors: list[int] = []
+    for u in range(x_size):  # row u: blue to the rest of X, then red to all of Y
+        colors += [1] * (x_size - 1 - u) + [0] * (n - x_size)
+    colors += [1] * complete_edge_count(n - x_size)  # the blue clique on Y
+    return EdgeColoring(n, 2, tuple(colors))
 
 
 def tail_coloring_for(n: int, h: PatternGraph) -> tuple[EdgeColoring, int]:

@@ -260,7 +260,9 @@ def _canonical_search(
             if n >= 2 and red[n - 1].bit_count() > row_caps(n - 1)[(red[0] >> (n - 1)) & 1]:
                 return
             leaves += 1
-            report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
+            # the leaf keeps a copy of the search's class rows, so none is rebuilt
+            leaf = EdgeColoring(n, k, tuple(colors))._carrying([adj[:] for adj in class_adj])
+            report = nim_edges(leaf, h)
             if report.count > best:
                 best = report.count
                 best_colors = tuple(colors)

@@ -34,6 +34,9 @@ became one C-level pass, one element at a time: the constructor and
 `from_dict` must raise its message; `verify_layout_per_edge` is
 `verify_layout` before per-vertex row masks, tagging every U-edge with
 the cliques that cover it: the two must return equal reports.
+`class_rows_per_edge` is `EdgeColoring.class_adjacency` before the
+coloring kept its rows and built them by the byte-matrix pass, one step
+per edge over `all_pairs`: kept, carried and built rows must all equal it.
 `nim_edges_anchored` is the reference NIM counter, with its own
 separately coded embedding search, and `is_isomorphic` a backtracking
 isomorphism test.  `degree_sequence`, `relabel_colors` and `lemma_gap`
@@ -607,6 +610,16 @@ def lemma_gap(n1: int, n2: int, c: int, length: int) -> tuple[int, int]:
     lhs = ex_path(n1, length).value + ex_path(n2, length).value
     rhs = ex_path(n1 - c, length).value + ex_path(n2 + c + length, length).value
     return lhs, rhs
+
+
+def class_rows_per_edge(coloring: EdgeColoring) -> list[list[int]]:
+    """Bitset rows of every color class, one edge at a time: entry [c][v] is
+    v's class-c row."""
+    adj = [[0] * coloring.n for _ in range(coloring.k)]
+    for (u, v), c in zip(all_pairs(coloring.n), coloring.colors):
+        adj[c][u] |= 1 << v
+        adj[c][v] |= 1 << u
+    return adj
 
 
 def twin_classes(rows: Sequence[int]) -> list[int]:

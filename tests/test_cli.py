@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import pytest
 
+import nimcolor.graphs
 import nimcolor.turan
 from nimcolor.cli import _append_ledger, build_parser, main, read_ledger
 from nimcolor.constructions import build_p2k_layout, verify_layout
@@ -880,6 +881,29 @@ class TestSearchAndReport:
         assert err.startswith("error: exhaustive search limited to n <= ") and err.count("\n") == 1
         assert "by the recursion limit" in err and err.endswith(", got 46\n")
         assert not ledger.exists()
+
+
+class TestNoPairTables:
+    # class rows come from the byte-matrix pass and the families rank edges
+    # by `edge_rank_offsets`, so construct and verify build no `all_pairs`
+    # table; before, one bench verify round built 32 of them (1.78 MB)
+    @pytest.mark.parametrize(
+        "flags, pattern",
+        [
+            ("--family p2k --k 2 --n 40", "path:4"),
+            ("--family tail --a 3 --n 40", "dstar:3+path:6"),
+            ("--family overlay --pattern path:4 --n 40", "path:4"),
+        ],
+        ids=["p2k", "tail", "overlay"],
+    )
+    def test_construct_and_verify_build_no_pair_table(self, capsys, tmp_path, flags, pattern):
+        target = tmp_path / "c.json"
+        nimcolor.graphs.all_pairs.cache_clear()
+        assert run(capsys, "construct", *flags.split(), "-o", str(target))[0] == 0
+        code, out, _ = run(capsys, "verify", "--coloring", str(target), "--pattern", pattern)
+        assert code == 0 and json.loads(out)["count"] > 0
+        EdgeColoring.from_json(target.read_text()).permuted(list(range(40))[::-1])
+        assert nimcolor.graphs.all_pairs.cache_info().currsize == 0
 
 
 class TestResultDicts:

@@ -2,10 +2,11 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import coloring_error_scan, degree_sequence, is_isomorphic
+from oracles import class_rows_per_edge, coloring_error_scan, degree_sequence, is_isomorphic
+from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_forest_coloring
 from nimcolor.graphs import (
     EdgeColoring,
     SimpleGraph,
@@ -20,6 +21,8 @@ from nimcolor.graphs import (
     edge_unindex,
     join,
 )
+from nimcolor.patterns import make_path
+from nimcolor.turan import ex_path, extremal_path_graph
 
 
 class TestEdgeIndex:
@@ -270,3 +273,93 @@ class TestEdgeColoring:
     def test_recolored_refuses_an_index_outside_the_edges(self, idx):
         with pytest.raises(ValueError, match=rf"^edge index {idx} out of range for n=3$"):
             EdgeColoring.monochromatic(3, k=2).recolored(idx, 1)
+
+
+@st.composite
+def colorings(draw, max_n=70, max_k=8):
+    """A uniform random coloring of K_n with n in 0..max_n and k in 1..max_k."""
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(1, max_k))
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=complete_edge_count(n), max_size=complete_edge_count(n)))
+    return EdgeColoring(n, k, colors)
+
+
+def overlay(n: int, length: int) -> EdgeColoring:
+    return extremal_overlay(n, make_path(length), extremal_path_graph(n, length, ex_path(n, length).recipe["a"]))
+
+
+class TestClassRows:
+    # rows built on either side of the pass's crossover, n = 14 + 4k, and by the loop past 254 colors
+    @settings(max_examples=150, deadline=None)
+    @given(colorings())
+    @example(EdgeColoring(0, 3, ()))
+    @example(EdgeColoring(1, 2, ()))
+    @example(EdgeColoring(25, 300, tuple(range(300))))
+    def test_rows_are_the_per_edge_rows(self, coloring):
+        assert coloring.class_adjacency() == class_rows_per_edge(coloring)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: p2k_multicoloring(13, 2)[0],
+            lambda: p2k_multicoloring(70, 2)[0],
+            lambda: p2k_multicoloring(33, 3)[0],
+            lambda: p2k_multicoloring(47, 3)[0],
+            lambda: p2k_multicoloring(52, 4)[0],
+            lambda: tail_forest_coloring(20, 3),
+            lambda: tail_forest_coloring(64, 2),
+            lambda: overlay(13, 4),
+            lambda: overlay(64, 6),
+        ],
+        ids=["p2k-13-2", "p2k-70-2", "p2k-33-3", "p2k-47-3", "p2k-52-4", "tail-20-3", "tail-64-2", "overlay-13-4", "overlay-64-6"],
+    )
+    def test_every_family_has_the_per_edge_rows(self, make):
+        coloring = make()
+        rows = class_rows_per_edge(coloring)
+        assert coloring.class_adjacency() == rows
+        assert [coloring.color_class(i).adj for i in range(coloring.k)] == list(map(tuple, rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(colorings(max_n=40, max_k=5), st.data())
+    def test_derived_colorings_carry_the_per_edge_rows(self, coloring, data):
+        # reading the rows keeps them, so each derived coloring carries its parent's
+        n, k = coloring.n, coloring.k
+        assert coloring.class_adjacency() == class_rows_per_edge(coloring)
+        for _ in range(data.draw(st.integers(1, 8))):
+            step = data.draw(st.sampled_from(["recolored", "with_colors", "permuted"] if n >= 2 else ["with_colors"]))
+            if step == "recolored":
+                idx = data.draw(st.integers(0, complete_edge_count(n) - 1))
+                derived = coloring.recolored(idx, data.draw(st.integers(0, k - 1)))
+            elif step == "with_colors":
+                derived = coloring.with_colors(k + data.draw(st.integers(0, 2)))
+            else:
+                derived = coloring.permuted(data.draw(st.permutations(range(n))))
+            rebuilt = EdgeColoring(n, derived.k, derived.colors)
+            assert derived == rebuilt and derived.to_json() == rebuilt.to_json()
+            assert derived.class_adjacency() == class_rows_per_edge(rebuilt)
+            coloring, k = derived, derived.k
+
+    def test_returned_rows_are_fresh_lists(self):
+        for coloring in (p2k_multicoloring(13, 2)[0], overlay(40, 4), EdgeColoring(25, 300, tuple(range(300)))):
+            expected = class_rows_per_edge(coloring)
+            assert coloring.class_adjacency() == expected  # kept, so the derived colorings share them
+            for derived in (coloring, coloring.recolored(0, 1), coloring.with_colors(coloring.k + 1)):
+                first = derived.class_adjacency()
+                for rows in first:
+                    rows[1] ^= 1
+                    rows.append(7)
+                first.append([])
+                rows = class_rows_per_edge(derived)
+                assert derived.class_adjacency() == rows
+                assert [derived.color_class(i).adj for i in range(derived.k)] == list(map(tuple, rows))
+            assert coloring.class_adjacency() == expected
+
+    def test_kept_rows_leave_the_fields_and_json_alone(self):
+        coloring = p2k_multicoloring(13, 2)[0]
+        text, shown = coloring.to_json(), repr(coloring)
+        coloring.class_adjacency()
+        old = coloring.colors[3]
+        derived = coloring.recolored(3, (old + 1) % coloring.k).recolored(3, old)
+        for c in (coloring, derived):
+            assert c.to_json() == text and repr(c) == shown and list(c.to_dict()) == ["n", "k", "colors"]
+        assert derived == coloring and hash(derived) == hash(coloring)

@@ -27,6 +27,7 @@ from nimcolor.search import (
 from nimcolor.turan import ex_path, extremal_path_graph, turan_value
 from oracles import (
     canonical_search_plain,
+    class_rows_per_edge,
     colored_twin_orbits,
     contains_brute,
     covered_edges_brute,
@@ -733,6 +734,40 @@ class TestDeltaEvaluation:
                 exact = nim_edges(coloring.recolored(e, c), h).count - state.score - loss
                 # exact whatever the floor
                 assert state.gain(e, c, floor) == reference.gain(e, c) == exact
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(colorings(), dense_colorings()), st.sampled_from(DELTA_PATTERNS + STAR_PATTERNS))
+    def test_scoring_every_move_leaves_the_kept_rows_alone(self, coloring, h):
+        # `loss` and `gain` flip bits of the state's rows in place and restore them
+        rows = class_rows_per_edge(coloring)
+        assert coloring.class_adjacency() == rows  # the coloring now keeps its rows
+        star = _star_size(h.graph)
+        for state in [_NimState(coloring, h.graph)] + ([_StarState(coloring, star)] if star is not None else []):
+            for e, old in enumerate(coloring.colors):
+                state.loss(e)
+                for c in range(coloring.k):
+                    if c != old:
+                        state.gain(e, c)
+            assert state.adj == rows
+            assert coloring.class_adjacency() == rows
+            assert [coloring.color_class(c).adj for c in range(coloring.k)] == list(map(tuple, rows))
+
+
+# two bench cells, one a star the degree caps cut
+@pytest.mark.parametrize("cell", [(6, 2, "path:4"), (5, 3, "star:3")], ids=["n6-k2-path:4", "n5-k3-star:3"])
+def test_each_leaf_hands_in_the_rows_of_its_colors(cell, monkeypatch):
+    scored = []
+
+    def checked(coloring, h):
+        # the rows the search kept for the leaf, not rows built from its colors
+        assert vars(coloring)["_rows"] == class_rows_per_edge(coloring)
+        scored.append(coloring.colors)
+        return nim_edges(coloring, h)
+
+    monkeypatch.setattr("nimcolor.search.nim_edges", checked)
+    n, k, spec = cell
+    result = exhaustive_f(n, k, parse_pattern(spec))
+    assert scored and result.witness.colors in scored
 
 
 def _overlay(n, length, k):
