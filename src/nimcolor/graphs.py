@@ -7,17 +7,16 @@ lexicographically.  Python's unbounded ints serve as bitsets, so there is
 no hard vertex limit; everything here works for n well beyond 4096.
 
 Both `SimpleGraph` and `EdgeColoring` are frozen: hashable and usable as
-cache keys.  An `EdgeColoring` keeps its class rows once built, outside its
-fields, and the colorings derived from it by `recolored` and `with_colors`
-carry them; `_class_rows` is the one builder from colors.  Equality,
-hashing, repr and the JSON schema read the fields alone.
+cache keys.  An `EdgeColoring` builds its class rows from its own colors
+on first use, with `_class_rows`, and keeps them outside its fields.
+Equality, hashing, repr and the JSON schema read the fields alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
@@ -291,8 +290,7 @@ class EdgeColoring:
     """A k-coloring of E(K_n): flat color array in canonical edge order.
 
     Its class rows are built once, on first use, and kept outside the
-    fields; `class_adjacency` hands out fresh lists, and `recolored` and
-    `with_colors` carry the rows into the colorings they make.
+    fields; `class_adjacency` hands out fresh lists.
     """
 
     n: int
@@ -332,27 +330,18 @@ class EdgeColoring:
         """The graph on 0..n-1 whose edges carry color i."""
         if not (0 <= i < self.k):
             raise ValueError(f"color {i} not in 0..{self.k - 1}")
-        return SimpleGraph(self.n, tuple(self._kept_rows()[i]))
+        return SimpleGraph(self.n, tuple(self._rows[i]))
 
-    def _kept_rows(self) -> list[list[int]]:
+    @cached_property
+    def _rows(self) -> list[list[int]]:
         """The class rows, built on first use and kept outside the fields.
-        Nothing changes them in place: the colorings made from this one
-        share the rows they keep as they are."""
-        kept = vars(self)
-        rows = kept.get("_rows")
-        if rows is None:
-            rows = kept["_rows"] = _class_rows(self.n, self.k, self.colors)
-        return rows
-
-    def _carrying(self, rows: list[list[int]]) -> "EdgeColoring":
-        """This coloring with `rows`, its own class rows, kept."""
-        vars(self)["_rows"] = rows
-        return self
+        Nothing changes them in place."""
+        return _class_rows(self.n, self.k, self.colors)
 
     def class_adjacency(self) -> list[list[int]]:
         """Bitset adjacency rows of every color class: entry [i][v] is v's
         class-i row.  The lists are fresh copies of the kept rows."""
-        return [row[:] for row in self._kept_rows()]
+        return [row[:] for row in self._rows]
 
     def recolored(self, idx: int, color: int) -> "EdgeColoring":
         if not (0 <= color < self.k):
@@ -360,27 +349,14 @@ class EdgeColoring:
         if not (0 <= idx < len(self.colors)):
             raise ValueError(f"edge index {idx} out of range for n={self.n}")
         colors = list(self.colors)
-        old, colors[idx] = colors[idx], color
-        recolored = EdgeColoring(self.n, self.k, tuple(colors))
-        rows = vars(self).get("_rows")
-        if rows is None:
-            return recolored
-        # the edge's bits leave its old class's two rows for its new one's
-        u, v = edge_unindex(idx, self.n)
-        rows = rows[:]
-        for c in (old, color):
-            rows[c] = flipped = rows[c][:]
-            flipped[u] ^= 1 << v
-            flipped[v] ^= 1 << u
-        return recolored._carrying(rows)
+        colors[idx] = color
+        return EdgeColoring(self.n, self.k, tuple(colors))
 
     def with_colors(self, k: int) -> "EdgeColoring":
         """Same assignment viewed with a larger palette."""
         if k < self.k:
             raise ValueError("cannot shrink palette")
-        wider = EdgeColoring(self.n, k, self.colors)
-        rows = vars(self).get("_rows")
-        return wider if rows is None else wider._carrying(rows + [[0] * self.n for _ in range(k - self.k)])
+        return EdgeColoring(self.n, k, self.colors)
 
     def permuted(self, perm: list[int]) -> "EdgeColoring":
         """Apply a vertex permutation; edge {u,v} takes the old color of {u,v}."""

@@ -176,7 +176,9 @@ def exhaustive_f(
     m = complete_edge_count(n)
     free = m - (1 if k > 1 else 0)
     if free >= 0 and k**free > budget:
-        raise ResourceLimitError(f"{k}^{free} colorings exceed budget {budget}", "try hill_climb_f")
+        raise ResourceLimitError(
+            f"{k}^{free} colorings exceed budget {budget}", f"pass budget={k}**{free} to allow it, or try hill_climb_f"
+        )
     if k > 1:
         _depth_guard("exhaustive search", n, pattern)
     started = time.perf_counter()
@@ -260,9 +262,7 @@ def _canonical_search(
             if n >= 2 and red[n - 1].bit_count() > row_caps(n - 1)[(red[0] >> (n - 1)) & 1]:
                 return
             leaves += 1
-            # the leaf keeps a copy of the search's class rows, so none is rebuilt
-            leaf = EdgeColoring(n, k, tuple(colors))._carrying([adj[:] for adj in class_adj])
-            report = nim_edges(leaf, h)
+            report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
             if report.count > best:
                 best = report.count
                 best_colors = tuple(colors)
@@ -545,7 +545,7 @@ def hill_climb_f(
     if seed_coloring is not None and (seed_coloring.n != n or seed_coloring.k != k):
         raise ValueError("seed coloring does not match n, k")
     started = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(seed) if seed_coloring is None or restarts > 1 else None  # for random starts only
     m = complete_edge_count(n)
     best = -1
     best_witness: Optional[EdgeColoring] = None

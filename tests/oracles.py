@@ -36,7 +36,7 @@ became one C-level pass, one element at a time: the constructor and
 the cliques that cover it: the two must return equal reports.
 `class_rows_per_edge` is `EdgeColoring.class_adjacency` before the
 coloring kept its rows and built them by the byte-matrix pass, one step
-per edge over `all_pairs`: kept, carried and built rows must all equal it.
+per edge over `all_pairs`: the rows every coloring builds must equal it.
 `nim_edges_anchored` is the reference NIM counter, with its own
 separately coded embedding search, and `is_isomorphic` a backtracking
 isomorphism test.  `degree_sequence`, `relabel_colors` and `lemma_gap`

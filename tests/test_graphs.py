@@ -321,8 +321,8 @@ class TestClassRows:
 
     @settings(max_examples=60, deadline=None)
     @given(colorings(max_n=40, max_k=5), st.data())
-    def test_derived_colorings_carry_the_per_edge_rows(self, coloring, data):
-        # reading the rows keeps them, so each derived coloring carries its parent's
+    def test_derived_colorings_have_the_per_edge_rows(self, coloring, data):
+        # the parent keeps its rows once read, and each derived coloring builds its own on first use
         n, k = coloring.n, coloring.k
         assert coloring.class_adjacency() == class_rows_per_edge(coloring)
         for _ in range(data.draw(st.integers(1, 8))):
@@ -336,13 +336,14 @@ class TestClassRows:
                 derived = coloring.permuted(data.draw(st.permutations(range(n))))
             rebuilt = EdgeColoring(n, derived.k, derived.colors)
             assert derived == rebuilt and derived.to_json() == rebuilt.to_json()
+            assert "_rows" not in vars(derived)
             assert derived.class_adjacency() == class_rows_per_edge(rebuilt)
             coloring, k = derived, derived.k
 
     def test_returned_rows_are_fresh_lists(self):
         for coloring in (p2k_multicoloring(13, 2)[0], overlay(40, 4), EdgeColoring(25, 300, tuple(range(300)))):
             expected = class_rows_per_edge(coloring)
-            assert coloring.class_adjacency() == expected  # kept, so the derived colorings share them
+            assert coloring.class_adjacency() == expected  # kept; the derived colorings build their own
             for derived in (coloring, coloring.recolored(0, 1), coloring.with_colors(coloring.k + 1)):
                 first = derived.class_adjacency()
                 for rows in first:

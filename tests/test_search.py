@@ -64,8 +64,9 @@ class TestExhaustive:
         assert "max_pattern=" not in str(err.value)
 
     def test_budget_error_suggests_hill_climb(self):
-        with pytest.raises(ResourceLimitError, match="hill_climb"):
+        with pytest.raises(ResourceLimitError, match="hill_climb") as raised:
             exhaustive_f(8, 2, P3)
+        assert raised.value.hint == "pass budget=2**27 to allow it, or try hill_climb_f"
         with pytest.raises(ResourceLimitError):
             exhaustive_f(6, 4, P3)
 
@@ -462,6 +463,11 @@ class TestHillClimb:
         assert a.witness == b.witness
         assert a.colorings_examined == b.colorings_examined
 
+    def test_one_seeded_start_draws_nothing_from_the_seed(self):
+        start = extremal_overlay(8, P4, extremal_path_graph(8, 4, 2))
+        a, b = (hill_climb_f(8, 2, P4, seed=s, iterations=3, seed_coloring=start).to_dict() for s in (0, 99))
+        assert {**a, "elapsed": 0} == {**b, "elapsed": 0}
+
     def test_overlay_seed_guarantees_turan_bound(self):
         red = extremal_path_graph(7, 4, 2)
         seed = extremal_overlay(7, P4, red)
@@ -751,23 +757,6 @@ class TestDeltaEvaluation:
             assert state.adj == rows
             assert coloring.class_adjacency() == rows
             assert [coloring.color_class(c).adj for c in range(coloring.k)] == list(map(tuple, rows))
-
-
-# two bench cells, one a star the degree caps cut
-@pytest.mark.parametrize("cell", [(6, 2, "path:4"), (5, 3, "star:3")], ids=["n6-k2-path:4", "n5-k3-star:3"])
-def test_each_leaf_hands_in_the_rows_of_its_colors(cell, monkeypatch):
-    scored = []
-
-    def checked(coloring, h):
-        # the rows the search kept for the leaf, not rows built from its colors
-        assert vars(coloring)["_rows"] == class_rows_per_edge(coloring)
-        scored.append(coloring.colors)
-        return nim_edges(coloring, h)
-
-    monkeypatch.setattr("nimcolor.search.nim_edges", checked)
-    n, k, spec = cell
-    result = exhaustive_f(n, k, parse_pattern(spec))
-    assert scored and result.witness.colors in scored
 
 
 def _overlay(n, length, k):
