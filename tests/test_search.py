@@ -759,6 +759,24 @@ class TestDeltaEvaluation:
             assert [coloring.color_class(c).adj for c in range(coloring.k)] == list(map(tuple, rows))
 
 
+# two bench cells, one a star the degree caps cut
+@pytest.mark.parametrize("cell", [(6, 2, "path:4"), (5, 3, "star:3")], ids=["n6-k2-path:4", "n5-k3-star:3"])
+def test_each_leaf_hands_in_the_rows_of_its_colors(cell, monkeypatch):
+    scored = []
+
+    def checked(coloring, h):
+        # each leaf carries no rows in; the ones it builds are those of its colors
+        assert "_rows" not in vars(coloring)
+        assert coloring.class_adjacency() == class_rows_per_edge(coloring)
+        scored.append(coloring.colors)
+        return nim_edges(coloring, h)
+
+    monkeypatch.setattr("nimcolor.search.nim_edges", checked)
+    n, k, spec = cell
+    result = exhaustive_f(n, k, parse_pattern(spec))
+    assert scored and result.witness.colors in scored
+
+
 def _overlay(n, length, k):
     red = extremal_path_graph(n, length, ex_path(n, length).recipe["a"])
     return extremal_overlay(n, make_path(length), red).with_colors(k)
