@@ -43,13 +43,13 @@ no K_3), and a pattern with no edge has no copy through any edge.  The
 paper's colorings are blow-ups, so their largest class is dense (an
 overlay's is the complement of disjoint cliques), and on the p2k and
 overlay colorings the benchmark verifies the pass makes no query at all.
-The rule is checked before the order, matching and degree bounds above.
-One classifier, `_class_components`, applies both rules to a class's
-components.  It serves the hill climber too, component by component:
-the climber's state has `_edge_walk` start from the components it
-settles, those of least degree at least h hit and those the bounds rule
-out NIM, and scores a recoloring that leaves a class dense with no query
-(see `search._NimState`).
+A class of least degree at least h - 1 is hit whole before its twins are
+found; within a class the rule is checked on each component before the
+order, matching and degree bounds above.  One settle step,
+`_class_components`, applies both rules to a class, for the cover pass
+and the hill climber's state alike: the state has `_edge_walk` start
+from what it settles, at dense degree h, and scores a recoloring that
+leaves a class dense with no query (see `search._NimState`).
 
 The paper's colorings are built from cliques, joins and complete
 bipartite pieces whose classes are full of twins (vertices with the same
@@ -58,15 +58,16 @@ is an automorphism of the class graph, so all edges of a class between
 two twin classes, or inside one, are NIM or not together.  In the
 components that do not settle, the pass queries the first edge of each
 such group, in canonical order, unless a copy found earlier covers it
-(then the whole group is hit).  The open components' rows are kept per
-vertex, each group whose query fails clears its edges from them, and the
-edges left, the hit ones, come off the full mask with one shift per
-vertex.  The mask is that of one query per uncovered edge, the walk
-`_edge_walk` makes over the edges no rule settles.  The pass serves
-`nim_edges`, which also scores the exhaustive search's leaves, many
-colorings of a few vertices.  The walk serves the hill climber's
-`_NimState`, which needs the copy that first covered each walked non-NIM
-edge.  The twin classes, `_twin_members`, serve the
+(then the whole group is hit).  A class in which no two vertices with an
+edge are twins is open whole, with no twins or components found.  The
+open components' rows are kept per vertex, each group whose query fails
+clears its edges from them, and the edges left, the hit ones, come off
+the full mask with one shift per vertex.  The mask is that of one query
+per uncovered edge, the walk `_edge_walk` makes over the edges no rule
+settles.  The pass serves `nim_edges`, which also scores the exhaustive
+search's leaves, many colorings of a few vertices.  The walk serves the
+hill climber's `_NimState`, which needs the copy that first covered each
+walked non-NIM edge.  The twin classes, `_twin_members`, serve the
 climber too: two vertices are colored twins exactly when they are twins
 in every class, so its colored-twin orbits refine the classes' twin
 classes.
@@ -106,6 +107,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -429,23 +431,44 @@ def _matching_number(rows: Sequence[int], mask: int) -> int:
 
 
 def _class_components(
-    rows: Sequence[int], members: Sequence[int], firsts: int, dense: float, pattern_bounds: tuple
-) -> tuple[int, int]:
-    """(hit, open) vertex masks of the components of one class, by BFS over
-    its twin classes (`members`, `firsts` from `_twin_members`).
+    rows: Sequence[int], dense: float, limits: tuple
+) -> tuple[int, int, Optional[tuple[list[int], int]]]:
+    """(hit, open, twins) of one class with adjacency `rows`: the vertex
+    masks of its hit and open components, and its twin classes,
+    `_twin_members(rows)` or None; the one settle step of the cover pass
+    and of the climber's state.
 
-    The row of a class's first member reaches every neighbour of the class,
-    whole twin classes at a time.  Each component's size, least and top
+    A component of least degree at least `dense` is hit; one that is too
+    small for every edge-bearing component of the pattern, by order, cover
+    number or top degree (`limits`, from `_component_bounds`), is NIM as a
+    whole and in neither mask; the rest are open.  A whole class settles
+    first, with no twins: NIM when its vertices with an edge, or its top
+    degree, fall short of every pattern component; hit, every vertex, when
+    its least degree is at least `dense`.  A class in which no two vertices
+    with an edge are twins, as most classes of a random coloring, is open
+    whole, its twins each vertex alone, or None when two vertices are
+    isolated.  Any other class is split by BFS over its twin classes: the
+    row of a class's first member reaches every neighbour of the class,
+    whole twin classes at a time, and each component's size, least and top
     degree (twins share degree) and largest independent twin class are
-    tracked.  A component of least degree at least `dense` is hit; one that
-    is too small for every edge-bearing component of the pattern, by order,
-    cover number or top degree (`pattern_bounds`, from `_component_bounds`),
-    is NIM as a whole and in neither mask; the rest are open.  The cover
-    pass passes the pattern's dense degree, h - 1 for a forest on h
-    vertices with an edge; the climber's state passes h, the least degree
-    at which no single removal undoes the rule.
+    tracked.  The cover pass passes the pattern's dense degree, h - 1 for a
+    forest on h vertices with an edge; the climber's state passes h, the
+    least degree at which no single removal undoes the rule.
     """
-    min_order, bounds = pattern_bounds[0], pattern_bounds[3]
+    min_order, min_degree, _, bounds = limits
+    degrees = list(map(int.bit_count, filter(None, rows)))
+    if len(degrees) < min_order or max(degrees) < min_degree:
+        return 0, 0, None
+    n = len(rows)
+    every = (1 << n) - 1
+    if min(degrees) >= dense:  # a forest pattern embeds greedily through every edge
+        return every, 0, None
+    # no two vertices with an edge share their open or closed row
+    if len(set(rows)) == len(degrees) + (len(degrees) < n):
+        singles = [1 << v for v in range(n)]
+        if len(set(map(or_, rows, singles))) == n:
+            return 0, every, (singles, every) if len(degrees) >= n - 1 else None
+    members, firsts = twins = _twin_members(rows)
     left, open_, hit = firsts, 0, 0
     while left:
         b = left & -left
@@ -453,7 +476,7 @@ def _class_components(
         if not rows[t]:  # the isolated vertices
             left ^= b
             continue
-        comp, todo, free, top, low = members[t], b, 1, 0, len(rows)
+        comp, todo, free, top, low = members[t], b, 1, 0, n
         while todo:
             b = todo & -todo
             todo ^= b
@@ -470,7 +493,7 @@ def _class_components(
             comp |= grown
             todo |= grown & firsts
         left &= ~comp
-        if low >= dense:  # a forest pattern embeds greedily through every edge
+        if low >= dense:
             hit |= comp
             continue
         size = comp.bit_count()
@@ -480,7 +503,7 @@ def _class_components(
             if order <= size and matching <= size - free and degree <= top:
                 open_ |= comp
                 break
-    return hit, open_
+    return hit, open_, twins
 
 
 def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
@@ -494,28 +517,27 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
     edge-bearing pattern component are NIM as a whole.  In the others one
     edge per twin group is queried, in canonical order, unless a copy found
     earlier covers it; a group is NIM or hit as a whole, so a NIM group
-    clears every one of its edges from the hit rows.
+    clears every one of its edges from the hit rows.  A twin-free class is
+    open whole, each of its edges a group of its own.
     """
     n = coloring.n
     limits = _component_bounds(pattern.adj)
-    min_order, min_degree, dense = limits[:3]
+    dense = limits[2]
     offsets, plans = _query_plans(pattern, n)
     # rows over the other ends: hit_rows[x] holds x's edges in components
     # that are dense or need queries, less those in NIM groups
     hit_rows = [0] * n
-    opened = 0  # the vertices with an edge in such a component
+    opened = 0  # the vertices of such components
     for rows in coloring.class_adjacency():
-        # every component has too few vertices, or too low a top degree
-        if n - rows.count(0) < min_order or max(map(int.bit_count, rows)) < min_degree:
-            continue
-        members, firsts = _twin_members(rows)
-        hit, open_ = _class_components(rows, members, firsts, dense, limits)
+        hit, open_, twins = _class_components(rows, dense, limits)
         kept = open_ | hit
-        if not kept:
-            continue
         opened |= kept
         for v in _bits(kept):
             hit_rows[v] |= rows[v]
+        if not open_:
+            continue
+        # a twin-free class with two isolated vertices comes with no twins
+        members, firsts = twins or _twin_members(rows)
         covered = 0
         for r in _bits(open_ & firsts):
             row, mine, base = rows[r], members[r], offsets[r]

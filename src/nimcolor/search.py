@@ -47,7 +47,7 @@ NIM count: recoloring e from c to c' changes only classes c and c', so
 the climber requeries just the edges whose cover witness used e (in c)
 and the NIM edges of c' not yet covered by a copy through e, stopping
 once the candidate cannot beat the best move so far.  The state settles
-whole class components with no query, by the cover pass's rules
+whole class components with no query, by the cover pass's settle step
 (`nim._class_components`).  For a forest pattern on h vertices with an
 edge, a component whose vertices all have degree at least h - 1 has
 every edge hit (the dense rule).  The state's walk starts with each
@@ -77,7 +77,6 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -645,34 +644,25 @@ class _NimState:
     gain(e, c')`.  `gain` requeries the NIM edges of c' that no copy
     through e covers yet, in `class_nim[c']` order.
 
-    The cover pass's rules settle whole class components with no query
-    (`nim._class_components`).  `dense` is the pattern's dense degree d
-    (h - 1 for a forest on h vertices with an edge, infinite otherwise),
-    and `low[c]` the least degree over class c's vertices with an edge
-    (infinite when c is empty).  A component whose vertices all have
-    degree at least d has every edge in a copy, so:
+    The walk starts from what the settle step, `nim._class_components`,
+    settles with no query at degree d + 1: `dense` is the pattern's dense
+    degree d (h - 1 for a forest on h vertices with an edge, infinite
+    otherwise), and `low[c]` the least degree over class c's vertices with
+    an edge (infinite when c is empty).  A component whose vertices all
+    have degree at least d has every edge in a copy.  Removing one edge
+    from a component of least degree at least d + 1 leaves each piece at
+    least d, so no loss needs the witnesses of its edges, which get no
+    dependents of their own (a copy of a disconnected pattern can still
+    use them, and a walked edge's witness records them).  So:
 
-    - the walk starts with every component of least degree at least d + 1
-      hit, a whole class when `low[c] >= d + 1`.  Removing any one edge
-      leaves each piece of such a component with least degree at least d,
-      so it stays hit and no loss needs the witnesses of its edges, which
-      get no dependents of their own.  A copy of a disconnected pattern
-      can still use its edges, and a walked edge's witness records them;
-    - the walk starts with every component that the order, matching or
-      top-degree bound rules out NIM, a whole class when its vertices with
-      an edge or its top degree fall short.  A class in which no two
-      vertices with an edge are twins is walked whole, with no BFS: most
-      classes of a random coloring are twin-free, and on the bench's
-      random `hill` starts none of them had a component to settle, while
-      the twin classes and the BFS cost each start a few per cent;
     - `loss(e)` of a non-NIM e in class c is 0 when `low[c] >= d` and both
       ends of e have class degree at least d + 1: c less e stays dense;
     - `gain(e, c')` is 0 when `low[c'] >= d` and both ends have c'-degree
       at least d - 1: c' plus e is dense, so e is hit, and c' had no NIM
       edge to lose.
 
-    `twins[c]` holds class c's twin classes once they are computed, for
-    the settling above or for `hill_climb_f`'s orbit scan.
+    `twins[c]` holds class c's twin classes once they are computed, by the
+    settle step or for `hill_climb_f`'s orbit scan.
     """
 
     def __init__(self, coloring: EdgeColoring, pattern: SimpleGraph):
@@ -682,33 +672,18 @@ class _NimState:
         self.pairs = all_pairs(coloring.n)
         self.adj = coloring.class_adjacency()
         limits = _component_bounds(pattern.adj)
-        min_order, min_degree, self.dense = limits[:3]
+        self.dense = limits[2]
         self.low: list[float] = []
-        self.twins: list[Optional[tuple[list[int], int]]] = [None] * coloring.k
-        # the least degree at which no single removal undoes the dense rule
-        settled = self.dense + 1
-        n = coloring.n
-        every = (1 << n) - 1
-        singles = [1 << v for v in range(n)]
+        self.twins: list[Optional[tuple[list[int], int]]] = []
+        every = (1 << coloring.n) - 1
         nim = hit = 0
-        for c, rows in enumerate(self.adj):
-            degrees = [row.bit_count() for row in rows if row]
-            low = min(degrees, default=math.inf)
-            self.low.append(low)
-            if low >= settled:
-                hit |= _edge_mask(rows, every, offsets)
-            elif len(degrees) < min_order or max(degrees) < min_degree:
-                nim |= _edge_mask(rows, every, offsets)
-            # no two vertices with an edge share their open or closed row:
-            # the class is walked whole
-            elif len(set(rows)) == len(degrees) + (len(degrees) < n) and len(set(map(or_, rows, singles))) == n:
-                if len(degrees) >= n - 1:  # and each vertex is its own twin class
-                    self.twins[c] = singles, every
-            else:
-                members, firsts = self.twins[c] = _twin_members(rows)
-                hit_at, open_at = _class_components(rows, members, firsts, settled, limits)
-                hit |= _edge_mask(rows, hit_at, offsets)
-                nim |= _edge_mask(rows, every & ~hit_at & ~open_at, offsets)
+        for rows in self.adj:
+            self.low.append(min(map(int.bit_count, filter(None, rows)), default=math.inf))
+            # the least degree at which no single removal undoes the dense rule
+            hit_at, open_at, twins = _class_components(rows, self.dense + 1, limits)
+            self.twins.append(twins)
+            hit |= _edge_mask(rows, hit_at, offsets)
+            nim |= _edge_mask(rows, every & ~hit_at & ~open_at, offsets)
         self.dependents = [0] * len(self.pairs)
         self.nim = _edge_walk(self.adj, self.colors, offsets, self.plans, self.dependents, nim, hit)
         self.class_nim: list[list[int]] = [[] for _ in range(coloring.k)]

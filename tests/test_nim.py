@@ -21,7 +21,9 @@ from nimcolor.constructions import extremal_overlay, p2k_multicoloring, tail_for
 from nimcolor.graphs import (
     EdgeColoring, SimpleGraph, _bits, all_pairs, components, disjoint_union, edge_index, edge_unindex, join,
 )
-from nimcolor.nim import _anchor_plan, _anchor_plans, _cover_pass, _find_through, _query_plans, contains, nim_edges
+from nimcolor.nim import (
+    _anchor_plan, _anchor_plans, _cover_pass, _find_through, _query_plans, _twin_members, contains, nim_edges,
+)
 from nimcolor.errors import ResourceLimitError
 from nimcolor.patterns import (
     custom_pattern,
@@ -824,6 +826,73 @@ def assert_pass_is_sound(coloring: EdgeColoring, h) -> None:
             assert _ruled_out(*component(e), g)
 
 
+# patterns whose components are too large, by order, cover number or top
+# degree, for some of the pieces `settled_pieces` draws; two are disconnected
+SETTLE_PATTERNS = [
+    *map(parse_pattern, ["path:4", "path:6", "path:8", "spider:2,2,1", "dstar:3+path:6", "path:3+path:5", "star:3"]),
+    C5,
+]
+
+
+def cycle(m: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+CLIQUES_AND_JOINS = st.one_of(
+    st.integers(2, 7).map(SimpleGraph.complete),
+    st.tuples(st.integers(1, 3), st.integers(1, 8)).map(
+        lambda ts: join(SimpleGraph.complete(ts[0]), SimpleGraph.empty(ts[1]))
+    ),
+)
+# no two vertices of a path on 4 or more vertices, a cycle on 5 or more or
+# the spider S(2,2,2) are twins, so a class of such pieces is twin-free
+TWIN_FREE_PIECES = st.one_of(
+    st.integers(4, 7).map(lambda m: make_path(m).graph),
+    st.integers(5, 7).map(cycle),
+    st.just(make_spider([2, 2, 2]).graph),
+)
+
+
+@st.composite
+def settled_pieces(draw, piece=CLIQUES_AND_JOINS):
+    """Pieces side by side in one class, with up to two isolated vertices, relabeled.
+
+    By default they are small cliques and joins K_t ∨ E_s.  A clique with
+    fewer vertices than a pattern component, or a join whose t is below the
+    component's matching number, holds no copy through any of its edges:
+    the pass settles it without a query.  With `TWIN_FREE_PIECES` the class
+    is twin-free, and the pass queries all of it.  The other edges take the
+    other colors at random, or one color per residue of u + v mod n, which
+    makes each of those classes a matching.
+    """
+    h = draw(st.sampled_from(SETTLE_PATTERNS))
+    pieces = draw(st.lists(piece, min_size=1, max_size=3))
+    g = SimpleGraph.empty(draw(st.integers(0, 2)))
+    for p in pieces:
+        g = disjoint_union(g, p)
+    n = g.n
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([2, 3]))
+        rest = st.integers(1, k - 1)
+        colors = tuple(0 if g.has_edge(u, v) else draw(rest) for u, v in all_pairs(n))
+    else:
+        k = n + 1
+        colors = tuple(0 if g.has_edge(u, v) else 1 + (u + v) % n for u, v in all_pairs(n))
+    perm = draw(st.permutations(range(n)))
+    return EdgeColoring(n, k, colors).permuted(perm), h
+
+
+def _two_classes(g: SimpleGraph) -> EdgeColoring:
+    """The 2-coloring of K_n whose class 0 is g and class 1 its complement."""
+    return EdgeColoring(g.n, 2, tuple(0 if g.has_edge(u, v) else 1 for u, v in all_pairs(g.n)))
+
+
+# class 0 is P_4 beside S(2,2,2) on K_11, twin-free, so it is queried whole
+# for star:3: the P_4, of top degree 2 < 3, takes 3 failed queries, though a
+# BFS over its components would settle it unqueried; class 1 is dense
+P4_AND_SPIDER = (_two_classes(disjoint_union(make_path(4).graph, make_spider([2, 2, 2]).graph)), make_star(3))
+
+
 def _overlay_40_path6() -> EdgeColoring:
     h = make_path(6)
     return extremal_overlay(40, h, extremal_path_graph(40, 6, ex_path(40, 6).recipe["a"]))
@@ -831,8 +900,15 @@ def _overlay_40_path6() -> EdgeColoring:
 
 class TestTwinCollapse:
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.tuples(blown_up_colorings(), st.sampled_from(TWIN_PATTERNS)), regular_pieces()))
+    @given(
+        st.one_of(
+            st.tuples(blown_up_colorings(), st.sampled_from(TWIN_PATTERNS)),
+            regular_pieces(),
+            settled_pieces(TWIN_FREE_PIECES),
+        )
+    )
     @example((TRIANGLE_AND_C4, P4))
+    @example(P4_AND_SPIDER)
     # one class is a K_4, a single twin group: the pass queries (0, 1) only,
     # and the climber's state, as 3 >= |P_3|, settles it hit with no query
     @example((EdgeColoring.monochromatic(4), P3))
@@ -899,13 +975,17 @@ class TestTwinCollapse:
             # or 3, below 5: the pass still queries one edge per twin group,
             # 266 of them, and all are hits
             (EdgeColoring.random(30, 6, random.Random(5)), "path:6", 266, 266),
+            # 4 and 1 while a BFS over the twin-free class 0 settled its P_4
+            # unqueried by top degree; the class is now opened whole, and
+            # the P_4's 3 edges take a failed query each
+            (P4_AND_SPIDER[0], "star:3", 7, 1),
         ],
-        ids=["p2k-60-4", "tail-40-3", "random-30-3", "random-30-6"],
+        ids=["p2k-60-4", "tail-40-3", "random-30-3", "random-30-6", "p4-and-spider"],
     )
     def test_query_counts(self, monkeypatch, coloring, spec, queries, hits):
-        # one query per uncovered edge takes 1716, 702, 351 and 266 queries,
-        # and proving NIM once per twin group but querying every hit 494,
-        # 519, 351 and 266
+        # one query per uncovered edge takes 1716, 702, 351, 266 and 48
+        # queries, and proving NIM once per twin group but querying every
+        # hit 494, 519, 351 and 266 on the first four
         calls = []
 
         def counted(*args):
@@ -917,47 +997,6 @@ class TestTwinCollapse:
         monkeypatch.setattr(nim, "_find_through", counted)
         nim_edges(coloring, parse_pattern(spec))
         assert (len(calls), sum(calls)) == (queries, hits)
-
-
-# patterns whose components are too large, by order, cover number or top
-# degree, for some of the pieces `settled_pieces` draws; two are disconnected
-SETTLE_PATTERNS = [
-    *map(parse_pattern, ["path:4", "path:6", "path:8", "spider:2,2,1", "dstar:3+path:6", "path:3+path:5", "star:3"]),
-    C5,
-]
-
-
-@st.composite
-def settled_pieces(draw):
-    """Small cliques and joins K_t ∨ E_s side by side in one class, relabeled.
-
-    A clique with fewer vertices than a pattern component, or a join whose
-    t is below the component's matching number, holds no copy through any
-    of its edges: the pass settles it without a query.  The other edges
-    take the other colors at random, or one color per residue of u + v
-    mod n, which makes each of those classes a matching.
-    """
-    h = draw(st.sampled_from(SETTLE_PATTERNS))
-    piece = st.one_of(
-        st.integers(2, 7).map(SimpleGraph.complete),
-        st.tuples(st.integers(1, 3), st.integers(1, 8)).map(
-            lambda ts: join(SimpleGraph.complete(ts[0]), SimpleGraph.empty(ts[1]))
-        ),
-    )
-    pieces = draw(st.lists(piece, min_size=1, max_size=3))
-    g = SimpleGraph.empty(draw(st.integers(0, 2)))
-    for p in pieces:
-        g = disjoint_union(g, p)
-    n = g.n
-    if draw(st.booleans()):
-        k = draw(st.sampled_from([2, 3]))
-        rest = st.integers(1, k - 1)
-        colors = tuple(0 if g.has_edge(u, v) else draw(rest) for u, v in all_pairs(n))
-    else:
-        k = n + 1
-        colors = tuple(0 if g.has_edge(u, v) else 1 + (u + v) % n for u, v in all_pairs(n))
-    perm = draw(st.permutations(range(n)))
-    return EdgeColoring(n, k, colors).permuted(perm), h
 
 
 def _relabeled(coloring: EdgeColoring, seed: int) -> EdgeColoring:
@@ -982,7 +1021,14 @@ class TestComponentSettle:
     uncovered edge."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(settled_pieces(), st.tuples(blown_up_colorings(), st.sampled_from(SETTLE_PATTERNS))))
+    @given(
+        st.one_of(
+            settled_pieces(),
+            settled_pieces(TWIN_FREE_PIECES),
+            st.tuples(blown_up_colorings(), st.sampled_from(SETTLE_PATTERNS)),
+        )
+    )
+    @example(P4_AND_SPIDER)
     def test_pass_matches_the_per_edge_pass(self, case):
         coloring, h = case
         assert _cover_pass(coloring, h.graph) == cover_pass_per_edge(coloring, h.graph)[1]
@@ -1059,11 +1105,6 @@ def dense_colorings(draw):
     return EdgeColoring(n, k, tuple(0 if d < bias else r for d, r in zip(dice, rest)))
 
 
-def _two_classes(g: SimpleGraph) -> EdgeColoring:
-    """The 2-coloring of K_n whose class 0 is g and class 1 its complement."""
-    return EdgeColoring(g.n, 2, tuple(0 if g.has_edge(u, v) else 1 for u, v in all_pairs(g.n)))
-
-
 class TestDenseComponents:
     """A class component whose least degree is at least h - 1, for a forest
     pattern on h vertices with an edge, is hit whole with no query."""
@@ -1112,3 +1153,49 @@ class TestDenseComponents:
     @given(st.one_of(dense_colorings(), blown_up_colorings(max_n=8)), st.sampled_from(DENSE_PATTERNS))
     def test_matches_brute_force(self, coloring, h):
         assert set(nim_edges(coloring, h).nim_edges) == nim_brute(coloring, h.graph)
+
+
+class TestSettleStep:
+    """`nim._class_components` settles one class, at the cover pass's dense
+    degree: NIM whole, hit whole, open whole when twin-free, or component
+    by component over its twin classes."""
+
+    @staticmethod
+    def settle(g: SimpleGraph, spec: str):
+        limits = nim._component_bounds(parse_pattern(spec).graph.adj)
+        return nim._class_components(g.adj, limits[2], limits)
+
+    def test_too_few_vertices(self):
+        assert self.settle(SimpleGraph.complete(3), "path:4") == (0, 0, None)
+
+    def test_too_low_a_top_degree(self):
+        assert self.settle(cycle(12), "spider:2,2,1") == (0, 0, None)
+
+    def test_dense(self):
+        # the triangular prism, 3-regular, at the claw's dense degree 3
+        prism = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+        assert self.settle(prism, "star:3") == (0b111111, 0, None)
+
+    def test_twin_free(self):
+        path = make_path(6).graph
+        assert self.settle(path, "path:4") == (0, 0b111111, _twin_members(path.adj))
+        # two isolated vertices are twins: the step leaves the twins to its caller
+        assert self.settle(disjoint_union(path, SimpleGraph.empty(2)), "path:4") == (0, 0xFF, None)
+
+    def test_components_over_twin_classes(self):
+        # K_4 on 0-3 is hit, K_{2,3} on 4-8 open, and K_3 on 9-11 too small for P_4
+        g = disjoint_union(
+            disjoint_union(SimpleGraph.complete(4), join(SimpleGraph.empty(2), SimpleGraph.empty(3))),
+            SimpleGraph.complete(3),
+        )
+        assert self.settle(g, "path:4") == (0b1111, 0b111110000, _twin_members(g.adj))
+
+    def test_a_dense_class_builds_no_twin_classes(self, monkeypatch):
+        # the n = 30 path:4 overlay: the red class, disjoint cliques, is
+        # split by its twin classes, and the blue one is hit whole
+        calls = []
+        twins = nim._twin_members
+        monkeypatch.setattr(nim, "_twin_members", lambda rows: calls.append(rows) or twins(rows))
+        coloring = extremal_overlay(30, P4, extremal_path_graph(30, 4, ex_path(30, 4).recipe["a"]))
+        assert nim_edges(coloring, P4).count == 30
+        assert calls == [coloring.class_adjacency()[0]]
