@@ -15,6 +15,7 @@ import datetime
 import functools
 import json
 import os
+import stat
 import sys
 from typing import Optional
 
@@ -148,6 +149,28 @@ def _construction(family: str, n: int, size: Optional[int], h: Optional[PatternG
     return extremal_overlay(n, h, extremal_path_graph(n, h.vertex_count, size)), None
 
 
+def _overwrite(path: str, text: str) -> None:
+    """Write text to path as UTF-8 in place, keeping the file's inode.
+
+    No O_TRUNC: on ext4, truncating a file to zero and closing it starts
+    writeback (the auto_da_alloc heuristic), about 0.1 ms per file, where an
+    in-place write takes under 10 µs.  A tail longer than the new bytes is cut
+    off afterwards, and only from a regular file: /dev/null refuses ftruncate.
+    Like open(path, "w"), the write is neither atomic nor synced.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old = os.fstat(fd)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _cmd_construct(args) -> int:
     for family, flags in _FAMILIES.items():
         for flag in flags:
@@ -160,13 +183,11 @@ def _cmd_construct(args) -> int:
     coloring, layout = _construction(args.family, args.n, getattr(args, flags[-1]), h)
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(coloring.to_json() + "\n")
+        _overwrite(args.output, coloring.to_json() + "\n")
         if layout is not None:
             layout_payload = layout.to_dict()
             layout_payload["verify"] = verify_layout(layout).to_dict()
-            with open(args.output + ".layout.json", "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(layout_payload, sort_keys=True) + "\n")
+            _overwrite(args.output + ".layout.json", json.dumps(layout_payload, sort_keys=True) + "\n")
         _emit({"written": args.output, "n": coloring.n, "k": coloring.k})
     else:
         _emit(coloring.to_dict())
@@ -369,14 +390,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main builds its parser once per process: a build costs about 20 parses,
-# and tests and the benchmark call main many times in one process
-_main_parser = functools.cache(build_parser)
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each subcommand's own, built once per process: a
+    build costs about 20 parses, and tests and the benchmark call main many
+    times in one process."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments build_parser().parse_args(argv) gives, parsed once.
+
+    A subcommand's argv goes straight to that subcommand's parser, which the
+    full parser would run inside its own parse, so an unrecognized argument
+    is reported under the subcommand's usage line.  The full parser handles
+    --version, an empty argv and unknown commands.  Raises SystemExit as
+    argparse does.
+    """
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _main_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

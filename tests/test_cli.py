@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import hashlib
 import io
 import json
@@ -10,8 +11,8 @@ import pytest
 
 import nimcolor.graphs
 import nimcolor.turan
-from nimcolor.cli import _append_ledger, build_parser, main, read_ledger
-from nimcolor.constructions import build_p2k_layout, verify_layout
+from nimcolor.cli import _append_ledger, _parse_args, build_parser, main, read_ledger
+from nimcolor.constructions import build_p2k_layout, p2k_multicoloring, tail_forest_coloring, verify_layout
 from nimcolor.graphs import EdgeColoring
 from nimcolor.nim import nim_edges
 from nimcolor.patterns import make_path, make_star
@@ -163,6 +164,58 @@ class TestConstructVerifyPipeline:
         assert code == 0
         code, out, _ = run(capsys, "verify", "--coloring", str(target), "--pattern", "path:4")
         assert json.loads(out)["count"] >= 6
+
+    def test_a_shorter_construct_overwrites_with_no_stale_tail(self, capsys, tmp_path):
+        target = tmp_path / "c.json"
+        sidecar = tmp_path / "c.json.layout.json"
+        construct = ("construct", "--family", "p2k", "--k", "2", "-o", str(target), "--n")
+        assert run(capsys, *construct, "64")[0] == 0
+        inodes = (target.stat().st_ino, sidecar.stat().st_ino)
+        assert run(capsys, *construct, "10")[0] == 0
+        coloring, layout = p2k_multicoloring(10, 2)
+        payload = layout.to_dict()
+        payload["verify"] = verify_layout(layout).to_dict()
+        assert target.read_text(encoding="utf-8") == coloring.to_json() + "\n"
+        assert sidecar.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
+        assert (target.stat().st_ino, sidecar.stat().st_ino) == inodes
+
+    def test_construct_to_dev_null(self, capsys):
+        # /dev/null refuses ftruncate, so only a regular file's tail is cut
+        code, out, err = run(capsys, "construct", "--family", "tail", "--a", "3", "--n", "20", "-o", os.devnull)
+        assert (code, json.loads(out), err) == (0, {"written": os.devnull, "n": 20, "k": 2}, "")
+
+    def test_construct_writes_through_a_symlink(self, capsys, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("x" * 10000)
+        link.symlink_to(real)
+        assert run(capsys, "construct", "--family", "tail", "--a", "3", "--n", "20", "-o", str(link))[0] == 0
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == tail_forest_coloring(20, 3).to_json() + "\n"
+
+    def test_construct_to_a_directory_is_an_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "construct", "--family", "tail", "--a", "3", "--n", "20", "-o", str(tmp_path))
+        assert (code, out, err) == (1, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+    def test_outputs_are_never_opened_truncating(self, capsys, tmp_path, monkeypatch):
+        # truncating to zero and closing makes ext4 start writeback on close
+        opened = []
+        os_open, io_open = os.open, builtins.open
+
+        def spy_os_open(path, flags, *rest, **kw):
+            opened.append((os.fspath(path), "O_TRUNC" if flags & os.O_TRUNC else "in place"))
+            return os_open(path, flags, *rest, **kw)
+
+        def spy_open(file, mode="r", *rest, **kw):
+            opened.append((os.fspath(file), mode))
+            return io_open(file, mode, *rest, **kw)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        target = tmp_path / "c.json"
+        for _ in range(2):  # create, then overwrite
+            assert run(capsys, "construct", "--family", "p2k", "--k", "2", "--n", "13", "-o", str(target))[0] == 0
+        outputs = (str(target), str(target) + ".layout.json")
+        assert [entry for entry in opened if entry[0] in outputs] == [(path, "in place") for path in outputs] * 2
 
     def test_verify_rejects_wrong_length(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -950,3 +1003,42 @@ class TestUsage:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # each subcommand with its required flags only, then with every flag
+            "pattern --pattern path:4",
+            "construct --family p2k --n 13",
+            "construct --family overlay --n 13 --k 2 --a 3 --t 2 --pattern path:4 -o c.json",
+            "verify --coloring c.json --pattern path:4",
+            "turan --pattern path:4 --n 13",
+            "turan --pattern path:4 --n 13 --method oracle",
+            "search --pattern path:3 --n 5 --k 2",
+            "search --pattern path:3 --n 5 --k 4 --mode hill --seed 3 --iterations 4 --restarts 2"
+            " --seed-construction p2k --construction-k 2 --budget 9 --ledger l.jsonl",
+            "report",
+            "report --format csv --ledger l.jsonl",
+        ],
+    )
+    def test_a_subcommand_parses_as_the_full_parser_does(self, argv):
+        assert vars(_parse_args(argv.split())) == vars(build_parser().parse_args(argv.split()))
+
+    def test_a_subcommand_is_parsed_once(self, capsys, monkeypatch):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, *args, **kw):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        assert run(capsys, "pattern", "--pattern", "path:4")[0] == 0
+        assert calls == ["nimcolor pattern"]
+
+    def test_unrecognized_arguments_name_the_subcommand(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--coloring", str(tmp_path / "c.json"), "--pattern", "path:4", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "nimcolor verify: error: unrecognized arguments: --bogus"
