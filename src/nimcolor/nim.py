@@ -59,18 +59,18 @@ two twin classes, or inside one, are NIM or not together.  In the
 components that do not settle, the pass queries the first edge of each
 such group, in canonical order, unless a copy found earlier covers it
 (then the whole group is hit).  A class in which no two vertices with an
-edge are twins is open whole, with no twins or components found.  The
-open components' rows are kept per vertex, each group whose query fails
-clears its edges from them, and the edges left, the hit ones, come off
-the full mask with one shift per vertex.  The mask is that of one query
-per uncovered edge, the walk `_edge_walk` makes over the edges no rule
-settles.  The pass serves `nim_edges`, which also scores the exhaustive
-search's leaves, many colorings of a few vertices.  The walk serves the
-hill climber's `_NimState`, which needs the copy that first covered each
-walked non-NIM edge.  The twin classes, `_twin_members`, serve the
-climber too: two vertices are colored twins exactly when they are twins
-in every class, so its colored-twin orbits refine the classes' twin
-classes.
+edge are twins is open whole: its twin classes are found, but no
+components are.  The open components' rows are kept per vertex, each
+group whose query fails clears its edges from them, and the edges left,
+the hit ones, come off the full mask with one shift per vertex.  The
+mask is that of one query per uncovered edge, the walk `_edge_walk`
+makes over the edges no rule settles.  The pass serves `nim_edges`,
+which also scores the exhaustive search's leaves, many colorings of a
+few vertices.  The walk serves the hill climber's `_NimState`, which
+needs the copy that first covered each walked non-NIM edge.  The twin
+classes, `_twin_members`, serve the climber too: two vertices are
+colored twins exactly when they are twins in every class, so its
+colored-twin orbits refine the classes' twin classes.
 
 The engine is one plan family, each plan compiled to one loop kernel.
 `_anchor_plans` makes one plan per automorphism orbit of an oriented
@@ -107,7 +107,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -435,8 +434,8 @@ def _class_components(
 ) -> tuple[int, int, Optional[tuple[list[int], int]]]:
     """(hit, open, twins) of one class with adjacency `rows`: the vertex
     masks of its hit and open components, and its twin classes,
-    `_twin_members(rows)` or None; the one settle step of the cover pass
-    and of the climber's state.
+    `_twin_members(rows)`, or None when the class settles whole; the one
+    settle step of the cover pass and of the climber's state.
 
     A component of least degree at least `dense` is hit; one that is too
     small for every edge-bearing component of the pattern, by order, cover
@@ -444,16 +443,17 @@ def _class_components(
     whole and in neither mask; the rest are open.  A whole class settles
     first, with no twins: NIM when its vertices with an edge, or its top
     degree, fall short of every pattern component; hit, every vertex, when
-    its least degree is at least `dense`.  A class in which no two vertices
+    its least degree is at least `dense`.  Any other class has its twin
+    classes built, the step's only twin test.  One in which no two vertices
     with an edge are twins, as most classes of a random coloring, is open
-    whole, its twins each vertex alone, or None when two vertices are
-    isolated.  Any other class is split by BFS over its twin classes: the
-    row of a class's first member reaches every neighbour of the class,
-    whole twin classes at a time, and each component's size, least and top
-    degree (twins share degree) and largest independent twin class are
-    tracked.  The cover pass passes the pattern's dense degree, h - 1 for a
-    forest on h vertices with an edge; the climber's state passes h, the
-    least degree at which no single removal undoes the rule.
+    whole: each vertex with an edge heads its own twin class, and the
+    isolated ones share one.  Any other class is split by BFS over its twin
+    classes: the row of a class's first member reaches every neighbour of
+    the class, whole twin classes at a time, and each component's size,
+    least and top degree (twins share degree) and largest independent twin
+    class are tracked.  The cover pass passes the pattern's dense degree,
+    h - 1 for a forest on h vertices with an edge; the climber's state
+    passes h, the least degree at which no single removal undoes the rule.
     """
     min_order, min_degree, _, bounds = limits
     degrees = list(map(int.bit_count, filter(None, rows)))
@@ -463,12 +463,11 @@ def _class_components(
     every = (1 << n) - 1
     if min(degrees) >= dense:  # a forest pattern embeds greedily through every edge
         return every, 0, None
-    # no two vertices with an edge share their open or closed row
-    if len(set(rows)) == len(degrees) + (len(degrees) < n):
-        singles = [1 << v for v in range(n)]
-        if len(set(map(or_, rows, singles))) == n:
-            return 0, every, (singles, every) if len(degrees) >= n - 1 else None
     members, firsts = twins = _twin_members(rows)
+    # no two vertices with an edge are twins: each heads its own twin class,
+    # and the isolated ones share one
+    if firsts.bit_count() == len(degrees) + (len(degrees) < n):
+        return 0, every, twins
     left, open_, hit = firsts, 0, 0
     while left:
         b = left & -left
@@ -518,7 +517,8 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
     edge per twin group is queried, in canonical order, unless a copy found
     earlier covers it; a group is NIM or hit as a whole, so a NIM group
     clears every one of its edges from the hit rows.  A twin-free class is
-    open whole, each of its edges a group of its own.
+    open whole, each of its edges a group of its own.  The twin groups are
+    those the settle step built for each class it did not settle whole.
     """
     n = coloring.n
     limits = _component_bounds(pattern.adj)
@@ -536,8 +536,7 @@ def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
             hit_rows[v] |= rows[v]
         if not open_:
             continue
-        # a twin-free class with two isolated vertices comes with no twins
-        members, firsts = twins or _twin_members(rows)
+        members, firsts = twins
         covered = 0
         for r in _bits(open_ & firsts):
             row, mine, base = rows[r], members[r], offsets[r]

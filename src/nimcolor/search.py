@@ -63,11 +63,11 @@ each recoloring onto one with the same count, and only the lowest edge
 of each orbit is scored.  Colored twins are twins in
 every class, so the orbits come from the cover pass's twin classes
 (`nim._twin_members`), refined over the k classes; the state keeps
-those it computed for settling.  The paper's
-constructions are blow-ups with few orbits: the bench's path:4 overlays
-have 10 and 15 orbits at n = 12 and 14 (66 and 91 edges), its path:5
-overlays 6, 10 and 10 at n = 12, 14 and 16, and its p2k colorings 37 at
-n = 13 and 14.
+those its settle step built, and the climber builds the rest.  The
+paper's constructions are blow-ups with few orbits: the bench's path:4
+overlays have 10 and 15 orbits at n = 12 and 14 (66 and 91 edges), its
+path:5 overlays 6, 10 and 10 at n = 12, 14 and 16, and its p2k colorings
+37 at n = 13 and 14.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_rank_offsets
@@ -568,7 +568,10 @@ def hill_climb_f(
             move = None  # (score, edge, color)
             # every candidate is decided, but only each orbit's lowest edge is scored
             examined += m * (k - 1)
-            for e in _orbit_edges(state.twin_classes(), n) if k > 1 else ():  # one color leaves no move
+            # each class's twin classes: the settle step's, or built here for
+            # a class it settled whole; read only up to the first twin-free one
+            twins = (t or _twin_members(rows) for t, rows in zip(state.twins, state.adj))
+            for e in _orbit_edges(twins, n) if k > 1 else ():  # one color leaves no move
                 old = current.colors[e]
                 base = score + state.loss(e)
                 for c in range(k):
@@ -595,11 +598,12 @@ def hill_climb_f(
     )
 
 
-def _orbit_edges(twin_classes: Iterable[tuple[list[int], int]], n: int) -> Sequence[int]:
+def _orbit_edges(twins: Iterable[tuple[list[int], int]], n: int) -> Sequence[int]:
     """The lowest edge of each colored-twin orbit, in canonical order, for
     a coloring of K_n with k >= 2 colors whose classes have the twin
-    classes `twin_classes`, `nim._twin_members` of each class's rows in
-    turn.  They are read only up to the first twin-free class.
+    classes `twins`, `nim._twin_members` of each class's rows in turn.
+    They are read only up to the first twin-free class, so a lazy
+    iterable builds no more of them.
 
     Vertices x and y are colored twins when swapping them changes no edge
     color: in every class, their rows agree off x and y, that is, they are
@@ -614,7 +618,7 @@ def _orbit_edges(twin_classes: Iterable[tuple[list[int], int]], n: int) -> Seque
     """
     full = (1 << n) - 1
     members = [full] * n  # each vertex's colored-twin class
-    for classes, heads in twin_classes:
+    for classes, heads in twins:
         if heads == full:
             return range(complete_edge_count(n))
         for t in _bits(heads):
@@ -661,8 +665,9 @@ class _NimState:
       at least d - 1: c' plus e is dense, so e is hit, and c' had no NIM
       edge to lose.
 
-    `twins[c]` holds class c's twin classes once they are computed, by the
-    settle step or for `hill_climb_f`'s orbit scan.
+    `twins[c]` holds class c's twin classes as the settle step returned
+    them: `nim._twin_members` of its rows, or None when the class settled
+    whole.  `hill_climb_f` builds the missing ones for its orbit scan.
     """
 
     def __init__(self, coloring: EdgeColoring, pattern: SimpleGraph):
@@ -690,14 +695,6 @@ class _NimState:
         for e in _bits(self.nim):
             self.class_nim[self.colors[e]].append(e)
         self.score = self.nim.bit_count()
-
-    def twin_classes(self) -> Iterator[tuple[list[int], int]]:
-        """Each class's twin classes (`nim._twin_members`), in class order,
-        computed at most once per state, and only when read."""
-        for c, twins in enumerate(self.twins):
-            if twins is None:
-                twins = self.twins[c] = _twin_members(self.adj[c])
-            yield twins
 
     def loss(self, e: int) -> int:
         """Change in the NIM count when edge e leaves its class.
@@ -779,9 +776,10 @@ class _StarState:
     An edge of class c lies in a copy of K_{1,s} iff one of its ends has
     class-c degree at least s, so the NIM edges of c are its edges inside
     `low[c]`, the mask of vertices of class-c degree at most s - 1.  The
-    state has `_NimState`'s interface (`adj`, `score`, `loss`, `gain`) and
-    makes no query.  Recoloring e = (u, v) changes only the degrees of u
-    and v in its two classes, so only edges at u and v change status:
+    state has `_NimState`'s interface (`adj`, `twins`, `score`, `loss`,
+    `gain`) and makes no query, so no class comes with its twins.
+    Recoloring e = (u, v) changes only the degrees of u and v in its two
+    classes, so only edges at u and v change status:
 
     - `loss(e)` is -1 when e is NIM: its ends stay low, so no other edge
       moves.  Otherwise an end u of class degree exactly s falls to s - 1
@@ -803,15 +801,11 @@ class _StarState:
         self.adj = coloring.class_adjacency()
         self.degree = [[row.bit_count() for row in rows] for rows in self.adj]
         self.low = [sum(1 << v for v, d in enumerate(degrees) if d < s) for degrees in self.degree]
+        self.twins: list[Optional[tuple[list[int], int]]] = [None] * coloring.k
         # each NIM edge is counted at both its ends
         self.score = sum(
             (rows[v] & low).bit_count() for rows, low in zip(self.adj, self.low) for v in _bits(low)
         ) >> 1
-
-    def twin_classes(self) -> Iterator[tuple[list[int], int]]:
-        """Each class's twin classes (`nim._twin_members`), in class order,
-        computed only when read."""
-        return map(_twin_members, self.adj)
 
     def loss(self, e: int) -> int:
         """Change in the NIM count when edge e leaves its class."""

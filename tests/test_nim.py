@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -1092,6 +1093,16 @@ DENSE_PATTERNS = [
 
 
 @st.composite
+def sparse_colorings(draw):
+    """A random coloring of K_n, n <= 10, in 4 to 6 colors: its classes are
+    sparse, and often leave two or more vertices isolated."""
+    n = draw(st.integers(3, 10))
+    k = draw(st.integers(4, 6))
+    m = n * (n - 1) // 2
+    return EdgeColoring(n, k, tuple(draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))))
+
+
+@st.composite
 def dense_colorings(draw):
     """A random coloring of K_n, n <= 8, whose edges take color 0 with a drawn
     chance of 50% to 90%, and the other colors evenly: class 0 is often
@@ -1179,8 +1190,9 @@ class TestSettleStep:
     def test_twin_free(self):
         path = make_path(6).graph
         assert self.settle(path, "path:4") == (0, 0b111111, _twin_members(path.adj))
-        # two isolated vertices are twins: the step leaves the twins to its caller
-        assert self.settle(disjoint_union(path, SimpleGraph.empty(2)), "path:4") == (0, 0xFF, None)
+        # the two isolated vertices share a twin class, and the step returns it
+        g = disjoint_union(path, SimpleGraph.empty(2))
+        assert self.settle(g, "path:4") == (0, 0xFF, _twin_members(g.adj))
 
     def test_components_over_twin_classes(self):
         # K_4 on 0-3 is hit, K_{2,3} on 4-8 open, and K_3 on 9-11 too small for P_4
@@ -1190,12 +1202,54 @@ class TestSettleStep:
         )
         assert self.settle(g, "path:4") == (0b1111, 0b111110000, _twin_members(g.adj))
 
-    def test_a_dense_class_builds_no_twin_classes(self, monkeypatch):
-        # the n = 30 path:4 overlay: the red class, disjoint cliques, is
-        # split by its twin classes, and the blue one is hit whole
+    @pytest.mark.parametrize(
+        "build, spec, count, built",
+        [
+            # the n = 30 path:4 overlay: the red class, disjoint cliques, is
+            # split by its twin classes, and the blue one is hit whole
+            (lambda: extremal_overlay(30, P4, extremal_path_graph(30, 4, ex_path(30, 4).recipe["a"])), "path:4", 30, [0]),
+            # every class of p2k(40, 2) is split by its twin classes
+            (lambda: p2k_multicoloring(40, 2)[0], "path:4", 120, [0, 1, 2, 3]),
+            # tail(40, 3): the red K_{5,35} is open whole, the blue cliques split
+            (lambda: tail_forest_coloring(40, 3), "dstar:3+path:6", 185, [0, 1]),
+        ],
+        ids=["overlay-30-path4", "p2k-40-2", "tail-40-3"],
+    )
+    def test_a_dense_class_builds_no_twin_classes(self, monkeypatch, build, spec, count, built):
+        # one build per class the step opens or splits, none for a class it
+        # settles whole, and none by the cover pass itself
         calls = []
         twins = nim._twin_members
-        monkeypatch.setattr(nim, "_twin_members", lambda rows: calls.append(rows) or twins(rows))
-        coloring = extremal_overlay(30, P4, extremal_path_graph(30, 4, ex_path(30, 4).recipe["a"]))
-        assert nim_edges(coloring, P4).count == 30
-        assert calls == [coloring.class_adjacency()[0]]
+
+        def spy(rows):
+            calls.append((sys._getframe(1).f_code.co_name, rows))
+            return twins(rows)
+
+        coloring = build()
+        monkeypatch.setattr(nim, "_twin_members", spy)
+        assert nim_edges(coloring, parse_pattern(spec)).count == count
+        rows = coloring.class_adjacency()
+        assert calls == [("_class_components", rows[c]) for c in built]
+
+    @pytest.mark.parametrize("slack", [0, 1], ids=["h-1", "h"])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(sparse_colorings(), blown_up_colorings(max_n=10)),
+        st.sampled_from(SETTLE_PATTERNS + DENSE_PATTERNS),
+    )
+    # class 2 has two isolated vertices and no other twin pair
+    @example(EdgeColoring.random(10, 6, random.Random(0)), P4)
+    def test_twins_unless_settled_whole(self, slack, coloring, h):
+        # at the cover pass's dense degree h - 1 and at the climber's h
+        limits = nim._component_bounds(h.graph.adj)
+        min_order, min_degree, dense, _ = limits
+        every = (1 << coloring.n) - 1
+        for rows in coloring.class_adjacency():
+            hit, open_, twins = nim._class_components(rows, dense + slack, limits)
+            degrees = [row.bit_count() for row in rows if row]
+            whole = len(degrees) < min_order or max(degrees) < min_degree or min(degrees) >= dense + slack
+            assert (twins is None) == whole
+            if twins is None:
+                assert (hit, open_) in ((every, 0), (0, 0))
+            else:
+                assert twins == _twin_members(rows)
