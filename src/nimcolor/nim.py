@@ -1,103 +1,29 @@
 """Monochromatic-copy detection and NIM-edge computation.
 
 An edge of an edge-colored K_n is *NIM* for a pattern H when no
-monochromatic copy of H contains it.  Since a copy containing an edge of
-color i is monochromatic iff it lies inside color class i, the whole
-computation reduces to anchored subgraph-embedding queries within single
-color classes.
+monochromatic copy of H contains it.  A copy through an edge of color i
+is monochromatic iff it lies inside color class i, so every question
+here is an anchored subgraph query inside one class.  This is a map;
+each function's docstring holds its own argument.
 
-`nim_edges` makes one cover pass, `_cover_pass`.  An edge is NIM when a
-query for a copy through it in its own class finds none; a copy found,
-a bitmask of its edges in canonical order, covers all of its edges, so
-they are not NIM and need no query of their own.  Copies never leave
-their class.  The test suite checks the count against a reference counter
-with its own, separately coded search (`nim_edges_anchored` in
-tests/oracles.py).
-
-The pass works per component C of each class.  The component of a copy
-that holds the queried edge is connected, so it lies inside C, and any
-vertex cover of C covers it.  So C holds no copy through any of its
-edges, and they are NIM with no query, when every pattern component H_i
-with an edge has more vertices than C, a larger top degree than C, or a
-matching number above |C| minus the largest independent twin class of
-C.  The rest of C is then a vertex cover of C, and it would cover a copy
-of H_i inside C with fewer vertices than H_i's cover number, which the
-matching number bounds from below (and equals on forests, by König's
-theorem).  A false-twin class or a single vertex is independent.  A
-class whose vertices with an edge are fewer than every such H_i's, or
-whose top degree is below every H_i's, settles whole before its twins
-and components are found.
-
-The mirror image of that rule proves C hit with no query.  When H is a
-forest with an edge, on h vertices, and every vertex of C has degree at
-least h - 1 in the class, then every edge of C lies in a copy of H: map
-an edge of H onto it, then place the rest of its component in DFS order,
-each vertex next to its placed parent.  The parent has at least h - 1
-neighbours, and at most h - 2 of them are taken, so one is free.  Each
-further component of H is rooted at an unused vertex of C, which has one
-since |C| >= h; an isolated vertex of H takes one too.  This is the
-greedy embedding behind the folklore bound that minimum degree t - 1
-forces every tree on t vertices.  A cycle breaks the argument, since the
-last vertex must meet two placed ones (K_{3,3} has minimum degree 3 and
-no K_3), and a pattern with no edge has no copy through any edge.  The
-paper's colorings are blow-ups, so their largest class is dense (an
-overlay's is the complement of disjoint cliques), and on the p2k and
-overlay colorings the benchmark verifies the pass makes no query at all.
-A class of least degree at least h - 1 is hit whole before its twins are
-found; within a class the rule is checked on each component before the
-order, matching and degree bounds above.  One settle step,
-`_class_components`, applies both rules to a class, for the cover pass
-and the hill climber's state alike: the state has `_edge_walk` start
-from what it settles, at dense degree h, and scores a recoloring that
-leaves a class dense with no query (see `search._NimState`).
-
-The paper's colorings are built from cliques, joins and complete
-bipartite pieces whose classes are full of twins (vertices with the same
-open or the same closed neighbourhood in the class).  Swapping two twins
-is an automorphism of the class graph, so all edges of a class between
-two twin classes, or inside one, are NIM or not together.  In the
-components that do not settle, the pass queries the first edge of each
-such group, in canonical order, unless a copy found earlier covers it
-(then the whole group is hit).  A class in which no two vertices with an
-edge are twins is open whole: its twin classes are found, but no
-components are.  The open components' rows are kept per vertex, each
-group whose query fails clears its edges from them, and the edges left,
-the hit ones, come off the full mask with one shift per vertex.  The
-mask is that of one query per uncovered edge, the walk `_edge_walk`
-makes over the edges no rule settles.  The pass serves `nim_edges`,
-which also scores the exhaustive search's leaves, many colorings of a
-few vertices.  The walk serves the hill climber's `_NimState`, which
-needs the copy that first covered each walked non-NIM edge.  The twin
-classes, `_twin_members`, serve the climber too: two vertices are
-colored twins exactly when they are twins in every class, so its
-colored-twin orbits refine the classes' twin classes.
-
-The engine is one plan family, each plan compiled to one loop kernel.
-`_anchor_plans` makes one plan per automorphism orbit of an oriented
-pattern edge: the edge's ends take positions 0 and 1, the rest of their
-component follows in DFS order, then the other components, largest first,
-each DFS-ordered from a max-degree root, so partial embeddings stay
-connected.  An oriented edge that an automorphism of the pattern maps an
-earlier plan's anchor onto gets no plan of its own: a copy anchored by it
-is, through that automorphism, a copy anchored by the earlier plan.
-`_kernel` turns a plan into Python source, one nested `while` loop per
-position, and compiles it once; the kernels are cached per pattern, as
-the plans are.  Each position draws its candidates from the common host
-neighbours of its earlier pattern neighbours, or from all free vertices
-when it has none, lowest first; it prunes by host degree and collapses
-twin candidates (vertices with identical adjacency outside the pair),
-which is sound for existence queries.  At the last position every pattern
-neighbour is placed, so any candidate fits and the lowest is taken, and
-the copy mask is one expression over `edge_rank_offsets`.  The generated
-source holds fixed names and integers read from the plan, never text
-from a pattern spec, so `exec` runs nothing a caller wrote.
-`_find_through` pins positions 0 and 1 to a host edge and runs the plans'
-kernels in order, on plans and offsets its caller fetched once per pass,
-search or state (`_query_plans`: no plans for a pattern larger than the
-host).  A plan succeeds only if the first plan of its orbit
-does, so the first plan to succeed, and the copy it returns, are those of
-trying every oriented edge.  `contains` enters the first plan at position
-0, which has no earlier neighbours and so ranges over every host vertex.
+- `nim_edges`: the public count, one `_cover_pass` per coloring.  The
+  tests check it against `nim_edges_anchored` in tests/oracles.py, a
+  separately coded counter.
+- `_cover_pass`: the NIM mask by class components and twin groups.
+- `_class_components`: the settle step that the cover pass and the hill
+  climber share; it settles dense and small components with no query,
+  by the bounds `_component_bounds` and `_matching_number` give.
+- `_twin_members`: a class's twin classes.
+- `_edge_walk`: one query per unsettled, uncovered edge, for the
+  climber's state, which needs the copy that covered each edge;
+  `_edge_mask` turns a vertex mask into its edges.
+- `_anchor_plans`: one plan per automorphism orbit of an oriented
+  pattern edge, each ordered by `_anchor_plan` and compiled by `_kernel`.
+- `_query_plans` and `_find_through`: a query through one host edge, on
+  plans fetched once per pass, search or state.
+- `contains`: unanchored containment, by `_containment_kernel`.
+- `_guard` and `_depth_guard`: the input and recursion limits of every
+  entry point.
 """
 
 from __future__ import annotations
@@ -146,7 +72,9 @@ def _anchor_plan(g: SimpleGraph, a: int, b: int) -> _Plan:
     a and b take positions 0 and 1 and the rest of their component follows;
     then come the other components, largest first, each from a root of top
     degree.  Each part grows by DFS, which steps to the unplaced neighbour
-    of highest degree, lowest first among equals.
+    of highest degree, lowest first among equals, so every position but a
+    part's root has an earlier pattern neighbour: partial embeddings stay
+    connected.
     """
     rank = lambda v: (-g.degree(v), v)
     rest = sorted((comp for comp in components(g) if a not in comp), key=len, reverse=True)
@@ -189,14 +117,23 @@ def _kernel(plan: _Plan, start: int) -> _Kernel:
     """The search of `plan` from position `start` on, generated as nested loops.
 
     Position p is a `while c{p}:` loop over its candidates, lowest bit
-    first.  The degree test is left out where the earlier pattern
-    neighbours alone give the degree.  Twins have equal open or equal
-    closed rows, so `k{p}` holds both rows of each candidate whose subtree
-    failed at p, the only ones later candidates there read; no open row
-    equals a closed one (see `_twin_members`).  A kernel from
-    position 0 loops over positions 0 and 1 and hands on to the plan's
-    kernel from position 2, the one `_anchor_plans` keeps; any kernel hands
-    on after `_KERNEL_LOOPS` loops.
+    first: the common host neighbours of its earlier pattern neighbours,
+    or every free vertex when it has none.  Candidates are pruned by host
+    degree; the test is left out where the earlier pattern neighbours
+    alone give the degree.  A candidate twin to one whose subtree failed
+    at p fails too, which is sound for existence queries.  Twins have
+    equal open or equal closed rows, so `k{p}` holds both rows of each
+    candidate whose subtree failed at p, the only ones later candidates
+    there read; no open row equals a closed one (see `_twin_members`).
+    At the last position every pattern neighbour is placed, so any
+    candidate fits and the lowest is taken, and the copy mask is one
+    expression over `edge_rank_offsets`.  A kernel from position 0 loops
+    over positions 0 and 1 and hands on to the plan's kernel from
+    position 2, the one `_anchor_plans` keeps; any kernel hands on after
+    `_KERNEL_LOOPS` loops.  Kernels are compiled once and cached, as the
+    plans are.  The generated source holds fixed names and integers read
+    from the plan, never text from a pattern spec, so `exec` runs nothing
+    a caller wrote.
     """
     prev, degrees, last = plan.prev, plan.degrees, len(plan.prev) - 1
     stop = min(last, 2 if start < 2 else start + _KERNEL_LOOPS)
@@ -279,7 +216,8 @@ def _anchor_plans(pattern_adj: tuple[int, ...]) -> _Plans:
 
 @lru_cache(maxsize=None)
 def _containment_kernel(pattern_adj: tuple[int, ...]) -> _Kernel:
-    """The first anchor plan of the pattern with these rows, from position 0."""
+    """The first anchor plan of the pattern with these rows, from position
+    0, which has no earlier neighbours and so ranges over every host vertex."""
     g = SimpleGraph(len(pattern_adj), pattern_adj)
     return _kernel(_anchor_plan(g, *next(g.edges())), 0)
 
@@ -437,23 +375,52 @@ def _class_components(
     `_twin_members(rows)`, or None when the class settles whole; the one
     settle step of the cover pass and of the climber's state.
 
-    A component of least degree at least `dense` is hit; one that is too
-    small for every edge-bearing component of the pattern, by order, cover
-    number or top degree (`limits`, from `_component_bounds`), is NIM as a
-    whole and in neither mask; the rest are open.  A whole class settles
-    first, with no twins: NIM when its vertices with an edge, or its top
-    degree, fall short of every pattern component; hit, every vertex, when
-    its least degree is at least `dense`.  Any other class has its twin
-    classes built, the step's only twin test.  One in which no two vertices
-    with an edge are twins, as most classes of a random coloring, is open
-    whole: each vertex with an edge heads its own twin class, and the
-    isolated ones share one.  Any other class is split by BFS over its twin
-    classes: the row of a class's first member reaches every neighbour of
-    the class, whole twin classes at a time, and each component's size,
-    least and top degree (twins share degree) and largest independent twin
-    class are tracked.  The cover pass passes the pattern's dense degree,
-    h - 1 for a forest on h vertices with an edge; the climber's state
-    passes h, the least degree at which no single removal undoes the rule.
+    A component of least degree at least `dense` is hit, which is checked
+    first; one that is too small for every edge-bearing component of the
+    pattern, by order, cover number or top degree (`limits`, from
+    `_component_bounds`), is NIM as a whole and in neither mask; the rest
+    are open.
+
+    Small components.  The component of a copy through an edge of a class
+    component C is connected, so it lies inside C, and any vertex cover of
+    C covers it.  So C has no copy through any of its edges when every
+    pattern component H_i with an edge has more vertices than C, a larger
+    top degree than C, or a matching number above |C| minus the largest
+    independent twin class of C.  The rest of C is then a vertex cover of
+    C, and it would cover a copy of H_i inside C with fewer vertices than
+    H_i's cover number, which the matching number bounds from below (and
+    equals on forests, by König's theorem).  A false-twin class or a
+    single vertex is independent.
+
+    Dense components.  When the pattern is a forest with an edge, on h
+    vertices, and every vertex of C has degree at least h - 1 in the
+    class, every edge of C lies in a copy: map an edge of the pattern onto
+    it, then place the rest of its component in DFS order, each vertex
+    next to its placed parent.  The parent has at least h - 1 neighbours,
+    and at most h - 2 of them are taken, so one is free.  Each further
+    pattern component is rooted at an unused vertex of C, which has one
+    since |C| >= h; an isolated pattern vertex takes one too.  This is the
+    greedy embedding behind the folklore bound that minimum degree t - 1
+    forces every tree on t vertices.  A cycle breaks it, since the last
+    vertex must meet two placed ones (K_{3,3} has minimum degree 3 and no
+    K_3), and a pattern with no edge has no copy through any edge.  The
+    paper's colorings are blow-ups, so their largest class is dense (an
+    overlay's is the complement of disjoint cliques).
+
+    A whole class settles first, with no twins: NIM when its vertices with
+    an edge, or its top degree, fall short of every pattern component;
+    hit, every vertex, when its least degree is at least `dense`.  Any
+    other class has its twin classes built, the step's only twin test.
+    One in which no two vertices with an edge are twins, as most classes
+    of a random coloring, is open whole: each vertex with an edge heads
+    its own twin class, and the isolated ones share one.  Any other class
+    is split by BFS over its twin classes: the row of a class's first
+    member reaches every neighbour of the class, whole twin classes at a
+    time, and each component's size, least and top degree (twins share
+    degree) and largest independent twin class are tracked.  The cover
+    pass passes the pattern's dense degree, h - 1 for a forest on h
+    vertices with an edge; the climber's state passes h, the least degree
+    at which no single removal undoes the rule.
     """
     min_order, min_degree, _, bounds = limits
     degrees = list(map(int.bit_count, filter(None, rows)))
@@ -508,17 +475,24 @@ def _class_components(
 def _cover_pass(coloring: EdgeColoring, pattern: SimpleGraph) -> int:
     """One cover pass by class components and twin groups: the NIM edge mask.
 
-    `_class_components` sorts each class's components: those of least
-    degree at least h - 1, for a forest pattern on h vertices with an edge,
-    are hit as a whole (the forest embeds greedily through each of their
-    edges, each vertex beside its placed parent, which has a free neighbour
-    left; see the module docstring), and those too small for every
-    edge-bearing pattern component are NIM as a whole.  In the others one
-    edge per twin group is queried, in canonical order, unless a copy found
-    earlier covers it; a group is NIM or hit as a whole, so a NIM group
-    clears every one of its edges from the hit rows.  A twin-free class is
-    open whole, each of its edges a group of its own.  The twin groups are
-    those the settle step built for each class it did not settle whole.
+    An edge is NIM when a query for a copy through it in its own class
+    finds none; a copy found, a bitmask of its edges in canonical order,
+    covers all of its edges, so they need no query of their own.  Copies
+    never leave their class.  `_class_components` settles whole
+    components, hit or NIM, with no query.  In the others the edges come
+    in twin groups: swapping two twins (`_twin_members`) is an
+    automorphism of the class graph, so the edges between two twin
+    classes, or inside one, are NIM or not together.  The paper's
+    colorings are built from cliques, joins and complete bipartite pieces,
+    so their classes are full of twins.  One edge per group is queried, in
+    canonical order, unless a copy found earlier covers it (then the whole
+    group is hit).  A twin-free class is open whole, each of its edges a
+    group of its own.  The twin groups are those the settle step built for
+    each class it did not settle whole.  The open components' rows are
+    kept per vertex, each NIM group clears its edges from them, and the
+    edges left, the hit ones, come off the full mask with one shift per
+    vertex.  The mask is that of `_edge_walk`, one query per unsettled,
+    uncovered edge.
     """
     n = coloring.n
     limits = _component_bounds(pattern.adj)

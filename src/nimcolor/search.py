@@ -1,73 +1,26 @@
 """Exact and heuristic maximization of the NIM count over all k-colorings.
 
-`exhaustive_f` reports the true maximum.  It enumerates the k-colorings
-of E(K_n) that are canonical under vertex and color relabeling (both
-preserve the NIM count, so this loses nothing for the maximum): the first
-edge (0, 1) has color 0, vertex 0 has the largest class-0 degree, vertex 1
-is a class-0 neighbour of vertex 0, vertices 2..n-1 come in
-non-increasing class-0 degree, no vertex has a larger degree in any
-class than vertex 0 in class 0, and colors 1..k-1 are first used in
-increasing order along the canonical edge order.  Leaves are scored by
-the real NIM counter.
+This is a map; each function's docstring holds its own argument.
 
-The branch-and-bound cut is forward checking.  Classes only grow along a
-branch, so an edge in a monochromatic copy stays in one.  The search
-counts two kinds of such edges: *covered* ones, colored edges in a copy
-found so far, and *forced* ones, uncolored edges that close a copy
-through themselves in every class, so a copy will hold them whatever
-color they get.  A branch is dropped when m - |covered| - |forced|
-cannot beat the best count found.  Forced edges come from one blocked
-mask per class, kept exact: bit f of class c's mask is set iff class c
-plus edge f has a copy through f.  Bits once set stay set, and when
-class c gains an edge only c's unblocked later edges are requeried (for
-a star, degrees decide with no query; for k >= 3 one memo keyed by
-the class graph holds the copy and the mask each step yields).  An edge
-colored where it is unblocked has no copy through it, so only blocked
-edges are queried when colored.
+Exact search:
 
-For a star K_{1,s} (path:3 is K_{1,2}) a second bound caps each vertex's
-NIM degree by its class degrees, since an edge of class c is NIM iff both
-its ends have class-c degree at most s - 1.  A branch is dropped when half
-the sum of the caps cannot beat the best count.  Coloring (u, v) changes
-only the caps of u and v, so the search carries the sum and checks it
-before it colors an edge.  For k = 2 and n >= 2s the caps sum to
-n(s - 1) at the root, so once a coloring reaches ex(n, K_{1,s}) =
-floor(n(s - 1)/2) every other branch falls: (9, 2, star:4) went from
-16,327,509 nodes and 87 s to 471 nodes and 0.01 s.  The climber scores
-stars by the same degree rule and makes no query (`_StarState`):
-recoloring (u, v) changes only the degrees of u and v in two classes, so
-only edges at u or v change status, and bit operations on each class's
-mask of vertices of degree at most s - 1 count them.
+- `exhaustive_f`: the true maximum, over the colorings that are
+  canonical under vertex and color relabeling, and why its rules and
+  bounds keep the maximum.
+- `_canonical_search`: the branch and bound by forward checking, which
+  scores its leaves with `nim.nim_edges`.
+- `_Blocking`: each class's blocked mask, from which the forced edges
+  come; `_edge_reach` bounds the edges a step requeries.
+- `_nim_degree_cap`: the star bound on each vertex's NIM degree, tabled
+  by `_DegreeCaps` and shared by `_degree_caps`; `_star_size` spots stars.
 
-`hill_climb_f` is the heuristic companion for sizes enumeration cannot
-reach: steepest-ascent single-edge recoloring with fully deterministic
-tie-breaking, restarted from seeded random colorings or from a
-construction.  Candidates are scored by delta evaluation, not by a fresh
-NIM count: recoloring e from c to c' changes only classes c and c', so
-the climber requeries just the edges whose cover witness used e (in c)
-and the NIM edges of c' not yet covered by a copy through e, stopping
-once the candidate cannot beat the best move so far.  The state settles
-whole class components with no query, by the cover pass's settle step
-(`nim._class_components`).  For a forest pattern on h vertices with an
-edge, a component whose vertices all have degree at least h - 1 has
-every edge hit (the dense rule).  The state's walk starts with each
-component of least degree at least h hit, since no single removal can
-undo the rule there, and with each component too small for the pattern
-NIM; on the bench's overlay and p2k starts it makes no query at all.
-Removing an edge from a dense class loses nothing when both its ends
-keep degree at least h - 1, and adding one to a dense class gains
-nothing when both its ends reach degree h - 1, since the class had no
-NIM edge.  Each step scores one edge per colored-twin
-orbit: swapping two colored twins changes no edge color, so it maps
-each recoloring onto one with the same count, and only the lowest edge
-of each orbit is scored.  Colored twins are twins in
-every class, so the orbits come from the cover pass's twin classes
-(`nim._twin_members`), refined over the k classes; the state keeps
-those its settle step built, and the climber builds the rest.  The
-paper's constructions are blow-ups with few orbits: the bench's path:4
-overlays have 10 and 15 orbits at n = 12 and 14 (66 and 91 edges), its
-path:5 overlays 6, 10 and 10 at n = 12, 14 and 16, and its p2k colorings
-37 at n = 13 and 14.
+Local search:
+
+- `hill_climb_f`: steepest ascent over single-edge recolorings, from
+  seeded random or constructed starts, within `_hill_guard`'s limits.
+- `_NimState`: delta scoring of a recoloring from one walk's copies;
+  `_StarState` scores stars from class degrees alone.
+- `_orbit_edges`: the one edge per colored-twin orbit that a step scores.
 """
 
 from __future__ import annotations
@@ -137,35 +90,15 @@ def exhaustive_f(
     on an edge with an end of class-c degree at the top degree already.
     Color c is tried only if it is at most 1 + the largest color used.
 
-    The bound: an uncolored edge that closes a copy through itself in
-    every class is forced, since classes only grow; a branch whose
-    m - |covered| - |forced| is at most the best count is dropped.
-    Each class carries a blocked mask, exact at every node: the uncolored
-    edges f such that the class plus f has a copy through f.  Any sound
-    bound keeps the first maximal coloring in search order among those
-    that keep the rules, so the witness does not depend on how strong the
-    bound is.  Rule (b) alone would not move it either: the first maximal
-    coloring already uses colors 1..k-1 in first-use order, since its
-    first-use renaming is maximal too and comes no later.  Rule (a) is a
-    symmetry cut and can move it.
-
-    For a star K_{1,s} a second bound caps NIM degrees.  An edge of class c
-    is NIM iff both its ends have class-c degree <= s - 1.  Take a vertex
-    with class degrees d_c and r uncolored edges; a class is live when
-    d_c < s, and room is the sum of s - 1 - d_c over the live classes.
-    Classes only grow, so a dead class adds no NIM edge at the vertex and a
-    live one adds at most its final degree, and only if that stays below
-    s.  The vertex therefore ends with at most: the live d_c plus r NIM
-    edges if r <= room; the live d_c plus room if r > room and a class is
-    dead, since whatever the live classes cannot take adds nothing; and
-    (k - 1)(s - 1) if r > room and every class is live, since then some
-    class reaches s.  Every NIM edge has two ends, so a coloring's count is
-    at most half the sum of these caps, and a branch is dropped when that
-    half is at most the best count.  The caps only fall along a branch and
-    the bound is sound, so maxima and witnesses are unchanged.  Nodes fall
-    on every star cell: on the benchmark's (7, 2, star:3) from 10,256 to
-    97, on (8, 3, path:3) from 3,820,666 to 5,395, and f(10, 2, star:4) =
-    15 now takes 680 nodes; README lists the cells.
+    Branches are cut by sound bounds: forward checking over the classes'
+    blocked masks (`_canonical_search`, `_Blocking`) and, for a star, the
+    NIM degree caps (`_nim_degree_cap`).  Any sound bound keeps the first
+    maximal coloring in search order among those that keep the rules, so
+    the witness does not depend on how strong the bound is.  Rule (b)
+    alone would not move it either: the first maximal coloring already
+    uses colors 1..k-1 in first-use order, since its first-use renaming is
+    maximal too and comes no later.  Rule (a) is a symmetry cut and can
+    move it.
     """
     pattern = _guard("exhaustive search", n, h, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
     if k < 1:
@@ -199,11 +132,15 @@ def _canonical_search(
 
     Best is -1, with all colors 0, when no such coloring is canonical,
     under the vertex rules and the color rules alike.
-    An edge is forced when it is blocked (`_Blocking`) in every class.
-    Covered edges are colored and forced ones are not, so the bound adds
-    their counts.  For a star, a child is also dropped before its edge is
+    Classes only grow along a branch, so an edge in a monochromatic copy
+    stays in one.  Covered edges are colored edges in a copy found so far;
+    forced ones are uncolored edges blocked (`_Blocking`) in every class,
+    which a copy will hold whatever color they get.  The two sets are
+    disjoint, so a branch whose m - |covered| - |forced| is at most best
+    is dropped.  For a star, a child is also dropped before its edge is
     colored when half the sum of the vertices' NIM degree caps
-    (`_nim_degree_cap`) would be at most best.
+    (`_nim_degree_cap`) would be at most best: every NIM edge has two
+    ends.
     """
     m = len(choices)
     pairs = all_pairs(n)
@@ -315,13 +252,24 @@ def _canonical_search(
 
 
 def _nim_degree_cap(degrees: Sequence[int], r: int, s: int) -> int:
-    """The most NIM edges at a vertex with class degrees `degrees` and r
-    uncolored edges, over every coloring of those edges, for the star K_{1,s}.
+    """The most NIM edges at a vertex with class degrees `degrees`, one for
+    each of the k classes, and r uncolored edges, over every coloring of
+    those edges, for the star K_{1,s}.
 
-    A class-c edge is NIM iff both its ends have class-c degree <= s - 1,
-    so a class of final degree D adds D NIM edges at most if D < s, none
-    otherwise.  A class is live while its degree is below s; it can take
-    `room` more edges before any live class reaches s.
+    A class-c edge is NIM iff both its ends have class-c degree <= s - 1.
+    A class is live while its degree d_c is below s, and `room` is the sum
+    of s - 1 - d_c over the live classes.  Classes only grow, so a dead
+    class adds no NIM edge at the vertex, and a live one adds at most its
+    final degree, and only if that stays below s.  The vertex therefore
+    ends with at most: the live d_c plus r NIM edges if r <= room; the
+    live d_c plus room if r > room and a class is dead, since whatever the
+    live classes cannot take adds nothing; and (k - 1)(s - 1) if r > room
+    and every class is live, since then some class reaches s.
+
+    Coloring (u, v) changes only the caps of u and v, so the search
+    carries their sum and tests it before it colors an edge.  For k = 2
+    and n >= 2s the caps sum to n(s - 1) at the root, so once a coloring
+    reaches ex(n, K_{1,s}) = floor(n(s - 1)/2) every other branch falls.
     """
     live = room = 0
     dead = False
@@ -521,16 +469,14 @@ def hill_climb_f(
     index then lowest color, and stops at a local optimum or after
     `iterations` steps.  Candidates are scored by delta evaluation against
     a state of the current coloring, rebuilt once per accepted move: a
-    `_StarState` for a star K_{1,s}, whose edges are NIM iff both ends
-    have class degree at most s - 1, so degrees alone score every move,
-    and a `_NimState`, which queries, for every other pattern.  Fully
+    `_StarState` for a star K_{1,s}, which reads class degrees alone, and
+    a `_NimState`, which queries, for every other pattern.  Fully
     deterministic for fixed arguments.
 
     A step scores only the lowest edge of each colored-twin orbit
-    (`_orbit_edges`), from 66-120 edges down to 6-15 on the bench's path
-    overlays and from 78 or 91 to 37 on its p2k starts.  The chosen move
-    is unchanged: moves in one orbit score the same, so the first maximal
-    (edge, color) of a full scan is already at an orbit's lowest edge.
+    (`_orbit_edges`).  The chosen move is unchanged: moves in one orbit
+    score the same, so the first maximal (edge, color) of a full scan is
+    already at an orbit's lowest edge.
     `colorings_examined` still counts all C(n, 2)(k - 1) candidates of
     each step, as the full scan decides them.
     """
@@ -653,7 +599,8 @@ class _NimState:
     degree d (h - 1 for a forest on h vertices with an edge, infinite
     otherwise), and `low[c]` the least degree over class c's vertices with
     an edge (infinite when c is empty).  A component whose vertices all
-    have degree at least d has every edge in a copy.  Removing one edge
+    have degree at least d has every edge in a copy (the dense rule,
+    proved in `nim._class_components`).  Removing one edge
     from a component of least degree at least d + 1 leaves each piece at
     least d, so no loss needs the witnesses of its edges, which get no
     dependents of their own (a copy of a disconnected pattern can still

@@ -6,19 +6,8 @@ n = a(l-1) + b, 0 <= b <= l-2, together with the extremal-graph recipe
 vertices).  `ex_balanced_forest` evaluates the balanced-forest formula for
 patterns with at least two components.  `turan_oracle` maximizes edges over
 all pattern-free graphs by a depth-first search over the canonical edge
-order and serves as an independent cross-check on both formulas.  It
-recurses only to include an edge; excluding one is the next pass of a loop
-in the same call, and each row's degree cap is computed once, when the row
-starts.  The search keeps two stores per edge.  The first holds the last
-copies of the pattern it found through that edge, each minus the edge
-itself: when one lies inside the graph built so far, adding the edge would
-complete that copy, so the edge is excluded without a subgraph search.
-The second holds the last graphs built so far to which the edge could be
-added with no copy through it: when the graph built now lies inside one of
-them, it has no copy through the edge either, since a copy in the smaller
-graph is one in the larger, so the edge is included without a search.
-Either way the decision is the one the search would make, and only the
-query is saved.
+order, with its own degree bound and stores of earlier answers (see its
+docstring), and serves as an independent cross-check on both formulas.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ from nimcolor.constructions import (
 )
 from nimcolor.graphs import SimpleGraph, complete_edge_count, components
 from nimcolor.nim import nim_edges
-from nimcolor.patterns import forest_union, make_path, parse_pattern
+from nimcolor.patterns import custom_pattern, forest_union, has_perfect_matching_forest, make_path, parse_pattern
 from nimcolor.turan import ex_path, extremal_path_graph
-from oracles import tail_expected_nim_indices, verify_layout_per_edge
+from oracles import is_isomorphic, nim_edges_anchored, tail_expected_nim_indices, verify_layout_per_edge
 
 H_FOREST = parse_pattern("dstar:3+path:6")
 
@@ -268,3 +268,70 @@ class TestLayoutVerification:
         assert len(payload["sigma_diamond"]) == 3
         assert all(len(d) == 1 for d in payload["sigma_diamond"])
         assert [1, 1, 0] in payload["label_map"] and [3, 3, 8] in payload["label_map"]
+
+
+def _trees(order):
+    """Every tree on `order` >= 2 vertices up to isomorphism, as edge lists.
+
+    Each tree on m + 1 vertices is one on m with a leaf m hung on some
+    vertex; duplicates are dropped by the least AHU string of the tree
+    rooted at one of its centers, a complete invariant of trees.
+    """
+    def canonical(edges, m):
+        adj = [[] for _ in range(m)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        degree = [len(a) for a in adj]
+        layer = [v for v in range(m) if degree[v] <= 1]
+        left = m
+        while left > 2:
+            left -= len(layer)
+            nxt = []
+            for v in layer:
+                for w in adj[v]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+            layer = nxt
+
+        def ahu(v, parent):
+            return "(" + "".join(sorted(ahu(w, v) for w in adj[v] if w != parent)) + ")"
+
+        return min(ahu(c, -1) for c in layer)
+
+    trees = [[(0, 1)]]
+    for m in range(2, order):
+        grown = {}
+        for edges in trees:
+            for v in range(m):
+                bigger = edges + [(v, m)]
+                grown.setdefault(canonical(bigger, m + 1), bigger)
+        trees = list(grown.values())
+    return trees
+
+
+class TestP2kBeyondPaths:
+    # the p2k coloring's first 2k - 1 classes are K_{2k-1}'s beside K_{k-1}
+    # joined to independent vertices; the joined part holds a tree T on 2k
+    # vertices iff T has a vertex cover of k - 1 vertices, that is (by
+    # König) iff T has no perfect matching.  The whole count, last class
+    # included, is P_2k's for each tree with a perfect matching and smaller
+    # for every other tree, at the n tried
+    @pytest.mark.parametrize("k, ns, trees, matched", [(2, (12, 13), 2, 1), (3, (30, 31), 6, 2), (4, (56, 57), 23, 5)])
+    def test_trees_with_a_perfect_matching_get_the_path_count(self, k, ns, trees, matched):
+        graphs = [SimpleGraph.from_edges(2 * k, edges) for edges in _trees(2 * k)]
+        assert len(graphs) == trees
+        assert not any(is_isomorphic(g, h) for i, g in enumerate(graphs) for h in graphs[:i])
+        assert sum(map(has_perfect_matching_forest, graphs)) == matched
+        colorings = {n: p2k_multicoloring(n, k)[0] for n in ns}
+        for g in graphs:
+            pattern = custom_pattern(g)
+            for n in ns:
+                count = nim_edges(colorings[n], pattern).count
+                if has_perfect_matching_forest(g):
+                    assert count == p2k_expected_nim(n, k), (pattern.spec, n)
+                else:
+                    assert count < p2k_expected_nim(n, k), (pattern.spec, n)
+                if k == 2:
+                    assert nim_edges_anchored(colorings[n], pattern, max_n=13).count == count

@@ -1,7 +1,10 @@
+import json
 import re
+import shlex
 from pathlib import Path
 
 import nimcolor
+from nimcolor import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,6 +20,44 @@ def test_quick_tour_runs_and_its_commented_values_hold():
     assert ("nc.p2k_expected_nim(13, 2)", "39") in commented
     for expr, value in commented:
         assert eval(expr, ns) == int(value), expr
+
+
+def _run(capsys, line):
+    """Exit code and JSON output (None for a table) of one `nimcolor ...` line."""
+    code = cli.main(shlex.split(line)[1:])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out.startswith("{") else None
+
+
+def test_cli_block_runs_and_its_commented_values_hold(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?```\n(.*?)```", text, re.S | re.M).group(1)
+    lines = [line.partition("  #") for line in block.splitlines()]
+    assert [command.split()[1] for command, _, _ in lines] == [
+        "pattern", "construct", "verify", "turan", "search", "report"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("NIMCOLOR_LEDGER", str(tmp_path / "ledger.jsonl"))
+    stated = {}
+    for command, _, comment in lines:
+        code, out = _run(capsys, command)
+        assert code == 0, command
+        for key, value in re.findall(r'(count|value)"?:? (\d+)', comment):
+            assert out[key] == int(value), command
+            stated[key] = int(value)
+    assert stated == {"count": 39, "value": 12}
+
+
+def test_computed_values_hold(tmp_path, monkeypatch, capsys):
+    found = re.findall(
+        r"^- f\((\d+), (\d+), `([^`]+)`\) = (\d+): `(nimcolor search [^`]+)`",
+        README.read_text(encoding="utf-8"), re.M)
+    assert len(found) == 3
+    monkeypatch.setenv("NIMCOLOR_LEDGER", str(tmp_path / "ledger.jsonl"))
+    for n, k, pattern, value, command in found:
+        code, out = _run(capsys, command)
+        assert code == 0, command
+        assert (out["n"], out["k"], out["pattern"], out["exhaustive"]) == (int(n), int(k), pattern, True)
+        assert out["best_count"] == int(value), command
 
 
 def test_all_lists_every_public_name_and_no_submodule():
