@@ -10,11 +10,15 @@ Both `SimpleGraph` and `EdgeColoring` are frozen: hashable and usable as
 cache keys.  An `EdgeColoring` builds its class rows from its own colors
 on first use, with `_class_rows`, and keeps them outside its fields.
 Equality, hashing, repr and the JSON schema read the fields alone.
+A coloring file is `json.dumps` of that schema: `to_json` writes it and
+`from_json` reads it in a few C-level passes when every color is one
+digit, and through `json` otherwise.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -376,12 +380,22 @@ class EdgeColoring:
     # -- bit-exact JSON schema ----------------------------------------
 
     def to_dict(self) -> dict:
-        # the fields alone, not the kept rows; `to_json` does not sort keys,
-        # so the file order n, k, colors is the field order
+        # the fields alone, not the kept rows; `json.dumps` does not sort
+        # keys, so the file order n, k, colors is the field order
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """Exactly `json.dumps(self.to_dict())`.  Up to 10 colors, each color
+        is one ASCII digit, so the colors array is one `translate` and one
+        strided slice assignment over a ", " filled buffer."""
+        n, k, colors = self.n, self.k, self.colors
+        # formatted as JSON writes them only if ints: a palette k = True is `true`
+        if type(n) is not int or type(k) is not int or k > 10 or not colors:
+            return json.dumps(self.to_dict())
+        body = bytearray(b"0, ") * len(colors)
+        body[::3] = bytes(colors).translate(_VALUE_DIGITS)
+        del body[-2:]
+        return f'{{"n": {n}, "k": {k}, "colors": [{body.decode("ascii")}]}}'
 
     @staticmethod
     def from_dict(payload: dict) -> "EdgeColoring":
@@ -404,4 +418,44 @@ class EdgeColoring:
 
     @staticmethod
     def from_json(text: str) -> "EdgeColoring":
-        return EdgeColoring.from_dict(json.loads(text))
+        """Parse a coloring file: the canonical layout by `_canonical_fields`,
+        any other text by `json.loads` and `from_dict`.  Both accept the same
+        texts and raise the same errors: the fast path takes only texts that
+        `json.loads` reads as that dict, and `__post_init__` checks either."""
+        found = _canonical_fields(text)
+        if found is None:
+            return EdgeColoring.from_dict(json.loads(text))
+        return EdgeColoring(*found)
+
+
+# the head of `json.dumps` of a coloring, up to its colors: n and k as JSON
+# writes integers, with no leading zero, and short enough that `int` reads
+# them under its digit limit
+_CANONICAL_HEAD = re.compile(rb'\{"n": (0|[1-9][0-9]{0,17}), "k": (0|[1-9][0-9]{0,17}), "colors": \[')
+_VALUE_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _canonical_fields(text: str) -> tuple[int, int, tuple[int, ...]] | None:
+    """(n, k, colors) of `{"n": N, "k": K, "colors": [d, d, ...]}` with one
+    digit per color and optional trailing JSON whitespace, else None.
+
+    The body between the brackets is checked by three strided slices,
+    digits, commas and spaces, so it is exactly "d, d, ..., d"."""
+    if not (isinstance(text, str) and text.isascii()):
+        return None
+    data = text.encode("ascii").rstrip(b" \t\n\r")  # JSON's whitespace, no form feed
+    head = _CANONICAL_HEAD.match(data)
+    if head is None or not data.endswith(b"]}"):
+        return None
+    body = data[head.end() : -2]
+    m = len(body) // 3 + 1  # colors, if the body is "d, d, ..., d"
+    digits = body[::3]
+    if (
+        len(body) != 3 * m - 2
+        or not digits.isdigit()
+        or body[1::3].count(b",") != m - 1
+        or body[2::3].count(b" ") != m - 1
+    ):
+        return None
+    return int(head[1]), int(head[2]), tuple(digits.translate(_DIGIT_VALUES))

@@ -94,10 +94,7 @@ def extremal_path_graph(n: int, length: int, t: int) -> SimpleGraph:
     if t < a:
         g = near_extremal_path_graph(n, length // 2, t)
     else:
-        g = SimpleGraph.empty(0)
-        for _ in range(t):
-            g = disjoint_union(g, SimpleGraph.complete(length - 1))
-        g = disjoint_union(g, SimpleGraph.complete(b))
+        g = disjoint_union(*[SimpleGraph.complete(length - 1)] * t, SimpleGraph.complete(b))
     expected = ex_path(n, length).value
     if g.edge_count != expected:
         raise AssertionError(f"extremal graph has {g.edge_count} edges, expected {expected}")
@@ -116,10 +113,8 @@ def near_extremal_path_graph(n: int, k: int, t: int) -> SimpleGraph:
     rest = n - t * (2 * k - 1) - (k - 1)
     if k < 1 or t < 0 or rest < 0:
         raise ValueError(f"invalid near-extremal parameters n={n}, k={k}, t={t}")
-    g = SimpleGraph.empty(0)
-    for _ in range(t):
-        g = disjoint_union(g, SimpleGraph.complete(2 * k - 1))
-    return disjoint_union(g, join(SimpleGraph.complete(k - 1), SimpleGraph.empty(rest)))
+    cliques = [SimpleGraph.complete(2 * k - 1)] * t
+    return disjoint_union(*cliques, join(SimpleGraph.complete(k - 1), SimpleGraph.empty(rest)))
 
 
 # -- balanced forests ------------------------------------------------------

@@ -175,7 +175,7 @@ class TestConstructVerifyPipeline:
         coloring, layout = p2k_multicoloring(10, 2)
         payload = layout.to_dict()
         payload["verify"] = verify_layout(layout).to_dict()
-        assert target.read_text(encoding="utf-8") == coloring.to_json() + "\n"
+        assert target.read_text(encoding="utf-8") == json.dumps(coloring.to_dict()) + "\n"
         assert sidecar.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
         assert (target.stat().st_ino, sidecar.stat().st_ino) == inodes
 
@@ -190,7 +190,7 @@ class TestConstructVerifyPipeline:
         link.symlink_to(real)
         assert run(capsys, "construct", "--family", "tail", "--a", "3", "--n", "20", "-o", str(link))[0] == 0
         assert link.is_symlink()
-        assert real.read_text(encoding="utf-8") == tail_forest_coloring(20, 3).to_json() + "\n"
+        assert real.read_text(encoding="utf-8") == json.dumps(tail_forest_coloring(20, 3).to_dict()) + "\n"
 
     def test_construct_to_a_directory_is_an_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "construct", "--family", "tail", "--a", "3", "--n", "20", "-o", str(tmp_path))

@@ -11,6 +11,7 @@ from nimcolor.graphs import (
     EdgeColoring,
     SimpleGraph,
     _bits,
+    _canonical_fields,
     all_pairs,
     complement,
     complete_edge_count,
@@ -364,3 +365,110 @@ class TestClassRows:
         for c in (coloring, derived):
             assert c.to_json() == text and repr(c) == shown and list(c.to_dict()) == ["n", "k", "colors"]
         assert derived == coloring and hash(derived) == hash(coloring)
+
+
+# one edit each: a leading zero in n, k or a color, a color JSON reads as
+# another type or out of range, a one-character token that is no number,
+# the wrong length, a trailing comma, other keys or key order, whitespace
+# outside the object (form feed is not JSON whitespace), a comma with no
+# space or a two-character separator other than ", ", a closing bracket
+# swapped for another character, text past the end, a non-ASCII key or
+# digit (JSON reads only ASCII digits)
+FILE_EDITS = (
+    "none", "n", "k", "zero color", "true", "-1", "1.5", "two digits", "past k", "one char",
+    "drop color", "extra color", "trailing comma", "extra key", "keys reordered", "leading space",
+    "trailing whitespace", "crlf", "form feed", "no space", "separator", "bracket", "trailing brackets",
+    "non-ascii digit", "non-ascii key",
+)
+
+
+@st.composite
+def coloring_files(draw, edit):
+    """(coloring, text): a coloring of K_n with n in 0..24 and k in 1..12,
+    so colors of one and of two digits, and a file text of it written
+    token by token with `edit`, one of FILE_EDITS."""
+    coloring = draw(colorings(max_n=24, max_k=12))
+    head = {"n": str(coloring.n), "k": str(coloring.k)}
+    tokens = list(map(str, coloring.colors))
+    i = draw(st.integers(0, max(len(tokens) - 1, 0)))
+    if edit in head:
+        head[edit] = "0" + head[edit]
+    elif tokens and edit == "zero color":
+        tokens[i] = "0" + tokens[i]
+    elif tokens and edit in ("true", "-1", "1.5"):
+        tokens[i] = edit
+    elif tokens and edit == "two digits":
+        tokens[i] = str(draw(st.integers(10, 99)))
+    elif tokens and edit == "past k":
+        tokens[i] = str(draw(st.integers(coloring.k, 12)))
+    elif tokens and edit == "one char":
+        tokens[i] = draw(st.sampled_from(["x", "-", "+", ".", " ", "a"]))
+    elif tokens and edit == "non-ascii digit":
+        tokens[i] = "\u0663"  # ARABIC-INDIC DIGIT THREE
+    elif tokens and edit == "drop color":
+        del tokens[i]
+    elif edit == "extra color":
+        tokens.append(str(draw(st.integers(0, coloring.k - 1))))
+    seps = [", "] * (len(tokens) - 1)
+    if seps and edit == "no space":
+        seps[min(i, len(seps) - 1)] = ","
+    elif seps and edit == "separator":
+        seps[min(i, len(seps) - 1)] = draw(st.sampled_from(["  ", "; ", "0 ", ",\n", ",\t", ",,", ",x", " ,"]))
+    body = "".join(sep + token for sep, token in zip([""] + seps, tokens))
+    if edit == "trailing comma":
+        body += draw(st.sampled_from([",", ", "]))
+    close = draw(st.sampled_from([")", " ", "0", "}"])) if edit == "bracket" else "]"
+    items = [f'"n": {head["n"]}', f'"k": {head["k"]}', f'"colors": [{body}{close}']
+    if edit == "keys reordered":
+        items = items[1:] + items[:1]
+    elif edit in ("extra key", "non-ascii key"):
+        items.insert(draw(st.integers(0, 3)), '"x": 1' if edit == "extra key" else '"\u00e9": 1')
+    text = "{" + ", ".join(items) + "}"
+    if edit == "leading space":
+        text = draw(st.sampled_from([" ", "\n", "\t"])) + text
+    elif edit == "trailing whitespace":
+        text += draw(st.sampled_from([" ", "\n", " \t\r\n"]))
+    elif edit == "crlf":
+        text += "\r\n"
+    elif edit == "form feed":
+        text += "\f"
+    elif edit == "trailing brackets":
+        text += "]}"
+    return coloring, text
+
+
+def parsed(parse, text):
+    """What `parse` makes of `text`: its coloring, or its error's type and message."""
+    try:
+        return parse(text)
+    except Exception as error:
+        return type(error), str(error)
+
+
+class TestColoringFiles:
+    @pytest.mark.parametrize("edit", FILE_EDITS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_from_json_reads_as_json_loads_and_to_json_writes_as_json_dumps(self, edit, data):
+        coloring, text = data.draw(coloring_files(edit))
+        assert coloring.to_json() == json.dumps(coloring.to_dict())
+        expected = parsed(lambda t: EdgeColoring.from_dict(json.loads(t)), text)
+        assert parsed(EdgeColoring.from_json, text) == expected
+        if edit in ("none", "trailing whitespace"):
+            assert expected == coloring
+            assert text.rstrip() == coloring.to_json()
+            # the digit path reads every canonical file whose colors are digits
+            digits = 0 < len(coloring.colors) and max(coloring.colors) < 10
+            assert _canonical_fields(text) == ((coloring.n, coloring.k, coloring.colors) if digits else None)
+
+    def test_a_bool_palette_is_written_as_json_writes_it(self):
+        # True is a palette of one color, and JSON writes it true
+        coloring = EdgeColoring(3, True, (0, 0, 0))
+        assert coloring.to_json() == json.dumps(coloring.to_dict()) == '{"n": 3, "k": true, "colors": [0, 0, 0]}'
+
+    def test_files_of_every_family_read_back_by_the_digit_path(self):
+        for coloring in (p2k_multicoloring(13, 2)[0], p2k_multicoloring(52, 4)[0], tail_forest_coloring(20, 3), overlay(30, 6)):
+            text = coloring.to_json()
+            assert text == json.dumps(coloring.to_dict())
+            assert _canonical_fields(text + "\n") == (coloring.n, coloring.k, coloring.colors)
+            assert EdgeColoring.from_json(text + "\n") == coloring

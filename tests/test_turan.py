@@ -1,6 +1,7 @@
 import os
 import re
 import sys
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -128,6 +129,30 @@ class TestExtremalPathGraph:
                     assert extremal_path_graph(n, length, t) == expected == near_extremal_path_graph(n, half, t)
                     cases += 1
         assert cases == 864
+
+    def test_vertex_numbering_matches_cliques_laid_out_one_by_one(self):
+        # the overlay colors and the climber's constructed starts read this
+        # numbering: t cliques K_{l-1} from vertex 0 up, then the b-clique
+        # or, for t < a (even l only), K_{l/2-1} joined to the vertices after it
+        def reference(n, length, t):
+            start, hub = t * (length - 1), length // 2 - 1
+            edges = [e for i in range(0, start, length - 1) for e in combinations(range(i, i + length - 1), 2)]
+            if t == n // (length - 1):
+                edges += combinations(range(start, n), 2)
+            else:
+                edges += combinations(range(start, start + hub), 2)
+                edges += product(range(start, start + hub), range(start + hub, n))
+            return SimpleGraph.from_edges(n, edges)
+
+        cases = 0
+        for length in range(2, 10):
+            for n in range(41):
+                for t in path_extremal_t_range(n, length):
+                    assert extremal_path_graph(n, length, t) == reference(n, length, t), (n, length, t)
+                    if t < n // (length - 1):
+                        assert near_extremal_path_graph(n, length // 2, t) == reference(n, length, t)
+                    cases += 1
+        assert cases == 1403
 
     def test_p2_recipe_graphs_are_edgeless(self):
         for n in range(6):
