@@ -29,7 +29,6 @@ from .graphs import (
     SimpleGraph,
     complete_edge_count,
     components,
-    edge_index,
     edge_rank_offsets,
 )
 from .nim import contains
@@ -56,10 +55,11 @@ def extremal_overlay(n: int, h, red: SimpleGraph) -> EdgeColoring:
         raise ValueError(f"red graph has {red.n} vertices, expected {n}")
     if contains(red, h):
         raise ValueError("red graph contains the pattern")
-    colors = [1] * complete_edge_count(n)
-    for u, v in red.edges():
-        colors[edge_index(u, v, n)] = 0
-    return EdgeColoring(n, 2, tuple(colors))
+    offsets = edge_rank_offsets(n)
+    colors = bytearray(b"\1") * complete_edge_count(n)
+    for u, v in red.edges():  # u < v
+        colors[offsets[u] + v] = 0
+    return EdgeColoring(n, 2, colors)
 
 
 # -- tail / forest construction -------------------------------------------
@@ -77,11 +77,11 @@ def tail_forest_coloring(n: int, a: int) -> EdgeColoring:
     if n < 4 * a + (2 * a - 1):
         raise ValueError(f"n={n} too small; need n >= {6 * a - 1} for a={a}")
     x_size = 2 * a - 1  # red (0) between X and Y, blue (1) within each side
-    colors: list[int] = []
+    colors = bytearray()
     for u in range(x_size):  # row u: blue to the rest of X, then red to all of Y
-        colors += [1] * (x_size - 1 - u) + [0] * (n - x_size)
-    colors += [1] * complete_edge_count(n - x_size)  # the blue clique on Y
-    return EdgeColoring(n, 2, tuple(colors))
+        colors += b"\1" * (x_size - 1 - u) + bytes(n - x_size)
+    colors += b"\1" * complete_edge_count(n - x_size)  # the blue clique on Y
+    return EdgeColoring(n, 2, colors)
 
 
 def tail_coloring_for(n: int, h: PatternGraph) -> tuple[EdgeColoring, int]:
@@ -180,15 +180,16 @@ def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayo
        color 2k-1.
 
     Step 1 covering each cross-row edge of U exactly once is what needs
-    2k-1 prime.
+    2k-1 prime.  The colors are filled in one byte per edge, so 2k <= 256:
+    the next prime 2k-1 = 257 needs n > 66,049, over 2 * 10^9 edges.
     """
     layout = build_p2k_layout(n, k)
     q = layout.block
     last = 2 * k - 1  # color index of the final catch-all color
     offset = edge_rank_offsets(n)
     m = complete_edge_count(n)
-    colors = [last] * m  # step 3's color, on every edge no other step assigns
-    assigned = [False] * m
+    colors = bytearray([last]) * m  # step 3's color, on every edge no other step assigns
+    assigned = bytearray(m)
 
     def twice(u: int, v: int, e: int, color: int) -> AssertionError:
         return AssertionError(f"edge ({u}, {v}) assigned twice: {colors[e]} then {color}")
@@ -204,7 +205,7 @@ def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayo
                     color = last if i == 1 and t < k else j - 1
                     if assigned[e]:
                         raise twice(u, v, e, color)
-                    assigned[e] = True
+                    assigned[e] = 1
                     colors[e] = color
 
     # step 2: diamond-to-W bipartite edges.  W is q*q..n-1, above every
@@ -213,12 +214,12 @@ def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayo
     for j in range(1, q + 1):
         for u in layout.sigma_diamond[j - 1]:
             row = slice(offset[u] + q * q, offset[u] + n)
-            if True in assigned[row]:
+            if 1 in assigned[row]:
                 w = next(w for w in layout.w if assigned[offset[u] + w])
                 raise twice(u, w, offset[u] + w, j - 1)
-            assigned[row] = [True] * width
-            colors[row] = [j - 1] * width
-    return EdgeColoring(n, 2 * k, tuple(colors)), layout
+            assigned[row] = b"\1" * width
+            colors[row] = bytes([j - 1]) * width
+    return EdgeColoring(n, 2 * k, colors), layout
 
 
 def p2k_expected_nim(n: int, k: int) -> int:

@@ -7,12 +7,16 @@ lexicographically.  Python's unbounded ints serve as bitsets, so there is
 no hard vertex limit; everything here works for n well beyond 4096.
 
 Both `SimpleGraph` and `EdgeColoring` are frozen: hashable and usable as
-cache keys.  An `EdgeColoring` builds its class rows from its own colors
-on first use, with `_class_rows`, and keeps them outside its fields.
-Equality, hashing, repr and the JSON schema read the fields alone.
-A coloring file is `json.dumps` of that schema: `to_json` writes it and
-`from_json` reads it in a few C-level passes when every color is one
-digit, and through `json` otherwise.
+cache keys.  An `EdgeColoring` keeps its colors as a tuple field and,
+outside its fields, as one `bytes` copy: colors handed over as bytes (the
+builders in constructions.py and `from_json`) skip the per-edge type scan,
+and the palette check, `_class_rows`'s byte matrix and `to_json` read the
+copy.  It builds its class rows from its own colors on first use, with
+`_class_rows`, and keeps them outside its fields too.  Equality, hashing,
+repr and the JSON schema read the fields alone.  A coloring file is
+`json.dumps` of that schema: `to_json` writes it and `from_json` reads it
+in a few C-level passes when every color is one digit, and through `json`
+otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 def edge_index(u: int, v: int, n: int) -> int:
@@ -225,32 +229,25 @@ def _bfs_forest(g: SimpleGraph) -> tuple[list[list[int]], list[int]]:
 _BYTE_VALUES = bytes(range(256))
 
 
-def _in_palette(colors: tuple[int, ...], k: int) -> bool:
-    """Whether every color, an int, is in 0..k-1."""
-    try:
-        # the bytes outside 0..k-1 that survive deleting the palette
-        return not bytes(colors).translate(None, _BYTE_VALUES[:k])
-    except ValueError:  # a color outside 0..255
-        return min(colors) >= 0 and max(colors) < k
-
-
 # ASCII "0" for every byte value: `_class_rows` swaps in "1" for its class
 # and a space for the row separator
 _ZEROS = b"0" * 256
 
 
-def _class_rows(n: int, k: int, colors: Sequence[int]) -> list[list[int]]:
+def _class_rows(n: int, k: int, colors: tuple[int, ...], flat: bytes | None) -> list[list[int]]:
     """Bitset rows of every color class of the coloring of K_n with k colors
-    `colors`: entry [c][v] is v's class-c row.
+    `colors`, and `flat` the same colors as bytes: entry [c][v] is v's
+    class-c row.
 
     Past the crossover the rows come from one n x (n + 1) byte matrix: row u
     holds u's edge colors, byte k on the diagonal and byte k + 1 as its last,
-    filled by one slice and one strided slice per vertex.  Reversed, each
-    class is one `translate` to ASCII bits, with the separators as spaces,
-    and one `split` into rows that `int` reads in base 2, so O(n) Python
-    steps plus O(k) C-level passes where the per-edge loop takes C(n, 2)
-    steps.  The loop serves palettes past 254 colors, which leave no two
-    byte values free, and hosts below the crossover n = 14 + 4k, read from
+    filled from `flat` by one slice and one strided slice per vertex.
+    Reversed, each class is one `translate` to ASCII bits, with the
+    separators as spaces, and one `split` into rows that `int` reads in base
+    2, so O(n) Python steps plus O(k) C-level passes where the per-edge loop
+    takes C(n, 2) steps.  The loop reads the tuple.  It serves palettes past
+    254 colors, which leave no two byte values free (and may have no
+    `flat`), and hosts below the crossover n = 14 + 4k, read from
     timeit on random colorings (best of 5 alternating rounds, 2 cores,
     Python 3.11), loop against pass: 13.4 against 17.5 µs at (n, k) =
     (14, 2), 24.1 against 30.3 at (20, 3), 29.3 against 28.2 at (22, 2),
@@ -270,7 +267,6 @@ def _class_rows(n: int, k: int, colors: Sequence[int]) -> list[list[int]]:
     width = n + 1
     matrix = bytearray([k]) * (n * width)
     matrix[n::width] = bytes([k + 1]) * n
-    flat = bytes(colors)
     start = 0
     for u in range(n):
         stop = start + n - 1 - u
@@ -293,8 +289,14 @@ def _class_rows(n: int, k: int, colors: Sequence[int]) -> list[list[int]]:
 class EdgeColoring:
     """A k-coloring of E(K_n): flat color array in canonical edge order.
 
-    Its class rows are built once, on first use, and kept outside the
-    fields; `class_adjacency` hands out fresh lists.
+    `colors` may be given as any sequence of ints and is kept as a tuple.
+    Beside it, outside the fields, the coloring keeps one exact `bytes`
+    copy of its colors, None when a color is past 255.  A `bytes` or
+    `bytearray` argument hands that copy over: its entries are plain ints
+    in 0..255, so it skips the type scan, and changing a `bytearray` later
+    changes nothing.  Any other sequence gets the copy from the palette
+    check.  Its class rows are built once, on first use, and kept outside
+    the fields too; `class_adjacency` hands out fresh lists.
     """
 
     n: int
@@ -304,26 +306,40 @@ class EdgeColoring:
     def __post_init__(self):
         m = complete_edge_count(self.n)
         colors = self.colors
-        if type(colors) is not tuple:  # a list would make the coloring unhashable
-            colors = tuple(colors)
+        if isinstance(colors, (bytes, bytearray)):
+            flat = bytes(colors)  # a copy of a bytearray; each entry an int in 0..255
+            colors = tuple(flat)
             object.__setattr__(self, "colors", colors)
-        # each check is one C-level pass; a failing one scans again to name
-        # the first bad edge.  `type(c) is int`, as bool is an int subclass
-        # but not a JSON integer
-        if list(map(type, colors)).count(int) != len(colors):
-            i, c = next((i, c) for i, c in enumerate(colors) if type(c) is not int)
-            raise ValueError(f"color {c!r} at edge {i} is not an integer")
+        else:
+            flat = None
+            if type(colors) is not tuple:  # a list would make the coloring unhashable
+                colors = tuple(colors)
+                object.__setattr__(self, "colors", colors)
+            # each check is one C-level pass; a failing one scans again to
+            # name the first bad edge.  `type(c) is int`, as bool is an int
+            # subclass but not a JSON integer
+            if list(map(type, colors)).count(int) != len(colors):
+                i, c = next((i, c) for i, c in enumerate(colors) if type(c) is not int)
+                raise ValueError(f"color {c!r} at edge {i} is not an integer")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if len(colors) != m:
             raise ValueError(f"colors length {len(colors)} != {m}")
-        if not _in_palette(colors, self.k):
+        try:
+            if flat is None:
+                flat = bytes(colors)
+            # no byte outside 0..k-1 survives deleting the palette
+            in_palette = not flat.translate(None, _BYTE_VALUES[: self.k])
+        except ValueError:  # a color outside 0..255, so no bytes to keep
+            in_palette = min(colors) >= 0 and max(colors) < self.k
+        if not in_palette:
             i, c = next((i, c) for i, c in enumerate(colors) if not 0 <= c < self.k)
             raise ValueError(f"color {c} at edge {i} not in 0..{self.k - 1}")
+        self.__dict__["_bytes"] = flat  # outside the fields, like `_rows`
 
     @staticmethod
     def monochromatic(n: int, k: int = 1) -> "EdgeColoring":
-        return EdgeColoring(n, k, (0,) * complete_edge_count(n))
+        return EdgeColoring(n, k, bytes(complete_edge_count(n)))
 
     @staticmethod
     def random(n: int, k: int, rng) -> "EdgeColoring":
@@ -340,7 +356,7 @@ class EdgeColoring:
     def _rows(self) -> list[list[int]]:
         """The class rows, built on first use and kept outside the fields.
         Nothing changes them in place."""
-        return _class_rows(self.n, self.k, self.colors)
+        return _class_rows(self.n, self.k, self.colors, self._bytes)
 
     def class_adjacency(self) -> list[list[int]]:
         """Bitset adjacency rows of every color class: entry [i][v] is v's
@@ -393,7 +409,7 @@ class EdgeColoring:
         if type(n) is not int or type(k) is not int or k > 10 or not colors:
             return json.dumps(self.to_dict())
         body = bytearray(b"0, ") * len(colors)
-        body[::3] = bytes(colors).translate(_VALUE_DIGITS)
+        body[::3] = self._bytes.translate(_VALUE_DIGITS)
         del body[-2:]
         return f'{{"n": {n}, "k": {k}, "colors": [{body.decode("ascii")}]}}'
 
@@ -436,9 +452,10 @@ _VALUE_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def _canonical_fields(text: str) -> tuple[int, int, tuple[int, ...]] | None:
+def _canonical_fields(text: str) -> tuple[int, int, bytes] | None:
     """(n, k, colors) of `{"n": N, "k": K, "colors": [d, d, ...]}` with one
-    digit per color and optional trailing JSON whitespace, else None.
+    digit per color and optional trailing JSON whitespace, else None.  The
+    colors are bytes, one per edge, which `EdgeColoring` takes as they are.
 
     The body between the brackets is checked by three strided slices,
     digits, commas and spaces, so it is exactly "d, d, ..., d"."""
@@ -458,4 +475,4 @@ def _canonical_fields(text: str) -> tuple[int, int, tuple[int, ...]] | None:
         or body[2::3].count(b" ") != m - 1
     ):
         return None
-    return int(head[1]), int(head[2]), tuple(digits.translate(_DIGIT_VALUES))
+    return int(head[1]), int(head[2]), digits.translate(_DIGIT_VALUES)

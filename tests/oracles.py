@@ -37,6 +37,10 @@ the cliques that cover it: the two must return equal reports.
 `class_rows_per_edge` is `EdgeColoring.class_adjacency` before the
 coloring kept its rows and built them by the byte-matrix pass, one step
 per edge over `all_pairs`: the rows every coloring builds must equal it.
+`construction_colors_per_edge` colors each edge of a construction from
+its definition, one pair at a time (p2k by the modular arithmetic of its
+cliques, not by walking the layout's tables): each builder's colors must
+equal it.
 `nim_edges_anchored` is the reference NIM counter, with its own
 separately coded embedding search, and `is_isomorphic` a backtracking
 isomorphism test.  `degree_sequence`, `relabel_colors` and `lemma_gap`
@@ -656,6 +660,40 @@ def cover_pass_per_edge(
             copies.append((witness, witness & ~covered))
             covered |= witness
     return adj, nim, copies
+
+
+def construction_colors_per_edge(family: str, n: int, param) -> list[int]:
+    """The colors of a construction of K_n, in canonical order, each edge's
+    from the family's definition: `param` is k for "p2k", a for "tail" and
+    the red graph for "overlay".
+
+    p2k: with q = 2k - 1, vertex (r - 1)q + (c - 1) of U is cell [r, c];
+    cells in two rows r < s lie on the clique sigma[j][i] with
+    j = (c_s - c_r)/(s - r) and i = c_r - (r - 1)j (mod q, in 1..q), colored
+    2k - 1 when i = 1 and s <= k and j - 1 otherwise; a cell of row r > k
+    lies on the diamond j = (c - 1)/(r - 1) and its edges to W get j - 1;
+    every other edge (within a row, rows 1..k to W, within W) gets 2k - 1.
+    tail: red (0) between X = 0..2a-2 and the rest, blue (1) within each side.
+    overlay: red (0) on the red graph's edges, blue (1) elsewhere."""
+    if family == "tail":
+        x = 2 * param - 1
+        return [int((u < x) == (v < x)) for u, v in all_pairs(n)]
+    if family == "overlay":
+        return [int(not param.has_edge(u, v)) for u, v in all_pairs(n)]
+    k = param
+    q = last = 2 * k - 1  # the block side, and the catch-all color
+    colors = []
+    for u, v in all_pairs(n):  # u < v, so u's row is at most v's
+        (r, cr), (s, cs) = divmod(u, q), divmod(v, q)  # 0-based rows and columns
+        if v < q * q and r < s:
+            j = (cs - cr) * pow(s - r, -1, q) % q or q
+            i = (cr - r * j) % q + 1
+            colors.append(last if i == 1 and s < k else j - 1)
+        elif u < q * q <= v and r >= k:
+            colors.append((cr * pow(r, -1, q) % q or q) - 1)
+        else:
+            colors.append(last)
+    return colors
 
 
 def coloring_error_scan(n: int, k: int, colors: Sequence) -> Optional[str]:

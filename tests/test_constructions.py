@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 import nimcolor.constructions
+from nimcolor.cli import _construction
 from nimcolor.constructions import (
     build_p2k_layout,
     extremal_overlay,
@@ -16,8 +17,14 @@ from nimcolor.constructions import (
 from nimcolor.graphs import SimpleGraph, complete_edge_count, components
 from nimcolor.nim import nim_edges
 from nimcolor.patterns import custom_pattern, forest_union, has_perfect_matching_forest, make_path, parse_pattern
-from nimcolor.turan import ex_path, extremal_path_graph
-from oracles import is_isomorphic, nim_edges_anchored, tail_expected_nim_indices, verify_layout_per_edge
+from nimcolor.turan import ex_path, extremal_path_graph, path_extremal_t_range
+from oracles import (
+    construction_colors_per_edge,
+    is_isomorphic,
+    nim_edges_anchored,
+    tail_expected_nim_indices,
+    verify_layout_per_edge,
+)
 
 H_FOREST = parse_pattern("dstar:3+path:6")
 
@@ -172,6 +179,33 @@ class TestP2kColoring:
             d = min(abs(n % q - k + 1), abs(n % q - k))
             residue_formula = q * ex_path(n, 2 * k).value + q * ((k - 1) ** 2 - comb(d + 1, 2))
             assert report.count == p2k_expected_nim(n, k) == residue_formula, n
+
+
+class TestBuildersAgainstTheDefinitions:
+    # each builder fills one byte per edge; the colors must be those its
+    # definition gives edge by edge
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_p2k_at_every_residue(self, k):
+        q = 2 * k - 1
+        for n in range(q * q + 1, q * q + 1 + 2 * q):  # every residue of n mod q, twice
+            coloring = p2k_multicoloring(n, k)[0]
+            assert coloring.colors == tuple(construction_colors_per_edge("p2k", n, k)), n
+
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_tail(self, a):
+        for n in range(6 * a - 1, 6 * a + 7):
+            coloring = tail_forest_coloring(n, a)
+            assert coloring.colors == tuple(construction_colors_per_edge("tail", n, a)), n
+
+    @pytest.mark.parametrize("length", [4, 5, 6, 7, 8])
+    def test_overlay_with_and_without_t(self, length):
+        h = make_path(length)
+        for n in range(length, 4 * length):
+            for t in [None, *path_extremal_t_range(n, length)]:
+                coloring, _ = _construction("overlay", n, t, h)
+                red = extremal_path_graph(n, length, ex_path(n, length).recipe["a"] if t is None else t)
+                assert coloring.colors == tuple(construction_colors_per_edge("overlay", n, red)), (n, t)
 
 
 class TestLayoutVerification:

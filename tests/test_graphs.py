@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -180,6 +181,22 @@ def colorings_with_bad_entries(draw):
     return n, k, colors
 
 
+@st.composite
+def byte_color_cases(draw):
+    """(n, k, colors): a color list of plain ints in 0..255 for K_n with
+    n in 0..24 and k in 0..255, small k drawn often so that the class rows
+    come from the byte matrix too; at times its length is off by one or
+    one color is at or past k."""
+    n = draw(st.integers(0, 24))
+    k = draw(st.one_of(st.integers(1, 3), st.integers(0, 255)))
+    m = complete_edge_count(n)
+    length = draw(st.sampled_from([m, m, m, m + 1] + ([m - 1] if m else [])))
+    colors = draw(st.lists(st.integers(0, max(k - 1, 0)), min_size=length, max_size=length))
+    if colors and draw(st.integers(0, 3)) == 0:
+        colors[draw(st.integers(0, length - 1))] = draw(st.integers(k, 255))
+    return n, k, colors
+
+
 class TestEdgeColoring:
     @settings(max_examples=400, deadline=None)
     @given(colorings_with_bad_entries())
@@ -197,6 +214,34 @@ class TestEdgeColoring:
                 with pytest.raises(ValueError) as caught:
                     build()
                 assert str(caught.value) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(byte_color_cases())
+    @example((4, 2, [0, 1, 1, 0, 1, 2]))
+    @example((3, 2, [0, 1]))
+    @example((23, 2, [i % 2 for i in range(253)]))
+    def test_byte_colors_make_the_tuple_coloring(self, case):
+        # bytes skip the type scan; the coloring, its checks and their
+        # messages are those of the tuple, and the kept bytes stay a copy
+        n, k, colors = case
+        expected = parsed(lambda c: EdgeColoring(n, k, tuple(c)), colors)
+        for kind in (bytes, bytearray):
+            given_colors = kind(colors)
+            coloring = parsed(lambda c: EdgeColoring(n, k, c), given_colors)
+            assert coloring == expected
+            if not isinstance(expected, EdgeColoring):
+                continue
+            if kind is bytearray:  # later changes to the argument change nothing
+                given_colors[:] = bytes(c ^ 1 for c in given_colors) + b"\0"
+            assert hash(coloring) == hash(expected)
+            assert repr(coloring) == repr(expected) == f"EdgeColoring(n={n}, k={k}, colors={tuple(colors)!r})"
+            assert coloring.to_dict() == expected.to_dict() == {"n": n, "k": k, "colors": tuple(colors)}
+            assert type(coloring.colors) is tuple and [f.name for f in fields(coloring)] == ["n", "k", "colors"]
+            assert coloring.to_json() == expected.to_json() == json.dumps(expected.to_dict())
+            assert coloring.class_adjacency() == expected.class_adjacency() == class_rows_per_edge(expected)
+            for c in (coloring, expected):
+                kept = vars(c)["_bytes"]
+                assert type(kept) is bytes and kept == bytes(colors)
 
     def test_non_int_colors_are_refused(self):
         with pytest.raises(ValueError, match=r"^color 1\.0 at edge 1 is not an integer$"):
@@ -459,7 +504,7 @@ class TestColoringFiles:
             assert text.rstrip() == coloring.to_json()
             # the digit path reads every canonical file whose colors are digits
             digits = 0 < len(coloring.colors) and max(coloring.colors) < 10
-            assert _canonical_fields(text) == ((coloring.n, coloring.k, coloring.colors) if digits else None)
+            assert _canonical_fields(text) == ((coloring.n, coloring.k, bytes(coloring.colors)) if digits else None)
 
     def test_a_bool_palette_is_written_as_json_writes_it(self):
         # True is a palette of one color, and JSON writes it true
@@ -470,5 +515,5 @@ class TestColoringFiles:
         for coloring in (p2k_multicoloring(13, 2)[0], p2k_multicoloring(52, 4)[0], tail_forest_coloring(20, 3), overlay(30, 6)):
             text = coloring.to_json()
             assert text == json.dumps(coloring.to_dict())
-            assert _canonical_fields(text + "\n") == (coloring.n, coloring.k, coloring.colors)
+            assert _canonical_fields(text + "\n") == (coloring.n, coloring.k, bytes(coloring.colors))
             assert EdgeColoring.from_json(text + "\n") == coloring
