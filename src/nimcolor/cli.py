@@ -149,14 +149,15 @@ def _construction(family: str, n: int, size: Optional[int], h: Optional[PatternG
     return extremal_overlay(n, h, extremal_path_graph(n, h.vertex_count, size)), None
 
 
-def _overwrite(path: str, text: str) -> None:
+def _overwrite(path: str, text: str) -> bool:
     """Write text to path as UTF-8 in place, keeping the file's inode.
 
     No O_TRUNC: on ext4, truncating a file to zero and closing it starts
     writeback (the auto_da_alloc heuristic), about 0.1 ms per file, where an
     in-place write takes under 10 µs.  A tail longer than the new bytes is cut
     off afterwards, and only from a regular file: /dev/null refuses ftruncate.
-    Like open(path, "w"), the write is neither atomic nor synced.
+    Like open(path, "w"), the write is neither atomic nor synced.  Returns
+    whether path is a regular file.
     """
     data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -169,6 +170,7 @@ def _overwrite(path: str, text: str) -> None:
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+    return stat.S_ISREG(old.st_mode)
 
 
 def _cmd_construct(args) -> int:
@@ -183,8 +185,8 @@ def _cmd_construct(args) -> int:
     coloring, layout = _construction(args.family, args.n, getattr(args, flags[-1]), h)
 
     if args.output:
-        _overwrite(args.output, coloring.to_json() + "\n")
-        if layout is not None:
+        # a sidecar goes only beside a regular file, never beside /dev/null
+        if _overwrite(args.output, coloring.to_json() + "\n") and layout is not None:
             layout_payload = layout.to_dict()
             layout_payload["verify"] = verify_layout(layout).to_dict()
             _overwrite(args.output + ".layout.json", json.dumps(layout_payload, sort_keys=True) + "\n")

@@ -184,6 +184,13 @@ class TestConstructVerifyPipeline:
         code, out, err = run(capsys, "construct", "--family", "tail", "--a", "3", "--n", "20", "-o", os.devnull)
         assert (code, json.loads(out), err) == (0, {"written": os.devnull, "n": 20, "k": 2}, "")
 
+    def test_construct_writes_no_sidecar_beside_dev_null(self, capsys, tmp_path):
+        link = tmp_path / "out.json"
+        link.symlink_to(os.devnull)
+        code, out, err = run(capsys, "construct", "--family", "p2k", "--k", "2", "--n", "13", "-o", str(link))
+        assert (code, json.loads(out), err) == (0, {"written": str(link), "n": 13, "k": 4}, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
     def test_construct_writes_through_a_symlink(self, capsys, tmp_path):
         real, link = tmp_path / "real.json", tmp_path / "link.json"
         real.write_text("x" * 10000)

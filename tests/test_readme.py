@@ -60,6 +60,23 @@ def test_computed_values_hold(tmp_path, monkeypatch, capsys):
         assert out["best_count"] == int(value), command
 
 
+def test_p2k_tree_counts_hold(tmp_path, monkeypatch, capsys):
+    found = re.findall(
+        r"^\| `([^`]+)` \| (yes|no) \| (\d+) \| (\d+) \| (\d+) \| `(nimcolor construct [^`]+)`, then `(nimcolor verify [^`]+)` \|$",
+        README.read_text(encoding="utf-8"), re.M)
+    assert [row[0] for row in found] == ["spider:2,2,1", "spider:4,2,1", "spider:3,2,2", "spider:2,2,2,1", "dstar:3"]
+    monkeypatch.chdir(tmp_path)
+    for pattern, matching, k, n, value, construct, verify in found:
+        assert construct == f"nimcolor construct --family p2k --k {k} --n {n} -o c.json"
+        assert verify == f"nimcolor verify --coloring c.json --pattern {pattern}"
+        assert nimcolor.parse_pattern(pattern).has_perfect_matching == (matching == "yes")
+        assert _run(capsys, construct)[0] == 0
+        code, out = _run(capsys, verify)
+        assert (code, out["count"]) == (0, int(value)), verify
+        expected = nimcolor.p2k_expected_nim(int(n), int(k))
+        assert out["count"] == expected if matching == "yes" else out["count"] < expected
+
+
 def test_all_lists_every_public_name_and_no_submodule():
     public = {name for name in vars(nimcolor) if not name.startswith("_")}
     submodules = {"cli", "constructions", "errors", "graphs", "nim", "patterns", "search", "turan"}
