@@ -426,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, ResourceLimitError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ResourceLimitError, OSError) as exc:
         # a limit's hint names a library keyword or call, which the CLI has no flag for
         print(f"error: {exc.limit if isinstance(exc, ResourceLimitError) else exc}", file=sys.stderr)
         return 1

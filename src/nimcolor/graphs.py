@@ -46,11 +46,10 @@ def edge_unindex(idx: int, n: int) -> tuple[int, int]:
         raise ValueError(f"edge index {idx} out of range for n={n}")
     d = (2 * n - 1) ** 2 - 8 * idx
     u = (2 * n - 1 - isqrt(d)) // 2
-    # isqrt truncation can land one row off; fix up.
+    # the row is floor((2n - 1 - sqrt(d)) / 2), and isqrt(d) <= sqrt(d) keeps
+    # this estimate at or above it, so the fix-up only ever steps down
     while _row_start(u, n) > idx:
         u -= 1
-    while _row_start(u + 1, n) <= idx:
-        u += 1
     v = idx - _row_start(u, n) + u + 1
     return u, v
 

@@ -99,9 +99,18 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph.from_edges(3, [(1, 1)])
 
-    def test_a_row_with_a_bit_past_n_is_refused(self):
-        with pytest.raises(ValueError, match=r"^vertex 0 has a neighbour at or past n=2$"):
-            SimpleGraph(2, (0b100, 0))
+    @pytest.mark.parametrize(
+        "adj, message",
+        [
+            ((0b100, 0), "vertex 0 has a neighbour at or past n=2"),
+            ((0,), "adjacency length 1 != n=2"),
+            # from_edges refuses a loop first, so only the constructor reaches this check
+            ((0, 0b10), "loop at vertex 1"),
+        ],
+    )
+    def test_malformed_rows_are_refused(self, adj, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            SimpleGraph(2, adj)
 
     def test_edge_count_is_half_degree_sum(self):
         g = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 2)])
@@ -319,6 +328,8 @@ class TestEdgeColoring:
     def test_recolored_refuses_an_index_outside_the_edges(self, idx):
         with pytest.raises(ValueError, match=rf"^edge index {idx} out of range for n=3$"):
             EdgeColoring.monochromatic(3, k=2).recolored(idx, 1)
+        with pytest.raises(ValueError, match=rf"^edge index {idx} out of range for n=3$"):
+            edge_unindex(idx, 3)
 
 
 @st.composite

@@ -410,31 +410,9 @@ class TestNimEdges:
             cls = c.color_class(i)
             assert not through(cls, P4, edge_unindex(e, c.n))
 
-    def test_rejects_single_vertex_pattern(self):
-        with pytest.raises(ValueError):
-            nim_edges(EdgeColoring.monochromatic(4), make_path(1))
-
-    def test_guardrails(self):
-        with pytest.raises(ResourceLimitError):
-            nim_edges(EdgeColoring.monochromatic(70), P3)
-
-    def test_limits_name_their_keyword(self):
-        with pytest.raises(ResourceLimitError, match=r"NIM count limited to n <= 64, got 70; pass max_n=70"):
-            nim_edges(EdgeColoring.monochromatic(70), P3)
-        with pytest.raises(ResourceLimitError, match=r"NIM count limited to pattern order <= 16, got 17; pass max_pattern=17"):
-            nim_edges(EdgeColoring.monochromatic(4), make_path(17))
+    def test_limits_lift_by_their_keyword(self):
         assert nim_edges(EdgeColoring.monochromatic(70), P3, max_n=70).count == 0
         assert nim_edges(EdgeColoring.monochromatic(4), make_path(17), max_pattern=17).count == 6
-
-    def test_limit_and_hint_are_kept_apart(self):
-        with pytest.raises(ResourceLimitError) as err:
-            nim_edges(EdgeColoring.monochromatic(4), make_path(17))
-        assert err.value.limit == "NIM count limited to pattern order <= 16, got 17"
-        assert err.value.hint == "pass max_pattern=17 to allow it"
-
-    def test_negative_n_is_refused(self):
-        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
-            nim_edges(EdgeColoring(-1, 2, (0,)), P3)
 
     def test_matches_definition_on_random_colorings(self, rng):
         two_edges = forest_union(make_path(2), make_path(2))
@@ -507,18 +485,27 @@ class TestEntryGate:
         assert queries == []
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_refuses_a_negative_n(self, queries, entry):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            ENTRY_POINTS[entry][0](-1, P3)
+        assert queries == []
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_limits_share_one_message(self, queries, entry):
         call, label, max_n, max_pattern, tunable = ENTRY_POINTS[entry]
         over = [
             (max_n + 1, P3, "n", "max_n", max_n),
             (4, make_path(max_pattern + 1), "pattern order", "max_pattern", max_pattern),
         ]
-        for n, h, what, key, limit in over:
+        for n, h, what, key, cap in over:
             got = n if what == "n" else h.vertex_count
             with pytest.raises(ResourceLimitError) as err:
                 call(n, h)
-            assert err.value.limit == f"{label} limited to {what} <= {limit}, got {got}"
-            assert err.value.hint == (f"pass {key}={got} to allow it" if tunable else "")
+            limit = f"{label} limited to {what} <= {cap}, got {got}"
+            hint = f"pass {key}={got} to allow it" if tunable else ""
+            assert (err.value.limit, err.value.hint) == (limit, hint)
+            # the message joins the two; an entry point without the keywords names none
+            assert str(err.value) == (f"{limit}; {hint}" if tunable else limit)
         assert queries == []
 
 

@@ -58,11 +58,6 @@ class TestExhaustive:
         r = exhaustive_f(3, 2, P3)
         assert r.best_count == 1
 
-    def test_pattern_order_is_checked_before_the_search(self):
-        with pytest.raises(ResourceLimitError, match=r"exhaustive search limited to pattern order <= 16") as err:
-            exhaustive_f(4, 2, make_path(17))
-        assert "max_pattern=" not in str(err.value)
-
     def test_budget_error_suggests_hill_climb(self):
         with pytest.raises(ResourceLimitError, match="hill_climb") as raised:
             exhaustive_f(8, 2, P3)
@@ -118,15 +113,6 @@ class TestExhaustive:
         assert (by_graph.best_count, by_graph.witness, by_graph.colorings_examined) == (
             by_pattern.best_count, by_pattern.witness, by_pattern.colorings_examined
         )
-
-    def test_n_is_checked_before_the_search(self):
-        with pytest.raises(ResourceLimitError, match=r"exhaustive search limited to n <= 64") as err:
-            exhaustive_f(65, 1, P3)
-        assert "max_n=" not in str(err.value)
-
-    def test_negative_n_is_refused(self):
-        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
-            exhaustive_f(-1, 2, P3)
 
     def test_a_pin_that_breaks_the_vertex_order_has_no_leaf(self):
         # (0,1) and (1,2), (1,3), (1,4) in class 0 but (0,2), (0,3), (0,4) not:
@@ -492,13 +478,6 @@ class TestHillClimb:
         assert (by_graph.best_count, by_graph.witness, by_graph.colorings_examined) == (
             by_pattern.best_count, by_pattern.witness, by_pattern.colorings_examined
         )
-
-    def test_size_guard(self):
-        with pytest.raises(ResourceLimitError):
-            hill_climb_f(41, 2, P4)
-        with pytest.raises(ResourceLimitError, match=r"hill climb limited to pattern order <= 16") as err:
-            hill_climb_f(20, 2, make_path(17))
-        assert "max_pattern=" not in str(err.value)
 
     def test_needs_a_color(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
