@@ -15,8 +15,9 @@ Three families:
   classes of 2k-1 disjoint (2k-1)-cliques each, requiring 2k-1 prime),
   arranged so that each of the first 2k-1 color classes is a disjoint union
   of cliques plus one clique joined to independent vertices, i.e. exactly
-  the near-extremal family for the path on 2k vertices.  Every edge is
-  assigned its color once.
+  the near-extremal family for the path on 2k vertices.  Each edge's color
+  is computed from its cells' coordinates mod 2k-1; the layout tables
+  that `verify_layout` checks are built apart from the colors.
 """
 
 from __future__ import annotations
@@ -171,54 +172,41 @@ def build_p2k_layout(n: int, k: int) -> P2kConstructionLayout:
 def p2k_multicoloring(n: int, k: int) -> tuple[EdgeColoring, P2kConstructionLayout]:
     """The 2k-coloring of K_n whose first 2k-1 classes are near-extremal for P_2k.
 
-    Build order; no step assigns an edge that an earlier step assigned:
+    With q = 2k-1, cell (r, c) of U (0-based) is vertex r*q + c.  Two cells
+    in rows r < s lie on the line of AG(2, q) of slope j = (c' - c)/(s - r)
+    mod q, read in 1..q: a clique sigma[j][i] of the layout.  Their edge
+    gets color j-1, except on the sub-clique of each sigma[j][1] on rows
+    1..k, which gets 2k-1.  A cell of row r >= k lies on the diamond of
+    j = c/r, and its edges to W get j-1.  Every other edge (within a row,
+    rows 1..k to W, within W) gets the catch-all color 2k-1.  Dividing by
+    s - r needs an inverse mod q for every nonzero s - r, which is why q
+    must be prime.
 
-    1. for each j, color every clique sigma[j][i] with color j-1, except
-       the sub-clique of sigma[j][1] on rows 1..k, which gets color 2k-1;
-    2. color all edges between sigma_diamond[j] and W with color j-1;
-    3. give every remaining edge (row cliques, W clique, rows 1..k to W)
-       color 2k-1.
-
-    Step 1 covering each cross-row edge of U exactly once is what needs
-    2k-1 prime.  The colors are filled in one byte per edge, so 2k <= 256:
-    the next prime 2k-1 = 257 needs n > 66,049, over 2 * 10^9 edges.
+    The colors are written row by row in canonical edge order, so each
+    cell's edges to a later row are one rotation of a q-byte table for
+    s - r.  They are filled in one byte per edge, so 2k <= 256: the next
+    prime 2k-1 = 257 needs n > 66,049, over 2 * 10^9 edges.
     """
     layout = build_p2k_layout(n, k)
-    q = layout.block
-    last = 2 * k - 1  # color index of the final catch-all color
+    q = last = layout.block  # the block side, and the catch-all color
+    fill = bytes([last])
+    # slope[d][q - c + x] is the color from cell (r, c) to (r + d, x), doubled so a slice rotates
+    slope = [b""] + [bytes((x * pow(d, -1, q) % q or q) - 1 for x in range(q)) * 2 for d in range(1, q)]
+    colors = bytearray()
+    for r in range(q):
+        for c in range(q):
+            colors += fill * (q - 1 - c)
+            for d in range(1, q - r):
+                colors += slope[d][q - c : 2 * q - c]
+            # the diamond through (r, c), r >= k, is the line from (0, 0) to it
+            colors += (slope[r][c : c + 1] if r >= k else fill) * (n - q * q)
+    colors += fill * complete_edge_count(n - q * q)
     offset = edge_rank_offsets(n)
-    m = complete_edge_count(n)
-    colors = bytearray([last]) * m  # step 3's color, on every edge no other step assigns
-    assigned = bytearray(m)
-
-    def twice(u: int, v: int, e: int, color: int) -> AssertionError:
-        return AssertionError(f"edge ({u}, {v}) assigned twice: {colors[e]} then {color}")
-
-    # step 1: parallel classes of cliques; verts[t] is the clique's vertex in row t+1
-    for j in range(1, q + 1):
-        for i in range(1, q + 1):
-            verts = layout.sigma[j - 1][i - 1]
-            for s in range(q):
-                for t in range(s + 1, q):
-                    u, v = verts[s], verts[t]
-                    e = offset[u] + v if u < v else offset[v] + u
-                    color = last if i == 1 and t < k else j - 1
-                    if assigned[e]:
-                        raise twice(u, v, e, color)
-                    assigned[e] = 1
-                    colors[e] = color
-
-    # step 2: diamond-to-W bipartite edges.  W is q*q..n-1, above every
-    # diamond vertex u, so u's edges to W are one slice of ranks
-    width = len(layout.w)
-    for j in range(1, q + 1):
-        for u in layout.sigma_diamond[j - 1]:
-            row = slice(offset[u] + q * q, offset[u] + n)
-            if 1 in assigned[row]:
-                w = next(w for w in layout.w if assigned[offset[u] + w])
-                raise twice(u, w, offset[u] + w, j - 1)
-            assigned[row] = b"\1" * width
-            colors[row] = bytes([j - 1]) * width
+    for j in range(q):  # sigma[j or q][1] holds cell (m, m*j mod q) of each row m < k
+        cells = [m * q + m * j % q for m in range(k)]
+        for s, u in enumerate(cells):
+            for v in cells[s + 1 :]:
+                colors[offset[u] + v] = last
     return EdgeColoring(n, 2 * k, colors), layout
 
 

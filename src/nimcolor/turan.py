@@ -69,7 +69,7 @@ def path_extremal_t_range(n: int, length: int) -> range:
     if length < 2:
         raise ValueError("path length must be >= 2 vertices")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"n must be >= 0, got {n}")
     a, b = divmod(n, length - 1)
     if length % 2 == 0 and b in (length // 2, length // 2 - 1):
         return range(0, a + 1)

@@ -65,7 +65,7 @@ REFUSALS = {
         ("--family p2k --n 13", "p2k needs --k"),
         ("--family tail --a 1 --n 10", "a must be >= 2"),
         ("--family p2k --n 13 --k 1", "k must be >= 2"),
-        ("--family overlay --pattern path:4 --n -3 --t 0", "n must be >= 0"),
+        ("--family overlay --pattern path:4 --n -3 --t 0", "n must be >= 0, got -3"),
         ("--n 10 --family p2k --k 2 --a 3", "--a is for --family tail; --family p2k does not use it"),
         ("--n 10 --family p2k --k 2 --pattern path:9", "--pattern is for --family overlay; --family p2k does not use it"),
         ("--n 10 --family p2k --k 2 --t 4", "--t is for --family overlay; --family p2k does not use it"),
