@@ -69,25 +69,30 @@ def exhaustive_f(
 ) -> SearchResult:
     """Exact maximum NIM count over all k-colorings of E(K_n).
 
-    Only canonical colorings are enumerated.  The vertex rules: edge (0, 1)
-    has color 0, vertex 0 has the largest class-0 degree, vertex 1 has the
-    largest class-0 degree among the class-0 neighbours of vertex 0, and
-    vertices 2..n-1 are sorted by class-0 degree, non-increasing, class-0
-    neighbours of vertex 0 first among equal degrees.  The color rules:
-    (a) no class has a vertex whose degree is above vertex 0's class-0
-    degree, the top degree; (b) colors 1..k-1 are first used in increasing
-    order along the canonical edge order.  Every coloring has a relabeling
-    that keeps all of them: give a class of largest top degree color 0,
-    relabel the vertices by the vertex rules, then rename colors 1..k-1 by
-    first use.  That last step changes neither class 0 nor any degree, so
-    the maximum is unchanged.
+    Only canonical colorings are enumerated.  The vertex rules: vertex 0
+    has the largest class-0 degree d, vertices 1..d are its class-0
+    neighbours (so edge (0, 1) has color 0), and each group, 1..d and
+    d+1..n-1, is sorted by class-0 degree, non-increasing.  The color
+    rules: (a) no class has a vertex whose degree is above vertex 0's
+    class-0 degree, the top degree; (b) colors 1..k-1 are first used in
+    increasing order along the canonical edge order.  Every coloring has a
+    relabeling that keeps all of them: give a class of largest top degree
+    color 0, make a vertex of largest class-0 degree vertex 0, its class-0
+    neighbours 1..d and the other vertices d+1..n-1, each group in order
+    of class-0 degree, then rename colors 1..k-1 by first use.  That last
+    step changes neither class 0 nor any degree, so the maximum is
+    unchanged.
 
-    The search enforces the rules in the canonical edge order.  When row u
-    starts, the class-0 degrees of 0..u-1 are final and cap the degree of
-    every later vertex, so color 0 is skipped on an edge that would push
-    an end past its cap.  When row 0 ends, vertex 0's degrees are final:
-    rule (a) is checked on them, and from then on color c >= 1 is skipped
-    on an edge with an end of class-c degree at the top degree already.
+    The search enforces the rules in the canonical edge order.  In row 0,
+    edge (0, v) with v >= 2 takes color 0 only if (0, v - 1) has it, so row
+    0 branches on one class-0 pattern per degree d, not on every subset.
+    When row u starts, the class-0 degrees of 0..u-1 are final and cap the
+    degree of every later vertex w: deg(u - 1) when w is in u - 1's group,
+    deg(0) when it is not (`row_caps`), so color 0 is skipped on an edge
+    that would push an end past its cap.  When row 0 ends, vertex 0's
+    degrees are final: rule (a) is checked on them, and from then on color
+    c >= 1 is skipped on an edge with an end of class-c degree at the top
+    degree already.
     Color c is tried only if it is at most 1 + the largest color used.
 
     Branches are cut by sound bounds: forward checking over the classes'
@@ -97,8 +102,8 @@ def exhaustive_f(
     the witness does not depend on how strong the bound is.  Rule (b)
     alone would not move it either: the first maximal coloring already
     uses colors 1..k-1 in first-use order, since its first-use renaming is
-    maximal too and comes no later.  Rule (a) is a symmetry cut and can
-    move it.
+    maximal too and comes no later.  The vertex rules and rule (a) are
+    symmetry cuts and can move it.
     """
     pattern = _guard("exhaustive search", n, h, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
     if k < 1:
@@ -168,16 +173,13 @@ def _canonical_search(
         """Caps on the final class-0 degree of any vertex w >= u, rows 0..u-1 done.
 
         Entry 1 holds when w is a class-0 neighbour of vertex 0, entry 0
-        otherwise, so `(red[0] >> w) & 1` picks w's cap.
+        otherwise, so `(red[0] >> w) & 1` picks w's cap.  Row 0 is a class-0
+        prefix, so the groups are 1..d and d+1..n-1: w in u - 1's group is
+        capped by deg(u - 1), w in the other group by deg(0) alone, since a
+        later group may outrank an earlier one.  At u = 1 both caps are deg(0).
         """
-        cap = hub_cap = red[0].bit_count()
-        if u >= 2:
-            hub_cap = min(cap, red[1].bit_count())
-        if u >= 3:
-            last = red[u - 1].bit_count()
-            cap = min(cap, last)
-            hub_cap = min(hub_cap, last - (not (red[0] >> (u - 1)) & 1))
-        return cap, hub_cap
+        top, last = red[0].bit_count(), red[u - 1].bit_count()
+        return (top, last) if (red[0] >> (u - 1)) & 1 else (last, top)
 
     def rec(idx: int, covered: int, hi: int, cap_sum: int) -> None:
         """hi is the largest color on edges 0..idx-1, 0 before any; cap_sum is
@@ -210,11 +212,15 @@ def _canonical_search(
             if red[u].bit_count() > caps[u][(red[0] >> u) & 1]:
                 return
         bu, bv = 1 << u, 1 << v
-        # from row 1 on, color 0 on (u, v) must leave both degrees within their caps
-        red_ok = u == 0 or (
-            red[u].bit_count() < caps[u][(red[0] >> u) & 1]
-            and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
-        )
+        if u == 0:
+            # row 0's class-0 edges are a prefix: (0, v) takes color 0 only after (0, v - 1)
+            red_ok = v == 1 or (red[0] >> (v - 1)) & 1
+        else:
+            # color 0 on (u, v) must leave both degrees within their caps
+            red_ok = (
+                red[u].bit_count() < caps[u][(red[0] >> u) & 1]
+                and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
+            )
         if star is not None:
             cu, cv = code[u], code[v]
             rest = cap_sum - cap_of[cu] - cap_of[cv]  # the caps of every vertex but u and v

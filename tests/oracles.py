@@ -14,11 +14,14 @@ degree-order symmetry were added; `turan_oracle_plain` is `turan_oracle`'s
 recursion before it stored found copies, which queries every edge it
 tries to include: the oracle must return its maximum, witness rows and
 node count exactly; `canonical_search_plain` is
-`exhaustive_f`'s recursion with that symmetry but before forward checking,
-which queries every colored edge and bounds by covered edges alone, and
-which applies the color rules (`keeps_color_rules`) to its leaves only,
-never as a cut: the search must return its maximum and witness colors
-exactly;
+`exhaustive_f`'s recursion with that symmetry but before forward checking:
+the same vertex rules (vertex 0's class-0 row a prefix 1..d, each group,
+1..d and d+1..n-1, by class-0 degree) and the same caps, `row_caps`
+capping a later vertex by deg(u - 1) in u - 1's group and by deg(0)
+outside it.  It queries every colored edge, bounds by covered edges
+alone and applies the color rules (`keeps_color_rules`) to its leaves
+only, never as a cut: the search must return its maximum and witness
+colors exactly;
 `cover_pass_per_edge` is the cover pass before class components and
 twin groups, with one query per uncovered edge: the pass's NIM mask
 must equal its own;
@@ -461,14 +464,9 @@ def canonical_search_plain(
         Entry 1 holds when w is a class-0 neighbour of vertex 0, entry 0
         otherwise, so `(red[0] >> w) & 1` picks w's cap.
         """
-        cap = hub_cap = red[0].bit_count()
-        if u >= 2:
-            hub_cap = min(cap, red[1].bit_count())
-        if u >= 3:
-            last = red[u - 1].bit_count()
-            cap = min(cap, last)
-            hub_cap = min(hub_cap, last - (not (red[0] >> (u - 1)) & 1))
-        return cap, hub_cap
+        top, last = red[0].bit_count(), red[u - 1].bit_count()
+        # w in u - 1's group is capped by deg(u - 1), w in the other group by deg(0)
+        return (top, last) if (red[0] >> (u - 1)) & 1 else (last, top)
 
     def rec(idx: int, covered: int) -> None:
         nonlocal best, best_colors, leaves
@@ -493,11 +491,15 @@ def canonical_search_plain(
             if red[u].bit_count() > caps[u][(red[0] >> u) & 1]:
                 return
         bu, bv = 1 << u, 1 << v
-        # from row 1 on, color 0 on (u, v) must leave both degrees within their caps
-        red_ok = u == 0 or (
-            red[u].bit_count() < caps[u][(red[0] >> u) & 1]
-            and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
-        )
+        if u == 0:
+            # row 0's class-0 edges are a prefix: (0, v) takes color 0 only after (0, v - 1)
+            red_ok = v == 1 or (red[0] >> (v - 1)) & 1
+        else:
+            # color 0 on (u, v) must leave both degrees within their caps
+            red_ok = (
+                red[u].bit_count() < caps[u][(red[0] >> u) & 1]
+                and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
+            )
         for c in choices[idx]:
             if c == 0 and not red_ok:
                 continue

@@ -209,9 +209,10 @@ def test_emptying_the_memo_at_its_cap_keeps_the_answer(cell, monkeypatch):
 
 
 def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
-    # 2,267 when every star step took a memo entry: the memo then reached
-    # its cap more often and forgot more copies.  The search fills only
-    # 1,422 entries here, far under the default cap, so a low cap is set.
+    # 319 when every star step took a memo entry: the memo then took 325
+    # entries, not 256, reached its cap more often and forgot more copies.
+    # The search fills only 256 entries here, far under the default cap,
+    # so a low cap is set.
     calls = 0
 
     def counted(*args):
@@ -220,22 +221,22 @@ def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
         return _find_through(*args)
 
     monkeypatch.setattr("nimcolor.search._find_through", counted)
-    monkeypatch.setattr("nimcolor.search._MEMO_CAP", 256)
+    monkeypatch.setattr("nimcolor.search._MEMO_CAP", 128)
     best, colors, leaves = _canonical_search(7, 3, P3, full_choices(7, 3))
     assert (best, "".join(map(str, colors)), leaves) == (6, "000000000120120201000", 7)
-    assert calls == 2020
+    assert calls == 271
 
 
 # The bench's exhaustive star cells (path:3 is K_{1,2}): nodes below the
 # root and anchored queries, with the NIM degree caps and without them.
 BENCH_STAR_CELLS = {
-    (5, 2, "path:3"): ((16, 12), (47, 30)),
-    (6, 2, "path:3"): ((37, 29), (148, 107)),
-    (5, 3, "path:3"): ((96, 43), (252, 95)),
-    (5, 2, "star:3"): ((76, 21), (80, 23)),
-    (6, 2, "star:3"): ((64, 32), (1298, 691)),
-    (7, 2, "star:3"): ((96, 57), (10255, 6404)),
-    (5, 3, "star:3"): ((64, 15), (74, 18)),
+    (5, 2, "path:3"): ((16, 12), (32, 19)),
+    (6, 2, "path:3"): ((37, 29), (101, 71)),
+    (5, 3, "path:3"): ((52, 25), (125, 57)),
+    (5, 2, "star:3"): ((60, 16), (64, 18)),
+    (6, 2, "star:3"): ((64, 32), (477, 250)),
+    (7, 2, "star:3"): ((96, 57), (2758, 1669)),
+    (5, 3, "star:3"): ((63, 14), (73, 17)),
 }
 
 
@@ -515,8 +516,10 @@ def colorings(draw):
 
 def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
     """The relabeling the `exhaustive_f` docstring promises, built from its rules:
-    a class of largest top degree becomes class 0, the vertices are ordered
-    by class-0 degree, and colors 1..k-1 are renamed by first use."""
+    a class of largest top degree becomes class 0, a vertex of largest
+    class-0 degree becomes vertex 0, its class-0 neighbours come next and
+    the other vertices last, each group by class-0 degree, and colors
+    1..k-1 are renamed by first use."""
     n, k = coloring.n, coloring.k
     tops = [max(row.bit_count() for row in rows) for rows in coloring.class_adjacency()]
     first = tops.index(max(tops))
@@ -526,10 +529,9 @@ def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
     red = swapped.color_class(0)
     deg = [red.degree(w) for w in range(n)]
     v0 = max(range(n), key=lambda w: deg[w])
-    v1 = max(red.neighbors(v0), key=lambda w: deg[w])
-    rest = sorted(set(range(n)) - {v0, v1}, key=lambda w: (-deg[w], not red.has_edge(v0, w)))
+    rest = sorted(set(range(n)) - {v0}, key=lambda w: (not red.has_edge(v0, w), -deg[w]))
     perm = [0] * n  # old vertex -> new label
-    for new, old in enumerate([v0, v1, *rest]):
+    for new, old in enumerate([v0, *rest]):
         perm[old] = new
     permuted = swapped.permuted(perm)
     # colors 1..k-1 in first-use order, the unused ones after them
@@ -546,12 +548,19 @@ TWO_CHERRIES = EdgeColoring(6, 2, tuple(0 if e in {(0, 1), (0, 2), (3, 4), (3, 5
 # Class 0 is a perfect matching, class 1 empty and class 2 the rest, of
 # degree 4: classes 0 and 2 trade colors, and the matching's color becomes 1.
 COCKTAIL_PARTY = EdgeColoring(6, 3, tuple(0 if e in {(0, 1), (2, 3), (4, 5)} else 2 for e in all_pairs(6)))
+# Vertex 0 has class-0 degree 3 and neighbours 1, 2, 3, of degrees 3, 2, 2;
+# the non-neighbours 4 and 5 have 3, so they outrank 2 and 3 yet come after
+# them, and a cap of deg(3) on vertex 4 would cut this canonical coloring.
+FAR_HUBS = EdgeColoring(
+    6, 2, tuple(0 if e in {(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5), (4, 5)} else 1 for e in all_pairs(6))
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(colorings(), st.sampled_from(PROPERTY_PATTERNS))
 @example(TWO_CHERRIES, P3)
 @example(COCKTAIL_PARTY, P3)
+@example(FAR_HUBS, P3)
 def test_every_coloring_has_a_relabeling_the_search_keeps(coloring, h):
     # the real search, pinned to one coloring, scores it, or finds no leaf
     # when symmetry breaking cuts it
@@ -591,6 +600,25 @@ def test_a_pin_that_breaks_a_color_rule_has_no_leaf(k, colors):
     # each pin keeps the vertex rules and breaks one color rule at one vertex
     assert not keeps_color_rules(4, k, colors)
     assert _canonical_search(4, k, P3, [(c,) for c in colors]) == (-1, (0,) * 6, 0)
+
+
+@pytest.mark.parametrize("n, k, gap, prefix", [
+    # class 0 is the path 2-1-0-3 with (0, 2) in class 1, so vertex 0's
+    # class-0 neighbours are 1 and 3, not 1 and 2; swapping 2 and 3 makes
+    # them a prefix
+    (4, 2, (0, 1, 0, 0, 1, 1), (0, 0, 1, 1, 0, 1)),
+    # class 0 is the path 3-0-1-2-4, so vertex 2 (degree 2) comes before
+    # vertex 0's neighbour 3 (degree 1), as sorting 2..n-1 by degree alone
+    # would have it; swapping 2 and 3 makes the neighbours a prefix
+    (5, 3, (0, 1, 0, 1, 0, 1, 2, 2, 0, 2), (0, 0, 1, 1, 1, 0, 2, 2, 2, 0)),
+], ids=["n4", "n5"])
+def test_a_pin_whose_row_0_is_no_class_0_prefix_has_no_leaf(n, k, gap, prefix):
+    # both pins keep the color rules, and in both vertex 0 has the largest
+    # class-0 degree and each group is sorted by it
+    assert keeps_color_rules(n, k, gap) and keeps_color_rules(n, k, prefix)
+    assert _canonical_search(n, k, P3, [(c,) for c in gap]) == (-1, (0,) * len(gap), 0)
+    count = nim_edges(EdgeColoring(n, k, prefix), P3).count
+    assert _canonical_search(n, k, P3, [(c,) for c in prefix]) == (count, prefix, 1)
 
 
 
