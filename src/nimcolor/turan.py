@@ -6,8 +6,9 @@ n = a(l-1) + b, 0 <= b <= l-2, together with the extremal-graph recipe
 vertices).  `ex_balanced_forest` evaluates the balanced-forest formula for
 patterns with at least two components.  `turan_oracle` maximizes edges over
 all pattern-free graphs by a depth-first search over the canonical edge
-order, with its own degree bound and stores of earlier answers (see its
-docstring), and serves as an independent cross-check on both formulas.
+order, with `exhaustive_f`'s vertex rules, degree caps and stores of
+earlier answers (see its docstring), and serves as an independent
+cross-check on both formulas.
 """
 
 from __future__ import annotations
@@ -166,14 +167,27 @@ def turan_oracle(
     Depth-first over the canonical edge order; each edge is included (when
     that creates no copy of the pattern through it) or excluded.  Including
     recurses; excluding, always the last step, is the loop's next pass, so
-    the recursion is as deep as the included edges.  Only graphs whose
-    degrees are non-increasing in vertex order are kept (every graph has
-    such a relabeling, so the maximum is unaffected).  Two bounds prune a
+    the recursion is as deep as the included edges.
+
+    Only graphs that keep `exhaustive_f`'s vertex rules, read on the one
+    graph, are kept: vertex 0 has the largest degree d, vertices 1..d are
+    its neighbours, and each group, 1..d and d+1..n-1, is sorted by degree,
+    non-increasing.  Every graph has such a relabeling, so the maximum is
+    unaffected.  Row 0 is a prefix: edge (0, v) with v >= 2 is included
+    only after (0, v - 1), so excluding an edge of row 0 excludes the rest
+    of the row, and row 0 branches on one pattern per degree, not on every
+    subset.  When row u starts, the degrees of 0..u-1 are final and cap the
+    final degree of every later vertex w (`row_caps`): deg(u - 1) when w
+    is in u - 1's group, deg(0) when it is not, since a later group may
+    outrank an earlier one.  Vertex u's degree so far must be within its
+    cap, and the row includes an edge only while u stays within it; vertex
+    n - 1, which has no row, is checked at the leaf.  Two bounds prune a
     branch that cannot beat the best found: the undecided edges could all
-    be included, and, once row u starts, deg(u-1) is final and caps every
-    later degree, so the graph has at most
-    (deg(0) + ... + deg(u-1) + (n-u) deg(u-1)) / 2 edges.  That cap is
-    computed as row u starts and tested at every edge.  Attaches a witness.
+    be included, and the graph has at most
+    (deg(0) + ... + deg(u-1) + the sum of the caps of u..n-1) / 2 edges.
+    That cap is computed as row u starts and tested at every edge.
+    Attaches a witness: the first maximal graph in search order that keeps
+    the vertex rules.
 
     Before querying an edge idx, the search checks two stores of earlier
     answers for idx in this call, each at most `_KNOWN_CAP` masks, newest
@@ -205,35 +219,41 @@ def turan_oracle(
     # per edge idx: its ends, their bits, and whether it starts row u >= 1
     edges = [(u, v, 1 << u, 1 << v, u >= 1 and v == u + 1) for u, v in pairs]
 
-    def rec(idx: int, count: int, done: int, g: int, last: int, cap: int) -> None:
+    def row_caps(u: int) -> tuple[int, int]:
+        """Caps on the final degree of any vertex w >= u, rows 0..u-1 done:
+        entry 1 when w is a neighbour of vertex 0, entry 0 when it is not,
+        so `(adj[0] >> w) & 1` picks w's cap.  At u = 1 both are deg(0)."""
+        top, last = adj[0].bit_count(), adj[u - 1].bit_count()
+        return (top, last) if (adj[0] >> (u - 1)) & 1 else (last, top)
+
+    def rec(idx: int, count: int, done: int, g: int, ucap: int, cap: int) -> None:
         # done: the degree sum of the vertices whose rows are finished;
         # g: the included edges as a mask over canonical edge indices;
-        # last, cap: deg(u-1) and the row's edge cap, fixed while row u runs
+        # ucap, cap: u's degree cap and the row's edge cap, fixed while row u runs
         nonlocal best, best_adj
         while True:  # edge idx: include it by a call, then exclude it by looping
             if count + (m - idx) <= best:
                 return
             if idx == m:
-                if n >= 2 and adj[n - 1].bit_count() > adj[n - 2].bit_count():
-                    return
-                if n >= 3 and adj[n - 2].bit_count() > adj[n - 3].bit_count():
+                if n >= 2 and adj[n - 1].bit_count() > row_caps(n - 1)[(adj[0] >> (n - 1)) & 1]:
                     return
                 best = count
                 best_adj = tuple(adj)
                 return
             u, v, bu, bv, starts = edges[idx]
             if starts:
-                # row u is starting, so deg(u-1) is final: enforce sortedness
-                last = adj[u - 1].bit_count()
-                if u >= 2 and last > adj[u - 2].bit_count():
+                # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
+                done += adj[u - 1].bit_count()
+                caps = row_caps(u)
+                ucap = caps[(adj[0] >> u) & 1]
+                if adj[u].bit_count() > ucap:
                     return
-                done += last
-                # no later degree exceeds deg(u-1)
-                cap = (done + (n - u) * last) // 2
+                ahead = (adj[0] >> u).bit_count()  # vertex 0's neighbours among u..n-1
+                cap = (done + ahead * caps[1] + (n - u - ahead) * caps[0]) // 2
             if cap <= best:  # best can rise within a row
                 return
             # include first so good solutions tighten the bound early
-            if adj[u].bit_count() < last:
+            if adj[u].bit_count() < ucap:
                 rests = known[idx]
                 for rest in rests:
                     if rest & g == rest:
@@ -253,12 +273,13 @@ def turan_oracle(
                         if len(store) > _KNOWN_CAP:
                             store.pop()
                     if copy is None:
-                        rec(idx + 1, count + 1, done, g | 1 << idx, last, cap)
+                        rec(idx + 1, count + 1, done, g | 1 << idx, ucap, cap)
                     adj[u] ^= bv
                     adj[v] ^= bu
-            idx += 1
+            # row 0 is a prefix, so excluding (0, v) excludes the rest of the row
+            idx = idx + 1 if u else n - 1
 
-    # row 0: no degree caps, and m edges bound nothing the first test misses
+    # row 0: no degree cap, and m edges bound nothing the first test misses
     rec(0, 0, 0, 0, n, m)
     witness = SimpleGraph(n, best_adj)
     if contains(witness, pattern):

@@ -12,8 +12,11 @@ full-recount loop, scores every candidate with a fresh `nim_edges` count;
 branch-and-bound recursions before the degree-sum bound and the class-0
 degree-order symmetry were added; `turan_oracle_plain` is `turan_oracle`'s
 recursion before it stored found copies, which queries every edge it
-tries to include: the oracle must return its maximum, witness rows and
-node count exactly; `canonical_search_plain` is
+tries to include, with the same vertex rules (vertex 0's row a prefix
+1..d, each group, 1..d and d+1..n-1, by degree) and the same caps, a
+later vertex capped by deg(u - 1) in u - 1's group and by deg(0) outside
+it, each computed afresh: the oracle must return its maximum, witness
+rows and node count exactly; `canonical_search_plain` is
 `exhaustive_f`'s recursion with that symmetry but before forward checking:
 the same vertex rules (vertex 0's class-0 row a prefix 1..d, each group,
 1..d and d+1..n-1, by class-0 degree) and the same caps, `row_caps`
@@ -356,33 +359,36 @@ def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ..
     best_adj: tuple[int, ...] = tuple(adj)
     includes = 1
 
+    def cap_of(u: int, w: int) -> int:
+        # w >= u, rows 0..u-1 done: deg(u - 1) if w is in u - 1's group, else deg(0)
+        same = ((adj[0] >> (u - 1)) & 1) == ((adj[0] >> w) & 1)
+        return adj[u - 1 if same else 0].bit_count()
+
     def rec(idx: int, count: int, done: int) -> None:
         # done: the degree sum of the vertices whose rows are finished
         nonlocal best, best_adj, includes
         if count + (m - idx) <= best:
             return
         if idx == m:
-            if n >= 2 and adj[n - 1].bit_count() > adj[n - 2].bit_count():
-                return
-            if n >= 3 and adj[n - 2].bit_count() > adj[n - 3].bit_count():
+            if n >= 2 and adj[n - 1].bit_count() > cap_of(n - 1, n - 1):
                 return
             best = count
             best_adj = tuple(adj)
             return
         u, v = pairs[idx]
         if u >= 1:
-            last = adj[u - 1].bit_count()
             if v == u + 1:
-                # row u is starting, so deg(u-1) is final: enforce sortedness
-                if u >= 2 and last > adj[u - 2].bit_count():
+                # row u is starting, so deg(u-1) is final and u's can only grow
+                done += adj[u - 1].bit_count()
+                if adj[u].bit_count() > cap_of(u, u):
                     return
-                done += last
-            # no later degree exceeds deg(u-1); best can rise within a row
-            if (done + (n - u) * last) // 2 <= best:
+            # no later degree exceeds its cap; best can rise within a row
+            if (done + sum(cap_of(u, w) for w in range(u, n))) // 2 <= best:
                 return
-        # include first so good solutions tighten the bound early
+        # include first so good solutions tighten the bound early; row 0 is a
+        # prefix, (0, v) only after (0, v - 1), and later rows keep u within its cap
         bu, bv = 1 << u, 1 << v
-        if u == 0 or adj[u].bit_count() < adj[u - 1].bit_count():
+        if (v == 1 or (adj[0] >> (v - 1)) & 1) if u == 0 else adj[u].bit_count() < cap_of(u, u):
             adj[u] |= bv
             adj[v] |= bu
             if _find_through(adj, offsets, plans, u, v) is None:

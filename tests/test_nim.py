@@ -219,8 +219,9 @@ class TestAnchorOrbits:
             # 36,980 when every oriented edge had a plan, 24,043 before the
             # oracle stored the copies it found, 11,308 before it stored the
             # graphs where it found none, 1,108 while the closing `contains`
-            # check on the witness entered the same recursion
-            (lambda h: turan_oracle(8, h), "spider:2,2,1", 1106),
+            # check on the witness entered the same recursion, and 1,106
+            # while the oracle kept degrees sorted in vertex order
+            (lambda h: turan_oracle(8, h), "spider:2,2,1", 209),
         ],
         ids=["nim-p2k-60-4-path8", "nim-random-30-6-path6", "turan-8-spider"],
     )

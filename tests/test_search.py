@@ -543,8 +543,14 @@ def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
 
 
 # Class 0 is two disjoint cherries: vertex 0 is one center, vertex 1 one of
-# its leaves, and the other center outranks vertex 1 in class-0 degree.
-TWO_CHERRIES = EdgeColoring(6, 2, tuple(0 if e in {(0, 1), (0, 2), (3, 4), (3, 5)} else 1 for e in all_pairs(6)))
+# its leaves, and the other center, vertex 3, outranks vertex 1 in class-0
+# degree yet comes after it.  Class 1 is the 6-cycle 0-3-1-2-5-4 and class 2
+# the path 0-5-1-4-2-3, so every class tops out at degree 2 and the cherries
+# keep color 0; with two colors their complement, of top degree 4, took it.
+TWO_CHERRIES = EdgeColoring(6, 3, tuple(
+    0 if e in {(0, 1), (0, 2), (3, 4), (3, 5)} else 2 if e in {(0, 5), (1, 4), (1, 5), (2, 3), (2, 4)} else 1
+    for e in all_pairs(6)
+))
 # Class 0 is a perfect matching, class 1 empty and class 2 the rest, of
 # degree 4: classes 0 and 2 trade colors, and the matching's color becomes 1.
 COCKTAIL_PARTY = EdgeColoring(6, 3, tuple(0 if e in {(0, 1), (2, 3), (4, 5)} else 2 for e in all_pairs(6)))
@@ -554,6 +560,11 @@ COCKTAIL_PARTY = EdgeColoring(6, 3, tuple(0 if e in {(0, 1), (2, 3), (4, 5)} els
 FAR_HUBS = EdgeColoring(
     6, 2, tuple(0 if e in {(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5), (4, 5)} else 1 for e in all_pairs(6))
 )
+
+
+def test_the_two_cherries_are_already_canonical():
+    # so the search meets vertex 3 after vertex 1 as the example is written
+    assert canonical_relabeling(TWO_CHERRIES).colors == TWO_CHERRIES.colors
 
 
 @settings(max_examples=150, deadline=None)
