@@ -7,6 +7,8 @@ Exact search:
 - `exhaustive_f`: the true maximum, over the colorings that are
   canonical under vertex and color relabeling, and why its rules and
   bounds keep the maximum.
+- `_row_caps`: the vertex rules, shared with `turan.turan_oracle`, and
+  the degree caps by which both searches keep them.
 - `_canonical_search`: the branch and bound by forward checking, which
   scores its leaves with `nim.nim_edges`.
 - `_Blocking`: each class's blocked mask, from which the forced edges
@@ -69,31 +71,22 @@ def exhaustive_f(
 ) -> SearchResult:
     """Exact maximum NIM count over all k-colorings of E(K_n).
 
-    Only canonical colorings are enumerated.  The vertex rules: vertex 0
-    has the largest class-0 degree d, vertices 1..d are its class-0
-    neighbours (so edge (0, 1) has color 0), and each group, 1..d and
-    d+1..n-1, is sorted by class-0 degree, non-increasing.  The color
-    rules: (a) no class has a vertex whose degree is above vertex 0's
+    Only canonical colorings are enumerated: class 0 keeps the vertex
+    rules of `_row_caps` (so edge (0, 1) has color 0), and two color rules
+    hold: (a) no class has a vertex whose degree is above vertex 0's
     class-0 degree, the top degree; (b) colors 1..k-1 are first used in
     increasing order along the canonical edge order.  Every coloring has a
     relabeling that keeps all of them: give a class of largest top degree
-    color 0, make a vertex of largest class-0 degree vertex 0, its class-0
-    neighbours 1..d and the other vertices d+1..n-1, each group in order
-    of class-0 degree, then rename colors 1..k-1 by first use.  That last
-    step changes neither class 0 nor any degree, so the maximum is
-    unchanged.
+    color 0, relabel the vertices by the vertex rules on class 0, then
+    rename colors 1..k-1 by first use.  That last step changes neither
+    class 0 nor any degree, so the maximum is unchanged.
 
-    The search enforces the rules in the canonical edge order.  In row 0,
-    edge (0, v) with v >= 2 takes color 0 only if (0, v - 1) has it, so row
-    0 branches on one class-0 pattern per degree d, not on every subset.
-    When row u starts, the class-0 degrees of 0..u-1 are final and cap the
-    degree of every later vertex w: deg(u - 1) when w is in u - 1's group,
-    deg(0) when it is not (`row_caps`), so color 0 is skipped on an edge
-    that would push an end past its cap.  When row 0 ends, vertex 0's
-    degrees are final: rule (a) is checked on them, and from then on color
-    c >= 1 is skipped on an edge with an end of class-c degree at the top
-    degree already.
-    Color c is tried only if it is at most 1 + the largest color used.
+    The search keeps the vertex rules as `_row_caps` says, an edge of
+    class 0 standing for an edge in the graph.  When row 0 ends, vertex
+    0's degrees are final: rule (a) is checked on them, and from then on
+    color c >= 1 is skipped on an edge with an end of class-c degree at
+    the top degree already.  Color c is tried only if it is at most 1 +
+    the largest color used.
 
     Branches are cut by sound bounds: forward checking over the classes'
     blocked masks (`_canonical_search`, `_Blocking`) and, for a star, the
@@ -127,6 +120,32 @@ def exhaustive_f(
         best, colors, leaves = _canonical_search(n, k, pattern, [(0,)] + [range(k)] * (m - 1) if m else [])
     elapsed = time.perf_counter() - started
     return SearchResult(n, k, pattern_spec(h), best, EdgeColoring(n, k, colors), "exhaustive", True, leaves, elapsed)
+
+
+def _row_caps(rows: Sequence[int], u: int) -> tuple[int, int]:
+    """The vertex rules' caps on the final degree of any vertex w >= u,
+    rows 0..u-1 done (u >= 1), in the graph with adjacency masks `rows`:
+    class 0 for `exhaustive_f`, the one graph for `turan.turan_oracle`.
+    Entry 1 holds when w is a neighbour of vertex 0, entry 0 otherwise, so
+    `(rows[0] >> w) & 1` picks w's cap.
+
+    The vertex rules: vertex 0 has the largest degree d, vertices 1..d are
+    its neighbours, and each group, 1..d and d+1..n-1, is sorted by
+    degree, non-increasing.  Every graph has a relabeling that keeps them
+    (a vertex of largest degree first, then its neighbours, then the rest,
+    each group by degree), so a search may keep only such graphs.  Along
+    the canonical edge order it keeps them in two steps.  Row 0 is a
+    prefix: edge (0, v) with v >= 2 is in only if (0, v - 1) is, so row 0
+    takes one pattern per degree, not every subset.  When row u starts,
+    the degrees of 0..u-1 are final and cap every later w: deg(u - 1) when
+    w is in u - 1's group, deg(0) alone when it is not, since a later group
+    may outrank an earlier one; at u = 1 both are deg(0).  A vertex past
+    its cap when its row starts ends the branch, and vertex n - 1, which
+    has no row, is checked at the leaf; a search may also leave out any
+    edge that would push an end past its cap.
+    """
+    top, last = rows[0].bit_count(), rows[u - 1].bit_count()
+    return (top, last) if (rows[0] >> (u - 1)) & 1 else (last, top)
 
 
 def _canonical_search(
@@ -166,20 +185,8 @@ def _canonical_search(
         cap_of = _degree_caps(n, k, star)
 
     red = class_adj[0]
-    caps = [(n, n)] * n  # caps[u] = row_caps(u), set when row u starts
+    caps = [(n, n)] * n  # caps[u] = _row_caps(red, u), set when row u starts
     top = n  # vertex 0's final class-0 degree, set when row 0 ends
-
-    def row_caps(u: int) -> tuple[int, int]:
-        """Caps on the final class-0 degree of any vertex w >= u, rows 0..u-1 done.
-
-        Entry 1 holds when w is a class-0 neighbour of vertex 0, entry 0
-        otherwise, so `(red[0] >> w) & 1` picks w's cap.  Row 0 is a class-0
-        prefix, so the groups are 1..d and d+1..n-1: w in u - 1's group is
-        capped by deg(u - 1), w in the other group by deg(0) alone, since a
-        later group may outrank an earlier one.  At u = 1 both caps are deg(0).
-        """
-        top, last = red[0].bit_count(), red[u - 1].bit_count()
-        return (top, last) if (red[0] >> (u - 1)) & 1 else (last, top)
 
     def rec(idx: int, covered: int, hi: int, cap_sum: int) -> None:
         """hi is the largest color on edges 0..idx-1, 0 before any; cap_sum is
@@ -197,7 +204,7 @@ def _canonical_search(
                 return
         if idx == m:
             # row n-1 has no edges, so the last vertex is checked here
-            if n >= 2 and red[n - 1].bit_count() > row_caps(n - 1)[(red[0] >> (n - 1)) & 1]:
+            if n >= 2 and red[n - 1].bit_count() > _row_caps(red, n - 1)[(red[0] >> (n - 1)) & 1]:
                 return
             leaves += 1
             report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
@@ -208,7 +215,7 @@ def _canonical_search(
         u, v = pairs[idx]
         if v == u + 1 and u >= 1:
             # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
-            caps[u] = row_caps(u)
+            caps[u] = _row_caps(red, u)
             if red[u].bit_count() > caps[u][(red[0] >> u) & 1]:
                 return
         bu, bv = 1 << u, 1 << v

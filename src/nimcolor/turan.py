@@ -6,9 +6,9 @@ n = a(l-1) + b, 0 <= b <= l-2, together with the extremal-graph recipe
 vertices).  `ex_balanced_forest` evaluates the balanced-forest formula for
 patterns with at least two components.  `turan_oracle` maximizes edges over
 all pattern-free graphs by a depth-first search over the canonical edge
-order, with `exhaustive_f`'s vertex rules, degree caps and stores of
-earlier answers (see its docstring), and serves as an independent
-cross-check on both formulas.
+order, with the vertex rules and degree caps of `search._row_caps` and
+stores of earlier answers (see its docstring), and serves as an
+independent cross-check on both formulas.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .graphs import (
 )
 from .nim import _depth_guard, _find_through, _guard, _query_plans, contains
 from .patterns import PatternGraph, make_path, pattern_spec
+from .search import _row_caps
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
@@ -169,21 +170,13 @@ def turan_oracle(
     recurses; excluding, always the last step, is the loop's next pass, so
     the recursion is as deep as the included edges.
 
-    Only graphs that keep `exhaustive_f`'s vertex rules, read on the one
-    graph, are kept: vertex 0 has the largest degree d, vertices 1..d are
-    its neighbours, and each group, 1..d and d+1..n-1, is sorted by degree,
-    non-increasing.  Every graph has such a relabeling, so the maximum is
-    unaffected.  Row 0 is a prefix: edge (0, v) with v >= 2 is included
-    only after (0, v - 1), so excluding an edge of row 0 excludes the rest
-    of the row, and row 0 branches on one pattern per degree, not on every
-    subset.  When row u starts, the degrees of 0..u-1 are final and cap the
-    final degree of every later vertex w (`row_caps`): deg(u - 1) when w
-    is in u - 1's group, deg(0) when it is not, since a later group may
-    outrank an earlier one.  Vertex u's degree so far must be within its
-    cap, and the row includes an edge only while u stays within it; vertex
-    n - 1, which has no row, is checked at the leaf.  Two bounds prune a
-    branch that cannot beat the best found: the undecided edges could all
-    be included, and the graph has at most
+    Only graphs that keep the vertex rules of `search._row_caps`, read on
+    the one graph, are kept; every graph has such a relabeling, so the
+    maximum is unaffected.  Row 0 is a prefix, so excluding an edge of row
+    0 excludes the rest of the row.  From row 1 on, an edge is included
+    only while u stays within its cap.  Two bounds prune a branch that
+    cannot beat the best found: the undecided edges could all be included,
+    and the graph has at most
     (deg(0) + ... + deg(u-1) + the sum of the caps of u..n-1) / 2 edges.
     That cap is computed as row u starts and tested at every edge.
     Attaches a witness: the first maximal graph in search order that keeps
@@ -219,13 +212,6 @@ def turan_oracle(
     # per edge idx: its ends, their bits, and whether it starts row u >= 1
     edges = [(u, v, 1 << u, 1 << v, u >= 1 and v == u + 1) for u, v in pairs]
 
-    def row_caps(u: int) -> tuple[int, int]:
-        """Caps on the final degree of any vertex w >= u, rows 0..u-1 done:
-        entry 1 when w is a neighbour of vertex 0, entry 0 when it is not,
-        so `(adj[0] >> w) & 1` picks w's cap.  At u = 1 both are deg(0)."""
-        top, last = adj[0].bit_count(), adj[u - 1].bit_count()
-        return (top, last) if (adj[0] >> (u - 1)) & 1 else (last, top)
-
     def rec(idx: int, count: int, done: int, g: int, ucap: int, cap: int) -> None:
         # done: the degree sum of the vertices whose rows are finished;
         # g: the included edges as a mask over canonical edge indices;
@@ -235,7 +221,7 @@ def turan_oracle(
             if count + (m - idx) <= best:
                 return
             if idx == m:
-                if n >= 2 and adj[n - 1].bit_count() > row_caps(n - 1)[(adj[0] >> (n - 1)) & 1]:
+                if n >= 2 and adj[n - 1].bit_count() > _row_caps(adj, n - 1)[(adj[0] >> (n - 1)) & 1]:
                     return
                 best = count
                 best_adj = tuple(adj)
@@ -244,7 +230,7 @@ def turan_oracle(
             if starts:
                 # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
                 done += adj[u - 1].bit_count()
-                caps = row_caps(u)
+                caps = _row_caps(adj, u)
                 ucap = caps[(adj[0] >> u) & 1]
                 if adj[u].bit_count() > ucap:
                     return

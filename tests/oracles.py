@@ -13,18 +13,15 @@ branch-and-bound recursions before the degree-sum bound and the class-0
 degree-order symmetry were added; `turan_oracle_plain` is `turan_oracle`'s
 recursion before it stored found copies, which queries every edge it
 tries to include, with the same vertex rules (vertex 0's row a prefix
-1..d, each group, 1..d and d+1..n-1, by degree) and the same caps, a
-later vertex capped by deg(u - 1) in u - 1's group and by deg(0) outside
-it, each computed afresh: the oracle must return its maximum, witness
-rows and node count exactly; `canonical_search_plain` is
-`exhaustive_f`'s recursion with that symmetry but before forward checking:
-the same vertex rules (vertex 0's class-0 row a prefix 1..d, each group,
-1..d and d+1..n-1, by class-0 degree) and the same caps, `row_caps`
-capping a later vertex by deg(u - 1) in u - 1's group and by deg(0)
-outside it.  It queries every colored edge, bounds by covered edges
-alone and applies the color rules (`keeps_color_rules`) to its leaves
-only, never as a cut: the search must return its maximum and witness
-colors exactly;
+1..d, each group, 1..d and d+1..n-1, by degree): the oracle must return
+its maximum, witness rows and node count exactly; `canonical_search_plain`
+is `exhaustive_f`'s recursion with the same vertex rules on class 0 but
+before forward checking.  It queries every colored edge, bounds by
+covered edges alone and applies the color rules (`keeps_color_rules`) to
+its leaves only, never as a cut: the search must return its maximum and
+witness colors exactly.  Both take each vertex's cap afresh from
+`vertex_cap`, written apart from the package's `_row_caps`: a later
+vertex is capped by deg(u - 1) in u - 1's group and by deg(0) outside it;
 `cover_pass_per_edge` is the cover pass before class components and
 twin groups, with one query per uncovered edge: the pass's NIM mask
 must equal its own;
@@ -346,6 +343,14 @@ def turan_oracle_edge_bound(n: int, pattern: SimpleGraph) -> tuple[int, SimpleGr
     return best, SimpleGraph(n, best_adj)
 
 
+def vertex_cap(rows: Sequence[int], u: int, w: int) -> int:
+    """The vertex rules' cap on the final degree of vertex w >= u in the
+    graph with adjacency masks `rows`, rows 0..u-1 done (u >= 1): deg(u - 1)
+    if w is in u - 1's group, else deg(0)."""
+    same = ((rows[0] >> (u - 1)) & 1) == ((rows[0] >> w) & 1)
+    return rows[u - 1 if same else 0].bit_count()
+
+
 def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ...], int]:
     """`turan_oracle`'s search before it stored found copies, verbatim but
     for the count: (maximum, witness rows, includes), includes counting the
@@ -359,18 +364,13 @@ def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ..
     best_adj: tuple[int, ...] = tuple(adj)
     includes = 1
 
-    def cap_of(u: int, w: int) -> int:
-        # w >= u, rows 0..u-1 done: deg(u - 1) if w is in u - 1's group, else deg(0)
-        same = ((adj[0] >> (u - 1)) & 1) == ((adj[0] >> w) & 1)
-        return adj[u - 1 if same else 0].bit_count()
-
     def rec(idx: int, count: int, done: int) -> None:
         # done: the degree sum of the vertices whose rows are finished
         nonlocal best, best_adj, includes
         if count + (m - idx) <= best:
             return
         if idx == m:
-            if n >= 2 and adj[n - 1].bit_count() > cap_of(n - 1, n - 1):
+            if n >= 2 and adj[n - 1].bit_count() > vertex_cap(adj, n - 1, n - 1):
                 return
             best = count
             best_adj = tuple(adj)
@@ -380,15 +380,15 @@ def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ..
             if v == u + 1:
                 # row u is starting, so deg(u-1) is final and u's can only grow
                 done += adj[u - 1].bit_count()
-                if adj[u].bit_count() > cap_of(u, u):
+                if adj[u].bit_count() > vertex_cap(adj, u, u):
                     return
             # no later degree exceeds its cap; best can rise within a row
-            if (done + sum(cap_of(u, w) for w in range(u, n))) // 2 <= best:
+            if (done + sum(vertex_cap(adj, u, w) for w in range(u, n))) // 2 <= best:
                 return
         # include first so good solutions tighten the bound early; row 0 is a
         # prefix, (0, v) only after (0, v - 1), and later rows keep u within its cap
         bu, bv = 1 << u, 1 << v
-        if (v == 1 or (adj[0] >> (v - 1)) & 1) if u == 0 else adj[u].bit_count() < cap_of(u, u):
+        if (v == 1 or (adj[0] >> (v - 1)) & 1) if u == 0 else adj[u].bit_count() < vertex_cap(adj, u, u):
             adj[u] |= bv
             adj[v] |= bu
             if _find_through(adj, offsets, plans, u, v) is None:
@@ -462,17 +462,6 @@ def canonical_search_plain(
     leaves = 0
 
     red = class_adj[0]
-    caps = [(n, n)] * n  # caps[u] = row_caps(u), set when row u starts
-
-    def row_caps(u: int) -> tuple[int, int]:
-        """Caps on the final class-0 degree of any vertex w >= u, rows 0..u-1 done.
-
-        Entry 1 holds when w is a class-0 neighbour of vertex 0, entry 0
-        otherwise, so `(red[0] >> w) & 1` picks w's cap.
-        """
-        top, last = red[0].bit_count(), red[u - 1].bit_count()
-        # w in u - 1's group is capped by deg(u - 1), w in the other group by deg(0)
-        return (top, last) if (red[0] >> (u - 1)) & 1 else (last, top)
 
     def rec(idx: int, covered: int) -> None:
         nonlocal best, best_colors, leaves
@@ -480,7 +469,7 @@ def canonical_search_plain(
             return
         if idx == m:
             # row n-1 has no edges, so the last vertex is checked here
-            if n >= 2 and red[n - 1].bit_count() > row_caps(n - 1)[(red[0] >> (n - 1)) & 1]:
+            if n >= 2 and red[n - 1].bit_count() > vertex_cap(red, n - 1, n - 1):
                 return
             if not keeps_color_rules(n, k, colors):
                 return
@@ -493,8 +482,7 @@ def canonical_search_plain(
         u, v = pairs[idx]
         if v == u + 1 and u >= 1:
             # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
-            caps[u] = row_caps(u)
-            if red[u].bit_count() > caps[u][(red[0] >> u) & 1]:
+            if red[u].bit_count() > vertex_cap(red, u, u):
                 return
         bu, bv = 1 << u, 1 << v
         if u == 0:
@@ -502,10 +490,7 @@ def canonical_search_plain(
             red_ok = v == 1 or (red[0] >> (v - 1)) & 1
         else:
             # color 0 on (u, v) must leave both degrees within their caps
-            red_ok = (
-                red[u].bit_count() < caps[u][(red[0] >> u) & 1]
-                and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
-            )
+            red_ok = red[u].bit_count() < vertex_cap(red, u, u) and red[v].bit_count() < vertex_cap(red, u, v)
         for c in choices[idx]:
             if c == 0 and not red_ok:
                 continue

@@ -1,4 +1,3 @@
-import os
 import random
 import re
 from itertools import product
@@ -19,6 +18,7 @@ from nimcolor.search import (
     _nim_degree_cap,
     _NimState,
     _orbit_edges,
+    _row_caps,
     _star_size,
     _StarState,
     exhaustive_f,
@@ -36,6 +36,7 @@ from oracles import (
     keeps_color_rules,
     nim_brute,
     relabel_colors,
+    vertex_cap,
 )
 
 P3 = make_path(3)
@@ -164,10 +165,8 @@ def test_exhaustive_matches_the_first_edge_pin_search(n, k, spec):
     assert (r.best_count, r.witness.colors) == canonical_search_plain(n, k, h, full_choices(n, k))[:2]
 
 
-# Cells past the sizes above, with f and the witness colors the plain
-# recursion returns on them.  It takes 1.3-8 s a cell, so
-# NIMCOLOR_SLOW_TESTS=1 recomputes the pins; the search takes under 0.5 s.
-SLOW_TESTS = os.environ.get("NIMCOLOR_SLOW_TESTS") == "1"
+# Cells past the sizes above, with f and the witness colors that the
+# search and the plain recursion both return on them.
 OFF_BENCH = {
     (8, 2, "path:4"): (7, "0000000111111111111111111111"),
     (8, 2, "star:4"): (12, "0000111000111110011010100000"),
@@ -182,17 +181,10 @@ OFF_BENCH_IDS = [f"n{n}-k{k}-{s}" for n, k, s in OFF_BENCH]
 def test_search_keeps_the_plain_recursions_witness_off_the_bench(cell):
     n, k, spec = cell
     best, colors = OFF_BENCH[cell]
-    got = _canonical_search(n, k, parse_pattern(spec), full_choices(n, k))
-    assert got[:2] == (best, tuple(map(int, colors)))
-
-
-@pytest.mark.skipif(not SLOW_TESTS, reason="slow; set NIMCOLOR_SLOW_TESTS=1")
-@pytest.mark.parametrize("cell", list(OFF_BENCH), ids=OFF_BENCH_IDS)
-def test_off_bench_pins_are_the_plain_recursions(cell):
-    n, k, spec = cell
-    best, colors = OFF_BENCH[cell]
-    got = canonical_search_plain(n, k, parse_pattern(spec), full_choices(n, k))
-    assert got[:2] == (best, tuple(map(int, colors)))
+    h, choices = parse_pattern(spec), full_choices(n, k)
+    pinned = (best, tuple(map(int, colors)))
+    assert _canonical_search(n, k, h, choices)[:2] == pinned
+    assert canonical_search_plain(n, k, h, choices)[:2] == pinned
 
 
 MEMO_CELLS = [(5, 3, "path:4"), (5, 3, "star:3"), (6, 4, "path:4"), (6, 3, "spider:2,1,1")]
@@ -630,6 +622,20 @@ def test_a_pin_whose_row_0_is_no_class_0_prefix_has_no_leaf(n, k, gap, prefix):
     assert _canonical_search(n, k, P3, [(c,) for c in gap]) == (-1, (0,) * len(gap), 0)
     count = nim_edges(EdgeColoring(n, k, prefix), P3).count
     assert _canonical_search(n, k, P3, [(c,) for c in prefix]) == (count, prefix, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_caps_match_the_oracles_cap_of_each_vertex(data):
+    # on any graph, not only those that keep the vertex rules: the entry that
+    # w's side of vertex 0 picks is the cap the plain recursions compute for w
+    n = data.draw(st.integers(2, 9), label="n")
+    mask = data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1), label="edges")
+    rows = SimpleGraph.from_edges(n, [e for i, e in enumerate(all_pairs(n)) if mask >> i & 1]).adj
+    for u in range(1, n):
+        caps = _row_caps(rows, u)
+        for w in range(u, n):
+            assert caps[(rows[0] >> w) & 1] == vertex_cap(rows, u, w)
 
 
 

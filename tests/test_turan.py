@@ -342,10 +342,9 @@ def test_oracle_matches_the_edge_bound_search(n, spec):
 
 # Every Turan cell of the bench's `exact` workload (perfbench/workloads.py
 # TURAN_CASES), every oracle cell the suite uses and the limit-lifting calls
-# of TestOracle, as (n, spec, keywords).  spider:2,2,2 at n = 9 took about
-# 5.5 s on a 2-core box with the plain recursion and the call count, and ran
-# only under NIMCOLOR_SLOW_TESTS=1, while the oracle kept degrees sorted in
-# vertex order; under the vertex rules it takes about 0.75 s, 6,356 calls.
+# of TestOracle, as (n, spec, keywords).  spider:2,2,2 at n = 9, the
+# slowest, takes about 0.3 s on a 2-core box with the plain recursion and
+# the call count, 6,356 calls.
 BENCH_TURAN_CELLS = [
     (9, "path:3"), (7, "path:4"), (8, "path:4"), (9, "path:4"), (7, "path:5"), (8, "path:5"), (7, "path:6"),
     (7, "star:3"), (8, "star:3"), (7, "star:4"), (7, "spider:2,2,1"), (8, "spider:2,2,1"),
