@@ -8,7 +8,8 @@ Exact search:
   canonical under vertex and color relabeling, and why its rules and
   bounds keep the maximum.
 - `_row_caps`: the vertex rules, shared with `turan.turan_oracle`, and
-  the degree caps by which both searches keep them.
+  the degree caps by which both searches keep them, one per block that
+  `_block` names.
 - `_canonical_search`: the branch and bound by forward checking, which
   scores its leaves with `nim.nim_edges`.
 - `_Blocking`: each class's blocked mask, from which the forced edges
@@ -82,7 +83,11 @@ def exhaustive_f(
     class 0 nor any degree, so the maximum is unchanged.
 
     The search keeps the vertex rules as `_row_caps` says, an edge of
-    class 0 standing for an edge in the graph.  When row 0 ends, vertex
+    class 0 standing for an edge in the graph: row 0's class-0 edges are a
+    prefix, row 1's are a prefix inside each of row 0's groups (edge (1, v)
+    takes color 0 only if (1, v - 1) has it, whenever v - 1 is in v's
+    group), and color 0 on an edge must leave both ends within the caps
+    of their blocks.  When row 0 ends, vertex
     0's degrees are final: rule (a) is checked on them, and from then on
     color c >= 1 is skipped on an edge with an end of class-c degree at
     the top degree already.  Color c is tried only if it is at most 1 +
@@ -122,30 +127,48 @@ def exhaustive_f(
     return SearchResult(n, k, pattern_spec(h), best, EdgeColoring(n, k, colors), "exhaustive", True, leaves, elapsed)
 
 
-def _row_caps(rows: Sequence[int], u: int) -> tuple[int, int]:
+def _row_caps(rows: Sequence[int], u: int) -> tuple[int, int, int, int]:
     """The vertex rules' caps on the final degree of any vertex w >= u,
     rows 0..u-1 done (u >= 1), in the graph with adjacency masks `rows`:
     class 0 for `exhaustive_f`, the one graph for `turan.turan_oracle`.
-    Entry 1 holds when w is a neighbour of vertex 0, entry 0 otherwise, so
-    `(rows[0] >> w) & 1` picks w's cap.
+    The entry is keyed by w's block, its adjacency to vertices 0 and 1:
+    `_block(rows, w)` picks w's cap.
 
     The vertex rules: vertex 0 has the largest degree d, vertices 1..d are
-    its neighbours, and each group, 1..d and d+1..n-1, is sorted by
-    degree, non-increasing.  Every graph has a relabeling that keeps them
-    (a vertex of largest degree first, then its neighbours, then the rest,
-    each group by degree), so a search may keep only such graphs.  Along
-    the canonical edge order it keeps them in two steps.  Row 0 is a
-    prefix: edge (0, v) with v >= 2 is in only if (0, v - 1) is, so row 0
-    takes one pattern per degree, not every subset.  When row u starts,
-    the degrees of 0..u-1 are final and cap every later w: deg(u - 1) when
-    w is in u - 1's group, deg(0) alone when it is not, since a later group
-    may outrank an earlier one; at u = 1 both are deg(0).  A vertex past
-    its cap when its row starts ends the branch, and vertex n - 1, which
-    has no row, is checked at the leaf; a search may also leave out any
-    edge that would push an end past its cap.
+    its neighbours, and vertex 1 has the largest degree among them.  Past
+    vertex 1, inside each group (2..d, then d+1..n-1), vertex 1's
+    neighbours come first, and each of the four blocks so made is sorted
+    by degree, non-increasing.  Every graph has a relabeling that keeps
+    them (a vertex of largest degree first, then its neighbour of largest
+    degree, then its other neighbours and then the rest, each group with
+    vertex 1's neighbours first, each block by degree), so a search may
+    keep only such graphs.
+
+    Along the canonical edge order a search keeps them in three steps.
+    Row 0 is a prefix: edge (0, v) with v >= 2 is in only if (0, v - 1)
+    is, so row 0 takes one pattern per degree, not every subset.  Row 1 is
+    a prefix inside each group: edge (1, v) with v >= 3 is in only if
+    (1, v - 1) is, whenever v - 1 is in v's group.  When row u starts, the
+    degrees of 0..u-1 are final and cap every later w: deg(u - 1) when w
+    is in u - 1's block, deg(1) when it is another neighbour of vertex 0,
+    and deg(0) otherwise, since a later block may outrank an earlier one;
+    at u = 1 all four are deg(0), since vertex 1's row is not yet done.  A
+    vertex past its cap when its row starts ends the branch, and vertex
+    n - 1, which has no row, is checked at the leaf; a search may also
+    leave out any edge that would push an end past its cap.
     """
-    top, last = rows[0].bit_count(), rows[u - 1].bit_count()
-    return (top, last) if (rows[0] >> (u - 1)) & 1 else (last, top)
+    top = rows[0].bit_count()
+    if u == 1:
+        return top, top, top, top
+    one = rows[1].bit_count()
+    caps = [top, one, top, one]
+    caps[_block(rows, u - 1)] = rows[u - 1].bit_count()
+    return tuple(caps)
+
+
+def _block(rows: Sequence[int], w: int) -> int:
+    """Vertex w's block, its adjacency to vertices 0 and 1, as `_row_caps` keys it."""
+    return (rows[0] >> w & 1) | (rows[1] >> w & 1) << 1
 
 
 def _canonical_search(
@@ -185,7 +208,7 @@ def _canonical_search(
         cap_of = _degree_caps(n, k, star)
 
     red = class_adj[0]
-    caps = [(n, n)] * n  # caps[u] = _row_caps(red, u), set when row u starts
+    caps = [(n,) * 4] * n  # caps[u] = _row_caps(red, u), set when row u starts
     top = n  # vertex 0's final class-0 degree, set when row 0 ends
 
     def rec(idx: int, covered: int, hi: int, cap_sum: int) -> None:
@@ -204,7 +227,7 @@ def _canonical_search(
                 return
         if idx == m:
             # row n-1 has no edges, so the last vertex is checked here
-            if n >= 2 and red[n - 1].bit_count() > _row_caps(red, n - 1)[(red[0] >> (n - 1)) & 1]:
+            if n >= 2 and red[n - 1].bit_count() > _row_caps(red, n - 1)[_block(red, n - 1)]:
                 return
             leaves += 1
             report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
@@ -216,17 +239,19 @@ def _canonical_search(
         if v == u + 1 and u >= 1:
             # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
             caps[u] = _row_caps(red, u)
-            if red[u].bit_count() > caps[u][(red[0] >> u) & 1]:
+            if red[u].bit_count() > caps[u][_block(red, u)]:
                 return
         bu, bv = 1 << u, 1 << v
         if u == 0:
             # row 0's class-0 edges are a prefix: (0, v) takes color 0 only after (0, v - 1)
             red_ok = v == 1 or (red[0] >> (v - 1)) & 1
         else:
-            # color 0 on (u, v) must leave both degrees within their caps
+            # color 0 on (u, v) must leave both degrees within their caps, and
+            # row 1 is a prefix inside each of row 0's groups, 1..top and top+1..n-1
             red_ok = (
-                red[u].bit_count() < caps[u][(red[0] >> u) & 1]
-                and red[v].bit_count() < caps[u][(red[0] >> v) & 1]
+                red[u].bit_count() < caps[u][_block(red, u)]
+                and red[v].bit_count() < caps[u][_block(red, v)]
+                and (u > 1 or v == 2 or v == top + 1 or (red[1] >> (v - 1)) & 1)
             )
         if star is not None:
             cu, cv = code[u], code[v]
@@ -365,7 +390,7 @@ class _Blocking:
             self.incident[y] |= 1 << e
         self.full = full = (1 << m) - 1
         self.star = _star_size(pattern)
-        self.reach = _edge_reach(pattern)
+        self.reach = _edge_reach(pattern.adj)
         # with k >= 3, class rows -> (the copy through their last edge, the class's blocked mask)
         self.memo: Optional[dict[tuple[int, ...], tuple[int, int]]] = {} if k >= 3 else None
         # f alone is a copy only of one edge plus isolated vertices that fit in n
@@ -437,10 +462,14 @@ def _star_size(pattern: SimpleGraph) -> Optional[int]:
     return None
 
 
-def _edge_reach(pattern: SimpleGraph) -> Optional[int]:
-    """The largest distance between two edges of a connected pattern, None if
-    it is disconnected.  Two edges are as far apart as their closest ends."""
-    order, rows = pattern.n, pattern.adj
+# keyed by the pattern's adjacency rows, as `nim._anchor_plans` is, so that
+# every search of one pattern computes it once
+@lru_cache(maxsize=None)
+def _edge_reach(rows: tuple[int, ...]) -> Optional[int]:
+    """The largest distance between two edges of the connected pattern with
+    adjacency rows `rows`, None if it is disconnected.  Two edges are as
+    far apart as their closest ends."""
+    order = len(rows)
     dist = [[-1] * order for _ in range(order)]
     for s in range(order):
         seen = layer = 1 << s
@@ -455,7 +484,7 @@ def _edge_reach(pattern: SimpleGraph) -> Optional[int]:
             step += 1
         if seen != (1 << order) - 1:
             return None
-    edges = list(pattern.edges())
+    edges = list(SimpleGraph(order, rows).edges())
     return max(min(dist[a][c], dist[a][d], dist[b][c], dist[b][d]) for a, b in edges for c, d in edges)
 
 

@@ -28,7 +28,7 @@ from .graphs import (
 )
 from .nim import _depth_guard, _find_through, _guard, _query_plans, contains
 from .patterns import PatternGraph, make_path, pattern_spec
-from .search import _row_caps
+from .search import _block, _row_caps
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
@@ -173,12 +173,15 @@ def turan_oracle(
     Only graphs that keep the vertex rules of `search._row_caps`, read on
     the one graph, are kept; every graph has such a relabeling, so the
     maximum is unaffected.  Row 0 is a prefix, so excluding an edge of row
-    0 excludes the rest of the row.  From row 1 on, an edge is included
-    only while u stays within its cap.  Two bounds prune a branch that
-    cannot beat the best found: the undecided edges could all be included,
-    and the graph has at most
-    (deg(0) + ... + deg(u-1) + the sum of the caps of u..n-1) / 2 edges.
-    That cap is computed as row u starts and tested at every edge.
+    0 excludes the rest of the row.  Row 1 is a prefix inside each of row
+    0's groups, 1..d and d+1..n-1, so excluding (1, v) jumps to the first
+    edge of the next group, or to row 2.  From row 1 on, an edge is
+    included only while u stays within its cap.  Two bounds prune a branch
+    that cannot beat the best found: the undecided edges could all be
+    included, and the graph has at most
+    (deg(0) + ... + deg(u-1) + the sum of the caps of u..n-1) / 2 edges,
+    the caps summed block by block, four caps times the sizes of their
+    blocks.  That cap is computed as row u starts and tested at every edge.
     Attaches a witness: the first maximal graph in search order that keeps
     the vertex rules.
 
@@ -221,7 +224,7 @@ def turan_oracle(
             if count + (m - idx) <= best:
                 return
             if idx == m:
-                if n >= 2 and adj[n - 1].bit_count() > _row_caps(adj, n - 1)[(adj[0] >> (n - 1)) & 1]:
+                if n >= 2 and adj[n - 1].bit_count() > _row_caps(adj, n - 1)[_block(adj, n - 1)]:
                     return
                 best = count
                 best_adj = tuple(adj)
@@ -231,11 +234,16 @@ def turan_oracle(
                 # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
                 done += adj[u - 1].bit_count()
                 caps = _row_caps(adj, u)
-                ucap = caps[(adj[0] >> u) & 1]
+                ucap = caps[_block(adj, u)]
                 if adj[u].bit_count() > ucap:
                     return
-                ahead = (adj[0] >> u).bit_count()  # vertex 0's neighbours among u..n-1
-                cap = (done + ahead * caps[1] + (n - u - ahead) * caps[0]) // 2
+                # the vertices u..n-1 of each block: by adjacency to vertex 0, to 1, to both
+                near0, near1 = adj[0] >> u, adj[1] >> u
+                both = (near0 & near1).bit_count()
+                only0, only1 = near0.bit_count() - both, near1.bit_count() - both
+                cap = (
+                    done + (n - u - only0 - only1 - both) * caps[0] + only0 * caps[1] + only1 * caps[2] + both * caps[3]
+                ) // 2
             if cap <= best:  # best can rise within a row
                 return
             # include first so good solutions tighten the bound early
@@ -262,8 +270,13 @@ def turan_oracle(
                         rec(idx + 1, count + 1, done, g | 1 << idx, ucap, cap)
                     adj[u] ^= bv
                     adj[v] ^= bu
-            # row 0 is a prefix, so excluding (0, v) excludes the rest of the row
-            idx = idx + 1 if u else n - 1
+            if u > 1:
+                idx += 1
+            elif u == 0:  # row 0 is a prefix, so excluding (0, v) excludes the rest of the row
+                idx = n - 1
+            else:  # row 1 is a prefix in each group: on to (1, d + 1) from 1..d, else to row 2
+                d = adj[0].bit_count()
+                idx = n + d - 2 if v <= d else 2 * n - 3
 
     # row 0: no degree cap, and m edges bound nothing the first test misses
     rec(0, 0, 0, 0, n, m)

@@ -12,6 +12,7 @@ from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoin
 from nimcolor.nim import _find_through, _query_plans, _twin_members, nim_edges
 from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
 from nimcolor.search import (
+    _block,
     _Blocking,
     _canonical_search,
     _edge_reach,
@@ -26,6 +27,7 @@ from nimcolor.search import (
 )
 from nimcolor.turan import ex_path, extremal_path_graph, turan_value
 from oracles import (
+    block_cap,
     canonical_search_plain,
     class_rows_per_edge,
     colored_twin_orbits,
@@ -201,10 +203,11 @@ def test_emptying_the_memo_at_its_cap_keeps_the_answer(cell, monkeypatch):
 
 
 def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
-    # 319 when every star step took a memo entry: the memo then took 325
-    # entries, not 256, reached its cap more often and forgot more copies.
-    # The search fills only 256 entries here, far under the default cap,
-    # so a low cap is set.
+    # 151 when every star step took a memo entry: the memo then took 207
+    # entries, not 145, reached its cap more often and forgot more copies.
+    # The search fills only 145 entries here, far under the default cap,
+    # so a low cap is set.  While row 1 took every subset of vertices, these
+    # read 319, 325 and 256, and the search made 271 calls.
     calls = 0
 
     def counted(*args):
@@ -216,19 +219,19 @@ def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
     monkeypatch.setattr("nimcolor.search._MEMO_CAP", 128)
     best, colors, leaves = _canonical_search(7, 3, P3, full_choices(7, 3))
     assert (best, "".join(map(str, colors)), leaves) == (6, "000000000120120201000", 7)
-    assert calls == 271
+    assert calls == 146
 
 
 # The bench's exhaustive star cells (path:3 is K_{1,2}): nodes below the
 # root and anchored queries, with the NIM degree caps and without them.
 BENCH_STAR_CELLS = {
     (5, 2, "path:3"): ((16, 12), (32, 19)),
-    (6, 2, "path:3"): ((37, 29), (101, 71)),
-    (5, 3, "path:3"): ((52, 25), (125, 57)),
-    (5, 2, "star:3"): ((60, 16), (64, 18)),
-    (6, 2, "star:3"): ((64, 32), (477, 250)),
-    (7, 2, "star:3"): ((96, 57), (2758, 1669)),
-    (5, 3, "star:3"): ((63, 14), (73, 17)),
+    (6, 2, "path:3"): ((37, 29), (73, 49)),
+    (5, 3, "path:3"): ((51, 24), (106, 47)),
+    (5, 2, "star:3"): ((54, 13), (58, 15)),
+    (6, 2, "star:3"): ((64, 32), (239, 122)),
+    (7, 2, "star:3"): ((96, 57), (849, 493)),
+    (5, 3, "star:3"): ((62, 13), (72, 16)),
 }
 
 
@@ -254,12 +257,20 @@ def test_degree_caps_only_cut_nodes_on_the_bench_star_cells(cell, monkeypatch):
     assert pinned[0] <= without_caps[0] and pinned[1] <= without_caps[1]
 
 
-# Cells past the plain recursion's reach that the NIM degree caps search in
-# under 0.1 s: f and the witness colors.
+# Cells past the plain recursion's reach, each searched in under half a
+# second (the stars in under 0.1 s, by the NIM degree caps): f and the
+# witness colors.  The paths and spiders are ROADMAP item 4's frontier,
+# where f = ex at k = 2.
 FRONTIER = {
     (9, 2, "star:4"): (13, "000000110000111001011111001100000000"),
     (10, 2, "star:4"): (15, "000000111000001110000111111000110001000000000"),
     (8, 3, "path:3"): (8, "0000012000021012002100000000"),
+    (9, 2, "path:5"): (12, "000000000000111111000110001000000111"),
+    (10, 2, "path:5"): (13, "000000001000011101110000110000100000000110100"),
+    (10, 2, "spider:2,1,1"): (13, "000000001000011101110000110000100000000110100"),
+    (9, 2, "spider:2,2,1"): (16, "000001111111000111000110001000000111"),
+    (9, 2, "dstar:3"): (16, "000001111111000111000110001000000111"),
+    (8, 3, "path:4"): (14, "0000012000012000120012121210"),
 }
 
 
@@ -299,10 +310,10 @@ def test_p4_on_eight_vertices():
 def test_star_and_reach_are_read_from_the_graph():
     assert [_star_size(parse_pattern(s).graph) for s in ("path:2", "path:3", "spider:1,1", "star:4")] == [1, 2, 2, 4]
     assert [_star_size(parse_pattern(s).graph) for s in ("path:4", "path:2+path:2", "star:3+path:2")] == [None] * 3
-    assert [_edge_reach(parse_pattern(s).graph) for s in ("path:2", "star:3", "path:4", "path:5", "spider:2,2,1")] == [
+    assert [_edge_reach(parse_pattern(s).graph.adj) for s in ("path:2", "star:3", "path:4", "path:5", "spider:2,2,1")] == [
         0, 0, 1, 2, 2,
     ]
-    assert _edge_reach(parse_pattern("path:2+path:3").graph) is None
+    assert _edge_reach(parse_pattern("path:2+path:3").graph.adj) is None
 
 
 def _with_edge(rows, x, y):
@@ -509,9 +520,11 @@ def colorings(draw):
 def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
     """The relabeling the `exhaustive_f` docstring promises, built from its rules:
     a class of largest top degree becomes class 0, a vertex of largest
-    class-0 degree becomes vertex 0, its class-0 neighbours come next and
-    the other vertices last, each group by class-0 degree, and colors
-    1..k-1 are renamed by first use."""
+    class-0 degree becomes vertex 0, its class-0 neighbour of largest
+    class-0 degree vertex 1, its other class-0 neighbours come next and
+    the other vertices last, each group with vertex 1's class-0
+    neighbours first, each block by class-0 degree, and colors 1..k-1 are
+    renamed by first use."""
     n, k = coloring.n, coloring.k
     tops = [max(row.bit_count() for row in rows) for rows in coloring.class_adjacency()]
     first = tops.index(max(tops))
@@ -521,9 +534,12 @@ def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
     red = swapped.color_class(0)
     deg = [red.degree(w) for w in range(n)]
     v0 = max(range(n), key=lambda w: deg[w])
-    rest = sorted(set(range(n)) - {v0}, key=lambda w: (not red.has_edge(v0, w), -deg[w]))
+    v1 = max(red.neighbors(v0), key=lambda w: deg[w])
+    rest = sorted(
+        set(range(n)) - {v0, v1}, key=lambda w: (not red.has_edge(v0, w), not red.has_edge(v1, w), -deg[w])
+    )
     perm = [0] * n  # old vertex -> new label
-    for new, old in enumerate([v0, *rest]):
+    for new, old in enumerate([v0, v1, *rest]):
         perm[old] = new
     permuted = swapped.permuted(perm)
     # colors 1..k-1 in first-use order, the unused ones after them
@@ -536,7 +552,8 @@ def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
 
 # Class 0 is two disjoint cherries: vertex 0 is one center, vertex 1 one of
 # its leaves, and the other center, vertex 3, outranks vertex 1 in class-0
-# degree yet comes after it.  Class 1 is the 6-cycle 0-3-1-2-5-4 and class 2
+# degree yet comes after it, so a cap of deg(1) or deg(2) on vertex 3 would
+# cut this canonical coloring.  Class 1 is the 6-cycle 0-3-1-2-5-4 and class 2
 # the path 0-5-1-4-2-3, so every class tops out at degree 2 and the cherries
 # keep color 0; with two colors their complement, of top degree 4, took it.
 TWO_CHERRIES = EdgeColoring(6, 3, tuple(
@@ -552,6 +569,12 @@ COCKTAIL_PARTY = EdgeColoring(6, 3, tuple(0 if e in {(0, 1), (2, 3), (4, 5)} els
 FAR_HUBS = EdgeColoring(
     6, 2, tuple(0 if e in {(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5), (4, 5)} else 1 for e in all_pairs(6))
 )
+# Class 1 is (1, 5), (2, 4) and (3, 4), class 0 the rest: vertex 1's class-0
+# neighbours 2, 3, 4 have degrees 4, 4, 3, and vertex 5, a neighbour of
+# vertex 0 but not of vertex 1, has 4.  It outranks vertex 4 yet comes after
+# it, so a cap of deg(4) on vertex 5, as when 1..d was one sorted group,
+# would cut this canonical coloring.
+LATE_NEIGHBOUR = EdgeColoring(6, 2, tuple(1 if e in {(1, 5), (2, 4), (3, 4)} else 0 for e in all_pairs(6)))
 
 
 def test_the_two_cherries_are_already_canonical():
@@ -564,6 +587,7 @@ def test_the_two_cherries_are_already_canonical():
 @example(TWO_CHERRIES, P3)
 @example(COCKTAIL_PARTY, P3)
 @example(FAR_HUBS, P3)
+@example(LATE_NEIGHBOUR, P3)
 def test_every_coloring_has_a_relabeling_the_search_keeps(coloring, h):
     # the real search, pinned to one coloring, scores it, or finds no leaf
     # when symmetry breaking cuts it
@@ -627,15 +651,17 @@ def test_a_pin_whose_row_0_is_no_class_0_prefix_has_no_leaf(n, k, gap, prefix):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_row_caps_match_the_oracles_cap_of_each_vertex(data):
-    # on any graph, not only those that keep the vertex rules: the entry that
-    # w's side of vertex 0 picks is the cap the plain recursions compute for w
+    # on any graph, not only those that keep the vertex rules: each of the
+    # four entries is the cap the plain recursions compute for a vertex of
+    # its block, and the entry that w's block picks is the cap of w
     n = data.draw(st.integers(2, 9), label="n")
     mask = data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1), label="edges")
     rows = SimpleGraph.from_edges(n, [e for i, e in enumerate(all_pairs(n)) if mask >> i & 1]).adj
     for u in range(1, n):
         caps = _row_caps(rows, u)
+        assert caps == tuple(block_cap(rows, u, key & 1, key >> 1) for key in range(4))
         for w in range(u, n):
-            assert caps[(rows[0] >> w) & 1] == vertex_cap(rows, u, w)
+            assert caps[_block(rows, w)] == vertex_cap(rows, u, w)
 
 
 
