@@ -8,8 +8,7 @@ Exact search:
   canonical under vertex and color relabeling, and why its rules and
   bounds keep the maximum.
 - `_row_caps`: the vertex rules, shared with `turan.turan_oracle`, and
-  the degree caps by which both searches keep them, one per block that
-  `_block` names.
+  the block starts and degree caps by which both searches keep them.
 - `_canonical_search`: the branch and bound by forward checking, which
   scores its leaves with `nim.nim_edges`.
 - `_Blocking`: each class's blocked mask, from which the forced edges
@@ -83,14 +82,12 @@ def exhaustive_f(
     class 0 nor any degree, so the maximum is unchanged.
 
     The search keeps the vertex rules as `_row_caps` says, an edge of
-    class 0 standing for an edge in the graph: row 0's class-0 edges are a
-    prefix, row 1's are a prefix inside each of row 0's groups (edge (1, v)
-    takes color 0 only if (1, v - 1) has it, whenever v - 1 is in v's
-    group), and color 0 on an edge must leave both ends within the caps
-    of their blocks.  When row 0 ends, vertex
-    0's degrees are final: rule (a) is checked on them, and from then on
-    color c >= 1 is skipped on an edge with an end of class-c degree at
-    the top degree already.  Color c is tried only if it is at most 1 +
+    class 0 standing for an edge in the graph: each row's class-0 edges
+    are a prefix inside each block, and color 0 on an edge must leave both
+    ends within their caps.  When row 0 ends, vertex 0's degrees are
+    final: rule (a) is checked on them, and from then on color c >= 1 is
+    skipped on an edge with an end of class-c degree at the top degree
+    already.  Color c is tried only if it is at most 1 +
     the largest color used.
 
     Branches are cut by sound bounds: forward checking over the classes'
@@ -127,48 +124,46 @@ def exhaustive_f(
     return SearchResult(n, k, pattern_spec(h), best, EdgeColoring(n, k, colors), "exhaustive", True, leaves, elapsed)
 
 
-def _row_caps(rows: Sequence[int], u: int) -> tuple[int, int, int, int]:
-    """The vertex rules' caps on the final degree of any vertex w >= u,
-    rows 0..u-1 done (u >= 1), in the graph with adjacency masks `rows`:
-    class 0 for `exhaustive_f`, the one graph for `turan.turan_oracle`.
-    The entry is keyed by w's block, its adjacency to vertices 0 and 1:
-    `_block(rows, w)` picks w's cap.
+def _row_caps(rows: Sequence[int], u: int, caps: list[int], starts: int) -> tuple[list[int], int]:
+    """Row u's state under the vertex rules, from row u - 1's (u >= 1),
+    rows 0..u-1 done, in the graph with adjacency masks `rows`: class 0 for
+    `exhaustive_f`, the one graph for `turan.turan_oracle`.  The state is
+    `caps`, each vertex's cap on its final degree, and `starts`, the
+    block-start mask; row 0's is every cap n and `starts` = 0b10.
 
-    The vertex rules: vertex 0 has the largest degree d, vertices 1..d are
-    its neighbours, and vertex 1 has the largest degree among them.  Past
-    vertex 1, inside each group (2..d, then d+1..n-1), vertex 1's
-    neighbours come first, and each of the four blocks so made is sorted
-    by degree, non-increasing.  Every graph has a relabeling that keeps
-    them (a vertex of largest degree first, then its neighbour of largest
-    degree, then its other neighbours and then the rest, each group with
-    vertex 1's neighbours first, each block by degree), so a search may
-    keep only such graphs.
+    The vertex rules: vertex r's block is the later vertices with r's
+    adjacency to 0..r-1; r has the largest degree in its block, and inside
+    each block r's neighbours come first.  Every graph has a relabeling
+    that keeps them: place, one at a time, the vertex whose key (adjacency
+    to the placed vertices in order, neighbours first, then degree) is
+    largest.  Inside r's block the keys agree on 0..r-1, so r, placed
+    first of it, has the largest degree, and the members adjacent to r,
+    whose keys are larger at bit r, are placed before the rest; a vertex
+    outside the block differs from all of it before bit r, on one side, so
+    it is placed before all of them or after all, and each block is
+    contiguous.  So a search may keep only such graphs.
 
-    Along the canonical edge order a search keeps them in three steps.
-    Row 0 is a prefix: edge (0, v) with v >= 2 is in only if (0, v - 1)
-    is, so row 0 takes one pattern per degree, not every subset.  Row 1 is
-    a prefix inside each group: edge (1, v) with v >= 3 is in only if
-    (1, v - 1) is, whenever v - 1 is in v's group.  When row u starts, the
-    degrees of 0..u-1 are final and cap every later w: deg(u - 1) when w
-    is in u - 1's block, deg(1) when it is another neighbour of vertex 0,
-    and deg(0) otherwise, since a later block may outrank an earlier one;
-    at u = 1 all four are deg(0), since vertex 1's row is not yet done.  A
-    vertex past its cap when its row starts ends the branch, and vertex
-    n - 1, which has no row, is checked at the leaf; a search may also
-    leave out any edge that would push an end past its cap.
+    Along the canonical edge order a search keeps them with this state.
+    Bit v of `starts`, v > u, is set when v starts a block at row u: v is
+    u + 1, or v - 1 and v differ in adjacency to some r < u, a bit of
+    `rows[r] ^ rows[r] << 1`.  Row u is a prefix inside each block: edge
+    (u, v) is in only if bit v of `starts | rows[u] << 1` is set.  When row
+    u starts, the degrees of 0..u-1 are final and cap every later w by
+    deg(p) for the last p < u whose block holds w; blocks nest, so it is
+    the least such cap.  Row by row, w in u - 1's block takes deg(u - 1);
+    that block runs from u to the next start, or is empty if u and u - 1
+    differ in adjacency to 0..u-2.  A vertex past its cap when its row
+    starts ends the branch, and vertex n - 1, which has no row, is checked
+    at the leaf; a search may also leave out any edge that would push an
+    end past its cap.
     """
-    top = rows[0].bit_count()
-    if u == 1:
-        return top, top, top, top
-    one = rows[1].bit_count()
-    caps = [top, one, top, one]
-    caps[_block(rows, u - 1)] = rows[u - 1].bit_count()
-    return tuple(caps)
-
-
-def _block(rows: Sequence[int], w: int) -> int:
-    """Vertex w's block, its adjacency to vertices 0 and 1, as `_row_caps` keys it."""
-    return (rows[0] >> w & 1) | (rows[1] >> w & 1) << 1
+    row = rows[u - 1]
+    if not (rows[u] ^ row) & ((1 << u - 1) - 1):
+        rest = starts >> (u + 1)
+        end = u + (rest & -rest).bit_length() if rest else len(rows)
+        caps = caps.copy()
+        caps[u:end] = [row.bit_count()] * (end - u)
+    return caps, starts | row ^ row << 1 | 1 << (u + 1)
 
 
 def _canonical_search(
@@ -208,7 +203,8 @@ def _canonical_search(
         cap_of = _degree_caps(n, k, star)
 
     red = class_adj[0]
-    caps = [(n,) * 4] * n  # caps[u] = _row_caps(red, u), set when row u starts
+    # row u's vertex-rule state (`_row_caps`), set when row u starts
+    state_at = [([n] * n, 0b10)] * n
     top = n  # vertex 0's final class-0 degree, set when row 0 ends
 
     def rec(idx: int, covered: int, hi: int, cap_sum: int) -> None:
@@ -227,7 +223,7 @@ def _canonical_search(
                 return
         if idx == m:
             # row n-1 has no edges, so the last vertex is checked here
-            if n >= 2 and red[n - 1].bit_count() > _row_caps(red, n - 1)[_block(red, n - 1)]:
+            if n >= 2 and red[n - 1].bit_count() > _row_caps(red, n - 1, *state_at[n - 2])[0][n - 1]:
                 return
             leaves += 1
             report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
@@ -238,21 +234,13 @@ def _canonical_search(
         u, v = pairs[idx]
         if v == u + 1 and u >= 1:
             # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
-            caps[u] = _row_caps(red, u)
-            if red[u].bit_count() > caps[u][_block(red, u)]:
+            state_at[u] = _row_caps(red, u, *state_at[u - 1])
+            if red[u].bit_count() > state_at[u][0][u]:
                 return
+        (caps, starts), ru = state_at[u], red[u]
         bu, bv = 1 << u, 1 << v
-        if u == 0:
-            # row 0's class-0 edges are a prefix: (0, v) takes color 0 only after (0, v - 1)
-            red_ok = v == 1 or (red[0] >> (v - 1)) & 1
-        else:
-            # color 0 on (u, v) must leave both degrees within their caps, and
-            # row 1 is a prefix inside each of row 0's groups, 1..top and top+1..n-1
-            red_ok = (
-                red[u].bit_count() < caps[u][_block(red, u)]
-                and red[v].bit_count() < caps[u][_block(red, v)]
-                and (u > 1 or v == 2 or v == top + 1 or (red[1] >> (v - 1)) & 1)
-            )
+        # row u is a prefix inside each block, and color 0 on (u, v) must leave both degrees within their caps
+        red_ok = (starts | ru << 1) >> v & 1 and ru.bit_count() < caps[u] and red[v].bit_count() < caps[v]
         if star is not None:
             cu, cv = code[u], code[v]
             rest = cap_sum - cap_of[cu] - cap_of[cv]  # the caps of every vertex but u and v

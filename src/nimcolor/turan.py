@@ -28,7 +28,7 @@ from .graphs import (
 )
 from .nim import _depth_guard, _find_through, _guard, _query_plans, contains
 from .patterns import PatternGraph, make_path, pattern_spec
-from .search import _block, _row_caps
+from .search import _row_caps
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
@@ -172,16 +172,14 @@ def turan_oracle(
 
     Only graphs that keep the vertex rules of `search._row_caps`, read on
     the one graph, are kept; every graph has such a relabeling, so the
-    maximum is unaffected.  Row 0 is a prefix, so excluding an edge of row
-    0 excludes the rest of the row.  Row 1 is a prefix inside each of row
-    0's groups, 1..d and d+1..n-1, so excluding (1, v) jumps to the first
-    edge of the next group, or to row 2.  From row 1 on, an edge is
-    included only while u stays within its cap.  Two bounds prune a branch
-    that cannot beat the best found: the undecided edges could all be
-    included, and the graph has at most
-    (deg(0) + ... + deg(u-1) + the sum of the caps of u..n-1) / 2 edges,
-    the caps summed block by block, four caps times the sizes of their
-    blocks.  That cap is computed as row u starts and tested at every edge.
+    maximum is unaffected.  Each row is a prefix inside each block, so
+    excluding (u, v) excludes the rest of v's block and jumps to the next
+    block start, or to the next row; an edge is included only while u
+    stays within its cap.  Two bounds prune a branch that cannot beat the
+    best found: the undecided edges could all be included, and the graph
+    has at most (deg(0) + ... + deg(u-1) + the sum of the caps of
+    u..n-1) / 2 edges.  That cap is computed as row u starts and tested
+    at every edge.
     Attaches a witness: the first maximal graph in search order that keeps
     the vertex rules.
 
@@ -215,39 +213,33 @@ def turan_oracle(
     # per edge idx: its ends, their bits, and whether it starts row u >= 1
     edges = [(u, v, 1 << u, 1 << v, u >= 1 and v == u + 1) for u, v in pairs]
 
-    def rec(idx: int, count: int, done: int, g: int, ucap: int, cap: int) -> None:
+    def rec(idx: int, count: int, done: int, g: int, caps: list[int], starts: int, cap: int) -> None:
         # done: the degree sum of the vertices whose rows are finished;
         # g: the included edges as a mask over canonical edge indices;
-        # ucap, cap: u's degree cap and the row's edge cap, fixed while row u runs
+        # caps, starts: the vertex rules' state (`_row_caps`); cap: the
+        # row's edge cap; all three fixed while row u runs
         nonlocal best, best_adj
         while True:  # edge idx: include it by a call, then exclude it by looping
             if count + (m - idx) <= best:
                 return
             if idx == m:
-                if n >= 2 and adj[n - 1].bit_count() > _row_caps(adj, n - 1)[_block(adj, n - 1)]:
+                if n >= 2 and adj[n - 1].bit_count() > _row_caps(adj, n - 1, caps, starts)[0][n - 1]:
                     return
                 best = count
                 best_adj = tuple(adj)
                 return
-            u, v, bu, bv, starts = edges[idx]
-            if starts:
+            u, v, bu, bv, first = edges[idx]
+            if first:
                 # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
                 done += adj[u - 1].bit_count()
-                caps = _row_caps(adj, u)
-                ucap = caps[_block(adj, u)]
-                if adj[u].bit_count() > ucap:
+                caps, starts = _row_caps(adj, u, caps, starts)
+                if adj[u].bit_count() > caps[u]:
                     return
-                # the vertices u..n-1 of each block: by adjacency to vertex 0, to 1, to both
-                near0, near1 = adj[0] >> u, adj[1] >> u
-                both = (near0 & near1).bit_count()
-                only0, only1 = near0.bit_count() - both, near1.bit_count() - both
-                cap = (
-                    done + (n - u - only0 - only1 - both) * caps[0] + only0 * caps[1] + only1 * caps[2] + both * caps[3]
-                ) // 2
+                cap = (done + sum(caps[u:])) // 2
             if cap <= best:  # best can rise within a row
                 return
             # include first so good solutions tighten the bound early
-            if adj[u].bit_count() < ucap:
+            if adj[u].bit_count() < caps[u]:
                 rests = known[idx]
                 for rest in rests:
                     if rest & g == rest:
@@ -267,19 +259,16 @@ def turan_oracle(
                         if len(store) > _KNOWN_CAP:
                             store.pop()
                     if copy is None:
-                        rec(idx + 1, count + 1, done, g | 1 << idx, ucap, cap)
+                        rec(idx + 1, count + 1, done, g | 1 << idx, caps, starts, cap)
                     adj[u] ^= bv
                     adj[v] ^= bu
-            if u > 1:
-                idx += 1
-            elif u == 0:  # row 0 is a prefix, so excluding (0, v) excludes the rest of the row
-                idx = n - 1
-            else:  # row 1 is a prefix in each group: on to (1, d + 1) from 1..d, else to row 2
-                d = adj[0].bit_count()
-                idx = n + d - 2 if v <= d else 2 * n - 3
+            # row u is a prefix inside each block, so excluding (u, v) excludes
+            # the rest of v's block: on to the next block start, or the next row
+            rest = starts >> (v + 1)
+            idx += (rest & -rest).bit_length() if rest else n - v
 
     # row 0: no degree cap, and m edges bound nothing the first test misses
-    rec(0, 0, 0, 0, n, m)
+    rec(0, 0, 0, 0, [n] * n, 0b10, m)
     witness = SimpleGraph(n, best_adj)
     if contains(witness, pattern):
         raise AssertionError("oracle witness contains the pattern")

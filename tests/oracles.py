@@ -12,18 +12,18 @@ full-recount loop, scores every candidate with a fresh `nim_edges` count;
 branch-and-bound recursions before the degree-sum bound and the class-0
 degree-order symmetry were added; `turan_oracle_plain` is `turan_oracle`'s
 recursion before it stored found copies, which queries every edge it
-tries to include, with the same vertex rules (vertex 0's row a prefix
-1..d, vertex 1's row a prefix inside each group, 1..d and d+1..n-1, and
-each block by degree): the oracle must return
+tries to include, with the same vertex rules (each row a prefix inside
+each block, the later vertices with one adjacency to the earlier ones,
+and each vertex within its cap): the oracle must return
 its maximum, witness rows and node count exactly; `canonical_search_plain`
 is `exhaustive_f`'s recursion with the same vertex rules on class 0 but
 before forward checking.  It queries every colored edge, bounds by
 covered edges alone and applies the color rules (`keeps_color_rules`) to
 its leaves only, never as a cut: the search must return its maximum and
-witness colors exactly.  Both take each vertex's cap afresh from
-`vertex_cap`, written apart from the package's `_row_caps`: a later
-vertex is capped by deg(u - 1) in u - 1's block, by deg(1) elsewhere
-among vertex 0's neighbours and by deg(0) outside them;
+witness colors exactly.  Both take each vertex's cap and each row's
+prefix afresh from `vertex_cap` and `prefix_ok`, written from the rules'
+definition apart from the package's `_row_caps`: w is capped by deg(p)
+for the last p < u whose block holds w;
 `cover_pass_per_edge` is the cover pass before class components and
 twin groups, with one query per uncovered edge: the pass's NIM mask
 must equal its own;
@@ -347,29 +347,22 @@ def turan_oracle_edge_bound(n: int, pattern: SimpleGraph) -> tuple[int, SimpleGr
 
 def vertex_cap(rows: Sequence[int], u: int, w: int) -> int:
     """The vertex rules' cap on the final degree of vertex w >= u in the
-    graph with adjacency masks `rows`, rows 0..u-1 done (u >= 1)."""
-    return block_cap(rows, u, (rows[0] >> w) & 1, (rows[1] >> w) & 1)
+    graph with adjacency masks `rows`, rows 0..u-1 done: deg(p) for the
+    last p < u whose block holds w (p's adjacency to 0..p-1 equals w's),
+    or n while row 0 runs."""
+    for p in reversed(range(u)):
+        low = (1 << p) - 1
+        if rows[p] & low == rows[w] & low:
+            return rows[p].bit_count()
+    return len(rows)
 
 
-def block_cap(rows: Sequence[int], u: int, near0: int, near1: int) -> int:
-    """The vertex rules' cap on the final degree of any vertex w >= u that
-    is adjacent to vertex 0 iff near0 and to vertex 1 iff near1, rows
-    0..u-1 done (u >= 1): deg(0) while row 1 runs; later, deg(u - 1) if w
-    is in u - 1's block (the same adjacency to 0 and to 1), else deg(1) if
-    w is a neighbour of vertex 0, else deg(0)."""
-    if u == 1:
-        return rows[0].bit_count()
-    if (near0, near1) == ((rows[0] >> (u - 1)) & 1, (rows[1] >> (u - 1)) & 1):
-        return rows[u - 1].bit_count()
-    return rows[1 if near0 else 0].bit_count()
-
-
-def row_1_prefix_ok(rows: Sequence[int], v: int) -> bool:
-    """Whether edge (1, v) may be in: row 1 is a prefix inside each of row
-    0's groups, 1..d and d+1..n-1, d being vertex 0's degree."""
-    d = rows[0].bit_count()
-    first = 2 if v <= d else d + 1  # the first vertex of v's group past vertex 1
-    return v == first or bool((rows[1] >> (v - 1)) & 1)
+def prefix_ok(rows: Sequence[int], u: int, v: int) -> bool:
+    """Whether edge (u, v), v > u, may be in: row u is a prefix inside each
+    block, the vertices past u with one adjacency to 0..u-1, so (u, v) is in
+    only if v - 1 is u or outside v's block, or (u, v - 1) is in."""
+    low = (1 << u) - 1
+    return v - 1 == u or rows[v - 1] & low != rows[v] & low or bool(rows[u] >> (v - 1) & 1)
 
 
 def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ...], int]:
@@ -385,8 +378,7 @@ def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ..
     best_adj: tuple[int, ...] = tuple(adj)
     includes = 1
 
-    def rec(idx: int, count: int, done: int) -> None:
-        # done: the degree sum of the vertices whose rows are finished
+    def rec(idx: int, count: int) -> None:
         nonlocal best, best_adj, includes
         if count + (m - idx) <= best:
             return
@@ -397,34 +389,26 @@ def turan_oracle_plain(n: int, pattern: SimpleGraph) -> tuple[int, tuple[int, ..
             best_adj = tuple(adj)
             return
         u, v = pairs[idx]
-        if u >= 1:
-            if v == u + 1:
-                # row u is starting, so deg(u-1) is final and u's can only grow
-                done += adj[u - 1].bit_count()
-                if adj[u].bit_count() > vertex_cap(adj, u, u):
-                    return
-            # no later degree exceeds its cap; best can rise within a row
-            if (done + sum(vertex_cap(adj, u, w) for w in range(u, n))) // 2 <= best:
-                return
-        # include first so good solutions tighten the bound early; row 0 is a
-        # prefix, (0, v) only after (0, v - 1), row 1 a prefix inside each
-        # group, and later rows keep u within its cap
+        # where row u starts, the degrees of 0..u-1 are final and u's can only grow
+        if v == u + 1 and adj[u].bit_count() > vertex_cap(adj, u, u):
+            return
+        # no later degree exceeds its cap; best can rise within a row
+        done = sum(adj[p].bit_count() for p in range(u))
+        if (done + sum(vertex_cap(adj, u, w) for w in range(u, n))) // 2 <= best:
+            return
+        # include first so good solutions tighten the bound early
         bu, bv = 1 << u, 1 << v
-        if u == 0:
-            ok = v == 1 or (adj[0] >> (v - 1)) & 1
-        else:
-            ok = adj[u].bit_count() < vertex_cap(adj, u, u) and (u > 1 or row_1_prefix_ok(adj, v))
-        if ok:
+        if adj[u].bit_count() < vertex_cap(adj, u, u) and prefix_ok(adj, u, v):
             adj[u] |= bv
             adj[v] |= bu
             if _find_through(adj, offsets, plans, u, v) is None:
                 includes += 1
-                rec(idx + 1, count + 1, done)
+                rec(idx + 1, count + 1)
             adj[u] &= ~bv
             adj[v] &= ~bu
-        rec(idx + 1, count, done)
+        rec(idx + 1, count)
 
-    rec(0, 0, 0)
+    rec(0, 0)
     return best, best_adj, includes
 
 
@@ -506,19 +490,13 @@ def canonical_search_plain(
                 best_colors = tuple(colors)
             return
         u, v = pairs[idx]
-        if v == u + 1 and u >= 1:
-            # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
-            if red[u].bit_count() > vertex_cap(red, u, u):
-                return
+        # where row u starts, the degrees of 0..u-1 are final and u's can only grow
+        if v == u + 1 and red[u].bit_count() > vertex_cap(red, u, u):
+            return
         bu, bv = 1 << u, 1 << v
-        if u == 0:
-            # row 0's class-0 edges are a prefix: (0, v) takes color 0 only after (0, v - 1)
-            red_ok = v == 1 or (red[0] >> (v - 1)) & 1
-        else:
-            # color 0 on (u, v) must leave both degrees within their caps, and
-            # row 1 is a prefix inside each group
-            red_ok = red[u].bit_count() < vertex_cap(red, u, u) and red[v].bit_count() < vertex_cap(red, u, v)
-            red_ok = red_ok and (u > 1 or row_1_prefix_ok(red, v))
+        # color 0 on (u, v) keeps row u a prefix in each block and both degrees within their caps
+        red_ok = prefix_ok(red, u, v) and red[u].bit_count() < vertex_cap(red, u, u)
+        red_ok = red_ok and red[v].bit_count() < vertex_cap(red, u, v)
         for c in choices[idx]:
             if c == 0 and not red_ok:
                 continue

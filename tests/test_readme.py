@@ -51,7 +51,7 @@ def test_computed_values_hold(tmp_path, monkeypatch, capsys):
     found = re.findall(
         r"^- f\((\d+), (\d+), `([^`]+)`\) = (\d+): `(nimcolor search [^`]+)`",
         README.read_text(encoding="utf-8"), re.M)
-    assert len(found) == 6
+    assert len(found) == 7
     monkeypatch.setenv("NIMCOLOR_LEDGER", str(tmp_path / "ledger.jsonl"))
     for n, k, pattern, value, command in found:
         code, out = _run(capsys, command)

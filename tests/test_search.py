@@ -12,7 +12,6 @@ from nimcolor.graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, disjoin
 from nimcolor.nim import _find_through, _query_plans, _twin_members, nim_edges
 from nimcolor.patterns import custom_pattern, make_path, make_star, parse_pattern
 from nimcolor.search import (
-    _block,
     _Blocking,
     _canonical_search,
     _edge_reach,
@@ -27,7 +26,6 @@ from nimcolor.search import (
 )
 from nimcolor.turan import ex_path, extremal_path_graph, turan_value
 from oracles import (
-    block_cap,
     canonical_search_plain,
     class_rows_per_edge,
     colored_twin_orbits,
@@ -37,6 +35,7 @@ from oracles import (
     hill_climb_recount,
     keeps_color_rules,
     nim_brute,
+    prefix_ok,
     relabel_colors,
     vertex_cap,
 )
@@ -203,11 +202,13 @@ def test_emptying_the_memo_at_its_cap_keeps_the_answer(cell, monkeypatch):
 
 
 def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
-    # 151 when every star step took a memo entry: the memo then took 207
-    # entries, not 145, reached its cap more often and forgot more copies.
-    # The search fills only 145 entries here, far under the default cap,
-    # so a low cap is set.  While row 1 took every subset of vertices, these
-    # read 319, 325 and 256, and the search made 271 calls.
+    # 116 when every star step took a memo entry: the memo then took 174
+    # entries, not 114, reached its cap and forgot copies.  The search
+    # fills only 114 entries here, far under the default cap, so a low cap
+    # is set.  While row 1 took every subset of vertices, these read 319,
+    # 325 and 256, and the search made 271 calls; while only rows 0 and 1
+    # were prefixes, 151, 207 and 145, and 146 calls, with the witness
+    # 000000000120120201000, 6 NIM edges and 7 leaves as well.
     calls = 0
 
     def counted(*args):
@@ -218,20 +219,25 @@ def test_unblocked_star_steps_leave_the_memo_alone(monkeypatch):
     monkeypatch.setattr("nimcolor.search._find_through", counted)
     monkeypatch.setattr("nimcolor.search._MEMO_CAP", 128)
     best, colors, leaves = _canonical_search(7, 3, P3, full_choices(7, 3))
-    assert (best, "".join(map(str, colors)), leaves) == (6, "000000000120120201000", 7)
-    assert calls == 146
+    assert (best, "".join(map(str, colors)), leaves) == (6, "000000000120201120000", 7)
+    assert len(nim_brute(EdgeColoring(7, 3, colors), P3.graph)) == best
+    assert calls == 114
 
 
 # The bench's exhaustive star cells (path:3 is K_{1,2}): nodes below the
 # root and anchored queries, with the NIM degree caps and without them.
+# While only rows 0 and 1 were prefixes: (5, 3, path:3) without the caps
+# (106, 47); (5, 2, star:3) (54, 13) and (58, 15); (6, 2, star:3) without
+# (239, 122); (7, 2, star:3) (96, 57) and (849, 493); (5, 3, star:3)
+# (62, 13) and (72, 16).
 BENCH_STAR_CELLS = {
     (5, 2, "path:3"): ((16, 12), (32, 19)),
     (6, 2, "path:3"): ((37, 29), (73, 49)),
-    (5, 3, "path:3"): ((51, 24), (106, 47)),
-    (5, 2, "star:3"): ((54, 13), (58, 15)),
-    (6, 2, "star:3"): ((64, 32), (239, 122)),
-    (7, 2, "star:3"): ((96, 57), (849, 493)),
-    (5, 3, "star:3"): ((62, 13), (72, 16)),
+    (5, 3, "path:3"): ((51, 24), (105, 46)),
+    (5, 2, "star:3"): ((53, 12), (57, 14)),
+    (6, 2, "star:3"): ((64, 32), (214, 106)),
+    (7, 2, "star:3"): ((92, 53), (561, 313)),
+    (5, 3, "star:3"): ((61, 12), (71, 15)),
 }
 
 
@@ -257,8 +263,8 @@ def test_degree_caps_only_cut_nodes_on_the_bench_star_cells(cell, monkeypatch):
     assert pinned[0] <= without_caps[0] and pinned[1] <= without_caps[1]
 
 
-# Cells past the plain recursion's reach, each searched in under half a
-# second (the stars in under 0.1 s, by the NIM degree caps): f and the
+# Cells past the plain recursion's reach, each searched in about a second
+# or less (the stars in under 0.1 s, by the NIM degree caps): f and the
 # witness colors.  The paths and spiders are ROADMAP item 4's frontier,
 # where f = ex at k = 2.
 FRONTIER = {
@@ -271,6 +277,10 @@ FRONTIER = {
     (9, 2, "spider:2,2,1"): (16, "000001111111000111000110001000000111"),
     (9, 2, "dstar:3"): (16, "000001111111000111000110001000000111"),
     (8, 3, "path:4"): (14, "0000012000012000120012121210"),
+    (11, 2, "path:5"): (15, "0000000011000011100111000001100000100000000001100100001"),
+    (12, 2, "path:5"): (18, "000000001110000111000111000000110000001000000000000110001000000111"),
+    (12, 2, "path:4"): (12, "000000000110000001100000110000110000001000000000000100000000100001"),
+    (12, 2, "spider:2,1,1"): (18, "000000001110000111000111000000110000001000000000000110001000000111"),
 }
 
 
@@ -517,29 +527,31 @@ def colorings(draw):
     return EdgeColoring(n, k, tuple(colors))
 
 
+def greedy_placement(rows) -> list[int]:
+    """The vertex order every graph has under the vertex rules: the unplaced
+    vertex of largest (adjacency to the placed vertices in order, degree)
+    comes next, the lowest label first among ties."""
+    placed, rest = [], list(range(len(rows)))
+    while rest:
+        w = max(rest, key=lambda w: ([rows[p] >> w & 1 for p in placed], rows[w].bit_count()))
+        placed.append(w)
+        rest.remove(w)
+    return placed
+
+
 def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
     """The relabeling the `exhaustive_f` docstring promises, built from its rules:
-    a class of largest top degree becomes class 0, a vertex of largest
-    class-0 degree becomes vertex 0, its class-0 neighbour of largest
-    class-0 degree vertex 1, its other class-0 neighbours come next and
-    the other vertices last, each group with vertex 1's class-0
-    neighbours first, each block by class-0 degree, and colors 1..k-1 are
-    renamed by first use."""
+    a class of largest top degree becomes class 0, the vertices are placed
+    in class 0's `greedy_placement` order, and colors 1..k-1 are renamed by
+    first use."""
     n, k = coloring.n, coloring.k
     tops = [max(row.bit_count() for row in rows) for rows in coloring.class_adjacency()]
     first = tops.index(max(tops))
     swap = list(range(k))
     swap[0], swap[first] = first, 0
     swapped = relabel_colors(coloring, swap)
-    red = swapped.color_class(0)
-    deg = [red.degree(w) for w in range(n)]
-    v0 = max(range(n), key=lambda w: deg[w])
-    v1 = max(red.neighbors(v0), key=lambda w: deg[w])
-    rest = sorted(
-        set(range(n)) - {v0, v1}, key=lambda w: (not red.has_edge(v0, w), not red.has_edge(v1, w), -deg[w])
-    )
     perm = [0] * n  # old vertex -> new label
-    for new, old in enumerate([v0, v1, *rest]):
+    for new, old in enumerate(greedy_placement(swapped.color_class(0).adj)):
         perm[old] = new
     permuted = swapped.permuted(perm)
     # colors 1..k-1 in first-use order, the unused ones after them
@@ -551,9 +563,10 @@ def canonical_relabeling(coloring: EdgeColoring) -> EdgeColoring:
 
 
 # Class 0 is two disjoint cherries: vertex 0 is one center, vertex 1 one of
-# its leaves, and the other center, vertex 3, outranks vertex 1 in class-0
-# degree yet comes after it, so a cap of deg(1) or deg(2) on vertex 3 would
-# cut this canonical coloring.  Class 1 is the 6-cycle 0-3-1-2-5-4 and class 2
+# its leaves, and the other center, vertex 3, is no neighbour of vertex 0,
+# so it is in neither vertex 1's block nor vertex 2's and its cap is deg(0).
+# It outranks vertex 1 in class-0 degree yet comes after it, so a cap of
+# deg(1) or deg(2) on vertex 3 would cut this canonical coloring.  Class 1 is the 6-cycle 0-3-1-2-5-4 and class 2
 # the path 0-5-1-4-2-3, so every class tops out at degree 2 and the cherries
 # keep color 0; with two colors their complement, of top degree 4, took it.
 TWO_CHERRIES = EdgeColoring(6, 3, tuple(
@@ -564,16 +577,18 @@ TWO_CHERRIES = EdgeColoring(6, 3, tuple(
 # degree 4: classes 0 and 2 trade colors, and the matching's color becomes 1.
 COCKTAIL_PARTY = EdgeColoring(6, 3, tuple(0 if e in {(0, 1), (2, 3), (4, 5)} else 2 for e in all_pairs(6)))
 # Vertex 0 has class-0 degree 3 and neighbours 1, 2, 3, of degrees 3, 2, 2;
-# the non-neighbours 4 and 5 have 3, so they outrank 2 and 3 yet come after
-# them, and a cap of deg(3) on vertex 4 would cut this canonical coloring.
+# the non-neighbours 4 and 5 have 3 and are in none of the blocks of 1, 2
+# and 3, so their cap is deg(0).  They outrank 2 and 3 yet come after them,
+# and a cap of deg(3) on vertex 4 would cut this canonical coloring.
 FAR_HUBS = EdgeColoring(
     6, 2, tuple(0 if e in {(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5), (4, 5)} else 1 for e in all_pairs(6))
 )
 # Class 1 is (1, 5), (2, 4) and (3, 4), class 0 the rest: vertex 1's class-0
 # neighbours 2, 3, 4 have degrees 4, 4, 3, and vertex 5, a neighbour of
-# vertex 0 but not of vertex 1, has 4.  It outranks vertex 4 yet comes after
-# it, so a cap of deg(4) on vertex 5, as when 1..d was one sorted group,
-# would cut this canonical coloring.
+# vertex 0 but not of vertex 1, has 4.  Vertex 5 is in vertex 1's block but
+# in none of the later ones, so its cap is deg(1).  It outranks vertex 4 yet
+# comes after it, so a cap of deg(4) on vertex 5, as if 2..5 were one block
+# sorted by degree, would cut this canonical coloring.
 LATE_NEIGHBOUR = EdgeColoring(6, 2, tuple(1 if e in {(1, 5), (2, 4), (3, 4)} else 0 for e in all_pairs(6)))
 
 
@@ -641,7 +656,7 @@ def test_a_pin_that_breaks_a_color_rule_has_no_leaf(k, colors):
 ], ids=["n4", "n5"])
 def test_a_pin_whose_row_0_is_no_class_0_prefix_has_no_leaf(n, k, gap, prefix):
     # both pins keep the color rules, and in both vertex 0 has the largest
-    # class-0 degree and each group is sorted by it
+    # class-0 degree
     assert keeps_color_rules(n, k, gap) and keeps_color_rules(n, k, prefix)
     assert _canonical_search(n, k, P3, [(c,) for c in gap]) == (-1, (0,) * len(gap), 0)
     count = nim_edges(EdgeColoring(n, k, prefix), P3).count
@@ -651,18 +666,27 @@ def test_a_pin_whose_row_0_is_no_class_0_prefix_has_no_leaf(n, k, gap, prefix):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_row_caps_match_the_oracles_cap_of_each_vertex(data):
-    # on any graph, not only those that keep the vertex rules: each of the
-    # four entries is the cap the plain recursions compute for a vertex of
-    # its block, and the entry that w's block picks is the cap of w
+    # on any graph, the state carried row by row from row 0's: the starts
+    # mask allows (u, v) exactly when the oracle's prefix does, and while
+    # rows 0..u-1 are prefixes inside their blocks, as on every graph a
+    # search reaches, each w >= u has the oracle's cap.  A graph in its
+    # greedy placement order keeps every row a prefix.
     n = data.draw(st.integers(2, 9), label="n")
     mask = data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1), label="edges")
-    rows = SimpleGraph.from_edges(n, [e for i, e in enumerate(all_pairs(n)) if mask >> i & 1]).adj
-    for u in range(1, n):
-        caps = _row_caps(rows, u)
-        assert caps == tuple(block_cap(rows, u, key & 1, key >> 1) for key in range(4))
-        for w in range(u, n):
-            assert caps[_block(rows, w)] == vertex_cap(rows, u, w)
-
+    g = SimpleGraph.from_edges(n, [e for i, e in enumerate(all_pairs(n)) if mask >> i & 1])
+    if data.draw(st.booleans(), label="placed"):
+        order = greedy_placement(g.adj)
+        g = g.permuted([order.index(w) for w in range(n)])
+    rows = g.adj
+    caps, starts, prefixes = [n] * n, 0b10, True
+    for u in range(n):
+        if u:
+            caps, starts = _row_caps(rows, u, caps, starts)
+        later = range(u + 1, n)
+        assert [(starts | rows[u] << 1) >> v & 1 for v in later] == [prefix_ok(rows, u, v) for v in later]
+        if prefixes:
+            assert caps[u:] == [vertex_cap(rows, u, w) for w in range(u, n)]
+        prefixes = prefixes and all(prefix_ok(rows, u, v) for v in later if rows[u] >> v & 1)
 
 
 @st.composite

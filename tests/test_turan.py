@@ -390,8 +390,9 @@ def test_oracle_matches_the_plain_recursion(n, spec, kwargs):
 def test_oracle_queries_pinned(monkeypatch):
     # 11,869 before the oracle stored the copies it found, 4,223 (3,683 of
     # them finding none) before it stored the graphs where it found none,
-    # 615 (75 finding none) while it kept degrees sorted in vertex order, and
-    # 90 (21 finding none) while row 1 took every subset of vertices
+    # 615 (75 finding none) while it kept degrees sorted in vertex order,
+    # 90 (21 finding none) while row 1 took every subset of vertices, and
+    # 54 (20 finding none) while only rows 0 and 1 were prefixes
     calls = misses = 0
     find = nimcolor.turan._find_through
 
@@ -404,16 +405,17 @@ def test_oracle_queries_pinned(monkeypatch):
 
     monkeypatch.setattr(nimcolor.turan, "_find_through", counted)
     assert turan_oracle(8, parse_pattern("spider:2,2,1")).value == 13
-    assert calls == 54
+    assert calls == 49
     assert misses == 20
 
 
-@pytest.mark.parametrize("n, spec, calls", [(8, "spider:2,2,1", 58), (9, "path:4", 36)])
+@pytest.mark.parametrize("n, spec, calls", [(8, "spider:2,2,1", 56), (9, "path:4", 22)])
 def test_oracle_recursion_pinned(n, spec, calls):
     # 16,088 and 6,658 when each exclusion was a call of its own; 3,684 and
     # 1,104 while degrees were sorted in vertex order, and then 1,117 on
     # path:4 if the row cap were tested only where the row starts; 263 on
-    # the spider while row 1 took every subset of vertices
+    # the spider while row 1 took every subset of vertices; 58 and 36 while
+    # only rows 0 and 1 were prefixes
     assert oracle_calls(n, parse_pattern(spec))[1] == calls
 
 
