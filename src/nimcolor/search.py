@@ -12,7 +12,7 @@ Exact search:
 - `_canonical_search`: the branch and bound by forward checking, which
   scores its leaves with `nim.nim_edges`.
 - `_Blocking`: each class's blocked mask, from which the forced edges
-  come; `_edge_reach` bounds the edges a step requeries.
+  come.
 - `_nim_degree_cap`: the star bound on each vertex's NIM degree, tabled
   by `_DegreeCaps` and shared by `_degree_caps`; `_star_size` spots stars.
 
@@ -345,12 +345,8 @@ class _Blocking:
     in canonical order than every edge of the class) for which the class
     plus f has a copy of the pattern through f; bits of colored edges are
     never read.  A class only grows, so a bit once set stays set, and
-    `step` requeries only the unblocked later edges when the class gains
-    an edge e.  A copy that f closes only now goes through e too, so f is
-    requeried only where the pattern's shape allows both in one copy: for
-    a connected pattern, an end of f lies within `reach` of an end of e
-    in the class, `reach` being the largest distance between two pattern
-    edges.
+    `step` requeries every unblocked later edge when the class gains an
+    edge, so each mask stays exact.
 
     For a star K_{1,s} the mask follows from degrees, with no query: f is
     blocked iff an end of f has class degree >= s - 1.  With k >= 3 the
@@ -378,7 +374,6 @@ class _Blocking:
             self.incident[y] |= 1 << e
         self.full = full = (1 << m) - 1
         self.star = _star_size(pattern)
-        self.reach = _edge_reach(pattern.adj)
         # with k >= 3, class rows -> (the copy through their last edge, the class's blocked mask)
         self.memo: Optional[dict[tuple[int, ...], tuple[int, int]]] = {} if k >= 3 else None
         # f alone is a copy only of one edge plus isolated vertices that fit in n
@@ -402,28 +397,14 @@ class _Blocking:
                 return hit
         u, v = self.pairs[idx]
         copy = _find_through(adj, self.offsets, self.plans, u, v) if blocked else 0
-        incident = self.incident
         if self.star is not None:
             if adj[u].bit_count() >= self.star - 1:
-                mask |= incident[u]
+                mask |= self.incident[u]
             if adj[v].bit_count() >= self.star - 1:
-                mask |= incident[v]
+                mask |= self.incident[v]
         else:
             offsets, plans, pairs = self.offsets, self.plans, self.pairs
             cand = (self.full & ~mask) >> (idx + 1) << (idx + 1)  # unblocked edges after idx
-            if cand and self.reach is not None:
-                ball = 1 << u | 1 << v
-                for _ in range(self.reach):
-                    grown = ball
-                    for w in _bits(ball):
-                        grown |= adj[w]
-                    if grown == ball:
-                        break
-                    ball = grown
-                near = 0
-                for w in _bits(ball):
-                    near |= incident[w]
-                cand &= near
             while cand:
                 b = cand & -cand
                 cand ^= b
@@ -448,32 +429,6 @@ def _star_size(pattern: SimpleGraph) -> Optional[int]:
     if pattern.edge_count == order - 1 and any(row.bit_count() == order - 1 for row in pattern.adj):
         return order - 1
     return None
-
-
-# keyed by the pattern's adjacency rows, as `nim._anchor_plans` is, so that
-# every search of one pattern computes it once
-@lru_cache(maxsize=None)
-def _edge_reach(rows: tuple[int, ...]) -> Optional[int]:
-    """The largest distance between two edges of the connected pattern with
-    adjacency rows `rows`, None if it is disconnected.  Two edges are as
-    far apart as their closest ends."""
-    order = len(rows)
-    dist = [[-1] * order for _ in range(order)]
-    for s in range(order):
-        seen = layer = 1 << s
-        step = 0
-        while layer:
-            reached = 0
-            for w in _bits(layer):
-                dist[s][w] = step
-                reached |= rows[w]
-            layer = reached & ~seen
-            seen |= layer
-            step += 1
-        if seen != (1 << order) - 1:
-            return None
-    edges = list(SimpleGraph(order, rows).edges())
-    return max(min(dist[a][c], dist[a][d], dist[b][c], dist[b][d]) for a, b in edges for c, d in edges)
 
 
 def _hill_guard(n: int, h: PatternGraph) -> SimpleGraph:

@@ -14,7 +14,6 @@ from nimcolor.patterns import custom_pattern, make_path, make_star, parse_patter
 from nimcolor.search import (
     _Blocking,
     _canonical_search,
-    _edge_reach,
     _nim_degree_cap,
     _NimState,
     _orbit_edges,
@@ -265,8 +264,9 @@ def test_degree_caps_only_cut_nodes_on_the_bench_star_cells(cell, monkeypatch):
 
 # Cells past the plain recursion's reach, each searched in about a second
 # or less (the stars in under 0.1 s, by the NIM degree caps): f and the
-# witness colors.  The paths and spiders are ROADMAP item 4's frontier,
-# where f = ex at k = 2.
+# witness colors.  The paths, spiders and double stars are ROADMAP item
+# 4's frontier, where f = ex at k = 2; at k = 3 the stars and path:4 meet
+# 2·ex, and (8, 3, spider:2,1,1) colors all of K_8 NIM.
 FRONTIER = {
     (9, 2, "star:4"): (13, "000000110000111001011111001100000000"),
     (10, 2, "star:4"): (15, "000000111000001110000111111000110001000000000"),
@@ -281,6 +281,13 @@ FRONTIER = {
     (12, 2, "path:5"): (18, "000000001110000111000111000000110000001000000000000110001000000111"),
     (12, 2, "path:4"): (12, "000000000110000001100000110000110000001000000000000100000000100001"),
     (12, 2, "spider:2,1,1"): (18, "000000001110000111000111000000110000001000000000000110001000000111"),
+    (10, 2, "spider:2,2,1"): (20, "000001111111100001110000110000100000000111111"),
+    (10, 2, "dstar:3"): (20, "000001111111100001110000110000100000000111111"),
+    (11, 2, "path:4"): (10, "0000000000111111111111111111111111111111111111111111111"),
+    (11, 2, "spider:2,1,1"): (15, "0000000011000011100111000001100000100000000001100100001"),
+    (8, 3, "spider:2,1,1"): (28, "0001122001122022112211000000"),
+    (9, 3, "star:3"): (18, "000011220001122220011102012010200000"),
+    (10, 3, "star:3"): (20, "000001122000011220020211212001102102000000000"),
 }
 
 
@@ -317,13 +324,9 @@ def test_p4_on_eight_vertices():
     assert len(nim_brute(r.witness, P4.graph)) == 7
 
 
-def test_star_and_reach_are_read_from_the_graph():
+def test_star_size_is_read_from_the_graph():
     assert [_star_size(parse_pattern(s).graph) for s in ("path:2", "path:3", "spider:1,1", "star:4")] == [1, 2, 2, 4]
     assert [_star_size(parse_pattern(s).graph) for s in ("path:4", "path:2+path:2", "star:3+path:2")] == [None] * 3
-    assert [_edge_reach(parse_pattern(s).graph.adj) for s in ("path:2", "star:3", "path:4", "path:5", "spider:2,2,1")] == [
-        0, 0, 1, 2, 2,
-    ]
-    assert _edge_reach(parse_pattern("path:2+path:3").graph.adj) is None
 
 
 def _with_edge(rows, x, y):
