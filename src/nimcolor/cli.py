@@ -31,7 +31,7 @@ from .errors import ResourceLimitError, TuranUnavailableError
 from .graphs import EdgeColoring
 from .nim import nim_edges
 from .patterns import PatternGraph, parse_pattern
-from .search import DEFAULT_LEAF_BUDGET, _hill_guard, exhaustive_f, hill_climb_f
+from .search import DEFAULT_NODE_BUDGET, _hill_guard, exhaustive_f, hill_climb_f
 from .turan import ex_path, extremal_path_graph, turan_oracle, turan_value
 
 DEFAULT_LEDGER = "nimcolor-ledger.jsonl"
@@ -230,7 +230,7 @@ def _cmd_search(args) -> int:
         if args.seed_construction:
             raise ValueError("--seed-construction seeds --mode hill only; exhaustive search takes no seed")
         if args.budget is None:  # recorded as the budget the search ran with
-            args.budget = DEFAULT_LEAF_BUDGET
+            args.budget = DEFAULT_NODE_BUDGET
         if args.budget < 1:
             raise ValueError(f"--budget must be >= 1, got {args.budget}")
         result = exhaustive_f(args.n, args.k, h, budget=args.budget)
@@ -380,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed-construction", choices=_FAMILIES)
     p.add_argument("--construction-k", type=int)
-    p.add_argument("--budget", type=int, help=f"exhaustive mode only (default {DEFAULT_LEAF_BUDGET})")
+    p.add_argument(
+        "--budget", type=int,
+        help=f"exhaustive mode only: the most search nodes, one per color tried on an edge (default {DEFAULT_NODE_BUDGET})",
+    )
     p.add_argument("--ledger")
     p.set_defaults(func=_cmd_search)
 

@@ -6,7 +6,7 @@ class NotBipartiteError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an exact computation exceeds its configured size budget.
+    """Raised when an exact computation exceeds a size limit or its work budget.
 
     `limit` says which limit was exceeded; `hint`, when there is one, names
     the library keyword or call that gets past it.  The message joins the two.

@@ -42,7 +42,7 @@ from .nim import (
 )
 from .patterns import PatternGraph, _as_graph, pattern_spec
 
-DEFAULT_LEAF_BUDGET = 1 << 20
+DEFAULT_NODE_BUDGET = 1 << 22
 HILL_MAX_N = 40
 
 
@@ -67,9 +67,10 @@ def exhaustive_f(
     k: int,
     h: PatternGraph,
     *,
-    budget: int = DEFAULT_LEAF_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchResult:
-    """Exact maximum NIM count over all k-colorings of E(K_n).
+    """Exact maximum NIM count over all k-colorings of E(K_n); raises
+    `ResourceLimitError` past `budget` search nodes, one per color tried on an edge.
 
     Only canonical colorings are enumerated: class 0 keeps the vertex
     rules of `_row_caps` (so edge (0, 1) has color 0), and two color rules
@@ -106,11 +107,6 @@ def exhaustive_f(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     m = complete_edge_count(n)
-    free = m - (1 if k > 1 else 0)
-    if free >= 0 and k**free > budget:
-        raise ResourceLimitError(
-            f"{k}^{free} colorings exceed budget {budget}", f"pass budget={k}**{free} to allow it, or try hill_climb_f"
-        )
     if k > 1:
         _depth_guard("exhaustive search", n, pattern)
     started = time.perf_counter()
@@ -119,7 +115,8 @@ def exhaustive_f(
         best, leaves = nim_edges(EdgeColoring(n, k, colors), pattern).count, 1
     else:
         # color permutations preserve the count, so edge (0, 1) is pinned to color 0
-        best, colors, leaves = _canonical_search(n, k, pattern, [(0,)] + [range(k)] * (m - 1) if m else [])
+        choices = [(0,)] + [range(k)] * (m - 1) if m else []
+        best, colors, leaves = _canonical_search(n, k, pattern, choices, budget=budget)
     elapsed = time.perf_counter() - started
     return SearchResult(n, k, pattern_spec(h), best, EdgeColoring(n, k, colors), "exhaustive", True, leaves, elapsed)
 
@@ -167,7 +164,7 @@ def _row_caps(rows: Sequence[int], u: int, caps: list[int], starts: int) -> tupl
 
 
 def _canonical_search(
-    n: int, k: int, h, choices: Sequence[Sequence[int]]
+    n: int, k: int, h, choices: Sequence[Sequence[int]], *, budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[int, tuple[int, ...], int]:
     """(best NIM count, its colors, leaves scored) over the canonical colorings
     in which edge e takes a color from choices[e]; h is a pattern or its graph.
@@ -188,9 +185,8 @@ def _canonical_search(
     pairs = all_pairs(n)
     colors = [0] * m
     class_adj = [[0] * n for _ in range(k)]
-    best = -1
+    best, leaves, nodes = -1, 0, 0
     best_colors: tuple[int, ...] = tuple(colors)
-    leaves = 0
 
     blocking = _Blocking(n, k, _as_graph(h))
     step = blocking.step
@@ -210,7 +206,7 @@ def _canonical_search(
     def rec(idx: int, covered: int, hi: int, cap_sum: int) -> None:
         """hi is the largest color on edges 0..idx-1, 0 before any; cap_sum is
         the sum of the vertices' NIM degree caps for a star, else unused."""
-        nonlocal best, best_colors, leaves, top
+        nonlocal best, best_colors, leaves, nodes, top
         forced = -1
         for mask in blocked:
             forced &= mask
@@ -259,6 +255,10 @@ def _canonical_search(
                 if child_sum >> 1 <= best:
                     continue
                 code[u], code[v] = cu + p, cv + p
+            nodes += 1
+            if nodes > budget:
+                limit = f"exhaustive search passed its budget of {budget} nodes"
+                raise ResourceLimitError(limit, "pass a larger budget= to allow it, or try hill_climb_f")
             colors[idx] = c
             adj[u] |= bv
             adj[v] |= bu

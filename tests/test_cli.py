@@ -16,7 +16,7 @@ from nimcolor.constructions import build_p2k_layout, p2k_multicoloring, tail_for
 from nimcolor.graphs import EdgeColoring
 from nimcolor.nim import nim_edges
 from nimcolor.patterns import make_path, make_star
-from nimcolor.search import DEFAULT_LEAF_BUDGET, exhaustive_f
+from nimcolor.search import DEFAULT_NODE_BUDGET, exhaustive_f
 from nimcolor.turan import ex_path, turan_oracle
 
 
@@ -104,7 +104,7 @@ REFUSALS = {
         ("--pattern path:3 --n 4 --k 0", "k must be >= 1"),
         ("--pattern path:1 --n 3 --k 2 --mode exhaustive", "pattern needs at least 2 vertices"),
         ("--pattern path:1 --n 3 --k 2 --mode hill", "pattern needs at least 2 vertices"),
-        ("--pattern path:4 --n 8 --k 2", f"2^27 colorings exceed budget {DEFAULT_LEAF_BUDGET}"),
+        ("--pattern path:4 --n 8 --k 2 --budget 100", "exhaustive search passed its budget of 100 nodes"),
         ("--pattern path:3 --n 4 --k 2 --mode exhaustive --budget 0", "--budget must be >= 1, got 0"),
         ("--pattern path:3 --n 4 --k 2 --mode exhaustive --budget -5", "--budget must be >= 1, got -5"),
         ("--pattern path:3 --n 4 --k 2 --mode exhaustive --restarts 0", "--restarts must be >= 1, got 0"),
@@ -427,10 +427,10 @@ class TestSearchAndReport:
         "flags, digests",
         [
             # sha256 of stdout and of the ledger line, with the elapsed time and
-            # the timestamp blanked
+            # the timestamp blanked; the ledger line records the default node budget, 2^22
             ("--pattern path:4 --n 6 --k 2", (
                 "54680891548f569188d62617e057a5240eb93596c4dee37719fe0a8cb4ab3cfc",
-                "c1680b006377975a74230692790eb8d900b80472fd9bf45e149406adbf5526eb")),
+                "7e0765fa246a34a61e3e23db39cd4a46c339e8c4b1885b93dbfaa28c742161d4")),
             ("--pattern path:4 --n 13 --k 4 --mode hill --seed-construction p2k --iterations 3", (
                 "eef2327b1e5025d8333a39fea80f3e687c009d74fb6a69275abeded59e619523",
                 "d9cc3d68a806a73dc56d144136129d26510cda82f0b40fce06a6f8e3141e0794")),
@@ -671,7 +671,7 @@ class TestSearchAndReport:
                 "--iterations", "1", "--ledger", str(ledger), *flags,
             )
             assert code == 0, err
-        assert [r["parameters"]["budget"] for _, r in read_ledger(str(ledger))] == [DEFAULT_LEAF_BUDGET, 4096, None]
+        assert [r["parameters"]["budget"] for _, r in read_ledger(str(ledger))] == [DEFAULT_NODE_BUDGET, 4096, None]
 
     @pytest.mark.parametrize(
         "pattern, n, k, flags, count",
@@ -694,11 +694,7 @@ class TestSearchAndReport:
 
     def test_depth_past_the_recursion_limit_is_refused(self, capsys, tmp_path):
         ledger = tmp_path / "l.jsonl"
-        code, out, err = run(
-            capsys,
-            "search", "--pattern", "path:2", "--n", "46", "--k", "2",
-            "--budget", str(2**2000), "--ledger", str(ledger),
-        )
+        code, out, err = run(capsys, "search", "--pattern", "path:2", "--n", "46", "--k", "2", "--ledger", str(ledger))
         assert (code, out) == (1, "")
         assert err.startswith("error: exhaustive search limited to n <= ") and err.count("\n") == 1
         assert "by the recursion limit" in err and err.endswith(", got 46\n")

@@ -60,15 +60,16 @@ class TestExhaustive:
         assert r.best_count == 1
 
     def test_budget_error_suggests_hill_climb(self):
-        with pytest.raises(ResourceLimitError, match="hill_climb") as raised:
-            exhaustive_f(8, 2, P3)
-        assert raised.value.hint == "pass budget=2**27 to allow it, or try hill_climb_f"
-        with pytest.raises(ResourceLimitError):
-            exhaustive_f(6, 4, P3)
+        # (8, 2, path:4) takes 580 nodes, so a budget of 100 stops it
+        with pytest.raises(ResourceLimitError) as raised:
+            exhaustive_f(8, 2, P4, budget=100)
+        assert raised.value.limit == "exhaustive search passed its budget of 100 nodes"
+        assert raised.value.hint == "pass a larger budget= to allow it, or try hill_climb_f"
+        assert str(raised.value) == f"{raised.value.limit}; {raised.value.hint}"
 
     @pytest.mark.parametrize("n, budget", [(4, -5), (4, 0), (1, 0)])
     def test_budget_under_one_is_refused(self, n, budget):
-        # K_1 has no edges, so a check on the number of colorings alone lets budget 0 through
+        # K_1 has no edges, so a search of it enters no node and could not reach budget 0
         with pytest.raises(ValueError, match=f"^budget must be >= 1, got {budget}$"):
             exhaustive_f(n, 2, P3, budget=budget)
 
@@ -103,7 +104,7 @@ class TestExhaustive:
     def test_depth_past_the_recursion_limit_is_refused_up_front(self):
         # the search recurses once per edge: K_46 has 1,035, past the default limit of 1000
         with pytest.raises(ResourceLimitError) as err:
-            exhaustive_f(46, 2, make_path(2), budget=2**2000)
+            exhaustive_f(46, 2, make_path(2))
         assert re.fullmatch(r"exhaustive search limited to n <= \d+ by the recursion limit \d+, got 46", err.value.limit)
         assert err.value.hint == "sys.setrecursionlimit raises it"
 
@@ -262,32 +263,49 @@ def test_degree_caps_only_cut_nodes_on_the_bench_star_cells(cell, monkeypatch):
     assert pinned[0] <= without_caps[0] and pinned[1] <= without_caps[1]
 
 
+@pytest.mark.parametrize("cell", list(BENCH_STAR_CELLS), ids=[f"n{n}-k{k}-{s}" for n, k, s in BENCH_STAR_CELLS])
+def test_the_budget_counts_the_nodes_below_the_root(cell):
+    # the budget's boundary is the node count pinned above: one node per color tried on an edge
+    n, k, spec = cell
+    h, nodes = parse_pattern(spec), BENCH_STAR_CELLS[cell][0][0]
+    r, unbounded = exhaustive_f(n, k, h, budget=nodes), exhaustive_f(n, k, h)
+    assert (r.best_count, r.witness, r.colorings_examined) == (
+        unbounded.best_count, unbounded.witness, unbounded.colorings_examined
+    )
+    with pytest.raises(ResourceLimitError) as raised:
+        exhaustive_f(n, k, h, budget=nodes - 1)
+    assert raised.value.limit == f"exhaustive search passed its budget of {nodes - 1} nodes"
+
+
 # Cells past the plain recursion's reach, each searched in about a second
-# or less (the stars in under 0.1 s, by the NIM degree caps): f and the
-# witness colors.  The paths, spiders and double stars are ROADMAP item
-# 4's frontier, where f = ex at k = 2; at k = 3 the stars and path:4 meet
-# 2·ex, and (8, 3, spider:2,1,1) colors all of K_8 NIM.
+# or less (the stars in under 0.1 s, by the NIM degree caps): f, the
+# witness colors and the leaves scored.  The paths, spiders and double
+# stars are ROADMAP item 4's frontier, where f = ex at k = 2; at k = 3 the
+# stars and path:4 meet 2·ex, and (8, 3, spider:2,1,1) colors all of K_8
+# NIM.  The leaves catch a vertex rule that keeps every maximum and witness
+# but cuts other colorings: with u - 1's block judged by adjacency to
+# 0..u-3 only, (8, 3, spider:2,1,1) scores 499 leaves.
 FRONTIER = {
-    (9, 2, "star:4"): (13, "000000110000111001011111001100000000"),
-    (10, 2, "star:4"): (15, "000000111000001110000111111000110001000000000"),
-    (8, 3, "path:3"): (8, "0000012000021012002100000000"),
-    (9, 2, "path:5"): (12, "000000000000111111000110001000000111"),
-    (10, 2, "path:5"): (13, "000000001000011101110000110000100000000110100"),
-    (10, 2, "spider:2,1,1"): (13, "000000001000011101110000110000100000000110100"),
-    (9, 2, "spider:2,2,1"): (16, "000001111111000111000110001000000111"),
-    (9, 2, "dstar:3"): (16, "000001111111000111000110001000000111"),
-    (8, 3, "path:4"): (14, "0000012000012000120012121210"),
-    (11, 2, "path:5"): (15, "0000000011000011100111000001100000100000000001100100001"),
-    (12, 2, "path:5"): (18, "000000001110000111000111000000110000001000000000000110001000000111"),
-    (12, 2, "path:4"): (12, "000000000110000001100000110000110000001000000000000100000000100001"),
-    (12, 2, "spider:2,1,1"): (18, "000000001110000111000111000000110000001000000000000110001000000111"),
-    (10, 2, "spider:2,2,1"): (20, "000001111111100001110000110000100000000111111"),
-    (10, 2, "dstar:3"): (20, "000001111111100001110000110000100000000111111"),
-    (11, 2, "path:4"): (10, "0000000000111111111111111111111111111111111111111111111"),
-    (11, 2, "spider:2,1,1"): (15, "0000000011000011100111000001100000100000000001100100001"),
-    (8, 3, "spider:2,1,1"): (28, "0001122001122022112211000000"),
-    (9, 3, "star:3"): (18, "000011220001122220011102012010200000"),
-    (10, 3, "star:3"): (20, "000001122000011220020211212001102102000000000"),
+    (9, 2, "star:4"): (13, "000000110000111001011111001100000000", 14),
+    (10, 2, "star:4"): (15, "000000111000001110000111111000110001000000000", 16),
+    (8, 3, "path:3"): (8, "0000012000021012002100000000", 9),
+    (9, 2, "path:5"): (12, "000000000000111111000110001000000111", 14),
+    (10, 2, "path:5"): (13, "000000001000011101110000110000100000000110100", 14),
+    (10, 2, "spider:2,1,1"): (13, "000000001000011101110000110000100000000110100", 14),
+    (9, 2, "spider:2,2,1"): (16, "000001111111000111000110001000000111", 111),
+    (9, 2, "dstar:3"): (16, "000001111111000111000110001000000111", 22),
+    (8, 3, "path:4"): (14, "0000012000012000120012121210", 91),
+    (11, 2, "path:5"): (15, "0000000011000011100111000001100000100000000001100100001", 16),
+    (12, 2, "path:5"): (18, "000000001110000111000111000000110000001000000000000110001000000111", 19),
+    (12, 2, "path:4"): (12, "000000000110000001100000110000110000001000000000000100000000100001", 13),
+    (12, 2, "spider:2,1,1"): (18, "000000001110000111000111000000110000001000000000000110001000000111", 19),
+    (10, 2, "spider:2,2,1"): (20, "000001111111100001110000110000100000000111111", 209),
+    (10, 2, "dstar:3"): (20, "000001111111100001110000110000100000000111111", 30),
+    (11, 2, "path:4"): (10, "0000000000111111111111111111111111111111111111111111111", 12),
+    (11, 2, "spider:2,1,1"): (15, "0000000011000011100111000001100000100000000001100100001", 16),
+    (8, 3, "spider:2,1,1"): (28, "0001122001122022112211000000", 515),
+    (9, 3, "star:3"): (18, "000011220001122220011102012010200000", 19),
+    (10, 3, "star:3"): (20, "000001122000011220020211212001102102000000000", 21),
 }
 
 
@@ -295,9 +313,9 @@ FRONTIER = {
 def test_frontier_cells_and_their_witnesses(cell):
     n, k, spec = cell
     h = parse_pattern(spec)
-    r = exhaustive_f(n, k, h, budget=k ** (n * (n - 1) // 2))
-    best, colors = FRONTIER[cell]
-    assert (r.best_count, "".join(map(str, r.witness.colors))) == (best, colors)
+    r = exhaustive_f(n, k, h)
+    best, colors, leaves = FRONTIER[cell]
+    assert (r.best_count, "".join(map(str, r.witness.colors)), r.colorings_examined) == (best, colors, leaves)
     assert len(nim_brute(r.witness, h.graph)) == best
 
 
@@ -306,7 +324,7 @@ def test_two_colored_stars_meet_the_closed_form(s, n):
     # f(n, K_{1,s}) = ex(n, K_{1,s}) = floor((s - 1)n / 2) once n >= 2s: an
     # extremal graph in red gives it, and a vertex with n - 1 > 2(s - 1)
     # edges has degree >= s in one class, so at most s - 1 NIM edges
-    r = exhaustive_f(n, 2, make_star(s), budget=2 ** (n * (n - 1) // 2))
+    r = exhaustive_f(n, 2, make_star(s))
     assert r.best_count == (s - 1) * n // 2
 
 
@@ -319,7 +337,7 @@ def test_a_star_on_no_vertex_scores_one_empty_leaf(spec, k):
 
 
 def test_p4_on_eight_vertices():
-    r = exhaustive_f(8, 2, P4, budget=1 << 27)
+    r = exhaustive_f(8, 2, P4)
     assert r.best_count == 7
     assert len(nim_brute(r.witness, P4.graph)) == 7
 
@@ -630,7 +648,7 @@ def test_every_leaf_keeps_the_color_rules_and_the_maximum(data, h):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("nimcolor.search.nim_edges", recorded)
-        r = exhaustive_f(n, k, h, budget=k ** (n * (n - 1) // 2))
+        r = exhaustive_f(n, k, h)
     assert len(leaves) == r.colorings_examined
     assert all(keeps_color_rules(n, k, colors) for colors in leaves)
     assert r.best_count == exhaustive_f_first_edge_pin(n, k, h)[0]
