@@ -200,8 +200,7 @@ def _cmd_verify(args) -> int:
     with open(args.coloring, encoding="utf-8") as fh:
         coloring = EdgeColoring.from_json(fh.read())
     h = parse_pattern(args.pattern)
-    # the file already spells out all C(n, 2) colors, so its n is the caller's choice
-    report = nim_edges(coloring, h, max_n=coloring.n)
+    report = nim_edges(coloring, h)
     _emit(report.to_dict())
     return 0
 

@@ -39,7 +39,6 @@ from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, components, edge_rank_offsets
 from .patterns import _as_graph, pattern_spec
 
-DEFAULT_MAX_N = 64
 DEFAULT_MAX_PATTERN = 16
 
 
@@ -258,22 +257,23 @@ def contains(g: SimpleGraph, h) -> bool:
     return _containment_kernel(pattern.adj)(g.adj, edge_rank_offsets(g.n), 0) is not None
 
 
-def _guard(label: str, n: int, h, max_n: int, max_pattern: int, *, tunable: bool = False) -> SimpleGraph:
+def _guard(label: str, n: int, h, max_n: Optional[int], max_pattern: int, *, tunable: bool = False) -> SimpleGraph:
     """The pattern graph of `h`, once the entry point `label` accepts n and h.
 
     A pattern under 2 vertices has no edge to anchor a copy, so it is a
-    ValueError; n or pattern order over its limit is a ResourceLimitError
-    reading "<label> limited to n <= L, got N".  `tunable` entry points take
-    max_n and max_pattern keywords, and the hint names the one to pass.
+    ValueError; n over max_n (None: no n limit) or pattern order over
+    max_pattern is a ResourceLimitError reading "<label> limited to n <= L,
+    got N".  `tunable` entry points take a max_pattern keyword, and the
+    hint names it.
     """
     pattern = _as_graph(h)
     if pattern.n < 2:
         raise ValueError("pattern needs at least 2 vertices")
-    limits = (("n", "max_n", n, max_n), ("pattern order", "max_pattern", pattern.n, max_pattern))
-    for what, key, value, limit in limits:
-        if value > limit:
-            hint = f"pass {key}={value} to allow it" if tunable else ""
-            raise ResourceLimitError(f"{label} limited to {what} <= {limit}, got {value}", hint)
+    if max_n is not None and n > max_n:
+        raise ResourceLimitError(f"{label} limited to n <= {max_n}, got {n}")
+    if pattern.n > max_pattern:
+        hint = f"pass max_pattern={pattern.n} to allow it" if tunable else ""
+        raise ResourceLimitError(f"{label} limited to pattern order <= {max_pattern}, got {pattern.n}", hint)
     return pattern
 
 
@@ -594,15 +594,10 @@ def _edge_walk(
 _BYTE_BITS = tuple(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
 
 
-def nim_edges(
-    coloring: EdgeColoring,
-    h,
-    *,
-    max_n: int = DEFAULT_MAX_N,
-    max_pattern: int = DEFAULT_MAX_PATTERN,
-) -> NimReport:
-    """All edges of the colored K_n in no monochromatic copy of the pattern."""
-    pattern = _guard("NIM count", coloring.n, h, max_n, max_pattern, tunable=True)
+def nim_edges(coloring: EdgeColoring, h, *, max_pattern: int = DEFAULT_MAX_PATTERN) -> NimReport:
+    """All edges of the colored K_n in no monochromatic copy of the pattern, at
+    any n: the coloring already holds all C(n, 2) colors."""
+    pattern = _guard("NIM count", coloring.n, h, None, max_pattern, tunable=True)
     nim = _cover_pass(coloring, pattern)
     # the set bits of the mask, lowest first, byte by byte: `compress` skips
     # the zero bytes in C, and no C(n, 2)-bit int is shifted once per bit

@@ -37,12 +37,14 @@ from typing import Iterable, Optional, Sequence
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_rank_offsets
 from .nim import (
-    DEFAULT_MAX_N, DEFAULT_MAX_PATTERN, _class_components, _component_bounds, _depth_guard, _edge_mask, _edge_walk,
+    DEFAULT_MAX_PATTERN, _class_components, _component_bounds, _depth_guard, _edge_mask, _edge_walk,
     _find_through, _guard, _query_plans, _twin_members, nim_edges,
 )
 from .patterns import PatternGraph, _as_graph, pattern_spec
 
+# the work limit of both exact searches, `exhaustive_f` and `turan.turan_oracle`
 DEFAULT_NODE_BUDGET = 1 << 22
+EXHAUSTIVE_MAX_N = 64
 HILL_MAX_N = 40
 
 
@@ -101,7 +103,7 @@ def exhaustive_f(
     maximal too and comes no later.  The vertex rules and rule (a) are
     symmetry cuts and can move it.
     """
-    pattern = _guard("exhaustive search", n, h, DEFAULT_MAX_N, DEFAULT_MAX_PATTERN)
+    pattern = _guard("exhaustive search", n, h, EXHAUSTIVE_MAX_N, DEFAULT_MAX_PATTERN)
     if k < 1:
         raise ValueError("k must be >= 1")
     if budget < 1:

@@ -8,7 +8,8 @@ patterns with at least two components.  `turan_oracle` maximizes edges over
 all pattern-free graphs by a depth-first search over the canonical edge
 order, with the vertex rules and degree caps of `search._row_caps` and
 stores of earlier answers (see its docstring), and serves as an
-independent cross-check on both formulas.
+independent cross-check on both formulas.  A node budget bounds its
+work, as it does `search.exhaustive_f`'s, in place of a limit on n.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .graphs import (
 )
 from .nim import _depth_guard, _find_through, _guard, _query_plans, contains
 from .patterns import PatternGraph, make_path, pattern_spec
-from .search import _row_caps
+from .search import DEFAULT_NODE_BUDGET, _row_caps
 
-ORACLE_MAX_N = 10
 ORACLE_MAX_PATTERN = 12
 # masks each of `turan_oracle`'s two stores keeps per edge; past this many the oldest is dropped
 _KNOWN_CAP = 16
@@ -156,14 +156,10 @@ def ex_balanced_forest(n: int, h: PatternGraph) -> TuranResult:
 # -- brute-force oracle ------------------------------------------------------
 
 
-def turan_oracle(
-    n: int,
-    h,
-    *,
-    max_n: int = ORACLE_MAX_N,
-    max_pattern: int = ORACLE_MAX_PATTERN,
-) -> TuranResult:
-    """Exact maximum edges over all pattern-free n-vertex graphs, by search.
+def turan_oracle(n: int, h, *, budget: int = DEFAULT_NODE_BUDGET, max_pattern: int = ORACLE_MAX_PATTERN) -> TuranResult:
+    """Exact maximum edges over all pattern-free n-vertex graphs, by search;
+    raises `ResourceLimitError` past `budget` nodes, one per edge decided:
+    each pass of the search's loop, which makes at most one anchored query.
 
     Depth-first over the canonical edge order; each edge is included (when
     that creates no copy of the pattern through it) or excluded.  Including
@@ -195,16 +191,18 @@ def turan_oracle(
     what the query would have answered, so the nodes, the maximum and the
     witness are those of the search without the stores.
     """
-    pattern = _guard("oracle", n, h, max_n, max_pattern, tunable=True)
+    pattern = _guard("oracle", n, h, None, max_pattern, tunable=True)
     if pattern.edge_count == 0:
         raise ValueError("pattern needs at least one edge")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     _depth_guard("oracle", n, pattern)
 
     m = complete_edge_count(n)
     pairs = all_pairs(n)
     offsets, plans = _query_plans(pattern, n)
     adj = [0] * n
-    best = -1
+    best, nodes = -1, 0
     best_adj: tuple[int, ...] = tuple(adj)
     # known[idx]: copies found through edge idx, minus idx, newest first;
     # free[idx]: included-edge masks g where g plus idx had no copy through idx
@@ -218,8 +216,12 @@ def turan_oracle(
         # g: the included edges as a mask over canonical edge indices;
         # caps, starts: the vertex rules' state (`_row_caps`); cap: the
         # row's edge cap; all three fixed while row u runs
-        nonlocal best, best_adj
+        nonlocal best, best_adj, nodes
         while True:  # edge idx: include it by a call, then exclude it by looping
+            nodes += 1
+            if nodes > budget:
+                limit = f"oracle passed its budget of {budget} nodes"
+                raise ResourceLimitError(limit, "pass a larger budget= to allow it")
             if count + (m - idx) <= best:
                 return
             if idx == m:
@@ -281,7 +283,8 @@ def turan_oracle(
 
 
 def turan_value(n: int, h: PatternGraph, *, allow_oracle: bool = True) -> TuranResult:
-    """Best available Turan value for a pattern: formula if known, else oracle."""
+    """Best available Turan value for a pattern: formula if known, else the oracle
+    at any n; a `TuranUnavailableError` past the oracle's limits names the one met."""
     if h.vertex_count > n:  # no copy fits in K_n, whatever the pattern's family
         return TuranResult(n, h.spec, complete_edge_count(n), "complete")
     if h.family == "path":
@@ -289,9 +292,10 @@ def turan_value(n: int, h: PatternGraph, *, allow_oracle: bool = True) -> TuranR
     # a balanced pattern is a forest of even order: each tree has equal sides
     if h.balanced and len(components(h.graph)) >= 2:
         return ex_balanced_forest(n, h)
+    unavailable = f"no Turan value available for {h.spec} at n={n}"
     if allow_oracle:
         try:
             return turan_oracle(n, h)
-        except ResourceLimitError:
-            pass  # past the oracle's default limits
-    raise TuranUnavailableError(f"no Turan value available for {h.spec} at n={n}")
+        except ResourceLimitError as exc:  # past the oracle's default limits
+            raise TuranUnavailableError(f"{unavailable}: {exc.limit}") from exc
+    raise TuranUnavailableError(unavailable)

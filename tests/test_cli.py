@@ -93,9 +93,10 @@ REFUSALS = {
     ],
     "turan": [
         ("--pattern star:3 --n 6 --method formula", "no Turan value available for star:3 at n=6"),
-        # no flag lifts the oracle's limits, so no max_n= or max_pattern= keyword is named
-        ("--method oracle --n 11 --pattern path:3", "oracle limited to n <= 10, got 11"),
+        # no flag lifts the oracle's limits, so no max_pattern= or budget= keyword is named
         ("--method oracle --n 6 --pattern path:13", "oracle limited to pattern order <= 12, got 13"),
+        ("--n 13 --pattern star:12",
+         "no Turan value available for star:12 at n=13: oracle limited to pattern order <= 12, got 13"),
         ("--n -1 --pattern star:3", "n must be >= 0, got -1"),
     ],
     "search": [
@@ -526,7 +527,7 @@ class TestSearchAndReport:
         ledger = tmp_path / "ledger.jsonl"
         searches = [
             ("path:3", "4", "exhaustive"),
-            ("star:3", "11", "hill"),  # no formula, and n = 11 is past the oracle
+            ("star:12", "13", "hill"),  # no formula, and pattern order 13 is past the oracle's 12
         ]
         for pattern, n, mode in searches:
             code, _, err = run(
@@ -540,11 +541,11 @@ class TestSearchAndReport:
         header, path_row, star_row, totals = out.splitlines()
         assert header.split() == ["pattern", "n", "k", "best", "ex", "gap"]
         assert path_row.split() == ["path:3", "4", "2", "2", "2", "0"]
-        assert star_row.split()[:2] == ["star:3", "11"] and star_row.split()[-2:] == ["-", "-"]
+        assert star_row.split()[:2] == ["star:12", "13"] and star_row.split()[-2:] == ["-", "-"]
         assert totals.startswith("rows=2 ") and totals.endswith(" gap_sum=0")
 
     # a hand-written ledger: a non-search record (skipped), an unavailable ex
-    # (star:3 past the oracle), the p2k hill row and a k = 3 row
+    # (star:12, past the oracle's pattern order), the p2k hill row and a k = 3 row
     GOLDEN_LEDGER = "".join(
         json.dumps(record, sort_keys=True) + "\n"
         for record in [
@@ -552,7 +553,7 @@ class TestSearchAndReport:
              "result": {"n": 4, "k": 2, "pattern": "path:3", "best_count": 2, "exhaustive": True}},
             {"command": "verify", "timestamp": "2026-01-05T10:01:00+00:00", "result": {"count": 39}},
             {"command": "search", "timestamp": "2026-01-05T10:02:00+00:00",
-             "result": {"n": 11, "k": 2, "pattern": "star:3", "best_count": 0, "exhaustive": False}},
+             "result": {"n": 13, "k": 2, "pattern": "star:12", "best_count": 78, "exhaustive": False}},
             {"command": "search", "timestamp": "2026-01-05T10:03:00+00:00",
              "result": {"n": 13, "k": 4, "pattern": "path:4", "best_count": 39, "exhaustive": False}},
             {"command": "search", "timestamp": "2026-01-05T10:04:00+00:00",
@@ -563,30 +564,30 @@ class TestSearchAndReport:
         "table": (
             "pattern                  n  k  best    ex  gap\n"
             "path:3                   4  2     2     2    0\n"
-            "star:3                  11  2     0     -    -\n"
+            "star:12                 13  2    78     -    -\n"
             "path:4                  13  4    39    12    3\n"
             "path:3                   5  3     4     2    0\n"
-            "rows=4 best_sum=45 gap_sum=3\n"
+            "rows=4 best_sum=123 gap_sum=3\n"
         ),
         "csv": (
             "timestamp,pattern,n,k,best,ex,gap,exhaustive\n"
             "2026-01-05T10:00:00+00:00,path:3,4,2,2,2,0,True\n"
-            "2026-01-05T10:02:00+00:00,star:3,11,2,0,None,None,False\n"
+            "2026-01-05T10:02:00+00:00,star:12,13,2,78,None,None,False\n"
             "2026-01-05T10:03:00+00:00,path:4,13,4,39,12,3,False\n"
             "2026-01-05T10:04:00+00:00,path:3,5,3,4,2,0,True\n"
-            "totals,,,,45,,3,4\n"
+            "totals,,,,123,,3,4\n"
         ),
         "json": (
             '{"rows": ['
             '{"best": 2, "ex": 2, "exhaustive": true, "gap": 0, "k": 2, "n": 4, '
             '"pattern": "path:3", "timestamp": "2026-01-05T10:00:00+00:00"}, '
-            '{"best": 0, "ex": null, "exhaustive": false, "gap": null, "k": 2, "n": 11, '
-            '"pattern": "star:3", "timestamp": "2026-01-05T10:02:00+00:00"}, '
+            '{"best": 78, "ex": null, "exhaustive": false, "gap": null, "k": 2, "n": 13, '
+            '"pattern": "star:12", "timestamp": "2026-01-05T10:02:00+00:00"}, '
             '{"best": 39, "ex": 12, "exhaustive": false, "gap": 3, "k": 4, "n": 13, '
             '"pattern": "path:4", "timestamp": "2026-01-05T10:03:00+00:00"}, '
             '{"best": 4, "ex": 2, "exhaustive": true, "gap": 0, "k": 3, "n": 5, '
             '"pattern": "path:3", "timestamp": "2026-01-05T10:04:00+00:00"}], '
-            '"totals": {"best_sum": 45, "gap_sum": 3, "rows": 4}}\n'
+            '"totals": {"best_sum": 123, "gap_sum": 3, "rows": 4}}\n'
         ),
     }
 

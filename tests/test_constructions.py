@@ -159,7 +159,7 @@ class TestP2kColoring:
         q = 2 * k - 1
         for n in ns:
             c, _ = p2k_multicoloring(n, k)
-            report = nim_edges(c, make_path(2 * k), max_n=n)
+            report = nim_edges(c, make_path(2 * k))
             near = (k - 1) * (n - k + 1) + comb(k - 1, 2)
             assert report.per_color == (near,) * q + ((k - 1) * comb(q, 2),), n
             d = min(abs(n % q - k + 1), abs(n % q - k))

@@ -414,7 +414,8 @@ class TestNimEdges:
             assert not through(cls, P4, edge_unindex(e, c.n))
 
     def test_limits_lift_by_their_keyword(self):
-        assert nim_edges(EdgeColoring.monochromatic(70), P3, max_n=70).count == 0
+        # no n limit: the coloring already holds all C(n, 2) colors
+        assert nim_edges(EdgeColoring.monochromatic(70), P3).count == 0
         assert nim_edges(EdgeColoring.monochromatic(4), make_path(17), max_pattern=17).count == 6
 
     def test_matches_definition_on_random_colorings(self, rng):
@@ -454,13 +455,14 @@ class TestNimEdges:
                 assert contains(g, h) == contains_brute(g, h.graph), (edges, h.spec)
 
 
-# each exact entry point: a call at (n, pattern), its label, its two limits,
-# and whether it takes the max_n and max_pattern keywords its hint names
+# each exact entry point: a call at (n, pattern), its label, its n limit
+# (None: none), its pattern-order limit, and whether it takes the
+# max_pattern keyword its hint names
 ENTRY_POINTS = {
-    "nim_edges": (lambda n, h: nim_edges(EdgeColoring.monochromatic(n), h), "NIM count", 64, 16, True),
+    "nim_edges": (lambda n, h: nim_edges(EdgeColoring.monochromatic(n), h), "NIM count", None, 16, True),
     "exhaustive_f": (lambda n, h: exhaustive_f(n, 2, h), "exhaustive search", 64, 16, False),
     "hill_climb_f": (lambda n, h: hill_climb_f(n, 2, h), "hill climb", 40, 16, False),
-    "turan_oracle": (lambda n, h: turan_oracle(n, h), "oracle", 10, 12, True),
+    "turan_oracle": (lambda n, h: turan_oracle(n, h), "oracle", None, 12, True),
 }
 
 
@@ -496,19 +498,17 @@ class TestEntryGate:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_limits_share_one_message(self, queries, entry):
         call, label, max_n, max_pattern, tunable = ENTRY_POINTS[entry]
-        over = [
-            (max_n + 1, P3, "n", "max_n", max_n),
-            (4, make_path(max_pattern + 1), "pattern order", "max_pattern", max_pattern),
-        ]
-        for n, h, what, key, cap in over:
-            got = n if what == "n" else h.vertex_count
+        with pytest.raises(ResourceLimitError) as err:
+            call(4, make_path(max_pattern + 1))
+        limit = f"{label} limited to pattern order <= {max_pattern}, got {max_pattern + 1}"
+        hint = f"pass max_pattern={max_pattern + 1} to allow it" if tunable else ""
+        assert (err.value.limit, err.value.hint) == (limit, hint)
+        # the message joins the two; an entry point without the keyword names none
+        assert str(err.value) == (f"{limit}; {hint}" if tunable else limit)
+        if max_n is not None:  # no keyword lifts an n limit
             with pytest.raises(ResourceLimitError) as err:
-                call(n, h)
-            limit = f"{label} limited to {what} <= {cap}, got {got}"
-            hint = f"pass {key}={got} to allow it" if tunable else ""
-            assert (err.value.limit, err.value.hint) == (limit, hint)
-            # the message joins the two; an entry point without the keywords names none
-            assert str(err.value) == (f"{limit}; {hint}" if tunable else limit)
+                call(max_n + 1, P3)
+            assert (str(err.value), err.value.hint) == (f"{label} limited to n <= {max_n}, got {max_n + 1}", "")
         assert queries == []
 
 

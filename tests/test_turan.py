@@ -1,5 +1,6 @@
 import re
 import sys
+from functools import partial
 from itertools import combinations, product
 from math import comb
 
@@ -278,20 +279,27 @@ class TestOracle:
             turan_oracle(5, SimpleGraph.empty(2))
 
     def test_size_limits_lift_by_their_keyword(self):
-        assert turan_oracle(11, make_star(3), max_n=11).value == 11
+        # n has no limit: the node budget bounds the work
+        assert turan_oracle(11, make_star(3)).value == 11
         assert turan_oracle(8, make_path(13), max_pattern=13).value == 28
+
+    @pytest.mark.parametrize("n, budget", [(6, -5), (6, 0), (0, 0)])
+    def test_budget_under_one_is_refused(self, n, budget):
+        # even K_0 takes a node, the pass that finds no edge left
+        with pytest.raises(ValueError, match=f"^budget must be >= 1, got {budget}$"):
+            turan_oracle(n, make_star(3), budget=budget)
 
     def test_depth_past_the_recursion_limit_is_refused_up_front(self):
         # the search recurses once per included edge, and a pattern larger than n
         # includes all of K_46's 1,035, past the default limit of 1000
         with pytest.raises(ResourceLimitError) as err:
-            turan_oracle(46, make_path(2), max_n=46)
+            turan_oracle(46, make_path(2))
         assert re.fullmatch(r"oracle limited to n <= \d+ by the recursion limit \d+, got 46", err.value.limit)
         assert err.value.hint == "sys.setrecursionlimit raises it"
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + 200)
         try:
-            assert turan_oracle(46, make_path(2), max_n=46).value == 0
+            assert turan_oracle(46, make_path(2)).value == 0
         finally:
             sys.setrecursionlimit(limit)
 
@@ -341,10 +349,10 @@ def test_oracle_matches_the_edge_bound_search(n, spec):
 
 
 # Every Turan cell of the bench's `exact` workload (perfbench/workloads.py
-# TURAN_CASES), every oracle cell the suite uses and the limit-lifting calls
-# of TestOracle, as (n, spec, keywords).  spider:2,2,2 at n = 9, the
-# slowest, takes about 0.3 s on a 2-core box with the plain recursion and
-# the call count, 6,356 calls.
+# TURAN_CASES), every oracle cell the suite uses and TestOracle's calls at
+# n = 11 and at pattern order 13, as (n, spec, keywords).  spider:2,2,2 at
+# n = 9, the slowest, takes about 0.3 s on a 2-core box with the plain
+# recursion and the call count, 6,356 calls.
 BENCH_TURAN_CELLS = [
     (9, "path:3"), (7, "path:4"), (8, "path:4"), (9, "path:4"), (7, "path:5"), (8, "path:5"), (7, "path:6"),
     (7, "star:3"), (8, "star:3"), (7, "star:4"), (7, "spider:2,2,1"), (8, "spider:2,2,1"),
@@ -356,7 +364,7 @@ SUITE_TURAN_CELLS = [
     (10, "star:3"),
 ]
 PLAIN_CELLS = [(n, s, {}) for n, s in dict.fromkeys(ORACLE_CELLS + BENCH_TURAN_CELLS + SUITE_TURAN_CELLS)]
-PLAIN_CELLS += [(11, "star:3", {"max_n": 11}), (8, "path:13", {"max_pattern": 13}), (9, "spider:2,2,2", {})]
+PLAIN_CELLS += [(11, "star:3", {}), (8, "path:13", {"max_pattern": 13}), (9, "spider:2,2,2", {})]
 
 
 def oracle_calls(n, h, **kwargs):
@@ -417,6 +425,29 @@ def test_oracle_recursion_pinned(n, spec, calls):
     # the spider while row 1 took every subset of vertices; 58 and 36 while
     # only rows 0 and 1 were prefixes
     assert oracle_calls(n, parse_pattern(spec))[1] == calls
+
+
+# Nodes of the oracle, one per pass of its loop: every bench `exact` cell,
+# then the larger cells of TestDispatcher
+ORACLE_NODES = {
+    (9, "path:3"): 17, (7, "path:4"): 53, (8, "path:4"): 74, (9, "path:4"): 103, (7, "path:5"): 92,
+    (8, "path:5"): 154, (7, "path:6"): 167, (7, "star:3"): 23, (8, "star:3"): 32, (7, "star:4"): 41,
+    (7, "spider:2,2,1"): 161, (8, "spider:2,2,1"): 313,
+    (12, "spider:2,2,1"): 2645, (13, "spider:2,2,2"): 75404, (12, "path:3+path:3"): 2363,
+    (11, "dbroom:2,3,2"): 4724, (30, "star:3"): 88,
+}
+
+
+@pytest.mark.parametrize("cell", list(ORACLE_NODES), ids=[f"n{n}-{s}" for n, s in ORACLE_NODES])
+def test_the_budget_counts_the_oracles_nodes(cell):
+    n, spec = cell
+    h, nodes = parse_pattern(spec), ORACLE_NODES[cell]
+    r, unbounded = turan_oracle(n, h, budget=nodes), turan_oracle(n, h)
+    assert (r.value, r.witness.adj) == (unbounded.value, unbounded.witness.adj)
+    with pytest.raises(ResourceLimitError) as raised:
+        turan_oracle(n, h, budget=nodes - 1)
+    limit = f"oracle passed its budget of {nodes - 1} nodes"
+    assert (raised.value.limit, raised.value.hint) == (limit, "pass a larger budget= to allow it")
 
 
 # (n, spec) cells whose stores reach a small cap; cap 0 is the plain recursion
@@ -505,10 +536,38 @@ class TestDispatcher:
         h = parse_pattern(spec)
         r = turan_value(n, h)
         assert (r.value, r.method, r.below_threshold) == (value, "complete", False)
-        assert turan_oracle(n, h, max_n=11).value == value
+        assert turan_oracle(n, h).value == value
 
-    def test_unavailable(self):
-        with pytest.raises(TuranUnavailableError):
-            turan_value(30, make_star(3))
-        with pytest.raises(TuranUnavailableError):
+    @pytest.mark.parametrize(
+        "n, spec, value",
+        [(12, "spider:2,2,1", 21), (13, "spider:2,2,2", 30), (12, "path:3+path:3", 16), (11, "dbroom:2,3,2", 25),
+         (12, "star:3", 12), (30, "star:3", 30)],
+    )
+    def test_oracle_values_at_larger_n(self, n, spec, value):
+        h = parse_pattern(spec)
+        r = turan_value(n, h)
+        assert (r.value, r.method) == (value, "oracle")
+        edges = set(r.witness.edges())
+        assert r.witness.n == n and len(edges) == value and all(0 <= u < v < n for u, v in edges)
+        if h.family == "star":  # ex(n, K_{1,s}) = floor((s - 1)n/2) for n > s
+            assert value == (h.vertex_count - 2) * n // 2
+        if (n, spec) not in ((13, "spider:2,2,2"), (11, "dbroom:2,3,2")):  # about 9 s and 1.5 s by brute force
+            assert not contains_brute(r.witness, h.graph)
+
+    def test_unavailable(self, monkeypatch):
+        with pytest.raises(TuranUnavailableError) as err:
             turan_value(6, make_star(3), allow_oracle=False)
+        assert str(err.value) == "no Turan value available for star:3 at n=6"
+        # the oracle's limit is named, and its error chained
+        with pytest.raises(TuranUnavailableError) as err:
+            turan_value(13, make_star(12))
+        assert str(err.value) == (
+            "no Turan value available for star:12 at n=13: oracle limited to pattern order <= 12, got 13"
+        )
+        assert isinstance(err.value.__cause__, ResourceLimitError)
+        # the default budget stops a search after seconds, so a small one stands in for it
+        monkeypatch.setattr(nimcolor.turan, "turan_oracle", partial(turan_oracle, budget=100))
+        with pytest.raises(TuranUnavailableError) as err:
+            turan_value(12, parse_pattern("spider:2,2,1"))
+        assert str(err.value) == "no Turan value available for spider:2,2,1 at n=12: oracle passed its budget of 100 nodes"
+        assert err.value.__cause__.limit == "oracle passed its budget of 100 nodes"
