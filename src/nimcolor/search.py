@@ -9,10 +9,10 @@ Exact search:
   bounds keep the maximum.
 - `_row_caps`: the vertex rules, shared with `turan.turan_oracle`, and
   the block starts and degree caps by which both searches keep them.
-- `_canonical_search`: the branch and bound by forward checking, which
-  scores its leaves with `nim.nim_edges`.
+- `_canonical_search`: the branch and bound by forward checking.
 - `_Blocking`: each class's blocked mask, from which the forced edges
-  come.
+  come, and the leaf scorer, which reads the search's class rows and the
+  copies found along the branch.
 - `_nim_degree_cap`: the star bound on each vertex's NIM degree, tabled
   by `_DegreeCaps` and shared by `_degree_caps`; `_star_size` spots stars.
 
@@ -182,6 +182,11 @@ def _canonical_search(
     colored when half the sum of the vertices' NIM degree caps
     (`_nim_degree_cap`) would be at most best: every NIM edge has two
     ends.
+
+    A leaf is counted, then scored by `_Blocking.score` from the class
+    rows and the covered mask the search already holds: a star by class
+    degrees, any other pattern by querying only the edges that no copy
+    found along the branch covers.  No coloring is built for it.
     """
     m = len(choices)
     pairs = all_pairs(n)
@@ -191,7 +196,7 @@ def _canonical_search(
     best_colors: tuple[int, ...] = tuple(colors)
 
     blocking = _Blocking(n, k, _as_graph(h))
-    step = blocking.step
+    step, score = blocking.step, blocking.score
     blocked = [blocking.empty] * k
     star = blocking.star
     if star is not None:
@@ -224,9 +229,9 @@ def _canonical_search(
             if n >= 2 and red[n - 1].bit_count() > _row_caps(red, n - 1, *state_at[n - 2])[0][n - 1]:
                 return
             leaves += 1
-            report = nim_edges(EdgeColoring(n, k, tuple(colors)), h)
-            if report.count > best:
-                best = report.count
+            count = score(class_adj, colors, covered, best)
+            if count > best:
+                best = count
                 best_colors = tuple(colors)
             return
         u, v = pairs[idx]
@@ -364,6 +369,8 @@ class _Blocking:
     its mask costs two degree reads.  With k = 2 the two
     classes split the colored edges, so no class graph recurs and there
     is no memo.
+
+    `score` scores the search's leaves with the same plans.
     """
 
     def __init__(self, n: int, k: int, pattern: SimpleGraph):
@@ -423,6 +430,43 @@ class _Blocking:
                 memo.clear()
             memo[key] = (copy, mask)
         return copy, mask
+
+    def score(self, class_adj: Sequence[Sequence[int]], colors: Sequence[int], covered: int, best: int) -> int:
+        """The NIM count of a leaf, the coloring `colors` with class rows
+        `class_adj`, when it is above `best`; otherwise some value at most
+        `best`.
+
+        For a star K_{1,s} a class-c edge is NIM iff both its ends have
+        class-c degree below s, as in `step` and `_StarState`, so no query
+        is made.  Otherwise `covered` holds the edges of the copies found
+        along the branch, each still a copy at the leaf, since classes only
+        grow.  Every other edge is queried in its own class, lowest first,
+        and a copy found covers its edges, as in `nim._edge_walk`.  Only an
+        uncovered edge can be NIM, so once m - |covered| is at most `best`
+        the walk stops, as the search's node bound would.
+        """
+        s = self.star
+        if s is not None:
+            twice = 0  # each NIM edge is counted at both its ends
+            for rows in class_adj:
+                low = sum(1 << v for v, row in enumerate(rows) if row.bit_count() < s)
+                twice += sum((rows[v] & low).bit_count() for v in _bits(low))
+            return twice >> 1
+        offsets, plans, pairs = self.offsets, self.plans, self.pairs
+        todo, nim = self.full & ~covered, 0
+        while todo:
+            b = todo & -todo
+            e = b.bit_length() - 1
+            u, v = pairs[e]
+            copy = _find_through(class_adj[colors[e]], offsets, plans, u, v)
+            if copy is None:
+                nim += 1
+                todo ^= b
+            else:
+                todo &= ~copy
+                if nim + todo.bit_count() <= best:
+                    break
+        return nim + todo.bit_count()
 
 
 def _star_size(pattern: SimpleGraph) -> Optional[int]:

@@ -546,8 +546,9 @@ class TestPlanFetches:
             (lambda h: nim_edges(p2k_multicoloring(60, 4)[0], h), "path:8", 1),
             # one search; 615
             (lambda h: turan.turan_oracle(8, h), "spider:2,2,1", 1),
-            # one search and a pass per leaf, 7 leaves; 1,104
-            (lambda h: exhaustive_f(6, 2, h), "path:4", 8),
+            # one search, whose 7 leaves are scored with its own plans; 8
+            # while each leaf ran a cover pass, 1,104 when each query fetched them
+            (lambda h: exhaustive_f(6, 2, h), "path:4", 1),
             # the start's state, a local optimum, so no move rebuilds it; 141
             (lambda h: hill_climb_f(13, 4, h, iterations=2, seed_coloring=p2k_multicoloring(13, 2)[0]), "path:4", 1),
         ],

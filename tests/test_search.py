@@ -241,8 +241,9 @@ BENCH_STAR_CELLS = {
 }
 
 
-@pytest.mark.parametrize("cell", list(BENCH_STAR_CELLS), ids=[f"n{n}-k{k}-{s}" for n, k, s in BENCH_STAR_CELLS])
-def test_degree_caps_only_cut_nodes_on_the_bench_star_cells(cell, monkeypatch):
+def search_work(cell, monkeypatch) -> tuple[int, int]:
+    """(nodes below the root, anchored queries made from search.py) of the
+    search of one cell, the queries that score its leaves included."""
     counts = {"nodes": 0, "queries": 0}
     step = _Blocking.step
 
@@ -258,9 +259,32 @@ def test_degree_caps_only_cut_nodes_on_the_bench_star_cells(cell, monkeypatch):
     monkeypatch.setattr("nimcolor.search._find_through", counted_query)
     n, k, spec = cell
     _canonical_search(n, k, parse_pattern(spec), full_choices(n, k))
+    return counts["nodes"], counts["queries"]
+
+
+@pytest.mark.parametrize("cell", list(BENCH_STAR_CELLS), ids=[f"n{n}-k{k}-{s}" for n, k, s in BENCH_STAR_CELLS])
+def test_degree_caps_only_cut_nodes_on_the_bench_star_cells(cell, monkeypatch):
     pinned, without_caps = BENCH_STAR_CELLS[cell]
-    assert (counts["nodes"], counts["queries"]) == pinned
+    assert search_work(cell, monkeypatch) == pinned
     assert pinned[0] <= without_caps[0] and pinned[1] <= without_caps[1]
+
+
+# The bench's exhaustive path:4 cells, which have no degree rule: nodes
+# below the root and anchored queries.  While each leaf was scored by a
+# cover pass of its own (`nim_edges`), the search made 136, 406, 1,038 and
+# 96 queries; the leaves now query only the edges that no copy found along
+# the branch covers, which adds 13, 23, 22 and 73.
+BENCH_PATH_CELLS = {
+    (5, 2, "path:4"): (61, 149),
+    (6, 2, "path:4"): (139, 429),
+    (7, 2, "path:4"): (281, 1060),
+    (5, 3, "path:4"): (87, 169),
+}
+
+
+@pytest.mark.parametrize("cell", list(BENCH_PATH_CELLS), ids=[f"n{n}-k{k}-{s}" for n, k, s in BENCH_PATH_CELLS])
+def test_the_bench_path_cells_keep_their_work(cell, monkeypatch):
+    assert search_work(cell, monkeypatch) == BENCH_PATH_CELLS[cell]
 
 
 @pytest.mark.parametrize("cell", list(BENCH_STAR_CELLS), ids=[f"n{n}-k{k}-{s}" for n, k, s in BENCH_STAR_CELLS])
@@ -432,6 +456,45 @@ def test_star_degree_rule_matches_the_queries(data, spec):
         if not edges[f]:
             closes = _find_through(_with_edge(rows, x, y), *_query_plans(h.graph, n), x, y) is not None
             assert (mask >> f) & 1 == closes
+
+
+SCORE_PATTERNS = [
+    *(parse_pattern(spec).graph for spec in ["star:3", "path:4", "spider:2,1,1", "path:2+path:3"]),
+    C5.graph,  # a raw graph, with no pattern spec
+]
+
+
+@st.composite
+def scored_leaves(draw):
+    """(n, k, pattern, colors, covered, best): a coloring of K_n, a union of
+    copies found through some of its edges in their own classes, as the
+    search finds them along a branch, and a floor from -1 to m."""
+    n = draw(st.integers(2, 8), label="n")
+    k = draw(st.integers(1, 4), label="k")
+    h = draw(st.sampled_from(SCORE_PATTERNS), label="pattern")
+    m = n * (n - 1) // 2
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m), label="colors")
+    rows = class_rows_per_edge(EdgeColoring(n, k, tuple(colors)))
+    offsets, plans = _query_plans(h, n)
+    pairs = all_pairs(n)
+    covered = 0
+    for e in draw(st.lists(st.integers(0, m - 1), max_size=m), label="through"):
+        copy = _find_through(rows[colors[e]], offsets, plans, *pairs[e])
+        covered |= copy or 0
+    return n, k, h, colors, covered, draw(st.integers(-1, m), label="best")
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_leaves())
+def test_leaf_scores_match_a_cover_pass(leaf):
+    # exact above the floor, at most the floor otherwise, and the rows are left as they were
+    n, k, h, colors, covered, best = leaf
+    coloring = EdgeColoring(n, k, tuple(colors))
+    rows = class_rows_per_edge(coloring)
+    count = nim_edges(coloring, h).count
+    got = _Blocking(n, k, h).score(rows, colors, covered, best)
+    assert got == count if count > best else got <= best
+    assert rows == class_rows_per_edge(coloring)
 
 
 @st.composite
@@ -641,13 +704,14 @@ def test_every_leaf_keeps_the_color_rules_and_the_maximum(data, h):
     k = data.draw(st.integers(2, 4), label="k")
     n = data.draw(st.integers(2, 6 if k < 4 else 5), label="n")
     leaves = []
+    score = _Blocking.score
 
-    def recorded(coloring, pattern):
-        leaves.append(coloring.colors)
-        return nim_edges(coloring, pattern)
+    def recorded(self, class_adj, colors, covered, best):
+        leaves.append(tuple(colors))
+        return score(self, class_adj, colors, covered, best)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("nimcolor.search.nim_edges", recorded)
+        patch.setattr(_Blocking, "score", recorded)
         r = exhaustive_f(n, k, h)
     assert len(leaves) == r.colorings_examined
     assert all(keeps_color_rules(n, k, colors) for colors in leaves)
@@ -857,17 +921,17 @@ class TestDeltaEvaluation:
 # two bench cells, one a star the degree caps cut
 @pytest.mark.parametrize("cell", [(6, 2, "path:4"), (5, 3, "star:3")], ids=["n6-k2-path:4", "n5-k3-star:3"])
 def test_each_leaf_hands_in_the_rows_of_its_colors(cell, monkeypatch):
-    scored = []
-
-    def checked(coloring, h):
-        # each leaf carries no rows in; the ones it builds are those of its colors
-        assert "_rows" not in vars(coloring)
-        assert coloring.class_adjacency() == class_rows_per_edge(coloring)
-        scored.append(coloring.colors)
-        return nim_edges(coloring, h)
-
-    monkeypatch.setattr("nimcolor.search.nim_edges", checked)
     n, k, spec = cell
+    scored = []
+    score = _Blocking.score
+
+    def checked(self, class_adj, colors, covered, best):
+        # the rows the search has grown edge by edge are those of the leaf's colors
+        assert class_adj == class_rows_per_edge(EdgeColoring(n, k, tuple(colors)))
+        scored.append(tuple(colors))
+        return score(self, class_adj, colors, covered, best)
+
+    monkeypatch.setattr(_Blocking, "score", checked)
     result = exhaustive_f(n, k, parse_pattern(spec))
     assert scored and result.witness.colors in scored
 
