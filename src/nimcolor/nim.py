@@ -22,14 +22,12 @@ each function's docstring holds its own argument.
 - `_query_plans` and `_find_through`: a query through one host edge, on
   plans fetched once per pass, search or state.
 - `contains`: unanchored containment, by `_containment_kernel`.
-- `_guard` and `_depth_guard`: the input and recursion limits of every
-  entry point.
+- `_guard`: the input limits of every entry point.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -275,31 +273,6 @@ def _guard(label: str, n: int, h, max_n: Optional[int], max_pattern: int, *, tun
         hint = f"pass max_pattern={pattern.n} to allow it" if tunable else ""
         raise ResourceLimitError(f"{label} limited to pattern order <= {max_pattern}, got {pattern.n}", hint)
     return pattern
-
-
-def _depth_guard(label: str, n: int, pattern: SimpleGraph) -> None:
-    """Refuse an exact search of K_n that would pass the recursion limit.
-
-    `exhaustive_f` recurses once per edge of K_n and `turan_oracle` once per
-    edge it includes, which is every edge when the pattern has more vertices
-    than n, so both may stack C(n, 2) calls on top of the caller's frames.
-    Their deepest calls score a leaf or query for a copy: a few frames
-    more, plus one per `_KERNEL_LOOPS` positions of a plan.
-    Past the limit is a ResourceLimitError that names it, not a
-    RecursionError deep in the search.
-    """
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    limit = sys.getrecursionlimit()
-    room = limit - depth - 10 - pattern.n // _KERNEL_LOOPS
-    if complete_edge_count(n) > room:
-        top = (1 + math.isqrt(1 + 8 * max(room, 0))) // 2  # the largest n with C(n, 2) <= room
-        raise ResourceLimitError(
-            f"{label} limited to n <= {top} by the recursion limit {limit}, got {n}",
-            "sys.setrecursionlimit raises it",
-        )
 
 
 def _twin_members(rows: Sequence[int]) -> tuple[list[int], int]:

@@ -281,6 +281,16 @@ def parse_pattern(text: str) -> PatternGraph:
     return PatternGraph(disjoint_union(*(p.graph for p in parts)), "union", "+".join(p.spec for p in parts))
 
 
+# each family's generator and the count of integers it takes; None: one or more
+_FAMILIES = {
+    "path": (make_path, 1),
+    "star": (make_star, 1),
+    "spider": (lambda *lengths: make_spider(list(lengths)), None),
+    "dbroom": (make_double_broom, 3),
+    "dstar": (make_double_star, 1),
+}
+
+
 def _parse_atom(chunk: str, offset: int):
     """(generator, arguments) of one atom, its syntax checked but nothing built."""
     if ":" not in chunk:
@@ -290,25 +300,11 @@ def _parse_atom(chunk: str, offset: int):
     if not all(x.isascii() and x.removeprefix("-").isdigit() for x in values):  # int() takes "3_0", " 3"
         raise PatternSyntaxError(f"non-integer argument in {args!r}", offset + len(name) + 1)
     values = list(map(int, values))
-    if name == "path":
-        _expect(values, 1, name, offset)
-        return make_path, values
-    if name == "star":
-        _expect(values, 1, name, offset)
-        return make_star, values
-    if name == "spider":
-        if not values:
-            raise PatternSyntaxError("spider needs at least one length", offset)
-        return lambda *lengths: make_spider(list(lengths)), values
-    if name == "dbroom":
-        _expect(values, 3, name, offset)
-        return make_double_broom, values
-    if name == "dstar":
-        _expect(values, 1, name, offset)
-        return make_double_star, values
-    raise PatternSyntaxError(f"unknown family {name!r}", offset)
-
-
-def _expect(values: list[int], count: int, name: str, offset: int) -> None:
-    if len(values) != count:
+    if name not in _FAMILIES:
+        raise PatternSyntaxError(f"unknown family {name!r}", offset)
+    make, count = _FAMILIES[name]
+    if count is None and not values:
+        raise PatternSyntaxError(f"{name} needs at least one length", offset)
+    if count is not None and len(values) != count:
         raise PatternSyntaxError(f"{name} takes {count} argument(s), got {len(values)}", offset)
+    return make, values

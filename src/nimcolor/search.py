@@ -6,7 +6,7 @@ Exact search:
 
 - `exhaustive_f`: the true maximum, over the colorings that are
   canonical under vertex and color relabeling, and why its rules and
-  bounds keep the maximum.
+  bounds keep the maximum; `_depth_guard`, its recursion limit.
 - `_row_caps`: the vertex rules, shared with `turan.turan_oracle`, and
   the block starts and degree caps by which both searches keep them.
 - `_canonical_search`: the branch and bound by forward checking.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import ResourceLimitError
 from .graphs import EdgeColoring, SimpleGraph, _bits, all_pairs, complete_edge_count, edge_rank_offsets
 from .nim import (
-    DEFAULT_MAX_PATTERN, _class_components, _component_bounds, _depth_guard, _edge_mask, _edge_walk,
+    _KERNEL_LOOPS, DEFAULT_MAX_PATTERN, _class_components, _component_bounds, _edge_mask, _edge_walk,
     _find_through, _guard, _query_plans, _twin_members, nim_edges,
 )
 from .patterns import PatternGraph, _as_graph, pattern_spec
@@ -110,7 +111,7 @@ def exhaustive_f(
         raise ValueError(f"budget must be >= 1, got {budget}")
     m = complete_edge_count(n)
     if k > 1:
-        _depth_guard("exhaustive search", n, pattern)
+        _depth_guard(n, pattern)
     started = time.perf_counter()
     if k == 1:  # one coloring, scored directly: the search would recurse once per edge
         colors = (0,) * m
@@ -121,6 +122,29 @@ def exhaustive_f(
         best, colors, leaves = _canonical_search(n, k, pattern, choices, budget=budget)
     elapsed = time.perf_counter() - started
     return SearchResult(n, k, pattern_spec(h), best, EdgeColoring(n, k, colors), "exhaustive", True, leaves, elapsed)
+
+
+def _depth_guard(n: int, pattern: SimpleGraph) -> None:
+    """Refuse an exhaustive search of K_n that would pass the recursion limit.
+
+    `exhaustive_f` recurses once per edge of K_n, so it stacks C(n, 2)
+    calls on top of the caller's frames.  Its deepest calls score a leaf
+    or query for a copy: a few frames more, plus one per `_KERNEL_LOOPS`
+    positions of a plan.  Past the limit is a ResourceLimitError that
+    names it, not a RecursionError deep in the search.
+    """
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    room = limit - depth - 10 - pattern.n // _KERNEL_LOOPS
+    if complete_edge_count(n) > room:
+        top = (1 + math.isqrt(1 + 8 * max(room, 0))) // 2  # the largest n with C(n, 2) <= room
+        raise ResourceLimitError(
+            f"exhaustive search limited to n <= {top} by the recursion limit {limit}, got {n}",
+            "sys.setrecursionlimit raises it",
+        )
 
 
 def _row_caps(rows: Sequence[int], u: int, caps: list[int], starts: int) -> tuple[list[int], int]:
@@ -277,7 +301,6 @@ def _canonical_search(
             adj[v] &= ~bu
         if star is not None:
             code[u], code[v] = cu, cv
-        colors[idx] = 0
 
     # K_0 has no vertex to cap, and its caps could not be read in base 0
     rec(0, 0, 0, n * cap_of[0] if star is not None and n else 0)

@@ -8,26 +8,21 @@ patterns with at least two components.  `turan_oracle` maximizes edges over
 all pattern-free graphs by a depth-first search over the canonical edge
 order, with the vertex rules and degree caps of `search._row_caps` and
 stores of earlier answers (see its docstring), and serves as an
-independent cross-check on both formulas.  A node budget bounds its
-work, as it does `search.exhaustive_f`'s, in place of a limit on n.
+independent cross-check on both formulas.  A node budget, not a limit
+on n, bounds its work, and the recursion limit its depth.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
 from .errors import ResourceLimitError, TuranUnavailableError
-from .graphs import (
-    SimpleGraph,
-    all_pairs,
-    complete_edge_count,
-    components,
-    disjoint_union,
-    join,
-)
-from .nim import _depth_guard, _find_through, _guard, _query_plans, contains
+from .graphs import SimpleGraph, complete_edge_count, components, disjoint_union, join
+from .nim import _find_through, _guard, _query_plans, contains
 from .patterns import PatternGraph, make_path, pattern_spec
 from .search import DEFAULT_NODE_BUDGET, _row_caps
 
@@ -89,10 +84,7 @@ def extremal_path_graph(n: int, length: int, t: int) -> SimpleGraph:
     valid = path_extremal_t_range(n, length)
     a, b = divmod(n, length - 1)
     if t not in valid:
-        raise ValueError(
-            f"t={t} invalid for n={n}, length={length}: "
-            f"allowed t in {list(valid)} (a={a}, b={b})"
-        )
+        raise ValueError(f"t={t} invalid for n={n}, length={length}: allowed t in {list(valid)} (a={a}, b={b})")
     if t < a:
         g = near_extremal_path_graph(n, length // 2, t)
     else:
@@ -164,7 +156,11 @@ def turan_oracle(n: int, h, *, budget: int = DEFAULT_NODE_BUDGET, max_pattern: i
     Depth-first over the canonical edge order; each edge is included (when
     that creates no copy of the pattern through it) or excluded.  Including
     recurses; excluding, always the last step, is the loop's next pass, so
-    the recursion is as deep as the included edges.
+    the recursion is as deep as the included edges, unknown up front:
+    passing the recursion limit R is a `ResourceLimitError` where it
+    happens, or at once for n >= 2R, where a pattern of two or more edges
+    needs ex(n, H) >= n // 2 of them (a perfect matching or a star has no
+    copy); a one-edge pattern there has ex = 0 once it fits.
 
     Only graphs that keep the vertex rules of `search._row_caps`, read on
     the one graph, are kept; every graph has such a relabeling, so the
@@ -189,29 +185,33 @@ def turan_oracle(n: int, h, *, budget: int = DEFAULT_NODE_BUDGET, max_pattern: i
     subgraphs are pattern-free, so the edge is included.  `known` is
     checked first; its hits are the more common.  Each store answers only
     what the query would have answered, so the nodes, the maximum and the
-    witness are those of the search without the stores.
+    witness are those of the search without the stores.  They fill only at
+    the edges reached, walked by their ends: no C(n, 2) table is built.
     """
     pattern = _guard("oracle", n, h, None, max_pattern, tunable=True)
     if pattern.edge_count == 0:
         raise ValueError("pattern needs at least one edge")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    _depth_guard("oracle", n, pattern)
+
+    limit = sys.getrecursionlimit()
+    refusal = ResourceLimitError(f"oracle passed the recursion limit {limit}", "sys.setrecursionlimit raises it")
+    if n // 2 >= limit:  # ex(n, H) >= n // 2 nested calls, unless H is one edge
+        if pattern.edge_count == 1 and pattern.n <= n:
+            return TuranResult(n, pattern_spec(h), 0, "oracle", witness=SimpleGraph(n, (0,) * n))
+        raise refusal
 
     m = complete_edge_count(n)
-    pairs = all_pairs(n)
     offsets, plans = _query_plans(pattern, n)
     adj = [0] * n
     best, nodes = -1, 0
     best_adj: tuple[int, ...] = tuple(adj)
     # known[idx]: copies found through edge idx, minus idx, newest first;
     # free[idx]: included-edge masks g where g plus idx had no copy through idx
-    known: list[list[int]] = [[] for _ in range(m)]
-    free: list[list[int]] = [[] for _ in range(m)]
-    # per edge idx: its ends, their bits, and whether it starts row u >= 1
-    edges = [(u, v, 1 << u, 1 << v, u >= 1 and v == u + 1) for u, v in pairs]
+    known, free = defaultdict(list), defaultdict(list)
 
-    def rec(idx: int, count: int, done: int, g: int, caps: list[int], starts: int, cap: int) -> None:
+    def rec(idx: int, u: int, v: int, count: int, done: int, g: int, caps: list[int], starts: int, cap: int) -> None:
+        # (u, v): edge idx, with v = n for (u + 1, u + 2);
         # done: the degree sum of the vertices whose rows are finished;
         # g: the included edges as a mask over canonical edge indices;
         # caps, starts: the vertex rules' state (`_row_caps`); cap: the
@@ -230,8 +230,9 @@ def turan_oracle(n: int, h, *, budget: int = DEFAULT_NODE_BUDGET, max_pattern: i
                 best = count
                 best_adj = tuple(adj)
                 return
-            u, v, bu, bv, first = edges[idx]
-            if first:
+            if v == n:
+                u, v = u + 1, u + 2
+            if u and v == u + 1:
                 # row u is starting: the degrees of 0..u-1 are final, and u's can only grow
                 done += adj[u - 1].bit_count()
                 caps, starts = _row_caps(adj, u, caps, starts)
@@ -247,6 +248,7 @@ def turan_oracle(n: int, h, *, budget: int = DEFAULT_NODE_BUDGET, max_pattern: i
                     if rest & g == rest:
                         break  # g plus idx holds a copy found before
                 else:
+                    bu, bv = 1 << u, 1 << v
                     adj[u] |= bv
                     adj[v] |= bu
                     frees = free[idx]
@@ -261,16 +263,20 @@ def turan_oracle(n: int, h, *, budget: int = DEFAULT_NODE_BUDGET, max_pattern: i
                         if len(store) > _KNOWN_CAP:
                             store.pop()
                     if copy is None:
-                        rec(idx + 1, count + 1, done, g | 1 << idx, caps, starts, cap)
+                        rec(idx + 1, u, v + 1, count + 1, done, g | 1 << idx, caps, starts, cap)
                     adj[u] ^= bv
                     adj[v] ^= bu
             # row u is a prefix inside each block, so excluding (u, v) excludes
             # the rest of v's block: on to the next block start, or the next row
             rest = starts >> (v + 1)
-            idx += (rest & -rest).bit_length() if rest else n - v
+            step = (rest & -rest).bit_length() if rest else n - v
+            idx, v = idx + step, v + step
 
-    # row 0: no degree cap, and m edges bound nothing the first test misses
-    rec(0, 0, 0, 0, [n] * n, 0b10, m)
+    try:
+        # row 0: no degree cap, and m edges bound nothing the first test misses
+        rec(0, 0, 1, 0, 0, 0, [n] * n, 0b10, m)
+    except RecursionError as exc:
+        raise refusal from exc
     witness = SimpleGraph(n, best_adj)
     if contains(witness, pattern):
         raise AssertionError("oracle witness contains the pattern")

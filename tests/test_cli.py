@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import sys
+import time
 from dataclasses import fields
 
 import pytest
@@ -363,6 +365,25 @@ class TestTuranCommand:
         assert json.loads(out)["value"] == 6
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--pattern star:3", "no Turan value available for star:3 at n=100000: oracle passed the recursion limit"),
+            ("--method oracle --pattern path:3", "oracle passed the recursion limit"),
+        ],
+    )
+    def test_n_past_twice_the_recursion_limit_is_refused_at_once(self, capsys, flags, message):
+        # ex(n, H) >= n // 2 nested calls for two or more edges, refused before
+        # the oracle builds anything of size C(n, 2)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "turan", *flags.split(), "--n", "100000")
+        assert time.perf_counter() - started < 0.5
+        assert (code, out, err) == (1, "", f"error: {message} {sys.getrecursionlimit()}\n")
+
+    def test_one_edge_oracle_answers_zero_at_any_n(self, capsys):
+        code, out, _ = run(capsys, "turan", "--method", "oracle", "--pattern", "path:2", "--n", "100000")
+        assert code == 0 and (json.loads(out)["value"], json.loads(out)["witness_edges"]) == (0, [])
+
+    @pytest.mark.parametrize(
         "flags, digest",
         [
             # sha256 of stdout: a formula, an oracle value with its witness_edges,
@@ -598,6 +619,19 @@ class TestSearchAndReport:
         code, out, err = run(capsys, "report", "--format", fmt, "--ledger", str(ledger))
         assert (code, err) == (0, "")
         assert out == self.GOLDEN_REPORT[fmt]
+
+    def test_report_marks_ex_unavailable_past_twice_the_recursion_limit(self, capsys, tmp_path):
+        # a hand-written record: no CLI search reaches n = 100,000, but the
+        # oracle must refuse it before it allocates, and report shows no ex
+        ledger = tmp_path / "ledger.jsonl"
+        result = {"n": 100_000, "k": 2, "pattern": "spider:2,2,1", "best_count": 5, "exhaustive": False}
+        ledger.write_text(json.dumps({"command": "search", "result": result}) + "\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "report", "--format", "json", "--ledger", str(ledger))
+        assert time.perf_counter() - started < 0.5
+        assert (code, err) == (0, "")
+        [row] = json.loads(out)["rows"]
+        assert (row["n"], row["ex"], row["gap"]) == (100_000, None, None)
 
     def test_bad_line_before_the_last_still_raises(self, capsys, tmp_path):
         ledger = tmp_path / "ledger.jsonl"

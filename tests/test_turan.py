@@ -1,5 +1,7 @@
 import re
 import sys
+import time
+import tracemalloc
 from functools import partial
 from itertools import combinations, product
 from math import comb
@@ -289,19 +291,70 @@ class TestOracle:
         with pytest.raises(ValueError, match=f"^budget must be >= 1, got {budget}$"):
             turan_oracle(n, make_star(3), budget=budget)
 
-    def test_depth_past_the_recursion_limit_is_refused_up_front(self):
-        # the search recurses once per included edge, and a pattern larger than n
-        # includes all of K_46's 1,035, past the default limit of 1000
-        with pytest.raises(ResourceLimitError) as err:
-            turan_oracle(46, make_path(2))
-        assert re.fullmatch(r"oracle limited to n <= \d+ by the recursion limit \d+, got 46", err.value.limit)
-        assert err.value.hint == "sys.setrecursionlimit raises it"
+    def test_depth_past_the_recursion_limit_is_refused_where_it_is_met(self):
+        # the search recurses once per included edge, and a pattern with more
+        # vertices than n includes all of K_46's 1,035, past the default limit of 1000
         limit = sys.getrecursionlimit()
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            turan_oracle(46, make_path(47), max_pattern=47)
+        assert time.perf_counter() - started < 1
+        assert err.value.limit == f"oracle passed the recursion limit {limit}"
+        assert err.value.hint == "sys.setrecursionlimit raises it"
+        assert isinstance(err.value.__cause__, RecursionError)
         sys.setrecursionlimit(limit + 200)
         try:
-            assert turan_oracle(46, make_path(2)).value == 0
+            assert turan_oracle(46, make_path(47), max_pattern=47).value == 1035
         finally:
             sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("n", [45, 50, 60])
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_path_values_past_n_44_match_the_formula(self, n, length):
+        # an H-free graph recurses once per edge it holds, far below C(n, 2);
+        # the stars past n = 44 are rows of TestDispatcher.test_oracle_values_at_larger_n
+        assert turan_oracle(n, make_path(length)).value == ex_path(n, length).value
+
+    @pytest.mark.parametrize("spec", ["star:3", "path:3", "path:3+path:3", "path:13"])
+    def test_n_of_twice_the_recursion_limit_is_refused_before_any_work(self, spec):
+        # every pattern of two or more edges has ex(n, H) >= n // 2, so the
+        # search would nest that many calls; at n = 100,000 the parent built
+        # C(n, 2) entries per table before its first node
+        limit = sys.getrecursionlimit()
+        h = parse_pattern(spec)
+        for n in (2 * limit, 100_000):
+            tracemalloc.start()
+            started = time.perf_counter()
+            try:
+                with pytest.raises(ResourceLimitError) as err:
+                    turan_oracle(n, h, max_pattern=13)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - started < 0.1 and peak < 100_000
+            assert (err.value.limit, err.value.hint) == (
+                f"oracle passed the recursion limit {limit}", "sys.setrecursionlimit raises it",
+            )
+            assert err.value.__cause__ is None
+
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    def test_one_edge_pattern_answers_zero_at_any_n(self, n):
+        # below n = 2R the search answers with no include; past it, at once
+        r = turan_oracle(n, make_path(2))
+        assert (r.value, r.witness.n, r.witness.edge_count) == (0, n, 0)
+
+    def test_memory_grows_with_the_nodes_not_the_edges_of_k_n(self):
+        # K_1000 has 499,500 edges; the stores fill only at the edges the
+        # search reaches, and no `all_pairs` table is built
+        all_pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            assert turan_oracle(1000, make_path(2)).value == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert all_pairs.cache_info().currsize == 0
 
 
 # Every (n, pattern) cell with n <= 7 the suite and the benchmark use, plus
@@ -541,7 +594,8 @@ class TestDispatcher:
     @pytest.mark.parametrize(
         "n, spec, value",
         [(12, "spider:2,2,1", 21), (13, "spider:2,2,2", 30), (12, "path:3+path:3", 16), (11, "dbroom:2,3,2", 25),
-         (12, "star:3", 12), (30, "star:3", 30)],
+         (12, "star:3", 12), (30, "star:3", 30), (45, "star:3", 45), (50, "star:3", 50), (60, "star:3", 60),
+         (45, "star:4", 67), (50, "star:4", 75), (60, "star:4", 90)],
     )
     def test_oracle_values_at_larger_n(self, n, spec, value):
         h = parse_pattern(spec)
@@ -551,7 +605,11 @@ class TestDispatcher:
         assert r.witness.n == n and len(edges) == value and all(0 <= u < v < n for u, v in edges)
         if h.family == "star":  # ex(n, K_{1,s}) = floor((s - 1)n/2) for n > s
             assert value == (h.vertex_count - 2) * n // 2
-        if (n, spec) not in ((13, "spider:2,2,2"), (11, "dbroom:2,3,2")):  # about 9 s and 1.5 s by brute force
+            # a graph holds K_{1,s} iff a vertex has degree s or more
+            assert max(row.bit_count() for row in r.witness.adj) < h.vertex_count - 1
+        # about 9 s and 1.5 s by brute force, and seconds to hours past n = 30,
+        # where the star's degree check above stands in
+        if n <= 30 and (n, spec) not in ((13, "spider:2,2,2"), (11, "dbroom:2,3,2")):
             assert not contains_brute(r.witness, h.graph)
 
     def test_unavailable(self, monkeypatch):
